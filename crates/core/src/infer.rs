@@ -39,7 +39,7 @@
 //! on the same accuracy/latency curve, not a different computation.
 
 use serde::{Deserialize, Serialize};
-use t2fsnn_snn::{OpExecutor, SnnOp};
+use t2fsnn_snn::{OpExecutor, OpPlan, SnnOp};
 use t2fsnn_tensor::{trace, Result, SpikeBatch, Tensor, TensorError, ThreadPool};
 
 use crate::network::T2fsnn;
@@ -145,9 +145,10 @@ impl T2fsnn {
             });
         }
         let n = images.dims()[0];
+        let plan = self.plan(&images.dims()[1..])?;
         let ranges = pool.chunk_ranges(n);
         if ranges.len() <= 1 {
-            return self.infer_chunk(images, opts);
+            return self.infer_chunk(images, opts, &plan);
         }
         let feature: usize = images.dims()[1..].iter().product();
         let mut tasks: Vec<Tensor> = Vec::with_capacity(ranges.len());
@@ -159,7 +160,7 @@ impl T2fsnn {
                 images.data()[range.start * feature..range.end * feature].to_vec(),
             )?);
         }
-        let results = pool.run_tasks(tasks, |chunk| self.infer_chunk(&chunk, opts));
+        let results = pool.run_tasks(tasks, |chunk| self.infer_chunk(&chunk, opts, &plan));
         let mut out = Vec::with_capacity(n);
         for chunk in results {
             out.extend(chunk?);
@@ -167,18 +168,27 @@ impl T2fsnn {
         Ok(out)
     }
 
-    /// One contiguous sub-batch; per-image results are independent of
-    /// the chunking.
-    fn infer_chunk(&self, images: &Tensor, opts: InferOptions) -> Result<Vec<ImageInference>> {
+    /// One contiguous sub-batch over the shared compiled `plan`;
+    /// per-image results are independent of the chunking.
+    fn infer_chunk(
+        &self,
+        images: &Tensor,
+        opts: InferOptions,
+        plan: &OpPlan,
+    ) -> Result<Vec<ImageInference>> {
         let config = self.config();
         let t_window = config.time_window;
         let theta0 = config.theta0;
         let n = images.dims()[0];
+        // Serving keeps the flight recorder on, so a traced chunk records
+        // one span plus one child per pipeline stage (set in the step
+        // loop); the per-step spans below feed only the profile
+        // aggregate.
+        let mut tracer = trace::coarse("ttfs/infer_chunk", n as u64);
         let ops = self.network().ops();
         let segments = build_segments(ops);
         let l_count = segments.len();
-        let shapes = self.network().output_shapes(&images.dims()[1..])?;
-        let mut executor = OpExecutor::new(ops, config.engine, &images.dims()[1..])?;
+        let mut executor = OpExecutor::new(plan, config.engine);
 
         // Membrane potentials (bias folded in once) and refractory
         // masks, position-major as in `run`.
@@ -186,9 +196,9 @@ impl T2fsnn {
         let mut fired: Vec<Tensor> = Vec::with_capacity(l_count);
         for seg in &segments {
             let mut dims = vec![n];
-            dims.extend_from_slice(executor.state_dims(seg.weighted));
+            dims.extend_from_slice(plan.state_dims(seg.weighted));
             let mut p = Tensor::zeros(dims.clone());
-            executor.inject_bias(ops, seg.weighted, &mut p, 1.0)?;
+            ops[seg.weighted].inject_bias_pm(&mut p, 1.0)?;
             potentials.push(p);
             fired.push(Tensor::zeros(dims));
         }
@@ -234,18 +244,13 @@ impl T2fsnn {
             .collect();
 
         // First-spike gates for max-pool ops, as in `run`.
-        let first_weighted = executor.first_weighted();
         let mut gates: Vec<Option<Tensor>> = ops
             .iter()
             .enumerate()
             .map(|(i, op)| {
                 matches!(op, SnnOp::MaxPool { .. }).then(|| {
                     let mut dims = vec![n];
-                    if i > first_weighted {
-                        dims.extend_from_slice(executor.state_dims(i));
-                    } else {
-                        dims.extend_from_slice(&shapes[i]);
-                    }
+                    dims.extend_from_slice(plan.state_dims(i));
                     Tensor::zeros(dims)
                 })
             })
@@ -261,6 +266,15 @@ impl T2fsnn {
             total_steps.max(ee_start + t_window)
         } else {
             total_steps
+        };
+        // Stage k starts at step k·stride, when layer k receives its first
+        // input (the first layer at step 0); with early exit, stage L is
+        // the output layer's fire window (`ee_start`).
+        let stride = config.stride();
+        let stages = if opts.early_exit {
+            l_count + 1
+        } else {
+            l_count
         };
 
         // Per-image accounting.
@@ -290,6 +304,9 @@ impl T2fsnn {
         for t in 0..last_step {
             if opts.early_exit && undecided == 0 {
                 break;
+            }
+            if t % stride == 0 && t / stride < stages {
+                tracer.stage("ttfs/stage", (t / stride) as u64);
             }
             // Input fire window: [0, T). Decided images are terminated —
             // their pixels stop spiking.
@@ -322,12 +339,7 @@ impl T2fsnn {
                 if any > 0 {
                     let drive = Tensor::from_vec(drive_dims.clone(), drive_data)?;
                     let z = if pm_input {
-                        executor.synops_pm_by_image(
-                            ops,
-                            segments[0].weighted,
-                            &drive,
-                            &mut synop_buf,
-                        )?;
+                        ops[segments[0].weighted].synops_pm_by_image(&drive, &mut synop_buf)?;
                         let (z, _) =
                             executor.propagate_input_pm(ops, segments[0].weighted, &drive)?;
                         z
@@ -406,7 +418,7 @@ impl T2fsnn {
                     let _s = trace::span("ttfs/segment_propagate");
                     let seg = &segments[i + 1];
                     propagate_pre_ops_events(ops, &mut executor, seg, &mut fire_ev, &mut gates)?;
-                    executor.synops_events_by_image(ops, seg.weighted, &fire_ev, &mut synop_buf)?;
+                    ops[seg.weighted].synops_events_by_image(&fire_ev, &mut synop_buf)?;
                     for (r, &s) in results.iter_mut().zip(&synop_buf) {
                         r.synop_adds += s;
                     }
@@ -467,7 +479,7 @@ impl T2fsnn {
     fn propagate_input_segment(
         &self,
         ops: &[SnnOp],
-        executor: &mut OpExecutor,
+        executor: &mut OpExecutor<'_>,
         seg: &Segment,
         mut signal: Tensor,
         gates: &mut [Option<Tensor>],
@@ -481,11 +493,11 @@ impl T2fsnn {
         // Charge per-image synops on the signal entering the weighted
         // op: a conv counts on the position-major layout it is executed
         // in, a linear layer on its flat rows.
-        if matches!(ops[seg.weighted], SnnOp::Conv { .. }) {
-            let pm = signal.to_position_major()?;
-            executor.synops_pm_by_image(ops, seg.weighted, &pm, synops)?;
+        let op = &ops[seg.weighted];
+        if matches!(op, SnnOp::Conv { .. }) {
+            op.synops_pm_by_image(&signal.to_position_major()?, synops)?;
         } else {
-            executor.synops_pm_by_image(ops, seg.weighted, &signal, synops)?;
+            op.synops_pm_by_image(&signal, synops)?;
         }
         let (z, _) = executor.propagate(ops, seg.weighted, &signal)?;
         Ok(z)
@@ -498,7 +510,7 @@ impl T2fsnn {
 /// per-request accounting path supports the bundled op set only.
 fn propagate_pre_ops_events(
     ops: &[SnnOp],
-    executor: &mut OpExecutor,
+    executor: &mut OpExecutor<'_>,
     seg: &Segment,
     events: &mut SpikeBatch,
     gates: &mut [Option<Tensor>],

@@ -1,9 +1,11 @@
 //! The T2FSNN model: a converted spiking network plus per-layer TTFS
 //! kernels and pipeline configuration.
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 use t2fsnn_dnn::Network;
-use t2fsnn_snn::SnnNetwork;
+use t2fsnn_snn::{OpPlan, SnnNetwork};
 use t2fsnn_tensor::{perturb, Result, TensorError};
 
 use crate::kernel::{ExpKernel, KernelParams};
@@ -138,7 +140,9 @@ impl T2fsnnConfig {
     }
 }
 
-/// A complete T2FSNN: weights, kernels and pipeline settings.
+/// A complete T2FSNN: weights, kernels and pipeline settings, plus the
+/// compiled execution plan its inference calls share (see
+/// [`T2fsnn::plan`]).
 ///
 /// # Examples
 ///
@@ -162,6 +166,13 @@ pub struct T2fsnn {
     input_kernel: KernelParams,
     kernels: Vec<KernelParams>,
     config: T2fsnnConfig,
+    /// The compiled plan of the first input shape this model ran, keyed
+    /// by that shape. Not serialized (a loaded model recompiles on first
+    /// use); clones share it, and [`T2fsnn::perturb_weights`] — the only
+    /// weight mutator — resets it. The plan holds no engine state, so a
+    /// clone switched to another [`t2fsnn_snn::SimEngine`] reuses it.
+    #[serde(skip)]
+    plan: OnceLock<(Vec<usize>, Arc<OpPlan>)>,
 }
 
 impl T2fsnn {
@@ -182,6 +193,7 @@ impl T2fsnn {
             input_kernel: initial,
             kernels,
             config,
+            plan: OnceLock::new(),
         })
     }
 
@@ -271,6 +283,33 @@ impl T2fsnn {
         (l - 1) * self.config.stride() + self.config.time_window
     }
 
+    /// The compiled execution plan for `[C, H, W]` inputs (`input_dims`
+    /// excludes the batch axis): the weights re-laid-out for the engine
+    /// and every op's state dims. The first shape compiled is cached and
+    /// shared by every later call, pool chunk and clone; any other shape
+    /// compiles a fresh plan per call and never replaces or reuses the
+    /// cached one. [`T2fsnn::infer`] and [`T2fsnn::run`] call this, so a
+    /// caller only needs it to move the compile out of the first
+    /// inference (the serving registry does so at load).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the network's shapes do not chain over
+    /// `input_dims`.
+    pub fn plan(&self, input_dims: &[usize]) -> Result<Arc<OpPlan>> {
+        match self.plan.get() {
+            Some((dims, plan)) if dims == input_dims => Ok(Arc::clone(plan)),
+            Some(_) => OpPlan::new(self.net.ops(), input_dims).map(Arc::new),
+            None => {
+                let plan = Arc::new(OpPlan::new(self.net.ops(), input_dims)?);
+                // A racing first call may have cached its own compile of
+                // the same weights; either copy is correct.
+                let _ = self.plan.set((input_dims.to_vec(), Arc::clone(&plan)));
+                Ok(plan)
+            }
+        }
+    }
+
     /// Applies the spec's model-level families (`wgauss`, `wstuck`,
     /// `wbitflip`) to every weight row in place. Each row draws from its
     /// own `(seed, layer, row)`-keyed ChaCha8 stream, so the result is
@@ -278,8 +317,11 @@ impl T2fsnn {
     /// and SIMD path. An identity spec leaves every bit untouched.
     ///
     /// Returns `(changed_rows, total_rows)` — how many rows were
-    /// actually modified out of all weight rows in the network.
+    /// actually modified out of all weight rows in the network. The
+    /// cached plan is dropped, so the next inference compiles the new
+    /// weights.
     pub fn perturb_weights(&mut self, spec: &perturb::PerturbSpec) -> (u64, u64) {
+        self.plan.take();
         let mut changed = 0u64;
         let mut total = 0u64;
         self.net.for_each_weight_row(|layer, row, weights| {

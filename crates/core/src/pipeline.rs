@@ -115,7 +115,7 @@ pub(crate) fn build_segments(ops: &[SnnOp]) -> Vec<Segment> {
 /// almost always is (each neuron fires at most once over a whole window).
 fn propagate_segment(
     ops: &[SnnOp],
-    executor: &mut OpExecutor,
+    executor: &mut OpExecutor<'_>,
     seg: &Segment,
     mut signal: Tensor,
     gates: &mut [Option<Tensor>],
@@ -149,7 +149,7 @@ fn propagate_segment(
 #[allow(clippy::too_many_arguments)] // one call site; mirrors the dense twin
 fn propagate_segment_events(
     ops: &[SnnOp],
-    executor: &mut OpExecutor,
+    executor: &mut OpExecutor<'_>,
     seg: &Segment,
     events: &mut SpikeBatch,
     gates: &mut [Option<Tensor>],
@@ -287,9 +287,9 @@ impl T2fsnn {
         let ops = self.network().ops();
         let segments = build_segments(ops);
         let l_count = segments.len();
-        let shapes = self.network().output_shapes(&images.dims()[1..])?;
         let dense_mode = matches!(config.engine, SimEngine::Dense);
-        let mut executor = OpExecutor::new(ops, config.engine, &images.dims()[1..])?;
+        let plan = self.plan(&images.dims()[1..])?;
+        let mut executor = OpExecutor::new(&plan, config.engine);
 
         // Membrane potentials (initialized with the bias: one constant
         // current injection per inference) and refractory masks, in the
@@ -298,9 +298,9 @@ impl T2fsnn {
         let mut fired: Vec<Tensor> = Vec::with_capacity(l_count);
         for seg in &segments {
             let mut dims = vec![n];
-            dims.extend_from_slice(executor.state_dims(seg.weighted));
+            dims.extend_from_slice(plan.state_dims(seg.weighted));
             let mut p = Tensor::zeros(dims.clone());
-            executor.inject_bias(ops, seg.weighted, &mut p, 1.0)?;
+            ops[seg.weighted].inject_bias_pm(&mut p, 1.0)?;
             potentials.push(p);
             fired.push(Tensor::zeros(dims));
         }
@@ -349,18 +349,13 @@ impl T2fsnn {
         // First-spike gates for max-pool ops (one latch per pool window),
         // position-major like the membranes downstream of the first
         // weighted op, channel-major in the image domain before it.
-        let first_weighted = executor.first_weighted();
         let mut gates: Vec<Option<Tensor>> = ops
             .iter()
             .enumerate()
             .map(|(i, op)| {
                 matches!(op, SnnOp::MaxPool { .. }).then(|| {
                     let mut dims = vec![n];
-                    if i > first_weighted {
-                        dims.extend_from_slice(executor.state_dims(i));
-                    } else {
-                        dims.extend_from_slice(&shapes[i]);
-                    }
+                    dims.extend_from_slice(plan.state_dims(i));
                     Tensor::zeros(dims)
                 })
             })

@@ -1,18 +1,21 @@
 //! Property-based tests for the TTFS kernel machinery — the encode/decode
 //! invariants the paper's analysis depends on — plus the clock engine's
-//! dense/event execution identity.
+//! dense/event execution identity and the compiled-plan cache.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use t2fsnn::kernel::{ExpKernel, KernelParams};
 use t2fsnn::optimize::kernel_losses;
-use t2fsnn::{T2fsnn, T2fsnnConfig};
+use t2fsnn::{ImageInference, InferOptions, T2fsnn, T2fsnnConfig};
 use t2fsnn_dnn::layers::{Conv2d, Flatten, Linear, Pool, PoolKind, Relu};
 use t2fsnn_dnn::Network;
 use t2fsnn_snn::SimEngine;
 use t2fsnn_tensor::ops::Conv2dSpec;
-use t2fsnn_tensor::Tensor;
+use t2fsnn_tensor::perturb::PerturbSpec;
+use t2fsnn_tensor::{trace, Tensor, ThreadPool};
 
 /// A small random CNN over 8×8 single-channel inputs, optionally with
 /// max pooling (the op only the TTFS engine supports).
@@ -218,4 +221,157 @@ proptest! {
             mean_err(&coarse)
         );
     }
+}
+
+/// Bit-level equality of two per-image inference lists, `top_potential`
+/// included (NaN-safe, unlike `==` on the floats).
+fn same_inferences(a: &[ImageInference], b: &[ImageInference]) -> bool {
+    a == b
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.top_potential.to_bits() == y.top_potential.to_bits())
+}
+
+fn plan_images(n: usize, seed: u64, dims: [usize; 3]) -> Tensor {
+    let [c, h, w] = dims;
+    Tensor::from_fn([n, c, h, w], |i| {
+        let key = i[0] * 7919 + i[2] * 53 + i[3] * 13 + seed as usize;
+        ((key % 89) as f32) / 88.0
+    })
+}
+
+fn plan_model(max_pool: bool, width: usize, seed: u64) -> T2fsnn {
+    let kind = if max_pool {
+        PoolKind::Max
+    } else {
+        PoolKind::Avg
+    };
+    let dnn = random_cnn(kind, width, seed);
+    T2fsnn::from_dnn(&dnn, T2fsnnConfig::new(8), KernelParams::new(4.0, 0.0)).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The compiled-plan cache: a call that reuses the cached plan is
+    /// bit-identical to the first call of a fresh clone, for `infer`
+    /// (solo and batched, early exit on and off, 1/2/4 workers) and for
+    /// `run`, and every call of one input shape shares one plan.
+    #[test]
+    fn cached_plan_calls_match_a_fresh_clone(
+        max_pool in prop::bool::ANY,
+        width in 0usize..3,
+        seed in 0u64..500,
+    ) {
+        let model = plan_model(max_pool, width, seed);
+        let images = plan_images(5, seed, [1, 8, 8]);
+        let solo = plan_images(1, seed + 1, [1, 8, 8]);
+        let labels = vec![0usize, 1, 2, 3, 0];
+        // Warm the cache, then check every later call against a clone
+        // taken before it (whose own first call compiles afresh).
+        let pristine = model.clone();
+        let first = model.run(&images, &labels).unwrap();
+        let plan = model.plan(&[1, 8, 8]).unwrap();
+        prop_assert_eq!(&model.run(&images, &labels).unwrap(), &first);
+        prop_assert_eq!(&pristine.clone().run(&images, &labels).unwrap(), &first);
+        for opts in [InferOptions::default(), InferOptions::early_exit()] {
+            for batch in [&solo, &images] {
+                let fresh = pristine.clone().infer(batch, opts).unwrap();
+                for workers in [1usize, 2, 4] {
+                    let pool = ThreadPool::new(workers);
+                    let cached = model.infer_on(batch, opts, &pool).unwrap();
+                    prop_assert!(same_inferences(&cached, &fresh), "workers={} {:?}", workers, opts);
+                }
+            }
+        }
+        // One compile per model and input shape: the plan those calls
+        // used is still the one cached after the first.
+        prop_assert!(Arc::ptr_eq(&plan, &model.plan(&[1, 8, 8]).unwrap()));
+    }
+
+    /// `perturb_weights` drops the cached plan: perturbing after an
+    /// inference gives exactly the bits of a model perturbed before any.
+    #[test]
+    fn perturbing_after_inference_matches_perturbing_first(
+        max_pool in prop::bool::ANY,
+        seed in 0u64..500,
+    ) {
+        let spec = PerturbSpec::parse("3:wgauss=0.2,wstuck=0.1").unwrap();
+        let images = plan_images(3, seed, [1, 8, 8]);
+        let labels = vec![0usize, 1, 2];
+        let mut before = plan_model(max_pool, 1, seed);
+        before.perturb_weights(&spec);
+        let mut after = plan_model(max_pool, 1, seed);
+        let clean = after.infer(&images, InferOptions::early_exit()).unwrap();
+        after.perturb_weights(&spec);
+        let want = before.infer(&images, InferOptions::early_exit()).unwrap();
+        let got = after.infer(&images, InferOptions::early_exit()).unwrap();
+        prop_assert!(same_inferences(&got, &want));
+        prop_assert!(!same_inferences(&got, &clean), "the perturbation must show");
+        prop_assert_eq!(after.run(&images, &labels).unwrap(), before.run(&images, &labels).unwrap());
+    }
+
+    /// A different input shape never reuses the cached plan. `[1, 4, 16]`
+    /// images reach the classifier with as many features as `[1, 8, 8]`
+    /// ones, so a wrongly reused plan would not even fail loudly.
+    #[test]
+    fn another_input_shape_never_reuses_the_cached_plan(
+        max_pool in prop::bool::ANY,
+        seed in 0u64..500,
+    ) {
+        let model = plan_model(max_pool, 1, seed);
+        let square = plan_images(2, seed, [1, 8, 8]);
+        let wide = plan_images(2, seed, [1, 4, 16]);
+        model.infer(&square, InferOptions::default()).unwrap();
+        let cached = model.plan(&[1, 8, 8]).unwrap();
+        let other = model.plan(&[1, 4, 16]).unwrap();
+        prop_assert!(!Arc::ptr_eq(&cached, &other));
+        prop_assert_eq!(other.state_dims(0), &[4, 16, 3][..]);
+        let fresh = plan_model(max_pool, 1, seed).infer(&wide, InferOptions::default()).unwrap();
+        prop_assert!(same_inferences(&model.infer(&wide, InferOptions::default()).unwrap(), &fresh));
+        // The first shape's plan stays cached.
+        prop_assert!(Arc::ptr_eq(&cached, &model.plan(&[1, 8, 8]).unwrap()));
+    }
+}
+
+/// The engine stays per call: a clone that inherited a cached plan and
+/// was switched to `SimEngine::Dense` through `set_config` runs the dense
+/// kernels, while the original keeps the event kernels. Told apart by
+/// the op spans each run records under its own trace id.
+#[test]
+fn dense_clone_of_a_cached_model_runs_the_dense_path() {
+    let model = plan_model(true, 1, 11);
+    let images = plan_images(3, 11, [1, 8, 8]);
+    let labels = vec![0usize, 1, 2];
+    model.run(&images, &labels).unwrap();
+    let mut dense = model.clone();
+    dense.set_config(model.config().with_engine(SimEngine::Dense));
+    assert!(Arc::ptr_eq(
+        &model.plan(&[1, 8, 8]).unwrap(),
+        &dense.plan(&[1, 8, 8]).unwrap()
+    ));
+    let was_on = trace::enabled();
+    trace::set_enabled(true);
+    let spans_of = |m: &T2fsnn| {
+        let id = trace::next_trace_id();
+        let run = {
+            let _scope = trace::trace_scope(id);
+            m.run(&images, &labels).unwrap()
+        };
+        let keys: Vec<&str> = trace::snapshot()
+            .into_iter()
+            .filter(|e| e.trace_id == id)
+            .map(|e| e.key)
+            .collect();
+        (run, keys)
+    };
+    let (event_run, event_keys) = spans_of(&model);
+    let (dense_run, dense_keys) = spans_of(&dense);
+    trace::set_enabled(was_on);
+    assert_eq!(event_run, dense_run, "the engines are bit-identical");
+    let event_kernel = |k: &&str| k.ends_with("_events");
+    let dense_kernel = |k: &&str| *k == "op/conv_dense_walk" || *k == "op/linear_dense";
+    assert!(event_keys.iter().any(event_kernel), "{event_keys:?}");
+    assert!(dense_keys.iter().any(dense_kernel), "{dense_keys:?}");
+    assert!(!dense_keys.iter().any(event_kernel), "{dense_keys:?}");
 }

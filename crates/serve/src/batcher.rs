@@ -3,12 +3,17 @@
 //! of wedging on them.
 //!
 //! Batching policy: pop the oldest job, then gather company with the
-//! same `(model, effective early-exit mode)` key until the batch is full
-//! (`max_batch`) or the flush deadline — `max_delay` past the first
-//! job's *enqueue* time, capped by its request deadline — expires; a
-//! backlogged queue therefore flushes full batches with no added
-//! latency. Jobs for other keys stay queued in order for the next
-//! round.
+//! same `(model, effective early-exit mode)` key. A batch runs one chunk
+//! per thread-pool worker in parallel, so company beyond the worker
+//! count buys no parallelism (it only spreads the per-call fixed cost
+//! over more images): the batcher stops waiting as soon as the batch
+//! holds its *fill target*, `min(max_batch, pool workers)` jobs.
+//! Every scan of the queue still takes all queued matches up to
+//! `max_batch`, so a backlog leaves in one batch. An under-filled batch
+//! waits for company until the flush deadline — `max_delay` past the
+//! first job's *enqueue* time, capped by its request deadline — expires;
+//! a fill target of 1 (a one-worker pool) never waits. Jobs for other
+//! keys stay queued in order for the next round.
 //!
 //! Deadline policy (the degradation ladder, applied per job every
 //! cycle):
@@ -207,7 +212,12 @@ fn exec_reserve(peak_us: u64) -> Duration {
 pub struct BatcherConfig {
     /// Maximum images per batch.
     pub max_batch: usize,
-    /// How long the first job of a batch may wait for company.
+    /// Batch size at which the batcher stops waiting for company
+    /// (`min(max_batch, pool workers)` as [`crate::start`] sets it; 1
+    /// never waits).
+    pub fill_target: usize,
+    /// How long the first job of an under-filled batch may wait for
+    /// company.
     pub max_delay: Duration,
     /// Static forced-early-exit slack threshold in microseconds; 0
     /// means adaptive (full-window EWMA + `max_delay`).
@@ -280,7 +290,7 @@ pub fn run(
         }
         let mut batch = vec![first];
         if config.max_batch > 1 {
-            batch.extend(queue.collect_matching(flush, config.max_batch - 1, |job| {
+            let company = |job: &InferJob| {
                 if Arc::as_ptr(&job.model) != model_ptr {
                     return false;
                 }
@@ -298,7 +308,11 @@ pub fn run(
                 }
                 let forced = !job.early_exit && job.slack_at(now).is_some_and(|s| s < threshold);
                 (job.early_exit || forced) == effective_ee
-            }));
+            };
+            // Stop waiting once the batch holds its fill target; the
+            // scans still take queued company up to `max_batch`.
+            let enough = config.fill_target.saturating_sub(1);
+            batch.extend(queue.collect_matching(flush, enough, config.max_batch - 1, company));
         }
         metrics.set_queue_depth(queue.len());
 
@@ -509,6 +523,7 @@ mod tests {
     fn force_threshold_static_override_wins() {
         let adaptive = BatcherConfig {
             max_batch: 8,
+            fill_target: 2,
             max_delay: Duration::from_micros(2_000),
             force_ee_slack_us: 0,
         };

@@ -12,8 +12,12 @@
 //!    [`queue::Queue`]; overflow is answered `429` immediately
 //!    (backpressure, not buffering).
 //! 2. **Micro-batching** — a single batcher thread coalesces queued jobs
-//!    with the same `(model, early_exit)` key, flushing on `max_batch`
-//!    or `max_delay_us` after the first job, whichever comes first.
+//!    with the same `(model, early_exit)` key. A batch flushes as soon as
+//!    it holds `min(max_batch, pool workers)` jobs — a batch runs one
+//!    chunk per [`t2fsnn_tensor::ThreadPool`] worker, so more company
+//!    buys no parallelism — taking any further queued jobs up to
+//!    `max_batch` on the way; an under-filled batch waits at most
+//!    `max_delay_us` after its first job (see [`batcher`]).
 //! 3. **Execution** — batches run through [`t2fsnn::T2fsnn::infer`] on
 //!    the scoped thread pool. Inference is **batch-invariant**: a
 //!    request's bits are identical whether it ran solo, in any batch, or
@@ -88,9 +92,12 @@ pub struct ServeConfig {
     /// Maximum images per micro-batch (`T2FSNN_SERVE_MAX_BATCH`,
     /// default 8).
     pub max_batch: usize,
-    /// How long the batcher may hold the first job of a batch while
-    /// waiting for company, in microseconds
-    /// (`T2FSNN_SERVE_MAX_DELAY_US`, default 2000).
+    /// How long the batcher may hold the first job of an under-filled
+    /// batch while waiting for company, in microseconds
+    /// (`T2FSNN_SERVE_MAX_DELAY_US`, default 2000). A batch that reaches
+    /// `min(max_batch, pool workers)` jobs flushes at once instead, so
+    /// on a one-worker pool (`T2FSNN_THREADS=1`) nothing is ever held;
+    /// a request's deadline also caps the hold.
     pub max_delay_us: u64,
     /// Bounded admission-queue capacity; a full queue answers `429`
     /// (`T2FSNN_SERVE_QUEUE`, default 128).

@@ -86,11 +86,15 @@ impl<T> Queue<T> {
 
     /// Gathers up to `max` items matching `pred` (FIFO among matches,
     /// non-matching items stay queued in order), waiting until
-    /// `deadline` for more to arrive. Returns early when `max` matches
-    /// are collected or the queue closes.
+    /// `deadline` for more to arrive while fewer than `enough` are
+    /// collected. Every scan takes all queued matches up to `max`, so a
+    /// backlog leaves in one call even when `enough` is smaller. Returns
+    /// early once `enough` (capped at `max`) matches are collected or
+    /// the queue closes; `enough == 0` never waits.
     pub fn collect_matching(
         &self,
         deadline: Instant,
+        enough: usize,
         max: usize,
         pred: impl Fn(&T) -> bool,
     ) -> Vec<T> {
@@ -110,7 +114,7 @@ impl<T> Queue<T> {
                 }
             }
             inner.items = kept;
-            if collected.len() >= max || inner.closed {
+            if collected.len() >= enough.min(max) || inner.closed {
                 return collected;
             }
             let now = Instant::now();
@@ -223,7 +227,7 @@ mod tests {
         for item in [1, 2, 3, 4, 5, 6] {
             q.push(item).unwrap();
         }
-        let evens = q.collect_matching(Instant::now(), 2, |x| x % 2 == 0);
+        let evens = q.collect_matching(Instant::now(), 2, 2, |x| x % 2 == 0);
         assert_eq!(evens, vec![2, 4]);
         // Others stay in FIFO order (6 was beyond max).
         assert_eq!(q.pop_blocking(), Some(1));
@@ -242,7 +246,7 @@ mod tests {
                 q.push(7).unwrap();
             })
         };
-        let got = q.collect_matching(Instant::now() + Duration::from_millis(500), 1, |_| true);
+        let got = q.collect_matching(Instant::now() + Duration::from_millis(500), 1, 1, |_| true);
         assert_eq!(got, vec![7]);
         producer.join().unwrap();
     }
@@ -251,9 +255,27 @@ mod tests {
     fn collect_matching_respects_deadline() {
         let q: Queue<i32> = Queue::new(4);
         let start = Instant::now();
-        let got = q.collect_matching(start + Duration::from_millis(40), 3, |_| true);
+        let got = q.collect_matching(start + Duration::from_millis(40), 3, 3, |_| true);
         assert!(got.is_empty());
         assert!(start.elapsed() >= Duration::from_millis(40));
+    }
+
+    #[test]
+    fn collect_matching_stops_waiting_at_enough_but_takes_the_backlog() {
+        let q = Queue::new(8);
+        for item in [1, 2, 3, 4, 5] {
+            q.push(item).unwrap();
+        }
+        // `enough` 1 is met by the first scan, which still takes every
+        // queued match up to `max` — and returns without waiting out the
+        // far deadline.
+        let start = Instant::now();
+        let far = start + Duration::from_secs(10);
+        assert_eq!(q.collect_matching(far, 1, 3, |_| true), vec![1, 2, 3]);
+        assert_eq!(q.collect_matching(far, 0, 8, |_| true), vec![4, 5]);
+        // `enough` 0 on an empty queue returns at once, too.
+        assert!(q.collect_matching(far, 0, 8, |_| true).is_empty());
+        assert!(start.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

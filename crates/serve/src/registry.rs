@@ -6,7 +6,9 @@
 //! [`t2fsnn_bench::prepare`], which reads the cached trained+normalized
 //! network when warm and trains it when cold — a server on a fresh
 //! machine comes up self-contained, just slower on first boot. The
-//! DNN→SNN conversion happens once per model *version* at load time.
+//! DNN→SNN conversion and the compile of the model's execution plan
+//! ([`t2fsnn::T2fsnn::plan`]) happen once per model *version* at load
+//! time; every batch of that version shares the plan.
 //!
 //! Lifecycle: every slot is a small state machine
 //! ([`SlotState`]) — `Ready`, `Loading` (a conversion/canary in flight;
@@ -407,26 +409,32 @@ impl Registry {
                     });
                 }
             }
-            T2fsnn::from_dnn(&prepared.dnn, config, scenario.initial_kernel()).map(|mut model| {
-                let mut rows = 0u64;
-                if let Some(p) = spec {
-                    if p.has_weight() {
-                        let (changed, total) = model.perturb_weights(p);
-                        rows = changed;
-                        let spec_text = p.render();
-                        log::info(
-                            "model_perturbed",
-                            &[
-                                ("model", name.into()),
-                                ("rows_rewritten", changed.into()),
-                                ("rows_total", total.into()),
-                                ("spec", (&spec_text).into()),
-                            ],
-                        );
+            T2fsnn::from_dnn(&prepared.dnn, config, scenario.initial_kernel()).and_then(
+                |mut model| {
+                    let mut rows = 0u64;
+                    if let Some(p) = spec {
+                        if p.has_weight() {
+                            let (changed, total) = model.perturb_weights(p);
+                            rows = changed;
+                            let spec_text = p.render();
+                            log::info(
+                                "model_perturbed",
+                                &[
+                                    ("model", name.into()),
+                                    ("rows_rewritten", changed.into()),
+                                    ("rows_total", total.into()),
+                                    ("spec", (&spec_text).into()),
+                                ],
+                            );
+                        }
                     }
-                }
-                (model, prepared, rows)
-            })
+                    // Compile the execution plan now, so the load (not the
+                    // first request) pays for the weight re-layout.
+                    let data = &prepared.test.spec;
+                    model.plan(&[data.channels, data.height, data.width])?;
+                    Ok((model, prepared, rows))
+                },
+            )
         }));
         match loaded {
             Ok(Ok((model, prepared, perturbed_weight_rows))) => {

@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use t2fsnn_tensor::{log, trace};
+use t2fsnn_tensor::{log, trace, ThreadPool};
 
 use crate::batcher::{self, BatcherConfig, InferJob, JobError};
 use crate::faults::{Faults, ReadFault, ResponseFault};
@@ -164,6 +164,9 @@ pub fn start(config: ServeConfig, mut registry: Registry) -> std::io::Result<Ser
     let workers = config.workers;
     let batcher_config = BatcherConfig {
         max_batch: config.max_batch,
+        // A batch runs one chunk per pool worker, so waiting for more
+        // company than that buys no parallelism.
+        fill_target: config.max_batch.min(ThreadPool::global().workers()),
         max_delay: Duration::from_micros(config.max_delay_us),
         force_ee_slack_us: config.force_ee_slack_us,
     };
@@ -234,7 +237,7 @@ fn loader_loop(ctx: &Arc<Ctx>) {
         }
         let commands = ctx
             .lifecycle
-            .collect_matching(Instant::now() + LOADER_POLL, 1, |_| true);
+            .collect_matching(Instant::now() + LOADER_POLL, 1, 1, |_| true);
         if ctx.shutdown.load(Ordering::SeqCst) {
             break;
         }

@@ -15,7 +15,11 @@
 //!   subsystem compose);
 //! * unloading a model mid-flight evicts exactly its queued jobs to
 //!   `503` in admission order, while the other models' jobs are neither
-//!   reordered nor dropped and keep their bit-exact answers.
+//!   reordered nor dropped and keep their bit-exact answers;
+//! * the fill rule: a batch that reaches its fill target dispatches at
+//!   once whatever `max_delay` is, a backlog beyond the target still
+//!   leaves in one batch, a fill target of 1 never waits, and a lone job
+//!   keeps the hold (or its deadline cap).
 
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -118,6 +122,7 @@ fn batcher_sheds_only_expired_jobs() {
         queue.close();
         let config = BatcherConfig {
             max_batch: 8,
+            fill_target: 8,
             max_delay: Duration::from_micros(100),
             force_ee_slack_us: 0,
         };
@@ -203,6 +208,7 @@ fn forced_early_exit_matches_explicit_across_batches_and_workers() {
         queue.close();
         let config = BatcherConfig {
             max_batch,
+            fill_target: max_batch,
             max_delay: Duration::from_micros(100),
             force_ee_slack_us: u64::MAX,
         };
@@ -336,6 +342,7 @@ fn forced_early_exit_matches_explicit_under_perturbation() {
         queue.close();
         let config = BatcherConfig {
             max_batch,
+            fill_target: max_batch,
             max_delay: Duration::from_micros(100),
             force_ee_slack_us: u64::MAX,
         };
@@ -375,6 +382,7 @@ fn injected_batch_panic_fails_only_its_batch() {
     queue.close();
     let config = BatcherConfig {
         max_batch: 2,
+        fill_target: 2,
         max_delay: Duration::from_micros(100),
         force_ee_slack_us: 0,
     };
@@ -482,6 +490,7 @@ fn unload_drains_only_the_named_model_in_admission_order() {
     queue.close();
     let config = BatcherConfig {
         max_batch: 4,
+        fill_target: 4,
         max_delay: Duration::from_micros(100),
         force_ee_slack_us: 0,
     };
@@ -496,4 +505,130 @@ fn unload_drains_only_the_named_model_in_admission_order() {
             "surviving job for image {image_index} lost bit-identity"
         );
     }
+}
+
+/// A hold far longer than any test waits for an answer: a batch that
+/// comes back within [`ANSWER_WAIT`] was flushed by the fill rule, not
+/// by `max_delay`.
+const LONG_HOLD: Duration = Duration::from_secs(10);
+
+/// How long a fill-rule test waits for one answer.
+const ANSWER_WAIT: Duration = Duration::from_secs(5);
+
+type Reply = mpsc::Receiver<Result<JobOutcome, JobError>>;
+
+/// Pre-fills a queue with `jobs` (image index, deadline budget from
+/// admission), runs the batcher on its own thread with the queue left
+/// open — so the hold is live, unlike the closed-queue tests above — and
+/// hands the replies to `check`. Closes the queue and joins the batcher
+/// afterwards.
+fn with_live_batcher(
+    fill_target: usize,
+    max_delay: Duration,
+    jobs: &[(usize, Option<Duration>)],
+    check: impl FnOnce(Vec<Reply>),
+) {
+    let (model, images) = tiny();
+    let queue = Queue::new(64);
+    let metrics = Metrics::new(8);
+    let replies = jobs
+        .iter()
+        .map(|&(image, budget)| {
+            let deadline = budget.map(|b| Instant::now() + b);
+            let (job, rx) = make_job(&model, images[image].clone(), true, deadline);
+            assert!(queue.push(job).is_ok(), "queue push must succeed");
+            rx
+        })
+        .collect();
+    let config = BatcherConfig {
+        max_batch: 8,
+        fill_target,
+        max_delay,
+        force_ee_slack_us: 0,
+    };
+    std::thread::scope(|scope| {
+        let batcher = scope.spawn(|| batcher::run(&queue, &metrics, &config, None, None));
+        // Close the queue even when a check fails, or the scope would
+        // wait forever on the batcher.
+        let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(replies)));
+        queue.close();
+        batcher.join().expect("the batcher thread does not panic");
+        if let Err(failure) = checked {
+            std::panic::resume_unwind(failure);
+        }
+    });
+}
+
+fn answer(rx: &Reply) -> JobOutcome {
+    rx.recv_timeout(ANSWER_WAIT)
+        .expect("answered before the hold could expire")
+        .expect("executed")
+}
+
+/// Fill rule: once a batch holds its fill target it dispatches at once,
+/// however long `max_delay` is.
+#[test]
+fn fill_target_dispatches_a_full_pair_without_the_hold() {
+    with_live_batcher(2, LONG_HOLD, &[(0, None), (1, None)], |replies| {
+        for rx in &replies {
+            let outcome = answer(rx);
+            assert_eq!(outcome.batch_size, 2);
+            assert!(Duration::from_micros(outcome.queue_us) < ANSWER_WAIT);
+        }
+    });
+}
+
+/// An under-filled batch keeps today's hold: a lone job waits out
+/// `max_delay`, or — when its deadline comes first — is capped by the
+/// deadline (on a cold estimator the reserve is zero, so it waits right
+/// up to the deadline and answers late rather than early).
+#[test]
+fn lone_job_still_waits_for_the_hold_or_its_deadline() {
+    let hold = Duration::from_millis(300);
+    with_live_batcher(2, hold, &[(0, None)], |replies| {
+        let outcome = answer(&replies[0]);
+        assert_eq!(outcome.batch_size, 1);
+        assert!(
+            Duration::from_micros(outcome.queue_us) >= hold,
+            "dispatched after {} µs, before the {hold:?} hold",
+            outcome.queue_us
+        );
+    });
+    let budget = Duration::from_millis(300);
+    with_live_batcher(
+        2,
+        LONG_HOLD,
+        &[(0, Some(budget))],
+        |replies| match replies[0].recv_timeout(ANSWER_WAIT).expect("answered") {
+            Err(JobError::Late { total_us }) => assert!(
+                Duration::from_micros(total_us) >= budget,
+                "answered after {total_us} µs, before the deadline cap"
+            ),
+            Ok(outcome) => panic!(
+                "a lone job dispatched after {} µs, before its deadline cap",
+                outcome.queue_us
+            ),
+            Err(e) => panic!("expected a late answer at the deadline cap, got {e:?}"),
+        },
+    );
+}
+
+/// A backlog beyond the fill target leaves in one batch: the scan that
+/// meets the target still takes every queued job up to `max_batch`.
+#[test]
+fn backlog_leaves_in_one_batch_beyond_the_fill_target() {
+    let jobs: Vec<(usize, Option<Duration>)> = (0..5).map(|i| (i, None)).collect();
+    with_live_batcher(2, LONG_HOLD, &jobs, |replies| {
+        for rx in &replies {
+            assert_eq!(answer(rx).batch_size, 5);
+        }
+    });
+}
+
+/// A fill target of 1 (a one-worker pool) never waits for company.
+#[test]
+fn fill_target_one_never_waits() {
+    with_live_batcher(1, LONG_HOLD, &[(0, None)], |replies| {
+        assert_eq!(answer(&replies[0]).batch_size, 1);
+    });
 }

@@ -70,8 +70,32 @@ fn infer_body_deadline(
 /// A started tiny-model server plus a test image from its own dataset.
 fn test_server(config: ServeConfig) -> (ServerHandle, Vec<Vec<f32>>) {
     let registry = Registry::load(&["tiny".to_string()]).expect("load tiny model");
-    let scenario = t2fsnn_bench::Scenario::Tiny;
-    let data = scenario.dataset();
+    start_tiny(config, registry)
+}
+
+/// [`test_server`] serving a slow version of the tiny model: its time
+/// window is `factor`× longer, so every batch executes long enough that
+/// concurrent requests pile up behind it on any worker count. Tests
+/// that need a busy batcher use this instead of the batching hold,
+/// which a fill target of 1 (a one-worker pool) never applies.
+fn slow_test_server(config: ServeConfig, factor: usize) -> (ServerHandle, Vec<Vec<f32>>) {
+    let registry = Registry::load(&["tiny".to_string()]).expect("load tiny model");
+    let ticket = registry.begin_load("tiny").expect("begin load");
+    let mut slow = Registry::convert_model("tiny", None, ticket.version).expect("convert tiny");
+    let mut model_config = slow.model.config();
+    model_config.time_window *= factor;
+    model_config.record_every = model_config.time_window;
+    slow.model.set_config(model_config);
+    registry
+        .promote("tiny", slow, 0)
+        .expect("promote the slow version");
+    start_tiny(config, registry)
+}
+
+/// Starts a server over `registry` and returns it with eight images from
+/// the tiny dataset.
+fn start_tiny(config: ServeConfig, registry: Registry) -> (ServerHandle, Vec<Vec<f32>>) {
+    let data = t2fsnn_bench::Scenario::Tiny.dataset();
     let feature: usize = data.images.dims()[1..].iter().product();
     let images: Vec<Vec<f32>> = (0..8)
         .map(|i| data.images.data()[i * feature..(i + 1) * feature].to_vec())
@@ -79,6 +103,11 @@ fn test_server(config: ServeConfig) -> (ServerHandle, Vec<Vec<f32>>) {
     let handle = start(config, registry).expect("bind");
     (handle, images)
 }
+
+/// Time-window factor of the slow tiny model: each image then takes
+/// ~15 ms (measured on a 2-vCPU container), against well under a
+/// millisecond for the real model.
+const SLOW: usize = 200;
 
 fn base_config() -> ServeConfig {
     ServeConfig {
@@ -240,10 +269,12 @@ fn half_written_request_gets_408_and_frees_the_worker() {
 
 #[test]
 fn concurrent_load_batches_with_bit_identical_results() {
+    // Batches form because requests queue behind a slow batch — not
+    // because of the hold, which a one-worker pool (fill target 1) never
+    // applies.
     let mut config = base_config();
     config.max_batch = 4;
-    config.max_delay_us = 50_000; // generous window so batches form
-    let (handle, images) = test_server(config);
+    let (handle, images) = slow_test_server(config, SLOW);
     let addr = handle.addr();
     let image = &images[2];
 
@@ -313,17 +344,18 @@ fn concurrent_load_batches_with_bit_identical_results() {
 
 #[test]
 fn full_admission_queue_answers_429() {
+    // The queue fills while the slow first batch executes; the batching
+    // hold plays no part (a one-worker pool never applies it).
     let mut config = base_config();
     config.max_batch = 4;
     config.queue_capacity = 2;
-    config.max_delay_us = 700_000; // hold the first batch open
     config.workers = 12;
-    let (handle, images) = test_server(config);
+    let (handle, images) = slow_test_server(config, SLOW);
     let addr = handle.addr();
     let image = &images[3];
 
-    // 12 concurrent requests against capacity batcher(4) + queue(2):
-    // at least two must be refused with 429, the rest must succeed.
+    // 12 concurrent requests against capacity batch(≤ 4) + queue(2): at
+    // least two must be refused with 429, the rest must succeed.
     let statuses: Vec<u16> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..12)
             .map(|_| {

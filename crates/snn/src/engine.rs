@@ -19,10 +19,17 @@
 //! a contiguous scan whose order — ascending `(y, x, c)` — is the
 //! canonical accumulation order every kernel follows, and the conv
 //! scatter's axpy rows land directly in the next layer's membrane tensor
-//! with no intermediate accumulator to clear or flush. Weights are
-//! re-laid-out once per run (linear: `[I, O]`, row-permuted to the
-//! position-major feature order after a flatten; conv: `[C·KH·KW, O]`
-//! reversed-KW plus a tap-major `[KH·KW·C, O]` GEMM operand).
+//! with no intermediate accumulator to clear or flush.
+//!
+//! Execution state splits in two. An [`OpPlan`] is compiled once per
+//! network and input shape and never changes: the re-laid-out weights
+//! (linear: `[I, O]`, row-permuted to the position-major feature order
+//! after a flatten; conv: `[C·KH·KW, O]` reversed-KW plus a tap-major
+//! `[KH·KW·C, O]` GEMM operand) and every op's per-image output dims. It
+//! is `Sync`, so one plan serves any number of calls and pool chunks at
+//! once. An [`OpExecutor`] borrows a plan for one call and adds what a
+//! call mutates: the engine's sparsity threshold and the event-list and
+//! pooling scratch buffers.
 //!
 //! Dispatch can never change a result: every kernel of a pair performs
 //! the same floating-point operations on each output element in the same
@@ -99,14 +106,15 @@ pub fn position_major_dims(dims: &[usize]) -> Vec<usize> {
     }
 }
 
-/// Per-run execution state: cached re-laid-out weights plus reusable
-/// event-list and pooling scratch buffers.
+/// The compiled, immutable half of execution: one op sequence's
+/// re-laid-out weights and per-image state dims over one input shape.
 ///
-/// Create one per simulation run and route every op propagation through
-/// it; all paths are bit-identical to each other (the canonical-order
-/// invariant) and the membrane-accumulating entry points are the fast
-/// ones.
-pub struct OpExecutor {
+/// Build it once per network and input shape and share it; every
+/// [`OpExecutor`] borrowing it propagates through the same weights. The
+/// plan is only valid for the exact `ops` it was compiled from — a
+/// caller that rewrites weights must compile a new one.
+#[derive(Debug)]
+pub struct OpPlan {
     /// `[I, O]` transposed weight for every [`SnnOp::Linear`] — rows
     /// permuted to the position-major feature order when the layer
     /// consumes flattened conv features — else `None`.
@@ -117,31 +125,29 @@ pub struct OpExecutor {
     /// `[KH·KW·C, O]` tap-major filter for every [`SnnOp::Conv`]
     /// (consumed by the GEMM fallback), else `None`.
     filter_r: Vec<Option<Tensor>>,
-    /// Position-major per-image output dims for every op.
-    pm_shapes: Vec<Vec<usize>>,
+    /// Per-image output dims of every op in the layout the engine holds
+    /// it: channel-major before the first weighted op, position-major
+    /// from it on.
+    dims: Vec<Vec<usize>>,
     /// Index of the first weighted op: everything before it runs in the
     /// channel-major image domain, everything after in position-major.
     first_weighted: usize,
-    threshold: f32,
-    scratch: SpikeBatch,
-    pool_out: SpikeBatch,
-    pool_scratch: PoolScratch,
 }
 
-impl OpExecutor {
-    /// Prepares the executor for a fixed op sequence over `[C, H, W]`
-    /// inputs (`input_dims` excludes the batch axis).
+impl OpPlan {
+    /// Compiles a fixed op sequence over `[C, H, W]` inputs
+    /// (`input_dims` excludes the batch axis).
     ///
     /// # Errors
     ///
     /// Returns an error if the op shapes do not chain over `input_dims`
     /// or the network has no weighted op.
-    pub fn new(ops: &[SnnOp], engine: SimEngine, input_dims: &[usize]) -> Result<Self> {
+    pub fn new(ops: &[SnnOp], input_dims: &[usize]) -> Result<Self> {
         let first_weighted =
             ops.iter()
                 .position(SnnOp::is_weighted)
                 .ok_or(TensorError::InvalidArgument {
-                    op: "OpExecutor::new",
+                    op: "OpPlan::new",
                     message: "network has no weighted ops".to_string(),
                 })?;
         let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(ops.len());
@@ -190,17 +196,23 @@ impl OpExecutor {
             }
             prev_dims = shapes[i].clone();
         }
-        let pm_shapes = shapes.iter().map(|s| position_major_dims(s)).collect();
-        Ok(OpExecutor {
+        let dims = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                if i < first_weighted {
+                    s.clone()
+                } else {
+                    position_major_dims(s)
+                }
+            })
+            .collect();
+        Ok(OpPlan {
             weight_t,
             filter_t,
             filter_r,
-            pm_shapes,
+            dims,
             first_weighted,
-            threshold: engine.threshold(),
-            scratch: SpikeBatch::empty(),
-            pool_out: SpikeBatch::empty(),
-            pool_scratch: PoolScratch::new(),
         })
     }
 
@@ -210,10 +222,40 @@ impl OpExecutor {
         self.first_weighted
     }
 
-    /// Position-major per-image output dims of op `i` — the shape of its
-    /// membrane state (minus the batch axis).
+    /// Per-image output dims of op `i` in the layout the engine holds
+    /// it: position-major from the first weighted op on (for a weighted
+    /// op, the shape of its membrane state), channel-major before it.
     pub fn state_dims(&self, i: usize) -> &[usize] {
-        &self.pm_shapes[i]
+        &self.dims[i]
+    }
+}
+
+/// The per-call half of execution: a borrowed [`OpPlan`] plus the
+/// engine's sparsity threshold and reusable event-list and pooling
+/// scratch buffers.
+///
+/// Create one per simulation call (or per pool chunk) and route every op
+/// propagation through it; all paths are bit-identical to each other
+/// (the canonical-order invariant) and the membrane-accumulating entry
+/// points are the fast ones.
+pub struct OpExecutor<'p> {
+    plan: &'p OpPlan,
+    threshold: f32,
+    scratch: SpikeBatch,
+    pool_out: SpikeBatch,
+    pool_scratch: PoolScratch,
+}
+
+impl<'p> OpExecutor<'p> {
+    /// An executor over `plan` dispatching by `engine`'s rule.
+    pub fn new(plan: &'p OpPlan, engine: SimEngine) -> Self {
+        OpExecutor {
+            plan,
+            threshold: engine.threshold(),
+            scratch: SpikeBatch::empty(),
+            pool_out: SpikeBatch::empty(),
+            pool_scratch: PoolScratch::new(),
+        }
     }
 
     /// Scans `signal` into the scratch event list; `true` when its
@@ -241,7 +283,7 @@ impl OpExecutor {
             SnnOp::Conv { weight, spec, .. } => {
                 let kernel = (weight.dims()[2], weight.dims()[3]);
                 let spec = *spec;
-                if i == self.first_weighted {
+                if i == self.plan.first_weighted {
                     let pm_signal = signal.to_position_major()?;
                     self.conv_dispatch(i, kernel, spec, &pm_signal)
                 } else {
@@ -250,7 +292,7 @@ impl OpExecutor {
             }
             SnnOp::Linear { .. } => {
                 let use_events = self.try_events(signal)?;
-                let weight_t = self.weight_t[i]
+                let weight_t = self.plan.weight_t[i]
                     .as_ref()
                     .expect("linear op has a transposed weight");
                 if use_events {
@@ -259,7 +301,7 @@ impl OpExecutor {
                     sparse::linear_scatter_t(signal, weight_t)
                 }
             }
-            op if i < self.first_weighted => op.propagate(signal),
+            op if i < self.plan.first_weighted => op.propagate(signal),
             SnnOp::AvgPool { window, stride } => Ok((avg_pool2d_pm(signal, *window, *stride)?, 0)),
             SnnOp::MaxPool { window, stride } => Ok((max_pool2d_pm(signal, *window, *stride)?, 0)),
             SnnOp::Flatten => {
@@ -286,7 +328,7 @@ impl OpExecutor {
         signal: &Tensor,
     ) -> Result<(Tensor, u64)> {
         match &ops[i] {
-            SnnOp::Conv { weight, spec, .. } if i == self.first_weighted => {
+            SnnOp::Conv { weight, spec, .. } if i == self.plan.first_weighted => {
                 let kernel = (weight.dims()[2], weight.dims()[3]);
                 self.conv_dispatch(i, kernel, *spec, signal)
             }
@@ -303,7 +345,7 @@ impl OpExecutor {
         pm_signal: &Tensor,
     ) -> Result<(Tensor, u64)> {
         let use_events = self.try_events(pm_signal)?;
-        let filter_t = self.filter_t[i]
+        let filter_t = self.plan.filter_t[i]
             .as_ref()
             .expect("conv op has a transposed filter");
         if use_events {
@@ -338,7 +380,7 @@ impl OpExecutor {
             SnnOp::Conv { weight, spec, .. } => {
                 let kernel = (weight.dims()[2], weight.dims()[3]);
                 let use_events = self.try_events(signal)?;
-                let filter_t = self.filter_t[i]
+                let filter_t = self.plan.filter_t[i]
                     .as_ref()
                     .expect("conv op has a transposed filter");
                 if use_events {
@@ -357,7 +399,7 @@ impl OpExecutor {
             }
             SnnOp::Linear { .. } => {
                 let use_events = self.try_events(signal)?;
-                let weight_t = self.weight_t[i]
+                let weight_t = self.plan.weight_t[i]
                     .as_ref()
                     .expect("linear op has a transposed weight");
                 if use_events {
@@ -375,7 +417,7 @@ impl OpExecutor {
                 })
             }
         };
-        self.inject_bias(ops, i, potential, bias_scale)?;
+        ops[i].inject_bias_pm(potential, bias_scale)?;
         Ok(synops)
     }
 
@@ -404,14 +446,14 @@ impl OpExecutor {
                 if events.density() > GEMM_DENSITY {
                     let _s = trace::span("op/conv_gemm_pm");
                     let dense = events.to_dense();
-                    let weight_r = self.filter_r[i]
+                    let weight_r = self.plan.filter_r[i]
                         .as_ref()
                         .expect("conv op has a tap-major filter");
                     sparse::conv2d_gemm_pm_acc(&dense, weight_r, kernel, *spec, potential)?;
                     sparse::conv2d_synops_events(events, weight.dims()[0], kernel, *spec)?
                 } else {
                     let _s = trace::span("op/conv_scatter_events");
-                    let filter_t = self.filter_t[i]
+                    let filter_t = self.plan.filter_t[i]
                         .as_ref()
                         .expect("conv op has a transposed filter");
                     sparse::conv2d_scatter_events_pm_acc(
@@ -421,7 +463,7 @@ impl OpExecutor {
             }
             SnnOp::Linear { .. } => {
                 let _s = trace::span("op/linear_events");
-                let weight_t = self.weight_t[i]
+                let weight_t = self.plan.weight_t[i]
                     .as_ref()
                     .expect("linear op has a transposed weight");
                 sparse::linear_scatter_events_acc(events, weight_t, potential)?
@@ -433,143 +475,8 @@ impl OpExecutor {
                 })
             }
         };
-        self.inject_bias(ops, i, potential, bias_scale)?;
+        ops[i].inject_bias_pm(potential, bias_scale)?;
         Ok(synops)
-    }
-
-    /// Per-image synaptic-accumulate counts `ops[i]` would charge for an
-    /// event-form signal, written into `out` (one slot per image). The
-    /// counts are exactly what [`OpExecutor::accumulate_weighted_events`]
-    /// charges in total — resolved per image so an online-serving request
-    /// can be billed its own synops; images never interact, so
-    /// `out.sum()` equals the batch charge.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatches or if `ops[i]` is not a
-    /// weighted op.
-    pub fn synops_events_by_image(
-        &self,
-        ops: &[SnnOp],
-        i: usize,
-        events: &SpikeBatch,
-        out: &mut [u64],
-    ) -> Result<()> {
-        match &ops[i] {
-            SnnOp::Conv { weight, spec, .. } => {
-                let kernel = (weight.dims()[2], weight.dims()[3]);
-                sparse::conv2d_synops_events_by_image(events, weight.dims()[0], kernel, *spec, out)
-            }
-            SnnOp::Linear { weight, .. } => {
-                if out.len() != events.batch() {
-                    return Err(TensorError::InvalidArgument {
-                        op: "OpExecutor::synops_events_by_image",
-                        message: format!(
-                            "{} images but out has {} slots",
-                            events.batch(),
-                            out.len()
-                        ),
-                    });
-                }
-                let o = weight.dims()[0] as u64;
-                for (ni, slot) in out.iter_mut().enumerate() {
-                    *slot = events.image_events(ni).0.len() as u64 * o;
-                }
-                Ok(())
-            }
-            _ => Err(TensorError::InvalidArgument {
-                op: "OpExecutor::synops_events_by_image",
-                message: format!("op {i} is not a weighted op"),
-            }),
-        }
-    }
-
-    /// [`OpExecutor::synops_events_by_image`] for a dense position-major
-    /// signal (`[N, OH, OW, C]` for convolutions, `[N, I]` for linear
-    /// layers): each non-zero entry is charged its `valid taps × O`
-    /// accumulates.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatches or if `ops[i]` is not a
-    /// weighted op.
-    pub fn synops_pm_by_image(
-        &self,
-        ops: &[SnnOp],
-        i: usize,
-        signal: &Tensor,
-        out: &mut [u64],
-    ) -> Result<()> {
-        match &ops[i] {
-            SnnOp::Conv { weight, spec, .. } => {
-                let kernel = (weight.dims()[2], weight.dims()[3]);
-                sparse::conv2d_synops_pm_by_image(signal, weight.dims()[0], kernel, *spec, out)
-            }
-            SnnOp::Linear { weight, .. } => {
-                if signal.rank() != 2 || out.len() != signal.dims()[0] {
-                    return Err(TensorError::InvalidArgument {
-                        op: "OpExecutor::synops_pm_by_image",
-                        message: format!(
-                            "signal {} does not give one row per out slot ({})",
-                            signal.shape(),
-                            out.len()
-                        ),
-                    });
-                }
-                let o = weight.dims()[0] as u64;
-                let features = signal.dims()[1];
-                for (row, slot) in signal.data().chunks_exact(features.max(1)).zip(out) {
-                    *slot = row.iter().filter(|&&v| v != 0.0).count() as u64 * o;
-                }
-                Ok(())
-            }
-            _ => Err(TensorError::InvalidArgument {
-                op: "OpExecutor::synops_pm_by_image",
-                message: format!("op {i} is not a weighted op"),
-            }),
-        }
-    }
-
-    /// Adds `scale × bias` to a position-major drive or membrane tensor
-    /// (`[N, OH, OW, C]` for convolutions — each position's channel row
-    /// gets the bias vector — or `[N, O]` for dense layers). No-op for
-    /// unbiased ops or `scale == 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `drive`'s shape is incompatible.
-    pub fn inject_bias(
-        &self,
-        ops: &[SnnOp],
-        i: usize,
-        drive: &mut Tensor,
-        scale: f32,
-    ) -> Result<()> {
-        let bias = match ops[i].bias() {
-            Some(b) => b,
-            None => return Ok(()),
-        };
-        if scale == 0.0 {
-            return Ok(());
-        }
-        let _s = trace::span("op/bias_inject");
-        let c = bias.dims()[0];
-        let ok = match &ops[i] {
-            SnnOp::Conv { .. } => drive.rank() == 4 && drive.dims()[3] == c,
-            SnnOp::Linear { .. } => drive.rank() == 2 && drive.dims()[1] == c,
-            _ => unreachable!("bias() is Some only for weighted ops"),
-        };
-        if !ok {
-            return Err(TensorError::InvalidArgument {
-                op: "OpExecutor::inject_bias",
-                message: format!(
-                    "drive {} does not match bias [{c}] for op {i}",
-                    drive.shape()
-                ),
-            });
-        }
-        t2fsnn_tensor::simd::add_scaled_rows(drive.data_mut(), bias.data(), scale);
-        Ok(())
     }
 
     /// Average-pools an event stream in place (position-major `[H, W, C]`
@@ -689,7 +596,8 @@ mod tests {
     /// signal and total synops.
     fn run_chain(engine: SimEngine) -> (Tensor, u64) {
         let ops = ops();
-        let mut exec = OpExecutor::new(&ops, engine, &[1, 4, 4]).unwrap();
+        let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
+        let mut exec = OpExecutor::new(&plan, engine);
         let mut signal = sparse_signal();
         let mut synops = 0u64;
         for i in 0..ops.len() {
@@ -720,7 +628,8 @@ mod tests {
         // The executor's position-major output must carry the same bits
         // as the channel-major reference kernel, permuted.
         let ops = ops();
-        let mut exec = OpExecutor::new(&ops, SimEngine::event(), &[1, 4, 4]).unwrap();
+        let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
+        let mut exec = OpExecutor::new(&plan, SimEngine::event());
         let signal = sparse_signal();
         let (got, synops) = exec.propagate(&ops, 0, &signal).unwrap();
         let (want, want_synops) = ops[0].propagate(&signal).unwrap();
@@ -731,7 +640,8 @@ mod tests {
     #[test]
     fn accumulate_paths_agree_between_dense_and_event_signals() {
         let ops = ops();
-        let mut exec = OpExecutor::new(&ops, SimEngine::event(), &[1, 4, 4]).unwrap();
+        let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
+        let mut exec = OpExecutor::new(&plan, SimEngine::event());
         // A sparse position-major signal entering the hidden linear op.
         let signal = Tensor::from_vec(
             [2, 8],
@@ -765,7 +675,8 @@ mod tests {
     #[test]
     fn dense_engine_never_builds_events() {
         let ops = ops();
-        let mut exec = OpExecutor::new(&ops, SimEngine::dense(), &[1, 4, 4]).unwrap();
+        let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
+        let mut exec = OpExecutor::new(&plan, SimEngine::dense());
         let (_, synops) = exec.propagate(&ops, 0, &sparse_signal()).unwrap();
         assert!(synops > 0);
         assert_eq!(exec.scratch.nnz(), 0, "dense engine skips the scan");
@@ -774,10 +685,14 @@ mod tests {
     #[test]
     fn state_dims_are_position_major() {
         let ops = ops();
-        let exec = OpExecutor::new(&ops, SimEngine::event(), &[1, 4, 4]).unwrap();
-        assert_eq!(exec.state_dims(0), &[4, 4, 2]); // conv output [H, W, C]
-        assert_eq!(exec.state_dims(3), &[3]); // linear output
-        assert_eq!(exec.first_weighted(), 0);
+        let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
+        assert_eq!(plan.state_dims(0), &[4, 4, 2]); // conv output [H, W, C]
+        assert_eq!(plan.state_dims(1), &[2, 2, 2]); // pooled, still [H, W, C]
+        assert_eq!(plan.state_dims(3), &[3]); // linear output
+        assert_eq!(plan.first_weighted(), 0);
+        // One plan is shared across pool workers.
+        fn shareable<T: Send + Sync>(_: &T) {}
+        shareable(&plan);
         assert_eq!(position_major_dims(&[2, 4, 4]), vec![4, 4, 2]);
         assert_eq!(position_major_dims(&[7]), vec![7]);
     }
@@ -788,7 +703,8 @@ mod tests {
         // executor's permuted weight must produce the same logits the
         // reference channel-major chain produces.
         let ops = ops();
-        let mut exec = OpExecutor::new(&ops, SimEngine::dense(), &[1, 4, 4]).unwrap();
+        let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
+        let mut exec = OpExecutor::new(&plan, SimEngine::dense());
         let signal = sparse_signal();
         // Reference: channel-major propagation all the way.
         let mut want = signal.clone();
@@ -799,7 +715,11 @@ mod tests {
         assert!(got.all_close(&want, 1e-5));
     }
 
-    fn run_chain_from(exec: &mut OpExecutor, ops: &[SnnOp], mut signal: Tensor) -> (Tensor, u64) {
+    fn run_chain_from(
+        exec: &mut OpExecutor<'_>,
+        ops: &[SnnOp],
+        mut signal: Tensor,
+    ) -> (Tensor, u64) {
         let mut synops = 0u64;
         for i in 0..ops.len() {
             let (next, s) = exec.propagate(ops, i, &signal).unwrap();
@@ -812,7 +732,8 @@ mod tests {
     #[test]
     fn per_image_synops_sum_to_accumulate_charge() {
         let ops = ops();
-        let mut exec = OpExecutor::new(&ops, SimEngine::event(), &[1, 4, 4]).unwrap();
+        let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
+        let mut exec = OpExecutor::new(&plan, SimEngine::event());
         // Conv op on a position-major signal.
         let pm = sparse_signal().to_position_major().unwrap();
         let events = SpikeBatch::from_dense(&pm).unwrap();
@@ -821,12 +742,12 @@ mod tests {
             .accumulate_weighted_events(&ops, 0, &events, 0.0, &mut potential)
             .unwrap();
         let mut by_image = vec![0u64; 2];
-        exec.synops_events_by_image(&ops, 0, &events, &mut by_image)
+        ops[0]
+            .synops_events_by_image(&events, &mut by_image)
             .unwrap();
         assert_eq!(by_image.iter().sum::<u64>(), charged);
         let mut by_image_dense = vec![0u64; 2];
-        exec.synops_pm_by_image(&ops, 0, &pm, &mut by_image_dense)
-            .unwrap();
+        ops[0].synops_pm_by_image(&pm, &mut by_image_dense).unwrap();
         assert_eq!(by_image_dense, by_image);
         // Linear op: nnz × O per image.
         let signal = Tensor::from_vec(
@@ -839,20 +760,18 @@ mod tests {
         .unwrap();
         let lin_events = SpikeBatch::from_dense(&signal).unwrap();
         let mut lin = vec![0u64; 2];
-        exec.synops_events_by_image(&ops, 3, &lin_events, &mut lin)
+        ops[3]
+            .synops_events_by_image(&lin_events, &mut lin)
             .unwrap();
         assert_eq!(lin, vec![2 * 3, 3]);
         let mut lin_dense = vec![0u64; 2];
-        exec.synops_pm_by_image(&ops, 3, &signal, &mut lin_dense)
-            .unwrap();
+        ops[3].synops_pm_by_image(&signal, &mut lin_dense).unwrap();
         assert_eq!(lin_dense, lin);
         // Non-weighted ops are rejected.
-        assert!(exec
-            .synops_events_by_image(&ops, 1, &events, &mut by_image)
+        assert!(ops[1]
+            .synops_events_by_image(&events, &mut by_image)
             .is_err());
-        assert!(exec
-            .synops_pm_by_image(&ops, 1, &pm, &mut by_image)
-            .is_err());
+        assert!(ops[1].synops_pm_by_image(&pm, &mut by_image).is_err());
     }
 
     #[test]

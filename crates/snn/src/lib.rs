@@ -63,7 +63,7 @@ mod network;
 mod neuron;
 mod sim;
 
-pub use engine::{OpExecutor, SimEngine};
+pub use engine::{OpExecutor, OpPlan, SimEngine};
 pub use network::{SnnNetwork, SnnOp};
 pub use neuron::IfState;
 pub use sim::{simulate, simulate_on, CurvePoint, SimConfig, SimOutcome};

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use t2fsnn_tensor::{trace, Result, SpikeBatch, Tensor, TensorError, ThreadPool};
 
 use crate::coding::Coding;
-use crate::engine::{OpExecutor, SimEngine};
+use crate::engine::{OpExecutor, OpPlan, SimEngine};
 use crate::network::{SnnNetwork, SnnOp};
 use crate::neuron::IfState;
 
@@ -209,9 +209,10 @@ pub fn simulate_on(
             message: "network has no weighted ops".to_string(),
         });
     }
-    // Shape-check the whole chain up front so chunk workers can't fail on
-    // anything but numerics.
-    net.output_shapes(&images.dims()[1..])?;
+    // Compile the plan once per call: it shape-checks the whole chain up
+    // front (so chunk workers can't fail on anything but numerics) and
+    // every chunk shares its re-laid-out weights.
+    let plan = OpPlan::new(ops, &images.dims()[1..])?;
 
     let ranges = pool.chunk_ranges(n);
     let stats = if ranges.len() > 1 && coding.batch_divisible() {
@@ -229,6 +230,7 @@ pub fn simulate_on(
         let results = pool.run_tasks(tasks, |(mut chunk_coding, chunk_images, chunk_labels)| {
             simulate_chunk(
                 net,
+                &plan,
                 chunk_coding.as_mut(),
                 &chunk_images,
                 chunk_labels,
@@ -237,7 +239,7 @@ pub fn simulate_on(
         });
         merge_chunks(results)?
     } else {
-        simulate_chunk(net, coding, images, labels, config)?
+        simulate_chunk(net, &plan, coding, images, labels, config)?
     };
 
     let curve: Vec<CurvePoint> = stats
@@ -298,19 +300,19 @@ fn merge_chunks(results: Vec<Result<ChunkStats>>) -> Result<ChunkStats> {
 /// was chunked.
 fn simulate_chunk(
     net: &SnnNetwork,
+    plan: &OpPlan,
     coding: &mut dyn Coding,
     images: &Tensor,
     labels: &[usize],
     config: &SimConfig,
 ) -> Result<ChunkStats> {
     let n = images.dims()[0];
-    let input_dims = &images.dims()[1..];
     let ops = net.ops();
     let last_weighted = ops
         .iter()
         .rposition(SnnOp::is_weighted)
         .expect("validated by simulate_on");
-    let mut executor = OpExecutor::new(ops, config.engine, input_dims)?;
+    let mut executor = OpExecutor::new(plan, config.engine);
 
     // Neuron state per weighted op, in the engine's native position-major
     // layout (`[N, OH, OW, C]` for conv outputs).
@@ -320,7 +322,7 @@ fn simulate_chunk(
         .map(|(i, op)| {
             op.is_weighted().then(|| {
                 let mut dims = vec![n];
-                dims.extend_from_slice(executor.state_dims(i));
+                dims.extend_from_slice(plan.state_dims(i));
                 IfState::new(dims)
             })
         })
@@ -402,7 +404,7 @@ fn simulate_chunk(
                 // Re-fuse for this step's bias scale (bundled codings
                 // use a constant scale, so this runs once per phase).
                 entry.fused = entry.raw.clone();
-                executor.inject_bias(ops, first_weighted, &mut entry.fused, bias_scale)?;
+                ops[first_weighted].inject_bias_pm(&mut entry.fused, bias_scale)?;
                 entry.fused_scale = bias_scale;
             }
             input_spikes += entry.in_spikes;
@@ -424,7 +426,7 @@ fn simulate_chunk(
             if needs_mult {
                 synop_mults += synops_acc;
             }
-            executor.inject_bias(ops, first_weighted, &mut z, bias_scale)?;
+            ops[first_weighted].inject_bias_pm(&mut z, bias_scale)?;
             fresh_drive = Some(z);
         }
         drop(input_span);
@@ -457,7 +459,7 @@ fn simulate_chunk(
                     state.integrate(drive)?;
                     0
                 } else if signal_zero {
-                    executor.inject_bias(ops, i, state.potential_mut(), bias_scale)?;
+                    ops[i].inject_bias_pm(state.potential_mut(), bias_scale)?;
                     0
                 } else if events_active {
                     executor.accumulate_weighted_events(
@@ -534,7 +536,7 @@ fn simulate_chunk(
             } else {
                 let (z, synops) = if signal_zero {
                     let mut dims = vec![n];
-                    dims.extend_from_slice(executor.state_dims(i));
+                    dims.extend_from_slice(plan.state_dims(i));
                     (Tensor::zeros(dims), 0)
                 } else {
                     executor.propagate(ops, i, &signal)?

@@ -19,11 +19,14 @@
 //! transpose flush; work is strictly proportional to
 //! `events × taps × O`.
 //!
-//! The channel-major kernels ([`conv2d_scatter_t`], [`conv2d_gemm`])
-//! remain as reference oracles. They accumulate in the same canonical
-//! `(y, x, c)` order (walking `[C, H, W]` storage with strides), so their
-//! results are bit-identical to the position-major kernels modulo the
-//! layout permutation.
+//! The channel-major scatter ([`conv2d_scatter_t`], reached through
+//! [`conv2d_scatter`] by the spiking ops' reference `propagate`)
+//! accumulates in the same canonical `(y, x, c)` order (walking
+//! `[C, H, W]` storage with strides), so its results are bit-identical
+//! to the position-major kernels modulo the layout permutation. Two
+//! test-only oracles check the kernels from the outside: a channel-major
+//! im2col GEMM (`conv2d_gemm`) and a scan-based synop count
+//! (`conv2d_synops`).
 
 use crate::error::{Result, TensorError};
 use crate::events::SpikeBatch;
@@ -674,6 +677,7 @@ pub fn conv2d_scatter(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Resu
     conv2d_scatter_t(input, &filter_t, (weight.dims()[2], weight.dims()[3]), spec)
 }
 
+#[cfg(test)]
 /// Unfolds one channel-major `[C, H, W]` image into a **tap-major**
 /// im2col matrix `[KH·KW·C, OH·OW]` (row order `(ki, kj, ci)` — the
 /// canonical contraction order) into a reused buffer. Every entry is
@@ -735,8 +739,9 @@ fn im2col_pm_into(data: &[f32], g: &ConvGeom, out: &mut Vec<f32>) {
     }
 }
 
-/// Dense convolution via im2col + blocked GEMM over a **channel-major**
-/// input, without bias (reference/oracle twin). The contraction runs in
+#[cfg(test)]
+/// Test oracle: dense convolution via im2col + blocked GEMM over a
+/// **channel-major** input, without bias. The contraction runs in
 /// the canonical tap order `(ki, kj, ci)` — for each output element this
 /// is the same `(y, x, c)` sequence the scatter kernels accumulate in,
 /// so the GEMM is f32-equal to them (it additionally adds the zero
@@ -746,7 +751,7 @@ fn im2col_pm_into(data: &[f32], g: &ConvGeom, out: &mut Vec<f32>) {
 /// # Errors
 ///
 /// Returns an error on rank or channel mismatches.
-pub fn conv2d_gemm(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
+fn conv2d_gemm(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
     if input.rank() != 4 {
         return Err(TensorError::InvalidArgument {
             op: "conv2d_gemm",
@@ -866,7 +871,8 @@ pub fn conv2d_gemm_pm_acc(
     Ok(())
 }
 
-/// Synaptic-operation count of a convolution over a dense
+#[cfg(test)]
+/// Test oracle: synaptic-operation count of a convolution over a dense
 /// **channel-major** input: each non-zero entry is charged
 /// `valid taps × O` accumulates — exactly what the scatter kernels
 /// charge, computed without doing the arithmetic.
@@ -874,7 +880,7 @@ pub fn conv2d_gemm_pm_acc(
 /// # Errors
 ///
 /// Returns an error on rank or channel mismatches.
-pub fn conv2d_synops(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<u64> {
+fn conv2d_synops(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<u64> {
     if input.rank() != 4 {
         return Err(TensorError::InvalidArgument {
             op: "conv2d_synops",

@@ -38,6 +38,19 @@
 //! Spans for phases that are only known retroactively (queue wait
 //! measured at dequeue) are recorded with [`record_complete`].
 //!
+//! # Coarse scopes
+//!
+//! A hot loop opens the same span sites hundreds of times per call (one
+//! per layer per time step). Recording each costs two clock reads plus a
+//! ring write — on a small model more than the work it measures, which
+//! matters on a path the recorder is always on for (serving). Such a call
+//! runs inside a [`coarse`] scope: the scope is one recorded span, the
+//! call marks a few contiguous [`CoarseScope::stage`]s of its own as child
+//! spans, and every other span opened on the thread inside the scope
+//! skips the flight recorder (no clock read, no ring write). The profile
+//! aggregate still sees every span, so `T2FSNN_PROFILE=1` keeps the
+//! per-step detail.
+//!
 //! # Flight recorder
 //!
 //! A fixed ring of `T2FSNN_TRACE_CAP` slots (default 65 536, ~64 B
@@ -198,6 +211,9 @@ struct TraceCtx {
     tid: u32,
     trace_id: u64,
     parent: u64,
+    /// A [`coarse`] scope is open on this thread: spans opened now skip
+    /// the flight recorder.
+    coarse: bool,
 }
 
 thread_local! {
@@ -416,42 +432,103 @@ pub fn span_with_aux(key: &'static str, aux: u64) -> Span {
 }
 
 fn open_span(key: &'static str, aux: u64, s: u8) -> Span {
-    let start = Instant::now();
     if s & TRACE_ON == 0 {
-        // Profile-only: aggregate by key on drop, no recorder record.
-        let mut sp = Span::inert();
-        sp.key = key;
-        sp.start = Some(start);
-        sp.flags = PROFILE_ON;
-        return sp;
+        return profile_only(key);
     }
     let opened = CTX.try_with(|c| {
         let mut c = c.borrow_mut();
+        if c.coarse {
+            return None;
+        }
         let tid = ensure_tid(&mut c);
         let span_id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
         let parent = c.parent;
         c.parent = span_id;
-        (tid, c.trace_id, parent, span_id)
+        Some((tid, c.trace_id, parent, span_id))
     });
     match opened {
-        Ok((tid, trace_id, parent, span_id)) => Span {
-            key,
-            start: Some(start),
-            flags: s & (PROFILE_ON | TRACE_ON),
-            tid,
-            span_id,
-            parent,
-            trace_id,
-            start_ns: start.saturating_duration_since(epoch()).as_nanos() as u64,
-            aux,
-        },
-        // TLS teardown: degrade to profile-only (or inert).
-        Err(_) => {
-            let mut sp = Span::inert();
-            sp.key = key;
-            sp.start = Some(start);
-            sp.flags = s & PROFILE_ON;
-            sp
+        Ok(Some((tid, trace_id, parent, span_id))) => {
+            let start = Instant::now();
+            Span {
+                key,
+                start: Some(start),
+                flags: s & (PROFILE_ON | TRACE_ON),
+                tid,
+                span_id,
+                parent,
+                trace_id,
+                start_ns: start.saturating_duration_since(epoch()).as_nanos() as u64,
+                aux,
+            }
+        }
+        // Inside a coarse scope, or during TLS teardown: profile only
+        // (inert when profiling is off — not even a clock read).
+        _ if s & PROFILE_ON != 0 => profile_only(key),
+        _ => Span::inert(),
+    }
+}
+
+/// A span feeding only the profile aggregate: by key on drop, no
+/// recorder record.
+fn profile_only(key: &'static str) -> Span {
+    let mut sp = Span::inert();
+    sp.key = key;
+    sp.start = Some(Instant::now());
+    sp.flags = PROFILE_ON;
+    sp
+}
+
+/// Guard of a [`coarse`] scope: ends the open stage, then the scope's
+/// own span, when dropped.
+#[must_use = "a coarse scope ends when dropped — bind it to a variable"]
+pub struct CoarseScope {
+    stage: Option<Span>,
+    /// This guard switched the thread to coarse recording (false when
+    /// the recorder is off or an enclosing scope already did — then
+    /// stages are not recorded either).
+    active: bool,
+    /// The scope's own span, recorded after its last stage when the
+    /// guard drops.
+    _span: Span,
+}
+
+/// Opens a span for `key` (with `aux`, as [`span_with_aux`]) and, until
+/// the guard drops, keeps every other span opened on this thread out of
+/// the flight recorder — see [Coarse scopes](self#coarse-scopes). Mark
+/// the call's phases with [`CoarseScope::stage`]. One relaxed atomic load
+/// when both sinks are off.
+pub fn coarse(key: &'static str, aux: u64) -> CoarseScope {
+    let span = span_with_aux(key, aux);
+    let active =
+        span.flags & TRACE_ON != 0 && CTX.try_with(|c| c.borrow_mut().coarse = true).is_ok();
+    CoarseScope {
+        stage: None,
+        active,
+        _span: span,
+    }
+}
+
+impl CoarseScope {
+    /// Closes the current stage (if any) and opens `key`/`aux` as the
+    /// next one: a recorded child span of the scope lasting until the
+    /// next `stage` call or the scope's end. No-op unless this scope
+    /// records.
+    pub fn stage(&mut self, key: &'static str, aux: u64) {
+        if !self.active {
+            return;
+        }
+        self.stage = None;
+        let _ = CTX.try_with(|c| c.borrow_mut().coarse = false);
+        self.stage = Some(span_with_aux(key, aux));
+        let _ = CTX.try_with(|c| c.borrow_mut().coarse = true);
+    }
+}
+
+impl Drop for CoarseScope {
+    fn drop(&mut self) {
+        self.stage = None;
+        if self.active {
+            let _ = CTX.try_with(|c| c.borrow_mut().coarse = false);
         }
     }
 }
@@ -850,6 +927,55 @@ mod tests {
         assert_eq!(inner.trace_id, trace);
         assert!(inner.start_ns >= outer.start_ns);
         assert!(outer.tid > 0);
+    }
+
+    #[test]
+    fn coarse_scope_records_only_itself_and_its_stages() {
+        let _g = lock_state();
+        set_enabled(true);
+        clear();
+        let trace = next_trace_id();
+        let scope_id;
+        {
+            let _scope = trace_scope(trace);
+            let mut coarse_scope = coarse("test/coarse", 3);
+            scope_id = coarse_scope._span.span_id;
+            {
+                let _hidden = span("test/hidden");
+            }
+            for stage in 0..2u64 {
+                coarse_scope.stage("test/stage", stage);
+                let _hidden = span("test/hidden");
+                // A nested scope records nothing either.
+                let mut nested = coarse("test/nested", 0);
+                nested.stage("test/nested_stage", 0);
+            }
+        }
+        {
+            let _s = span("test/after");
+        }
+        set_enabled(false);
+        let events = snapshot();
+        let keys: Vec<&str> = events.iter().map(|e| e.key).collect();
+        for hidden in ["test/hidden", "test/nested", "test/nested_stage"] {
+            assert!(!keys.contains(&hidden), "{hidden} leaked: {keys:?}");
+        }
+        let scope = events.iter().find(|e| e.key == "test/coarse").unwrap();
+        assert_eq!(
+            (scope.span_id, scope.aux, scope.trace_id),
+            (scope_id, 3, trace)
+        );
+        let stages: Vec<&SpanEvent> = events.iter().filter(|e| e.key == "test/stage").collect();
+        assert_eq!(stages.len(), 2);
+        for (k, stage) in stages.iter().enumerate() {
+            assert_eq!(stage.aux, k as u64);
+            assert_eq!(stage.parent_id, scope_id, "stages hang under the scope");
+            assert_eq!(stage.trace_id, trace);
+            assert!(stage.start_ns + stage.dur_ns <= scope.start_ns + scope.dur_ns);
+        }
+        assert!(stages[0].start_ns + stages[0].dur_ns <= stages[1].start_ns);
+        // Recording resumes when the scope ends.
+        assert!(keys.contains(&"test/after"));
     }
 
     #[test]

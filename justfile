@@ -125,8 +125,19 @@ test:
     cargo test -q --workspace
 
 # Compile all 7 Criterion bench targets without running them.
-bench-check:
+bench-check: perfbench-build
     cargo bench --no-run
+
+# Build the repository benchmark (its own workspace, calling the public
+# APIs of t2fsnn-snn, t2fsnn and t2fsnn-serve): an API change that
+# breaks it fails here.
+perfbench-build:
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+# Run one repository-benchmark workload exactly as BENCHMARK.json's
+# command does, e.g. `just perfbench serve-pair 3 0`.
+perfbench workload seed trace seconds="25":
+    cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds {{seconds}} --trace {{trace}}
 
 # Run the benches (the criterion shim prints mean/min/max wall-clock).
 bench:

@@ -8,6 +8,8 @@
 //! site that ever fed back into computation (or perturbed iteration
 //! order) would show up here as a diverged `ImageInference`.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use t2fsnn::{ImageInference, InferOptions, KernelParams, T2fsnn, T2fsnnConfig};
@@ -34,6 +36,13 @@ fn build(dnn: &Network, engine: SimEngine) -> T2fsnn {
         KernelParams::default(),
     )
     .expect("conversion")
+}
+
+/// Serializes the tests of this file: each toggles the process-global
+/// tracing and profiling switches.
+fn observability_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs `images` through `model` split into `batch` -sized slices on a
@@ -67,6 +76,7 @@ fn run_split(
 /// inference modes, across batch splits and worker counts.
 #[test]
 fn tracing_and_profiling_change_no_bits() {
+    let _serial = observability_lock();
     let (dnn, images) = fixture();
     let n = images.dims()[0];
     for engine in [SimEngine::Dense, SimEngine::default()] {
@@ -104,6 +114,7 @@ fn tracing_and_profiling_change_no_bits() {
 /// test above would pass vacuously if span sites were compiled out).
 #[test]
 fn traced_run_records_engine_phase_spans() {
+    let _serial = observability_lock();
     let (dnn, images) = fixture();
     let model = build(&dnn, SimEngine::default());
     trace::set_enabled(true);
@@ -130,4 +141,23 @@ fn traced_run_records_engine_phase_spans() {
         tagged.iter().any(|e| e.parent_id != 0),
         "engine spans must nest (some span with a parent)"
     );
+    // Coarse recording: each pool chunk is one `ttfs/infer_chunk` span
+    // whose children are its pipeline stages; the per-step spans stay
+    // out of the recorder.
+    let chunks: Vec<u64> = tagged
+        .iter()
+        .filter(|e| e.key == "ttfs/infer_chunk")
+        .map(|e| e.span_id)
+        .collect();
+    assert!(!chunks.is_empty());
+    for e in &tagged {
+        match e.key {
+            "ttfs/infer_chunk" => {}
+            "ttfs/stage" => assert!(chunks.contains(&e.parent_id), "stray stage {e:?}"),
+            other => panic!("per-step span `{other}` reached the recorder"),
+        }
+    }
+    let stages = tagged.iter().filter(|e| e.key == "ttfs/stage").count();
+    let per_chunk = model.weighted_count() + 1; // + the early-exit window
+    assert_eq!(stages, chunks.len() * per_chunk);
 }
