@@ -39,11 +39,10 @@
 //! on the same accuracy/latency curve, not a different computation.
 
 use serde::{Deserialize, Serialize};
-use t2fsnn_snn::{OpExecutor, OpPlan, SnnOp};
-use t2fsnn_tensor::{trace, Result, SpikeBatch, Tensor, TensorError, ThreadPool};
+use t2fsnn_snn::OpPlan;
+use t2fsnn_tensor::{trace, Result, Tensor, TensorError, ThreadPool};
 
 use crate::network::T2fsnn;
-use crate::pipeline::{apply_gate, build_segments, delivered_value, noise_streams, Segment};
 
 /// Knobs of a [`T2fsnn::infer`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -119,9 +118,7 @@ impl T2fsnn {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatches or when the network uses an
-    /// op/gate combination outside the bundled conv/pool/flatten/linear
-    /// set.
+    /// Returns an error on shape mismatches.
     pub fn infer(&self, images: &Tensor, opts: InferOptions) -> Result<Vec<ImageInference>> {
         self.infer_on(images, opts, ThreadPool::global())
     }
@@ -178,83 +175,14 @@ impl T2fsnn {
     ) -> Result<Vec<ImageInference>> {
         let config = self.config();
         let t_window = config.time_window;
-        let theta0 = config.theta0;
         let n = images.dims()[0];
         // Serving keeps the flight recorder on, so a traced chunk records
         // one span plus one child per pipeline stage (set in the step
         // loop); the per-step spans below feed only the profile
         // aggregate.
         let mut tracer = trace::coarse("ttfs/infer_chunk", n as u64);
-        let ops = self.network().ops();
-        let segments = build_segments(ops);
-        let l_count = segments.len();
-        let mut executor = OpExecutor::new(plan, config.engine);
-
-        // Membrane potentials (bias folded in once) and refractory
-        // masks, position-major as in `run`.
-        let mut potentials: Vec<Tensor> = Vec::with_capacity(l_count);
-        let mut fired: Vec<Tensor> = Vec::with_capacity(l_count);
-        for seg in &segments {
-            let mut dims = vec![n];
-            dims.extend_from_slice(plan.state_dims(seg.weighted));
-            let mut p = Tensor::zeros(dims.clone());
-            ops[seg.weighted].inject_bias_pm(&mut p, 1.0)?;
-            potentials.push(p);
-            fired.push(Tensor::zeros(dims));
-        }
-
-        // Input spike times, pre-permuted to position-major when the
-        // network opens with a bare conv (same fast path as `run`).
-        let input_encoder = self.input_encoder();
-        let enc_times: Vec<Option<usize>> = images
-            .iter()
-            .map(|&x| input_encoder.encode(x, theta0))
-            .collect();
-        let pm_input = segments[0].pre_ops.is_empty()
-            && matches!(ops[segments[0].weighted], SnnOp::Conv { .. });
-        let (enc_scan, drive_dims): (Vec<Option<usize>>, Vec<usize>) = if pm_input {
-            let d = images.dims();
-            let (c, h, w) = (d[1], d[2], d[3]);
-            let mut scan = Vec::with_capacity(enc_times.len());
-            for ni in 0..n {
-                for yi in 0..h {
-                    for xi in 0..w {
-                        for ci in 0..c {
-                            scan.push(enc_times[((ni * c + ci) * h + yi) * w + xi]);
-                        }
-                    }
-                }
-            }
-            (scan, vec![n, h, w, c])
-        } else {
-            (enc_times, images.dims().to_vec())
-        };
-        let drive_feature: usize = drive_dims[1..].iter().product();
-
-        // Fire kernels as LUTs; the output layer's table drives the
-        // early-exit threshold.
-        let fire_tables: Vec<Vec<f32>> = (0..l_count)
-            .map(|i| {
-                let k = self.fire_kernel(i);
-                (0..t_window).map(|t| k.eval(t as f32)).collect()
-            })
-            .collect();
-        let input_table: Vec<f32> = (0..t_window)
-            .map(|t| input_encoder.eval(t as f32))
-            .collect();
-
-        // First-spike gates for max-pool ops, as in `run`.
-        let mut gates: Vec<Option<Tensor>> = ops
-            .iter()
-            .enumerate()
-            .map(|(i, op)| {
-                matches!(op, SnnOp::MaxPool { .. }).then(|| {
-                    let mut dims = vec![n];
-                    dims.extend_from_slice(plan.state_dims(i));
-                    Tensor::zeros(dims)
-                })
-            })
-            .collect();
+        let mut st = self.step_state(images, plan)?;
+        let l_count = st.segments.len();
 
         let total_steps = self.total_steps();
         // Early-exit fire phase of the output layer, on the standard
@@ -278,7 +206,6 @@ impl T2fsnn {
         };
 
         // Per-image accounting.
-        let mut decided = vec![false; n];
         let mut undecided = n;
         let mut results: Vec<ImageInference> = (0..n)
             .map(|_| ImageInference {
@@ -292,14 +219,6 @@ impl T2fsnn {
                 synop_mults: 0,
             })
             .collect();
-        let mut synop_buf = vec![0u64; n];
-
-        let mut fire_ev = SpikeBatch::empty();
-        let mut fire_hits: Vec<u32> = Vec::new();
-        // Per-image, content-keyed noise streams (empty without noise):
-        // identical for an image regardless of chunking, batch
-        // composition, or worker count.
-        let mut noise_rngs = noise_streams(config.noise, images);
 
         for t in 0..last_step {
             if opts.early_exit && undecided == 0 {
@@ -311,52 +230,11 @@ impl T2fsnn {
             // Input fire window: [0, T). Decided images are terminated —
             // their pixels stop spiking.
             if t < t_window {
-                let _s = trace::span("ttfs/input_window");
-                let mut any = 0u64;
-                let mut drive_data = vec![0.0f32; n * drive_feature];
-                for (img, slot) in drive_data.chunks_exact_mut(drive_feature).enumerate() {
-                    if decided[img] {
-                        continue;
-                    }
-                    let scan = &enc_scan[img * drive_feature..(img + 1) * drive_feature];
-                    let mut cnt = 0u64;
-                    for (v, &et) in slot.iter_mut().zip(scan) {
-                        if et == Some(t) {
-                            cnt += 1;
-                            *v = delivered_value(
-                                &input_table,
-                                t,
-                                theta0,
-                                config.noise,
-                                noise_rngs.get_mut(img),
-                            );
-                        }
-                    }
-                    results[img].input_spikes += cnt;
-                    results[img].synop_mults += cnt;
-                    any += cnt;
-                }
-                if any > 0 {
-                    let drive = Tensor::from_vec(drive_dims.clone(), drive_data)?;
-                    let z = if pm_input {
-                        ops[segments[0].weighted].synops_pm_by_image(&drive, &mut synop_buf)?;
-                        let (z, _) =
-                            executor.propagate_input_pm(ops, segments[0].weighted, &drive)?;
-                        z
-                    } else {
-                        self.propagate_input_segment(
-                            ops,
-                            &mut executor,
-                            &segments[0],
-                            drive,
-                            &mut gates,
-                            &mut synop_buf,
-                        )?
-                    };
-                    for (r, &s) in results.iter_mut().zip(&synop_buf) {
-                        r.synop_adds += s;
-                    }
-                    potentials[0].add_scaled(&z, 1.0)?;
+                st.input_step(t)?;
+                for (r, (&s, &a)) in results.iter_mut().zip(st.spikes.iter().zip(&st.synops)) {
+                    r.input_spikes += s;
+                    r.synop_mults += s;
+                    r.synop_adds += a;
                 }
             }
 
@@ -366,69 +244,15 @@ impl T2fsnn {
                 if t < start || t >= start + t_window {
                     continue;
                 }
-                let local = t - start;
-                let threshold = theta0 * fire_tables[i][local];
-                let mut count = 0u64;
-                {
-                    let _s = trace::span("ttfs/fire_scan");
-                    let feature: usize = potentials[i].dims()[1..].iter().product();
-                    let feature_dims = potentials[i].dims()[1..].to_vec();
-                    fire_ev.begin(&feature_dims);
-                    let pd = potentials[i].data();
-                    let fd = fired[i].data_mut();
-                    for (img, (pimg, fimg)) in pd
-                        .chunks_exact(feature.max(1))
-                        .zip(fd.chunks_exact_mut(feature.max(1)))
-                        .enumerate()
-                    {
-                        if decided[img] {
-                            fire_ev.end_image();
-                            continue;
-                        }
-                        let mut cnt = 0u64;
-                        fire_hits.clear();
-                        t2fsnn_tensor::simd::collect_ge(pimg, threshold, &mut fire_hits);
-                        for &j in &fire_hits {
-                            let f = &mut fimg[j as usize];
-                            if *f == 0.0 {
-                                *f = 1.0;
-                                // A spike dropped by noise still counts
-                                // (the neuron fired) but delivers no PSP,
-                                // exactly as in `run`.
-                                let v = delivered_value(
-                                    &fire_tables[i],
-                                    local,
-                                    theta0,
-                                    config.noise,
-                                    noise_rngs.get_mut(img),
-                                );
-                                if v != 0.0 {
-                                    fire_ev.push(j, v);
-                                }
-                                cnt += 1;
-                            }
-                        }
-                        fire_ev.end_image();
-                        results[img].hidden_spikes += cnt;
-                        results[img].synop_mults += cnt;
-                        count += cnt;
+                if st.fire(i, t - start) > 0 {
+                    for (r, &s) in results.iter_mut().zip(&st.spikes) {
+                        r.hidden_spikes += s;
+                        r.synop_mults += s;
                     }
-                }
-                if count > 0 {
-                    let _s = trace::span("ttfs/segment_propagate");
-                    let seg = &segments[i + 1];
-                    propagate_pre_ops_events(ops, &mut executor, seg, &mut fire_ev, &mut gates)?;
-                    ops[seg.weighted].synops_events_by_image(&fire_ev, &mut synop_buf)?;
-                    for (r, &s) in results.iter_mut().zip(&synop_buf) {
-                        r.synop_adds += s;
+                    st.propagate(i + 1, true)?;
+                    for (r, &a) in results.iter_mut().zip(&st.synops) {
+                        r.synop_adds += a;
                     }
-                    executor.accumulate_weighted_events(
-                        ops,
-                        seg.weighted,
-                        &fire_ev,
-                        0.0,
-                        &mut potentials[i + 1],
-                    )?;
                 }
             }
 
@@ -436,16 +260,16 @@ impl T2fsnn {
             // decaying threshold is crossed decides the image.
             if opts.early_exit && t >= ee_start && t < ee_start + t_window {
                 let _s = trace::span("ttfs/early_exit");
-                let threshold = theta0 * fire_tables[l_count - 1][t - ee_start];
-                let out = &potentials[l_count - 1];
+                let threshold = config.theta0 * st.fire_tables[l_count - 1][t - ee_start];
+                let out = &st.potentials[l_count - 1];
                 let classes = out.dims()[1];
                 for (img, row) in out.data().chunks_exact(classes.max(1)).enumerate() {
-                    if decided[img] {
+                    if st.decided[img] {
                         continue;
                     }
                     let (label, top) = argmax(row);
                     if top >= threshold {
-                        decided[img] = true;
+                        st.decided[img] = true;
                         undecided -= 1;
                         let r = &mut results[img];
                         r.label = label;
@@ -459,10 +283,10 @@ impl T2fsnn {
 
         // Undecided images (or every image when early exit is off):
         // full-window argmax.
-        let out = &potentials[l_count - 1];
+        let out = &st.potentials[l_count - 1];
         let classes = out.dims()[1];
         for (img, row) in out.data().chunks_exact(classes.max(1)).enumerate() {
-            if !decided[img] {
+            if !st.decided[img] {
                 let (label, top) = argmax(row);
                 let r = &mut results[img];
                 r.label = label;
@@ -471,77 +295,6 @@ impl T2fsnn {
         }
         Ok(results)
     }
-
-    /// Input-segment propagation for networks that do not open with a
-    /// bare conv (e.g. MLPs, or pre-pooled inputs): pass-through ops in
-    /// the channel-major image domain, then the weighted op, with
-    /// per-image synop charges written into `synops`.
-    fn propagate_input_segment(
-        &self,
-        ops: &[SnnOp],
-        executor: &mut OpExecutor<'_>,
-        seg: &Segment,
-        mut signal: Tensor,
-        gates: &mut [Option<Tensor>],
-        synops: &mut [u64],
-    ) -> Result<Tensor> {
-        for &pi in &seg.pre_ops {
-            let (mut z, _) = executor.propagate(ops, pi, &signal)?;
-            apply_gate(gates[pi].as_mut(), &mut z);
-            signal = z;
-        }
-        // Charge per-image synops on the signal entering the weighted
-        // op: a conv counts on the position-major layout it is executed
-        // in, a linear layer on its flat rows.
-        let op = &ops[seg.weighted];
-        if matches!(op, SnnOp::Conv { .. }) {
-            op.synops_pm_by_image(&signal.to_position_major()?, synops)?;
-        } else {
-            op.synops_pm_by_image(&signal, synops)?;
-        }
-        let (z, _) = executor.propagate(ops, seg.weighted, &signal)?;
-        Ok(z)
-    }
-}
-
-/// Event-form pass-through ops ahead of a segment's weighted op: average
-/// pooling, first-spike-gated max pooling and flattens, exactly as
-/// [`T2fsnn::run`] propagates them. Anything else is rejected — the
-/// per-request accounting path supports the bundled op set only.
-fn propagate_pre_ops_events(
-    ops: &[SnnOp],
-    executor: &mut OpExecutor<'_>,
-    seg: &Segment,
-    events: &mut SpikeBatch,
-    gates: &mut [Option<Tensor>],
-) -> Result<()> {
-    for &pi in &seg.pre_ops {
-        match &ops[pi] {
-            SnnOp::AvgPool { window, stride } if gates[pi].is_none() => {
-                executor.avg_pool_events(events, *window, *stride)?;
-            }
-            SnnOp::MaxPool { window, stride } => {
-                let gate = gates[pi]
-                    .as_mut()
-                    .expect("max-pool ops carry a first-spike gate");
-                executor.max_pool_events(events, *window, *stride, gate)?;
-            }
-            SnnOp::Flatten if gates[pi].is_none() => {
-                let numel = events.feature_numel();
-                events.reshape_features(&[numel])?;
-            }
-            _ => {
-                return Err(TensorError::InvalidArgument {
-                    op: "T2fsnn::infer",
-                    message: format!(
-                        "op {pi} has no event-form per-request propagation \
-                         (bundled conv/pool/flatten/linear networks only)"
-                    ),
-                })
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -722,6 +475,54 @@ mod tests {
             .infer(&solo_img.reshape(dims).unwrap(), InferOptions::early_exit())
             .unwrap();
         assert_eq!(solo[0], ee[2]);
+    }
+
+    /// IEEE CRC-32 (reflected, polynomial `0xEDB88320`).
+    fn crc32(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn outputs_match_pinned_digests() {
+        // Digests of every `infer` (early exit off, on) and `run` output
+        // on the CNN fixture. They were recorded before fired neurons were
+        // retired to −∞ and input steps bucketed, so they pin both as
+        // exact. The `Debug` form of an `f32` round-trips its bits, so
+        // any changed label, potential, spike or synop count breaks a
+        // digest.
+        let (dnn, test_set) = cnn_fixture();
+        let noise = NoiseConfig {
+            jitter: 2,
+            drop_prob: 0.15,
+            seed: 5,
+        };
+        let mut got = Vec::new();
+        for config in [
+            T2fsnnConfig::new(32),
+            T2fsnnConfig::new(32).with_early_firing(),
+            T2fsnnConfig::new(32).with_noise(noise),
+        ] {
+            let m = model(&dnn, config);
+            for opts in [InferOptions::default(), InferOptions::early_exit()] {
+                let inf = m.infer(&test_set.images, opts).unwrap();
+                got.push(crc32(format!("{inf:?}").as_bytes()));
+            }
+            let run = m.run(&test_set.images, &test_set.labels).unwrap();
+            got.push(crc32(format!("{run:?}").as_bytes()));
+        }
+        let want: [u32; 9] = [
+            49618881, 3898515578, 600444793, // clean: infer, infer + early exit, run
+            2436551278, 3806195860, 3562344242, // early firing
+            2734141354, 71217591, 2769929130, // jitter + drop noise
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -8,11 +8,27 @@
 //! starts `T/2` into integration, overlapping the pipeline at the cost of
 //! *non-guaranteed integration* — spikes arriving after a neuron fired are
 //! wasted, which this engine models faithfully.
+//!
+//! Both [`T2fsnn::run`] and [`T2fsnn::infer`] step the same
+//! [`StepState`], whose work follows spikes rather than neuron-steps:
+//!
+//! * **Input buckets.** Each call encodes its input once into per-step,
+//!   per-image spike lists; an input step emits its bucket straight as
+//!   events, with no dense drive to build or rescan.
+//! * **Retire on fire.** A hidden neuron that fires has its membrane
+//!   potential set to `−∞`, so the threshold scan only ever returns new
+//!   spikes and no refractory mask is kept. This is exact: hidden
+//!   potentials are read by nothing but the scan, every later
+//!   integration adds a finite value (weights are finite, and weight
+//!   perturbations flip mantissa bits only), and `−∞ + x = −∞` for finite
+//!   `x`, so under early firing — where inputs keep arriving after the
+//!   spike — a retired neuron can never cross again. The output layer is
+//!   never retired: its potentials are the answer.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use t2fsnn_snn::{CurvePoint, OpExecutor, SimEngine, SnnOp};
+use t2fsnn_snn::{CurvePoint, OpExecutor, OpPlan, SimEngine, SnnOp};
 use t2fsnn_tensor::{perturb, trace, Result, SpikeBatch, Tensor, TensorError};
 
 use crate::network::{NoiseConfig, T2fsnn};
@@ -105,103 +121,6 @@ pub(crate) fn build_segments(ops: &[SnnOp]) -> Vec<Segment> {
     segments
 }
 
-/// Pushes a spike tensor through one segment (pass-through ops, then the
-/// weighted op), applying first-spike gating at max-pool ops: under TTFS
-/// the earliest spike in a pool window carries the maximum value, so each
-/// window forwards exactly its first spike and suppresses the rest.
-///
-/// Propagation routes through the [`OpExecutor`], which dispatches to
-/// event-list kernels when the spike signal is sparse — under TTFS it
-/// almost always is (each neuron fires at most once over a whole window).
-fn propagate_segment(
-    ops: &[SnnOp],
-    executor: &mut OpExecutor<'_>,
-    seg: &Segment,
-    mut signal: Tensor,
-    gates: &mut [Option<Tensor>],
-    synop_adds: &mut u64,
-) -> Result<Tensor> {
-    for &pi in &seg.pre_ops {
-        let (mut z, s) = executor.propagate(ops, pi, &signal)?;
-        *synop_adds += s;
-        apply_gate(gates[pi].as_mut(), &mut z);
-        signal = z;
-    }
-    let (z, s) = executor.propagate(ops, seg.weighted, &signal)?;
-    *synop_adds += s;
-    Ok(z)
-}
-
-/// [`propagate_segment`] for a spike signal already in event form (the
-/// core engine's fire phases emit events directly — under TTFS every
-/// neuron spikes at most once per window, so the dense intermediate was
-/// almost entirely zeros). The signal stays in event form through the
-/// whole segment — average pooling via the event-form pooling kernel and
-/// max pooling via the first-spike-wins [`OpExecutor::max_pool_events`]
-/// (no densification between the fire phase and the integrate) — and the
-/// weighted op's axpy rows land **directly in the next layer's membrane
-/// potentials** (`potential`), with no intermediate drive tensor.
-///
-/// With `dense_mode` (the [`SimEngine::Dense`] reference engine) the
-/// events are densified up front and the position-major dense twins run
-/// instead; both modes are bit-identical (the canonical-order
-/// invariant), which the test suite asserts on max-pool networks.
-#[allow(clippy::too_many_arguments)] // one call site; mirrors the dense twin
-fn propagate_segment_events(
-    ops: &[SnnOp],
-    executor: &mut OpExecutor<'_>,
-    seg: &Segment,
-    events: &mut SpikeBatch,
-    gates: &mut [Option<Tensor>],
-    synop_adds: &mut u64,
-    dense_mode: bool,
-    potential: &mut Tensor,
-) -> Result<()> {
-    let mut dense: Option<Tensor> = if dense_mode {
-        Some(events.to_dense())
-    } else {
-        None
-    };
-    for &pi in &seg.pre_ops {
-        if let Some(signal) = dense.take() {
-            let (mut z, s) = executor.propagate(ops, pi, &signal)?;
-            *synop_adds += s;
-            apply_gate(gates[pi].as_mut(), &mut z);
-            dense = Some(z);
-        } else {
-            match &ops[pi] {
-                SnnOp::AvgPool { window, stride } if gates[pi].is_none() => {
-                    executor.avg_pool_events(events, *window, *stride)?;
-                }
-                SnnOp::MaxPool { window, stride } => {
-                    let gate = gates[pi]
-                        .as_mut()
-                        .expect("max-pool ops carry a first-spike gate");
-                    executor.max_pool_events(events, *window, *stride, gate)?;
-                }
-                SnnOp::Flatten if gates[pi].is_none() => {
-                    let numel = events.feature_numel();
-                    events.reshape_features(&[numel])?;
-                }
-                _ => {
-                    // Unreachable with the bundled architectures; keep a
-                    // correct dense fallback for exotic op/gate combos.
-                    let signal = events.to_dense();
-                    let (mut z, s) = executor.propagate(ops, pi, &signal)?;
-                    *synop_adds += s;
-                    apply_gate(gates[pi].as_mut(), &mut z);
-                    dense = Some(z);
-                }
-            }
-        }
-    }
-    *synop_adds += match dense {
-        Some(signal) => executor.accumulate_weighted(ops, seg.weighted, &signal, 0.0, potential)?,
-        None => executor.accumulate_weighted_events(ops, seg.weighted, events, 0.0, potential)?,
-    };
-    Ok(())
-}
-
 /// First-spike gating at a max-pool op: a window forwards exactly its
 /// first spike and suppresses the rest.
 #[inline]
@@ -261,7 +180,362 @@ pub(crate) fn delivered_value(
     }
 }
 
+/// One simulation call's state and the three step primitives that
+/// [`T2fsnn::run`] and [`T2fsnn::infer`] are both built from:
+/// [`StepState::input_step`], [`StepState::fire`] and
+/// [`StepState::propagate`]. Each primitive leaves its per-image charges
+/// in `spikes`/`synops`; `run` sums them into batch totals, `infer` bills
+/// them to each image.
+pub(crate) struct StepState<'a> {
+    ops: &'a [SnnOp],
+    plan: &'a OpPlan,
+    executor: OpExecutor<'a>,
+    pub(crate) segments: Vec<Segment>,
+    /// Membrane potentials per weighted layer, position-major, bias
+    /// folded in. A hidden neuron that fired holds −∞ (retired).
+    pub(crate) potentials: Vec<Tensor>,
+    /// First-spike latches of the max-pool ops (one per pool window),
+    /// position-major like the membranes downstream of the first
+    /// weighted op, channel-major in the image domain before it.
+    gates: Vec<Option<Tensor>>,
+    /// Fire kernels as LUTs (Sec. V), one per weighted layer.
+    pub(crate) fire_tables: Vec<Vec<f32>>,
+    input_table: Vec<f32>,
+    /// `input_offsets[t·N + img]..input_offsets[t·N + img + 1]` slices
+    /// `input_indices`: the pixels of image `img` that spike at input
+    /// step `t`, ascending in the drive's scan order.
+    input_offsets: Vec<usize>,
+    input_indices: Vec<u32>,
+    /// Per-image dims of the input drive: position-major `[H, W, C]`
+    /// when the network opens with a bare conv, else the image dims.
+    input_dims: Vec<usize>,
+    /// Reused zeroed drive of a network opening with a bare conv: input
+    /// events scatter into it, and it is then added to the first
+    /// membranes (adding in place would round differently). `None`
+    /// routes the input through the channel-major image domain.
+    drive: Option<Tensor>,
+    dense: bool,
+    theta0: f32,
+    noise: Option<NoiseConfig>,
+    /// Per-image, content-keyed noise streams (empty without noise).
+    rngs: Vec<ChaCha8Rng>,
+    /// Images whose simulation stopped (early exit): they emit nothing.
+    pub(crate) decided: Vec<bool>,
+    /// Per-image spikes of the last `input_step`/`fire`.
+    pub(crate) spikes: Vec<u64>,
+    /// Per-image synop adds of the last `input_step` or by-image
+    /// `propagate`.
+    pub(crate) synops: Vec<u64>,
+    events: SpikeBatch,
+    hits: Vec<u32>,
+}
+
+impl<'a> StepState<'a> {
+    /// Input step `t` of `[0, T)`: every pixel bucketed at `t` of an
+    /// undecided image spikes; the step's events (a spike dropped by
+    /// noise still counts but delivers nothing) are integrated into the
+    /// first weighted layer. Returns the step's spikes and synop adds.
+    pub(crate) fn input_step(&mut self, t: usize) -> Result<(u64, u64)> {
+        let _s = trace::span("ttfs/input_window");
+        let n = self.decided.len();
+        self.events.begin(&self.input_dims);
+        let mut any = 0u64;
+        for img in 0..n {
+            let bucket = &self.input_indices
+                [self.input_offsets[t * n + img]..self.input_offsets[t * n + img + 1]];
+            self.spikes[img] = 0;
+            if !self.decided[img] {
+                for &p in bucket {
+                    let v = delivered_value(
+                        &self.input_table,
+                        t,
+                        self.theta0,
+                        self.noise,
+                        self.rngs.get_mut(img),
+                    );
+                    if v != 0.0 {
+                        self.events.push(p, v);
+                    }
+                }
+                self.spikes[img] = bucket.len() as u64;
+                any += bucket.len() as u64;
+            }
+            self.events.end_image();
+        }
+        if any == 0 {
+            self.synops.fill(0);
+            return Ok((0, 0));
+        }
+        let ops = self.ops;
+        let seg = &self.segments[0];
+        let op = &ops[seg.weighted];
+        let adds = match self.drive.as_mut() {
+            Some(drive) => {
+                drive.data_mut().fill(0.0);
+                let adds = if self.dense {
+                    let signal = self.events.to_dense();
+                    op.synops_pm_by_image(&signal, &mut self.synops)?;
+                    self.executor
+                        .accumulate_weighted(ops, seg.weighted, &signal, 0.0, drive)?
+                } else {
+                    op.synops_events_by_image(&self.events, &mut self.synops)?;
+                    self.executor.accumulate_weighted_events(
+                        ops,
+                        seg.weighted,
+                        &self.events,
+                        0.0,
+                        drive,
+                    )?
+                };
+                self.potentials[0].add_scaled(drive, 1.0)?;
+                adds
+            }
+            None => {
+                // Pass-through ops in the channel-major image domain
+                // (e.g. an MLP's flatten), then the weighted op; a conv
+                // is charged on the position-major layout it runs in.
+                let mut signal = self.events.to_dense();
+                let mut adds = 0u64;
+                for &pi in &seg.pre_ops {
+                    let (mut z, s) = self.executor.propagate(ops, pi, &signal)?;
+                    adds += s;
+                    apply_gate(self.gates[pi].as_mut(), &mut z);
+                    signal = z;
+                }
+                if matches!(op, SnnOp::Conv { .. }) {
+                    op.synops_pm_by_image(&signal.to_position_major()?, &mut self.synops)?;
+                } else {
+                    op.synops_pm_by_image(&signal, &mut self.synops)?;
+                }
+                let (z, s) = self.executor.propagate(ops, seg.weighted, &signal)?;
+                self.potentials[0].add_scaled(&z, 1.0)?;
+                adds + s
+            }
+        };
+        Ok((any, adds))
+    }
+
+    /// Fire phase of hidden layer `i` at local step `local`: every
+    /// neuron of an undecided image at or above the decaying threshold
+    /// emits its one spike into the event list and is retired (its
+    /// potential set to −∞, see the module docs). Returns the spike
+    /// count.
+    pub(crate) fn fire(&mut self, i: usize, local: usize) -> u64 {
+        let _s = trace::span("ttfs/fire_scan");
+        let table = &self.fire_tables[i];
+        let threshold = self.theta0 * table[local];
+        let plan = self.plan;
+        let dims = plan.state_dims(self.segments[i].weighted);
+        let feature = dims.iter().product::<usize>().max(1);
+        self.events.begin(dims);
+        let mut count = 0u64;
+        for (img, membrane) in self.potentials[i]
+            .data_mut()
+            .chunks_exact_mut(feature)
+            .enumerate()
+        {
+            self.hits.clear();
+            if !self.decided[img] {
+                // Candidates come back in ascending index order: the
+                // canonical event order.
+                t2fsnn_tensor::simd::collect_ge(membrane, threshold, &mut self.hits);
+            }
+            for &j in &self.hits {
+                membrane[j as usize] = f32::NEG_INFINITY;
+                // Dendrite-decoded PSP value (ideal: ε·θ0).
+                let v = delivered_value(
+                    table,
+                    local,
+                    self.theta0,
+                    self.noise,
+                    self.rngs.get_mut(img),
+                );
+                if v != 0.0 {
+                    self.events.push(j, v);
+                }
+            }
+            self.events.end_image();
+            self.spikes[img] = self.hits.len() as u64;
+            count += self.hits.len() as u64;
+        }
+        count
+    }
+
+    /// Integrates the last fire phase's events through segment `k` —
+    /// pass-through ops, then the weighted op — into layer `k`'s
+    /// membranes. Average pooling, first-spike-wins max pooling and
+    /// flattens stay in event form; the [`SimEngine::Dense`] reference
+    /// engine densifies up front and runs the position-major dense twins
+    /// instead (bit-identical: the canonical-order invariant). Returns
+    /// the synop adds; with `by_image` they are also written per image
+    /// into `synops`.
+    pub(crate) fn propagate(&mut self, k: usize, by_image: bool) -> Result<u64> {
+        let _s = trace::span("ttfs/segment_propagate");
+        let ops = self.ops;
+        let seg = &self.segments[k];
+        let mut adds = 0u64;
+        let mut dense = self.dense.then(|| self.events.to_dense());
+        for &pi in &seg.pre_ops {
+            if dense.is_none() {
+                match &ops[pi] {
+                    SnnOp::AvgPool { window, stride } if self.gates[pi].is_none() => {
+                        self.executor
+                            .avg_pool_events(&mut self.events, *window, *stride)?;
+                        continue;
+                    }
+                    SnnOp::MaxPool { window, stride } => {
+                        let gate = self.gates[pi]
+                            .as_mut()
+                            .expect("max-pool ops carry a first-spike gate");
+                        self.executor
+                            .max_pool_events(&mut self.events, *window, *stride, gate)?;
+                        continue;
+                    }
+                    SnnOp::Flatten if self.gates[pi].is_none() => {
+                        let numel = self.events.feature_numel();
+                        self.events.reshape_features(&[numel])?;
+                        continue;
+                    }
+                    // Unreachable with the bundled architectures; keep a
+                    // correct dense fallback for exotic op/gate combos.
+                    _ => dense = Some(self.events.to_dense()),
+                }
+            }
+            let signal = dense.take().expect("dense signal set above");
+            let (mut z, s) = self.executor.propagate(ops, pi, &signal)?;
+            adds += s;
+            apply_gate(self.gates[pi].as_mut(), &mut z);
+            dense = Some(z);
+        }
+        let (w, potential) = (seg.weighted, &mut self.potentials[k]);
+        adds += match dense {
+            Some(signal) => {
+                if by_image {
+                    ops[w].synops_pm_by_image(&signal, &mut self.synops)?;
+                }
+                self.executor
+                    .accumulate_weighted(ops, w, &signal, 0.0, potential)?
+            }
+            None => {
+                if by_image {
+                    ops[w].synops_events_by_image(&self.events, &mut self.synops)?;
+                }
+                self.executor
+                    .accumulate_weighted_events(ops, w, &self.events, 0.0, potential)?
+            }
+        };
+        Ok(adds)
+    }
+}
+
 impl T2fsnn {
+    /// A fresh [`StepState`] for the `[N, C, H, W]` `images` over the
+    /// compiled `plan`: bias-initialized membranes, zeroed gates, fire
+    /// LUTs, noise streams, and the input encoded once into per-step,
+    /// per-image spike buckets.
+    pub(crate) fn step_state<'a>(
+        &'a self,
+        images: &Tensor,
+        plan: &'a OpPlan,
+    ) -> Result<StepState<'a>> {
+        let config = self.config();
+        let t_window = config.time_window;
+        let ops = self.network().ops();
+        let segments = build_segments(ops);
+        let d = images.dims();
+        let n = d[0];
+        let zeros = |i: usize| {
+            let mut dims = vec![n];
+            dims.extend_from_slice(plan.state_dims(i));
+            Tensor::zeros(dims)
+        };
+        let mut potentials = Vec::with_capacity(segments.len());
+        for seg in &segments {
+            let mut p = zeros(seg.weighted);
+            ops[seg.weighted].inject_bias_pm(&mut p, 1.0)?;
+            potentials.push(p);
+        }
+        let gates = ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| matches!(op, SnnOp::MaxPool { .. }).then(|| zeros(i)))
+            .collect();
+        let fire_tables = (0..segments.len())
+            .map(|i| {
+                let k = self.fire_kernel(i);
+                (0..t_window).map(|t| k.eval(t as f32)).collect()
+            })
+            .collect();
+        let encoder = self.input_encoder();
+        let input_table = (0..t_window).map(|t| encoder.eval(t as f32)).collect();
+
+        // When the network opens with a bare conv (every bundled conv
+        // architecture) the input is scanned position-major, the layout
+        // the conv's event kernel consumes: scan index `p = (y·W + x)·C
+        // + c` reads pixel `c·HW + y·W + x`. Buckets are filled by a
+        // counting sort over the scan, so each stays ascending.
+        let pm_input = segments[0].pre_ops.is_empty()
+            && matches!(ops[segments[0].weighted], SnnOp::Conv { .. });
+        let (c, hw) = (d[1], d[2] * d[3]);
+        let feature = (c * hw).max(1);
+        let input_dims = if pm_input {
+            vec![d[2], d[3], c]
+        } else {
+            d[1..].to_vec()
+        };
+        let mut times = Vec::with_capacity(n * feature);
+        let mut input_offsets = vec![0usize; t_window * n + 1];
+        for (img, pixels) in images.data().chunks_exact(feature).enumerate() {
+            for p in 0..feature {
+                let src = if pm_input { (p % c) * hw + p / c } else { p };
+                let time = encoder
+                    .encode(pixels[src], config.theta0)
+                    .filter(|&t| t < t_window);
+                if let Some(t) = time {
+                    input_offsets[t * n + img + 1] += 1;
+                }
+                times.push(time);
+            }
+        }
+        for k in 1..input_offsets.len() {
+            input_offsets[k] += input_offsets[k - 1];
+        }
+        let mut cursor = input_offsets.clone();
+        let mut input_indices = vec![0u32; input_offsets[t_window * n]];
+        for (k, time) in times.into_iter().enumerate() {
+            if let Some(t) = time {
+                let slot = &mut cursor[t * n + k / feature];
+                input_indices[*slot] = (k % feature) as u32;
+                *slot += 1;
+            }
+        }
+        let drive = pm_input.then(|| zeros(segments[0].weighted));
+
+        Ok(StepState {
+            ops,
+            plan,
+            executor: OpExecutor::new(plan, config.engine),
+            segments,
+            potentials,
+            gates,
+            fire_tables,
+            input_table,
+            input_offsets,
+            input_indices,
+            input_dims,
+            drive,
+            dense: matches!(config.engine, SimEngine::Dense),
+            theta0: config.theta0,
+            noise: config.noise,
+            rngs: noise_streams(config.noise, images),
+            decided: vec![false; n],
+            spikes: vec![0; n],
+            synops: vec![0; n],
+            events: SpikeBatch::empty(),
+            hits: Vec::new(),
+        })
+    }
+
     /// Runs the full phased TTFS inference over a `[N, C, H, W]` batch.
     ///
     /// # Errors
@@ -284,57 +558,9 @@ impl T2fsnn {
         }
         let config = self.config();
         let t_window = config.time_window;
-        let ops = self.network().ops();
-        let segments = build_segments(ops);
-        let l_count = segments.len();
-        let dense_mode = matches!(config.engine, SimEngine::Dense);
         let plan = self.plan(&images.dims()[1..])?;
-        let mut executor = OpExecutor::new(&plan, config.engine);
-
-        // Membrane potentials (initialized with the bias: one constant
-        // current injection per inference) and refractory masks, in the
-        // engine's native position-major layout.
-        let mut potentials: Vec<Tensor> = Vec::with_capacity(l_count);
-        let mut fired: Vec<Tensor> = Vec::with_capacity(l_count);
-        for seg in &segments {
-            let mut dims = vec![n];
-            dims.extend_from_slice(plan.state_dims(seg.weighted));
-            let mut p = Tensor::zeros(dims.clone());
-            ops[seg.weighted].inject_bias_pm(&mut p, 1.0)?;
-            potentials.push(p);
-            fired.push(Tensor::zeros(dims));
-        }
-
-        // Precompute input spike times (local, within window 0).
-        let input_encoder = self.input_encoder();
-        let theta0 = config.theta0;
-        let enc_times: Vec<Option<usize>> = images
-            .iter()
-            .map(|&x| input_encoder.encode(x, theta0))
-            .collect();
-        // When the network opens with a bare conv (every bundled conv
-        // architecture), build the per-step input drive directly in the
-        // engine's position-major layout: the spike times are permuted
-        // once here, erasing a full tensor transpose per input step.
-        let pm_input = segments[0].pre_ops.is_empty()
-            && matches!(ops[segments[0].weighted], SnnOp::Conv { .. });
-        let (enc_scan, drive_dims): (Vec<Option<usize>>, Vec<usize>) = if pm_input {
-            let d = images.dims();
-            let (c, h, w) = (d[1], d[2], d[3]);
-            let mut scan = Vec::with_capacity(enc_times.len());
-            for ni in 0..n {
-                for yi in 0..h {
-                    for xi in 0..w {
-                        for ci in 0..c {
-                            scan.push(enc_times[((ni * c + ci) * h + yi) * w + xi]);
-                        }
-                    }
-                }
-            }
-            (scan, vec![n, h, w, c])
-        } else {
-            (enc_times, images.dims().to_vec())
-        };
+        let mut st = self.step_state(images, &plan)?;
+        let l_count = st.segments.len();
 
         let total_steps = self.total_steps();
         let mut input_histogram = vec![0u64; t_window];
@@ -346,163 +572,35 @@ impl T2fsnn {
         let mut synop_mults = 0u64;
         let mut curve = Vec::new();
 
-        // First-spike gates for max-pool ops (one latch per pool window),
-        // position-major like the membranes downstream of the first
-        // weighted op, channel-major in the image domain before it.
-        let mut gates: Vec<Option<Tensor>> = ops
-            .iter()
-            .enumerate()
-            .map(|(i, op)| {
-                matches!(op, SnnOp::MaxPool { .. }).then(|| {
-                    let mut dims = vec![n];
-                    dims.extend_from_slice(plan.state_dims(i));
-                    Tensor::zeros(dims)
-                })
-            })
-            .collect();
-
-        // Fire kernels instantiated once (LUT form, Sec. V).
-        let fire_tables: Vec<Vec<f32>> = (0..l_count)
-            .map(|i| {
-                let k = self.fire_kernel(i);
-                (0..t_window).map(|t| k.eval(t as f32)).collect()
-            })
-            .collect();
-        let input_table: Vec<f32> = (0..t_window)
-            .map(|t| input_encoder.eval(t as f32))
-            .collect();
-
-        // Per-image, content-keyed noise streams (empty without noise):
-        // the fix for the old single batch-order-dependent stream.
-        let mut noise_rngs = noise_streams(config.noise, images);
-        let raw_feature: usize = images.dims()[1..].iter().product::<usize>().max(1);
-        // Reused event list and threshold-scan hit buffer for the fire
-        // phases.
-        let mut fire_ev = SpikeBatch::empty();
-        let mut fire_hits: Vec<u32> = Vec::new();
-
         #[allow(clippy::needless_range_loop)] // `t` drives far more than the histogram
         for t in 0..total_steps {
             // Input fire window: [0, T).
             if t < t_window {
-                let _s = trace::span("ttfs/input_window");
-                let mut any = 0u64;
-                let drive = Tensor::from_vec(
-                    drive_dims.clone(),
-                    enc_scan
-                        .iter()
-                        .enumerate()
-                        .map(|(idx, &et)| {
-                            if et == Some(t) {
-                                any += 1;
-                                delivered_value(
-                                    &input_table,
-                                    t,
-                                    theta0,
-                                    config.noise,
-                                    noise_rngs.get_mut(idx / raw_feature),
-                                )
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect(),
-                )?;
-                if any > 0 {
-                    input_spikes += any;
-                    input_histogram[t] += any;
-                    synop_mults += any; // one kernel multiply per spike
-                    let z = if pm_input {
-                        let (z, s) =
-                            executor.propagate_input_pm(ops, segments[0].weighted, &drive)?;
-                        synop_adds += s;
-                        z
-                    } else {
-                        propagate_segment(
-                            ops,
-                            &mut executor,
-                            &segments[0],
-                            drive,
-                            &mut gates,
-                            &mut synop_adds,
-                        )?
-                    };
-                    potentials[0].add_scaled(&z, 1.0)?;
-                }
+                let (spikes, adds) = st.input_step(t)?;
+                input_spikes += spikes;
+                input_histogram[t] += spikes;
+                synop_mults += spikes; // one kernel multiply per spike
+                synop_adds += adds;
             }
 
             // Hidden fire windows.
-            for i in 0..l_count.saturating_sub(1) {
+            for (i, hist) in layer_hists.iter_mut().enumerate() {
                 let start = self.fire_start(i);
                 if t < start || t >= start + t_window {
                     continue;
                 }
                 let local = t - start;
-                let eps = fire_tables[i][local];
-                let threshold = theta0 * eps;
-                let mut count = 0u64;
-                {
-                    let _s = trace::span("ttfs/fire_scan");
-                    // Emit spikes straight into the event list (a spike
-                    // dropped by noise still counts but delivers no PSP,
-                    // exactly as the dense tensor's 0.0 entry did). The
-                    // threshold scan runs on the SIMD compare-and-mask
-                    // primitive — candidates come back in ascending
-                    // index order, then the refractory mask filters them
-                    // exactly as the scalar scan did.
-                    let feature: usize = potentials[i].dims()[1..].iter().product();
-                    let feature_dims = potentials[i].dims()[1..].to_vec();
-                    fire_ev.begin(&feature_dims);
-                    let pd = potentials[i].data();
-                    let fd = fired[i].data_mut();
-                    for (img, (pimg, fimg)) in pd
-                        .chunks_exact(feature.max(1))
-                        .zip(fd.chunks_exact_mut(feature.max(1)))
-                        .enumerate()
-                    {
-                        fire_hits.clear();
-                        t2fsnn_tensor::simd::collect_ge(pimg, threshold, &mut fire_hits);
-                        for &j in &fire_hits {
-                            let f = &mut fimg[j as usize];
-                            if *f == 0.0 {
-                                *f = 1.0;
-                                // Dendrite-decoded PSP value (ideal: ε·θ0).
-                                let v = delivered_value(
-                                    &fire_tables[i],
-                                    local,
-                                    theta0,
-                                    config.noise,
-                                    noise_rngs.get_mut(img),
-                                );
-                                if v != 0.0 {
-                                    fire_ev.push(j, v);
-                                }
-                                count += 1;
-                            }
-                        }
-                        fire_ev.end_image();
-                    }
-                }
+                let count = st.fire(i, local);
                 if count > 0 {
-                    let _s = trace::span("ttfs/segment_propagate");
-                    layer_hists[i][local] += count;
+                    hist[local] += count;
                     synop_mults += count;
-                    propagate_segment_events(
-                        ops,
-                        &mut executor,
-                        &segments[i + 1],
-                        &mut fire_ev,
-                        &mut gates,
-                        &mut synop_adds,
-                        dense_mode,
-                        &mut potentials[i + 1],
-                    )?;
+                    synop_adds += st.propagate(i + 1, false)?;
                 }
             }
 
             if (t + 1) % config.record_every == 0 || t + 1 == total_steps {
                 let _s = trace::span("ttfs/record");
-                let accuracy = output_accuracy(&potentials[l_count - 1], labels)?;
+                let accuracy = output_accuracy(&st.potentials[l_count - 1], labels)?;
                 curve.push(CurvePoint {
                     step: t + 1,
                     accuracy,

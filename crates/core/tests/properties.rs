@@ -63,14 +63,14 @@ proptest! {
             ((key % 97) as f32) / 96.0
         });
         let labels = vec![0usize, 1, 2];
-        let run_with = |engine: SimEngine| {
+        let model_with = |engine: SimEngine| {
             let mut config = T2fsnnConfig::new(8).with_engine(engine);
             if early {
                 config = config.with_early_firing();
             }
-            let model = T2fsnn::from_dnn(&dnn, config, KernelParams::new(4.0, 0.0)).unwrap();
-            model.run(&images, &labels).unwrap()
+            T2fsnn::from_dnn(&dnn, config, KernelParams::new(4.0, 0.0)).unwrap()
         };
+        let run_with = |engine: SimEngine| model_with(engine).run(&images, &labels).unwrap();
         let dense = run_with(SimEngine::dense());
         for threshold in [0.05f32, 0.5, 1.0] {
             let event = run_with(SimEngine::Event { sparsity_threshold: threshold });
@@ -86,6 +86,34 @@ proptest! {
             let vector = run_with(engine);
             t2fsnn_tensor::simd::set_enabled(prev);
             prop_assert_eq!(&scalar, &vector, "simd identity, max_pool={}", max_pool);
+        }
+        // `infer` joins the contract: both engines agree bit for bit,
+        // early exit on and off. Its per-image charges sum to `run`'s
+        // totals, and no layer of an image spikes more often than it has
+        // neurons — with early firing, a retired neuron that could cross
+        // again would break that bound.
+        let (dense_model, event_model) = (model_with(SimEngine::dense()), model_with(SimEngine::default()));
+        for opts in [InferOptions::default(), InferOptions::early_exit()] {
+            let d = dense_model.infer(&images, opts).unwrap();
+            let e = event_model.infer(&images, opts).unwrap();
+            prop_assert!(same_inferences(&d, &e), "infer engines differ, {:?}", opts);
+        }
+        let inf = event_model.infer(&images, InferOptions::default()).unwrap();
+        let sum = |f: fn(&ImageInference) -> u64| inf.iter().map(f).sum::<u64>();
+        prop_assert_eq!(sum(|r| r.input_spikes), dense.input_spikes);
+        prop_assert_eq!(sum(|r| r.hidden_spikes), dense.layers.iter().map(|l| l.count).sum::<u64>());
+        prop_assert_eq!(sum(|r| r.synop_adds), dense.synop_adds);
+        prop_assert_eq!(sum(|r| r.synop_mults), dense.synop_mults);
+        // conv1 holds c·8·8 neurons, conv2 (after a 2×2 pool) 2c·4·4.
+        let c = 2 + width;
+        let neurons = [c * 64, 2 * c * 16];
+        for (i, &label) in labels.iter().enumerate() {
+            let solo = images.index_axis0(i).unwrap().reshape([1, 1, 8, 8]).unwrap();
+            let run = event_model.run(&solo, &[label]).unwrap();
+            prop_assert!(run.input_spikes <= 64);
+            for (layer, &cap) in run.layers.iter().zip(&neurons) {
+                prop_assert!(layer.count <= cap as u64, "{}: {} spikes", layer.name, layer.count);
+            }
         }
     }
 }

@@ -312,30 +312,6 @@ impl<'p> OpExecutor<'p> {
         }
     }
 
-    /// [`OpExecutor::propagate`] for a signal **already in position-major
-    /// layout** at the first weighted conv (e.g. the TTFS input drive,
-    /// built position-major at encode time): skips the per-step
-    /// transpose. Identical to [`OpExecutor::propagate`] for every other
-    /// op.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch.
-    pub fn propagate_input_pm(
-        &mut self,
-        ops: &[SnnOp],
-        i: usize,
-        signal: &Tensor,
-    ) -> Result<(Tensor, u64)> {
-        match &ops[i] {
-            SnnOp::Conv { weight, spec, .. } if i == self.plan.first_weighted => {
-                let kernel = (weight.dims()[2], weight.dims()[3]);
-                self.conv_dispatch(i, kernel, *spec, signal)
-            }
-            _ => self.propagate(ops, i, signal),
-        }
-    }
-
     /// Event-or-dense dispatch of a position-major conv signal.
     fn conv_dispatch(
         &mut self,

@@ -9,8 +9,11 @@
 //! The threshold comes from `T2FSNN_LOG` (`error`, `warn`, `info`
 //! (default), `debug`, or `off`/`0`), decided once and cached — a
 //! suppressed call site is one relaxed atomic load. Each line is
-//! written with a single locked `write_all`, so lines from concurrent
-//! threads never interleave.
+//! written with a single locked write, so lines from concurrent
+//! threads never interleave. Lines go through `eprint!` rather than a
+//! raw `stderr()` handle so the test harness captures them: an
+//! uncaptured line from an in-process server would otherwise land in
+//! the middle of the harness's own `test name ... ok` result lines.
 //!
 //! Call sites pass an event name plus typed key/value fields:
 //!
@@ -22,7 +25,6 @@
 //! Field keys are emitted verbatim after the built-in `ts_ms`, `level`
 //! and `event` keys; avoid reusing those three.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -196,8 +198,7 @@ pub fn log(level: Level, event: &str, fields: &[(&str, Value<'_>)]) {
     }
     let mut line = render(level, event, fields);
     line.push('\n');
-    let mut err = std::io::stderr().lock();
-    let _ = err.write_all(line.as_bytes());
+    eprint!("{line}");
 }
 
 /// [`log`] at [`Level::Error`].

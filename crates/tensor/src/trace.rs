@@ -63,7 +63,7 @@
 //! skip torn slots. The ring keeps the most recent events; older ones
 //! are overwritten.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -211,13 +211,14 @@ struct TraceCtx {
     tid: u32,
     trace_id: u64,
     parent: u64,
-    /// A [`coarse`] scope is open on this thread: spans opened now skip
-    /// the flight recorder.
-    coarse: bool,
 }
 
 thread_local! {
     static CTX: RefCell<TraceCtx> = RefCell::new(TraceCtx::default());
+    /// A [`coarse`] scope is open on this thread: spans opened now skip
+    /// the flight recorder. A const-initialized cell of its own, so this
+    /// check is the only cost a span site inside a scope pays.
+    static COARSE: Cell<bool> = const { Cell::new(false) };
 }
 
 fn ensure_tid(ctx: &mut TraceCtx) -> u32 {
@@ -435,19 +436,21 @@ fn open_span(key: &'static str, aux: u64, s: u8) -> Span {
     if s & TRACE_ON == 0 {
         return profile_only(key);
     }
-    let opened = CTX.try_with(|c| {
-        let mut c = c.borrow_mut();
-        if c.coarse {
-            return None;
-        }
-        let tid = ensure_tid(&mut c);
-        let span_id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
-        let parent = c.parent;
-        c.parent = span_id;
-        Some((tid, c.trace_id, parent, span_id))
-    });
+    let opened = if COARSE.get() {
+        None
+    } else {
+        CTX.try_with(|c| {
+            let mut c = c.borrow_mut();
+            let tid = ensure_tid(&mut c);
+            let span_id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
+            let parent = c.parent;
+            c.parent = span_id;
+            (tid, c.trace_id, parent, span_id)
+        })
+        .ok()
+    };
     match opened {
-        Ok(Some((tid, trace_id, parent, span_id))) => {
+        Some((tid, trace_id, parent, span_id)) => {
             let start = Instant::now();
             Span {
                 key,
@@ -499,8 +502,10 @@ pub struct CoarseScope {
 /// when both sinks are off.
 pub fn coarse(key: &'static str, aux: u64) -> CoarseScope {
     let span = span_with_aux(key, aux);
-    let active =
-        span.flags & TRACE_ON != 0 && CTX.try_with(|c| c.borrow_mut().coarse = true).is_ok();
+    let active = span.flags & TRACE_ON != 0;
+    if active {
+        COARSE.set(true);
+    }
     CoarseScope {
         stage: None,
         active,
@@ -518,9 +523,9 @@ impl CoarseScope {
             return;
         }
         self.stage = None;
-        let _ = CTX.try_with(|c| c.borrow_mut().coarse = false);
+        COARSE.set(false);
         self.stage = Some(span_with_aux(key, aux));
-        let _ = CTX.try_with(|c| c.borrow_mut().coarse = true);
+        COARSE.set(true);
     }
 }
 
@@ -528,7 +533,7 @@ impl Drop for CoarseScope {
     fn drop(&mut self) {
         self.stage = None;
         if self.active {
-            let _ = CTX.try_with(|c| c.borrow_mut().coarse = false);
+            COARSE.set(false);
         }
     }
 }

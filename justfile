@@ -10,7 +10,7 @@ verify:
 # (leading `-`), mirroring the CI workflow's continue-on-error: its
 # regression exit code is a signal for the baseline machine, not a
 # gate for whatever machine runs `just ci`.
-ci: fmt-check lint verify test-scalar pool-test bench-check serve-smoke-ci serve-chaos robustness-smoke serve-lifecycle obs-smoke
+ci: fmt-check lint verify test-scalar pool-test bench-check perfbench-smoke serve-smoke-ci serve-chaos robustness-smoke serve-lifecycle obs-smoke
     -timeout 900 cargo run --release -p t2fsnn-bench --bin bench_smoke
 
 # The CI flavor of serve-smoke: same blocking correctness gates, no
@@ -59,11 +59,12 @@ serve-lifecycle:
 # T2FSNN_TRACE pointed at a scratch file and validates the exported
 # flight-recorder JSON (well-formed Chrome trace events, ttfs/* engine
 # phase spans, parent/child links). Part B drives two servers — tracing
-# + structured logging off and on — with interleaved identical request
-# streams, asserting per-image responses bit-identical across the
+# + structured logging off and on — with identical request streams,
+# asserting per-image responses bit-identical across the
 # halves, a `timing: true` request's trace id queryable via
-# /debug/trace, /debug/slow live, and best-of-3 throughput overhead
-# under 3%.
+# /debug/trace, and /debug/slow live; the tracing-cost budget (3%) is
+# an in-process A/B of solo `tiny` `infer` with the flight recorder on
+# vs off, interleaved blocks, medians compared.
 obs-smoke:
     cargo build --release -p t2fsnn-serve -p t2fsnn-bench
     timeout 900 cargo run --release -p t2fsnn-bench --bin serve_load -- --obs
@@ -133,6 +134,14 @@ bench-check: perfbench-build
 # breaks it fails here.
 perfbench-build:
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+# The repository benchmark's own correctness checks (blocking): a short
+# serve-pair run exits 1 if a served answer differs from a solo
+# in-process `infer`, and a short fig6-repro run exits 1 if a pass
+# differs from the `SimEngine::Dense` reference.
+perfbench-smoke: perfbench-build
+    timeout 1200 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload serve-pair --seed 1 --seconds 3 --trace 0
+    timeout 1200 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload fig6-repro --seed 1 --seconds 3 --trace 0
 
 # Run one repository-benchmark workload exactly as BENCHMARK.json's
 # command does, e.g. `just perfbench serve-pair 3 0`.
