@@ -16,7 +16,8 @@ use crate::kernel::{ExpKernel, KernelParams};
 /// timing noise directly corrupts values: a spike arriving `±j` steps off
 /// decodes to `ε(t ± j)` instead of `ε(t)`, and a dropped spike decodes to
 /// nothing. This is an extension beyond the paper (which assumes an ideal
-/// fabric); the `repro_noise` binary sweeps it.
+/// fabric); the `repro_robustness` binary sweeps it (its `jitter` and
+/// `drop` families).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NoiseConfig {
     /// Maximum absolute spike-time perturbation, uniform in `[-j, +j]`

@@ -111,14 +111,14 @@ pub trait Coding: Send {
     }
 }
 
-/// Shared threshold-fire-into-events loop: every element with
-/// `u ≥ threshold` is reset by subtracting `threshold` and emits one
-/// event carrying `spike_value` — exactly the updates and values of the
-/// dense fire loops, minus the dense tensor. The threshold scan runs on
-/// the SIMD compare-and-mask primitive
-/// ([`t2fsnn_tensor::simd::collect_ge`]): sub-threshold blocks of eight
-/// are skipped with one compare, and the surviving indices come back in
-/// ascending order, so the emitted event sequence is unchanged.
+/// Shared threshold-fire-into-events loop (rate and phase coding): every
+/// element with `u ≥ threshold` is reset by subtracting `threshold` and
+/// emits one event carrying `spike_value` — exactly the updates and
+/// values of the dense fire loops, minus the dense tensor. Each image is
+/// one call of the one-pass SIMD fire-and-reset
+/// ([`t2fsnn_tensor::simd::fire_subtract`]), which packs the hit indices
+/// in ascending order straight onto the event list, so the emitted event
+/// sequence is the dense scan's and no per-call buffer is allocated.
 pub(crate) fn fire_subtract_events(
     potential: &mut Tensor,
     threshold: f32,
@@ -126,19 +126,12 @@ pub(crate) fn fire_subtract_events(
     events: &mut SpikeBatch,
 ) -> u64 {
     let feature: usize = potential.dims()[1..].iter().product();
-    let feature_dims = potential.dims()[1..].to_vec();
-    events.begin(&feature_dims);
+    events.begin(&potential.dims()[1..]);
     let mut count = 0u64;
-    let mut hits: Vec<u32> = Vec::new();
     for image in potential.data_mut().chunks_exact_mut(feature.max(1)) {
-        hits.clear();
-        t2fsnn_tensor::simd::collect_ge(image, threshold, &mut hits);
-        for &j in &hits {
-            image[j as usize] -= threshold;
-            events.push(j, spike_value);
-        }
-        count += hits.len() as u64;
-        events.end_image();
+        count += events.push_image_with(spike_value, |hits| {
+            t2fsnn_tensor::simd::fire_subtract(image, threshold, hits)
+        }) as u64;
     }
     count
 }

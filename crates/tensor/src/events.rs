@@ -138,6 +138,28 @@ impl SpikeBatch {
         self.offsets.push(self.indices.len());
     }
 
+    /// Appends one whole image whose events all carry `value`: `fill`
+    /// appends the image's indices, ascending, straight onto the batch's
+    /// index list (e.g. [`crate::simd::fire_subtract`]), so a fire scan
+    /// needs no hit buffer of its own. Closes the image and returns its
+    /// event count.
+    pub fn push_image_with(&mut self, value: f32, fill: impl FnOnce(&mut Vec<u32>)) -> usize {
+        let start = self.indices.len();
+        debug_assert_eq!(start, *self.offsets.last().expect("begin() called"));
+        fill(&mut self.indices);
+        assert!(
+            self.indices.len() >= start,
+            "push_image_with: fill may only append"
+        );
+        debug_assert!(
+            self.indices[start..].windows(2).all(|p| p[0] < p[1]),
+            "event indices must ascend within an image"
+        );
+        self.values.resize(self.indices.len(), value);
+        self.end_image();
+        self.indices.len() - start
+    }
+
     /// Reinterprets the per-image feature shape (e.g. flattening
     /// `[C, H, W]` to `[C·H·W]`): flat indices are unchanged.
     ///

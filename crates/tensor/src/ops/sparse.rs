@@ -1063,18 +1063,20 @@ pub fn conv2d_synops_pm_by_image(
     Ok(())
 }
 
-/// Reused buffers of the event-form pooling kernels: a per-window
-/// accumulator addressed through an epoch-stamp array (so it never needs
-/// clearing), the list of windows touched this image, and the per-axis
-/// covering-window tables cached by pooling geometry (these kernels run
-/// once per pool layer per time step, so nothing here may allocate on a
-/// warm call).
+/// Reused buffers of the event-form pooling kernels: a dense per-window
+/// accumulator over one image's pooled cells with an occupancy bitmap
+/// beside it (one bit per cell, set when a window receives an event),
+/// and the per-axis covering-window tables cached by pooling geometry.
+/// Both kernels accumulate an image's events into the windows covering
+/// them, then `PoolScratch::drain` scans the set bits in ascending
+/// order — the emission order — and zeroes each emitted cell, so the
+/// accumulator is all zeros again at the start of every image with no
+/// per-image clear and no sort. These kernels run once per pool layer
+/// per time step, so nothing here allocates on a warm call.
 #[derive(Debug, Default)]
 pub struct PoolScratch {
     acc: Vec<f32>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    touched: Vec<u32>,
+    occupied: Vec<u64>,
     /// `(h, w, window, stride)` the cached window tables were built for.
     geom: Option<(usize, usize, usize, usize)>,
     ys: Vec<std::ops::Range<usize>>,
@@ -1087,28 +1089,12 @@ impl PoolScratch {
         PoolScratch::default()
     }
 
-    /// Prepares for one image over `len` pooled cells; returns the fresh
-    /// epoch value.
-    fn next_epoch(&mut self, len: usize) -> u32 {
-        if self.acc.len() < len {
-            self.acc.resize(len, 0.0);
-            self.stamp.resize(len, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Wrapped: old stamps could alias the new epoch. Reset once
-            // every 2^32 images.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        self.touched.clear();
-        self.epoch
-    }
-
     /// Rebuilds `self.ys`/`self.xs` (the windows covering each source
     /// coordinate) only when the pooling geometry changed since the last
-    /// call — per-step reuse is allocation-free.
-    fn ensure_windows(
+    /// call — per-step reuse is allocation-free — and sizes the
+    /// accumulator and bitmap for `len` pooled cells.
+    #[allow(clippy::too_many_arguments)] // one geometry, spelled out
+    fn prepare(
         &mut self,
         h: usize,
         w: usize,
@@ -1116,7 +1102,12 @@ impl PoolScratch {
         stride: usize,
         oh: usize,
         ow: usize,
+        len: usize,
     ) {
+        if self.acc.len() < len {
+            self.acc.resize(len, 0.0);
+            self.occupied.resize(len.div_ceil(64), 0);
+        }
         if self.geom == Some((h, w, window, stride)) {
             return;
         }
@@ -1127,6 +1118,44 @@ impl PoolScratch {
         self.xs
             .extend((0..w).map(|x| covering_windows(x, window, stride, ow)));
         self.geom = Some((h, w, window, stride));
+    }
+
+    /// Folds every event of one image into the window cells covering it,
+    /// in event order, with `combine(cell, value)`, marking each cell
+    /// occupied.
+    fn accumulate(
+        &mut self,
+        (idx, val): (&[u32], &[f32]),
+        decoder: &PmDecoder,
+        ow: usize,
+        combine: impl Fn(&mut f32, f32),
+    ) {
+        let c = decoder.c;
+        for (&flat, &v) in idx.iter().zip(val) {
+            let (ci, yi, xi) = decoder.decode(flat as usize);
+            for oy in self.ys[yi].clone() {
+                for ox in self.xs[xi].clone() {
+                    let slot = (oy * ow + ox) * c + ci;
+                    combine(&mut self.acc[slot], v);
+                    self.occupied[slot >> 6] |= 1 << (slot & 63);
+                }
+            }
+        }
+    }
+
+    /// Hands every occupied cell among the first `len` to `emit(slot,
+    /// value)` in ascending slot order, leaving the accumulator zeroed
+    /// and the bitmap clear for the next image.
+    fn drain(&mut self, len: usize, mut emit: impl FnMut(u32, f32)) {
+        let acc = &mut self.acc;
+        for (wi, word) in self.occupied[..len.div_ceil(64)].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let slot = wi * 64 + bits.trailing_zeros() as usize;
+                emit(slot as u32, std::mem::take(&mut acc[slot]));
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -1162,11 +1191,17 @@ fn pooled_features(
 /// Average pooling over a **position-major** event list, staying in
 /// event form: each input event adds its value to the window sums
 /// covering it (in event order — the canonical accumulation order), the
-/// sums are scaled by `1/window²`, and the surviving windows are emitted
-/// as events in ascending index order into `out` (reusing its
+/// sums are scaled by `1/window²`, and every window that received an
+/// event is emitted in ascending index order into `out` (reusing its
 /// allocations). Bit-identical to [`crate::ops::avg_pool2d_pm`] on the
-/// densified signal, with work proportional to the event count — no
+/// densified signal, with work proportional to the event count plus one
+/// bitmap word per 64 pooled cells of each image that has events — no
 /// dense round trip between a fire phase and the next integrate.
+///
+/// Window sums start from `0.0` rather than from their first event,
+/// which is exact because `0.0 + v == v` bit for bit for every `v` but
+/// `-0.0` — and event values are never zero (spiking producers emit
+/// only non-zero values; this is debug-asserted).
 ///
 /// # Errors
 ///
@@ -1181,30 +1216,19 @@ pub fn avg_pool2d_events(
 ) -> Result<()> {
     let (h, w, c, oh, ow) = pooled_features(events, window, stride, "avg_pool2d_events")?;
     let decoder = PmDecoder::new(w, c);
-    scratch.ensure_windows(h, w, window, stride, oh, ow);
+    let out_image = oh * ow * c;
+    scratch.prepare(h, w, window, stride, oh, ow, out_image);
     let inv_area = 1.0 / (window * window) as f32;
     out.begin(&[oh, ow, c]);
     for ni in 0..events.batch() {
-        let epoch = scratch.next_epoch(oh * ow * c);
-        let (idx, val) = events.image_events(ni);
-        for (&flat, &v) in idx.iter().zip(val) {
-            let (ci, yi, xi) = decoder.decode(flat as usize);
-            for oy in scratch.ys[yi].clone() {
-                for ox in scratch.xs[xi].clone() {
-                    let slot = (oy * ow + ox) * c + ci;
-                    if scratch.stamp[slot] == epoch {
-                        scratch.acc[slot] += v;
-                    } else {
-                        scratch.stamp[slot] = epoch;
-                        scratch.acc[slot] = v;
-                        scratch.touched.push(slot as u32);
-                    }
-                }
-            }
-        }
-        scratch.touched.sort_unstable();
-        for &slot in &scratch.touched {
-            out.push(slot, scratch.acc[slot as usize] * inv_area);
+        let image = events.image_events(ni);
+        if !image.0.is_empty() {
+            debug_assert!(
+                image.1.iter().all(|&v| v != 0.0),
+                "event values must be non-zero"
+            );
+            scratch.accumulate(image, &decoder, ow, |cell, v| *cell += v);
+            scratch.drain(out_image, |slot, sum| out.push(slot, sum * inv_area));
         }
         out.end_image();
     }
@@ -1217,7 +1241,10 @@ pub fn avg_pool2d_events(
 /// the dense kernel performs) is emitted **once per inference** — the
 /// first step a window produces a spike latches its `gate` entry and
 /// later steps are suppressed. `gate` has the pooled shape
-/// `[N, OH, OW, C]` and persists across steps.
+/// `[N, OH, OW, C]` and persists across steps. Windows are accumulated
+/// and emitted through the same occupancy bitmap as
+/// [`avg_pool2d_events`]; a window maximum starts from `0.0`, which the
+/// non-negative values below never lose to.
 ///
 /// On non-negative spike values (all spiking PSPs in this workspace)
 /// this is bit-identical to densifying and running
@@ -1246,40 +1273,30 @@ pub fn max_pool2d_events(
         });
     }
     let decoder = PmDecoder::new(w, c);
-    scratch.ensure_windows(h, w, window, stride, oh, ow);
     let out_image = oh * ow * c;
+    scratch.prepare(h, w, window, stride, oh, ow, out_image);
     let gd = gate.data_mut();
     out.begin(&[oh, ow, c]);
     for ni in 0..n {
-        let epoch = scratch.next_epoch(out_image);
-        let (idx, val) = events.image_events(ni);
-        for (&flat, &v) in idx.iter().zip(val) {
-            debug_assert!(v >= 0.0, "TTFS max pooling expects non-negative PSP values");
-            let (ci, yi, xi) = decoder.decode(flat as usize);
-            for oy in scratch.ys[yi].clone() {
-                for ox in scratch.xs[xi].clone() {
-                    let slot = (oy * ow + ox) * c + ci;
-                    if scratch.stamp[slot] == epoch {
-                        if v > scratch.acc[slot] {
-                            scratch.acc[slot] = v;
-                        }
-                    } else {
-                        scratch.stamp[slot] = epoch;
-                        scratch.acc[slot] = v;
-                        scratch.touched.push(slot as u32);
-                    }
-                }
-            }
-        }
-        scratch.touched.sort_unstable();
         let gimg = &mut gd[ni * out_image..(ni + 1) * out_image];
-        for &slot in &scratch.touched {
-            let g = &mut gimg[slot as usize];
-            let v = scratch.acc[slot as usize];
-            if *g == 0.0 && v != 0.0 {
-                *g = 1.0;
-                out.push(slot, v);
-            }
+        let image = events.image_events(ni);
+        if !image.0.is_empty() {
+            debug_assert!(
+                image.1.iter().all(|&v| v >= 0.0),
+                "TTFS max pooling expects non-negative PSP values"
+            );
+            scratch.accumulate(image, &decoder, ow, |cell, v| {
+                if v > *cell {
+                    *cell = v;
+                }
+            });
+            scratch.drain(out_image, |slot, v| {
+                let g = &mut gimg[slot as usize];
+                if *g == 0.0 && v != 0.0 {
+                    *g = 1.0;
+                    out.push(slot, v);
+                }
+            });
         }
         out.end_image();
     }
@@ -1725,16 +1742,53 @@ mod tests {
         assert!(reorder_filter_taps(&Tensor::zeros([2, 3])).is_err());
     }
 
+    /// Strictly positive position-major `[n, h, w, c]` spikes at about
+    /// one in five positions, different per `salt`; image `empty` (if
+    /// any) is all zero.
+    fn pm_spikes(dims: [usize; 4], salt: usize, empty: Option<usize>) -> Tensor {
+        Tensor::from_fn(dims, |i| {
+            let key = i[0] * 1009 + i[1] * 101 + i[2] * 11 + i[3] * 3 + salt * 37;
+            if Some(i[0]) != empty && key.is_multiple_of(5) {
+                (key % 7) as f32 * 0.3 + 0.1
+            } else {
+                0.0
+            }
+        })
+    }
+
+    /// Pooling inputs: several images with an empty one in the middle,
+    /// power-of-two W/C (shift decoder) and not (division decoder), and
+    /// a map shorter than a 3-wide window (`oh = 0` there).
+    const POOL_INPUTS: [([usize; 4], Option<usize>); 4] = [
+        ([2, 7, 6, 3], None),
+        ([3, 7, 6, 3], Some(1)),
+        ([3, 8, 8, 4], Some(1)),
+        ([2, 2, 5, 3], None),
+    ];
+
+    /// Non-overlapping and overlapping window/stride geometries.
+    const POOL_GEOMETRIES: [(usize, usize); 3] = [(2, 2), (2, 1), (3, 2)];
+
     #[test]
     fn event_avg_pool_is_bit_identical_to_dense_pm_pool() {
-        for &(window, stride) in &[(2usize, 2usize), (2, 1), (3, 2)] {
-            let input = sparse_input(2, 3, 7, 6).to_position_major().unwrap();
-            let events = SpikeBatch::from_dense(&input).unwrap();
-            let mut pooled = SpikeBatch::empty();
-            let mut scratch = PoolScratch::new();
-            avg_pool2d_events(&events, window, stride, &mut pooled, &mut scratch).unwrap();
-            let dense = avg_pool2d_pm(&input, window, stride).unwrap();
-            assert_eq!(pooled.to_dense(), dense, "window={window} stride={stride}");
+        // The pooled event list itself is compared (not its densified
+        // tensor, where a duplicate or out-of-order event would hide
+        // behind the last write). One scratch serves every case, so a
+        // window left non-zero by an earlier call would show up.
+        let mut scratch = PoolScratch::new();
+        let mut pooled = SpikeBatch::empty();
+        for (dims, empty) in POOL_INPUTS {
+            for (window, stride) in POOL_GEOMETRIES {
+                let input = pm_spikes(dims, window + stride, empty);
+                let events = SpikeBatch::from_dense(&input).unwrap();
+                avg_pool2d_events(&events, window, stride, &mut pooled, &mut scratch).unwrap();
+                let dense = avg_pool2d_pm(&input, window, stride).unwrap();
+                assert_eq!(
+                    pooled,
+                    SpikeBatch::from_dense(&dense).unwrap(),
+                    "dims={dims:?} window={window} stride={stride}"
+                );
+            }
         }
         assert!(avg_pool2d_events(
             &SpikeBatch::from_dense(&Tensor::zeros([1, 4])).unwrap(),
@@ -1750,29 +1804,43 @@ mod tests {
     fn event_max_pool_matches_densify_then_gated_dense_pool() {
         // The oracle the TTFS engine relies on: first-spike-wins pooling
         // over events, step by step, is bitwise what densify →
-        // max_pool2d_pm → gate computes.
-        let mut gate_ev = Tensor::zeros([2, 3, 2, 3]);
-        let mut gate_dn = gate_ev.clone();
+        // max_pool2d_pm → gate computes. Event lists are compared as
+        // lists, and one scratch serves every case.
         let mut scratch = PoolScratch::new();
         let mut pooled = SpikeBatch::empty();
-        for step in 0..4u64 {
-            // A different sparse positive spike pattern per step.
-            let spikes = Tensor::from_fn([2, 7, 5, 3], |i| {
-                let key = i[0] * 131 + i[1] * 17 + i[2] * 5 + i[3] + step as usize * 37;
-                if key.is_multiple_of(6) {
-                    (key % 9) as f32 * 0.2 + 0.1
-                } else {
-                    0.0
+        for (dims, empty) in POOL_INPUTS {
+            for (window, stride) in POOL_GEOMETRIES {
+                let [n, h, w, c] = dims;
+                let pooled_dims = [
+                    n,
+                    pooled_dim(h, window, stride),
+                    pooled_dim(w, window, stride),
+                    c,
+                ];
+                let mut gate_ev = Tensor::zeros(pooled_dims);
+                let mut gate_dn = gate_ev.clone();
+                for step in 0..4 {
+                    // A different sparse positive spike pattern per step.
+                    let spikes = pm_spikes(dims, step, empty);
+                    let events = SpikeBatch::from_dense(&spikes).unwrap();
+                    max_pool2d_events(
+                        &events,
+                        window,
+                        stride,
+                        &mut gate_ev,
+                        &mut pooled,
+                        &mut scratch,
+                    )
+                    .unwrap();
+                    let dense = max_pool2d_pm_gated(&spikes, window, stride, &mut gate_dn).unwrap();
+                    let what = format!("dims={dims:?} window={window} stride={stride} step {step}");
+                    assert_eq!(pooled, SpikeBatch::from_dense(&dense).unwrap(), "{what}");
+                    assert_eq!(gate_ev, gate_dn, "{what}");
                 }
-            });
-            let events = SpikeBatch::from_dense(&spikes).unwrap();
-            max_pool2d_events(&events, 2, 2, &mut gate_ev, &mut pooled, &mut scratch).unwrap();
-            let dense = max_pool2d_pm_gated(&spikes, 2, 2, &mut gate_dn).unwrap();
-            assert_eq!(pooled.to_dense(), dense, "step {step}");
-            assert_eq!(gate_ev, gate_dn, "step {step}");
+                // Every window fires at most once over the whole run.
+                assert!(gate_ev.iter().all(|&g| g == 0.0 || g == 1.0));
+            }
         }
-        // Every window fires at most once over the whole run.
-        assert!(gate_ev.iter().all(|&g| g == 0.0 || g == 1.0));
         // Shape validation.
         let events = SpikeBatch::from_dense(&Tensor::zeros([1, 4, 4, 2])).unwrap();
         assert!(max_pool2d_events(

@@ -24,9 +24,10 @@
 //!
 //! This is the only module in the crate allowed to use `unsafe` (the
 //! crate is `deny(unsafe_code)`); every unsafe block is either an
-//! `std::arch` intrinsic call guarded by the runtime AVX2 check or an
+//! `std::arch` intrinsic call guarded by the runtime AVX2 check, an
 //! in-bounds pointer offset derived from a slice length computed in safe
-//! code.
+//! code, or (in [`fire_subtract`]) a store into reserved `Vec` capacity
+//! followed by a `set_len` over the elements it initialized.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -237,6 +238,15 @@ fn add_scaled_scalar(out: &mut [f32], src: &[f32], scale: f32) {
 fn collect_ge_scalar(data: &[f32], threshold: f32, hits: &mut Vec<u32>) {
     for (j, &v) in data.iter().enumerate() {
         if v >= threshold {
+            hits.push(j as u32);
+        }
+    }
+}
+
+fn fire_subtract_scalar(data: &mut [f32], threshold: f32, hits: &mut Vec<u32>) {
+    for (j, u) in data.iter_mut().enumerate() {
+        if *u >= threshold {
+            *u -= threshold;
             hits.push(j as u32);
         }
     }
@@ -779,6 +789,73 @@ mod avx2 {
         }
     }
 
+    /// Left-pack table: byte `k` of entry `m` is the lane of the `k`-th
+    /// set bit of the 8-bit mask `m` (unused bytes are 0).
+    const PACK_LANES: [u64; 256] = {
+        let mut table = [0u64; 256];
+        let mut m = 0;
+        while m < 256 {
+            let (mut packed, mut k, mut lane) = (0u64, 0, 0);
+            while lane < 8 {
+                if m & (1 << lane) != 0 {
+                    packed |= (lane as u64) << (8 * k);
+                    k += 1;
+                }
+                lane += 1;
+            }
+            table[m] = packed;
+            m += 1;
+        }
+        table
+    };
+
+    /// Subtract-reset fire in one pass: every lane with
+    /// `data[j] >= threshold` becomes `data[j] - threshold` and its index
+    /// is appended to `hits`, ascending (NaN compares false, exactly like
+    /// the scalar `>=`). Per block of eight: compare, blend the reduced
+    /// value into the hit lanes, and left-pack the hit lane indices
+    /// through [`PACK_LANES`] — no branch on the hit pattern.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fire_subtract(data: &mut [f32], threshold: f32, hits: &mut Vec<u32>) {
+        let n = data.len();
+        let tv = _mm256_set1_ps(threshold);
+        let mut i = 0;
+        while i + 8 <= n {
+            // Room for a full block of eight indices past `len`.
+            hits.reserve(8);
+            let p = data.as_mut_ptr().add(i);
+            let v = _mm256_loadu_ps(p);
+            // Ordered greater-equal: NaN lanes produce 0, like scalar `>=`.
+            let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(v, tv);
+            _mm256_storeu_ps(p, _mm256_blendv_ps(v, _mm256_sub_ps(v, tv), ge));
+            let mask = _mm256_movemask_ps(ge) as usize;
+            let lanes = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(PACK_LANES[mask] as i64));
+            let len = hits.len();
+            // In bounds: `reserve(8)` above leaves capacity for the eight
+            // lanes stored at `len..len + 8`.
+            _mm256_storeu_si256(
+                hits.as_mut_ptr().add(len) as *mut __m256i,
+                _mm256_add_epi32(lanes, _mm256_set1_epi32(i as i32)),
+            );
+            // The first `popcount ≤ 8` lanes just stored are the hits, so
+            // every element below the new length is initialized; the
+            // rest stays spare capacity.
+            hits.set_len(len + mask.count_ones() as usize);
+            i += 8;
+        }
+        while i < n {
+            if data[i] >= threshold {
+                data[i] -= threshold;
+                hits.push(i as u32);
+            }
+            i += 1;
+        }
+    }
+
     /// `out[i] = (src[i] - mean) * inv_std`.
     ///
     /// # Safety
@@ -1118,6 +1195,22 @@ pub fn collect_ge(data: &[f32], threshold: f32, hits: &mut Vec<u32>) {
     collect_ge_scalar(data, threshold, hits);
 }
 
+/// Subtract-reset fire phase in one pass: every `data[j] >= threshold`
+/// is reduced by `threshold` and `j` is appended to `hits`, in ascending
+/// order. `hits` is *not* cleared. Unlike [`collect_ge`] it does the same
+/// work on every block of eight whatever the hit pattern, which pays off
+/// at the hit rates of rate/phase coding but not on a near-silent scan.
+#[inline]
+pub fn fire_subtract(data: &mut [f32], threshold: f32, hits: &mut Vec<u32>) {
+    #[cfg(target_arch = "x86_64")]
+    if enabled() {
+        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
+        unsafe { avx2::fire_subtract(data, threshold, hits) };
+        return;
+    }
+    fire_subtract_scalar(data, threshold, hits);
+}
+
 /// `out[i] = (src[i] - mean) * inv_std` — batch-norm standardization.
 #[inline]
 pub fn normalize(out: &mut [f32], src: &[f32], mean: f32, inv_std: f32) {
@@ -1289,6 +1382,43 @@ mod tests {
                 collect_ge(&data, 0.1, &mut got);
                 assert_eq!(got, want, "n={n}");
             });
+        }
+
+        // The one-pass fire-and-reset against its scalar twin: lengths
+        // across the eight-lane boundary and hit densities from silent
+        // to saturated, with hits exactly at threshold and at +∞, and
+        // NaN / −∞ / −0.0 among the misses. Compares the hit lists
+        // (appended after a stale entry, which must survive) and the
+        // updated data bitwise.
+        let threshold = 0.5f32;
+        let hit_values = [threshold, threshold + 1.25, f32::INFINITY];
+        let miss_values = [threshold - 0.25, f32::NAN, f32::NEG_INFINITY, -0.0];
+        for n in 0..=17usize {
+            for density in [0usize, 5, 50, 100] {
+                let data: Vec<f32> = (0..n)
+                    .map(|i| {
+                        if (i * 37 + n * 11) % 100 < density {
+                            hit_values[i % hit_values.len()]
+                        } else {
+                            miss_values[i % miss_values.len()]
+                        }
+                    })
+                    .collect();
+                let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let mut want_data = data.clone();
+                let mut want = vec![99];
+                fire_subtract_scalar(&mut want_data, threshold, &mut want);
+                let mut scan = vec![99];
+                collect_ge_scalar(&data, threshold, &mut scan);
+                assert_eq!(want, scan, "n={n} density={density}");
+                with_both_modes(|_| {
+                    let mut got_data = data.clone();
+                    let mut got = vec![99];
+                    fire_subtract(&mut got_data, threshold, &mut got);
+                    assert_eq!(got, want, "n={n} density={density}");
+                    assert_eq!(bits(&got_data), bits(&want_data), "n={n} density={density}");
+                });
+            }
         }
     }
 

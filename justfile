@@ -172,7 +172,6 @@ repro-all:
     cargo run --release --bin repro_table3
     cargo run --release --bin repro_ef_sweep
     cargo run --release --bin repro_tau_sweep
-    cargo run --release --bin repro_noise
     cargo run --release --bin repro_robustness
 
 # Run every example.
