@@ -3,7 +3,12 @@
 //! (32×32×16 → 16 channels, 3×3): the conv event scatter (axpy rows
 //! straight into a membrane tensor), the event-form average and TTFS
 //! max pooling, and the rate coding's subtract-reset fire phase (the
-//! three kernels of the rate/phase/burst baselines' step loop).
+//! three kernels of the rate/phase/burst baselines' step loop). The
+//! `conv_event_scatter_shapes` group adds the conv layer shapes the
+//! fig6 traffic actually has, at per-layer densities measured on the
+//! rate/phase/burst baselines (and the TTFS first conv); each prints its
+//! synop count per call, so its cost per synop is the reported time
+//! divided by that count.
 //!
 //! `just bench-smoke` prints their deltas against the committed
 //! baseline. Per-kernel cost per event (pooling) or per neuron (fire)
@@ -28,9 +33,15 @@ const HW: usize = 32;
 const KERNEL_N: usize = 16;
 
 /// A deterministic spike batch of `n` images at roughly the given
-/// density (percent).
+/// density (percent), on the default layer shape.
 fn spikes_pm(n: usize, density_pct: usize) -> Tensor {
-    Tensor::from_fn([n, HW, HW, C], |i| {
+    spikes_pm_shape(n, HW, C, density_pct)
+}
+
+/// A deterministic `[n, hw, hw, c]` spike batch at roughly the given
+/// density (percent).
+fn spikes_pm_shape(n: usize, hw: usize, c: usize, density_pct: usize) -> Tensor {
+    Tensor::from_fn([n, hw, hw, c], |i| {
         let key = i[0] * 104_729 + i[1] * 1_299_709 + i[2] * 15_485_863 + i[3] * 32_452_843;
         if key % 100 < density_pct {
             ((key % 5) as f32) * 0.25 + 0.25
@@ -69,6 +80,50 @@ fn bench_event_scatter(c: &mut Criterion) {
                     .unwrap()
             })
         });
+    }
+    group.finish();
+}
+
+/// `(H = W, C, O, densities in percent)` of the fig6 conv layers: a
+/// cifar-like `8×8×32 → 32` and `16×16×8 → 16` block conv at the
+/// densities the rate/phase/burst baselines put on them, and the TTFS
+/// first conv `32×32×3 → 8` (3×3, padding 1, stride 1 throughout).
+const TRAFFIC_SHAPES: [(usize, usize, usize, &[usize]); 3] = [
+    (8, 32, 32, &[5, 10, 20]),
+    (16, 8, 16, &[4, 14, 25]),
+    (32, 3, 8, &[4]),
+];
+
+fn bench_event_scatter_shapes(c: &mut Criterion) {
+    let spec = Conv2dSpec::new(1, 1);
+    let mut group = c.benchmark_group("conv_event_scatter_shapes");
+    for &(hw, ci, o, densities) in &TRAFFIC_SHAPES {
+        let weight = Tensor::from_fn([o, ci, 3, 3], |i| {
+            ((i[0] * 31 + i[1] * 17 + i[2] * 5 + i[3]) % 13) as f32 * 0.07 - 0.4
+        });
+        let filter_t = transpose_filter(&weight).unwrap();
+        for &density in densities {
+            let events =
+                SpikeBatch::from_dense(&spikes_pm_shape(KERNEL_N, hw, ci, density)).unwrap();
+            let mut target = Tensor::zeros([KERNEL_N, hw, hw, o]);
+            let synops =
+                conv2d_scatter_events_pm_acc(&events, &filter_t, (3, 3), spec, &mut target)
+                    .unwrap();
+            let id = format!("{hw}x{hw}x{ci}to{o}/{density}pct");
+            println!("{id}: {synops} synops per call");
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    conv2d_scatter_events_pm_acc(
+                        black_box(&events),
+                        &filter_t,
+                        (3, 3),
+                        spec,
+                        &mut target,
+                    )
+                    .unwrap()
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -132,6 +187,7 @@ fn bench_rate_fire_events(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_scatter,
+    bench_event_scatter_shapes,
     bench_max_pool_events,
     bench_avg_pool_events,
     bench_rate_fire_events

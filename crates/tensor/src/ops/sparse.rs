@@ -14,10 +14,20 @@
 //! target** (normally a layer's membrane-potential tensor): each valid
 //! kernel tap of an event is one contiguous `value × weight-row` axpy
 //! over all `O` output channels of one output position, and with stride 1
-//! a whole kernel row collapses into a single long axpy. There is no
+//! a whole kernel row is one contiguous span of taps. There is no
 //! intermediate accumulator — and therefore no per-step clear or
 //! transpose flush; work is strictly proportional to
 //! `events × taps × O`.
+//!
+//! Each conv scatter call (event list or dense walk) runs the whole
+//! batch inside **one** `simd::vectorized` dispatch context, with the
+//! per-event kernel monomorphised on the output width `O` ∈ {8, 16, 32}
+//! (every conv width of the bundled architectures): every valid tap is
+//! then a fixed-length `O`-float multiply, then add, that compiles to
+//! whole vectors (a full row of a 3-wide kernel is one `3·O`-float
+//! span). Other widths run a runtime-length fallback compiled from the
+//! same source in the same context. Per-event work (8–32 floats per
+//! tap) is too small to pay a dispatch each.
 //!
 //! The channel-major scatter ([`conv2d_scatter_t`], reached through
 //! [`conv2d_scatter`] by the spiking ops' reference `propagate`)
@@ -291,19 +301,76 @@ impl TapScratch {
     }
 }
 
+// The per-event kernels below run inlined inside one
+// [`simd::vectorized`] context, so they use plain index loops and
+// slicing only: an iterator adapter the inliner declines would be an
+// out-of-line call compiled without the context's vector width.
+
+/// `out[i] += v · w[i]` over the first `N` floats — one kernel tap's
+/// `O` output channels. The tap is summed in a local array between one
+/// load and one store of `out`, so the compiler needs no aliasing proof
+/// to vectorize it; each element is a separate multiply and add, so the
+/// result is the same bits at every vector width.
+#[inline(always)]
+fn axpy_fixed<const N: usize>(out: &mut [f32], v: f32, w: &[f32]) {
+    let (out, w) = (&mut out[..N], &w[..N]);
+    let mut acc = [0.0f32; N];
+    acc.copy_from_slice(out);
+    for i in 0..N {
+        acc[i] += v * w[i];
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// `out[i] += v · w[i]` over a runtime-length row (the runtime-width
+/// fallback), eight floats at a time through [`axpy_fixed`].
+#[inline(always)]
+fn axpy_row(out: &mut [f32], v: f32, w: &[f32]) {
+    let len = out.len().min(w.len());
+    let mut i = 0;
+    while i + 8 <= len {
+        axpy_fixed::<8>(&mut out[i..], v, &w[i..]);
+        i += 8;
+    }
+    while i < len {
+        out[i] += v * w[i];
+        i += 1;
+    }
+}
+
+/// `taps` consecutive kernel taps of `O` floats each; with the
+/// runtime-width fallback (`O == 0`), one runtime-length row.
+#[inline(always)]
+fn axpy_taps<const O: usize>(out: &mut [f32], v: f32, w: &[f32], taps: usize) {
+    if O == 0 {
+        axpy_row(out, v, w);
+    } else {
+        for t in 0..taps {
+            axpy_fixed::<O>(&mut out[t * O..], v, &w[t * O..]);
+        }
+    }
+}
+
 /// Scatters one input event **directly into a position-major
 /// `[OH·OW, O]` target block** (normally one image's membrane
 /// potentials). Returns the synaptic accumulate count charged
 /// (`taps × O`).
 ///
+/// `O` is the output width when it is one of the specialised widths,
+/// or 0 for the runtime-width fallback (`g.o`). With a fixed width each
+/// valid tap is one fixed-length `O`-float multiply-then-add that the
+/// surrounding [`simd::vectorized`] context compiles to whole vectors
+/// with no remainder loop. `ROW` is `3·O` (stable Rust cannot derive it
+/// from `O`): a full row of a 3-wide kernel, run as one fixed-length
+/// span.
+///
 /// With stride 1 (every conv in the paper's architectures) the valid
 /// taps of one kernel row are contiguous in the reversed-KW filter
 /// layout *and* feed contiguous output positions, so each kernel row is
-/// one long `value × weight-span` axpy — typically `taps·O` = 24–96
-/// contiguous floats, which vectorizes cleanly.
-#[inline]
+/// one `value × weight-span` pass over `taps·O` contiguous floats.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // one private hot-loop helper; splitting costs clarity
-fn scatter_event_into(
+fn scatter_event_into<const O: usize, const ROW: usize>(
     out: &mut [f32],
     s: &mut TapScratch,
     wt: &[f32],
@@ -313,7 +380,7 @@ fn scatter_event_into(
     xi: usize,
     g: &ConvGeom,
 ) -> u64 {
-    let o = g.o;
+    let o = if O == 0 { g.o } else { O };
     if g.stride == 1 {
         // `oy = yi + pad − ki` must land in `0..oh` (same for x).
         let klo =
@@ -330,24 +397,22 @@ fn scatter_event_into(
         // kj descending kx_hi..=kx_lo ⇔ reversed-KW index ascending —
         // aligned with output positions ox ascending from ox_lo. As ki
         // ascends, the weight row advances by KW·O and the output row
-        // retreats by OW·O; one `scatter_rows` call covers the whole
-        // event (one SIMD dispatch per event, not per kernel row).
+        // retreats by OW·O. The whole event runs inside the caller's
+        // one SIMD context, so no row pays a dispatch.
         let rows = ky_hi - ky_lo + 1;
         let w0 = ((ci * g.kh + ky_lo) * g.kw + (g.kw - 1 - kx_hi)) * o;
         let oy0 = (yi as isize + g.pad) as usize - ky_lo;
         let o0 = (oy0 * g.ow + ox_lo) * o;
-        simd::scatter_rows(
-            out,
-            o0,
-            -((g.ow * o) as isize),
-            wt,
-            w0,
-            g.kw * o,
-            rows,
-            row_len,
-            v,
-        );
-        return (rows * (kx_hi - kx_lo + 1) * o) as u64;
+        for r in 0..rows {
+            let orow = &mut out[o0 - r * g.ow * o..][..row_len];
+            let wrow = &wt[w0 + r * g.kw * o..][..row_len];
+            if O != 0 && row_len == ROW {
+                axpy_fixed::<ROW>(orow, v, wrow);
+            } else {
+                axpy_taps::<O>(orow, v, wrow, kx_hi - kx_lo + 1);
+            }
+        }
+        return (rows * row_len) as u64;
     }
     valid_taps(&mut s.ky, yi, g.kh, g.oh, g.stride, g.pad);
     valid_taps(&mut s.kx, xi, g.kw, g.ow, g.stride, g.pad);
@@ -359,12 +424,15 @@ fn scatter_event_into(
         let orow_base = oy * g.ow * o;
         for &(kj, ox) in &s.kx {
             let wstart = (wrow_base + (g.kw - 1 - kj)) * o;
-            let wrow = &wt[wstart..wstart + o];
-            let orow = &mut out[orow_base + ox * o..orow_base + (ox + 1) * o];
-            simd::axpy(orow, v, wrow);
+            axpy_taps::<O>(
+                &mut out[orow_base + ox * o..][..o],
+                v,
+                &wt[wstart..][..o],
+                1,
+            );
         }
     }
-    (s.ky.len() * s.kx.len() * g.o) as u64
+    (s.ky.len() * s.kx.len() * o) as u64
 }
 
 fn check_filter_t(filter_t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
@@ -474,34 +542,6 @@ pub fn conv2d_scatter_pm_acc(
     ))
 }
 
-/// Per-batch driver of the position-major dense walk: the input is
-/// streamed in storage order (ascending `(y, x, c)` — the canonical
-/// accumulation order) and non-zeros scatter into the target.
-fn scatter_pm_dense_loop(od: &mut [f32], id: &[f32], wt: &[f32], g: &ConvGeom, n: usize) -> u64 {
-    let mut s = TapScratch::new(g);
-    let in_image = g.c * g.h * g.w;
-    let out_image = g.o * g.oh * g.ow;
-    let mut synops = 0u64;
-    for ni in 0..n {
-        let is = &id[ni * in_image..(ni + 1) * in_image];
-        let os = &mut od[ni * out_image..(ni + 1) * out_image];
-        let mut idx = 0usize;
-        for yi in 0..g.h {
-            for xi in 0..g.w {
-                for ci in 0..g.c {
-                    let v = is[idx];
-                    idx += 1;
-                    if v == 0.0 {
-                        continue;
-                    }
-                    synops += scatter_event_into(os, &mut s, wt, v, ci, yi, xi, g);
-                }
-            }
-        }
-    }
-    synops
-}
-
 /// Event-list twin of [`conv2d_scatter_pm`] (events carry position-major
 /// `[H, W, C]` feature indices): identical results, bit for bit, without
 /// scanning zeros.
@@ -564,19 +604,120 @@ pub fn conv2d_scatter_events_pm_acc(
     ))
 }
 
+/// A batch of position-major input signal as the conv scatter walks it:
+/// image by image, each in the canonical ascending `(y, x, c)` order.
+trait PmSignal {
+    fn batch(&self) -> usize;
+    /// Calls `f(v, ci, yi, xi)` for every non-zero entry of image `ni`.
+    fn for_each_event(&self, ni: usize, f: impl FnMut(f32, usize, usize, usize));
+}
+
+/// A dense `[N, H, W, C]` signal, streamed in storage order with zeros
+/// skipped.
+struct DenseSignal<'a> {
+    data: &'a [f32],
+    n: usize,
+    g: &'a ConvGeom,
+}
+
+impl PmSignal for DenseSignal<'_> {
+    fn batch(&self) -> usize {
+        self.n
+    }
+
+    #[inline(always)]
+    fn for_each_event(&self, ni: usize, mut f: impl FnMut(f32, usize, usize, usize)) {
+        let g = self.g;
+        let in_image = g.c * g.h * g.w;
+        let is = &self.data[ni * in_image..(ni + 1) * in_image];
+        let mut idx = 0usize;
+        for yi in 0..g.h {
+            for xi in 0..g.w {
+                for ci in 0..g.c {
+                    let v = is[idx];
+                    idx += 1;
+                    if v != 0.0 {
+                        f(v, ci, yi, xi);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// An event list with position-major `[H, W, C]` feature indices.
+struct EventSignal<'a> {
+    events: &'a SpikeBatch,
+    decoder: PmDecoder,
+}
+
+impl PmSignal for EventSignal<'_> {
+    fn batch(&self) -> usize {
+        self.events.batch()
+    }
+
+    #[inline(always)]
+    fn for_each_event(&self, ni: usize, mut f: impl FnMut(f32, usize, usize, usize)) {
+        let (idx, val) = self.events.image_events(ni);
+        for k in 0..idx.len().min(val.len()) {
+            let (ci, yi, xi) = self.decoder.decode(idx[k] as usize);
+            f(val[k], ci, yi, xi);
+        }
+    }
+}
+
+/// Per-batch driver of the position-major dense walk: the input is
+/// streamed in storage order (ascending `(y, x, c)` — the canonical
+/// accumulation order) and non-zeros scatter into the target.
+fn scatter_pm_dense_loop(od: &mut [f32], id: &[f32], wt: &[f32], g: &ConvGeom, n: usize) -> u64 {
+    scatter_pm_batch(od, &DenseSignal { data: id, n, g }, wt, g)
+}
+
 /// Per-batch driver of the position-major event scatter.
 fn scatter_pm_events_loop(od: &mut [f32], events: &SpikeBatch, wt: &[f32], g: &ConvGeom) -> u64 {
+    let signal = EventSignal {
+        events,
+        decoder: PmDecoder::new(g.w, g.c),
+    };
+    scatter_pm_batch(od, &signal, wt, g)
+}
+
+/// Scatters a whole batch inside **one** [`simd::vectorized`] context,
+/// with the per-event kernel monomorphised on the output width (8, 16
+/// and 32 — every conv width of the bundled architectures — and a
+/// runtime-width fallback compiled from the same source). Per-event
+/// dispatch would cost an un-inlinable call per 8–32-float tap.
+fn scatter_pm_batch(od: &mut [f32], signal: &impl PmSignal, wt: &[f32], g: &ConvGeom) -> u64 {
+    simd::vectorized(
+        #[inline(always)]
+        || match g.o {
+            8 => scatter_pm_images::<8, 24>(od, signal, wt, g),
+            16 => scatter_pm_images::<16, 48>(od, signal, wt, g),
+            32 => scatter_pm_images::<32, 96>(od, signal, wt, g),
+            _ => scatter_pm_images::<0, 0>(od, signal, wt, g),
+        },
+    )
+}
+
+#[inline(always)]
+fn scatter_pm_images<const O: usize, const ROW: usize>(
+    od: &mut [f32],
+    signal: &impl PmSignal,
+    wt: &[f32],
+    g: &ConvGeom,
+) -> u64 {
     let mut s = TapScratch::new(g);
-    let decoder = PmDecoder::new(g.w, g.c);
     let out_image = g.o * g.oh * g.ow;
     let mut synops = 0u64;
-    for ni in 0..events.batch() {
+    for ni in 0..signal.batch() {
         let os = &mut od[ni * out_image..(ni + 1) * out_image];
-        let (idx, val) = events.image_events(ni);
-        for (&flat, &v) in idx.iter().zip(val) {
-            let (ci, yi, xi) = decoder.decode(flat as usize);
-            synops += scatter_event_into(os, &mut s, wt, v, ci, yi, xi, g);
-        }
+        signal.for_each_event(
+            ni,
+            #[inline(always)]
+            |v, ci, yi, xi| {
+                synops += scatter_event_into::<O, ROW>(os, &mut s, wt, v, ci, yi, xi, g)
+            },
+        );
     }
     synops
 }

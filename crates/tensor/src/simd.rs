@@ -22,12 +22,19 @@
 //! [`dot`]/[`dot2`] keep eight fixed lane accumulators summed in lane
 //! order, matching the scalar twin's eight-wide accumulator array.
 //!
+//! Besides the hand-written kernels, `vectorized` runs a caller's
+//! inlined closure inside one AVX2 `target_feature` context, so kernels
+//! written as plain safe loops elsewhere in the crate (the conv event
+//! scatter in [`crate::ops::sparse`]) compile for AVX2 with one dispatch
+//! per call rather than per event.
+//!
 //! This is the only module in the crate allowed to use `unsafe` (the
 //! crate is `deny(unsafe_code)`); every unsafe block is either an
-//! `std::arch` intrinsic call guarded by the runtime AVX2 check, an
-//! in-bounds pointer offset derived from a slice length computed in safe
-//! code, or (in [`fire_subtract`]) a store into reserved `Vec` capacity
-//! followed by a `set_len` over the elements it initialized.
+//! `std::arch` intrinsic call or a call into the `vectorized` AVX2
+//! context, each guarded by the runtime AVX2 check, an in-bounds pointer
+//! offset derived from a slice length computed in safe code, or (in
+//! [`fire_subtract`]) a store into reserved `Vec` capacity followed by a
+//! `set_len` over the elements it initialized.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -167,25 +174,6 @@ fn at_b_block4_scalar(
     }
 }
 
-#[allow(clippy::too_many_arguments)] // the per-event scatter core; a struct would obscure it
-fn scatter_rows_scalar(
-    out: &mut [f32],
-    o0: usize,
-    o_step: isize,
-    wt: &[f32],
-    w0: usize,
-    w_step: usize,
-    rows: usize,
-    len: usize,
-    v: f32,
-) {
-    for r in 0..rows {
-        let ostart = (o0 as isize + r as isize * o_step) as usize;
-        let wstart = w0 + r * w_step;
-        axpy_scalar(&mut out[ostart..ostart + len], v, &wt[wstart..wstart + len]);
-    }
-}
-
 fn dot_scalar(x: &[f32], y: &[f32]) -> f32 {
     let mut acc = [0.0f32; 8];
     let chunks = x.len().min(y.len()) / 8;
@@ -311,9 +299,8 @@ mod avx2 {
         let n = out.len().min(b.len());
         let av = _mm256_set1_ps(a);
         let mut i = 0;
-        // Two ymm per iteration: conv scatter rows are typically 24–96
-        // floats, so the wider step keeps more loads in flight. Lanes
-        // stay independent — per-element arithmetic is unchanged.
+        // Two ymm per iteration keeps more loads in flight. Lanes stay
+        // independent — per-element arithmetic is unchanged.
         while i + 16 <= n {
             let oa = _mm256_loadu_ps(out.as_ptr().add(i));
             let ob = _mm256_loadu_ps(out.as_ptr().add(i + 8));
@@ -494,33 +481,17 @@ mod avx2 {
         }
     }
 
-    /// Per-event conv scatter: `rows` equally-spaced row pairs — output
-    /// row `o0 + r·o_step`, weight row `w0 + r·w_step`, each `len`
-    /// floats — accumulated as `out += v · wt` via [`axpy`]. One
-    /// dispatch covers an entire event's kernel rows.
+    /// Runs `f` with AVX2 code generation enabled: an `#[inline(always)]`
+    /// closure (and every `#[inline(always)]` function it calls) is
+    /// inlined here and compiled for AVX2, so a whole kernel loop runs
+    /// in one context instead of paying a dispatch per call.
     ///
     /// # Safety
     ///
-    /// Caller must have verified AVX2 support at runtime. Row bounds are
-    /// checked through safe slicing (out-of-range rows panic).
+    /// Caller must have verified AVX2 support at runtime.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn scatter_rows(
-        out: &mut [f32],
-        o0: usize,
-        o_step: isize,
-        wt: &[f32],
-        w0: usize,
-        w_step: usize,
-        rows: usize,
-        len: usize,
-        v: f32,
-    ) {
-        for r in 0..rows {
-            let ostart = (o0 as isize + r as isize * o_step) as usize;
-            let wstart = w0 + r * w_step;
-            axpy(&mut out[ostart..ostart + len], v, &wt[wstart..wstart + len]);
-        }
+    pub unsafe fn run<R>(f: impl FnOnce() -> R) -> R {
+        f()
     }
 
     /// Whole four-row GEMM block: for every contraction index `p` in
@@ -980,12 +951,11 @@ mod avx2 {
 // ---------------------------------------------------------------------
 
 /// `out[i] += a * b[i]` over `min(out.len(), b.len())` elements — the
-/// contiguous axpy behind the scatter kernels and the GEMM remainder
-/// rows. Rows shorter than 64 floats stay on the (autovectorized)
-/// scalar twin: repeated accumulation into the same row is
-/// store-forwarding-bound, and the un-inlinable AVX2 call costs more
-/// than wide lanes recover (same measurement as
-/// [`SCATTER_SIMD_FLOATS`]).
+/// contiguous axpy behind the linear scatter kernels and the GEMM
+/// remainder rows. Rows shorter than 64 floats stay on the
+/// (autovectorized) scalar twin: repeated accumulation into the same
+/// row is store-forwarding-bound, and the un-inlinable AVX2 call costs
+/// more than wide lanes recover (measured on `event_scatter`).
 #[inline]
 pub fn axpy(out: &mut [f32], a: f32, b: &[f32]) {
     #[cfg(target_arch = "x86_64")]
@@ -1031,45 +1001,27 @@ pub fn quad_axpy(out: &mut [f32], v: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32
     quad_axpy_scalar(out, v, b0, b1, b2, b3);
 }
 
-/// Per-event conv scatter: accumulates `rows` equally-spaced
-/// `out[o0 + r·o_step..][..len] += v · wt[w0 + r·w_step..][..len]` rows
-/// (ascending `r` — under the reversed-KW filter layout this is the
-/// canonical tap order), with one dispatch per event instead of one per
-/// kernel row.
+/// Runs `f` once in the dispatched code-generation context: compiled
+/// for AVX2 when [`enabled`], as plain baseline code otherwise. Mark the
+/// closure `#[inline(always)]` (and the helpers it calls) so its body is
+/// generated inside the context; plain safe loops there autovectorize
+/// to the context's width. This is how a kernel whose per-call work is
+/// too small to amortize a dispatch (the conv event scatter: one event
+/// is 8–32 floats per tap) pays one dispatch per batch instead.
 ///
-/// Dispatches to AVX2 only for batches of at least
-/// [`SCATTER_SIMD_FLOATS`] floats: consecutive events often accumulate
-/// into the *same* output rows, so the scatter is bound by
-/// store-to-load forwarding latency rather than vector width, and for
-/// short rows the un-inlinable `target_feature` call costs more than
-/// wide lanes recover (measured ~6 ns/event on the `event_scatter`
-/// bench at 16 channels). Both paths are bit-identical, so the
-/// threshold is purely a speed knob.
+/// Only code that is bit-identical whatever the vector width may run
+/// here — lane-independent loops with separate multiply and add
+/// roundings (Rust never contracts to FMA, and the AVX2 context does
+/// not enable FMA). Both arms then produce the same bits.
 #[inline]
-#[allow(clippy::too_many_arguments)] // the per-event scatter core; a struct would obscure it
-pub fn scatter_rows(
-    out: &mut [f32],
-    o0: usize,
-    o_step: isize,
-    wt: &[f32],
-    w0: usize,
-    w_step: usize,
-    rows: usize,
-    len: usize,
-    v: f32,
-) {
+pub(crate) fn vectorized<R>(f: impl FnOnce() -> R) -> R {
     #[cfg(target_arch = "x86_64")]
-    if rows * len >= SCATTER_SIMD_FLOATS && enabled() {
+    if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::scatter_rows(out, o0, o_step, wt, w0, w_step, rows, len, v) };
-        return;
+        return unsafe { avx2::run(f) };
     }
-    scatter_rows_scalar(out, o0, o_step, wt, w0, w_step, rows, len, v);
+    f()
 }
-
-/// Minimum per-event float count before [`scatter_rows`] pays for an
-/// AVX2 dispatch (see there for the measurement).
-pub const SCATTER_SIMD_FLOATS: usize = 256;
 
 /// Whole four-row GEMM block (the core of `matmul`): for each ascending
 /// contraction index `p`, skip if all four `a{j}[p]` are zero, else

@@ -311,6 +311,67 @@ proptest! {
         prop_assert_eq!(&scalar.3.0, &vector.3.0, "linear events");
     }
 
+    /// The conv scatter at the output widths it specialises on (8, 16,
+    /// 32, 64) and around them (7, 9, 24 take the runtime-width
+    /// fallback): the event scatter, the position-major dense walk and
+    /// the channel-major oracle give the same bits and synop counts,
+    /// with SIMD on and off, for 1×1/3×3/5×5 kernels, padding 0–2,
+    /// stride 1–2, channel counts and widths that are not powers of two
+    /// (the division path of the event decoder), and a batch holding an
+    /// empty image.
+    #[test]
+    fn specialised_width_conv_scatter_is_bit_identical(
+        o_pick in 0usize..7,
+        c in 1usize..34,
+        k_pick in 0usize..3,
+        h_extra in 0usize..7,
+        w_extra in 0usize..7,
+        padding in 0usize..3,
+        stride in 1usize..3,
+        empty in 0usize..3,
+        density in 0.0f64..0.5,
+        seed in 0u32..1000,
+    ) {
+        let _gate = SIMD_GATE.lock().unwrap();
+        let o = [7usize, 8, 9, 16, 24, 32, 64][o_pick];
+        let k = [1usize, 3, 5][k_pick];
+        let (h, w) = (k + h_extra, k + w_extra);
+        let spec = ops::Conv2dSpec::new(stride, padding);
+        let input = Tensor::from_fn(Shape::from(vec![3, c, h, w]), |i| {
+            let key = i[0] * 7919 + i[1] * 811 + i[2] * 53 + i[3] * 7 + seed as usize;
+            if i[0] != empty && ((key % 1000) as f64) < density * 1000.0 {
+                ((key % 97) as f32) * 0.0137 - 0.6
+            } else {
+                0.0
+            }
+        });
+        let weight = Tensor::from_fn(Shape::from(vec![o, c, k, k]), |i| {
+            let key = i[0] * 131 + i[1] * 31 + i[2] * 7 + i[3] + seed as usize;
+            ((key % 89) as f32) * 0.0113 - 0.5
+        });
+        let filter_t = ops::sparse::transpose_filter(&weight).unwrap();
+        let input_pm = input.to_position_major().unwrap();
+        let events = t2fsnn_tensor::SpikeBatch::from_dense(&input_pm).unwrap();
+        let run = || {
+            (
+                ops::sparse::conv2d_scatter(&input, &weight, spec).unwrap(),
+                ops::sparse::conv2d_scatter_pm(&input_pm, &filter_t, (k, k), spec).unwrap(),
+                ops::sparse::conv2d_scatter_events_pm(&events, &filter_t, (k, k), spec).unwrap(),
+            )
+        };
+        let scalar = with_simd(false, run);
+        let vector = with_simd(true, run);
+        for ((oracle, s_oracle), (dense, s_dense), (sparse, s_sparse)) in [&scalar, &vector] {
+            prop_assert_eq!(&dense.to_channel_major().unwrap(), oracle, "dense walk vs oracle");
+            prop_assert_eq!(&sparse.to_channel_major().unwrap(), oracle, "event scatter vs oracle");
+            prop_assert_eq!(s_dense, s_oracle);
+            prop_assert_eq!(s_sparse, s_oracle);
+        }
+        prop_assert_eq!(&scalar.1.0, &vector.1.0, "dense walk, SIMD off vs on");
+        prop_assert_eq!(&scalar.2.0, &vector.2.0, "event scatter, SIMD off vs on");
+        prop_assert_eq!(scalar.2.1, vector.2.1);
+    }
+
     /// SIMD on-vs-off identity of the threshold scan (the fire-phase
     /// primitive): same hit indices in the same ascending order, for
     /// thresholds that do and do not exactly equal stored values.

@@ -125,7 +125,7 @@ lint:
 test:
     cargo test -q --workspace
 
-# Compile all 7 Criterion bench targets without running them.
+# Compile all 10 Criterion bench targets without running them.
 bench-check: perfbench-build
     cargo bench --no-run
 
@@ -152,7 +152,7 @@ perfbench workload seed trace seconds="25":
 bench:
     cargo bench
 
-# Record a bench baseline snapshot (all 7 Criterion targets + a timed
+# Record a bench baseline snapshot (all 10 Criterion targets + a timed
 # repro_fig6) into results/bench_baseline.json. Run once with label=pre
 # before a perf change and once with label=post after it.
 bench-baseline label="post":
