@@ -1,4 +1,5 @@
-//! Ablation bench (DESIGN.md §4): direct `exp` kernel evaluation versus
+//! Ablation bench (README, *Extension experiments*): direct `exp` kernel
+//! evaluation versus
 //! the lookup table the paper proposes in Sec. V. Validates that the LUT
 //! is the right implementation choice for the inner simulation loop.
 

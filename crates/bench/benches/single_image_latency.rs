@@ -4,8 +4,7 @@
 //!
 //! Covers all four coding baselines (rate/phase/burst/reverse) through
 //! the clock-driven simulator plus the TTFS pipeline, with and without
-//! the serving path's early-exit fire phase. Wired into `bench_baseline`
-//! so serving-relevant latency is tracked across PRs.
+//! the serving path's early-exit fire phase.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,5 +1,5 @@
-//! Extension experiment (DESIGN.md §4): sweep of the **early-firing start
-//! time**. The paper fixes the EF offset to `T/2` "based on the
+//! Extension experiment (README, *Extension experiments*): sweep of the
+//! **early-firing start time**. The paper fixes the EF offset to `T/2` "based on the
 //! experiments" without showing the sweep — this binary generates it,
 //! exposing the latency/accuracy trade-off that motivates the choice.
 //!

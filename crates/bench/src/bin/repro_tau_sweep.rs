@@ -1,4 +1,5 @@
-//! Extension experiment (DESIGN.md §4): sweep of the kernel time constant
+//! Extension experiment (README, *Extension experiments*): sweep of the
+//! kernel time constant
 //! τ at fixed window T — the precision-versus-representable-range
 //! trade-off of Sec. III-B, measured end to end instead of through the
 //! loss proxies.

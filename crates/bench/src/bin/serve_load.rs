@@ -2,9 +2,8 @@
 //!
 //! Drives `POST /v1/infer` over localhost at a configurable concurrency
 //! (each worker thread runs a keep-alive connection and sends its next
-//! request as soon as the previous answer lands), reports throughput and
-//! latency quantiles, and optionally records them as a `serve` target in
-//! `results/bench_baseline.json`.
+//! request as soon as the previous answer lands) and reports throughput
+//! and latency quantiles.
 //!
 //! The client speaks the wire protocol with its own struct mirrors —
 //! deliberately not importing the server's types, so the JSON contract
@@ -15,7 +14,6 @@
 //! ```sh
 //! serve_load --addr 127.0.0.1:7878 --requests 200 --concurrency 4
 //! serve_load --smoke                  # spawn a server, assert the gates
-//! serve_load --smoke --record-label pr5-post
 //! serve_load --chaos                  # fault injection + invariant gates
 //! serve_load --overload               # deadline ladder under 2× load
 //! serve_load --churn                  # hot model lifecycle under traffic
@@ -95,7 +93,6 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use t2fsnn::{InferOptions, T2fsnn, T2fsnnConfig};
-use t2fsnn_bench::baseline::{BaselineFile, BenchRecord, LabeledSnapshot, Snapshot, TargetResult};
 use t2fsnn_bench::report::results_dir;
 use t2fsnn_bench::Scenario;
 use t2fsnn_tensor::perturb::PerturbSpec;
@@ -341,7 +338,6 @@ struct Args {
     churn: bool,
     obs: bool,
     perturb: Option<String>,
-    record_label: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -359,7 +355,6 @@ fn parse_args() -> Args {
         churn: false,
         obs: false,
         perturb: None,
-        record_label: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -385,14 +380,12 @@ fn parse_args() -> Args {
             "--churn" => args.churn = true,
             "--obs" => args.obs = true,
             "--perturb" => args.perturb = Some(value(&mut i)),
-            "--record-label" => args.record_label = Some(value(&mut i)),
             other => {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: serve_load [--addr host:port] [--requests N] [--concurrency C] \
                      [--model NAME] [--early-exit 0|1] [--deadline-ms N] [--seed N] \
-                     [--smoke | --chaos | --overload | --churn | --obs | --perturb SPEC] \
-                     [--record-label LABEL]"
+                     [--smoke | --chaos | --overload | --churn | --obs | --perturb SPEC]"
                 );
                 std::process::exit(2);
             }
@@ -774,105 +767,6 @@ fn solo_reference(addr: &str, model: &str, image: &[f32], early_exit: bool) -> I
     std::process::exit(2);
 }
 
-/// Upserts the measured numbers as a `serve` target of the labeled
-/// baseline snapshot (creating the label if absent).
-fn record_baseline(label: &str, report: &LoadReport, requests: usize, concurrency: usize) {
-    let path = results_dir().join("bench_baseline.json");
-    let mut file: BaselineFile = std::fs::read(&path)
-        .ok()
-        .and_then(|bytes| serde_json::from_slice(&bytes).ok())
-        .unwrap_or_else(|| {
-            eprintln!("[serve_load] no readable baseline file; creating one");
-            BaselineFile {
-                machine: t2fsnn_bench::baseline::MachineInfo {
-                    cores: std::thread::available_parallelism()
-                        .map(|n| n.get() as u64)
-                        .unwrap_or(1),
-                    os: std::env::consts::OS.to_string(),
-                    arch: std::env::consts::ARCH.to_string(),
-                },
-                pre: None,
-                post: None,
-                history: Vec::new(),
-            }
-        });
-    let latencies = report.latencies_us();
-    let (mean, min, max) = latency_stats_ns(&latencies);
-    let samples = latencies.len() as u64;
-    let mut records = vec![BenchRecord {
-        group: "serve".into(),
-        bench: format!("request_latency/c{concurrency}"),
-        mean_ns: mean,
-        min_ns: min,
-        max_ns: max,
-        samples,
-    }];
-    for (q, name) in [(0.5, "p50"), (0.95, "p95"), (0.99, "p99")] {
-        let ns = quantile_us(&latencies, q) * 1000;
-        records.push(BenchRecord {
-            group: "serve".into(),
-            bench: format!("request_latency_{name}/c{concurrency}"),
-            mean_ns: ns,
-            min_ns: ns,
-            max_ns: ns,
-            samples,
-        });
-    }
-    let wall_per_request = (report.wall.as_nanos() / requests.max(1) as u128) as u64;
-    records.push(BenchRecord {
-        group: "serve".into(),
-        bench: format!("wall_per_request/c{concurrency}"),
-        mean_ns: wall_per_request,
-        min_ns: wall_per_request,
-        max_ns: wall_per_request,
-        samples: requests as u64,
-    });
-    let target = TargetResult {
-        target: "serve".into(),
-        records,
-    };
-    let entry = match file.history.iter_mut().find(|s| s.label == label) {
-        Some(entry) => entry,
-        None => {
-            file.history.push(LabeledSnapshot {
-                label: label.to_string(),
-                snapshot: Snapshot {
-                    recorded_at_unix: std::time::SystemTime::now()
-                        .duration_since(std::time::UNIX_EPOCH)
-                        .map(|d| d.as_secs())
-                        .unwrap_or(0),
-                    repro_fig6_seconds: 0.0,
-                    repro_fig6_runs_seconds: Vec::new(),
-                    targets: Vec::new(),
-                },
-            });
-            file.history.last_mut().expect("just pushed")
-        }
-    };
-    match entry
-        .snapshot
-        .targets
-        .iter_mut()
-        .find(|t| t.target == "serve")
-    {
-        Some(slot) => *slot = target,
-        None => entry.snapshot.targets.push(target),
-    }
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match serde_json::to_vec_pretty(&file) {
-        Ok(bytes) => match std::fs::write(&path, bytes) {
-            Ok(()) => println!(
-                "[serve_load] recorded `serve` target under `{label}` in {}",
-                path.display()
-            ),
-            Err(e) => eprintln!("[serve_load] cannot write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("[serve_load] serialization failed: {e}"),
-    }
-}
-
 fn latency_stats_ns(latencies_us: &[u64]) -> (u64, u64, u64) {
     if latencies_us.is_empty() {
         return (0, 0, 0);
@@ -914,16 +808,10 @@ fn print_report(report: &LoadReport, label: &str) {
 }
 
 fn scenario_of(model: &str) -> Scenario {
-    match model {
-        "tiny" => Scenario::Tiny,
-        "mnist-like" => Scenario::MnistLike,
-        "cifar10-like" => Scenario::Cifar10Like,
-        "cifar100-like" => Scenario::Cifar100Like,
-        other => {
-            eprintln!("[serve_load] unknown model `{other}`");
-            std::process::exit(2);
-        }
-    }
+    Scenario::from_name(model).unwrap_or_else(|| {
+        eprintln!("[serve_load] unknown model `{model}`");
+        std::process::exit(2);
+    })
 }
 
 /// Builds the deterministic per-model request images from the scenario
@@ -1016,10 +904,6 @@ fn smoke_or_plain(args: &Args, images: &[Vec<f32>]) {
         failures.push("load run never repeated the reference image".to_string());
     }
     println!("[serve_load] bit-identity: {dup_checked} duplicate-image responses matched solo");
-
-    if let Some(label) = &args.record_label {
-        record_baseline(label, &report, args.requests, args.concurrency);
-    }
 
     // Metrics snapshot + the latency cross-check: the server's own
     // `latency_us` histogram observed the very 200s this client just

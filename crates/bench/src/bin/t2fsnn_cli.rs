@@ -69,13 +69,8 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--scenario" => {
                 let name = argv.next().ok_or("--scenario needs a value")?;
-                args.scenario = match name.as_str() {
-                    "mnist-like" => Scenario::MnistLike,
-                    "cifar10-like" => Scenario::Cifar10Like,
-                    "cifar100-like" => Scenario::Cifar100Like,
-                    "tiny" => Scenario::Tiny,
-                    other => return Err(format!("unknown scenario `{other}`")),
-                };
+                args.scenario = Scenario::from_name(&name)
+                    .ok_or_else(|| format!("unknown scenario `{name}`"))?;
             }
             "--go" => args.go = true,
             "--ef" => args.ef = true,

@@ -1,18 +1,17 @@
 //! # t2fsnn-bench
 //!
 //! Shared experiment harness for the reproduction binaries (`repro_*`,
-//! one per paper table/figure) and the Criterion micro-benchmarks.
+//! one per paper table/figure), the `serve_load` load generator and the
+//! Criterion micro-benchmarks.
 //!
-//! The heavy, reusable step — training and normalizing a source CNN per
-//! dataset scenario — is cached on disk so that every `repro_*` binary can
-//! run independently without retraining.
+//! The scenarios themselves — datasets, architectures, training recipes
+//! and the on-disk cache of trained networks — live in
+//! [`t2fsnn::scenario`]; they are re-exported here so every binary and
+//! bench names them the same way.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baseline;
-pub mod binfmt;
 pub mod report;
-pub mod scenario;
 
-pub use scenario::{prepare, Prepared, Scenario};
+pub use t2fsnn::scenario::{prepare, Prepared, Scenario};

@@ -1,36 +1,35 @@
 //! Compact little-endian binary serialization of the serde shim's
-//! [`Value`] tree, used by the scenario cache.
+//! [`Value`] tree, used by the [scenario cache](crate::scenario).
 //!
-//! The JSON cache stored full weight dumps as decimal text (~12 bytes
-//! per value, plus parse cost); this format stores a 4-byte magic +
+//! JSON would store full weight dumps as decimal text (~12 bytes per
+//! value, plus parse cost); this format stores a 4-byte magic +
 //! 2-byte version header followed by a tagged tree in which arrays of
 //! f32-exact numbers are packed as raw little-endian `f32` (4 bytes per
 //! weight). Floats that need `f64` precision keep it; integers are
 //! `i128` so `u64` RNG seeds survive.
 //!
-//! ## Integrity (version 2)
+//! ## Integrity
 //!
-//! Version 2 wraps the tree in *checksummed sections*: a top-level
-//! object becomes one section per entry (key, payload length, IEEE
-//! CRC32 over key + payload, payload), so a flipped byte anywhere in an
-//! artifact is detected at load time and reported with the section it
-//! hit, instead of deserializing garbage weights. A non-object top
-//! level is stored as a single unnamed section. Version 1 files (no
-//! checksums) remain readable; writes always produce version 2.
+//! The tree is wrapped in *checksummed sections*: a top-level object
+//! becomes one section per entry (key, payload length, IEEE CRC32 over
+//! key + payload, payload), so a flipped byte anywhere in an artifact
+//! is detected at load time and reported with the section it hit,
+//! instead of deserializing garbage weights. A non-object top level is
+//! stored as a single unnamed section. Version 2 is the only version
+//! read or written; the checksum-less version 1 is rejected like any
+//! other unknown version.
 
 use serde::Value;
 
 /// File magic: "T2FB" (T2FSNN binary).
 pub const MAGIC: [u8; 4] = *b"T2FB";
-/// Format version written by [`to_bytes`] (per-section CRC32).
+/// Format version written and read (per-section CRC32).
 pub const VERSION: u16 = 2;
-/// The original checksum-less version, still accepted by [`from_bytes`].
-pub const VERSION_V1: u16 = 1;
 
-/// Version-2 layout byte: the top level was an object, one section per
+/// Layout byte: the top level was an object, one section per
 /// entry.
 const LAYOUT_OBJECT: u8 = 1;
-/// Version-2 layout byte: the top level was a bare value, stored as one
+/// Layout byte: the top level was a bare value, stored as one
 /// unnamed section.
 const LAYOUT_BARE: u8 = 0;
 
@@ -97,14 +96,14 @@ fn section_crc(key: &str, payload: &[u8]) -> u32 {
     !crc32_update(crc32_update(!0u32, key.as_bytes()), payload)
 }
 
-/// `true` if `bytes` starts with this format's magic (used to pick
-/// between binary and legacy-JSON parsing).
-pub fn is_binary(bytes: &[u8]) -> bool {
+/// `true` if `bytes` starts with this format's magic, whatever its
+/// version.
+fn is_binary(bytes: &[u8]) -> bool {
     bytes.len() >= 4 && bytes[..4] == MAGIC
 }
 
-/// Parses a value tree, validating the header — and, for version-2
-/// files, every section's CRC32 checksum.
+/// Parses a value tree, validating the header and every section's
+/// CRC32 checksum.
 ///
 /// # Errors
 ///
@@ -118,19 +117,18 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Value, String> {
         return Err("truncated header".to_string());
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    if version != VERSION {
+        return Err(format!("unsupported binary cache version {version}"));
+    }
     let mut cursor = 6usize;
-    let value = match version {
-        VERSION_V1 => read_value(bytes, &mut cursor)?,
-        VERSION => read_sections(bytes, &mut cursor)?,
-        other => return Err(format!("unsupported binary cache version {other}")),
-    };
+    let value = read_sections(bytes, &mut cursor)?;
     if cursor != bytes.len() {
         return Err(format!("{} trailing bytes", bytes.len() - cursor));
     }
     Ok(value)
 }
 
-/// Reads the version-2 checksummed section list (see the module docs).
+/// Reads the checksummed section list (see the module docs).
 fn read_sections(bytes: &[u8], cursor: &mut usize) -> Result<Value, String> {
     let layout = read_exact(bytes, cursor, 1)?[0];
     if layout != LAYOUT_OBJECT && layout != LAYOUT_BARE {
@@ -398,9 +396,11 @@ mod tests {
     }
 
     #[test]
-    fn version_one_files_remain_readable() {
+    fn version_one_files_are_rejected() {
         // Hand-craft a V1 artifact (magic + version 1 + bare tree, no
-        // checksums) — exactly what pre-V2 writers produced on disk.
+        // checksums) — exactly what pre-V2 writers produced on disk. It
+        // carries no checksums, so it must read as an error (a cache
+        // miss), never as a value.
         let value = Value::Object(vec![
             ("seed".to_string(), Value::Int(7)),
             (
@@ -410,9 +410,11 @@ mod tests {
         ]);
         let mut v1 = Vec::new();
         v1.extend_from_slice(&MAGIC);
-        v1.extend_from_slice(&VERSION_V1.to_le_bytes());
+        v1.extend_from_slice(&1u16.to_le_bytes());
         write_value(&value, &mut v1);
-        assert_eq!(from_bytes(&v1).unwrap(), value);
+        assert!(is_binary(&v1));
+        let err = from_bytes(&v1).unwrap_err();
+        assert!(err.contains("version 1"), "unhelpful error: {err}");
     }
 
     #[test]

@@ -300,6 +300,7 @@ impl T2fsnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binfmt::crc32;
     use crate::kernel::KernelParams;
     use crate::network::{NoiseConfig, T2fsnnConfig};
     use rand::SeedableRng;
@@ -475,18 +476,6 @@ mod tests {
             .infer(&solo_img.reshape(dims).unwrap(), InferOptions::early_exit())
             .unwrap();
         assert_eq!(solo[0], ee[2]);
-    }
-
-    /// IEEE CRC-32 (reflected, polynomial `0xEDB88320`).
-    fn crc32(bytes: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
-            }
-        }
-        !crc
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //! `t2fsnn-snn` (the clock-driven simulator plus the rate/phase/burst
 //! baselines).
 //!
+//! The experiments' inputs live here too: [`scenario`] defines one
+//! scenario per evaluated dataset (synthetic data, scaled architecture,
+//! training recipe, time window) and caches each trained, normalized
+//! network on disk in the checksummed binary format of [`binfmt`]. The
+//! reproduction binaries and the server both load models through it.
+//!
 //! ## Quickstart
 //!
 //! ```no_run
@@ -65,6 +71,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod binfmt;
 pub mod cost;
 pub mod eval;
 mod infer;
@@ -72,6 +79,7 @@ pub mod kernel;
 mod network;
 pub mod optimize;
 mod pipeline;
+pub mod scenario;
 
 pub use infer::{ImageInference, InferOptions};
 pub use kernel::{ExpKernel, KernelParams, KernelTable};

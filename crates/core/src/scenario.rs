@@ -36,6 +36,19 @@ impl Scenario {
         Scenario::Cifar100Like,
     ];
 
+    /// Every scenario, [`Scenario::Tiny`] included.
+    pub const ALL: [Scenario; 4] = [
+        Scenario::Tiny,
+        Scenario::MnistLike,
+        Scenario::Cifar10Like,
+        Scenario::Cifar100Like,
+    ];
+
+    /// The scenario whose [`name`](Scenario::name) is `name`, if any.
+    pub fn from_name(name: &str) -> Option<Scenario> {
+        Scenario::ALL.into_iter().find(|s| s.name() == name)
+    }
+
     /// Stable name used in cache files and reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -95,8 +108,9 @@ impl Scenario {
 
     /// The per-layer TTFS time window `T` used in this scenario's
     /// experiments. Chosen at the paper's operating point: the smallest
-    /// window whose kernel precision does not cost accuracy (a window
-    /// sweep is in `repro_tau_sweep`/EXPERIMENTS.md). For the MNIST-like
+    /// window whose kernel precision does not cost accuracy (`repro_tau_sweep`
+    /// measures the precision trade-off at this window; see the README's
+    /// *Extension experiments*). For the MNIST-like
     /// CNN (4 weighted layers) T = 16 with early firing gives a pipeline
     /// latency of exactly 40 steps — the paper's own MNIST latency.
     pub fn time_window(&self) -> usize {
@@ -111,8 +125,8 @@ impl Scenario {
     /// Initial (pre-GO) kernel parameters: τ0 = T/4, t_d = 0 — the
     /// empirical starting point the paper describes ("We empirically set
     /// the τ, t_d, and T at the initial stage").
-    pub fn initial_kernel(&self) -> t2fsnn::KernelParams {
-        t2fsnn::KernelParams::new(self.time_window() as f32 / 4.0, 0.0)
+    pub fn initial_kernel(&self) -> crate::KernelParams {
+        crate::KernelParams::new(self.time_window() as f32 / 4.0, 0.0)
     }
 
     /// Evaluation-subset size for clock-driven simulations.
@@ -314,7 +328,7 @@ fn cache_path(scenario: Scenario, extension: &str) -> PathBuf {
                 .join(dir)
         }
     } else {
-        // Compile-time anchor: <workspace>/crates/bench -> ../../target.
+        // Compile-time anchor: <workspace>/crates/core -> ../../target.
         let build_anchor = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target");
         if build_anchor.exists() {
             build_anchor
@@ -353,9 +367,8 @@ fn cache_path(scenario: Scenario, extension: &str) -> PathBuf {
 /// Panics if training fails — the harness treats that as a fatal setup
 /// error.
 pub fn prepare(scenario: Scenario) -> Prepared {
-    // Only the binary `T2FB` format is read. The legacy JSON format's
-    // one-release read grace period (PR 2) is over: legacy or corrupt
-    // entries are cache misses and fall back to retraining.
+    // Only the binary `T2FB` format is read: legacy JSON, version-1 or
+    // corrupt entries are cache misses and fall back to retraining.
     if let Some(prepared) = load_cache(scenario) {
         return prepared;
     }
@@ -430,10 +443,8 @@ fn load_cache(scenario: Scenario) -> Option<Prepared> {
 
 fn load_cache_from(path: &std::path::Path, scenario: Scenario) -> Option<Prepared> {
     let bytes = fs::read(path).ok()?;
-    // Non-binary (legacy JSON) or corrupt entries are plain misses.
-    if !crate::binfmt::is_binary(&bytes) {
-        return None;
-    }
+    // Non-binary (legacy JSON), version-1 or corrupt entries are plain
+    // misses: `from_bytes` rejects them.
     let cache: CacheFile = crate::binfmt::from_bytes(&bytes)
         .ok()
         .and_then(|value| serde::Deserialize::from_value(&value).ok())?;
@@ -465,6 +476,14 @@ fn load_cache_from(path: &std::path::Path, scenario: Scenario) -> Option<Prepare
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scenario_names_round_trip() {
+        for s in Scenario::ALL {
+            assert_eq!(Scenario::from_name(s.name()), Some(s));
+        }
+        assert_eq!(Scenario::from_name("nope"), None);
+    }
 
     #[test]
     fn scenario_metadata_is_consistent() {

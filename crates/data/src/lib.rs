@@ -8,8 +8,9 @@
 //! ([`DatasetSpec::mnist_like`], [`DatasetSpec::cifar10_like`],
 //! [`DatasetSpec::cifar100_like`]): each class is a deterministic pattern
 //! prototype and each sample a jittered, noisy rendering of it (see
-//! [`SyntheticConfig`]). DESIGN.md §2 documents why this substitution
-//! preserves the behaviour under study.
+//! [`SyntheticConfig`]). The README's *Datasets and scaled networks*
+//! section explains why this substitution preserves the behaviour under
+//! study.
 //!
 //! ## Quick example
 //!

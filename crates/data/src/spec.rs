@@ -8,7 +8,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper evaluates on MNIST, CIFAR-10 and CIFAR-100; this reproduction
 /// substitutes procedurally generated datasets with identical tensor shapes
-/// and class counts (see DESIGN.md §2 for the substitution rationale). The
+/// and class counts (the README's *Datasets and scaled networks* gives the
+/// substitution rationale). The
 /// three presets below match those benchmarks.
 ///
 /// # Examples

@@ -1,6 +1,7 @@
 //! Procedural class-conditional image synthesis.
 //!
-//! Substitutes the paper's MNIST/CIFAR benchmarks (see DESIGN.md §2): each
+//! Substitutes the paper's MNIST/CIFAR benchmarks (see the README's
+//! *Datasets and scaled networks*): each
 //! class is assigned a deterministic *prototype* — a superposition of an
 //! oriented grating, a Gaussian blob and a low-frequency colour ramp, all
 //! parameterized from a class-seeded RNG — and each sample is the prototype

@@ -2,7 +2,8 @@
 //! reproduction, plus small nets for tests.
 //!
 //! The paper evaluates VGG-16. This environment is a single CPU core, so we
-//! train a *scaled* VGG (see DESIGN.md §2): the same five conv-block
+//! train a *scaled* VGG (see the README's *Datasets and scaled
+//! networks*): the same five conv-block
 //! structure and naming (`conv1_1 … conv5_2`, `fc6`, `fc7`) with fewer
 //! convolutions per block and narrower channels. Figure 5's layer labels
 //! (`conv2_1`, `conv3_1`, `conv4_1`, `conv5_1`) resolve 1:1 against these

@@ -149,7 +149,7 @@ fn canary_battery(model: &ServeModel) -> Result<u32, String> {
     for r in full.iter().chain(anytime.iter()) {
         bytes.extend_from_slice(&encode(r));
     }
-    Ok(t2fsnn_bench::binfmt::crc32(&bytes))
+    Ok(t2fsnn::binfmt::crc32(&bytes))
 }
 
 /// Canonical byte encoding of one inference result — every

@@ -1,11 +1,12 @@
 //! The model registry: named, versioned, ready-to-serve T2FSNN models
-//! loaded from the bench crate's `T2FB` scenario cache — a *mutable*
-//! runtime component, not a boot-time constant.
+//! loaded from the `T2FB` scenario cache of [`t2fsnn::scenario`] — a
+//! *mutable* runtime component, not a boot-time constant.
 //!
-//! [`Registry::load`] resolves scenario names through
-//! [`t2fsnn_bench::prepare`], which reads the cached trained+normalized
-//! network when warm and trains it when cold — a server on a fresh
-//! machine comes up self-contained, just slower on first boot. The
+//! [`Registry::load`] resolves model names with [`Scenario::from_name`]
+//! and loads them with [`prepare`], which reads the cached
+//! trained+normalized network when warm and trains it when cold — a
+//! server on a fresh machine comes up self-contained, just slower on
+//! first boot. The
 //! DNN→SNN conversion and the compile of the model's execution plan
 //! ([`t2fsnn::T2fsnn::plan`]) happen once per model *version* at load
 //! time; every batch of that version shares the plan.
@@ -35,8 +36,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
+use t2fsnn::scenario::{prepare, Scenario};
 use t2fsnn::{NoiseConfig, T2fsnn, T2fsnnConfig};
-use t2fsnn_bench::{prepare, Scenario};
 use t2fsnn_data::DatasetSpec;
 use t2fsnn_tensor::log;
 use t2fsnn_tensor::perturb::PerturbSpec;
@@ -90,16 +91,10 @@ impl ServeModel {
     }
 }
 
-/// Scenario lookup by stable name (see [`Scenario::name`]).
+/// Scenario lookup by stable name: [`Scenario::from_name`], kept under
+/// the registry for callers that resolve model names through it.
 pub fn scenario_by_name(name: &str) -> Option<Scenario> {
-    [
-        Scenario::Tiny,
-        Scenario::MnistLike,
-        Scenario::Cifar10Like,
-        Scenario::Cifar100Like,
-    ]
-    .into_iter()
-    .find(|s| s.name() == name)
+    Scenario::from_name(name)
 }
 
 /// Lifecycle state of one registry slot.
@@ -387,7 +382,7 @@ impl Registry {
         spec: Option<&PerturbSpec>,
         version: u64,
     ) -> Result<ServeModel, String> {
-        let Some(scenario) = scenario_by_name(name) else {
+        let Some(scenario) = Scenario::from_name(name) else {
             return Err(format!("unknown scenario `{name}` (see /v1/models names)"));
         };
         log::info(
@@ -782,13 +777,6 @@ fn splitmix64(seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scenario_names_resolve() {
-        assert_eq!(scenario_by_name("tiny"), Some(Scenario::Tiny));
-        assert_eq!(scenario_by_name("mnist-like"), Some(Scenario::MnistLike));
-        assert_eq!(scenario_by_name("nope"), None);
-    }
 
     #[test]
     fn load_rejects_only_empty() {

@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use t2fsnn::scenario::Scenario;
 use t2fsnn_tensor::{log, trace, ThreadPool};
 
 use crate::batcher::{self, BatcherConfig, InferJob, JobError};
@@ -54,9 +55,7 @@ use crate::protocol::{
     ErrorResponse, HealthReport, InferRequest, InferResponse, LifecycleAck, ModelInfo, Timing,
 };
 use crate::queue::{PushError, Queue};
-use crate::registry::{
-    scenario_by_name, QuarantinePolicy, Registry, Resolution, ServeModel, SlotState,
-};
+use crate::registry::{QuarantinePolicy, Registry, Resolution, ServeModel, SlotState};
 use crate::ServeConfig;
 
 /// How long a connection worker waits for its batch to answer before
@@ -576,7 +575,7 @@ fn admin_model_route(ctx: &Ctx, path: &str) -> (u16, Vec<u8>) {
     }
     match action {
         "load" | "reload" => {
-            if scenario_by_name(name).is_none() && !ctx.registry.is_configured(name) {
+            if Scenario::from_name(name).is_none() && !ctx.registry.is_configured(name) {
                 return (
                     404,
                     ErrorResponse::json(format!(

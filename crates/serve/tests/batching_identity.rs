@@ -9,8 +9,8 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use t2fsnn::scenario::{prepare, Scenario};
 use t2fsnn::{ImageInference, InferOptions, T2fsnn, T2fsnnConfig};
-use t2fsnn_bench::{prepare, Scenario};
 use t2fsnn_tensor::{Tensor, ThreadPool};
 
 /// Builds the tiny scenario model exactly as the serve registry does.

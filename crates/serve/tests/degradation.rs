@@ -40,7 +40,7 @@ use t2fsnn_tensor::{Tensor, ThreadPool};
 fn tiny() -> (Arc<ServeModel>, Vec<Vec<f32>>) {
     let registry = Registry::load(&["tiny".to_string()]).expect("load tiny");
     let model = registry.get(None).expect("tiny ready");
-    let data = t2fsnn_bench::Scenario::Tiny.dataset();
+    let data = t2fsnn::scenario::Scenario::Tiny.dataset();
     let feature: usize = data.images.dims()[1..].iter().product();
     let images = (0..8)
         .map(|i| data.images.data()[i * feature..(i + 1) * feature].to_vec())
@@ -293,7 +293,7 @@ fn forced_early_exit_matches_explicit_under_perturbation() {
         Registry::load_perturbed(&["tiny".to_string()], Some(&spec)).expect("load perturbed");
     assert_eq!(registry.perturbed_models(), 1);
     let model = registry.get(None).expect("tiny ready");
-    let data = t2fsnn_bench::Scenario::Tiny.dataset();
+    let data = t2fsnn::scenario::Scenario::Tiny.dataset();
     let feature: usize = data.images.dims()[1..].iter().product();
     let images: Vec<Vec<f32>> = (0..6)
         .map(|i| data.images.data()[i * feature..(i + 1) * feature].to_vec())

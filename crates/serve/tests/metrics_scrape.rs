@@ -41,7 +41,7 @@ fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &[u8]) ->
 
 fn test_server() -> (ServerHandle, Vec<f32>) {
     let registry = Registry::load(&["tiny".to_string()]).expect("load tiny model");
-    let data = t2fsnn_bench::Scenario::Tiny.dataset();
+    let data = t2fsnn::scenario::Scenario::Tiny.dataset();
     let feature: usize = data.images.dims()[1..].iter().product();
     let image = data.images.data()[..feature].to_vec();
     let config = ServeConfig {

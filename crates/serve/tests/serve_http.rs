@@ -95,7 +95,7 @@ fn slow_test_server(config: ServeConfig, factor: usize) -> (ServerHandle, Vec<Ve
 /// Starts a server over `registry` and returns it with eight images from
 /// the tiny dataset.
 fn start_tiny(config: ServeConfig, registry: Registry) -> (ServerHandle, Vec<Vec<f32>>) {
-    let data = t2fsnn_bench::Scenario::Tiny.dataset();
+    let data = t2fsnn::scenario::Scenario::Tiny.dataset();
     let feature: usize = data.images.dims()[1..].iter().product();
     let images: Vec<Vec<f32>> = (0..8)
         .map(|i| data.images.data()[i * feature..(i + 1) * feature].to_vec())
@@ -389,7 +389,7 @@ fn failed_model_degrades_to_503_and_healthz_reports_it() {
     // "degraded", and the good model keeps serving.
     let registry =
         Registry::load(&["tiny".to_string(), "broken".to_string()]).expect("registry boots");
-    let scenario = t2fsnn_bench::Scenario::Tiny;
+    let scenario = t2fsnn::scenario::Scenario::Tiny;
     let data = scenario.dataset();
     let feature: usize = data.images.dims()[1..].iter().product();
     let image: Vec<f32> = data.images.data()[..feature].to_vec();

@@ -2,8 +2,8 @@
 //! *aggregate* sink of [`crate::trace`]'s span sites.
 //!
 //! Enabled by `T2FSNN_PROFILE=1`: every [`crate::trace::span`] close is
-//! aggregated per key into a process-global view that `repro_fig6` and
-//! `bench_smoke` report at exit and `t2fsnn-serve` exposes on
+//! aggregated per key into a process-global view that `repro_fig6`
+//! reports at exit and `t2fsnn-serve` exposes on
 //! `/metrics`. When disabled (the default), a span site is one relaxed
 //! atomic load — the enablement word lives in [`crate::trace`] and is
 //! shared with the flight recorder, so one check serves both sinks.
@@ -194,8 +194,8 @@ pub fn reset() {
 
 /// Prints the aggregated spans to stderr under a header — a no-op when
 /// profiling is disabled or nothing was recorded. Written to stderr so
-/// harnesses that capture stdout (e.g. `bench_smoke` timing child
-/// processes) still surface the breakdown.
+/// harnesses that capture a child's stdout still surface the
+/// breakdown.
 pub fn eprint_report(header: &str) {
     if !enabled() {
         return;

@@ -20,8 +20,8 @@ use t2fsnn_dnn::{evaluate, normalize_for_snn, train, TrainConfig};
 fn main() -> Result<(), Box<dyn Error>> {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
 
-    // 1. A CIFAR-10-shaped synthetic dataset (see DESIGN.md §2 for the
-    //    substitution rationale) and a scaled VGG.
+    // 1. A CIFAR-10-shaped synthetic dataset and a scaled VGG (the
+    //    README's "Datasets and scaled networks" gives the rationale).
     println!("== T2FSNN quickstart ==");
     let spec = DatasetSpec::cifar10_like();
     let data = SyntheticConfig::new(spec.clone(), 7).generate(320);

@@ -6,16 +6,20 @@ verify:
     cargo build --release
     cargo test -q
 
-# Everything CI runs, in CI order. The bench-smoke step is non-fatal
-# (leading `-`), mirroring the CI workflow's continue-on-error: its
-# regression exit code is a signal for the baseline machine, not a
-# gate for whatever machine runs `just ci`.
-ci: fmt-check lint verify test-scalar pool-test bench-check perfbench-smoke serve-smoke-ci serve-chaos robustness-smoke serve-lifecycle obs-smoke
-    -timeout 900 cargo run --release -p t2fsnn-bench --bin bench_smoke
+# Everything CI runs, in CI order; every step blocks.
+ci: fmt-check lint verify test-scalar pool-test crate-graph bench-check perfbench-smoke serve-smoke serve-chaos robustness-smoke serve-lifecycle obs-smoke
 
-# The CI flavor of serve-smoke: same blocking correctness gates, no
-# baseline recording (CI machines are not the baseline machine).
-serve-smoke-ci:
+# Crate-graph guard (blocking): the server loads models through
+# `t2fsnn::scenario` and must not depend on the reproduction harness.
+crate-graph:
+    tree="$(cargo tree --offline -p t2fsnn-serve -e normal,dev)" && if printf '%s\n' "$tree" | grep -q t2fsnn-bench; then echo "error: t2fsnn-serve depends on t2fsnn-bench" >&2; exit 1; fi
+
+# Serve smoke (blocking): spawn the server on an ephemeral port, drive
+# a concurrent closed-loop burst, and assert the correctness gates —
+# ≥99% 2xx, micro-batches beyond size 1 observed, solo-vs-batched
+# responses bit-identical, clean ctrl-channel shutdown (exit 0). Timing
+# output is informational (never asserted).
+serve-smoke:
     cargo build --release -p t2fsnn-serve -p t2fsnn-bench
     timeout 600 cargo run --release -p t2fsnn-bench --bin serve_load -- --smoke
 
@@ -85,29 +89,10 @@ pool-test:
 test-scalar:
     T2FSNN_SIMD=0 cargo test -q --workspace
 
-# Bench smoke: timed repro_fig6 + the event-scatter and gemm-core
-# microbenches, with deltas printed against the committed
-# results/bench_baseline.json and per-target regressions beyond the
-# tolerance flagged in the exit status (CI runs it non-blocking — CI
-# machines are not the baseline machine). Set T2FSNN_PROFILE=1 to get
-# the per-phase time breakdown from the timed repro_fig6.
-bench-smoke:
-    timeout 900 cargo run --release -p t2fsnn-bench --bin bench_smoke
-
 # Run the online-inference server (T2FSNN_SERVE_* env knobs; graceful
 # shutdown via `curl -X POST localhost:7878/admin/shutdown`).
 serve:
     cargo run --release -p t2fsnn-serve --bin t2fsnn_serve
-
-# Serve smoke: spawn the server on an ephemeral port, drive a concurrent
-# closed-loop burst, and assert the correctness gates — ≥99% 2xx,
-# micro-batches beyond size 1 observed, solo-vs-batched responses
-# bit-identical, clean ctrl-channel shutdown (exit 0). Timing output is
-# informational (never asserted); the measured throughput/latency is
-# recorded as the `serve` target of the pr5-post baseline snapshot.
-serve-smoke:
-    cargo build --release -p t2fsnn-serve -p t2fsnn-bench
-    timeout 600 cargo run --release -p t2fsnn-bench --bin serve_load -- --smoke --record-label pr5-post
 
 # Formatting gate.
 fmt-check:
@@ -125,7 +110,7 @@ lint:
 test:
     cargo test -q --workspace
 
-# Compile all 10 Criterion bench targets without running them.
+# Compile the six Criterion bench targets without running them.
 bench-check: perfbench-build
     cargo bench --no-run
 
@@ -151,12 +136,6 @@ perfbench workload seed trace seconds="25":
 # Run the benches (the criterion shim prints mean/min/max wall-clock).
 bench:
     cargo bench
-
-# Record a bench baseline snapshot (all 10 Criterion targets + a timed
-# repro_fig6) into results/bench_baseline.json. Run once with label=pre
-# before a perf change and once with label=post after it.
-bench-baseline label="post":
-    cargo run --release -p t2fsnn-bench --bin bench_baseline -- --label {{label}}
 
 # Run one paper-reproduction binary, e.g. `just repro table2`.
 repro target:

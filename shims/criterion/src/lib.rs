@@ -91,36 +91,6 @@ impl Bencher {
     }
 }
 
-/// Appends one JSON-lines record to the file named by the
-/// `CRITERION_SHIM_JSON` env var, if set. This is how harness tooling
-/// (`bench_baseline` in `t2fsnn-bench`) collects machine-readable
-/// timings without parsing stdout; the variable is unset in normal
-/// `cargo bench` runs, which keeps this a no-op.
-fn export_json_line(group: &str, id: &str, mean: Duration, min: Duration, max: Duration, n: usize) {
-    let path = match std::env::var("CRITERION_SHIM_JSON") {
-        Ok(p) if !p.is_empty() => p,
-        _ => return,
-    };
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let line = format!(
-        "{{\"group\":\"{}\",\"bench\":\"{}\",\"mean_ns\":{},\"min_ns\":{},\"max_ns\":{},\"samples\":{}}}\n",
-        escape(group),
-        escape(id),
-        mean.as_nanos(),
-        min.as_nanos(),
-        max.as_nanos(),
-        n
-    );
-    use std::io::Write;
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        let _ = f.write_all(line.as_bytes());
-    }
-}
-
 fn fmt_duration(d: Duration) -> String {
     let nanos = d.as_nanos();
     if nanos >= 1_000_000_000 {
@@ -176,7 +146,6 @@ impl BenchmarkGroup {
             fmt_duration(max),
             samples.len()
         );
-        export_json_line(&self.name, &id, mean, min, max, samples.len());
         self
     }
 

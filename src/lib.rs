@@ -21,9 +21,14 @@
 //!   └─ t2fsnn-data       synthetic datasets, stats
 //!        └─ t2fsnn-dnn   layers, training, SNN-oriented normalization
 //!             └─ t2fsnn-snn   IF neurons, codings, event-driven sim
-//!                  └─ t2fsnn      TTFS kernels, conversion, evaluation
-//!                       └─ t2fsnn-bench  scenarios, repro_* binaries
+//!                  └─ t2fsnn      TTFS kernels, conversion, evaluation,
+//!                       │         scenarios and their `T2FB` cache
+//!                       ├─ t2fsnn-bench  repro_* binaries, serve_load, benches
+//!                       └─ t2fsnn-serve  HTTP serving, model registry
 //! ```
+//!
+//! `t2fsnn-bench` and `t2fsnn-serve` are siblings: neither depends on
+//! the other (`serve_load` drives the server over HTTP).
 
 /// Dense tensor substrate.
 pub use t2fsnn_tensor as tensor;
@@ -40,5 +45,5 @@ pub use t2fsnn_snn as snn;
 /// The T2FSNN core: kernels, conversion, evaluation.
 pub use t2fsnn as core;
 
-/// Benchmark scenarios and reporting.
+/// Reproduction harness: the scenario re-exports and report helpers.
 pub use t2fsnn_bench as bench;
