@@ -1,8 +1,9 @@
 //! # t2fsnn-bench
 //!
 //! Shared experiment harness for the reproduction binaries (`repro_*`,
-//! one per paper table/figure), the `serve_load` load generator and the
-//! Criterion micro-benchmarks.
+//! one per paper table/figure) and the Criterion micro-benchmarks. The
+//! `serve_load` load generator lives next to the server, in
+//! `t2fsnn-serve`.
 //!
 //! The scenarios themselves — datasets, architectures, training recipes
 //! and the on-disk cache of trained networks — live in

@@ -1,6 +1,7 @@
-//! The JSON wire protocol. Kept dependency-free on purpose: clients
-//! (e.g. the bench crate's `serve_load` generator) speak it with their
-//! own struct mirrors, so the shapes here are the contract.
+//! The JSON wire protocol. Kept dependency-free on purpose: the server,
+//! the `serve_load` gate driver, the repository benchmark and the tests
+//! all use these types, so the field names here are the contract and
+//! `tests::wire_field_names_are_pinned` pins them.
 
 use serde::{Deserialize, Serialize};
 
@@ -195,6 +196,84 @@ mod tests {
         assert_eq!(req.deadline_ms, None);
         assert_eq!(req.timing, None);
         assert_eq!(req.image, vec![0.5, 1.0]);
+    }
+
+    /// The wire names every client depends on: renaming a field breaks
+    /// clients silently, so each public body's exact serialization is
+    /// pinned, key by key. (`optional_fields_default_when_missing`
+    /// pins the other direction: a request body with every optional
+    /// field omitted.)
+    #[test]
+    fn wire_field_names_are_pinned() {
+        let request = InferRequest {
+            model: Some("tiny".into()),
+            image: vec![0.5],
+            early_exit: Some(true),
+            deadline_ms: Some(15),
+            timing: Some(true),
+        };
+        assert_eq!(
+            serde_json::to_string(&request).unwrap(),
+            r#"{"model":"tiny","image":[0.5],"early_exit":true,"deadline_ms":15,"timing":true}"#
+        );
+        let timing = Timing {
+            trace: 1,
+            batch_trace: 2,
+            queue_us: 3,
+            infer_us: 4,
+            total_us: 9,
+        };
+        let timing_json = r#"{"trace":1,"batch_trace":2,"queue_us":3,"infer_us":4,"total_us":9}"#;
+        assert_eq!(serde_json::to_string(&timing).unwrap(), timing_json);
+        let mut response = InferResponse {
+            model: "tiny".into(),
+            version: 1,
+            label: 2,
+            decision_step: None,
+            steps: 96,
+            top_potential: 0.5,
+            input_spikes: 10,
+            hidden_spikes: 20,
+            synop_adds: 30,
+            synop_mults: 40,
+            energy_truenorth: 1.5,
+            batch_size: 1,
+            queue_us: 5,
+            infer_us: 6,
+            degraded: false,
+            timing: None,
+        };
+        let response_json = |timing: &str| {
+            format!(
+                r#"{{"model":"tiny","version":1,"label":2,"decision_step":null,"steps":96,"top_potential":0.5,"input_spikes":10,"hidden_spikes":20,"synop_adds":30,"synop_mults":40,"energy_truenorth":1.5,"batch_size":1,"queue_us":5,"infer_us":6,"degraded":false,"timing":{timing}}}"#
+            )
+        };
+        assert_eq!(
+            serde_json::to_string(&response).unwrap(),
+            response_json("null")
+        );
+        response.timing = Some(timing);
+        assert_eq!(
+            serde_json::to_string(&response).unwrap(),
+            response_json(timing_json)
+        );
+        let report = HealthReport {
+            status: "ok".into(),
+            draining: false,
+            queue_depth: 0,
+            queue_capacity: 256,
+            models: vec![ModelHealth {
+                name: "tiny".into(),
+                available: true,
+                state: "ready".into(),
+                version: 1,
+                error: None,
+            }],
+        };
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            r#"{"status":"ok","draining":false,"queue_depth":0,"queue_capacity":256,"models":[{"name":"tiny","available":true,"state":"ready","version":1,"error":null}]}"#
+        );
     }
 
     #[test]

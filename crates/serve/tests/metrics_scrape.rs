@@ -4,40 +4,13 @@
 //! renames or malformed expositions (the README table and downstream
 //! scrapers depend on these exact names).
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+mod common;
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use common::request;
 use t2fsnn_serve::protocol::InferRequest;
 use t2fsnn_serve::{start, Registry, ServeConfig, ServerHandle};
-
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(90)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response head")
-        + 4;
-    let head = String::from_utf8_lossy(&raw[..head_end]);
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    (status, raw[head_end..].to_vec())
-}
 
 fn test_server() -> (ServerHandle, Vec<f32>) {
     let registry = Registry::load(&["tiny".to_string()]).expect("load tiny model");

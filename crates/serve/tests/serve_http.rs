@@ -3,49 +3,15 @@
 //! solo-vs-batched bit-identity, backpressure, and graceful ctrl-channel
 //! shutdown.
 
-use std::io::{Read, Write};
+mod common;
+
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
+use common::{read_response, request};
 use t2fsnn_serve::protocol::{HealthReport, InferRequest, InferResponse, ModelInfo};
 use t2fsnn_serve::{start, Registry, ServeConfig, ServerHandle};
-
-/// One blocking HTTP/1.1 exchange on a fresh connection.
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(90)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body).unwrap();
-    read_response(&mut stream)
-}
-
-/// Parses `status` and body from a `Connection: close` response.
-fn read_response(stream: &mut TcpStream) -> (u16, Vec<u8>) {
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    parse_response(&raw)
-}
-
-fn parse_response(raw: &[u8]) -> (u16, Vec<u8>) {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response head")
-        + 4;
-    let head = String::from_utf8_lossy(&raw[..head_end]);
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    (status, raw[head_end..].to_vec())
-}
 
 fn infer_body(image: &[f32], early_exit: Option<bool>, model: Option<&str>) -> Vec<u8> {
     infer_body_deadline(image, early_exit, model, None)

@@ -20,8 +20,8 @@ crate-graph:
 # responses bit-identical, clean ctrl-channel shutdown (exit 0). Timing
 # output is informational (never asserted).
 serve-smoke:
-    cargo build --release -p t2fsnn-serve -p t2fsnn-bench
-    timeout 600 cargo run --release -p t2fsnn-bench --bin serve_load -- --smoke
+    cargo build --release -p t2fsnn-serve
+    timeout 600 cargo run --release -p t2fsnn-serve --bin serve_load -- smoke
 
 # Chaos smoke (blocking): spawn the server with the fixed-seed fault
 # spec, drive a mixed valid/malformed/doomed closed loop, and assert
@@ -30,20 +30,20 @@ serve-smoke:
 # batch (no batcher respawn), successful responses bit-identical to a
 # solo run, fault counters visible in /metrics, clean shutdown.
 serve-chaos:
-    cargo build --release -p t2fsnn-serve -p t2fsnn-bench
-    timeout 600 cargo run --release -p t2fsnn-bench --bin serve_load -- --chaos --requests 160
+    cargo build --release -p t2fsnn-serve
+    timeout 600 cargo run --release -p t2fsnn-serve --bin serve_load -- chaos
 
 # Robustness smoke (blocking): the perturbation determinism gates on
 # both paths. `repro_robustness` (quick grid) asserts severity-0 runs
 # are bit-identical to the clean baseline and perturbed inference is
-# batch/worker-invariant, then `serve_load --perturb` sweeps a scaled
+# batch/worker-invariant, then `serve_load perturb` sweeps a scaled
 # spec through the serving path (event/weight families via
 # T2FSNN_SERVE_PERTURB, input families client-side) asserting the same
 # identity gates plus healthz and the perturbation-footprint metrics.
 robustness-smoke:
-    cargo build --release -p t2fsnn-serve -p t2fsnn-bench
+    cargo build --release -p t2fsnn-serve
     timeout 600 env T2FSNN_QUICK=1 cargo run --release -p t2fsnn-bench --bin repro_robustness
-    timeout 600 env T2FSNN_QUICK=1 cargo run --release -p t2fsnn-bench --bin serve_load -- --perturb 9:igauss=0.15,jitter=2,drop=0.1,wgauss=0.05
+    timeout 600 env T2FSNN_QUICK=1 cargo run --release -p t2fsnn-serve --bin serve_load -- perturb
 
 # Lifecycle smoke (blocking): the hot model-lifecycle gates. Four
 # phases, each against its own spawned server — clean load / reload /
@@ -55,8 +55,8 @@ robustness-smoke:
 # and an injected `model_panic` burst tripping the per-model quarantine
 # (500 → trip → 503 → seeded canary probe → readmit → bit-exact 200).
 serve-lifecycle:
-    cargo build --release -p t2fsnn-serve -p t2fsnn-bench
-    timeout 900 env T2FSNN_QUICK=1 cargo run --release -p t2fsnn-bench --bin serve_load -- --churn
+    cargo build --release -p t2fsnn-serve
+    timeout 900 env T2FSNN_QUICK=1 cargo run --release -p t2fsnn-serve --bin serve_load -- churn
 
 # Observability smoke (blocking): the read-only contract of the tracing
 # subsystem, end to end. Part A runs repro_fig6 (quick) with
@@ -70,15 +70,16 @@ serve-lifecycle:
 # an in-process A/B of solo `tiny` `infer` with the flight recorder on
 # vs off, interleaved blocks, medians compared.
 obs-smoke:
-    cargo build --release -p t2fsnn-serve -p t2fsnn-bench
-    timeout 900 cargo run --release -p t2fsnn-bench --bin serve_load -- --obs
+    cargo build --release -p t2fsnn-serve
+    cargo build --release -p t2fsnn-bench --bin repro_fig6
+    timeout 900 cargo run --release -p t2fsnn-serve --bin serve_load -- obs
 
 # Overload demo: drive ≥2x the measured full-window capacity with a
-# per-request deadline and record how the degradation ladder holds p99
-# of answered requests under the deadline (results/serve_overload.json).
+# per-request deadline and assert the degradation ladder holds p99 of
+# answered requests under the deadline.
 serve-overload:
-    cargo build --release -p t2fsnn-serve -p t2fsnn-bench
-    timeout 900 cargo run --release -p t2fsnn-bench --bin serve_load -- --overload
+    cargo build --release -p t2fsnn-serve
+    timeout 900 cargo run --release -p t2fsnn-serve --bin serve_load -- overload
 
 # Thread-pool shutdown/deadlock net under a single-threaded harness.
 pool-test:

@@ -23,12 +23,13 @@
 //!             └─ t2fsnn-snn   IF neurons, codings, event-driven sim
 //!                  └─ t2fsnn      TTFS kernels, conversion, evaluation,
 //!                       │         scenarios and their `T2FB` cache
-//!                       ├─ t2fsnn-bench  repro_* binaries, serve_load, benches
-//!                       └─ t2fsnn-serve  HTTP serving, model registry
+//!                       ├─ t2fsnn-bench  repro_* binaries, benches
+//!                       └─ t2fsnn-serve  HTTP serving, model registry, serve_load
 //! ```
 //!
 //! `t2fsnn-bench` and `t2fsnn-serve` are siblings: neither depends on
-//! the other (`serve_load` drives the server over HTTP).
+//! the other (`serve_load`, a `t2fsnn-serve` binary, drives the server
+//! over HTTP and runs `repro_fig6` as a child process).
 
 /// Dense tensor substrate.
 pub use t2fsnn_tensor as tensor;
