@@ -63,7 +63,8 @@ fn main() {
             });
         }
 
-        // One recording forward pass serves every GO variant.
+        // One streamed DNN forward over the training split collects the
+        // GO ground truth that every GO variant trains against.
         let calibration =
             GoCalibration::collect(&mut prepared.dnn, &prepared.train.images).expect("calibration");
         for variant in Variant::ALL {

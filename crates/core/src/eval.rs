@@ -92,9 +92,9 @@ pub fn build_variant<R: Rng + ?Sized>(
 }
 
 /// [`build_variant`] with precollected [`GoCalibration`] values: the
-/// recording forward pass over the calibration set (the dominant cost of
-/// a GO build) runs once, however many variants are built from the same
-/// network.
+/// DNN forward over the calibration set runs once, however many variants
+/// are built from the same network. Non-GO variants ignore the values
+/// (pass [`GoCalibration::empty`] when no GO variant is built).
 ///
 /// # Errors
 ///
@@ -134,6 +134,7 @@ pub struct AblationRow {
 }
 
 /// Runs the full Table I ablation: all four variants on one dataset.
+/// The GO calibration is collected once and shared by both GO variants.
 ///
 /// # Errors
 ///
@@ -147,9 +148,11 @@ pub fn ablation_table<R: Rng + ?Sized>(
     go_config: &GoConfig,
     rng: &mut R,
 ) -> Result<Vec<AblationRow>> {
+    let values = GoCalibration::collect(dnn, calibration)?;
     let mut rows = Vec::with_capacity(Variant::ALL.len());
     for variant in Variant::ALL {
-        let model = build_variant(dnn, calibration, window, variant, initial, go_config, rng)?;
+        let model =
+            build_variant_calibrated(dnn, &values, window, variant, initial, go_config, rng)?;
         let run = model.run(&test.images, &test.labels)?;
         rows.push(AblationRow {
             method: variant.name(),
@@ -316,6 +319,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rows.len(), 4);
+        // Every row's bits, pinned before the two GO variants shared one
+        // calibration: the RNG draws and the rows must not move.
+        assert_eq!(
+            crate::binfmt::crc32(format!("{rows:?}").as_bytes()),
+            4004751870
+        );
         // EF variants must have strictly lower latency (Table I).
         assert!(rows[2].latency < rows[0].latency);
         assert!(rows[3].latency < rows[1].latency);

@@ -301,8 +301,10 @@ impl T2fsnn {
 mod tests {
     use super::*;
     use crate::binfmt::crc32;
+    use crate::eval::{build_variant_calibrated, Variant};
     use crate::kernel::KernelParams;
     use crate::network::{NoiseConfig, T2fsnnConfig};
+    use crate::optimize::{GoCalibration, GoConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use t2fsnn_data::{Dataset, DatasetSpec, SyntheticConfig};
@@ -512,6 +514,46 @@ mod tests {
             2734141354, 71217591, 2769929130, // jitter + drop noise
         ];
         assert_eq!(got, want);
+
+        // GO-built kernels (τ/t_d bits of the input encoder and every
+        // layer) on a 1/2-width VGG whose deepest convs run on 4×4 and
+        // 2×2 planes, calibrated on 100 images: pixels and `conv1_1` are
+        // stride-subsampled, the deep layers are kept whole.
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        let spec = DatasetSpec::new("infer-go", 3, 32, 32, 5);
+        let data = SyntheticConfig::new(spec.clone(), 31).generate(100);
+        let scale = t2fsnn_dnn::architectures::VggScale {
+            base_channels: 4,
+            convs_per_block: [1, 1, 1, 1, 1],
+            fc_width: 16,
+            ..Default::default()
+        };
+        let mut vgg = t2fsnn_dnn::architectures::vgg_scaled(&mut rng, &spec, scale);
+        normalize_for_snn(&mut vgg, &data.images, 0.999).unwrap();
+        let calibration = GoCalibration::collect(&mut vgg, &data.images).unwrap();
+        let go = GoConfig {
+            passes: 1,
+            ..GoConfig::default()
+        };
+        let mut go_digests = Vec::new();
+        for ef in [false, true] {
+            let m = build_variant_calibrated(
+                &vgg,
+                &calibration,
+                32,
+                Variant { go: true, ef },
+                KernelParams::new(8.0, 0.0),
+                &go,
+                &mut rng,
+            )
+            .unwrap();
+            let bits: Vec<(u32, u32)> = std::iter::once(m.input_kernel())
+                .chain(m.kernels().iter().copied())
+                .map(|k| (k.tau.to_bits(), k.t_d.to_bits()))
+                .collect();
+            go_digests.push(crc32(format!("{bits:?}").as_bytes()));
+        }
+        assert_eq!(go_digests, [880852117u32, 2716465684]); // GO, GO + early firing
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use t2fsnn_dnn::{weighted_layer_activations, Network};
+use t2fsnn_dnn::{visit_weighted_activations, Network};
 use t2fsnn_tensor::{Result, Tensor, TensorError};
 
 use crate::kernel::{ExpKernel, KernelParams};
@@ -72,6 +72,39 @@ fn subsample(values: &[f32], cap: usize) -> Vec<f32> {
     }
     let stride = values.len() / cap + 1;
     values.iter().step_by(stride).copied().collect()
+}
+
+/// [`subsample`] of a `total`-element sequence that arrives in pieces:
+/// after every piece has been pushed, in order, `values` holds exactly
+/// `subsample(whole, cap)`.
+struct StrideSampler {
+    stride: usize,
+    /// Global index of the next element to keep.
+    next: usize,
+    /// Elements pushed so far.
+    seen: usize,
+    values: Vec<f32>,
+}
+
+impl StrideSampler {
+    fn new(total: usize, cap: usize) -> Self {
+        let stride = if total <= cap { 1 } else { total / cap + 1 };
+        StrideSampler {
+            stride,
+            next: 0,
+            seen: 0,
+            values: Vec::with_capacity(total.div_ceil(stride)),
+        }
+    }
+
+    fn push(&mut self, piece: &[f32]) {
+        let end = self.seen + piece.len();
+        while self.next < end {
+            self.values.push(piece[self.next - self.seen]);
+            self.next += self.stride;
+        }
+        self.seen = end;
+    }
 }
 
 /// One sample of the three losses during optimization (a Fig. 4 point).
@@ -227,6 +260,7 @@ pub fn optimize_kernel<R: Rng + ?Sized>(
     let mut seen = 0usize;
     let mut last_record = 0usize;
     let record = |seen: usize, params: KernelParams, history: &mut Vec<LossSample>| {
+        let _s = t2fsnn_tensor::trace::span("go/record_losses");
         let mut sample = kernel_losses(&loss_values, params, window, theta0);
         sample.seen = seen;
         history.push(sample);
@@ -275,37 +309,50 @@ pub fn optimize_model<R: Rng + ?Sized>(
 
 /// The ground-truth value sets kernel optimization trains against:
 /// the raw pixel distribution for the input encoder and each hidden
-/// weighted layer's post-ReLU DNN activations (the `z̄` of Eq. 9).
+/// weighted layer's post-ReLU DNN activations (the `z̄` of Eq. 9), each
+/// already stride-subsampled to the ≤ 10⁵ values [`optimize_kernel`]
+/// reads.
 ///
-/// Collecting them costs one recording forward pass over the
-/// calibration set — by far the dominant cost of a GO run — so harness
-/// code that builds several GO variants of the same network collects
-/// once and calls [`optimize_model_calibrated`] per variant.
+/// Collecting them runs the DNN forward over every calibration image,
+/// so harness code that builds several GO variants of the same network
+/// collects once and calls [`optimize_model_calibrated`] per variant.
 pub struct GoCalibration {
     pixels: Vec<f32>,
     hidden_values: Vec<Vec<f32>>,
 }
 
 impl GoCalibration {
-    /// Runs the recording forward pass and extracts the value sets.
+    /// Streams the DNN forward over `images` in chunks and keeps, per
+    /// value set, exactly the elements `optimize_kernel` would keep from
+    /// the whole-set tensor (the stride follows from the set's total
+    /// size: images × values per image). The kernels optimized against
+    /// it are therefore those of the whole-set values, while at most
+    /// one chunk of activations is alive at a time.
     ///
     /// # Errors
     ///
     /// Propagates forward-pass errors.
     pub fn collect(dnn: &mut Network, images: &Tensor) -> Result<Self> {
         let _s = t2fsnn_tensor::trace::span("go/collect_activations");
-        let pixels: Vec<f32> = images.iter().copied().collect();
+        let mut pixels = StrideSampler::new(images.numel(), MAX_OPT_VALUES);
+        pixels.push(images.data());
         // The last weighted layer never fires, so it is skipped.
-        let activations = weighted_layer_activations(dnn, images)?;
-        let hidden = activations.len().saturating_sub(1);
-        let hidden_values = activations
-            .into_iter()
-            .take(hidden)
-            .map(|(_, act)| act.into_vec())
-            .collect();
+        let weighted = dnn.layers().iter().filter(|l| l.has_params()).count();
+        let mut hidden: Vec<Option<StrideSampler>> = (1..weighted).map(|_| None).collect();
+        let n = images.dims().first().copied().unwrap_or(0);
+        visit_weighted_activations(dnn, images, |k, act| {
+            if let Some(slot) = hidden.get_mut(k) {
+                let per_image = act.numel() / act.dims()[0].max(1);
+                slot.get_or_insert_with(|| StrideSampler::new(n * per_image, MAX_OPT_VALUES))
+                    .push(act.data());
+            }
+        })?;
         Ok(GoCalibration {
-            pixels,
-            hidden_values,
+            pixels: pixels.values,
+            hidden_values: hidden
+                .into_iter()
+                .map(|s| s.map(|s| s.values).unwrap_or_default())
+                .collect(),
         })
     }
 
@@ -385,6 +432,81 @@ mod tests {
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(4)
+    }
+
+    /// The whole-set path `GoCalibration::collect` replaced: record every
+    /// weighted layer's activation over all images, then subsample.
+    fn collect_oracle(dnn: &mut Network, images: &Tensor) -> (Vec<usize>, GoCalibration) {
+        let activations = t2fsnn_dnn::weighted_layer_activations(dnn, images).unwrap();
+        let hidden = activations.len() - 1;
+        let sizes = activations[..hidden]
+            .iter()
+            .map(|(_, a)| a.numel())
+            .collect();
+        let calibration = GoCalibration {
+            pixels: subsample(images.data(), MAX_OPT_VALUES),
+            hidden_values: activations[..hidden]
+                .iter()
+                .map(|(_, a)| subsample(a.data(), MAX_OPT_VALUES))
+                .collect(),
+        };
+        (sizes, calibration)
+    }
+
+    #[test]
+    fn streaming_collect_matches_whole_set_oracle() {
+        use t2fsnn_data::{DatasetSpec, SyntheticConfig};
+        use t2fsnn_dnn::architectures::{vgg_scaled, VggScale};
+        // 100 images: one full forward chunk and a partial one. The
+        // pixels and `conv1_1` (409 600 values) are strided, the deep
+        // layers on 4×4 and 2×2 planes are kept whole.
+        let spec = DatasetSpec::new("go-stream", 3, 32, 32, 5);
+        let images = SyntheticConfig::new(spec.clone(), 6).generate(100).images;
+        let scale = VggScale {
+            base_channels: 4,
+            convs_per_block: [1, 1, 1, 1, 1],
+            fc_width: 16,
+            ..VggScale::default()
+        };
+        let mut dnn = vgg_scaled(&mut rng(), &spec, scale);
+        let (sizes, want) = collect_oracle(&mut dnn, &images);
+        assert!(sizes.iter().any(|&s| s > MAX_OPT_VALUES));
+        assert!(sizes.iter().any(|&s| s <= MAX_OPT_VALUES));
+        let got = GoCalibration::collect(&mut dnn, &images).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.pixels), bits(&want.pixels));
+        assert_eq!(got.hidden_layers(), want.hidden_layers());
+        for (k, (g, w)) in got
+            .hidden_values
+            .iter()
+            .zip(&want.hidden_values)
+            .enumerate()
+        {
+            assert_eq!(bits(g), bits(w), "hidden layer {k}");
+        }
+    }
+
+    #[test]
+    fn stride_sampler_matches_subsample_for_any_split() {
+        let values: Vec<f32> = (0..1000).map(|i| i as f32).collect();
+        for (len, cap) in [
+            (0, 10),
+            (10, 10),
+            (11, 10),
+            (1000, 7),
+            (999, 100),
+            (500, 499),
+        ] {
+            let whole = &values[..len];
+            for piece in [1, 3, 64, 1000] {
+                let mut sampler = StrideSampler::new(len, cap);
+                for chunk in whole.chunks(piece) {
+                    sampler.push(chunk);
+                }
+                sampler.push(&[]);
+                assert_eq!(sampler.values, subsample(whole, cap), "{len}/{cap}/{piece}");
+            }
+        }
     }
 
     /// A plausible activation set: many small values, few large.

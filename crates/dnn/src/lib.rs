@@ -47,6 +47,8 @@ mod optim;
 mod train;
 
 pub use network::Network;
-pub use normalize::{normalize_for_snn, weighted_layer_activations, NormalizationReport};
+pub use normalize::{
+    normalize_for_snn, visit_weighted_activations, weighted_layer_activations, NormalizationReport,
+};
 pub use optim::{Sgd, SgdConfig};
 pub use train::{evaluate, train, EpochReport, TrainConfig, TrainReport};

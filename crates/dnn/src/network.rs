@@ -96,7 +96,9 @@ impl Network {
     ///
     /// Returns `(final_output, per_layer_outputs)`; `per_layer_outputs[i]`
     /// is the output of layer `i`. Used by the data-based normalization and
-    /// the kernel optimizer, which need ground-truth activations.
+    /// [`crate::weighted_layer_activations`], which need whole-set
+    /// activations; the kernel optimizer streams them instead
+    /// ([`crate::visit_weighted_activations`]).
     ///
     /// # Errors
     ///

@@ -104,12 +104,28 @@ pub fn normalize_for_snn(
     Ok(NormalizationReport { scales, percentile })
 }
 
+/// Weighted layer `i`'s activation tap: the ReLU that follows it, or
+/// the layer itself (the final classifier, or a conv followed by batch
+/// norm). Returns `(weighted layer, tapped layer)` pairs in network
+/// order; the tapped indices strictly increase.
+fn weighted_taps(layers: &[Layer]) -> Vec<(usize, usize)> {
+    (0..layers.len())
+        .filter(|&i| layers[i].has_params())
+        .map(|i| match layers.get(i + 1) {
+            Some(Layer::Relu(_)) => (i, i + 1),
+            _ => (i, i),
+        })
+        .collect()
+}
+
 /// Records the post-activation output of every *weighted* layer for the
 /// given input batch. Layer `i`'s entry is the output of the ReLU that
 /// follows it, or the raw output for the final classifier layer.
 ///
 /// This is the ground truth `z̄` the paper's gradient-based kernel
-/// optimization trains against (Sec. III-B).
+/// optimization trains against (Sec. III-B). It holds every activation
+/// of the whole batch at once; [`visit_weighted_activations`] streams
+/// the same values chunk by chunk.
 ///
 /// # Errors
 ///
@@ -119,20 +135,60 @@ pub fn weighted_layer_activations(
     input: &Tensor,
 ) -> Result<Vec<(usize, Tensor)>> {
     let (_, activations) = network.forward_recording(input)?;
-    let layers = network.layers();
-    let mut out = Vec::new();
-    for i in 0..layers.len() {
-        if !layers[i].has_params() {
-            continue;
+    Ok(weighted_taps(network.layers())
+        .into_iter()
+        .map(|(i, tap)| (i, activations[tap].clone()))
+        .collect())
+}
+
+/// Images per forward chunk of [`visit_weighted_activations`]: small
+/// enough that a chunk's activations stay cache-sized, large enough
+/// that the small-plane convs fill their grouped GEMMs on every worker.
+const FORWARD_CHUNK: usize = 64;
+
+/// Runs the inference forward over `input` in chunks of 64 images and
+/// calls `visit(k, activations)` with the `k`-th weighted layer's
+/// activation of each chunk — the tap of [`weighted_layer_activations`].
+/// Chunks arrive in batch order, so concatenating layer `k`'s chunks
+/// gives exactly that function's `k`-th tensor: every layer is
+/// per-image at inference, and each conv or linear output element
+/// accumulates in the same order whatever the batch. Nothing outlives
+/// its chunk.
+///
+/// # Errors
+///
+/// Propagates forward-pass errors, or an error if `input` has rank 0.
+pub fn visit_weighted_activations(
+    network: &mut Network,
+    input: &Tensor,
+    mut visit: impl FnMut(usize, &Tensor),
+) -> Result<()> {
+    let Some((&n, image_dims)) = input.dims().split_first() else {
+        return Err(TensorError::InvalidArgument {
+            op: "visit_weighted_activations",
+            message: "expected a batch, got a scalar".to_string(),
+        });
+    };
+    let taps = weighted_taps(network.layers());
+    let feature: usize = image_dims.iter().product();
+    for start in (0..n).step_by(FORWARD_CHUNK) {
+        let end = (start + FORWARD_CHUNK).min(n);
+        let mut dims = input.dims().to_vec();
+        dims[0] = end - start;
+        let mut x = Tensor::from_vec(dims, input.data()[start * feature..end * feature].to_vec())?;
+        let mut next = 0;
+        for (i, layer) in network.layers_mut().iter_mut().enumerate() {
+            if next == taps.len() {
+                break; // nothing downstream is tapped
+            }
+            x = layer.forward(&x, false)?;
+            if taps[next].1 == i {
+                visit(next, &x);
+                next += 1;
+            }
         }
-        let take_from = if i + 1 < layers.len() && matches!(layers[i + 1], Layer::Relu(_)) {
-            i + 1
-        } else {
-            i
-        };
-        out.push((i, activations[take_from].clone()));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

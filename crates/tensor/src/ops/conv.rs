@@ -89,32 +89,64 @@ pub fn im2col_into(
 ) {
     let (c, h, w) = chw;
     let (kh, kw) = kernel;
+    let cols = spec.output_dim(h, kh) * spec.output_dim(w, kw);
+    out.resize(c * kh * kw * cols, 0.0);
+    im2col_rows(data, chw, kernel, spec, out, cols);
+}
+
+/// Writes one image's im2col rows into `out`, row `r` at
+/// `out[r·row_stride..r·row_stride + OH·OW]` (every entry of those
+/// ranges written, nothing else touched): with `row_stride = G·OH·OW`,
+/// image `j` of a group fills columns `j·OH·OW..(j+1)·OH·OW` of a
+/// shared `[C·KH·KW, G·OH·OW]` matrix.
+fn im2col_rows(
+    data: &[f32],
+    chw: (usize, usize, usize),
+    kernel: (usize, usize),
+    spec: Conv2dSpec,
+    out: &mut [f32],
+    row_stride: usize,
+) {
+    let (c, h, w) = chw;
+    let (kh, kw) = kernel;
     let oh = spec.output_dim(h, kh);
     let ow = spec.output_dim(w, kw);
-    let rows = c * kh * kw;
     let cols = oh * ow;
-    out.resize(rows * cols, 0.0);
-    let pad = spec.padding as isize;
+    let (stride, pad) = (spec.stride, spec.padding);
     for ci in 0..c {
         for ki in 0..kh {
             for kj in 0..kw {
                 let row = (ci * kh + ki) * kw + kj;
-                let orow = &mut out[row * cols..(row + 1) * cols];
+                let orow = &mut out[row * row_stride..row * row_stride + cols];
+                // Output columns `lo..hi` read input column
+                // `oj·stride + kj − pad` inside `[0, w)`; the rest read
+                // padding.
+                let lo = pad.saturating_sub(kj).div_ceil(stride).min(ow);
+                let hi = (w + pad).saturating_sub(kj).div_ceil(stride).clamp(lo, ow);
                 for oi in 0..oh {
-                    let ii = (oi * spec.stride) as isize + ki as isize - pad;
                     let oline = &mut orow[oi * ow..(oi + 1) * ow];
-                    if ii < 0 || ii >= h as isize {
+                    // A row in the top padding wraps to ≥ h.
+                    let ii = (oi * stride + ki).wrapping_sub(pad);
+                    if ii >= h {
                         oline.fill(0.0);
                         continue;
                     }
-                    let iline = &data[(ci * h + ii as usize) * w..(ci * h + ii as usize + 1) * w];
-                    for (oj, slot) in oline.iter_mut().enumerate() {
-                        let jj = (oj * spec.stride) as isize + kj as isize - pad;
-                        *slot = if jj < 0 || jj >= w as isize {
-                            0.0
-                        } else {
-                            iline[jj as usize]
-                        };
+                    let iline = &data[(ci * h + ii) * w..(ci * h + ii + 1) * w];
+                    oline[..lo].fill(0.0);
+                    oline[hi..].fill(0.0);
+                    if lo == hi {
+                        continue;
+                    }
+                    let first = lo * stride + kj - pad;
+                    if stride == 1 {
+                        oline[lo..hi].copy_from_slice(&iline[first..first + hi - lo]);
+                    } else {
+                        for (slot, &v) in oline[lo..hi]
+                            .iter_mut()
+                            .zip(iline[first..].iter().step_by(stride))
+                        {
+                            *slot = v;
+                        }
                     }
                 }
             }
@@ -249,57 +281,174 @@ fn check_conv_args(input: &Tensor, weight: &Tensor, bias: &Tensor) -> Result<()>
 /// ```
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: Conv2dSpec) -> Result<Tensor> {
     check_conv_args(input, weight, bias)?;
-    let (n, _c, h, w) = (
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    );
-    let (o, i, kh, kw) = (
-        weight.dims()[0],
-        weight.dims()[1],
-        weight.dims()[2],
-        weight.dims()[3],
-    );
-    let oh = spec.output_dim(h, kh);
-    let ow = spec.output_dim(w, kw);
-    let c = input.dims()[1];
-    let ckk = i * kh * kw;
-    let in_image = c * h * w;
-    let item_len = o * oh * ow;
-    let mut out = vec![0.0f32; n * item_len];
-    if item_len > 0 {
-        // Weight `[O, I, KH, KW]` is row-major, i.e. already the
-        // `[O, I·KH·KW]` GEMM operand. Images are independent, so the
-        // batch parallelizes with bit-identical results for any worker
-        // count; the im2col buffer is thread-local and reused across
-        // images and calls (every entry is rewritten, so no clearing).
-        thread_local! {
-            static COLS: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+    let geometry = ConvGeometry::new(input, weight, spec);
+    let mut out = vec![0.0f32; geometry.n * geometry.item_len()];
+    if geometry.item_len() > 0 {
+        let pool = crate::ThreadPool::global();
+        let args = (input.data(), weight.data(), bias.data());
+        if geometry.plane() < SMALL_PLANE {
+            conv2d_grouped(
+                &geometry,
+                args,
+                GROUP_COLUMNS / geometry.plane(),
+                pool,
+                &mut out,
+            );
+        } else {
+            conv2d_per_image(&geometry, args, pool, &mut out);
         }
-        let id = input.data();
-        let wd = weight.data();
-        crate::ThreadPool::global().scatter_items(&mut out, item_len, |img, slot| {
-            COLS.with(|cols| {
-                let cols = &mut *cols.borrow_mut();
-                im2col_into(
-                    &id[img * in_image..(img + 1) * in_image],
-                    (c, h, w),
-                    (kh, kw),
-                    spec,
-                    cols,
+    }
+    Tensor::from_vec(geometry.output_dims(), out)
+}
+
+/// Output planes narrower than this many positions take the grouped
+/// path. On one image their GEMM never fills the 16-column register
+/// tile of `gemm_block4` and runs entirely in its column-remainder loop:
+/// a 32→32-channel conv on a 2×2 plane (a VGG's last block) costs
+/// ~28 µs per image that way and ~7 µs grouped, on one worker of a
+/// 2-vCPU AVX2 VM. A 4×4 plane already fills one tile and runs no
+/// faster grouped.
+const SMALL_PLANE: usize = 16;
+
+/// GEMM width a group of small-plane images is filled up to: a group
+/// holds `GROUP_COLUMNS / (OH·OW)` images (32 to 256 columns measured
+/// alike).
+const GROUP_COLUMNS: usize = 64;
+
+/// Shapes of one forward convolution.
+struct ConvGeometry {
+    n: usize,
+    chw: (usize, usize, usize),
+    o: usize,
+    kernel: (usize, usize),
+    out_hw: (usize, usize),
+    spec: Conv2dSpec,
+}
+
+impl ConvGeometry {
+    fn new(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Self {
+        let d = input.dims();
+        let (kh, kw) = (weight.dims()[2], weight.dims()[3]);
+        ConvGeometry {
+            n: d[0],
+            chw: (d[1], d[2], d[3]),
+            o: weight.dims()[0],
+            kernel: (kh, kw),
+            out_hw: (spec.output_dim(d[2], kh), spec.output_dim(d[3], kw)),
+            spec,
+        }
+    }
+
+    fn plane(&self) -> usize {
+        self.out_hw.0 * self.out_hw.1
+    }
+
+    /// `C·KH·KW`: the contraction length.
+    fn ckk(&self) -> usize {
+        self.chw.0 * self.kernel.0 * self.kernel.1
+    }
+
+    fn in_image(&self) -> usize {
+        self.chw.0 * self.chw.1 * self.chw.2
+    }
+
+    fn item_len(&self) -> usize {
+        self.o * self.plane()
+    }
+
+    fn output_dims(&self) -> [usize; 4] {
+        [self.n, self.o, self.out_hw.0, self.out_hw.1]
+    }
+}
+
+/// One image at a time: unfold it into `[C·KH·KW, OH·OW]`, run one
+/// `[O, C·KH·KW]` GEMM into its output slot, add the bias. Weight
+/// `[O, I, KH, KW]` is row-major, i.e. already the GEMM operand. Images
+/// are independent, so the batch parallelizes with bit-identical results
+/// for any worker count; the im2col buffer is thread-local and reused
+/// across images and calls (every entry is rewritten, so no clearing).
+fn conv2d_per_image(
+    g: &ConvGeometry,
+    (id, wd, bd): (&[f32], &[f32], &[f32]),
+    pool: &crate::ThreadPool,
+    out: &mut [f32],
+) {
+    thread_local! {
+        static COLS: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+    let (plane, in_image) = (g.plane(), g.in_image());
+    pool.scatter_items(out, g.item_len(), |img, slot| {
+        COLS.with(|cols| {
+            let cols = &mut *cols.borrow_mut();
+            let image = &id[img * in_image..(img + 1) * in_image];
+            im2col_into(image, g.chw, g.kernel, g.spec, cols);
+            super::matmul::gemm_accumulate(slot, wd, g.o, g.ckk(), cols, plane);
+        });
+        for (oc, dst) in slot.chunks_exact_mut(plane).enumerate() {
+            let b = bd[oc];
+            for v in dst.iter_mut() {
+                *v += b;
+            }
+        }
+    });
+}
+
+/// Up to `group` images at a time: unfold them side by side into one
+/// `[C·KH·KW, G·OH·OW]` matrix, run one GEMM over it, then scatter each
+/// image's columns into its output slot with the bias added.
+///
+/// Bit-identical to [`conv2d_per_image`]: `gemm_accumulate` adds each
+/// output element's products in ascending contraction order, with a
+/// separate multiply and add, whatever the GEMM width, and its zero
+/// skip looks only at the weights. Each worker takes a contiguous range
+/// of images (so a small batch still spreads over the pool) and groups
+/// within it.
+fn conv2d_grouped(
+    g: &ConvGeometry,
+    (id, wd, bd): (&[f32], &[f32], &[f32]),
+    group: usize,
+    pool: &crate::ThreadPool,
+    out: &mut [f32],
+) {
+    let (plane, in_image, item_len, ckk) = (g.plane(), g.in_image(), g.item_len(), g.ckk());
+    let mut tasks = Vec::new();
+    let mut rest = out;
+    for range in pool.chunk_ranges(g.n) {
+        let (head, tail) = rest.split_at_mut(range.len() * item_len);
+        tasks.push((range.start, head));
+        rest = tail;
+    }
+    pool.run_tasks(tasks, |(first, slots)| {
+        let mut cols = Vec::new();
+        let mut product = Vec::new();
+        for (k, slots) in slots.chunks_mut(group * item_len).enumerate() {
+            let images = first + k * group;
+            let width = slots.len() / item_len * plane;
+            cols.resize(ckk * width, 0.0);
+            for (j, img) in (images..images + width / plane).enumerate() {
+                let image = &id[img * in_image..(img + 1) * in_image];
+                im2col_rows(
+                    image,
+                    g.chw,
+                    g.kernel,
+                    g.spec,
+                    &mut cols[j * plane..],
+                    width,
                 );
-                super::matmul::gemm_accumulate(slot, wd, o, ckk, cols, oh * ow);
-            });
-            for (oc, plane) in slot.chunks_exact_mut(oh * ow).enumerate() {
-                let b = bias.data()[oc];
-                for v in plane.iter_mut() {
-                    *v += b;
+            }
+            product.clear();
+            product.resize(g.o * width, 0.0);
+            super::matmul::gemm_accumulate(&mut product, wd, g.o, ckk, &cols, width);
+            for (j, slot) in slots.chunks_exact_mut(item_len).enumerate() {
+                for (oc, dst) in slot.chunks_exact_mut(plane).enumerate() {
+                    let src = &product[oc * width + j * plane..oc * width + (j + 1) * plane];
+                    for (v, &p) in dst.iter_mut().zip(src) {
+                        *v = p + bd[oc];
+                    }
                 }
             }
-        });
-    }
-    Tensor::from_vec([n, o, oh, ow], out)
+        }
+    });
 }
 
 /// Gradients of [`conv2d`] with respect to input, weight and bias.
@@ -513,7 +662,9 @@ mod tests {
 
     #[test]
     fn conv_matches_naive_oracle() {
-        for &(stride, padding) in &[(1usize, 0usize), (1, 1), (2, 0), (2, 1)] {
+        // Padding 3 leaves whole output columns in the padding; stride 9
+        // on a 6-wide input leaves kernel columns that read only padding.
+        for &(stride, padding) in &[(1usize, 0usize), (1, 1), (2, 0), (2, 1), (1, 3), (9, 1)] {
             let spec = Conv2dSpec::new(stride, padding);
             let input = arange([2, 3, 6, 6]);
             let weight = arange([4, 3, 3, 3]);
@@ -524,6 +675,65 @@ mod tests {
                 fast.all_close(&slow, 1e-4),
                 "mismatch at stride={stride} padding={padding}"
             );
+        }
+    }
+
+    #[test]
+    fn grouped_conv_is_bit_identical_to_per_image() {
+        // (channels, outputs, input side, kernel, stride, padding, images):
+        // planes 1, 4 and 9 (stride 2) below the threshold, 16 (also with
+        // stride 2 and no padding) and 64 above it; one image, and batches
+        // that leave a partial group on some worker.
+        let cases = [
+            (3, 5, 1, 3, 1, 1, 1),
+            (3, 5, 2, 3, 1, 1, 37),
+            (2, 6, 6, 3, 2, 1, 13),
+            (4, 5, 4, 3, 1, 1, 9),
+            (2, 3, 8, 2, 2, 0, 7),
+            (2, 5, 8, 3, 1, 1, 5),
+        ];
+        for (c, o, hw, k, stride, padding, n) in cases {
+            let spec = Conv2dSpec::new(stride, padding);
+            let input = Tensor::from_fn([n, c, hw, hw], |i| {
+                let h = (i[0] * 131 + i[1] * 31 + i[2] * 7 + i[3]) % 17;
+                if h == 0 {
+                    0.0
+                } else {
+                    h as f32 * 0.37 - 2.9
+                }
+            });
+            // Output channel 0 is a zero row, and input channel 0 is zero
+            // for every output: the GEMM's zero skips must not depend on
+            // how many images share it.
+            let weight = Tensor::from_fn([o, c, k, k], |i| {
+                if i[0] == 0 || i[1] == 0 {
+                    0.0
+                } else {
+                    ((i[0] * 5 + i[1] * 3 + i[2] * 2 + i[3]) % 11) as f32 * 0.13 - 0.6
+                }
+            });
+            let bias = Tensor::from_fn([o], |i| i[0] as f32 * 0.25 - 0.5);
+            let geometry = ConvGeometry::new(&input, &weight, spec);
+            let args = (input.data(), weight.data(), bias.data());
+            let mut reference = vec![0.0f32; n * geometry.item_len()];
+            conv2d_per_image(&geometry, args, &crate::ThreadPool::new(1), &mut reference);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let want = bits(&reference);
+            let plane = geometry.plane();
+            for group in [1, 3, GROUP_COLUMNS / plane] {
+                for workers in [1, 2, 3] {
+                    let mut out = vec![f32::NAN; n * geometry.item_len()];
+                    let pool = crate::ThreadPool::new(workers);
+                    conv2d_grouped(&geometry, args, group, &pool, &mut out);
+                    assert_eq!(
+                        bits(&out),
+                        want,
+                        "plane {plane}, {n} images, group {group}, {workers} workers"
+                    );
+                }
+            }
+            let public = conv2d(&input, &weight, &bias, spec).unwrap();
+            assert_eq!(bits(public.data()), want, "conv2d, plane {plane}");
         }
     }
 

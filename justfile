@@ -7,7 +7,7 @@ verify:
     cargo test -q
 
 # Everything CI runs, in CI order; every step blocks.
-ci: fmt-check lint verify test-scalar pool-test crate-graph bench-check perfbench-smoke serve-smoke serve-chaos robustness-smoke serve-lifecycle obs-smoke
+ci: fmt-check lint verify test-scalar pool-test conv-threads crate-graph bench-check perfbench-smoke serve-smoke serve-chaos robustness-smoke serve-lifecycle obs-smoke
 
 # Crate-graph guard (blocking): the server loads models through
 # `t2fsnn::scenario` and must not depend on the reproduction harness.
@@ -85,6 +85,11 @@ serve-overload:
 pool-test:
     RUST_TEST_THREADS=1 cargo test -p t2fsnn-tensor parallel
 
+# The conv tests on three workers: the global pool then splits a batch
+# into ranges that do not divide the small-plane image groups.
+conv-threads:
+    T2FSNN_THREADS=3 cargo test -p t2fsnn-tensor conv
+
 # The full suite on the scalar SIMD fallback: without this leg the
 # scalar kernels only ever execute on pre-2013 (non-AVX2) hardware.
 test-scalar:
@@ -111,7 +116,7 @@ lint:
 test:
     cargo test -q --workspace
 
-# Compile the six Criterion bench targets without running them.
+# Compile the four Criterion bench targets without running them.
 bench-check: perfbench-build
     cargo bench --no-run
 
