@@ -39,7 +39,7 @@
 //! on the same accuracy/latency curve, not a different computation.
 
 use serde::{Deserialize, Serialize};
-use t2fsnn_snn::OpPlan;
+use t2fsnn_snn::{OpPlan, SnnOp};
 use t2fsnn_tensor::{trace, Result, Tensor, TensorError, ThreadPool};
 
 use crate::network::T2fsnn;
@@ -101,14 +101,45 @@ impl ImageInference {
     }
 }
 
-/// Argmax over one output row with exactly [`T2fsnn::run`]'s tie rule
-/// (the last maximal element, matching `Iterator::max_by`).
-fn argmax(row: &[f32]) -> (usize, f32) {
+/// Argmax over one output row: the last maximal element (matching
+/// `Iterator::max_by`), with a NaN comparing equal to everything. Both
+/// [`T2fsnn::infer`]'s labels and [`T2fsnn::run`]'s correct counts come
+/// from it.
+pub(crate) fn argmax(row: &[f32]) -> (usize, f32) {
     row.iter()
         .copied()
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
         .unwrap_or((0, f32::NEG_INFINITY))
+}
+
+/// What the step loop measured over a batch (or one chunk of it).
+pub(crate) struct Simulation {
+    /// Per-image results, in batch order.
+    pub(crate) images: Vec<ImageInference>,
+    /// Spikes at each local step `[0, T)` of a fire window: the input
+    /// encoding's first, then each hidden layer's.
+    pub(crate) histograms: Vec<Vec<u64>>,
+    /// `(step, images labelled correctly)` at each record step; empty
+    /// without labels.
+    pub(crate) curve: Vec<(usize, usize)>,
+}
+
+impl Simulation {
+    /// Appends the next chunk: its images follow, its histograms and
+    /// correct counts add in.
+    fn absorb(&mut self, next: Simulation) {
+        self.images.extend(next.images);
+        for (a, b) in self.histograms.iter_mut().zip(next.histograms) {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x += y;
+            }
+        }
+        for (a, b) in self.curve.iter_mut().zip(next.curve) {
+            debug_assert_eq!(a.0, b.0, "chunks record the same steps");
+            a.1 += b.1;
+        }
+    }
 }
 
 impl T2fsnn {
@@ -118,7 +149,8 @@ impl T2fsnn {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatches.
+    /// Returns an error on shape mismatches or if the network does not
+    /// end in a classifier.
     pub fn infer(&self, images: &Tensor, opts: InferOptions) -> Result<Vec<ImageInference>> {
         self.infer_on(images, opts, ThreadPool::global())
     }
@@ -135,44 +167,87 @@ impl T2fsnn {
         opts: InferOptions,
         pool: &ThreadPool,
     ) -> Result<Vec<ImageInference>> {
+        let sim = self.simulate("T2fsnn::infer", images, None, opts.early_exit, pool)?;
+        Ok(sim.images)
+    }
+
+    /// The setup both entry points share: validates the batch (and its
+    /// labels), compiles the plan once, runs [`T2fsnn::simulate_chunk`]
+    /// on each of `pool`'s contiguous chunks of the batch and merges the
+    /// chunks in order. An empty batch is one empty chunk. Errors name
+    /// the entry point `op`.
+    pub(crate) fn simulate(
+        &self,
+        op: &'static str,
+        images: &Tensor,
+        labels: Option<&[usize]>,
+        early_exit: bool,
+        pool: &ThreadPool,
+    ) -> Result<Simulation> {
         if images.rank() != 4 {
             return Err(TensorError::InvalidArgument {
-                op: "T2fsnn::infer",
+                op,
                 message: format!("expected [N, C, H, W] images, got {}", images.shape()),
             });
         }
         let n = images.dims()[0];
+        if let Some(labels) = labels.filter(|l| l.len() != n) {
+            return Err(TensorError::InvalidArgument {
+                op,
+                message: format!("{n} images but {} labels", labels.len()),
+            });
+        }
         let plan = self.plan(&images.dims()[1..])?;
+        let ops = self.network().ops();
+        let output = ops
+            .iter()
+            .rposition(SnnOp::is_weighted)
+            .expect("plan has a weighted op");
+        if plan.state_dims(output).len() != 1 {
+            return Err(TensorError::InvalidArgument {
+                op,
+                message: format!(
+                    "output {:?} per image — the network must end in a classifier",
+                    plan.state_dims(output)
+                ),
+            });
+        }
         let ranges = pool.chunk_ranges(n);
         if ranges.len() <= 1 {
-            return self.infer_chunk(images, opts, &plan);
+            return self.simulate_chunk(images, labels, early_exit, &plan);
         }
         let feature: usize = images.dims()[1..].iter().product();
-        let mut tasks: Vec<Tensor> = Vec::with_capacity(ranges.len());
-        for range in &ranges {
+        let mut tasks = Vec::with_capacity(ranges.len());
+        for range in ranges {
             let mut dims = images.dims().to_vec();
             dims[0] = range.len();
-            tasks.push(Tensor::from_vec(
-                dims,
-                images.data()[range.start * feature..range.end * feature].to_vec(),
-            )?);
+            let chunk = images.data()[range.start * feature..range.end * feature].to_vec();
+            tasks.push((Tensor::from_vec(dims, chunk)?, labels.map(|l| &l[range])));
         }
-        let results = pool.run_tasks(tasks, |chunk| self.infer_chunk(&chunk, opts, &plan));
-        let mut out = Vec::with_capacity(n);
-        for chunk in results {
-            out.extend(chunk?);
+        let mut chunks = pool
+            .run_tasks(tasks, |(chunk, labels)| {
+                self.simulate_chunk(&chunk, labels, early_exit, &plan)
+            })
+            .into_iter();
+        let mut sim = chunks.next().expect("two or more chunks")?;
+        for chunk in chunks {
+            sim.absorb(chunk?);
         }
-        Ok(out)
+        Ok(sim)
     }
 
-    /// One contiguous sub-batch over the shared compiled `plan`;
-    /// per-image results are independent of the chunking.
-    fn infer_chunk(
+    /// The TTFS step loop over one contiguous sub-batch and the shared
+    /// compiled `plan`. Each step's spikes and synops are billed to their
+    /// images, so per-image results are independent of the chunking.
+    /// With `labels`, the correct count is recorded every
+    /// `record_every` steps and at the last step of the pipeline.
+    fn simulate_chunk(
         &self,
         images: &Tensor,
-        opts: InferOptions,
+        labels: Option<&[usize]>,
+        early_exit: bool,
         plan: &OpPlan,
-    ) -> Result<Vec<ImageInference>> {
+    ) -> Result<Simulation> {
         let config = self.config();
         let t_window = config.time_window;
         let n = images.dims()[0];
@@ -190,7 +265,7 @@ impl T2fsnn {
         // output integration completes (= `total_steps`), so a decision
         // equals the full-window argmax by construction.
         let ee_start = self.fire_start(l_count - 1);
-        let last_step = if opts.early_exit {
+        let last_step = if early_exit {
             total_steps.max(ee_start + t_window)
         } else {
             total_steps
@@ -199,29 +274,27 @@ impl T2fsnn {
         // input (the first layer at step 0); with early exit, stage L is
         // the output layer's fire window (`ee_start`).
         let stride = config.stride();
-        let stages = if opts.early_exit {
-            l_count + 1
-        } else {
-            l_count
-        };
+        let stages = if early_exit { l_count + 1 } else { l_count };
 
         // Per-image accounting.
         let mut undecided = n;
-        let mut results: Vec<ImageInference> = (0..n)
-            .map(|_| ImageInference {
-                label: 0,
-                decision_step: None,
-                steps: last_step,
-                top_potential: f32::NEG_INFINITY,
-                input_spikes: 0,
-                hidden_spikes: 0,
-                synop_adds: 0,
-                synop_mults: 0,
-            })
-            .collect();
+        let blank = ImageInference {
+            label: 0,
+            decision_step: None,
+            steps: last_step,
+            top_potential: f32::NEG_INFINITY,
+            input_spikes: 0,
+            hidden_spikes: 0,
+            synop_adds: 0,
+            synop_mults: 0,
+        };
+        let mut results = vec![blank; n];
+        let mut histograms = vec![vec![0u64; t_window]; l_count];
+        let mut curve = Vec::new();
+        let classes = st.potentials[l_count - 1].dims()[1].max(1);
 
         for t in 0..last_step {
-            if opts.early_exit && undecided == 0 {
+            if early_exit && undecided == 0 {
                 break;
             }
             if t % stride == 0 && t / stride < stages {
@@ -233,37 +306,37 @@ impl T2fsnn {
                 st.input_step(t)?;
                 for (r, (&s, &a)) in results.iter_mut().zip(st.spikes.iter().zip(&st.synops)) {
                     r.input_spikes += s;
-                    r.synop_mults += s;
+                    r.synop_mults += s; // one kernel multiply per spike
                     r.synop_adds += a;
+                    histograms[0][t] += s;
                 }
             }
 
             // Hidden fire windows; decided images emit nothing.
-            for i in 0..l_count.saturating_sub(1) {
+            for i in 0..l_count - 1 {
                 let start = self.fire_start(i);
                 if t < start || t >= start + t_window {
                     continue;
                 }
-                if st.fire(i, t - start) > 0 {
-                    for (r, &s) in results.iter_mut().zip(&st.spikes) {
+                let local = t - start;
+                if st.fire(i, local) {
+                    st.propagate(i + 1)?;
+                    for (r, (&s, &a)) in results.iter_mut().zip(st.spikes.iter().zip(&st.synops)) {
                         r.hidden_spikes += s;
                         r.synop_mults += s;
-                    }
-                    st.propagate(i + 1, true)?;
-                    for (r, &a) in results.iter_mut().zip(&st.synops) {
                         r.synop_adds += a;
+                        histograms[i + 1][local] += s;
                     }
                 }
             }
 
             // Output fire phase (early exit): the first step whose
             // decaying threshold is crossed decides the image.
-            if opts.early_exit && t >= ee_start && t < ee_start + t_window {
+            if early_exit && t >= ee_start && t < ee_start + t_window {
                 let _s = trace::span("ttfs/early_exit");
                 let threshold = config.theta0 * st.fire_tables[l_count - 1][t - ee_start];
                 let out = &st.potentials[l_count - 1];
-                let classes = out.dims()[1];
-                for (img, row) in out.data().chunks_exact(classes.max(1)).enumerate() {
+                for (img, row) in out.data().chunks_exact(classes).enumerate() {
                     if st.decided[img] {
                         continue;
                     }
@@ -279,13 +352,21 @@ impl T2fsnn {
                     }
                 }
             }
+
+            if let Some(labels) = labels {
+                if (t + 1) % config.record_every == 0 || t + 1 == total_steps {
+                    let _s = trace::span("ttfs/record");
+                    let out = st.potentials[l_count - 1].data().chunks_exact(classes);
+                    let correct = out.zip(labels).filter(|(row, &y)| argmax(row).0 == y);
+                    curve.push((t + 1, correct.count()));
+                }
+            }
         }
 
         // Undecided images (or every image when early exit is off):
         // full-window argmax.
         let out = &st.potentials[l_count - 1];
-        let classes = out.dims()[1];
-        for (img, row) in out.data().chunks_exact(classes.max(1)).enumerate() {
+        for (img, row) in out.data().chunks_exact(classes).enumerate() {
             if !st.decided[img] {
                 let (label, top) = argmax(row);
                 let r = &mut results[img];
@@ -293,7 +374,11 @@ impl T2fsnn {
                 r.top_potential = top;
             }
         }
-        Ok(results)
+        Ok(Simulation {
+            images: results,
+            histograms,
+            curve,
+        })
     }
 }
 
@@ -573,6 +658,45 @@ mod tests {
         assert!(noisy
             .infer(&test_set.images, InferOptions::default())
             .is_ok());
+    }
+
+    #[test]
+    fn non_classifier_output_is_rejected_before_any_step() {
+        // A conv → ReLU DNN converts, but its `[N, H, W, C]` output is
+        // no classifier: every entry point rejects it, none panics.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut dnn = Network::new();
+        let spec = t2fsnn_tensor::ops::Conv2dSpec::new(1, 1);
+        dnn.push(
+            "conv",
+            t2fsnn_dnn::layers::Conv2d::new(&mut rng, 1, 2, 3, spec),
+        );
+        dnn.push("relu", t2fsnn_dnn::layers::Relu::new());
+        let m = model(&dnn, T2fsnnConfig::new(8));
+        let images = Tensor::zeros([3, 1, 4, 4]);
+        fn invalid<T>(r: Result<T>) -> bool {
+            matches!(r, Err(TensorError::InvalidArgument { .. }))
+        }
+        assert!(invalid(m.run(&images, &[0; 3])));
+        assert!(invalid(m.infer(&images, InferOptions::default())));
+        let pool = ThreadPool::new(2);
+        for opts in [InferOptions::default(), InferOptions::early_exit()] {
+            assert!(invalid(m.infer_on(&images, opts, &pool)));
+        }
+    }
+
+    #[test]
+    fn argmax_takes_the_last_maximum_and_lets_nan_tie() {
+        assert_eq!(argmax(&[1.0, 3.0, 2.0, 3.0, 0.5]), (3, 3.0));
+        assert_eq!(argmax(&[2.0, 2.0, 2.0]), (2, 2.0));
+        // NaN compares equal to everything, so the scan keeps moving
+        // right past it: here the later 1.0 wins over the earlier 5.0.
+        let (i, v) = argmax(&[5.0, f32::NAN, 1.0]);
+        assert_eq!((i, v), (2, 1.0));
+        let (i, v) = argmax(&[0.0, 4.0, f32::NAN]);
+        assert_eq!(i, 2);
+        assert!(v.is_nan());
+        assert_eq!(argmax(&[]), (0, f32::NEG_INFINITY));
     }
 
     #[test]

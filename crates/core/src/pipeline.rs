@@ -9,8 +9,13 @@
 //! *non-guaranteed integration* — spikes arriving after a neuron fired are
 //! wasted, which this engine models faithfully.
 //!
-//! Both [`T2fsnn::run`] and [`T2fsnn::infer`] step the same
-//! [`StepState`], whose work follows spikes rather than neuron-steps:
+//! [`T2fsnn::run`] and [`T2fsnn::infer`] run one step loop
+//! (`T2fsnn::simulate_chunk` in [`crate::infer`]) over the pool's chunks
+//! of the batch. It bills every spike and synop to its image; `infer`
+//! returns the per-image results and `run` sums them into batch totals,
+//! spike histograms and an accuracy curve of integer correct counts.
+//! The loop steps a [`StepState`], whose work follows spikes rather
+//! than neuron-steps:
 //!
 //! * **Input buckets.** Each call encodes its input once into per-step,
 //!   per-image spike lists; an input step emits its bucket straight as
@@ -29,7 +34,7 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use t2fsnn_snn::{CurvePoint, OpExecutor, OpPlan, SimEngine, SnnOp};
-use t2fsnn_tensor::{perturb, trace, Result, SpikeBatch, Tensor, TensorError};
+use t2fsnn_tensor::{perturb, trace, Result, SpikeBatch, Tensor, ThreadPool};
 
 use crate::network::{NoiseConfig, T2fsnn};
 
@@ -180,12 +185,10 @@ pub(crate) fn delivered_value(
     }
 }
 
-/// One simulation call's state and the three step primitives that
-/// [`T2fsnn::run`] and [`T2fsnn::infer`] are both built from:
-/// [`StepState::input_step`], [`StepState::fire`] and
+/// One chunk's simulation state and the three step primitives of the
+/// step loop: [`StepState::input_step`], [`StepState::fire`] and
 /// [`StepState::propagate`]. Each primitive leaves its per-image charges
-/// in `spikes`/`synops`; `run` sums them into batch totals, `infer` bills
-/// them to each image.
+/// in `spikes`/`synops`, which the loop bills to each image.
 pub(crate) struct StepState<'a> {
     ops: &'a [SnnOp],
     plan: &'a OpPlan,
@@ -223,8 +226,7 @@ pub(crate) struct StepState<'a> {
     pub(crate) decided: Vec<bool>,
     /// Per-image spikes of the last `input_step`/`fire`.
     pub(crate) spikes: Vec<u64>,
-    /// Per-image synop adds of the last `input_step` or by-image
-    /// `propagate`.
+    /// Per-image synop adds of the last `input_step`/`propagate`.
     pub(crate) synops: Vec<u64>,
     events: SpikeBatch,
     hits: Vec<u32>,
@@ -234,12 +236,12 @@ impl<'a> StepState<'a> {
     /// Input step `t` of `[0, T)`: every pixel bucketed at `t` of an
     /// undecided image spikes; the step's events (a spike dropped by
     /// noise still counts but delivers nothing) are integrated into the
-    /// first weighted layer. Returns the step's spikes and synop adds.
-    pub(crate) fn input_step(&mut self, t: usize) -> Result<(u64, u64)> {
+    /// first weighted layer.
+    pub(crate) fn input_step(&mut self, t: usize) -> Result<()> {
         let _s = trace::span("ttfs/input_window");
         let n = self.decided.len();
         self.events.begin(&self.input_dims);
-        let mut any = 0u64;
+        let mut any = false;
         for img in 0..n {
             let bucket = &self.input_indices
                 [self.input_offsets[t * n + img]..self.input_offsets[t * n + img + 1]];
@@ -258,25 +260,25 @@ impl<'a> StepState<'a> {
                     }
                 }
                 self.spikes[img] = bucket.len() as u64;
-                any += bucket.len() as u64;
+                any |= !bucket.is_empty();
             }
             self.events.end_image();
         }
-        if any == 0 {
+        if !any {
             self.synops.fill(0);
-            return Ok((0, 0));
+            return Ok(());
         }
         let ops = self.ops;
         let seg = &self.segments[0];
         let op = &ops[seg.weighted];
-        let adds = match self.drive.as_mut() {
+        match self.drive.as_mut() {
             Some(drive) => {
                 drive.data_mut().fill(0.0);
-                let adds = if self.dense {
+                if self.dense {
                     let signal = self.events.to_dense();
                     op.synops_pm_by_image(&signal, &mut self.synops)?;
                     self.executor
-                        .accumulate_weighted(ops, seg.weighted, &signal, 0.0, drive)?
+                        .accumulate_weighted(ops, seg.weighted, &signal, 0.0, drive)?;
                 } else {
                     op.synops_events_by_image(&self.events, &mut self.synops)?;
                     self.executor.accumulate_weighted_events(
@@ -285,20 +287,17 @@ impl<'a> StepState<'a> {
                         &self.events,
                         0.0,
                         drive,
-                    )?
-                };
+                    )?;
+                }
                 self.potentials[0].add_scaled(drive, 1.0)?;
-                adds
             }
             None => {
                 // Pass-through ops in the channel-major image domain
                 // (e.g. an MLP's flatten), then the weighted op; a conv
                 // is charged on the position-major layout it runs in.
                 let mut signal = self.events.to_dense();
-                let mut adds = 0u64;
                 for &pi in &seg.pre_ops {
-                    let (mut z, s) = self.executor.propagate(ops, pi, &signal)?;
-                    adds += s;
+                    let (mut z, _) = self.executor.propagate(ops, pi, &signal)?;
                     apply_gate(self.gates[pi].as_mut(), &mut z);
                     signal = z;
                 }
@@ -307,20 +306,19 @@ impl<'a> StepState<'a> {
                 } else {
                     op.synops_pm_by_image(&signal, &mut self.synops)?;
                 }
-                let (z, s) = self.executor.propagate(ops, seg.weighted, &signal)?;
+                let (z, _) = self.executor.propagate(ops, seg.weighted, &signal)?;
                 self.potentials[0].add_scaled(&z, 1.0)?;
-                adds + s
             }
-        };
-        Ok((any, adds))
+        }
+        Ok(())
     }
 
     /// Fire phase of hidden layer `i` at local step `local`: every
     /// neuron of an undecided image at or above the decaying threshold
     /// emits its one spike into the event list and is retired (its
-    /// potential set to −∞, see the module docs). Returns the spike
-    /// count.
-    pub(crate) fn fire(&mut self, i: usize, local: usize) -> u64 {
+    /// potential set to −∞, see the module docs). Returns whether any
+    /// neuron fired.
+    pub(crate) fn fire(&mut self, i: usize, local: usize) -> bool {
         let _s = trace::span("ttfs/fire_scan");
         let table = &self.fire_tables[i];
         let threshold = self.theta0 * table[local];
@@ -328,7 +326,7 @@ impl<'a> StepState<'a> {
         let dims = plan.state_dims(self.segments[i].weighted);
         let feature = dims.iter().product::<usize>().max(1);
         self.events.begin(dims);
-        let mut count = 0u64;
+        let mut any = false;
         for (img, membrane) in self.potentials[i]
             .data_mut()
             .chunks_exact_mut(feature)
@@ -356,9 +354,9 @@ impl<'a> StepState<'a> {
             }
             self.events.end_image();
             self.spikes[img] = self.hits.len() as u64;
-            count += self.hits.len() as u64;
+            any |= !self.hits.is_empty();
         }
-        count
+        any
     }
 
     /// Integrates the last fire phase's events through segment `k` —
@@ -366,14 +364,12 @@ impl<'a> StepState<'a> {
     /// membranes. Average pooling, first-spike-wins max pooling and
     /// flattens stay in event form; the [`SimEngine::Dense`] reference
     /// engine densifies up front and runs the position-major dense twins
-    /// instead (bit-identical: the canonical-order invariant). Returns
-    /// the synop adds; with `by_image` they are also written per image
-    /// into `synops`.
-    pub(crate) fn propagate(&mut self, k: usize, by_image: bool) -> Result<u64> {
+    /// instead (bit-identical: the canonical-order invariant). Writes
+    /// the synop adds per image into `synops`.
+    pub(crate) fn propagate(&mut self, k: usize) -> Result<()> {
         let _s = trace::span("ttfs/segment_propagate");
         let ops = self.ops;
         let seg = &self.segments[k];
-        let mut adds = 0u64;
         let mut dense = self.dense.then(|| self.events.to_dense());
         for &pi in &seg.pre_ops {
             if dense.is_none() {
@@ -402,29 +398,24 @@ impl<'a> StepState<'a> {
                 }
             }
             let signal = dense.take().expect("dense signal set above");
-            let (mut z, s) = self.executor.propagate(ops, pi, &signal)?;
-            adds += s;
+            let (mut z, _) = self.executor.propagate(ops, pi, &signal)?;
             apply_gate(self.gates[pi].as_mut(), &mut z);
             dense = Some(z);
         }
         let (w, potential) = (seg.weighted, &mut self.potentials[k]);
-        adds += match dense {
+        match dense {
             Some(signal) => {
-                if by_image {
-                    ops[w].synops_pm_by_image(&signal, &mut self.synops)?;
-                }
+                ops[w].synops_pm_by_image(&signal, &mut self.synops)?;
                 self.executor
-                    .accumulate_weighted(ops, w, &signal, 0.0, potential)?
+                    .accumulate_weighted(ops, w, &signal, 0.0, potential)?;
             }
             None => {
-                if by_image {
-                    ops[w].synops_events_by_image(&self.events, &mut self.synops)?;
-                }
+                ops[w].synops_events_by_image(&self.events, &mut self.synops)?;
                 self.executor
-                    .accumulate_weighted_events(ops, w, &self.events, 0.0, potential)?
+                    .accumulate_weighted_events(ops, w, &self.events, 0.0, potential)?;
             }
-        };
-        Ok(adds)
+        }
+        Ok(())
     }
 }
 
@@ -536,82 +527,36 @@ impl T2fsnn {
         })
     }
 
-    /// Runs the full phased TTFS inference over a `[N, C, H, W]` batch.
+    /// Runs the full phased TTFS inference over a `[N, C, H, W]` batch
+    /// on the process-global thread pool: the per-image results of the
+    /// step loop summed over the batch.
     ///
     /// # Errors
     ///
-    /// Returns an error on image/label shape mismatches or if the
-    /// network's shapes do not chain.
+    /// Returns an error on image/label shape mismatches, if the
+    /// network's shapes do not chain, or if it does not end in a
+    /// classifier.
     pub fn run(&self, images: &Tensor, labels: &[usize]) -> Result<TtfsRun> {
-        if images.rank() != 4 {
-            return Err(TensorError::InvalidArgument {
-                op: "T2fsnn::run",
-                message: format!("expected [N, C, H, W] images, got {}", images.shape()),
-            });
-        }
-        let n = images.dims()[0];
-        if labels.len() != n {
-            return Err(TensorError::InvalidArgument {
-                op: "T2fsnn::run",
-                message: format!("{n} images but {} labels", labels.len()),
-            });
-        }
-        let config = self.config();
-        let t_window = config.time_window;
-        let plan = self.plan(&images.dims()[1..])?;
-        let mut st = self.step_state(images, &plan)?;
-        let l_count = st.segments.len();
-
-        let total_steps = self.total_steps();
-        let mut input_histogram = vec![0u64; t_window];
-        let mut layer_hists: Vec<Vec<u64>> = (0..l_count.saturating_sub(1))
-            .map(|_| vec![0u64; t_window])
+        let sim = self.simulate(
+            "T2fsnn::run",
+            images,
+            Some(labels),
+            false,
+            ThreadPool::global(),
+        )?;
+        let n = labels.len();
+        let curve: Vec<CurvePoint> = sim
+            .curve
+            .iter()
+            .map(|&(step, correct)| CurvePoint {
+                step,
+                accuracy: correct as f32 / n.max(1) as f32,
+            })
             .collect();
-        let mut input_spikes = 0u64;
-        let mut synop_adds = 0u64;
-        let mut synop_mults = 0u64;
-        let mut curve = Vec::new();
-
-        #[allow(clippy::needless_range_loop)] // `t` drives far more than the histogram
-        for t in 0..total_steps {
-            // Input fire window: [0, T).
-            if t < t_window {
-                let (spikes, adds) = st.input_step(t)?;
-                input_spikes += spikes;
-                input_histogram[t] += spikes;
-                synop_mults += spikes; // one kernel multiply per spike
-                synop_adds += adds;
-            }
-
-            // Hidden fire windows.
-            for (i, hist) in layer_hists.iter_mut().enumerate() {
-                let start = self.fire_start(i);
-                if t < start || t >= start + t_window {
-                    continue;
-                }
-                let local = t - start;
-                let count = st.fire(i, local);
-                if count > 0 {
-                    hist[local] += count;
-                    synop_mults += count;
-                    synop_adds += st.propagate(i + 1, false)?;
-                }
-            }
-
-            if (t + 1) % config.record_every == 0 || t + 1 == total_steps {
-                let _s = trace::span("ttfs/record");
-                let accuracy = output_accuracy(&st.potentials[l_count - 1], labels)?;
-                curve.push(CurvePoint {
-                    step: t + 1,
-                    accuracy,
-                });
-            }
-        }
-
-        let accuracy = curve.last().map(|p| p.accuracy).unwrap_or(0.0);
+        let mut histograms = sim.histograms.into_iter();
+        let input_histogram = histograms.next().expect("the input's histogram");
         let names = self.network().weighted_names();
-        let layers = layer_hists
-            .into_iter()
+        let layers = histograms
             .enumerate()
             .map(|(i, histogram)| LayerSpikes {
                 name: names[i].to_string(),
@@ -621,15 +566,15 @@ impl T2fsnn {
             })
             .collect();
         Ok(TtfsRun {
-            accuracy,
+            accuracy: curve.last().map(|p| p.accuracy).unwrap_or(0.0),
             curve,
-            latency: total_steps,
+            latency: self.total_steps(),
             images: n,
-            input_spikes,
+            input_spikes: input_histogram.iter().sum(),
             input_histogram,
             layers,
-            synop_adds,
-            synop_mults,
+            synop_adds: sim.images.iter().map(|r| r.synop_adds).sum(),
+            synop_mults: sim.images.iter().map(|r| r.synop_mults).sum(),
         })
     }
 
@@ -674,40 +619,10 @@ impl T2fsnn {
     }
 }
 
-fn output_accuracy(potential: &Tensor, labels: &[usize]) -> Result<f32> {
-    if potential.rank() != 2 || potential.dims()[0] != labels.len() {
-        return Err(TensorError::InvalidArgument {
-            op: "output_accuracy",
-            message: format!(
-                "output {} vs {} labels — the network must end in a classifier",
-                potential.shape(),
-                labels.len()
-            ),
-        });
-    }
-    if labels.is_empty() {
-        return Ok(0.0);
-    }
-    let (n, c) = (potential.dims()[0], potential.dims()[1]);
-    let mut correct = 0usize;
-    for (i, &y) in labels.iter().enumerate() {
-        let row = &potential.data()[i * c..(i + 1) * c];
-        let pred = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(j, _)| j)
-            .unwrap_or(0);
-        if pred == y {
-            correct += 1;
-        }
-    }
-    Ok(correct as f32 / n as f32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::{argmax, InferOptions};
     use crate::kernel::KernelParams;
     use crate::network::T2fsnnConfig;
     use rand::SeedableRng;
@@ -736,6 +651,13 @@ mod tests {
 
     fn model(dnn: &Network, config: T2fsnnConfig) -> T2fsnn {
         T2fsnn::from_dnn(dnn, config, KernelParams::new(8.0, 0.0)).unwrap()
+    }
+
+    /// Accuracy of `[N, classes]` logits under the step loop's argmax.
+    fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
+        let rows = logits.data().chunks_exact(logits.dims()[1]);
+        let correct = rows.zip(labels).filter(|(row, &y)| argmax(row).0 == y);
+        correct.count() as f32 / labels.len() as f32
     }
 
     #[test]
@@ -771,7 +693,7 @@ mod tests {
         let m = model(&dnn, T2fsnnConfig::new(32));
         let run = m.run(&test_set.images, &test_set.labels).unwrap();
         let logits = m.analytic_logits(&test_set.images).unwrap();
-        let analytic_acc = output_accuracy(&logits, &test_set.labels).unwrap();
+        let analytic_acc = accuracy(&logits, &test_set.labels);
         assert!(
             (run.accuracy - analytic_acc).abs() < 1e-6,
             "clock {} vs analytic {}",
@@ -846,6 +768,32 @@ mod tests {
     }
 
     #[test]
+    fn empty_batch_runs_and_infers_to_nothing() {
+        let (dnn, _, test_set) = fixture();
+        let m = model(&dnn, T2fsnnConfig::new(8));
+        let mut dims = test_set.images.dims().to_vec();
+        dims[0] = 0;
+        let empty = Tensor::zeros(dims);
+        let run = m.run(&empty, &[]).unwrap();
+        assert_eq!(run.images, 0);
+        assert_eq!(run.accuracy, 0.0);
+        // mlp_tiny: 16 steps, one curve point per `record_every` (= T).
+        let steps: Vec<usize> = run.curve.iter().map(|p| p.step).collect();
+        assert_eq!(steps, [8, 16]);
+        assert!(run.curve.iter().all(|p| p.accuracy == 0.0));
+        assert_eq!(
+            (run.total_spikes(), run.synop_adds, run.synop_mults),
+            (0, 0, 0)
+        );
+        assert_eq!(run.input_histogram, [0; 8]);
+        assert_eq!(run.layers.len(), 1);
+        assert_eq!(run.layers[0].histogram, [0; 8]);
+        for opts in [InferOptions::default(), InferOptions::early_exit()] {
+            assert!(m.infer(&empty, opts).unwrap().is_empty());
+        }
+    }
+
+    #[test]
     fn max_pool_network_matches_analytic_oracle() {
         // TTFS max pooling via first-spike gating must agree with the true
         // max over decoded values — the strongest check that the gate is
@@ -865,7 +813,7 @@ mod tests {
         let m = T2fsnn::from_dnn(&dnn, T2fsnnConfig::new(32), KernelParams::new(8.0, 0.0)).unwrap();
         let run = m.run(&test_set.images, &test_set.labels).unwrap();
         let logits = m.analytic_logits(&test_set.images).unwrap();
-        let analytic_acc = output_accuracy(&logits, &test_set.labels).unwrap();
+        let analytic_acc = accuracy(&logits, &test_set.labels);
         assert!(
             (run.accuracy - analytic_acc).abs() < 1e-6,
             "clock {} vs analytic {} on max-pool net",

@@ -15,7 +15,7 @@ use t2fsnn_dnn::Network;
 use t2fsnn_snn::SimEngine;
 use t2fsnn_tensor::ops::Conv2dSpec;
 use t2fsnn_tensor::perturb::PerturbSpec;
-use t2fsnn_tensor::{trace, Tensor, ThreadPool};
+use t2fsnn_tensor::{Tensor, ThreadPool};
 
 /// A small random CNN over 8×8 single-channel inputs, optionally with
 /// max pooling (the op only the TTFS engine supports).
@@ -360,46 +360,4 @@ proptest! {
         // The first shape's plan stays cached.
         prop_assert!(Arc::ptr_eq(&cached, &model.plan(&[1, 8, 8]).unwrap()));
     }
-}
-
-/// The engine stays per call: a clone that inherited a cached plan and
-/// was switched to `SimEngine::Dense` through `set_config` runs the dense
-/// kernels, while the original keeps the event kernels. Told apart by
-/// the op spans each run records under its own trace id.
-#[test]
-fn dense_clone_of_a_cached_model_runs_the_dense_path() {
-    let model = plan_model(true, 1, 11);
-    let images = plan_images(3, 11, [1, 8, 8]);
-    let labels = vec![0usize, 1, 2];
-    model.run(&images, &labels).unwrap();
-    let mut dense = model.clone();
-    dense.set_config(model.config().with_engine(SimEngine::Dense));
-    assert!(Arc::ptr_eq(
-        &model.plan(&[1, 8, 8]).unwrap(),
-        &dense.plan(&[1, 8, 8]).unwrap()
-    ));
-    let was_on = trace::enabled();
-    trace::set_enabled(true);
-    let spans_of = |m: &T2fsnn| {
-        let id = trace::next_trace_id();
-        let run = {
-            let _scope = trace::trace_scope(id);
-            m.run(&images, &labels).unwrap()
-        };
-        let keys: Vec<&str> = trace::snapshot()
-            .into_iter()
-            .filter(|e| e.trace_id == id)
-            .map(|e| e.key)
-            .collect();
-        (run, keys)
-    };
-    let (event_run, event_keys) = spans_of(&model);
-    let (dense_run, dense_keys) = spans_of(&dense);
-    trace::set_enabled(was_on);
-    assert_eq!(event_run, dense_run, "the engines are bit-identical");
-    let event_kernel = |k: &&str| k.ends_with("_events");
-    let dense_kernel = |k: &&str| *k == "op/conv_dense_walk" || *k == "op/linear_dense";
-    assert!(event_keys.iter().any(event_kernel), "{event_keys:?}");
-    assert!(dense_keys.iter().any(dense_kernel), "{dense_keys:?}");
-    assert!(!dense_keys.iter().any(event_kernel), "{dense_keys:?}");
 }

@@ -85,10 +85,12 @@ serve-overload:
 pool-test:
     RUST_TEST_THREADS=1 cargo test -p t2fsnn-tensor parallel
 
-# The conv tests on three workers: the global pool then splits a batch
-# into ranges that do not divide the small-plane image groups.
+# The conv and TTFS step-loop tests on three workers: the global pool
+# then splits a batch into ranges that do not divide the small-plane
+# image groups, and `run`/`infer` into uneven chunks.
 conv-threads:
     T2FSNN_THREADS=3 cargo test -p t2fsnn-tensor conv
+    T2FSNN_THREADS=3 cargo test -p t2fsnn -- infer::tests pipeline::tests
 
 # The full suite on the scalar SIMD fallback: without this leg the
 # scalar kernels only ever execute on pre-2013 (non-AVX2) hardware.
