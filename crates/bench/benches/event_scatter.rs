@@ -62,6 +62,7 @@ fn bench_event_scatter(c: &mut Criterion) {
         let dense = spikes_pm(N, density);
         let events = SpikeBatch::from_dense(&dense).unwrap();
         let mut target = Tensor::zeros([N, HW, HW, O]);
+        let mut synops = [0u64; N];
         group.bench_function(format!("events_into_membrane/{density}pct"), |b| {
             b.iter(|| {
                 conv2d_scatter_events_pm_acc(
@@ -70,14 +71,22 @@ fn bench_event_scatter(c: &mut Criterion) {
                     (3, 3),
                     spec,
                     &mut target,
+                    &mut synops,
                 )
                 .unwrap()
             })
         });
         group.bench_function(format!("dense_walk_into_membrane/{density}pct"), |b| {
             b.iter(|| {
-                conv2d_scatter_pm_acc(black_box(&dense), &filter_t, (3, 3), spec, &mut target)
-                    .unwrap()
+                conv2d_scatter_pm_acc(
+                    black_box(&dense),
+                    &filter_t,
+                    (3, 3),
+                    spec,
+                    &mut target,
+                    &mut synops,
+                )
+                .unwrap()
             })
         });
     }
@@ -106,11 +115,18 @@ fn bench_event_scatter_shapes(c: &mut Criterion) {
             let events =
                 SpikeBatch::from_dense(&spikes_pm_shape(KERNEL_N, hw, ci, density)).unwrap();
             let mut target = Tensor::zeros([KERNEL_N, hw, hw, o]);
-            let synops =
-                conv2d_scatter_events_pm_acc(&events, &filter_t, (3, 3), spec, &mut target)
-                    .unwrap();
+            let mut synops = [0u64; KERNEL_N];
+            conv2d_scatter_events_pm_acc(
+                &events,
+                &filter_t,
+                (3, 3),
+                spec,
+                &mut target,
+                &mut synops,
+            )
+            .unwrap();
             let id = format!("{hw}x{hw}x{ci}to{o}/{density}pct");
-            println!("{id}: {synops} synops per call");
+            println!("{id}: {} synops per call", synops.iter().sum::<u64>());
             group.bench_function(id, |b| {
                 b.iter(|| {
                     conv2d_scatter_events_pm_acc(
@@ -119,6 +135,7 @@ fn bench_event_scatter_shapes(c: &mut Criterion) {
                         (3, 3),
                         spec,
                         &mut target,
+                        &mut synops,
                     )
                     .unwrap()
                 })

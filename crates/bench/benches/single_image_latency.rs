@@ -2,7 +2,7 @@
 //! matters for online serving, where a request is one image and the
 //! batch dimension amortizes nothing.
 //!
-//! Covers all four coding baselines (rate/phase/burst/reverse) through
+//! Covers the three coding baselines (rate/phase/burst) through
 //! the clock-driven simulator plus the TTFS pipeline, with and without
 //! the serving path's early-exit fire phase.
 
@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use t2fsnn::{InferOptions, T2fsnn, T2fsnnConfig};
 use t2fsnn_bench::{prepare, Scenario};
-use t2fsnn_snn::coding::{BurstCoding, Coding, PhaseCoding, RateCoding, ReverseCoding};
+use t2fsnn_snn::coding::{BurstCoding, Coding, PhaseCoding, RateCoding};
 use t2fsnn_snn::{simulate, SimConfig, SnnNetwork};
 use t2fsnn_tensor::Tensor;
 
@@ -32,7 +32,6 @@ fn bench_codings(c: &mut Criterion) {
         ("rate", Box::new(RateCoding::new())),
         ("phase", Box::new(PhaseCoding::new(8))),
         ("burst", Box::new(BurstCoding::new(5))),
-        ("reverse", Box::new(ReverseCoding::new(16))),
     ];
     for (name, coding) in codings {
         group.bench_function(format!("sim/{name}"), |b| {

@@ -6,7 +6,7 @@
 //! one multiply **and** one add per spike (the weight/kernel factor,
 //! realizable as a lookup table); TDSNN additionally pays per-step leaky
 //! and ticking-neuron overheads modeled by
-//! [`TdsnnCostModel`](t2fsnn_snn::coding::TdsnnCostModel).
+//! [`t2fsnn_snn::coding::TdsnnCostModel`].
 //!
 //! Note the paper's own convention: the spike-driven columns of Table III
 //! equal the *spike counts* of Table II — operations are counted per spike

@@ -39,7 +39,7 @@
 //! on the same accuracy/latency curve, not a different computation.
 
 use serde::{Deserialize, Serialize};
-use t2fsnn_snn::{OpPlan, SnnOp};
+use t2fsnn_snn::{argmax, OpPlan, SnnOp};
 use t2fsnn_tensor::{trace, Result, Tensor, TensorError, ThreadPool};
 
 use crate::network::T2fsnn;
@@ -101,18 +101,6 @@ impl ImageInference {
     }
 }
 
-/// Argmax over one output row: the last maximal element (matching
-/// `Iterator::max_by`), with a NaN comparing equal to everything. Both
-/// [`T2fsnn::infer`]'s labels and [`T2fsnn::run`]'s correct counts come
-/// from it.
-pub(crate) fn argmax(row: &[f32]) -> (usize, f32) {
-    row.iter()
-        .copied()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .unwrap_or((0, f32::NEG_INFINITY))
-}
-
 /// What the step loop measured over a batch (or one chunk of it).
 pub(crate) struct Simulation {
     /// Per-image results, in batch order.
@@ -144,8 +132,9 @@ impl Simulation {
 
 impl T2fsnn {
     /// Runs per-image TTFS inference over a `[N, C, H, W]` batch on the
-    /// process-global thread pool. See the [module docs](self) for the
-    /// batch-invariance and early-exit contracts.
+    /// process-global thread pool. Each image's result is bit-identical
+    /// whether it runs solo, in any batch or on any worker count; with
+    /// [`InferOptions::early_exit`] its first output spike decides it.
     ///
     /// # Errors
     ///
@@ -304,10 +293,9 @@ impl T2fsnn {
             // their pixels stop spiking.
             if t < t_window {
                 st.input_step(t)?;
-                for (r, (&s, &a)) in results.iter_mut().zip(st.spikes.iter().zip(&st.synops)) {
+                for (r, &s) in results.iter_mut().zip(&st.spikes) {
                     r.input_spikes += s;
                     r.synop_mults += s; // one kernel multiply per spike
-                    r.synop_adds += a;
                     histograms[0][t] += s;
                 }
             }
@@ -321,10 +309,9 @@ impl T2fsnn {
                 let local = t - start;
                 if st.fire(i, local) {
                     st.propagate(i + 1)?;
-                    for (r, (&s, &a)) in results.iter_mut().zip(st.spikes.iter().zip(&st.synops)) {
+                    for (r, &s) in results.iter_mut().zip(&st.spikes) {
                         r.hidden_spikes += s;
                         r.synop_mults += s;
-                        r.synop_adds += a;
                         histograms[i + 1][local] += s;
                     }
                 }
@@ -364,14 +351,14 @@ impl T2fsnn {
         }
 
         // Undecided images (or every image when early exit is off):
-        // full-window argmax.
+        // full-window argmax. Synop adds come straight from the ledger
+        // the kernels billed.
         let out = &st.potentials[l_count - 1];
         for (img, row) in out.data().chunks_exact(classes).enumerate() {
+            let r = &mut results[img];
+            r.synop_adds = st.synops[img];
             if !st.decided[img] {
-                let (label, top) = argmax(row);
-                let r = &mut results[img];
-                r.label = label;
-                r.top_potential = top;
+                (r.label, r.top_potential) = argmax(row);
             }
         }
         Ok(Simulation {
@@ -683,20 +670,6 @@ mod tests {
         for opts in [InferOptions::default(), InferOptions::early_exit()] {
             assert!(invalid(m.infer_on(&images, opts, &pool)));
         }
-    }
-
-    #[test]
-    fn argmax_takes_the_last_maximum_and_lets_nan_tie() {
-        assert_eq!(argmax(&[1.0, 3.0, 2.0, 3.0, 0.5]), (3, 3.0));
-        assert_eq!(argmax(&[2.0, 2.0, 2.0]), (2, 2.0));
-        // NaN compares equal to everything, so the scan keeps moving
-        // right past it: here the later 1.0 wins over the earlier 5.0.
-        let (i, v) = argmax(&[5.0, f32::NAN, 1.0]);
-        assert_eq!((i, v), (2, 1.0));
-        let (i, v) = argmax(&[0.0, 4.0, f32::NAN]);
-        assert_eq!(i, 2);
-        assert!(v.is_nan());
-        assert_eq!(argmax(&[]), (0, f32::NEG_INFINITY));
     }
 
     #[test]

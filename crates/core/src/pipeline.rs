@@ -187,8 +187,10 @@ pub(crate) fn delivered_value(
 
 /// One chunk's simulation state and the three step primitives of the
 /// step loop: [`StepState::input_step`], [`StepState::fire`] and
-/// [`StepState::propagate`]. Each primitive leaves its per-image charges
-/// in `spikes`/`synops`, which the loop bills to each image.
+/// [`StepState::propagate`]. The spike-emitting primitives leave their
+/// per-image spike counts in `spikes`, which the loop bills to each
+/// image; the weighted kernels bill synop adds to the `synops` ledger
+/// themselves.
 pub(crate) struct StepState<'a> {
     ops: &'a [SnnOp],
     plan: &'a OpPlan,
@@ -212,11 +214,14 @@ pub(crate) struct StepState<'a> {
     /// Per-image dims of the input drive: position-major `[H, W, C]`
     /// when the network opens with a bare conv, else the image dims.
     input_dims: Vec<usize>,
-    /// Reused zeroed drive of a network opening with a bare conv: input
-    /// events scatter into it, and it is then added to the first
-    /// membranes (adding in place would round differently). `None`
-    /// routes the input through the channel-major image domain.
-    drive: Option<Tensor>,
+    /// Whether the network opens with a bare conv, so input events enter
+    /// it position-major; otherwise they pass through the channel-major
+    /// image domain first.
+    pm_input: bool,
+    /// Reused drive of the first weighted layer: each input step's
+    /// events accumulate into it from zero, and it is then added to the
+    /// first membranes (adding in place would round differently).
+    drive: Tensor,
     dense: bool,
     theta0: f32,
     noise: Option<NoiseConfig>,
@@ -226,7 +231,8 @@ pub(crate) struct StepState<'a> {
     pub(crate) decided: Vec<bool>,
     /// Per-image spikes of the last `input_step`/`fire`.
     pub(crate) spikes: Vec<u64>,
-    /// Per-image synop adds of the last `input_step`/`propagate`.
+    /// Per-image synop ledger of the chunk: every weighted kernel adds
+    /// its synop adds to its image's slot as it scatters.
     pub(crate) synops: Vec<u64>,
     events: SpikeBatch,
     hits: Vec<u32>,
@@ -265,52 +271,43 @@ impl<'a> StepState<'a> {
             self.events.end_image();
         }
         if !any {
-            self.synops.fill(0);
             return Ok(());
         }
         let ops = self.ops;
         let seg = &self.segments[0];
-        let op = &ops[seg.weighted];
-        match self.drive.as_mut() {
-            Some(drive) => {
-                drive.data_mut().fill(0.0);
-                if self.dense {
-                    let signal = self.events.to_dense();
-                    op.synops_pm_by_image(&signal, &mut self.synops)?;
-                    self.executor
-                        .accumulate_weighted(ops, seg.weighted, &signal, 0.0, drive)?;
-                } else {
-                    op.synops_events_by_image(&self.events, &mut self.synops)?;
-                    self.executor.accumulate_weighted_events(
-                        ops,
-                        seg.weighted,
-                        &self.events,
-                        0.0,
-                        drive,
-                    )?;
-                }
-                self.potentials[0].add_scaled(drive, 1.0)?;
+        let drive = &mut self.drive;
+        drive.data_mut().fill(0.0);
+        if !self.pm_input {
+            // Pass-through ops in the channel-major image domain (e.g. an
+            // MLP's flatten), then the weighted op.
+            let mut signal = self.events.to_dense();
+            for &pi in &seg.pre_ops {
+                signal = self.executor.propagate(ops, pi, &signal)?;
+                apply_gate(self.gates[pi].as_mut(), &mut signal);
             }
-            None => {
-                // Pass-through ops in the channel-major image domain
-                // (e.g. an MLP's flatten), then the weighted op; a conv
-                // is charged on the position-major layout it runs in.
-                let mut signal = self.events.to_dense();
-                for &pi in &seg.pre_ops {
-                    let (mut z, _) = self.executor.propagate(ops, pi, &signal)?;
-                    apply_gate(self.gates[pi].as_mut(), &mut z);
-                    signal = z;
-                }
-                if matches!(op, SnnOp::Conv { .. }) {
-                    op.synops_pm_by_image(&signal.to_position_major()?, &mut self.synops)?;
-                } else {
-                    op.synops_pm_by_image(&signal, &mut self.synops)?;
-                }
-                let (z, _) = self.executor.propagate(ops, seg.weighted, &signal)?;
-                self.potentials[0].add_scaled(&z, 1.0)?;
-            }
+            self.executor
+                .accumulate_first_weighted(ops, &signal, 0.0, drive, &mut self.synops)?;
+        } else if self.dense {
+            let signal = self.events.to_dense();
+            self.executor.accumulate_weighted(
+                ops,
+                seg.weighted,
+                &signal,
+                0.0,
+                drive,
+                &mut self.synops,
+            )?;
+        } else {
+            self.executor.accumulate_weighted_events(
+                ops,
+                seg.weighted,
+                &self.events,
+                0.0,
+                drive,
+                &mut self.synops,
+            )?;
         }
-        Ok(())
+        self.potentials[0].add_scaled(drive, 1.0)
     }
 
     /// Fire phase of hidden layer `i` at local step `local`: every
@@ -364,58 +361,55 @@ impl<'a> StepState<'a> {
     /// membranes. Average pooling, first-spike-wins max pooling and
     /// flattens stay in event form; the [`SimEngine::Dense`] reference
     /// engine densifies up front and runs the position-major dense twins
-    /// instead (bit-identical: the canonical-order invariant). Writes
-    /// the synop adds per image into `synops`.
+    /// instead (bit-identical: the canonical-order invariant). The
+    /// weighted kernel bills each image's synop adds to `synops`.
     pub(crate) fn propagate(&mut self, k: usize) -> Result<()> {
         let _s = trace::span("ttfs/segment_propagate");
         let ops = self.ops;
         let seg = &self.segments[k];
         let mut dense = self.dense.then(|| self.events.to_dense());
         for &pi in &seg.pre_ops {
-            if dense.is_none() {
-                match &ops[pi] {
-                    SnnOp::AvgPool { window, stride } if self.gates[pi].is_none() => {
-                        self.executor
-                            .avg_pool_events(&mut self.events, *window, *stride)?;
-                        continue;
-                    }
-                    SnnOp::MaxPool { window, stride } => {
-                        let gate = self.gates[pi]
-                            .as_mut()
-                            .expect("max-pool ops carry a first-spike gate");
-                        self.executor
-                            .max_pool_events(&mut self.events, *window, *stride, gate)?;
-                        continue;
-                    }
-                    SnnOp::Flatten if self.gates[pi].is_none() => {
-                        let numel = self.events.feature_numel();
-                        self.events.reshape_features(&[numel])?;
-                        continue;
-                    }
-                    // Unreachable with the bundled architectures; keep a
-                    // correct dense fallback for exotic op/gate combos.
-                    _ => dense = Some(self.events.to_dense()),
+            if let Some(signal) = dense.as_mut() {
+                *signal = self.executor.propagate(ops, pi, signal)?;
+                apply_gate(self.gates[pi].as_mut(), signal);
+                continue;
+            }
+            match &ops[pi] {
+                SnnOp::AvgPool { window, stride } => {
+                    self.executor
+                        .avg_pool_events(&mut self.events, *window, *stride)?;
+                }
+                SnnOp::MaxPool { window, stride } => {
+                    let gate = self.gates[pi]
+                        .as_mut()
+                        .expect("max-pool ops carry a first-spike gate");
+                    self.executor
+                        .max_pool_events(&mut self.events, *window, *stride, gate)?;
+                }
+                SnnOp::Flatten => {
+                    let numel = self.events.feature_numel();
+                    self.events.reshape_features(&[numel])?;
+                }
+                SnnOp::Conv { .. } | SnnOp::Linear { .. } => {
+                    unreachable!("a segment's pre-ops are pass-through ops")
                 }
             }
-            let signal = dense.take().expect("dense signal set above");
-            let (mut z, _) = self.executor.propagate(ops, pi, &signal)?;
-            apply_gate(self.gates[pi].as_mut(), &mut z);
-            dense = Some(z);
         }
         let (w, potential) = (seg.weighted, &mut self.potentials[k]);
         match dense {
             Some(signal) => {
-                ops[w].synops_pm_by_image(&signal, &mut self.synops)?;
                 self.executor
-                    .accumulate_weighted(ops, w, &signal, 0.0, potential)?;
+                    .accumulate_weighted(ops, w, &signal, 0.0, potential, &mut self.synops)
             }
-            None => {
-                ops[w].synops_events_by_image(&self.events, &mut self.synops)?;
-                self.executor
-                    .accumulate_weighted_events(ops, w, &self.events, 0.0, potential)?;
-            }
+            None => self.executor.accumulate_weighted_events(
+                ops,
+                w,
+                &self.events,
+                0.0,
+                potential,
+                &mut self.synops,
+            ),
         }
-        Ok(())
     }
 }
 
@@ -500,7 +494,7 @@ impl T2fsnn {
                 *slot += 1;
             }
         }
-        let drive = pm_input.then(|| zeros(segments[0].weighted));
+        let drive = zeros(segments[0].weighted);
 
         Ok(StepState {
             ops,
@@ -514,6 +508,7 @@ impl T2fsnn {
             input_offsets,
             input_indices,
             input_dims,
+            pm_input,
             drive,
             dense: matches!(config.engine, SimEngine::Dense),
             theta0: config.theta0,
@@ -622,7 +617,7 @@ impl T2fsnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::{argmax, InferOptions};
+    use crate::infer::InferOptions;
     use crate::kernel::KernelParams;
     use crate::network::T2fsnnConfig;
     use rand::SeedableRng;
@@ -630,6 +625,7 @@ mod tests {
     use t2fsnn_data::{Dataset, DatasetSpec, SyntheticConfig};
     use t2fsnn_dnn::architectures::mlp_tiny;
     use t2fsnn_dnn::{normalize_for_snn, train, Network, TrainConfig};
+    use t2fsnn_snn::argmax;
 
     fn fixture() -> (Network, Dataset, Dataset) {
         let mut rng = ChaCha8Rng::seed_from_u64(77);

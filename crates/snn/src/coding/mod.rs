@@ -6,10 +6,11 @@
 //! and how bias currents are scaled so that decoded values stay calibrated.
 //!
 //! Implementations: [`RateCoding`] (Diehl/Rueckauer-style), [`PhaseCoding`]
-//! (weighted spikes, Kim et al. 2018), [`BurstCoding`] (Park et al. DAC
-//! 2019) and [`ReverseCoding`] (TDSNN-like, for the Table III cost
-//! analysis). The paper's own contribution — TTFS with dynamic
-//! threshold/dendrite kernels — lives in the `t2fsnn` core crate.
+//! (weighted spikes, Kim et al. 2018) and [`BurstCoding`] (Park et al. DAC
+//! 2019); reverse coding (TDSNN-like) enters only the Table III cost
+//! analysis, through [`TdsnnCostModel`]. The paper's own contribution —
+//! TTFS with dynamic threshold/dendrite kernels — lives in the `t2fsnn`
+//! core crate.
 
 mod burst;
 mod phase;
@@ -19,7 +20,7 @@ mod reverse;
 pub use burst::BurstCoding;
 pub use phase::PhaseCoding;
 pub use rate::{RateCoding, RateInput};
-pub use reverse::{ReverseCoding, TdsnnCostModel};
+pub use reverse::TdsnnCostModel;
 
 use t2fsnn_tensor::{SpikeBatch, Tensor};
 
@@ -36,7 +37,8 @@ pub trait Coding: Send {
     /// Short name used in reports (e.g. `"rate"`).
     fn name(&self) -> &'static str;
 
-    /// Clears any per-inference state (refractory masks, phase counters).
+    /// Clears any per-inference state (e.g. an input spike generator's
+    /// RNG stream).
     /// Called by the simulator before each run. Stateless codings keep the
     /// default no-op.
     fn reset(&mut self) {}
@@ -147,6 +149,5 @@ mod tests {
         assert_eq!(RateCoding::new().name(), "rate");
         assert_eq!(PhaseCoding::new(8).name(), "phase");
         assert_eq!(BurstCoding::new(5).name(), "burst");
-        assert_eq!(ReverseCoding::new(16).name(), "reverse");
     }
 }

@@ -1,126 +1,17 @@
-//! Reverse coding (TDSNN-like) and its computational-cost model.
+//! The computational-cost model of reverse coding (TDSNN-like).
 //!
 //! TDSNN (Zhang et al., AAAI 2019 — ref [12] of the paper) introduced
 //! *reverse coding*: a TTFS variant where **larger** values fire **later**.
 //! The original system needs auxiliary "ticking" neurons firing every time
 //! step plus leaky IF neurons with an exponential update, which is exactly
 //! the overhead the paper's Table III quantifies. TDSNN is closed source,
-//! so this module provides (a) a minimal reverse-coded [`Coding`]
-//! implementation — enough to exercise the code path and demonstrate the
-//! scheme's behaviour — and (b) [`TdsnnCostModel`], the analytic operation
-//! count used for the Table III comparison, following the paper's own
+//! and the paper reports no latency or spike numbers for it, so this
+//! module provides only [`TdsnnCostModel`], the analytic operation count
+//! used for the Table III comparison, following the paper's own
 //! description ("required computations are proportional to the time step
 //! and number of neurons").
 
 use serde::{Deserialize, Serialize};
-use t2fsnn_tensor::Tensor;
-
-use super::Coding;
-
-/// A minimal reverse-TTFS coding: one spike per neuron per window, with
-/// larger values spiking later.
-///
-/// This implementation omits TDSNN's accuracy-restoring auxiliary neurons
-/// (the paper's critique is precisely that they dominate the spike budget),
-/// so its accuracy is not competitive — matching the role it plays in the
-/// paper, where reverse coding appears in the cost analysis but reports no
-/// latency/spike numbers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReverseCoding {
-    /// Encoding window per layer, in time steps.
-    pub window: usize,
-    /// Firing threshold for hidden neurons.
-    pub theta: f32,
-    fired: Vec<Option<Tensor>>,
-}
-
-impl ReverseCoding {
-    /// Creates reverse coding with the given per-layer window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        ReverseCoding {
-            window,
-            theta: 0.5,
-            fired: Vec::new(),
-        }
-    }
-
-    /// Reverse spike time for a unit-range value: larger `x` → later step
-    /// (the defining property of reverse coding, opposite to plain TTFS).
-    pub fn spike_time(&self, x: f32) -> Option<usize> {
-        if x <= 0.0 {
-            return None; // zero transmits nothing
-        }
-        let t = (x.clamp(0.0, 1.0) * (self.window - 1) as f32).floor() as usize;
-        Some(t.min(self.window - 1))
-    }
-}
-
-impl Coding for ReverseCoding {
-    fn name(&self) -> &'static str {
-        "reverse"
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Coding> {
-        Box::new(self.clone())
-    }
-
-    fn reset(&mut self) {
-        self.fired.clear();
-    }
-
-    fn encode(&mut self, images: &Tensor, t: usize) -> (Tensor, u64) {
-        if t >= self.window {
-            return (Tensor::zeros(images.shape().clone()), 0);
-        }
-        let drive = images.map(|x| match self.spike_time(x) {
-            Some(ts) if ts == t => 1.0,
-            _ => 0.0,
-        });
-        let count = drive.iter().filter(|&&s| s != 0.0).count() as u64;
-        (drive, count)
-    }
-
-    fn fire(&mut self, potential: &mut Tensor, _t: usize, layer: usize) -> (Tensor, u64) {
-        if self.fired.len() <= layer {
-            self.fired.resize(layer + 1, None);
-        }
-        let fired =
-            self.fired[layer].get_or_insert_with(|| Tensor::zeros(potential.shape().clone()));
-        let mut spikes = Tensor::zeros(potential.shape().clone());
-        let sd = spikes.data_mut();
-        let mut count = 0u64;
-        for ((u, f), s) in potential
-            .data_mut()
-            .iter_mut()
-            .zip(fired.data_mut())
-            .zip(sd.iter_mut())
-        {
-            if *f == 0.0 && *u >= self.theta {
-                *f = 1.0; // permanent refractory: at most one spike
-                *s = 1.0;
-                count += 1;
-            }
-        }
-        (spikes, count)
-    }
-
-    fn bias_scale(&self, _t: usize) -> f32 {
-        1.0 / self.window as f32
-    }
-
-    fn synop_needs_mult(&self) -> bool {
-        false
-    }
-
-    fn decode_window(&self) -> usize {
-        self.window
-    }
-}
 
 /// Analytic operation-count model for TDSNN, per the paper's Sec. V.
 ///
@@ -167,44 +58,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn larger_values_spike_later() {
-        let c = ReverseCoding::new(16);
-        let t_small = c.spike_time(0.1).unwrap();
-        let t_large = c.spike_time(0.9).unwrap();
-        assert!(t_large > t_small, "{t_large} vs {t_small}");
-        assert_eq!(c.spike_time(0.0), None);
-        assert_eq!(c.spike_time(1.0), Some(15));
-    }
-
-    #[test]
-    fn encode_emits_each_pixel_once() {
-        let mut c = ReverseCoding::new(8);
-        let img = Tensor::from_vec([1, 3], vec![0.2, 0.7, 0.0]).unwrap();
-        let mut total = 0u64;
-        for t in 0..8 {
-            let (_, n) = c.encode(&img, t);
-            total += n;
-        }
-        assert_eq!(total, 2); // the 0.0 pixel never spikes
-                              // Past the window: silence.
-        let (_, n) = c.encode(&img, 100);
-        assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn hidden_neurons_fire_at_most_once() {
-        let mut c = ReverseCoding::new(8);
-        let mut u = Tensor::from_vec([1, 1], vec![5.0]).unwrap();
-        let (_, n1) = c.fire(&mut u, 0, 0);
-        let (_, n2) = c.fire(&mut u, 1, 0);
-        assert_eq!(n1, 1);
-        assert_eq!(n2, 0, "refractory must block the second spike");
-        c.reset();
-        let (_, n3) = c.fire(&mut u, 0, 0);
-        assert_eq!(n3, 1, "reset must clear refractory state");
-    }
-
-    #[test]
     fn cost_model_scales_with_neurons_and_steps() {
         let base = TdsnnCostModel {
             neurons: 100,
@@ -217,11 +70,5 @@ mod tests {
         };
         assert_eq!(wider.mults(), 2 * base.mults());
         assert!(wider.adds() > base.adds());
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn zero_window_panics() {
-        let _ = ReverseCoding::new(0);
     }
 }

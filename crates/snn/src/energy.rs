@@ -48,7 +48,7 @@ fn intern_name(name: String) -> &'static str {
 }
 
 /// Manual deserialization for the `&'static str` name, resolved through
-/// [`intern_name`].
+/// `intern_name`.
 impl Deserialize for EnergyModel {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let name: String = serde::__field(value, "name", "EnergyModel")?;

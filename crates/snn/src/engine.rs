@@ -21,6 +21,16 @@
 //! scatter's axpy rows land directly in the next layer's membrane tensor
 //! with no intermediate accumulator to clear or flush.
 //!
+//! Weighted ops only accumulate. [`OpExecutor::accumulate_weighted`] and
+//! its event-form twin integrate a signal straight into a target (a
+//! caller that needs a fresh drive passes a zeroed one) and hand the
+//! kernel a **synop ledger**, a `&mut [u64]` with one slot per image that
+//! the kernel bills as it scatters; only the near-dense GEMM path bills
+//! it from tap tables instead. [`OpExecutor::propagate`] carries the
+//! pass-through ops (pooling, flatten), and
+//! [`OpExecutor::accumulate_first_weighted`] is the one place a
+//! channel-major image-domain signal turns position-major.
+//!
 //! Execution state splits in two. An [`OpPlan`] is compiled once per
 //! network and input shape and never changes: the re-laid-out weights
 //! (linear: `[I, O]`, row-permuted to the position-major feature order
@@ -235,9 +245,8 @@ impl OpPlan {
 /// scratch buffers.
 ///
 /// Create one per simulation call (or per pool chunk) and route every op
-/// propagation through it; all paths are bit-identical to each other
-/// (the canonical-order invariant) and the membrane-accumulating entry
-/// points are the fast ones.
+/// through it; all paths are bit-identical to each other (the
+/// canonical-order invariant).
 pub struct OpExecutor<'p> {
     plan: &'p OpPlan,
     threshold: f32,
@@ -268,68 +277,54 @@ impl<'p> OpExecutor<'p> {
         self.scratch.refill_bounded(signal, cap)
     }
 
-    /// Propagates `signal` through `ops[i]`, dispatching weighted ops to
-    /// the sparse or dense kernel by the engine rule. Signals before the
-    /// first weighted op are channel-major (the image domain); the first
-    /// weighted conv transposes once and everything downstream — input
-    /// and output — is position-major. Returns the postsynaptic drive
-    /// and the synaptic accumulate count.
+    /// Propagates `signal` through the pass-through op `ops[i]` (pooling
+    /// or flatten). Signals before the first weighted op are channel-major
+    /// (the image domain), everything downstream position-major. Weighted
+    /// ops only accumulate: integrate them with
+    /// [`OpExecutor::accumulate_weighted`].
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatch.
-    pub fn propagate(&mut self, ops: &[SnnOp], i: usize, signal: &Tensor) -> Result<(Tensor, u64)> {
+    /// Returns an error on shape mismatch or if `ops[i]` is a weighted op.
+    pub fn propagate(&self, ops: &[SnnOp], i: usize, signal: &Tensor) -> Result<Tensor> {
         match &ops[i] {
-            SnnOp::Conv { weight, spec, .. } => {
-                let kernel = (weight.dims()[2], weight.dims()[3]);
-                let spec = *spec;
-                if i == self.plan.first_weighted {
-                    let pm_signal = signal.to_position_major()?;
-                    self.conv_dispatch(i, kernel, spec, &pm_signal)
-                } else {
-                    self.conv_dispatch(i, kernel, spec, signal)
-                }
-            }
-            SnnOp::Linear { .. } => {
-                let use_events = self.try_events(signal)?;
-                let weight_t = self.plan.weight_t[i]
-                    .as_ref()
-                    .expect("linear op has a transposed weight");
-                if use_events {
-                    sparse::linear_scatter_events(&self.scratch, weight_t)
-                } else {
-                    sparse::linear_scatter_t(signal, weight_t)
-                }
-            }
-            op if i < self.plan.first_weighted => op.propagate(signal),
-            SnnOp::AvgPool { window, stride } => Ok((avg_pool2d_pm(signal, *window, *stride)?, 0)),
-            SnnOp::MaxPool { window, stride } => Ok((max_pool2d_pm(signal, *window, *stride)?, 0)),
+            SnnOp::Conv { .. } | SnnOp::Linear { .. } => Err(TensorError::InvalidArgument {
+                op: "OpExecutor::propagate",
+                message: format!("op {i} is a weighted op; accumulate it instead"),
+            }),
+            op if i < self.plan.first_weighted => Ok(op.propagate(signal)?.0),
+            SnnOp::AvgPool { window, stride } => avg_pool2d_pm(signal, *window, *stride),
+            SnnOp::MaxPool { window, stride } => max_pool2d_pm(signal, *window, *stride),
             SnnOp::Flatten => {
                 let n = signal.dims()[0];
                 let rest: usize = signal.dims()[1..].iter().product();
-                Ok((signal.reshape([n, rest])?, 0))
+                signal.reshape([n, rest])
             }
         }
     }
 
-    /// Event-or-dense dispatch of a position-major conv signal.
-    fn conv_dispatch(
+    /// [`OpExecutor::accumulate_weighted`] at the first weighted op, fed
+    /// from the image domain: `signal` is the channel-major output of
+    /// the pass-through ops before it. A conv's signal switches to
+    /// position-major here, the one place the engine changes layout.
+    ///
+    /// # Errors
+    ///
+    /// As [`OpExecutor::accumulate_weighted`].
+    pub fn accumulate_first_weighted(
         &mut self,
-        i: usize,
-        kernel: (usize, usize),
-        spec: t2fsnn_tensor::ops::Conv2dSpec,
-        pm_signal: &Tensor,
-    ) -> Result<(Tensor, u64)> {
-        let use_events = self.try_events(pm_signal)?;
-        let filter_t = self.plan.filter_t[i]
-            .as_ref()
-            .expect("conv op has a transposed filter");
-        if use_events {
-            let _s = trace::span("op/conv_scatter_events");
-            sparse::conv2d_scatter_events_pm(&self.scratch, filter_t, kernel, spec)
+        ops: &[SnnOp],
+        signal: &Tensor,
+        bias_scale: f32,
+        potential: &mut Tensor,
+        synops: &mut [u64],
+    ) -> Result<()> {
+        let i = self.plan.first_weighted;
+        if matches!(ops[i], SnnOp::Conv { .. }) {
+            let pm_signal = signal.to_position_major()?;
+            self.accumulate_weighted(ops, i, &pm_signal, bias_scale, potential, synops)
         } else {
-            let _s = trace::span("op/conv_dense_walk");
-            sparse::conv2d_scatter_pm(pm_signal, filter_t, kernel, spec)
+            self.accumulate_weighted(ops, i, signal, bias_scale, potential, synops)
         }
     }
 
@@ -338,12 +333,15 @@ impl<'p> OpExecutor<'p> {
     /// tensor is the accumulator, so there is no intermediate drive
     /// tensor, no per-step clear, and no flush. The signal must be
     /// position-major (i.e. `ops[i]` is downstream of the first weighted
-    /// op).
+    /// op, or the caller went through
+    /// [`OpExecutor::accumulate_first_weighted`]). The kernel adds each
+    /// image's synop count to its slot of the `synops` ledger as it
+    /// scatters.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatch or if `ops[i]` is not a
-    /// weighted op.
+    /// Returns an error on shape mismatch, if `ops[i]` is not a weighted
+    /// op, or if `synops` does not hold one slot per image.
     pub fn accumulate_weighted(
         &mut self,
         ops: &[SnnOp],
@@ -351,8 +349,9 @@ impl<'p> OpExecutor<'p> {
         signal: &Tensor,
         bias_scale: f32,
         potential: &mut Tensor,
-    ) -> Result<u64> {
-        let synops = match &ops[i] {
+        synops: &mut [u64],
+    ) -> Result<()> {
+        match &ops[i] {
             SnnOp::Conv { weight, spec, .. } => {
                 let kernel = (weight.dims()[2], weight.dims()[3]);
                 let use_events = self.try_events(signal)?;
@@ -367,10 +366,13 @@ impl<'p> OpExecutor<'p> {
                         kernel,
                         *spec,
                         potential,
-                    )?
+                        synops,
+                    )?;
                 } else {
                     let _s = trace::span("op/conv_dense_walk");
-                    sparse::conv2d_scatter_pm_acc(signal, filter_t, kernel, *spec, potential)?
+                    sparse::conv2d_scatter_pm_acc(
+                        signal, filter_t, kernel, *spec, potential, synops,
+                    )?;
                 }
             }
             SnnOp::Linear { .. } => {
@@ -380,10 +382,10 @@ impl<'p> OpExecutor<'p> {
                     .expect("linear op has a transposed weight");
                 if use_events {
                     let _s = trace::span("op/linear_events");
-                    sparse::linear_scatter_events_acc(&self.scratch, weight_t, potential)?
+                    sparse::linear_scatter_events_acc(&self.scratch, weight_t, potential, synops)?;
                 } else {
                     let _s = trace::span("op/linear_dense");
-                    sparse::linear_scatter_t_acc(signal, weight_t, potential)?
+                    sparse::linear_scatter_t_acc(signal, weight_t, potential, synops)?;
                 }
             }
             _ => {
@@ -392,9 +394,8 @@ impl<'p> OpExecutor<'p> {
                     message: format!("op {i} is not a weighted op"),
                 })
             }
-        };
-        ops[i].inject_bias_pm(potential, bias_scale)?;
-        Ok(synops)
+        }
+        ops[i].inject_bias_pm(potential, bias_scale)
     }
 
     /// [`OpExecutor::accumulate_weighted`] for a signal already in event
@@ -402,12 +403,13 @@ impl<'p> OpExecutor<'p> {
     /// no scan, no dense intermediate. Very dense steps (phase/burst
     /// re-transmissions) take the position-major im2col GEMM, which
     /// accumulates into the membrane in the same canonical order as the
-    /// scatter — same results either way.
+    /// scatter — same results either way — and bills the ledger through
+    /// the tap-table counter, since it adds inactive taps too.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatch or if `ops[i]` is not a
-    /// weighted op.
+    /// Returns an error on shape mismatch, if `ops[i]` is not a weighted
+    /// op, or if `synops` does not hold one slot per image.
     pub fn accumulate_weighted_events(
         &mut self,
         ops: &[SnnOp],
@@ -415,8 +417,9 @@ impl<'p> OpExecutor<'p> {
         events: &SpikeBatch,
         bias_scale: f32,
         potential: &mut Tensor,
-    ) -> Result<u64> {
-        let synops = match &ops[i] {
+        synops: &mut [u64],
+    ) -> Result<()> {
+        match &ops[i] {
             SnnOp::Conv { weight, spec, .. } => {
                 let kernel = (weight.dims()[2], weight.dims()[3]);
                 if events.density() > GEMM_DENSITY {
@@ -425,16 +428,22 @@ impl<'p> OpExecutor<'p> {
                     let weight_r = self.plan.filter_r[i]
                         .as_ref()
                         .expect("conv op has a tap-major filter");
+                    sparse::conv2d_synops_events_by_image(
+                        events,
+                        weight.dims()[0],
+                        kernel,
+                        *spec,
+                        synops,
+                    )?;
                     sparse::conv2d_gemm_pm_acc(&dense, weight_r, kernel, *spec, potential)?;
-                    sparse::conv2d_synops_events(events, weight.dims()[0], kernel, *spec)?
                 } else {
                     let _s = trace::span("op/conv_scatter_events");
                     let filter_t = self.plan.filter_t[i]
                         .as_ref()
                         .expect("conv op has a transposed filter");
                     sparse::conv2d_scatter_events_pm_acc(
-                        events, filter_t, kernel, *spec, potential,
-                    )?
+                        events, filter_t, kernel, *spec, potential, synops,
+                    )?;
                 }
             }
             SnnOp::Linear { .. } => {
@@ -442,7 +451,7 @@ impl<'p> OpExecutor<'p> {
                 let weight_t = self.plan.weight_t[i]
                     .as_ref()
                     .expect("linear op has a transposed weight");
-                sparse::linear_scatter_events_acc(events, weight_t, potential)?
+                sparse::linear_scatter_events_acc(events, weight_t, potential, synops)?;
             }
             _ => {
                 return Err(TensorError::InvalidArgument {
@@ -450,9 +459,8 @@ impl<'p> OpExecutor<'p> {
                     message: format!("op {i} is not a weighted op"),
                 })
             }
-        };
-        ops[i].inject_bias_pm(potential, bias_scale)?;
-        Ok(synops)
+        }
+        ops[i].inject_bias_pm(potential, bias_scale)
     }
 
     /// Average-pools an event stream in place (position-major `[H, W, C]`
@@ -568,18 +576,38 @@ mod tests {
         t
     }
 
-    /// Chains the full op list through the executor, returning the final
-    /// signal and total synops.
-    fn run_chain(engine: SimEngine) -> (Tensor, u64) {
+    /// Chains the full op list through a fresh executor, returning the
+    /// final signal and the per-image synop ledger.
+    fn run_chain(engine: SimEngine) -> (Tensor, Vec<u64>) {
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
-        let mut exec = OpExecutor::new(&plan, engine);
-        let mut signal = sparse_signal();
-        let mut synops = 0u64;
+        run_chain_from(&mut OpExecutor::new(&plan, engine), &ops, sparse_signal())
+    }
+
+    /// Weighted ops accumulate into a zeroed membrane (the first one from
+    /// the channel-major image domain), pass-through ops propagate.
+    fn run_chain_from(
+        exec: &mut OpExecutor<'_>,
+        ops: &[SnnOp],
+        mut signal: Tensor,
+    ) -> (Tensor, Vec<u64>) {
+        let n = signal.dims()[0];
+        let mut synops = vec![0; n];
         for i in 0..ops.len() {
-            let (next, s) = exec.propagate(&ops, i, &signal).unwrap();
-            synops += s;
-            signal = next;
+            signal = if ops[i].is_weighted() {
+                let mut dims = vec![n];
+                dims.extend_from_slice(exec.plan.state_dims(i));
+                let mut z = Tensor::zeros(dims);
+                if i == exec.plan.first_weighted() {
+                    exec.accumulate_first_weighted(ops, &signal, 0.0, &mut z, &mut synops)
+                } else {
+                    exec.accumulate_weighted(ops, i, &signal, 0.0, &mut z, &mut synops)
+                }
+                .unwrap();
+                z
+            } else {
+                exec.propagate(ops, i, &signal).unwrap()
+            };
         }
         (signal, synops)
     }
@@ -607,10 +635,16 @@ mod tests {
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
         let mut exec = OpExecutor::new(&plan, SimEngine::event());
         let signal = sparse_signal();
-        let (got, synops) = exec.propagate(&ops, 0, &signal).unwrap();
+        let mut got = Tensor::zeros([2, 4, 4, 2]);
+        let mut synops = vec![0; 2];
+        exec.accumulate_first_weighted(&ops, &signal, 0.0, &mut got, &mut synops)
+            .unwrap();
         let (want, want_synops) = ops[0].propagate(&signal).unwrap();
         assert_eq!(got.to_channel_major().unwrap(), want);
-        assert_eq!(synops, want_synops);
+        assert_eq!(synops.iter().sum::<u64>(), want_synops);
+        // Weighted ops only accumulate.
+        assert!(exec.propagate(&ops, 0, &signal).is_err());
+        assert!(exec.propagate(&ops, 3, &Tensor::zeros([2, 8])).is_err());
     }
 
     #[test]
@@ -619,32 +653,25 @@ mod tests {
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
         let mut exec = OpExecutor::new(&plan, SimEngine::event());
         // A sparse position-major signal entering the hidden linear op.
-        let signal = Tensor::from_vec(
-            [2, 8],
-            vec![
-                0.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, //
-                0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0,
-            ],
-        )
-        .unwrap();
+        let signal = linear_signal();
         let base = Tensor::from_fn([2, 3], |i| (i[0] + i[1]) as f32 * 0.1);
         let mut via_dense = base.clone();
-        let s1 = exec
-            .accumulate_weighted(&ops, 3, &signal, 0.5, &mut via_dense)
+        let mut s1 = vec![0; 2];
+        exec.accumulate_weighted(&ops, 3, &signal, 0.5, &mut via_dense, &mut s1)
             .unwrap();
         let events = SpikeBatch::from_dense(&signal).unwrap();
         let mut via_events = base.clone();
-        let s2 = exec
-            .accumulate_weighted_events(&ops, 3, &events, 0.5, &mut via_events)
+        let mut s2 = vec![0; 2];
+        exec.accumulate_weighted_events(&ops, 3, &events, 0.5, &mut via_events, &mut s2)
             .unwrap();
         assert_eq!(via_dense, via_events);
         assert_eq!(s1, s2);
         // Non-weighted ops are rejected.
         assert!(exec
-            .accumulate_weighted(&ops, 1, &signal, 0.0, &mut via_dense)
+            .accumulate_weighted(&ops, 1, &signal, 0.0, &mut via_dense, &mut s1)
             .is_err());
         assert!(exec
-            .accumulate_weighted_events(&ops, 1, &events, 0.0, &mut via_events)
+            .accumulate_weighted_events(&ops, 1, &events, 0.0, &mut via_events, &mut s2)
             .is_err());
     }
 
@@ -653,8 +680,11 @@ mod tests {
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
         let mut exec = OpExecutor::new(&plan, SimEngine::dense());
-        let (_, synops) = exec.propagate(&ops, 0, &sparse_signal()).unwrap();
-        assert!(synops > 0);
+        let mut potential = Tensor::zeros([2, 4, 4, 2]);
+        let mut synops = vec![0; 2];
+        exec.accumulate_first_weighted(&ops, &sparse_signal(), 0.0, &mut potential, &mut synops)
+            .unwrap();
+        assert!(synops.iter().all(|&s| s > 0));
         assert_eq!(exec.scratch.nnz(), 0, "dense engine skips the scan");
     }
 
@@ -691,18 +721,17 @@ mod tests {
         assert!(got.all_close(&want, 1e-5));
     }
 
-    fn run_chain_from(
-        exec: &mut OpExecutor<'_>,
-        ops: &[SnnOp],
-        mut signal: Tensor,
-    ) -> (Tensor, u64) {
-        let mut synops = 0u64;
-        for i in 0..ops.len() {
-            let (next, s) = exec.propagate(ops, i, &signal).unwrap();
-            synops += s;
-            signal = next;
-        }
-        (signal, synops)
+    /// A sparse `[2, 8]` signal into the linear op: two non-zeros in the
+    /// first image, one in the second.
+    fn linear_signal() -> Tensor {
+        Tensor::from_vec(
+            [2, 8],
+            vec![
+                0.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, //
+                0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0,
+            ],
+        )
+        .unwrap()
     }
 
     #[test]
@@ -710,44 +739,103 @@ mod tests {
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
         let mut exec = OpExecutor::new(&plan, SimEngine::event());
-        // Conv op on a position-major signal.
-        let pm = sparse_signal().to_position_major().unwrap();
+        // Oracle for the 3×3, stride-1, pad-1 conv on a 4×4 plane with 2
+        // output channels: a non-zero at (y, x) reaches taps(y)·taps(x)
+        // kernel taps, each charged once per output channel.
+        let taps = |p: usize| {
+            let valid = |k: &usize| (p + 1).checked_sub(*k).is_some_and(|o| o < 4);
+            (0..3).filter(valid).count()
+        };
+        let oracle = |cm: &Tensor| -> Vec<u64> {
+            cm.data()
+                .chunks_exact(16)
+                .map(|image| {
+                    let nonzero = (0..16).filter(|&p| image[p] != 0.0);
+                    nonzero
+                        .map(|p| (taps(p / 4) * taps(p % 4) * 2) as u64)
+                        .sum()
+                })
+                .collect()
+        };
+        // Event scatter and dense walk: each image's ledger slot is its
+        // oracle count, on top of what the slot already held.
+        let cm = sparse_signal();
+        let pm = cm.to_position_major().unwrap();
         let events = SpikeBatch::from_dense(&pm).unwrap();
-        let mut potential = Tensor::zeros([2, 4, 4, 2]);
-        let charged = exec
-            .accumulate_weighted_events(&ops, 0, &events, 0.0, &mut potential)
+        let want = oracle(&cm);
+        assert_eq!(want, [18, 8]);
+        let mut via_events = Tensor::zeros([2, 4, 4, 2]);
+        let mut ledger = vec![0; 2];
+        exec.accumulate_weighted_events(&ops, 0, &events, 0.0, &mut via_events, &mut ledger)
             .unwrap();
-        let mut by_image = vec![0u64; 2];
-        ops[0]
-            .synops_events_by_image(&events, &mut by_image)
+        assert_eq!(ledger, want);
+        let mut via_dense = Tensor::zeros([2, 4, 4, 2]);
+        let mut dense_ledger = vec![100, 200];
+        OpExecutor::new(&plan, SimEngine::dense())
+            .accumulate_weighted(&ops, 0, &pm, 0.0, &mut via_dense, &mut dense_ledger)
             .unwrap();
-        assert_eq!(by_image.iter().sum::<u64>(), charged);
-        let mut by_image_dense = vec![0u64; 2];
-        ops[0].synops_pm_by_image(&pm, &mut by_image_dense).unwrap();
-        assert_eq!(by_image_dense, by_image);
-        // Linear op: nnz × O per image.
-        let signal = Tensor::from_vec(
-            [2, 8],
-            vec![
-                0.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, //
-                0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0,
-            ],
-        )
-        .unwrap();
+        assert_eq!(dense_ledger, [100 + want[0], 200 + want[1]]);
+        assert_eq!(via_dense, via_events);
+        // The GEMM branch (an event list denser than one in two) between
+        // two full images, with an empty image in the middle.
+        let cm = Tensor::from_fn([3, 1, 4, 4], |i| if i[0] == 1 { 0.0 } else { 0.25 });
+        let pm = cm.to_position_major().unwrap();
+        let events = SpikeBatch::from_dense(&pm).unwrap();
+        assert!(events.density() > GEMM_DENSITY);
+        let mut via_gemm = Tensor::zeros([3, 4, 4, 2]);
+        let mut gemm_ledger = vec![0; 3];
+        exec.accumulate_weighted_events(&ops, 0, &events, 0.0, &mut via_gemm, &mut gemm_ledger)
+            .unwrap();
+        assert_eq!(gemm_ledger, oracle(&cm));
+        assert_eq!(gemm_ledger, [200, 0, 200]);
+        let mut via_walk = Tensor::zeros([3, 4, 4, 2]);
+        let mut walk_ledger = vec![0; 3];
+        OpExecutor::new(&plan, SimEngine::dense())
+            .accumulate_weighted(&ops, 0, &pm, 0.0, &mut via_walk, &mut walk_ledger)
+            .unwrap();
+        assert_eq!(via_gemm, via_walk);
+        assert_eq!(walk_ledger, gemm_ledger);
+        // Linear op: nnz × O per image, dense or events.
+        let signal = linear_signal();
         let lin_events = SpikeBatch::from_dense(&signal).unwrap();
         let mut lin = vec![0u64; 2];
-        ops[3]
-            .synops_events_by_image(&lin_events, &mut lin)
-            .unwrap();
+        exec.accumulate_weighted_events(
+            &ops,
+            3,
+            &lin_events,
+            0.0,
+            &mut Tensor::zeros([2, 3]),
+            &mut lin,
+        )
+        .unwrap();
         assert_eq!(lin, vec![2 * 3, 3]);
         let mut lin_dense = vec![0u64; 2];
-        ops[3].synops_pm_by_image(&signal, &mut lin_dense).unwrap();
+        OpExecutor::new(&plan, SimEngine::dense())
+            .accumulate_weighted(
+                &ops,
+                3,
+                &signal,
+                0.0,
+                &mut Tensor::zeros([2, 3]),
+                &mut lin_dense,
+            )
+            .unwrap();
         assert_eq!(lin_dense, lin);
-        // Non-weighted ops are rejected.
-        assert!(ops[1]
-            .synops_events_by_image(&events, &mut by_image)
+        // A ledger without one slot per image is rejected.
+        let mut short = vec![0; 1];
+        assert!(exec
+            .accumulate_weighted_events(&ops, 0, &events, 0.0, &mut via_gemm, &mut short)
             .is_err());
-        assert!(ops[1].synops_pm_by_image(&pm, &mut by_image).is_err());
+        assert!(exec
+            .accumulate_weighted(
+                &ops,
+                3,
+                &signal,
+                0.0,
+                &mut Tensor::zeros([2, 3]),
+                &mut short
+            )
+            .is_err());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!   operation counting;
 //! * [`IfState`] — integrate-and-fire membrane dynamics (Eq. 2–4 of the
 //!   paper);
-//! * [`coding`] — rate, phase (weighted spikes), burst, and reverse
-//!   (TDSNN-like) neural codings (Fig. 1);
+//! * [`coding`] — rate, phase (weighted spikes) and burst neural codings
+//!   (Fig. 1), plus the reverse-coding (TDSNN-like) cost model of
+//!   Table III;
 //! * [`simulate`] — the engine producing accuracy-vs-time curves (Fig. 6),
 //!   spike counts (Tables I–II) and operation counts (Table III);
 //! * [`energy`] — the TrueNorth/SpiNNaker normalized energy estimator
@@ -66,4 +67,4 @@ mod sim;
 pub use engine::{OpExecutor, OpPlan, SimEngine};
 pub use network::{SnnNetwork, SnnOp};
 pub use neuron::IfState;
-pub use sim::{simulate, simulate_on, CurvePoint, SimConfig, SimOutcome};
+pub use sim::{argmax, simulate, simulate_on, CurvePoint, SimConfig, SimOutcome};

@@ -16,8 +16,8 @@
 use serde::{Deserialize, Serialize};
 use t2fsnn_dnn::layers::{Layer, PoolKind};
 use t2fsnn_dnn::Network;
-use t2fsnn_tensor::ops::{sparse, Conv2dSpec};
-use t2fsnn_tensor::{trace, Result, SpikeBatch, Tensor, TensorError};
+use t2fsnn_tensor::ops::Conv2dSpec;
+use t2fsnn_tensor::{trace, Result, Tensor, TensorError};
 
 /// One op of a converted spiking network.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -266,88 +266,6 @@ impl SnnOp {
         }
         t2fsnn_tensor::simd::add_scaled_rows(drive.data_mut(), bias.data(), scale);
         Ok(())
-    }
-
-    /// Per-image synaptic-accumulate counts this op would charge for an
-    /// event-form position-major signal, written into `out` (one slot per
-    /// image). The counts are exactly what
-    /// [`crate::OpExecutor::accumulate_weighted_events`] charges in total —
-    /// resolved per image so an online-serving request can be billed its
-    /// own synops; images never interact, so `out.sum()` equals the batch
-    /// charge.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatches or if this is not a weighted
-    /// op.
-    pub fn synops_events_by_image(&self, events: &SpikeBatch, out: &mut [u64]) -> Result<()> {
-        match self {
-            SnnOp::Conv { weight, spec, .. } => {
-                let kernel = (weight.dims()[2], weight.dims()[3]);
-                sparse::conv2d_synops_events_by_image(events, weight.dims()[0], kernel, *spec, out)
-            }
-            SnnOp::Linear { weight, .. } => {
-                if out.len() != events.batch() {
-                    return Err(TensorError::InvalidArgument {
-                        op: "SnnOp::synops_events_by_image",
-                        message: format!(
-                            "{} images but out has {} slots",
-                            events.batch(),
-                            out.len()
-                        ),
-                    });
-                }
-                let o = weight.dims()[0] as u64;
-                for (ni, slot) in out.iter_mut().enumerate() {
-                    *slot = events.image_events(ni).0.len() as u64 * o;
-                }
-                Ok(())
-            }
-            _ => Err(TensorError::InvalidArgument {
-                op: "SnnOp::synops_events_by_image",
-                message: "not a weighted op".to_string(),
-            }),
-        }
-    }
-
-    /// [`SnnOp::synops_events_by_image`] for a dense position-major
-    /// signal (`[N, OH, OW, C]` for convolutions, `[N, I]` for linear
-    /// layers): each non-zero entry is charged its `valid taps × O`
-    /// accumulates.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatches or if this is not a weighted
-    /// op.
-    pub fn synops_pm_by_image(&self, signal: &Tensor, out: &mut [u64]) -> Result<()> {
-        match self {
-            SnnOp::Conv { weight, spec, .. } => {
-                let kernel = (weight.dims()[2], weight.dims()[3]);
-                sparse::conv2d_synops_pm_by_image(signal, weight.dims()[0], kernel, *spec, out)
-            }
-            SnnOp::Linear { weight, .. } => {
-                if signal.rank() != 2 || out.len() != signal.dims()[0] {
-                    return Err(TensorError::InvalidArgument {
-                        op: "SnnOp::synops_pm_by_image",
-                        message: format!(
-                            "signal {} does not give one row per out slot ({})",
-                            signal.shape(),
-                            out.len()
-                        ),
-                    });
-                }
-                let o = weight.dims()[0] as u64;
-                let features = signal.dims()[1];
-                for (row, slot) in signal.data().chunks_exact(features.max(1)).zip(out) {
-                    *slot = row.iter().filter(|&&v| v != 0.0).count() as u64 * o;
-                }
-                Ok(())
-            }
-            _ => Err(TensorError::InvalidArgument {
-                op: "SnnOp::synops_pm_by_image",
-                message: "not a weighted op".to_string(),
-            }),
-        }
     }
 }
 

@@ -332,18 +332,21 @@ fn simulate_chunk(
     let needs_mult = coding.synop_needs_mult();
     let mut spikes_hidden: Vec<u64> = ops.iter().map(|_| 0).collect();
     let mut input_spikes = 0u64;
-    let mut synop_adds = 0u64;
-    let mut synop_mults = 0u64;
+    // Per-image synop ledger: every weighted kernel bills its adds here
+    // as it scatters.
+    let mut synops = vec![0u64; n];
     let mut curve = Vec::new();
+    let zeros = |i: usize| {
+        let mut dims = vec![n];
+        dims.extend_from_slice(plan.state_dims(i));
+        Tensor::zeros(dims)
+    };
 
     // Deterministic periodic inputs let us compute the (expensive, often
     // dense) input-layer propagation once per phase and replay it. The
     // cached synop counts are still charged every step — the arithmetic
     // happens on real hardware; we just avoid recomputing it.
-    let first_weighted = ops
-        .iter()
-        .position(SnnOp::is_weighted)
-        .expect("validated by simulate_on");
+    let first_weighted = plan.first_weighted();
     struct CachedDrive {
         /// First-weighted-op output for this input phase.
         raw: Tensor,
@@ -352,7 +355,8 @@ fn simulate_chunk(
         fused: Tensor,
         fused_scale: f32,
         in_spikes: u64,
-        synops: u64,
+        /// Per-image synop adds of computing `raw`.
+        synops: Vec<u64>,
     }
     let mut input_cache: Vec<Option<CachedDrive>> = match coding.input_period() {
         Some(p) if p > 0 => (0..p).map(|_| None).collect(),
@@ -374,29 +378,30 @@ fn simulate_chunk(
         let bias_scale = coding.bias_scale(t);
         // Resolve this step's input-layer drive: borrowed from the
         // per-phase cache (filled on first use — no per-step clone), or
-        // computed fresh for non-periodic codings. The cached synop
-        // counts are still charged every step: the arithmetic happens on
-        // real hardware, it is just not recomputed here. The cache keeps
-        // the drive with the bias current already folded in, so the
-        // per-step work collapses to one integrate.
+        // computed fresh for non-periodic codings. Either way the
+        // image-domain ops run first and the first weighted op
+        // accumulates into a zeroed drive. The cached synop counts are
+        // still charged every step: the arithmetic happens on real
+        // hardware, it is just not recomputed here. The cache keeps the
+        // drive with the bias current already folded in, so the per-step
+        // work collapses to one integrate.
         let mut fresh_drive: Option<Tensor> = None;
         let input_span = trace::span("sim/input_drive");
         if let Some(k) = cache_key {
             if input_cache[k].is_none() {
-                let (raw, in_spikes) = coding.encode(images, t);
-                let mut z = raw;
-                let mut synops_acc = 0u64;
-                for i in 0..=first_weighted {
-                    let (next, synops) = executor.propagate(ops, i, &z)?;
-                    synops_acc += synops;
-                    z = next;
+                let (mut z, in_spikes) = coding.encode(images, t);
+                for i in 0..first_weighted {
+                    z = executor.propagate(ops, i, &z)?;
                 }
+                let mut raw = zeros(first_weighted);
+                let mut raw_synops = vec![0u64; n];
+                executor.accumulate_first_weighted(ops, &z, 0.0, &mut raw, &mut raw_synops)?;
                 input_cache[k] = Some(CachedDrive {
-                    fused: z.clone(),
-                    raw: z,
+                    fused: raw.clone(),
+                    raw,
                     fused_scale: f32::NAN, // force the fuse below
                     in_spikes,
-                    synops: synops_acc,
+                    synops: raw_synops,
                 });
             }
             let entry = input_cache[k].as_mut().expect("filled above");
@@ -408,26 +413,18 @@ fn simulate_chunk(
                 entry.fused_scale = bias_scale;
             }
             input_spikes += entry.in_spikes;
-            synop_adds += entry.synops;
-            if needs_mult {
-                synop_mults += entry.synops;
+            for (slot, &charged) in synops.iter_mut().zip(&entry.synops) {
+                *slot += charged;
             }
         } else {
-            let (raw, in_spikes) = coding.encode(images, t);
+            let (mut z, in_spikes) = coding.encode(images, t);
             input_spikes += in_spikes;
-            let mut z = raw;
-            let mut synops_acc = 0u64;
-            for i in 0..=first_weighted {
-                let (next, synops) = executor.propagate(ops, i, &z)?;
-                synops_acc += synops;
-                z = next;
+            for i in 0..first_weighted {
+                z = executor.propagate(ops, i, &z)?;
             }
-            synop_adds += synops_acc;
-            if needs_mult {
-                synop_mults += synops_acc;
-            }
-            ops[first_weighted].inject_bias_pm(&mut z, bias_scale)?;
-            fresh_drive = Some(z);
+            let mut drive = zeros(first_weighted);
+            executor.accumulate_first_weighted(ops, &z, bias_scale, &mut drive, &mut synops)?;
+            fresh_drive = Some(drive);
         }
         drop(input_span);
         let step_span = trace::span("sim/step_ops");
@@ -452,15 +449,13 @@ fn simulate_chunk(
             }
             if op.is_weighted() {
                 let state = states[i].as_mut().expect("weighted op has state");
-                let synops = if i == skip_until {
+                if i == skip_until {
                     // `drive` holds this op's output with the bias
                     // already folded in (synops charged above); one
                     // integrate finishes the step for this layer.
                     state.integrate(drive)?;
-                    0
                 } else if signal_zero {
                     ops[i].inject_bias_pm(state.potential_mut(), bias_scale)?;
-                    0
                 } else if events_active {
                     executor.accumulate_weighted_events(
                         ops,
@@ -468,7 +463,8 @@ fn simulate_chunk(
                         &fire_events,
                         bias_scale,
                         state.potential_mut(),
-                    )?
+                        &mut synops,
+                    )?;
                 } else {
                     executor.accumulate_weighted(
                         ops,
@@ -476,11 +472,8 @@ fn simulate_chunk(
                         &signal,
                         bias_scale,
                         state.potential_mut(),
-                    )?
-                };
-                synop_adds += synops;
-                if needs_mult {
-                    synop_mults += synops;
+                        &mut synops,
+                    )?;
                 }
                 if i == last_weighted {
                     // Output layer: accumulate only.
@@ -509,8 +502,7 @@ fn simulate_chunk(
                 }
             } else if events_active && !signal_zero {
                 // Pass-through ops on an event signal: the signal stays
-                // in event form all the way to the next integrate
-                // (synops are zero for all of them).
+                // in event form all the way to the next integrate.
                 match op {
                     SnnOp::AvgPool { window, stride } => {
                         executor.avg_pool_events(&mut fire_events, *window, *stride)?;
@@ -519,33 +511,18 @@ fn simulate_chunk(
                         let numel = fire_events.feature_numel();
                         fire_events.reshape_features(&[numel])?;
                     }
-                    _ => {
-                        // Not reachable with the bundled architectures
-                        // (max pooling is rejected up front); densify and
-                        // take the dense path.
-                        signal = fire_events.to_dense();
-                        events_active = false;
-                        let (z, synops) = executor.propagate(ops, i, &signal)?;
-                        synop_adds += synops;
-                        if needs_mult {
-                            synop_mults += synops;
-                        }
-                        signal = z;
+                    SnnOp::MaxPool { .. } | SnnOp::Conv { .. } | SnnOp::Linear { .. } => {
+                        unreachable!(
+                            "max pooling is rejected up front; weighted ops integrate above"
+                        )
                     }
                 }
             } else {
-                let (z, synops) = if signal_zero {
-                    let mut dims = vec![n];
-                    dims.extend_from_slice(plan.state_dims(i));
-                    (Tensor::zeros(dims), 0)
+                signal = if signal_zero {
+                    zeros(i)
                 } else {
                     executor.propagate(ops, i, &signal)?
                 };
-                synop_adds += synops;
-                if needs_mult {
-                    synop_mults += synops;
-                }
-                signal = z;
             }
         }
         drop(step_span);
@@ -557,13 +534,28 @@ fn simulate_chunk(
         }
     }
 
+    let synop_adds = synops.iter().sum();
     Ok(ChunkStats {
         curve,
         spikes_hidden,
         input_spikes,
         synop_adds,
-        synop_mults,
+        // Codings with multiplying synapses pay one multiply per add.
+        synop_mults: if needs_mult { synop_adds } else { 0 },
     })
+}
+
+/// Argmax over one output row: the last maximal element (matching
+/// `Iterator::max_by`), with a NaN comparing equal to everything, and
+/// `(0, −∞)` for an empty row. Every coding's prediction comes from it:
+/// the baselines' accuracy curves here and the TTFS engine's labels and
+/// correct counts, so all of them break ties the same way.
+pub fn argmax(row: &[f32]) -> (usize, f32) {
+    row.iter()
+        .copied()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .unwrap_or((0, f32::NEG_INFINITY))
 }
 
 /// Argmax correct-count of a `[N, classes]` potential tensor.
@@ -578,27 +570,17 @@ fn batch_correct(potential: &Tensor, labels: &[usize]) -> Result<u64> {
             ),
         });
     }
-    let c = potential.dims()[1];
-    let mut correct = 0u64;
-    for (i, &y) in labels.iter().enumerate() {
-        let row = &potential.data()[i * c..(i + 1) * c];
-        let pred = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(j, _)| j)
-            .unwrap_or(0);
-        if pred == y {
-            correct += 1;
-        }
-    }
-    Ok(correct)
+    let rows = potential.data().chunks_exact(potential.dims()[1].max(1));
+    Ok(rows
+        .zip(labels)
+        .filter(|(row, &y)| argmax(row).0 == y)
+        .count() as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coding::{BurstCoding, PhaseCoding, RateCoding, ReverseCoding};
+    use crate::coding::{BurstCoding, PhaseCoding, RateCoding};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use t2fsnn_data::{DatasetSpec, SyntheticConfig};
@@ -775,27 +757,6 @@ mod tests {
             .unwrap();
             assert_eq!(serial, parallel, "workers={workers}");
         }
-        // Reverse coding carries per-layer refractory state and must
-        // still chunk cleanly.
-        let serial = simulate_on(
-            &snn,
-            &mut ReverseCoding::new(16),
-            &images,
-            &labels,
-            &SimConfig::new(32, 8),
-            &ThreadPool::new(1),
-        )
-        .unwrap();
-        let parallel = simulate_on(
-            &snn,
-            &mut ReverseCoding::new(16),
-            &images,
-            &labels,
-            &SimConfig::new(32, 8),
-            &ThreadPool::new(4),
-        )
-        .unwrap();
-        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -894,6 +855,24 @@ mod tests {
             &SimConfig::new(4, 2)
         )
         .is_err());
+    }
+
+    #[test]
+    fn argmax_takes_the_last_maximum_and_lets_nan_tie() {
+        assert_eq!(argmax(&[1.0, 3.0, 2.0, 3.0, 0.5]), (3, 3.0));
+        assert_eq!(argmax(&[2.0, 2.0, 2.0]), (2, 2.0));
+        // NaN compares equal to everything, so the scan keeps moving
+        // right past it: here the later 1.0 wins over the earlier 5.0.
+        let (i, v) = argmax(&[5.0, f32::NAN, 1.0]);
+        assert_eq!((i, v), (2, 1.0));
+        let (i, v) = argmax(&[0.0, 4.0, f32::NAN]);
+        assert_eq!(i, 2);
+        assert!(v.is_nan());
+        assert_eq!(argmax(&[]), (0, f32::NEG_INFINITY));
+        // The baselines' correct count follows the same rule.
+        let tied = Tensor::from_vec([2, 3], vec![1.0, 1.0, 0.0, 0.0, f32::NAN, -1.0]).unwrap();
+        assert_eq!(batch_correct(&tied, &[1, 2]).unwrap(), 2);
+        assert_eq!(batch_correct(&tied, &[0, 1]).unwrap(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use t2fsnn_dnn::layers::{Conv2d, Flatten, Linear, Pool, PoolKind, Relu};
 use t2fsnn_dnn::Network;
-use t2fsnn_snn::coding::{BurstCoding, Coding, PhaseCoding, RateCoding, ReverseCoding};
+use t2fsnn_snn::coding::{BurstCoding, Coding, PhaseCoding, RateCoding};
 use t2fsnn_snn::{simulate_on, IfState, SimConfig, SimEngine, SnnNetwork, SnnOp};
 use t2fsnn_tensor::ops::{conv2d, Conv2dSpec};
 use t2fsnn_tensor::{Tensor, ThreadPool};
@@ -71,7 +71,6 @@ fn all_codings() -> Vec<Box<dyn Coding>> {
         Box::new(RateCoding::bernoulli(11)),
         Box::new(PhaseCoding::new(4)),
         Box::new(BurstCoding::new(3)),
-        Box::new(ReverseCoding::new(8)),
     ]
 }
 
@@ -232,16 +231,6 @@ proptest! {
         // Transmitted value matches the geometric formula for the count.
         if count > 0 {
             prop_assert!((s.data()[0] - coding.burst_value(count as u32)).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn reverse_coding_orders_by_value(a in 0.01f32..1.0, b in 0.01f32..1.0) {
-        let coding = ReverseCoding::new(64);
-        let ta = coding.spike_time(a).unwrap();
-        let tb = coding.spike_time(b).unwrap();
-        if a < b {
-            prop_assert!(ta <= tb, "smaller value must not fire later");
         }
     }
 

@@ -19,6 +19,15 @@
 //! transpose flush; work is strictly proportional to
 //! `events × taps × O`.
 //!
+//! Every weighted kernel only accumulates: it takes the target to add
+//! into and a **synop ledger**, a `&mut [u64]` with one slot per image,
+//! and adds each image's synaptic accumulates (`O` per valid tap per
+//! non-zero input, the paper's Table III count) to its slot while it
+//! scatters. A caller that needs a fresh output passes a zeroed target.
+//! The im2col GEMM ([`conv2d_gemm_pm_acc`]) adds every tap, active or
+//! not, so its caller bills the ledger through the one tap-table counter,
+//! [`conv2d_synops_events_by_image`].
+//!
 //! Each conv scatter call (event list or dense walk) runs the whole
 //! batch inside **one** `simd::vectorized` dispatch context, with the
 //! per-event kernel monomorphised on the output width `O` ∈ {8, 16, 32}
@@ -461,61 +470,43 @@ fn check_pm_target(g: &ConvGeom, n: usize, target: &Tensor, op: &'static str) ->
     Ok(())
 }
 
-/// Sparse scatter convolution over a **dense position-major**
-/// `[N, H, W, C]` input with a cached `[C·KH·KW, O]` filter from
-/// [`transpose_filter`]: only non-zero entries do work, and each one
-/// scatters straight into the fresh `[N, OH, OW, O]` output. Returns
-/// `(output, synop count)` where the synop count charges `O` accumulates
-/// per valid kernel tap per non-zero input, matching the paper's
-/// Table III accounting.
-///
-/// # Errors
-///
-/// Returns an error on rank or dimension mismatches.
-pub fn conv2d_scatter_pm(
-    input: &Tensor,
-    filter_t: &Tensor,
-    kernel: (usize, usize),
-    spec: Conv2dSpec,
-) -> Result<(Tensor, u64)> {
-    if input.rank() != 4 {
+/// Rejects a synop ledger that does not hold one slot per image.
+fn check_ledger(n: usize, synops: &[u64], op: &'static str) -> Result<()> {
+    if synops.len() != n {
         return Err(TensorError::InvalidArgument {
-            op: "conv2d_scatter_pm",
-            message: format!("expected [N, H, W, C] input, got {}", input.shape()),
+            op,
+            message: format!("{n} images but the synop ledger has {} slots", synops.len()),
         });
     }
-    let n = input.dims()[0];
-    let (ckk, o) = check_filter_t(filter_t, "conv2d_scatter_pm")?;
-    let g = ConvGeom::new_pm(
-        &input.dims()[1..],
-        o,
-        ckk,
-        kernel,
-        spec,
-        "conv2d_scatter_pm",
-    )?;
-    let mut out = Tensor::zeros([n, g.oh, g.ow, g.o]);
-    let synops = scatter_pm_dense_loop(out.data_mut(), input.data(), filter_t.data(), &g, n);
-    Ok((out, synops))
+    Ok(())
 }
 
-/// [`conv2d_scatter_pm`] accumulating into an existing position-major
-/// `[N, OH, OW, O]` target (normally a layer's membrane potentials):
-/// the target *is* the accumulator, so there is no per-step clear and no
-/// flush — exactly the event-driven cost. Bias currents are injected by
-/// the caller in a separate pass (they are owed whether or not any event
-/// arrives).
+/// Sparse scatter convolution over a **dense position-major**
+/// `[N, H, W, C]` input with a cached `[C·KH·KW, O]` filter from
+/// [`transpose_filter`], accumulating into an existing position-major
+/// `[N, OH, OW, O]` target (normally a layer's membrane potentials): only
+/// non-zero entries do work, and the target *is* the accumulator, so
+/// there is no per-step clear and no flush — exactly the event-driven
+/// cost. A caller that needs a fresh output passes a zeroed target. Bias
+/// currents are injected by the caller in a separate pass (they are owed
+/// whether or not any event arrives).
+///
+/// `synops[i]` is the ledger slot of image `i`: it grows by the `O`
+/// accumulates of every valid kernel tap of every non-zero entry of that
+/// image, the paper's Table III accounting.
 ///
 /// # Errors
 ///
-/// Returns an error on rank or dimension mismatches.
+/// Returns an error on rank or dimension mismatches, or if `synops` does
+/// not hold one slot per image.
 pub fn conv2d_scatter_pm_acc(
     input: &Tensor,
     filter_t: &Tensor,
     kernel: (usize, usize),
     spec: Conv2dSpec,
     target: &mut Tensor,
-) -> Result<u64> {
+    synops: &mut [u64],
+) -> Result<()> {
     if input.rank() != 4 {
         return Err(TensorError::InvalidArgument {
             op: "conv2d_scatter_pm_acc",
@@ -533,58 +524,34 @@ pub fn conv2d_scatter_pm_acc(
         "conv2d_scatter_pm_acc",
     )?;
     check_pm_target(&g, n, target, "conv2d_scatter_pm_acc")?;
-    Ok(scatter_pm_dense_loop(
-        target.data_mut(),
-        input.data(),
-        filter_t.data(),
-        &g,
+    check_ledger(n, synops, "conv2d_scatter_pm_acc")?;
+    let signal = DenseSignal {
+        data: input.data(),
         n,
-    ))
+        g: &g,
+    };
+    scatter_pm_batch(target.data_mut(), &signal, filter_t.data(), &g, synops);
+    Ok(())
 }
 
-/// Event-list twin of [`conv2d_scatter_pm`] (events carry position-major
-/// `[H, W, C]` feature indices): identical results, bit for bit, without
-/// scanning zeros.
-///
-/// # Errors
-///
-/// Returns an error if the event feature shape does not match the
-/// filter.
-pub fn conv2d_scatter_events_pm(
-    events: &SpikeBatch,
-    filter_t: &Tensor,
-    kernel: (usize, usize),
-    spec: Conv2dSpec,
-) -> Result<(Tensor, u64)> {
-    let n = events.batch();
-    let (ckk, o) = check_filter_t(filter_t, "conv2d_scatter_events_pm")?;
-    let g = ConvGeom::new_pm(
-        events.feature_dims(),
-        o,
-        ckk,
-        kernel,
-        spec,
-        "conv2d_scatter_events_pm",
-    )?;
-    let mut out = Tensor::zeros([n, g.oh, g.ow, g.o]);
-    let synops = scatter_pm_events_loop(out.data_mut(), events, filter_t.data(), &g);
-    Ok((out, synops))
-}
-
-/// Event-list twin of [`conv2d_scatter_pm_acc`]: the hot path of the
+/// Event-list twin of [`conv2d_scatter_pm_acc`] (events carry
+/// position-major `[H, W, C]` feature indices): the hot path of the
 /// spiking simulator — each event's axpy rows land directly in the
-/// membrane-potential tensor.
+/// membrane-potential tensor, with the same results and the same ledger
+/// charges, bit for bit, without scanning zeros.
 ///
 /// # Errors
 ///
-/// Returns an error on rank or dimension mismatches.
+/// Returns an error on rank or dimension mismatches, or if `synops` does
+/// not hold one slot per image.
 pub fn conv2d_scatter_events_pm_acc(
     events: &SpikeBatch,
     filter_t: &Tensor,
     kernel: (usize, usize),
     spec: Conv2dSpec,
     target: &mut Tensor,
-) -> Result<u64> {
+    synops: &mut [u64],
+) -> Result<()> {
     let n = events.batch();
     let (ckk, o) = check_filter_t(filter_t, "conv2d_scatter_events_pm_acc")?;
     let g = ConvGeom::new_pm(
@@ -596,12 +563,13 @@ pub fn conv2d_scatter_events_pm_acc(
         "conv2d_scatter_events_pm_acc",
     )?;
     check_pm_target(&g, n, target, "conv2d_scatter_events_pm_acc")?;
-    Ok(scatter_pm_events_loop(
-        target.data_mut(),
+    check_ledger(n, synops, "conv2d_scatter_events_pm_acc")?;
+    let signal = EventSignal {
         events,
-        filter_t.data(),
-        &g,
-    ))
+        decoder: PmDecoder::new(g.w, g.c),
+    };
+    scatter_pm_batch(target.data_mut(), &signal, filter_t.data(), &g, synops);
+    Ok(())
 }
 
 /// A batch of position-major input signal as the conv scatter walks it:
@@ -666,35 +634,26 @@ impl PmSignal for EventSignal<'_> {
     }
 }
 
-/// Per-batch driver of the position-major dense walk: the input is
-/// streamed in storage order (ascending `(y, x, c)` — the canonical
-/// accumulation order) and non-zeros scatter into the target.
-fn scatter_pm_dense_loop(od: &mut [f32], id: &[f32], wt: &[f32], g: &ConvGeom, n: usize) -> u64 {
-    scatter_pm_batch(od, &DenseSignal { data: id, n, g }, wt, g)
-}
-
-/// Per-batch driver of the position-major event scatter.
-fn scatter_pm_events_loop(od: &mut [f32], events: &SpikeBatch, wt: &[f32], g: &ConvGeom) -> u64 {
-    let signal = EventSignal {
-        events,
-        decoder: PmDecoder::new(g.w, g.c),
-    };
-    scatter_pm_batch(od, &signal, wt, g)
-}
-
 /// Scatters a whole batch inside **one** [`simd::vectorized`] context,
 /// with the per-event kernel monomorphised on the output width (8, 16
 /// and 32 — every conv width of the bundled architectures — and a
 /// runtime-width fallback compiled from the same source). Per-event
-/// dispatch would cost an un-inlinable call per 8–32-float tap.
-fn scatter_pm_batch(od: &mut [f32], signal: &impl PmSignal, wt: &[f32], g: &ConvGeom) -> u64 {
+/// dispatch would cost an un-inlinable call per 8–32-float tap. Image
+/// `i`'s synop adds go to `synops[i]`.
+fn scatter_pm_batch(
+    od: &mut [f32],
+    signal: &impl PmSignal,
+    wt: &[f32],
+    g: &ConvGeom,
+    synops: &mut [u64],
+) {
     simd::vectorized(
         #[inline(always)]
         || match g.o {
-            8 => scatter_pm_images::<8, 24>(od, signal, wt, g),
-            16 => scatter_pm_images::<16, 48>(od, signal, wt, g),
-            32 => scatter_pm_images::<32, 96>(od, signal, wt, g),
-            _ => scatter_pm_images::<0, 0>(od, signal, wt, g),
+            8 => scatter_pm_images::<8, 24>(od, signal, wt, g, synops),
+            16 => scatter_pm_images::<16, 48>(od, signal, wt, g, synops),
+            32 => scatter_pm_images::<32, 96>(od, signal, wt, g, synops),
+            _ => scatter_pm_images::<0, 0>(od, signal, wt, g, synops),
         },
     )
 }
@@ -705,21 +664,22 @@ fn scatter_pm_images<const O: usize, const ROW: usize>(
     signal: &impl PmSignal,
     wt: &[f32],
     g: &ConvGeom,
-) -> u64 {
+    synops: &mut [u64],
+) {
     let mut s = TapScratch::new(g);
     let out_image = g.o * g.oh * g.ow;
-    let mut synops = 0u64;
     for ni in 0..signal.batch() {
         let os = &mut od[ni * out_image..(ni + 1) * out_image];
+        let mut charged = 0u64;
         signal.for_each_event(
             ni,
             #[inline(always)]
             |v, ci, yi, xi| {
-                synops += scatter_event_into::<O, ROW>(os, &mut s, wt, v, ci, yi, xi, g)
+                charged += scatter_event_into::<O, ROW>(os, &mut s, wt, v, ci, yi, xi, g)
             },
         );
+        synops[ni] += charged;
     }
-    synops
 }
 
 /// Sparse scatter convolution over a **dense channel-major**
@@ -1013,15 +973,15 @@ pub fn conv2d_gemm_pm_acc(
 }
 
 #[cfg(test)]
-/// Test oracle: synaptic-operation count of a convolution over a dense
-/// **channel-major** input: each non-zero entry is charged
-/// `valid taps × O` accumulates — exactly what the scatter kernels
-/// charge, computed without doing the arithmetic.
+/// Test oracle: per-image synaptic-operation counts of a convolution
+/// over a dense **channel-major** input: each non-zero entry is charged
+/// `valid taps × O` accumulates — exactly what the scatter kernels bill
+/// to their ledgers, computed without doing the arithmetic.
 ///
 /// # Errors
 ///
 /// Returns an error on rank or channel mismatches.
-fn conv2d_synops(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<u64> {
+fn conv2d_synops(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Vec<u64>> {
     if input.rank() != 4 {
         return Err(TensorError::InvalidArgument {
             op: "conv2d_synops",
@@ -1044,19 +1004,21 @@ fn conv2d_synops(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<u6
         "conv2d_synops",
     )?;
     let (ty, tx) = tap_tables(&g);
-    let mut synops = 0u64;
+    let mut by_image = Vec::with_capacity(input.dims()[0]);
     for image in input.data().chunks_exact(g.c * g.h * g.w) {
+        let mut taps = 0u64;
         for channel in image.chunks_exact(g.h * g.w) {
             for (row, &t_row) in channel.chunks_exact(g.w).zip(&ty) {
                 for (&v, &t_col) in row.iter().zip(&tx) {
                     if v != 0.0 {
-                        synops += t_row * t_col;
+                        taps += t_row * t_col;
                     }
                 }
             }
         }
+        by_image.push(taps * g.o as u64);
     }
-    Ok(synops * g.o as u64)
+    Ok(by_image)
 }
 
 /// Per-axis valid-tap-count tables (tap counts factor over the axes:
@@ -1073,44 +1035,12 @@ fn tap_tables(g: &ConvGeom) -> (Vec<u64>, Vec<u64>) {
 }
 
 /// Synaptic-operation count of a convolution over a **position-major**
-/// event list (`[H, W, C]` features): `valid taps × O` per event, via
-/// per-axis tap-count tables — no arithmetic, no scan.
-///
-/// # Errors
-///
-/// Returns an error on shape mismatches.
-pub fn conv2d_synops_events(
-    events: &SpikeBatch,
-    o: usize,
-    kernel: (usize, usize),
-    spec: Conv2dSpec,
-) -> Result<u64> {
-    let dims = events.feature_dims().to_vec();
-    let g = ConvGeom::new_pm(
-        &dims,
-        o,
-        dims.last().copied().unwrap_or(0) * kernel.0 * kernel.1,
-        kernel,
-        spec,
-        "conv2d_synops_events",
-    )?;
-    let (ty, tx) = tap_tables(&g);
-    let decoder = PmDecoder::new(g.w, g.c);
-    let mut taps = 0u64;
-    for ni in 0..events.batch() {
-        let (idx, _) = events.image_events(ni);
-        for &flat in idx {
-            let (_, yi, xi) = decoder.decode(flat as usize);
-            taps += ty[yi] * tx[xi];
-        }
-    }
-    Ok(taps * o as u64)
-}
-
-/// [`conv2d_synops_events`] resolved **per image**: `out[i]` receives
-/// image `i`'s `valid taps × O` accumulate count. Images never interact,
-/// so these counts are what a per-request (online-serving) accounting
-/// needs and `out.sum() == conv2d_synops_events(..)` always holds.
+/// event list (`[H, W, C]` features), resolved **per image**: `out[i]`
+/// grows by image `i`'s `valid taps × O` accumulates, looked up in
+/// per-axis tap-count tables — no arithmetic, no scan. The scatter
+/// kernels bill their ledger as they go; this is the ledger of the
+/// im2col GEMM path, which adds every tap and cannot count the active
+/// ones itself.
 ///
 /// # Errors
 ///
@@ -1123,12 +1053,7 @@ pub fn conv2d_synops_events_by_image(
     spec: Conv2dSpec,
     out: &mut [u64],
 ) -> Result<()> {
-    if out.len() != events.batch() {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d_synops_events_by_image",
-            message: format!("{} images but out has {} slots", events.batch(), out.len()),
-        });
-    }
+    check_ledger(events.batch(), out, "conv2d_synops_events_by_image")?;
     let dims = events.feature_dims().to_vec();
     let g = ConvGeom::new_pm(
         &dims,
@@ -1147,59 +1072,7 @@ pub fn conv2d_synops_events_by_image(
             let (_, yi, xi) = decoder.decode(flat as usize);
             taps += ty[yi] * tx[xi];
         }
-        *slot = taps * g.o as u64;
-    }
-    Ok(())
-}
-
-/// Per-image synaptic-operation count of a convolution over a dense
-/// **position-major** `[N, H, W, C]` signal: each non-zero entry is
-/// charged `valid taps × O` accumulates, exactly what the scatter
-/// kernels charge. The dense twin of
-/// [`conv2d_synops_events_by_image`].
-///
-/// # Errors
-///
-/// Returns an error on shape mismatches or if `out.len()` differs from
-/// the batch size.
-pub fn conv2d_synops_pm_by_image(
-    input: &Tensor,
-    o: usize,
-    kernel: (usize, usize),
-    spec: Conv2dSpec,
-    out: &mut [u64],
-) -> Result<()> {
-    if input.rank() != 4 {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d_synops_pm_by_image",
-            message: format!("expected [N, H, W, C] input, got {}", input.shape()),
-        });
-    }
-    if out.len() != input.dims()[0] {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d_synops_pm_by_image",
-            message: format!("{} images but out has {} slots", input.dims()[0], out.len()),
-        });
-    }
-    let dims = &input.dims()[1..];
-    let g = ConvGeom::new_pm(
-        dims,
-        o,
-        dims[2] * kernel.0 * kernel.1,
-        kernel,
-        spec,
-        "conv2d_synops_pm_by_image",
-    )?;
-    let (ty, tx) = tap_tables(&g);
-    for (image, slot) in input.data().chunks_exact(g.h * g.w * g.c).zip(out) {
-        let mut taps = 0u64;
-        for (row, &t_row) in image.chunks_exact(g.w * g.c).zip(&ty) {
-            for (pos, &t_col) in row.chunks_exact(g.c).zip(&tx) {
-                let nnz = pos.iter().filter(|&&v| v != 0.0).count() as u64;
-                taps += nnz * t_row * t_col;
-            }
-        }
-        *slot = taps * g.o as u64;
+        *slot += taps * g.o as u64;
     }
     Ok(())
 }
@@ -1458,8 +1331,11 @@ fn check_linear_t(input_features: usize, weight_t: &Tensor, op: &'static str) ->
 }
 
 /// Sparse dense-layer propagation over a **dense** `[N, I]` input with a
-/// *transposed* weight `[I, O]` (row-contiguous per input feature): only
-/// non-zero inputs touch weights. Returns `(output, synop count)`.
+/// *transposed* weight `[I, O]` (row-contiguous per input feature),
+/// accumulating into an existing `[N, O]` target (normally a layer's
+/// membrane potentials): only non-zero inputs touch weights, and the
+/// target is the accumulator — no intermediate drive tensor. Each
+/// non-zero input of image `i` adds `O` to its ledger slot `synops[i]`.
 ///
 /// Accumulation order per output element is ascending input index —
 /// whatever feature order the weight rows are laid out in, so callers
@@ -1468,29 +1344,14 @@ fn check_linear_t(input_features: usize, weight_t: &Tensor, op: &'static str) ->
 ///
 /// # Errors
 ///
-/// Returns an error on rank or dimension mismatches.
-pub fn linear_scatter_t(input: &Tensor, weight_t: &Tensor) -> Result<(Tensor, u64)> {
-    if input.rank() != 2 {
-        return Err(TensorError::InvalidArgument {
-            op: "linear_scatter_t",
-            message: format!("expected [N, I] input, got {}", input.shape()),
-        });
-    }
-    let (n, i) = (input.dims()[0], input.dims()[1]);
-    let o = check_linear_t(i, weight_t, "linear_scatter_t")?;
-    let mut out = Tensor::zeros([n, o]);
-    let synops = linear_scatter_loop(out.data_mut(), input.data(), weight_t.data(), n, i, o);
-    Ok((out, synops))
-}
-
-/// [`linear_scatter_t`] accumulating into an existing `[N, O]` target
-/// (normally a layer's membrane potentials): the target is the
-/// accumulator — no intermediate drive tensor.
-///
-/// # Errors
-///
-/// Returns an error on rank or dimension mismatches.
-pub fn linear_scatter_t_acc(input: &Tensor, weight_t: &Tensor, target: &mut Tensor) -> Result<u64> {
+/// Returns an error on rank or dimension mismatches, or if `synops` does
+/// not hold one slot per image.
+pub fn linear_scatter_t_acc(
+    input: &Tensor,
+    weight_t: &Tensor,
+    target: &mut Tensor,
+    synops: &mut [u64],
+) -> Result<()> {
     if input.rank() != 2 {
         return Err(TensorError::InvalidArgument {
             op: "linear_scatter_t_acc",
@@ -1499,101 +1360,61 @@ pub fn linear_scatter_t_acc(input: &Tensor, weight_t: &Tensor, target: &mut Tens
     }
     let (n, i) = (input.dims()[0], input.dims()[1]);
     let o = check_linear_t(i, weight_t, "linear_scatter_t_acc")?;
-    if target.dims() != [n, o] {
-        return Err(TensorError::InvalidArgument {
-            op: "linear_scatter_t_acc",
-            message: format!("expected target [{n}, {o}], got {}", target.shape()),
-        });
-    }
-    Ok(linear_scatter_loop(
-        target.data_mut(),
-        input.data(),
-        weight_t.data(),
-        n,
-        i,
-        o,
-    ))
-}
-
-fn linear_scatter_loop(
-    od: &mut [f32],
-    id: &[f32],
-    wtd: &[f32],
-    n: usize,
-    i: usize,
-    o: usize,
-) -> u64 {
-    let mut synops = 0u64;
-    for ni in 0..n {
+    check_linear_target(n, o, target, "linear_scatter_t_acc")?;
+    check_ledger(n, synops, "linear_scatter_t_acc")?;
+    let (od, id, wtd) = (target.data_mut(), input.data(), weight_t.data());
+    for (ni, slot) in synops.iter_mut().enumerate() {
         let orow = &mut od[ni * o..(ni + 1) * o];
         for (ii, &v) in id[ni * i..(ni + 1) * i].iter().enumerate() {
             if v == 0.0 {
                 continue;
             }
-            let wrow = &wtd[ii * o..(ii + 1) * o];
-            simd::axpy(orow, v, wrow);
-            synops += o as u64;
+            simd::axpy(orow, v, &wtd[ii * o..(ii + 1) * o]);
+            *slot += o as u64;
         }
     }
-    synops
-}
-
-/// Event-list twin of [`linear_scatter_t`]: identical results, bit for
-/// bit, without scanning zeros.
-///
-/// # Errors
-///
-/// Returns an error if the event feature count disagrees with the
-/// transposed weight.
-pub fn linear_scatter_events(events: &SpikeBatch, weight_t: &Tensor) -> Result<(Tensor, u64)> {
-    let i = events.feature_numel();
-    let o = check_linear_t(i, weight_t, "linear_scatter_events")?;
-    let n = events.batch();
-    let mut out = Tensor::zeros([n, o]);
-    let synops = linear_events_loop(out.data_mut(), events, weight_t.data(), o);
-    Ok((out, synops))
+    Ok(())
 }
 
 /// Event-list twin of [`linear_scatter_t_acc`]: weight rows scatter
-/// straight into the `[N, O]` membrane potentials.
+/// straight into the `[N, O]` membrane potentials, with the same results
+/// and ledger charges, bit for bit, without scanning zeros.
 ///
 /// # Errors
 ///
-/// Returns an error on rank or dimension mismatches.
+/// Returns an error on rank or dimension mismatches, or if `synops` does
+/// not hold one slot per image.
 pub fn linear_scatter_events_acc(
     events: &SpikeBatch,
     weight_t: &Tensor,
     target: &mut Tensor,
-) -> Result<u64> {
+    synops: &mut [u64],
+) -> Result<()> {
     let i = events.feature_numel();
     let o = check_linear_t(i, weight_t, "linear_scatter_events_acc")?;
     let n = events.batch();
-    if target.dims() != [n, o] {
-        return Err(TensorError::InvalidArgument {
-            op: "linear_scatter_events_acc",
-            message: format!("expected target [{n}, {o}], got {}", target.shape()),
-        });
-    }
-    Ok(linear_events_loop(
-        target.data_mut(),
-        events,
-        weight_t.data(),
-        o,
-    ))
-}
-
-fn linear_events_loop(od: &mut [f32], events: &SpikeBatch, wtd: &[f32], o: usize) -> u64 {
-    let mut synops = 0u64;
-    for ni in 0..events.batch() {
+    check_linear_target(n, o, target, "linear_scatter_events_acc")?;
+    check_ledger(n, synops, "linear_scatter_events_acc")?;
+    let (od, wtd) = (target.data_mut(), weight_t.data());
+    for (ni, slot) in synops.iter_mut().enumerate() {
         let orow = &mut od[ni * o..(ni + 1) * o];
         let (idx, val) = events.image_events(ni);
         for (&ii, &v) in idx.iter().zip(val) {
-            let wrow = &wtd[ii as usize * o..(ii as usize + 1) * o];
-            simd::axpy(orow, v, wrow);
-            synops += o as u64;
+            simd::axpy(orow, v, &wtd[ii as usize * o..(ii as usize + 1) * o]);
+            *slot += o as u64;
         }
     }
-    synops
+    Ok(())
+}
+
+fn check_linear_target(n: usize, o: usize, target: &Tensor, op: &'static str) -> Result<()> {
+    if target.dims() != [n, o] {
+        return Err(TensorError::InvalidArgument {
+            op,
+            message: format!("expected target [{n}, {o}], got {}", target.shape()),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1619,18 +1440,46 @@ mod tests {
         })
     }
 
+    /// The dense walk into a zeroed target: the fresh output and its
+    /// per-image synop ledger.
+    fn dense_walk(input: &Tensor, wt: &Tensor, k: usize, spec: Conv2dSpec) -> (Tensor, Vec<u64>) {
+        let d = input.dims();
+        let (oh, ow) = (spec.output_dim(d[1], k), spec.output_dim(d[2], k));
+        let mut out = Tensor::zeros([d[0], oh, ow, wt.dims()[1]]);
+        let mut synops = vec![0; d[0]];
+        conv2d_scatter_pm_acc(input, wt, (k, k), spec, &mut out, &mut synops).unwrap();
+        (out, synops)
+    }
+
+    /// [`dense_walk`] for the event scatter.
+    fn event_scatter(
+        events: &SpikeBatch,
+        wt: &Tensor,
+        k: usize,
+        spec: Conv2dSpec,
+    ) -> (Tensor, Vec<u64>) {
+        let d = events.feature_dims();
+        let (oh, ow) = (spec.output_dim(d[0], k), spec.output_dim(d[1], k));
+        let mut out = Tensor::zeros([events.batch(), oh, ow, wt.dims()[1]]);
+        let mut synops = vec![0; events.batch()];
+        conv2d_scatter_events_pm_acc(events, wt, (k, k), spec, &mut out, &mut synops).unwrap();
+        (out, synops)
+    }
+
     #[test]
     fn pm_dense_and_event_conv_are_bit_identical() {
         for &(stride, padding) in &[(1usize, 0usize), (1, 1), (2, 0), (2, 1), (3, 2)] {
             let spec = Conv2dSpec::new(stride, padding);
-            let input = sparse_input(2, 3, 7, 6).to_position_major().unwrap();
+            let input_cm = sparse_input(2, 3, 7, 6);
+            let input = input_cm.to_position_major().unwrap();
             let w = weight(4, 3, 3);
             let wt = transpose_filter(&w).unwrap();
-            let (dense, s1) = conv2d_scatter_pm(&input, &wt, (3, 3), spec).unwrap();
+            let (dense, s1) = dense_walk(&input, &wt, 3, spec);
             let events = SpikeBatch::from_dense(&input).unwrap();
-            let (sparse, s2) = conv2d_scatter_events_pm(&events, &wt, (3, 3), spec).unwrap();
+            let (sparse, s2) = event_scatter(&events, &wt, 3, spec);
             assert_eq!(dense, sparse, "stride={stride} padding={padding}");
             assert_eq!(s1, s2);
+            assert_eq!(s1, conv2d_synops(&input_cm, &w, spec).unwrap());
         }
     }
 
@@ -1647,9 +1496,9 @@ mod tests {
             let wt = transpose_filter(&w).unwrap();
             let (out_cm, s_cm) = conv2d_scatter_t(&input_cm, &wt, (3, 3), spec).unwrap();
             let input_pm = input_cm.to_position_major().unwrap();
-            let (out_pm, s_pm) = conv2d_scatter_pm(&input_pm, &wt, (3, 3), spec).unwrap();
+            let (out_pm, s_pm) = dense_walk(&input_pm, &wt, 3, spec);
             assert_eq!(out_pm.to_channel_major().unwrap(), out_cm);
-            assert_eq!(s_cm, s_pm);
+            assert_eq!(s_cm, s_pm.iter().sum::<u64>());
         }
     }
 
@@ -1675,7 +1524,8 @@ mod tests {
     fn gemm_pm_acc_is_bit_identical_to_event_scatter() {
         for &(stride, padding) in &[(1usize, 1usize), (2, 0)] {
             let spec = Conv2dSpec::new(stride, padding);
-            let input = sparse_input(2, 3, 6, 6).to_position_major().unwrap();
+            let input_cm = sparse_input(2, 3, 6, 6);
+            let input = input_cm.to_position_major().unwrap();
             let w = weight(4, 3, 3);
             let wt = transpose_filter(&w).unwrap();
             let wr = reorder_filter_taps(&w).unwrap();
@@ -1684,10 +1534,24 @@ mod tests {
             });
             let mut via_scatter = base.clone();
             let events = SpikeBatch::from_dense(&input).unwrap();
-            conv2d_scatter_events_pm_acc(&events, &wt, (3, 3), spec, &mut via_scatter).unwrap();
+            let mut scatter_synops = vec![0; 2];
+            conv2d_scatter_events_pm_acc(
+                &events,
+                &wt,
+                (3, 3),
+                spec,
+                &mut via_scatter,
+                &mut scatter_synops,
+            )
+            .unwrap();
             let mut via_gemm = base.clone();
             conv2d_gemm_pm_acc(&input, &wr, (3, 3), spec, &mut via_gemm).unwrap();
             assert_eq!(via_scatter, via_gemm, "stride={stride} padding={padding}");
+            // The GEMM path's ledger comes from the tap tables.
+            let mut gemm_synops = vec![0; 2];
+            conv2d_synops_events_by_image(&events, 4, (3, 3), spec, &mut gemm_synops).unwrap();
+            assert_eq!(gemm_synops, scatter_synops);
+            assert_eq!(gemm_synops, conv2d_synops(&input_cm, &w, spec).unwrap());
         }
     }
 
@@ -1701,12 +1565,17 @@ mod tests {
         let w = weight(4, 1, 3);
         let (_, synops) = conv2d_scatter(&input, &w, spec).unwrap();
         assert_eq!(synops, 9 * 4);
+        let wt = transpose_filter(&w).unwrap();
+        let pm = input.to_position_major().unwrap();
+        assert_eq!(dense_walk(&pm, &wt, 3, spec).1, [9 * 4]);
         // A corner event without padding reaches only 1 tap.
         let spec = Conv2dSpec::new(1, 0);
         let mut corner = Tensor::zeros([1, 1, 5, 5]);
         corner.set(&[0, 0, 0, 0], 1.0).unwrap();
         let (_, synops) = conv2d_scatter(&corner, &w, spec).unwrap();
         assert_eq!(synops, 4);
+        let pm = corner.to_position_major().unwrap();
+        assert_eq!(dense_walk(&pm, &wt, 3, spec).1, [4]);
     }
 
     #[test]
@@ -1717,7 +1586,11 @@ mod tests {
             let w = weight(4, 3, 3);
             let (_, from_scatter) = conv2d_scatter(&input, &w, spec).unwrap();
             let from_scan = conv2d_synops(&input, &w, spec).unwrap();
-            assert_eq!(from_scan, from_scatter, "stride={stride} padding={padding}");
+            let what = format!("stride={stride} padding={padding}");
+            assert_eq!(from_scan.iter().sum::<u64>(), from_scatter, "{what}");
+            let wt = transpose_filter(&w).unwrap();
+            let (_, ledger) = dense_walk(&input.to_position_major().unwrap(), &wt, 3, spec);
+            assert_eq!(ledger, from_scan, "{what}");
         }
     }
 
@@ -1727,10 +1600,12 @@ mod tests {
             let spec = Conv2dSpec::new(stride, padding);
             let input = sparse_input(2, 3, 7, 6);
             let w = weight(4, 3, 3);
-            let (_, want) = conv2d_scatter(&input, &w, spec).unwrap();
             let events = SpikeBatch::from_dense(&input.to_position_major().unwrap()).unwrap();
-            let got = conv2d_synops_events(&events, 4, (3, 3), spec).unwrap();
-            assert_eq!(got, want);
+            let mut got = vec![0; 2];
+            conv2d_synops_events_by_image(&events, 4, (3, 3), spec, &mut got).unwrap();
+            assert_eq!(got, conv2d_synops(&input, &w, spec).unwrap());
+            let wt = transpose_filter(&w).unwrap();
+            assert_eq!(got, event_scatter(&events, &wt, 3, spec).1);
         }
     }
 
@@ -1739,89 +1614,119 @@ mod tests {
         for &(stride, padding) in &[(1usize, 1usize), (2, 0)] {
             let spec = Conv2dSpec::new(stride, padding);
             let input = sparse_input(3, 2, 6, 5);
+            let w = weight(4, 2, 3);
             let pm = input.to_position_major().unwrap();
             let events = SpikeBatch::from_dense(&pm).unwrap();
-            let total = conv2d_synops_events(&events, 4, (3, 3), spec).unwrap();
+            let (_, total) = conv2d_scatter(&input, &w, spec).unwrap();
             let mut by_image = vec![0u64; 3];
             conv2d_synops_events_by_image(&events, 4, (3, 3), spec, &mut by_image).unwrap();
             assert_eq!(by_image.iter().sum::<u64>(), total);
-            // The dense twin charges the same counts per image.
-            let mut by_image_dense = vec![0u64; 3];
-            conv2d_synops_pm_by_image(&pm, 4, (3, 3), spec, &mut by_image_dense).unwrap();
             assert_eq!(
-                by_image_dense, by_image,
+                by_image,
+                conv2d_synops(&input, &w, spec).unwrap(),
                 "stride={stride} padding={padding}"
             );
+            // The ledger accumulates: a second call doubles every slot.
+            let mut twice = by_image.clone();
+            conv2d_synops_events_by_image(&events, 4, (3, 3), spec, &mut twice).unwrap();
+            assert!(twice.iter().zip(&by_image).all(|(&t, &b)| t == 2 * b));
             // A solo image is charged exactly its batched count.
+            let wt = transpose_filter(&w).unwrap();
             for (ni, &batched) in by_image.iter().enumerate() {
                 let solo = pm.index_axis0(ni).unwrap();
                 let solo_pm = solo.reshape([1, 6, 5, 2]).unwrap();
                 let solo_events = SpikeBatch::from_dense(&solo_pm).unwrap();
-                let solo_total = conv2d_synops_events(&solo_events, 4, (3, 3), spec).unwrap();
-                assert_eq!(solo_total, batched);
+                assert_eq!(event_scatter(&solo_events, &wt, 3, spec).1, [batched]);
             }
         }
-        // Shape validation.
+        // A ledger without one slot per image is rejected.
+        let spec = Conv2dSpec::new(1, 1);
         let events = SpikeBatch::from_dense(&Tensor::ones([2, 4, 4, 1])).unwrap();
         let mut short = vec![0u64; 1];
-        assert!(conv2d_synops_events_by_image(
-            &events,
-            4,
-            (3, 3),
-            Conv2dSpec::new(1, 1),
-            &mut short
-        )
-        .is_err());
-        assert!(conv2d_synops_pm_by_image(
+        assert!(conv2d_synops_events_by_image(&events, 4, (3, 3), spec, &mut short).is_err());
+        let wt = transpose_filter(&weight(4, 1, 3)).unwrap();
+        let mut target = Tensor::zeros([2, 4, 4, 4]);
+        assert!(
+            conv2d_scatter_events_pm_acc(&events, &wt, (3, 3), spec, &mut target, &mut short)
+                .is_err()
+        );
+        assert!(conv2d_scatter_pm_acc(
             &Tensor::ones([2, 4, 4, 1]),
-            4,
+            &wt,
             (3, 3),
-            Conv2dSpec::new(1, 1),
+            spec,
+            &mut target,
             &mut short
         )
         .is_err());
     }
 
-    #[test]
-    fn linear_dense_and_event_paths_agree_with_matmul() {
+    /// A two-image linear input with two non-zeros per image, its weight
+    /// and the transposed weight the kernels take.
+    fn linear_case() -> (Tensor, Tensor, Tensor) {
         let input =
             Tensor::from_vec([2, 4], vec![1.0, 0.0, 0.5, 0.0, 0.0, 2.0, 0.0, -1.0]).unwrap();
         let w = Tensor::from_fn([3, 4], |i| (i[0] * 4 + i[1]) as f32 * 0.1 - 0.2);
         let wt = w.transpose().unwrap();
-        let (dense, s1) = linear_scatter_t(&input, &wt).unwrap();
+        (input, w, wt)
+    }
+
+    #[test]
+    fn linear_dense_and_event_paths_agree_with_matmul() {
+        let (input, w, wt) = linear_case();
+        let mut dense = Tensor::zeros([2, 3]);
+        let mut s1 = vec![0; 2];
+        linear_scatter_t_acc(&input, &wt, &mut dense, &mut s1).unwrap();
         let events = SpikeBatch::from_dense(&input).unwrap();
-        let (sparse, s2) = linear_scatter_events(&events, &wt).unwrap();
+        let mut sparse = Tensor::zeros([2, 3]);
+        let mut s2 = vec![0; 2];
+        linear_scatter_events_acc(&events, &wt, &mut sparse, &mut s2).unwrap();
         assert_eq!(dense, sparse);
         assert_eq!(s1, s2);
-        assert_eq!(s1, 4 * 3); // 4 non-zeros × 3 outputs
+        assert_eq!(s1, [2 * 3, 2 * 3]); // 2 non-zeros × 3 outputs per image
         let reference = matmul_a_bt(&input, &w).unwrap();
         assert!(dense.all_close(&reference, 1e-6));
     }
 
     #[test]
     fn linear_acc_variants_accumulate_in_place() {
-        let input =
-            Tensor::from_vec([2, 4], vec![1.0, 0.0, 0.5, 0.0, 0.0, 2.0, 0.0, -1.0]).unwrap();
-        let w = Tensor::from_fn([3, 4], |i| (i[0] * 4 + i[1]) as f32 * 0.1 - 0.2);
-        let wt = w.transpose().unwrap();
+        let (input, _, wt) = linear_case();
         let base = Tensor::from_fn([2, 3], |i| (i[0] * 3 + i[1]) as f32 * 0.25);
-        // The acc variants must equal "target += each contribution in
-        // order" — which is exactly what running the plain kernel on a
-        // copy of the target as output would compute.
+        // The kernels must equal "target += each contribution in order".
         let mut want = base.clone();
-        let want_synops = linear_scatter_loop(want.data_mut(), input.data(), wt.data(), 2, 4, 3);
+        for ni in 0..2 {
+            for ii in 0..4 {
+                let v = input.data()[ni * 4 + ii];
+                if v != 0.0 {
+                    for oc in 0..3 {
+                        want.data_mut()[ni * 3 + oc] += v * wt.data()[ii * 3 + oc];
+                    }
+                }
+            }
+        }
         let mut dense_acc = base.clone();
-        let s1 = linear_scatter_t_acc(&input, &wt, &mut dense_acc).unwrap();
+        let mut s1 = vec![5, 7];
+        linear_scatter_t_acc(&input, &wt, &mut dense_acc, &mut s1).unwrap();
         assert_eq!(dense_acc, want);
-        assert_eq!(s1, want_synops);
+        assert_eq!(s1, [5 + 6, 7 + 6], "the ledger grows by nnz × O");
         let events = SpikeBatch::from_dense(&input).unwrap();
         let mut event_acc = base.clone();
-        let s2 = linear_scatter_events_acc(&events, &wt, &mut event_acc).unwrap();
+        let mut s2 = vec![5, 7];
+        linear_scatter_events_acc(&events, &wt, &mut event_acc, &mut s2).unwrap();
         assert_eq!(event_acc, want);
-        assert_eq!(s2, want_synops);
-        // Shape validation.
-        assert!(linear_scatter_t_acc(&input, &wt, &mut Tensor::zeros([2, 4])).is_err());
-        assert!(linear_scatter_events_acc(&events, &wt, &mut Tensor::zeros([3, 3])).is_err());
+        assert_eq!(s2, s1);
+        // Shape validation, short ledgers included.
+        let mut ledger = vec![0; 2];
+        assert!(
+            linear_scatter_t_acc(&input, &wt, &mut Tensor::zeros([2, 4]), &mut ledger).is_err()
+        );
+        assert!(
+            linear_scatter_events_acc(&events, &wt, &mut Tensor::zeros([3, 3]), &mut ledger)
+                .is_err()
+        );
+        let mut short = vec![0; 1];
+        assert!(linear_scatter_t_acc(&input, &wt, &mut dense_acc, &mut short).is_err());
+        assert!(linear_scatter_events_acc(&events, &wt, &mut event_acc, &mut short).is_err());
     }
 
     #[test]
@@ -1831,54 +1736,64 @@ mod tests {
         let w = weight(4, 3, 3);
         let wt = transpose_filter(&w).unwrap();
         let base = Tensor::from_fn([2, 6, 6, 4], |i| (i[0] + i[1] + i[2]) as f32 * 0.01);
-        let (fresh, synops_ref) = conv2d_scatter_pm(&input, &wt, (3, 3), spec).unwrap();
-        let _ = fresh;
+        let (fresh, synops_ref) = dense_walk(&input, &wt, 3, spec);
         let mut dense_acc = base.clone();
-        let s1 = conv2d_scatter_pm_acc(&input, &wt, (3, 3), spec, &mut dense_acc).unwrap();
+        let mut s1 = vec![0; 2];
+        conv2d_scatter_pm_acc(&input, &wt, (3, 3), spec, &mut dense_acc, &mut s1).unwrap();
         let events = SpikeBatch::from_dense(&input).unwrap();
         let mut event_acc = base.clone();
-        let s2 = conv2d_scatter_events_pm_acc(&events, &wt, (3, 3), spec, &mut event_acc).unwrap();
+        let mut s2 = vec![0; 2];
+        conv2d_scatter_events_pm_acc(&events, &wt, (3, 3), spec, &mut event_acc, &mut s2).unwrap();
         assert_eq!(dense_acc, event_acc);
         assert_eq!(s1, synops_ref);
         assert_eq!(s2, synops_ref);
         // Accumulation really starts from the base values.
-        assert_ne!(
-            dense_acc,
-            conv2d_scatter_pm(&input, &wt, (3, 3), spec).unwrap().0
-        );
+        assert_ne!(dense_acc, fresh);
         // Shape validation.
-        assert!(
-            conv2d_scatter_pm_acc(&input, &wt, (3, 3), spec, &mut Tensor::zeros([2, 6, 6, 3]))
-                .is_err()
-        );
+        assert!(conv2d_scatter_pm_acc(
+            &input,
+            &wt,
+            (3, 3),
+            spec,
+            &mut Tensor::zeros([2, 6, 6, 3]),
+            &mut s1
+        )
+        .is_err());
     }
 
     #[test]
     fn kernels_validate_shapes() {
         let w = weight(2, 3, 3);
         let wt = transpose_filter(&w).unwrap();
-        assert!(conv2d_scatter(&Tensor::zeros([1, 2, 4, 4]), &w, Conv2dSpec::default()).is_err());
-        assert!(conv2d_scatter(&Tensor::zeros([2, 4, 4]), &w, Conv2dSpec::default()).is_err());
-        assert!(conv2d_scatter_t(
-            &Tensor::zeros([1, 2, 4, 4]),
-            &wt,
-            (3, 3),
-            Conv2dSpec::default()
-        )
-        .is_err());
-        assert!(conv2d_scatter_pm(
+        let spec = Conv2dSpec::default();
+        assert!(conv2d_scatter(&Tensor::zeros([1, 2, 4, 4]), &w, spec).is_err());
+        assert!(conv2d_scatter(&Tensor::zeros([2, 4, 4]), &w, spec).is_err());
+        assert!(conv2d_scatter_t(&Tensor::zeros([1, 2, 4, 4]), &wt, (3, 3), spec).is_err());
+        let mut target = Tensor::zeros([1, 2, 2, 2]);
+        let mut ledger = vec![0; 1];
+        assert!(conv2d_scatter_pm_acc(
             &Tensor::zeros([1, 4, 4, 2]),
             &wt,
             (3, 3),
-            Conv2dSpec::default()
+            spec,
+            &mut target,
+            &mut ledger
         )
         .is_err());
         let events = SpikeBatch::from_dense(&Tensor::zeros([1, 4, 4, 2])).unwrap();
-        assert!(conv2d_scatter_events_pm(&events, &wt, (3, 3), Conv2dSpec::default()).is_err());
-        assert!(conv2d_gemm(&Tensor::zeros([1, 2, 4, 4]), &w, Conv2dSpec::default()).is_err());
-        assert!(linear_scatter_t(&Tensor::zeros([1, 3]), &Tensor::zeros([4, 2])).is_err());
+        assert!(
+            conv2d_scatter_events_pm_acc(&events, &wt, (3, 3), spec, &mut target, &mut ledger)
+                .is_err()
+        );
+        assert!(conv2d_gemm(&Tensor::zeros([1, 2, 4, 4]), &w, spec).is_err());
+        let mut target = Tensor::zeros([1, 2]);
+        let weight_t = Tensor::zeros([4, 2]);
+        assert!(
+            linear_scatter_t_acc(&Tensor::zeros([1, 3]), &weight_t, &mut target, &mut ledger)
+                .is_err()
+        );
         let events = SpikeBatch::from_dense(&Tensor::zeros([1, 3])).unwrap();
-        assert!(linear_scatter_events(&events, &Tensor::zeros([4, 2])).is_err());
+        assert!(linear_scatter_events_acc(&events, &weight_t, &mut target, &mut ledger).is_err());
         assert!(transpose_filter(&Tensor::zeros([2, 3])).is_err());
         assert!(reorder_filter_taps(&Tensor::zeros([2, 3])).is_err());
     }
@@ -1997,34 +1912,29 @@ mod tests {
 
     #[test]
     fn kernel_larger_than_input_yields_empty_output() {
-        // oh = ow = 0: the scatter paths must return the empty tensor,
-        // not panic.
+        // oh = ow = 0: the scatter paths must leave the empty target and
+        // charge nothing, not panic.
         let spec = Conv2dSpec::new(1, 0);
         let mut input = Tensor::zeros([1, 2, 2, 1]);
         input.set(&[0, 1, 1, 0], 1.0).unwrap();
         let w = weight(2, 1, 3);
         let wt = transpose_filter(&w).unwrap();
-        let (out, synops) = conv2d_scatter_pm(&input, &wt, (3, 3), spec).unwrap();
+        let (out, synops) = dense_walk(&input, &wt, 3, spec);
         assert_eq!(out.dims(), &[1, 0, 0, 2]);
-        assert_eq!(synops, 0);
+        assert_eq!(synops, [0]);
         let events = SpikeBatch::from_dense(&input).unwrap();
-        let (out, synops) = conv2d_scatter_events_pm(&events, &wt, (3, 3), spec).unwrap();
+        let (out, synops) = event_scatter(&events, &wt, 3, spec);
         assert_eq!(out.dims(), &[1, 0, 0, 2]);
-        assert_eq!(synops, 0);
+        assert_eq!(synops, [0]);
     }
 
     #[test]
     fn zero_input_is_free() {
         let w = weight(2, 1, 3);
         let wt = transpose_filter(&w).unwrap();
-        let (out, synops) = conv2d_scatter_pm(
-            &Tensor::zeros([1, 4, 4, 1]),
-            &wt,
-            (3, 3),
-            Conv2dSpec::new(1, 1),
-        )
-        .unwrap();
-        assert_eq!(synops, 0);
+        let spec = Conv2dSpec::new(1, 1);
+        let (out, synops) = dense_walk(&Tensor::zeros([1, 4, 4, 1]), &wt, 3, spec);
+        assert_eq!(synops, [0]);
         assert_eq!(out.sum(), 0.0);
     }
 }

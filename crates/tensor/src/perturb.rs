@@ -21,7 +21,7 @@
 //!
 //! | kind       | level | value                                          |
 //! |------------|-------|------------------------------------------------|
-//! | `igauss`   | input | Gaussian σ added per pixel (clamped to [0,1])  |
+//! | `igauss`   | input | Gaussian σ added per pixel (clamped to \[0,1]) |
 //! | `isalt`    | input | per-pixel salt-and-pepper probability          |
 //! | `ioccl`    | input | occlusion patch side as a fraction of min(H,W) |
 //! | `jitter`   | event | max spike-time jitter in timesteps (±)         |

@@ -968,17 +968,11 @@ pub fn axpy(out: &mut [f32], a: f32, b: &[f32]) {
 }
 
 /// Four-row axpy `r{0..3}[i] += v{0..3} * b[i]` — the blocked GEMM's
-/// inner loop (`b` is streamed once per four output rows).
-#[inline]
-#[allow(clippy::too_many_arguments)] // hot four-row microkernel; a struct would obscure it
-pub fn axpy4(
-    r0: &mut [f32],
-    r1: &mut [f32],
-    r2: &mut [f32],
-    r3: &mut [f32],
-    v: [f32; 4],
-    b: &[f32],
-) {
+/// inner loop (`b` is streamed once per four output rows). The GEMM
+/// blocks call its AVX2 and scalar forms directly; this dispatching
+/// wrapper exists for the scalar-twin test.
+#[cfg(test)]
+fn axpy4(r0: &mut [f32], r1: &mut [f32], r2: &mut [f32], r3: &mut [f32], v: [f32; 4], b: &[f32]) {
     #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
@@ -989,9 +983,10 @@ pub fn axpy4(
 }
 
 /// `out[i] += v[0]·b0[i] + v[1]·b1[i] + v[2]·b2[i] + v[3]·b3[i]` — the
-/// four-deep contraction block of `Aᵀ·B`.
-#[inline]
-pub fn quad_axpy(out: &mut [f32], v: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
+/// four-deep contraction block of `Aᵀ·B`. Like `axpy4`, a dispatching
+/// wrapper for the scalar-twin test only.
+#[cfg(test)]
+fn quad_axpy(out: &mut [f32], v: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
     #[cfg(target_arch = "x86_64")]
     if enabled() {
         // SAFETY: `enabled()` implies AVX2 was detected at runtime.
@@ -1025,7 +1020,7 @@ pub(crate) fn vectorized<R>(f: impl FnOnce() -> R) -> R {
 
 /// Whole four-row GEMM block (the core of `matmul`): for each ascending
 /// contraction index `p`, skip if all four `a{j}[p]` are zero, else
-/// [`axpy4`] row `bd[p·n..(p+1)·n]` into the four output rows. One
+/// `axpy4` row `bd[p·n..(p+1)·n]` into the four output rows. One
 /// dispatch per block keeps the hot loop inside a single AVX2 context.
 #[inline]
 #[allow(clippy::too_many_arguments)] // the whole-block GEMM core; a struct would obscure it

@@ -33,7 +33,7 @@
 //! be filtered out of the recorder. Work handed to the scoped thread
 //! pool keeps its trace: [`capture_context`] at the fork point,
 //! [`install_context`] inside each pool closure (wired in
-//! [`crate::parallel`]).
+//! [`crate::ThreadPool`]).
 //!
 //! Spans for phases that are only known retroactively (queue wait
 //! measured at dequeue) are recorded with [`record_complete`].

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::sync::Mutex;
-use t2fsnn_tensor::{init, ops, simd, Shape, Tensor};
+use t2fsnn_tensor::{init, ops, simd, Shape, SpikeBatch, Tensor};
 
 /// Serializes the tests that toggle the global SIMD dispatch so one
 /// test's forced mode cannot make another's on-vs-off comparison
@@ -31,6 +31,105 @@ fn tensor_with(dims: Vec<usize>) -> impl Strategy<Value = Tensor> {
 
 fn arbitrary_tensor() -> impl Strategy<Value = Tensor> {
     small_dims().prop_flat_map(tensor_with)
+}
+
+/// The position-major conv dense walk into a zeroed target: the fresh
+/// output and the per-image synop ledger the kernel billed.
+fn conv_dense_walk(
+    input_pm: &Tensor,
+    filter_t: &Tensor,
+    k: usize,
+    spec: ops::Conv2dSpec,
+) -> (Tensor, Vec<u64>) {
+    let d = input_pm.dims();
+    let (oh, ow) = (spec.output_dim(d[1], k), spec.output_dim(d[2], k));
+    let mut out = Tensor::zeros([d[0], oh, ow, filter_t.dims()[1]]);
+    let mut synops = vec![0; d[0]];
+    ops::sparse::conv2d_scatter_pm_acc(input_pm, filter_t, (k, k), spec, &mut out, &mut synops)
+        .unwrap();
+    (out, synops)
+}
+
+/// [`conv_dense_walk`] for the conv event scatter.
+fn conv_event_scatter(
+    events: &SpikeBatch,
+    filter_t: &Tensor,
+    k: usize,
+    spec: ops::Conv2dSpec,
+) -> (Tensor, Vec<u64>) {
+    let d = events.feature_dims();
+    let (oh, ow) = (spec.output_dim(d[0], k), spec.output_dim(d[1], k));
+    let mut out = Tensor::zeros([events.batch(), oh, ow, filter_t.dims()[1]]);
+    let mut synops = vec![0; events.batch()];
+    ops::sparse::conv2d_scatter_events_pm_acc(
+        events,
+        filter_t,
+        (k, k),
+        spec,
+        &mut out,
+        &mut synops,
+    )
+    .unwrap();
+    (out, synops)
+}
+
+/// The linear dense form into a zeroed target, with its ledger.
+fn linear_dense(flat: &Tensor, weight_t: &Tensor) -> (Tensor, Vec<u64>) {
+    let n = flat.dims()[0];
+    let mut out = Tensor::zeros([n, weight_t.dims()[1]]);
+    let mut synops = vec![0; n];
+    ops::sparse::linear_scatter_t_acc(flat, weight_t, &mut out, &mut synops).unwrap();
+    (out, synops)
+}
+
+/// The linear event form into a zeroed target, with its ledger.
+fn linear_events(events: &SpikeBatch, weight_t: &Tensor) -> (Tensor, Vec<u64>) {
+    let n = events.batch();
+    let mut out = Tensor::zeros([n, weight_t.dims()[1]]);
+    let mut synops = vec![0; n];
+    ops::sparse::linear_scatter_events_acc(events, weight_t, &mut out, &mut synops).unwrap();
+    (out, synops)
+}
+
+/// Test oracle: the per-image synop adds of an `o`-output, `k×k`
+/// convolution over a channel-major `[N, C, H, W]` input, counted with
+/// plain loops: every non-zero entry charges `o` per valid kernel tap.
+fn conv_synops_oracle(input: &Tensor, o: usize, k: usize, spec: ops::Conv2dSpec) -> Vec<u64> {
+    let d = input.dims();
+    let (h, w) = (d[2], d[3]);
+    let taps = |src: usize, len: usize| {
+        let out = spec.output_dim(len, k);
+        (0..k)
+            .filter(|&kk| {
+                let num = (src + spec.padding) as isize - kk as isize;
+                num >= 0
+                    && (num as usize).is_multiple_of(spec.stride)
+                    && (num as usize / spec.stride) < out
+            })
+            .count() as u64
+    };
+    let plane = d[1] * h * w;
+    (0..d[0])
+        .map(|ni| {
+            let image = &input.data()[ni * plane..(ni + 1) * plane];
+            let mut charged = 0u64;
+            for (j, &v) in image.iter().enumerate() {
+                if v != 0.0 {
+                    charged += taps(j / w % h, h) * taps(j % w, w) * o as u64;
+                }
+            }
+            charged
+        })
+        .collect()
+}
+
+/// Test oracle: the per-image synop adds of a linear layer, non-zero
+/// inputs × `o`.
+fn linear_synops_oracle(flat: &Tensor, o: usize) -> Vec<u64> {
+    let features = flat.dims()[1].max(1);
+    let rows = flat.data().chunks_exact(features);
+    rows.map(|row| row.iter().filter(|&&v| v != 0.0).count() as u64 * o as u64)
+        .collect()
 }
 
 /// Naive quadruple-loop convolution backward: the oracle for the blocked
@@ -150,14 +249,12 @@ proptest! {
         let (dense_cm, s1) = ops::sparse::conv2d_scatter(&input, &weight, spec).unwrap();
         // Position-major dense walk and event scatter.
         let input_pm = input.to_position_major().unwrap();
-        let (dense_pm, s_pm) =
-            ops::sparse::conv2d_scatter_pm(&input_pm, &filter_t, (3, 3), spec).unwrap();
-        let events = t2fsnn_tensor::SpikeBatch::from_dense(&input_pm).unwrap();
-        let (sparse_pm, s2) =
-            ops::sparse::conv2d_scatter_events_pm(&events, &filter_t, (3, 3), spec).unwrap();
+        let (dense_pm, s_pm) = conv_dense_walk(&input_pm, &filter_t, 3, spec);
+        let events = SpikeBatch::from_dense(&input_pm).unwrap();
+        let (sparse_pm, s2) = conv_event_scatter(&events, &filter_t, 3, spec);
         prop_assert_eq!(&dense_pm, &sparse_pm);
-        prop_assert_eq!(s1, s2);
-        prop_assert_eq!(s1, s_pm);
+        prop_assert_eq!(&s2, &s_pm);
+        prop_assert_eq!(s1, s_pm.iter().sum::<u64>());
         // Cross-layout identity: same bits in permuted storage.
         prop_assert_eq!(&dense_pm.to_channel_major().unwrap(), &dense_cm);
         // The im2col reference agrees to fp tolerance.
@@ -290,17 +387,17 @@ proptest! {
             (((i[0] * 9 + i[1] * 3 + i[2] + i[3] + seed as usize) % 11) as f32) * 0.1 - 0.5
         });
         let filter_t = ops::sparse::transpose_filter(&weight).unwrap();
-        let events = t2fsnn_tensor::SpikeBatch::from_dense(&input_pm).unwrap();
+        let events = SpikeBatch::from_dense(&input_pm).unwrap();
         let flat = input_pm.reshape([2, h * w * c]).unwrap();
         let weight_t = Tensor::from_fn(Shape::from(vec![h * w * c, o]), |i| {
             (((i[0] * 3 + i[1] * 7 + seed as usize) % 17) as f32) * 0.09 - 0.7
         });
         let run = || {
             (
-                ops::sparse::conv2d_scatter_pm(&input_pm, &filter_t, (3, 3), spec).unwrap(),
-                ops::sparse::conv2d_scatter_events_pm(&events, &filter_t, (3, 3), spec).unwrap(),
-                ops::sparse::linear_scatter_t(&flat, &weight_t).unwrap(),
-                ops::sparse::linear_scatter_events(&events, &weight_t).unwrap(),
+                conv_dense_walk(&input_pm, &filter_t, 3, spec),
+                conv_event_scatter(&events, &filter_t, 3, spec),
+                linear_dense(&flat, &weight_t),
+                linear_events(&events, &weight_t),
             )
         };
         let scalar = with_simd(false, run);
@@ -309,6 +406,16 @@ proptest! {
         prop_assert_eq!(&scalar.1.0, &vector.1.0, "conv event scatter");
         prop_assert_eq!(&scalar.2.0, &vector.2.0, "linear dense");
         prop_assert_eq!(&scalar.3.0, &vector.3.0, "linear events");
+        // Every kernel's per-image ledger is the oracle's count, SIMD on
+        // or off.
+        let conv_want = conv_synops_oracle(&input_pm.to_channel_major().unwrap(), o, 3, spec);
+        let linear_want = linear_synops_oracle(&flat, o);
+        for run in [&scalar, &vector] {
+            prop_assert_eq!(&run.0.1, &conv_want, "conv dense walk ledger");
+            prop_assert_eq!(&run.1.1, &conv_want, "conv event scatter ledger");
+            prop_assert_eq!(&run.2.1, &linear_want, "linear dense ledger");
+            prop_assert_eq!(&run.3.1, &linear_want, "linear events ledger");
+        }
     }
 
     /// The conv scatter at the output widths it specialises on (8, 16,
@@ -351,25 +458,29 @@ proptest! {
         });
         let filter_t = ops::sparse::transpose_filter(&weight).unwrap();
         let input_pm = input.to_position_major().unwrap();
-        let events = t2fsnn_tensor::SpikeBatch::from_dense(&input_pm).unwrap();
+        let events = SpikeBatch::from_dense(&input_pm).unwrap();
         let run = || {
             (
                 ops::sparse::conv2d_scatter(&input, &weight, spec).unwrap(),
-                ops::sparse::conv2d_scatter_pm(&input_pm, &filter_t, (k, k), spec).unwrap(),
-                ops::sparse::conv2d_scatter_events_pm(&events, &filter_t, (k, k), spec).unwrap(),
+                conv_dense_walk(&input_pm, &filter_t, k, spec),
+                conv_event_scatter(&events, &filter_t, k, spec),
             )
         };
         let scalar = with_simd(false, run);
         let vector = with_simd(true, run);
+        // Per image, the ledgers hold the oracle's count; the empty image
+        // is charged nothing.
+        let want = conv_synops_oracle(&input, o, k, spec);
+        prop_assert_eq!(want[empty], 0);
         for ((oracle, s_oracle), (dense, s_dense), (sparse, s_sparse)) in [&scalar, &vector] {
             prop_assert_eq!(&dense.to_channel_major().unwrap(), oracle, "dense walk vs oracle");
             prop_assert_eq!(&sparse.to_channel_major().unwrap(), oracle, "event scatter vs oracle");
-            prop_assert_eq!(s_dense, s_oracle);
-            prop_assert_eq!(s_sparse, s_oracle);
+            prop_assert_eq!(s_dense, &want, "dense walk ledger");
+            prop_assert_eq!(s_sparse, &want, "event scatter ledger");
+            prop_assert_eq!(*s_oracle, want.iter().sum::<u64>());
         }
         prop_assert_eq!(&scalar.1.0, &vector.1.0, "dense walk, SIMD off vs on");
         prop_assert_eq!(&scalar.2.0, &vector.2.0, "event scatter, SIMD off vs on");
-        prop_assert_eq!(scalar.2.1, vector.2.1);
     }
 
     /// SIMD on-vs-off identity of the threshold scan (the fire-phase

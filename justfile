@@ -7,7 +7,7 @@ verify:
     cargo test -q
 
 # Everything CI runs, in CI order; every step blocks.
-ci: fmt-check lint verify test-scalar pool-test conv-threads crate-graph bench-check perfbench-smoke serve-smoke serve-chaos robustness-smoke serve-lifecycle obs-smoke
+ci: fmt-check lint doc-check verify test-scalar pool-test conv-threads crate-graph bench-check perfbench-smoke serve-smoke serve-chaos robustness-smoke serve-lifecycle obs-smoke
 
 # Crate-graph guard (blocking): the server loads models through
 # `t2fsnn::scenario` and must not depend on the reproduction harness.
@@ -113,6 +113,11 @@ fmt:
 # Lint gate (no outstanding warnings are tolerated).
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc gate: dangling or private doc links fail (clippy does not see
+# them). The eight project crates only, not the shims.
+doc-check:
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p t2fsnn-workspace -p t2fsnn-tensor -p t2fsnn-data -p t2fsnn-dnn -p t2fsnn-snn -p t2fsnn -p t2fsnn-bench -p t2fsnn-serve
 
 # Full workspace test run (unit + integration + property + doc).
 test:
