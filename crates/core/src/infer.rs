@@ -138,8 +138,9 @@ impl T2fsnn {
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatches or if the network does not
-    /// end in a classifier.
+    /// Returns an error on shape mismatches, if the network does not
+    /// end in a classifier, or if the config has a zero time window or
+    /// recording interval or an early start outside `1..=T`.
     pub fn infer(&self, images: &Tensor, opts: InferOptions) -> Result<Vec<ImageInference>> {
         self.infer_on(images, opts, ThreadPool::global())
     }
@@ -186,7 +187,19 @@ impl T2fsnn {
                 message: format!("{n} images but {} labels", labels.len()),
             });
         }
-        let plan = self.plan(&images.dims()[1..])?;
+        let config = self.config();
+        let t = config.time_window;
+        if config.record_every == 0 || !(1..=t).contains(&config.stride()) {
+            return Err(TensorError::InvalidArgument {
+                op,
+                message: format!(
+                    "time_window ({t}) and record_every ({}) must be positive and \
+                     early_start ({:?}) in 1..=T",
+                    config.record_every, config.early_start
+                ),
+            });
+        }
+        let plan = self.network().plan(&images.dims()[1..])?;
         let ops = self.network().ops();
         let output = ops
             .iter()
@@ -670,6 +683,55 @@ mod tests {
         for opts in [InferOptions::default(), InferOptions::early_exit()] {
             assert!(invalid(m.infer_on(&images, opts, &pool)));
         }
+    }
+
+    #[test]
+    fn invalid_config_is_an_error_not_a_panic() {
+        // `T2fsnnConfig`'s fields are public and `set_config` takes any
+        // value, so the builders' asserts do not guard them: every entry
+        // point must reject what the step loop would divide by.
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let spec = DatasetSpec::tiny();
+        let dnn = t2fsnn_dnn::architectures::mlp_tiny(&mut rng, &spec);
+        let mut m = model(&dnn, T2fsnnConfig::new(8));
+        let images = Tensor::ones([2, spec.channels, spec.height, spec.width]);
+        let pool = ThreadPool::new(2);
+        let valid = T2fsnnConfig::new(8);
+        let bad = [
+            T2fsnnConfig {
+                record_every: 0,
+                ..valid
+            },
+            T2fsnnConfig {
+                early_start: Some(0),
+                ..valid
+            },
+            T2fsnnConfig {
+                early_start: Some(9),
+                ..valid
+            },
+            T2fsnnConfig {
+                time_window: 0,
+                ..valid
+            },
+        ];
+        for config in bad {
+            m.set_config(config);
+            let what = format!("{config:?}");
+            let invalid = |e: TensorError| matches!(e, TensorError::InvalidArgument { .. });
+            assert!(m.run(&images, &[0, 1]).is_err_and(invalid), "run {what}");
+            for opts in [InferOptions::default(), InferOptions::early_exit()] {
+                assert!(m.infer(&images, opts).is_err_and(invalid), "infer {what}");
+                let r = m.infer_on(&images, opts, &pool);
+                assert!(r.is_err_and(invalid), "infer_on {what}");
+            }
+        }
+        // The analytic pass has no schedule, only kernels over `T`: it
+        // rejects the last config, `T = 0`.
+        let analytic = m.analytic_logits(&images);
+        assert!(analytic.is_err_and(|e| matches!(e, TensorError::InvalidArgument { .. })));
+        m.set_config(valid.with_early_start(8));
+        assert!(m.infer(&images, InferOptions::early_exit()).is_ok());
     }
 
     #[test]

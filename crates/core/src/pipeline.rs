@@ -29,12 +29,19 @@
 //!   `x`, so under early firing — where inputs keep arriving after the
 //!   spike — a retired neuron can never cross again. The output layer is
 //!   never retired: its potentials are the answer.
+//!
+//! [`T2fsnn::analytic_logits`] is the same pipeline written as a DNN,
+//! each layer's activation encoded and decoded through its kernel as if
+//! integration always completed. It runs on the network's cached plan
+//! through the [`SimEngine::Dense`] kernels the step loop's reference
+//! engine uses, so both add every term in the same canonical order.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use t2fsnn_snn::{CurvePoint, OpExecutor, OpPlan, SimEngine, SnnOp};
-use t2fsnn_tensor::{perturb, trace, Result, SpikeBatch, Tensor, ThreadPool};
+use t2fsnn_tensor::ops::first_spike_gate;
+use t2fsnn_tensor::{perturb, trace, Result, SpikeBatch, Tensor, TensorError, ThreadPool};
 
 use crate::network::{NoiseConfig, T2fsnn};
 
@@ -124,21 +131,6 @@ pub(crate) fn build_segments(ops: &[SnnOp]) -> Vec<Segment> {
         }
     }
     segments
-}
-
-/// First-spike gating at a max-pool op: a window forwards exactly its
-/// first spike and suppresses the rest.
-#[inline]
-pub(crate) fn apply_gate(gate: Option<&mut Tensor>, z: &mut Tensor) {
-    if let Some(gate) = gate {
-        for (v, g) in z.data_mut().iter_mut().zip(gate.data_mut()) {
-            if *g != 0.0 {
-                *v = 0.0; // window already fired: suppress
-            } else if *v != 0.0 {
-                *g = 1.0; // first spike through this window: latch
-            }
-        }
-    }
 }
 
 /// One content-keyed event-noise stream per image of the batch (empty
@@ -283,7 +275,9 @@ impl<'a> StepState<'a> {
             let mut signal = self.events.to_dense();
             for &pi in &seg.pre_ops {
                 signal = self.executor.propagate(ops, pi, &signal)?;
-                apply_gate(self.gates[pi].as_mut(), &mut signal);
+                if let Some(gate) = self.gates[pi].as_mut() {
+                    first_spike_gate(&mut signal, gate)?;
+                }
             }
             self.executor
                 .accumulate_first_weighted(ops, &signal, 0.0, drive, &mut self.synops)?;
@@ -371,7 +365,9 @@ impl<'a> StepState<'a> {
         for &pi in &seg.pre_ops {
             if let Some(signal) = dense.as_mut() {
                 *signal = self.executor.propagate(ops, pi, signal)?;
-                apply_gate(self.gates[pi].as_mut(), signal);
+                if let Some(gate) = self.gates[pi].as_mut() {
+                    first_spike_gate(signal, gate)?;
+                }
                 continue;
             }
             match &ops[pi] {
@@ -529,8 +525,8 @@ impl T2fsnn {
     /// # Errors
     ///
     /// Returns an error on image/label shape mismatches, if the
-    /// network's shapes do not chain, or if it does not end in a
-    /// classifier.
+    /// network's shapes do not chain, if it does not end in a
+    /// classifier, or if the config is invalid (as [`T2fsnn::infer`]).
     pub fn run(&self, images: &Tensor, labels: &[usize]) -> Result<TtfsRun> {
         let sim = self.simulate(
             "T2fsnn::run",
@@ -577,30 +573,48 @@ impl T2fsnn {
     /// layer's activation through its kernel *as if* integration were
     /// always complete. Equivalent to the clock-driven engine **without**
     /// early firing (a property the test suite checks), and used as a fast
-    /// oracle.
+    /// oracle. It runs on the network's cached plan through the
+    /// [`SimEngine::Dense`] kernels of the step loop, so every weighted
+    /// op adds its terms in the same canonical order.
     ///
     /// Returns the output layer's decoded logits, `[N, classes]`.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatches.
+    /// Returns an error on shape mismatches or a zero time window.
     pub fn analytic_logits(&self, images: &Tensor) -> Result<Tensor> {
-        let config = self.config();
-        let theta0 = config.theta0;
+        if self.config().time_window == 0 {
+            return Err(TensorError::InvalidArgument {
+                op: "T2fsnn::analytic_logits",
+                message: "time_window must be positive".to_string(),
+            });
+        }
+        let theta0 = self.config().theta0;
         let ops = self.network().ops();
-        let segments = build_segments(ops);
-        let input_encoder = self.input_encoder();
+        let plan = self.network().plan(&images.dims()[1..])?;
+        let mut executor = OpExecutor::new(&plan, SimEngine::Dense);
+        let n = images.dims()[0];
+        let mut synops = vec![0; n];
         // Quantize the input through encode/decode.
+        let input_encoder = self.input_encoder();
         let mut signal = images.map(|x| match input_encoder.encode(x, theta0) {
             Some(t) => input_encoder.decode(t) * theta0,
             None => 0.0,
         });
+        let segments = build_segments(ops);
         for (i, seg) in segments.iter().enumerate() {
             for &pi in &seg.pre_ops {
-                signal = ops[pi].propagate(&signal)?.0;
+                signal = executor.propagate(ops, pi, &signal)?;
             }
-            let (mut z, _) = ops[seg.weighted].propagate(&signal)?;
-            ops[seg.weighted].inject_bias(&mut z, 1.0)?;
+            let w = seg.weighted;
+            let mut dims = vec![n];
+            dims.extend_from_slice(plan.state_dims(w));
+            let mut z = Tensor::zeros(dims);
+            if i == 0 {
+                executor.accumulate_first_weighted(ops, &signal, 1.0, &mut z, &mut synops)?;
+            } else {
+                executor.accumulate_weighted(ops, w, &signal, 1.0, &mut z, &mut synops)?;
+            }
             if i + 1 == segments.len() {
                 return Ok(z);
             }

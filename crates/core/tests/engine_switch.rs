@@ -33,8 +33,8 @@ fn dense_clone_of_a_cached_model_runs_the_dense_path() {
     let mut dense = model.clone();
     dense.set_config(model.config().with_engine(SimEngine::Dense));
     assert!(Arc::ptr_eq(
-        &model.plan(&[1, 8, 8]).unwrap(),
-        &dense.plan(&[1, 8, 8]).unwrap()
+        &model.network().plan(&[1, 8, 8]).unwrap(),
+        &dense.network().plan(&[1, 8, 8]).unwrap()
     ));
     profile::set_enabled(true);
     let spans_of = |m: &T2fsnn| {

@@ -299,7 +299,7 @@ proptest! {
         // taken before it (whose own first call compiles afresh).
         let pristine = model.clone();
         let first = model.run(&images, &labels).unwrap();
-        let plan = model.plan(&[1, 8, 8]).unwrap();
+        let plan = model.network().plan(&[1, 8, 8]).unwrap();
         prop_assert_eq!(&model.run(&images, &labels).unwrap(), &first);
         prop_assert_eq!(&pristine.clone().run(&images, &labels).unwrap(), &first);
         for opts in [InferOptions::default(), InferOptions::early_exit()] {
@@ -314,7 +314,7 @@ proptest! {
         }
         // One compile per model and input shape: the plan those calls
         // used is still the one cached after the first.
-        prop_assert!(Arc::ptr_eq(&plan, &model.plan(&[1, 8, 8]).unwrap()));
+        prop_assert!(Arc::ptr_eq(&plan, &model.network().plan(&[1, 8, 8]).unwrap()));
     }
 
     /// `perturb_weights` drops the cached plan: perturbing after an
@@ -351,13 +351,13 @@ proptest! {
         let square = plan_images(2, seed, [1, 8, 8]);
         let wide = plan_images(2, seed, [1, 4, 16]);
         model.infer(&square, InferOptions::default()).unwrap();
-        let cached = model.plan(&[1, 8, 8]).unwrap();
-        let other = model.plan(&[1, 4, 16]).unwrap();
+        let cached = model.network().plan(&[1, 8, 8]).unwrap();
+        let other = model.network().plan(&[1, 4, 16]).unwrap();
         prop_assert!(!Arc::ptr_eq(&cached, &other));
         prop_assert_eq!(other.state_dims(0), &[4, 16, 3][..]);
         let fresh = plan_model(max_pool, 1, seed).infer(&wide, InferOptions::default()).unwrap();
         prop_assert!(same_inferences(&model.infer(&wide, InferOptions::default()).unwrap(), &fresh));
         // The first shape's plan stays cached.
-        prop_assert!(Arc::ptr_eq(&cached, &model.plan(&[1, 8, 8]).unwrap()));
+        prop_assert!(Arc::ptr_eq(&cached, &model.network().plan(&[1, 8, 8]).unwrap()));
     }
 }

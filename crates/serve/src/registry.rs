@@ -8,7 +8,7 @@
 //! server on a fresh machine comes up self-contained, just slower on
 //! first boot. The
 //! DNN→SNN conversion and the compile of the model's execution plan
-//! ([`t2fsnn::T2fsnn::plan`]) happen once per model *version* at load
+//! ([`t2fsnn_snn::SnnNetwork::plan`]) happen once per model *version* at load
 //! time; every batch of that version shares the plan.
 //!
 //! Lifecycle: every slot is a small state machine
@@ -426,7 +426,9 @@ impl Registry {
                     // Compile the execution plan now, so the load (not the
                     // first request) pays for the weight re-layout.
                     let data = &prepared.test.spec;
-                    model.plan(&[data.channels, data.height, data.width])?;
+                    model
+                        .network()
+                        .plan(&[data.channels, data.height, data.width])?;
                     Ok((model, prepared, rows))
                 },
             )

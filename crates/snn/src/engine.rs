@@ -32,12 +32,13 @@
 //! channel-major image-domain signal turns position-major.
 //!
 //! Execution state splits in two. An [`OpPlan`] is compiled once per
-//! network and input shape and never changes: the re-laid-out weights
-//! (linear: `[I, O]`, row-permuted to the position-major feature order
-//! after a flatten; conv: `[C·KH·KW, O]` reversed-KW plus a tap-major
-//! `[KH·KW·C, O]` GEMM operand) and every op's per-image output dims. It
-//! is `Sync`, so one plan serves any number of calls and pool chunks at
-//! once. An [`OpExecutor`] borrows a plan for one call and adds what a
+//! network and input shape (and cached by
+//! [`SnnNetwork::plan`](crate::SnnNetwork::plan)) and never changes:
+//! the re-laid-out weights (linear: `[I, O]`, row-permuted to the
+//! position-major feature order after a flatten; conv: `[C·KH·KW, O]`
+//! reversed-KW plus a tap-major `[KH·KW·C, O]` GEMM operand) and every
+//! op's per-image output dims. It is `Sync`, so one plan serves any
+//! number of calls and pool chunks at once. An [`OpExecutor`] borrows a plan for one call and adds what a
 //! call mutates: the engine's sparsity threshold and the event-list and
 //! pooling scratch buffers.
 //!
@@ -49,7 +50,7 @@
 
 use serde::{Deserialize, Serialize};
 use t2fsnn_tensor::ops::sparse::{self, PoolScratch};
-use t2fsnn_tensor::ops::{avg_pool2d_pm, max_pool2d_pm};
+use t2fsnn_tensor::ops::{avg_pool2d, avg_pool2d_pm, max_pool2d, max_pool2d_pm};
 use t2fsnn_tensor::{trace, Result, SpikeBatch, Tensor, TensorError};
 
 use crate::network::SnnOp;
@@ -119,7 +120,8 @@ pub fn position_major_dims(dims: &[usize]) -> Vec<usize> {
 /// The compiled, immutable half of execution: one op sequence's
 /// re-laid-out weights and per-image state dims over one input shape.
 ///
-/// Build it once per network and input shape and share it; every
+/// Build it once per network and input shape and share it
+/// ([`SnnNetwork::plan`](crate::SnnNetwork::plan) does both); every
 /// [`OpExecutor`] borrowing it propagates through the same weights. The
 /// plan is only valid for the exact `ops` it was compiled from — a
 /// caller that rewrites weights must compile a new one.
@@ -279,20 +281,27 @@ impl<'p> OpExecutor<'p> {
 
     /// Propagates `signal` through the pass-through op `ops[i]` (pooling
     /// or flatten). Signals before the first weighted op are channel-major
-    /// (the image domain), everything downstream position-major. Weighted
-    /// ops only accumulate: integrate them with
-    /// [`OpExecutor::accumulate_weighted`].
+    /// (the image domain), everything downstream position-major. Max
+    /// pooling is the stateless spatial max; the TTFS engine adds
+    /// first-spike gating on top. Weighted ops only accumulate: integrate
+    /// them with [`OpExecutor::accumulate_weighted`].
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatch or if `ops[i]` is a weighted op.
     pub fn propagate(&self, ops: &[SnnOp], i: usize, signal: &Tensor) -> Result<Tensor> {
+        let image_domain = i < self.plan.first_weighted;
         match &ops[i] {
             SnnOp::Conv { .. } | SnnOp::Linear { .. } => Err(TensorError::InvalidArgument {
                 op: "OpExecutor::propagate",
                 message: format!("op {i} is a weighted op; accumulate it instead"),
             }),
-            op if i < self.plan.first_weighted => Ok(op.propagate(signal)?.0),
+            SnnOp::AvgPool { window, stride } if image_domain => {
+                avg_pool2d(signal, *window, *stride)
+            }
+            SnnOp::MaxPool { window, stride } if image_domain => {
+                Ok(max_pool2d(signal, *window, *stride)?.0)
+            }
             SnnOp::AvgPool { window, stride } => avg_pool2d_pm(signal, *window, *stride),
             SnnOp::MaxPool { window, stride } => max_pool2d_pm(signal, *window, *stride),
             SnnOp::Flatten => {
@@ -630,7 +639,9 @@ mod tests {
     #[test]
     fn first_conv_matches_reference_modulo_layout() {
         // The executor's position-major output must carry the same bits
-        // as the channel-major reference kernel, permuted.
+        // as a plain-loop channel-major reference, permuted: each output
+        // adds its taps in ascending (ki, kj) order, the canonical (y, x)
+        // order of its sources.
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
         let mut exec = OpExecutor::new(&plan, SimEngine::event());
@@ -639,9 +650,25 @@ mod tests {
         let mut synops = vec![0; 2];
         exec.accumulate_first_weighted(&ops, &signal, 0.0, &mut got, &mut synops)
             .unwrap();
-        let (want, want_synops) = ops[0].propagate(&signal).unwrap();
+        let SnnOp::Conv { weight, .. } = &ops[0] else {
+            unreachable!("op 0 is the conv")
+        };
+        let (sd, wd) = (signal.data(), weight.data());
+        let want = Tensor::from_fn([2, 2, 4, 4], |i| {
+            let mut acc = 0.0f32;
+            for ki in 0..3 {
+                for kj in 0..3 {
+                    let (y, x) = ((i[2] + ki).wrapping_sub(1), (i[3] + kj).wrapping_sub(1));
+                    if y < 4 && x < 4 && sd[(i[0] * 4 + y) * 4 + x] != 0.0 {
+                        acc += sd[(i[0] * 4 + y) * 4 + x] * wd[(i[1] * 3 + ki) * 3 + kj];
+                    }
+                }
+            }
+            acc
+        });
         assert_eq!(got.to_channel_major().unwrap(), want);
-        assert_eq!(synops.iter().sum::<u64>(), want_synops);
+        // 9 taps × 2 channels for the interior spike, 4 × 2 for the corner.
+        assert_eq!(synops, [18, 8]);
         // Weighted ops only accumulate.
         assert!(exec.propagate(&ops, 0, &signal).is_err());
         assert!(exec.propagate(&ops, 3, &Tensor::zeros([2, 8])).is_err());
@@ -705,18 +732,21 @@ mod tests {
 
     #[test]
     fn permuted_linear_weights_match_flatten_order() {
-        // Feed a one-hot through pool+flatten on both layouts: the
-        // executor's permuted weight must produce the same logits the
-        // reference channel-major chain produces.
+        // Feed a sparse signal through conv, pool and flatten on both
+        // layouts: the executor's permuted weight must produce the same
+        // logits the channel-major dense ops produce.
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
         let mut exec = OpExecutor::new(&plan, SimEngine::dense());
         let signal = sparse_signal();
-        // Reference: channel-major propagation all the way.
-        let mut want = signal.clone();
-        for op in &ops {
-            want = op.propagate(&want).unwrap().0;
-        }
+        let (SnnOp::Conv { weight, spec, .. }, SnnOp::Linear { weight: fc, .. }) =
+            (&ops[0], &ops[3])
+        else {
+            unreachable!("ops are conv, pool, flatten, linear")
+        };
+        let conv = t2fsnn_tensor::ops::conv2d(&signal, weight, &Tensor::zeros([2]), *spec).unwrap();
+        let pooled = avg_pool2d(&conv, 2, 2).unwrap().reshape([2, 8]).unwrap();
+        let want = t2fsnn_tensor::ops::matmul_a_bt(&pooled, fc).unwrap();
         let (got, _) = run_chain_from(&mut exec, &ops, signal);
         assert!(got.all_close(&want, 1e-5));
     }

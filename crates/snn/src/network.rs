@@ -8,16 +8,19 @@
 //! feed a population of IF neurons. Average pooling and flatten are linear
 //! pass-throughs with no neurons.
 //!
-//! Propagation is *event-driven at the arithmetic level*: only non-zero
-//! entries of the incoming spike tensor do work, and every op reports the
-//! exact number of synaptic operations it performed — the quantity the
-//! paper's Table III counts.
+//! The ops only hold weights and shapes; [`crate::engine`] executes them.
+//! A network compiles its [`OpPlan`] (the weights re-laid-out for the
+//! engine) once per input shape and caches it, see [`SnnNetwork::plan`].
+
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use t2fsnn_dnn::layers::{Layer, PoolKind};
 use t2fsnn_dnn::Network;
 use t2fsnn_tensor::ops::Conv2dSpec;
 use t2fsnn_tensor::{trace, Result, Tensor, TensorError};
+
+use crate::engine::OpPlan;
 
 /// One op of a converted spiking network.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -137,40 +140,6 @@ impl SnnOp {
         }
     }
 
-    /// Propagates a spike (or current) tensor through the op, *without*
-    /// bias, returning the postsynaptic drive and the number of synaptic
-    /// accumulate operations performed.
-    ///
-    /// Only non-zero input entries trigger work, so sparse spike tensors
-    /// are cheap. `input` carries the batch axis: `[N, ...]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch.
-    pub fn propagate(&self, input: &Tensor) -> Result<(Tensor, u64)> {
-        match self {
-            SnnOp::Conv { weight, spec, .. } => conv_scatter(input, weight, *spec),
-            SnnOp::Linear { weight, .. } => linear_scatter(input, weight),
-            SnnOp::AvgPool { window, stride } => {
-                let out = t2fsnn_tensor::ops::avg_pool2d(input, *window, *stride)?;
-                Ok((out, 0))
-            }
-            SnnOp::MaxPool { window, stride } => {
-                // Stateless spatial max of the instantaneous values. Exact
-                // for dense decoded tensors (the analytic path); the TTFS
-                // clock engine adds first-spike gating on top for
-                // step-by-step correctness.
-                let (out, _) = t2fsnn_tensor::ops::max_pool2d(input, *window, *stride)?;
-                Ok((out, 0))
-            }
-            SnnOp::Flatten => {
-                let n = input.dims()[0];
-                let rest: usize = input.dims()[1..].iter().product();
-                Ok((input.reshape([n, rest])?, 0))
-            }
-        }
-    }
-
     /// The bias tensor, if this is a weighted op.
     pub fn bias(&self) -> Option<&Tensor> {
         match self {
@@ -179,67 +148,10 @@ impl SnnOp {
         }
     }
 
-    /// Adds `scale × bias` to a `[N, ...]` drive tensor (constant bias
-    /// current injection).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `drive`'s shape is incompatible.
-    pub fn inject_bias(&self, drive: &mut Tensor, scale: f32) -> Result<()> {
-        let bias = match self.bias() {
-            Some(b) => b,
-            None => return Ok(()),
-        };
-        if scale == 0.0 {
-            return Ok(());
-        }
-        match self {
-            SnnOp::Conv { .. } => {
-                let dims = drive.dims().to_vec();
-                if dims.len() != 4 || dims[1] != bias.dims()[0] {
-                    return Err(TensorError::InvalidArgument {
-                        op: "SnnOp::inject_bias",
-                        message: format!("conv drive {:?} vs bias {:?}", dims, bias.dims()),
-                    });
-                }
-                let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-                let dd = drive.data_mut();
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let b = bias.data()[ci] * scale;
-                        let base = (ni * c + ci) * h * w;
-                        for v in &mut dd[base..base + h * w] {
-                            *v += b;
-                        }
-                    }
-                }
-                Ok(())
-            }
-            SnnOp::Linear { .. } => {
-                let dims = drive.dims().to_vec();
-                if dims.len() != 2 || dims[1] != bias.dims()[0] {
-                    return Err(TensorError::InvalidArgument {
-                        op: "SnnOp::inject_bias",
-                        message: format!("linear drive {:?} vs bias {:?}", dims, bias.dims()),
-                    });
-                }
-                let (n, o) = (dims[0], dims[1]);
-                let dd = drive.data_mut();
-                for ni in 0..n {
-                    for (j, v) in dd[ni * o..(ni + 1) * o].iter_mut().enumerate() {
-                        *v += bias.data()[j] * scale;
-                    }
-                }
-                Ok(())
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// [`SnnOp::inject_bias`] for the engine's position-major state
-    /// (`[N, OH, OW, C]` for convolutions — each position's channel row
-    /// gets the bias vector — or `[N, O]` for dense layers). No-op for
-    /// unbiased ops or `scale == 0`.
+    /// Adds `scale × bias` (a constant bias current) to a drive in the
+    /// engine's position-major state (`[N, OH, OW, C]` for convolutions
+    /// — each position's channel row gets the bias vector — or `[N, O]`
+    /// for dense layers). No-op for unbiased ops or `scale == 0`.
     ///
     /// # Errors
     ///
@@ -269,50 +181,6 @@ impl SnnOp {
     }
 }
 
-/// Sparse scatter convolution: for every non-zero input element, add its
-/// weighted kernel patch into the output. Returns `(output, synops)`.
-///
-/// Delegates to the shared cache-friendly kernel in
-/// [`t2fsnn_tensor::ops::sparse`]; the event-list variant used by the
-/// [`crate::engine`] is bit-identical to it.
-fn conv_scatter(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<(Tensor, u64)> {
-    t2fsnn_tensor::ops::sparse::conv2d_scatter(input, weight, spec)
-}
-
-/// Sparse dense-layer propagation: only non-zero inputs touch weights.
-fn linear_scatter(input: &Tensor, weight: &Tensor) -> Result<(Tensor, u64)> {
-    if input.rank() != 2 || input.dims()[1] != weight.dims()[1] {
-        return Err(TensorError::InvalidArgument {
-            op: "linear_scatter",
-            message: format!(
-                "expected [N, {}] input, got {}",
-                weight.dims()[1],
-                input.shape()
-            ),
-        });
-    }
-    let (n, i) = (input.dims()[0], input.dims()[1]);
-    let o = weight.dims()[0];
-    let mut out = Tensor::zeros([n, o]);
-    let od = out.data_mut();
-    let id = input.data();
-    let wd = weight.data();
-    let mut synops = 0u64;
-    for ni in 0..n {
-        for ii in 0..i {
-            let v = id[ni * i + ii];
-            if v == 0.0 {
-                continue;
-            }
-            for oi in 0..o {
-                od[ni * o + oi] += wd[oi * i + ii] * v;
-            }
-            synops += o as u64;
-        }
-    }
-    Ok((out, synops))
-}
-
 /// A converted spiking network.
 ///
 /// # Examples
@@ -335,6 +203,13 @@ fn linear_scatter(input: &Tensor, weight: &Tensor) -> Result<(Tensor, u64)> {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SnnNetwork {
     ops: Vec<SnnOp>,
+    /// The compiled plan of the first input shape this network ran,
+    /// keyed by that shape. Not serialized (a loaded network recompiles
+    /// on first use); clones share it, and
+    /// [`SnnNetwork::for_each_weight_row`], the only weight mutator,
+    /// drops it.
+    #[serde(skip)]
+    plan: OnceLock<(Vec<usize>, Arc<OpPlan>)>,
 }
 
 impl SnnNetwork {
@@ -395,12 +270,42 @@ impl SnnNetwork {
                 message: "network has no weighted layers".to_string(),
             });
         }
-        Ok(SnnNetwork { ops })
+        Ok(SnnNetwork {
+            ops,
+            plan: OnceLock::new(),
+        })
     }
 
     /// The ops, in propagation order.
     pub fn ops(&self) -> &[SnnOp] {
         &self.ops
+    }
+
+    /// The compiled execution plan for `[C, H, W]` inputs (`input_dims`
+    /// excludes the batch axis): the weights re-laid-out for the engine
+    /// and every op's state dims. The first shape compiled is cached and
+    /// shared by every later call, pool chunk and clone; any other shape
+    /// compiles a fresh plan per call and never replaces or reuses the
+    /// cached one. The simulators call this, so a caller only needs it
+    /// to move the compile out of the first inference (the serving
+    /// registry does so at load).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the shapes do not chain over `input_dims` or
+    /// the network has no weighted op.
+    pub fn plan(&self, input_dims: &[usize]) -> Result<Arc<OpPlan>> {
+        match self.plan.get() {
+            Some((dims, plan)) if dims == input_dims => Ok(Arc::clone(plan)),
+            Some(_) => OpPlan::new(&self.ops, input_dims).map(Arc::new),
+            None => {
+                let plan = Arc::new(OpPlan::new(&self.ops, input_dims)?);
+                // A racing first call may have cached its own compile of
+                // the same weights; either copy is correct.
+                let _ = self.plan.set((input_dims.to_vec(), Arc::clone(&plan)));
+                Ok(plan)
+            }
+        }
     }
 
     /// Visits every weight row of every weighted op, in order, as
@@ -409,8 +314,10 @@ impl SnnNetwork {
     /// mutable fan-in slice (`[I·K·K]` for convs, `[I]` for linears).
     /// This is the mutation point for deterministic weight-fault
     /// injection: callers key their RNG streams on `(layer, row)`, so
-    /// visit order carries no entropy.
+    /// visit order carries no entropy. The cached plan is dropped, so
+    /// the next simulation compiles the new weights.
     pub fn for_each_weight_row(&mut self, mut f: impl FnMut(usize, usize, &mut [f32])) {
+        self.plan.take();
         let mut layer = 0usize;
         for op in &mut self.ops {
             let weight = match op {
@@ -516,10 +423,30 @@ mod tests {
     use t2fsnn_data::DatasetSpec;
     use t2fsnn_dnn::architectures::{cnn_small, mlp_tiny};
     use t2fsnn_dnn::layers::{Pool, PoolKind};
-    use t2fsnn_tensor::ops;
+
+    use crate::engine::{OpExecutor, SimEngine};
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(17)
+    }
+
+    /// Runs a `[N, 1, 4, 4]` input through the image-domain pass-through
+    /// `op` of an `op → flatten → linear` chain.
+    fn pass_through(op: SnnOp, input: &Tensor) -> Tensor {
+        let numel: usize = op.output_shape(&[1, 4, 4]).unwrap().iter().product();
+        let ops = vec![
+            op,
+            SnnOp::Flatten,
+            SnnOp::Linear {
+                name: "l".into(),
+                weight: Tensor::ones([1, numel]),
+                bias: Tensor::zeros([1]),
+            },
+        ];
+        let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
+        OpExecutor::new(&plan, SimEngine::dense())
+            .propagate(&ops, 0, input)
+            .unwrap()
     }
 
     #[test]
@@ -553,11 +480,10 @@ mod tests {
         input.set(&[0, 0, 0, 0], 0.3).unwrap();
         input.set(&[0, 0, 1, 1], 0.7).unwrap();
         input.set(&[0, 0, 2, 3], 0.5).unwrap();
-        let (out, synops) = op.propagate(&input).unwrap();
-        assert_eq!(synops, 0);
+        assert_eq!(op.output_shape(&[1, 4, 4]).unwrap(), vec![1, 2, 2]);
+        let out = pass_through(op, &input);
         assert_eq!(out.get(&[0, 0, 0, 0]), Some(0.7));
         assert_eq!(out.get(&[0, 0, 1, 1]), Some(0.5));
-        assert_eq!(op.output_shape(&[1, 4, 4]).unwrap(), vec![1, 2, 2]);
     }
 
     #[test]
@@ -578,70 +504,22 @@ mod tests {
     }
 
     #[test]
-    fn conv_scatter_matches_dense_conv() {
-        let weight = Tensor::from_fn([2, 3, 3, 3], |i| {
-            ((i[0] * 27 + i[1] * 9 + i[2] * 3 + i[3]) % 7) as f32 * 0.1 - 0.2
-        });
-        let spec = Conv2dSpec::new(1, 1);
-        let op = SnnOp::Conv {
-            name: "c".into(),
-            weight: weight.clone(),
-            bias: Tensor::zeros([2]),
-            spec,
-        };
-        // Sparse spike-like input.
-        let mut input = Tensor::zeros([2, 3, 5, 5]);
-        input.set(&[0, 0, 0, 0], 1.0).unwrap();
-        input.set(&[0, 2, 3, 4], 1.0).unwrap();
-        input.set(&[1, 1, 2, 2], 2.0).unwrap();
-        let (sparse, synops) = op.propagate(&input).unwrap();
-        let dense = ops::conv2d(&input, &weight, &Tensor::zeros([2]), spec).unwrap();
-        assert!(sparse.all_close(&dense, 1e-5));
-        assert!(synops > 0);
-    }
-
-    #[test]
-    fn conv_scatter_with_stride_matches_dense() {
-        let weight = Tensor::from_fn([2, 1, 2, 2], |i| (i[0] + i[2] + i[3]) as f32 * 0.5 - 0.3);
-        let spec = Conv2dSpec::new(2, 0);
-        let op = SnnOp::Conv {
-            name: "c".into(),
-            weight: weight.clone(),
-            bias: Tensor::zeros([2]),
-            spec,
-        };
-        let input = Tensor::from_fn([1, 1, 6, 6], |i| ((i[2] * 6 + i[3]) % 3) as f32);
-        let (sparse, _) = op.propagate(&input).unwrap();
-        let dense = ops::conv2d(&input, &weight, &Tensor::zeros([2]), spec).unwrap();
-        assert!(sparse.all_close(&dense, 1e-5));
-    }
-
-    #[test]
-    fn linear_scatter_matches_matvec() {
-        let weight = Tensor::from_fn([3, 4], |i| (i[0] * 4 + i[1]) as f32 * 0.1);
-        let op = SnnOp::Linear {
-            name: "l".into(),
-            weight: weight.clone(),
-            bias: Tensor::zeros([3]),
-        };
-        let input = Tensor::from_vec([2, 4], vec![1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0]).unwrap();
-        let (out, synops) = op.propagate(&input).unwrap();
-        // Only 2 non-zero inputs × 3 outputs = 6 synops.
-        assert_eq!(synops, 6);
-        let expect = ops::matmul_a_bt(&input, &weight).unwrap();
-        assert!(out.all_close(&expect, 1e-6));
-    }
-
-    #[test]
     fn zero_input_costs_zero_synops() {
-        let op = SnnOp::Linear {
+        let ops = vec![SnnOp::Linear {
             name: "l".into(),
             weight: Tensor::ones([3, 4]),
             bias: Tensor::zeros([3]),
-        };
-        let (out, synops) = op.propagate(&Tensor::zeros([1, 4])).unwrap();
-        assert_eq!(synops, 0);
-        assert_eq!(out.sum(), 0.0);
+        }];
+        let plan = OpPlan::new(&ops, &[4]).unwrap();
+        for engine in [SimEngine::dense(), SimEngine::event()] {
+            let mut out = Tensor::zeros([1, 3]);
+            let mut synops = vec![0];
+            OpExecutor::new(&plan, engine)
+                .accumulate_first_weighted(&ops, &Tensor::zeros([1, 4]), 0.0, &mut out, &mut synops)
+                .unwrap();
+            assert_eq!(synops, [0], "{engine:?}");
+            assert_eq!(out.sum(), 0.0);
+        }
     }
 
     #[test]
@@ -652,10 +530,20 @@ mod tests {
             bias: Tensor::from_vec([2], vec![1.0, -2.0]).unwrap(),
         };
         let mut drive = Tensor::zeros([1, 2]);
-        op.inject_bias(&mut drive, 0.5).unwrap();
+        op.inject_bias_pm(&mut drive, 0.5).unwrap();
         assert_eq!(drive.data(), &[0.5, -1.0]);
         let mut wrong = Tensor::zeros([1, 3]);
-        assert!(op.inject_bias(&mut wrong, 1.0).is_err());
+        assert!(op.inject_bias_pm(&mut wrong, 1.0).is_err());
+        // A conv's bias vector lands on every position's channel row.
+        let conv = SnnOp::Conv {
+            name: "c".into(),
+            weight: Tensor::ones([2, 1, 3, 3]),
+            bias: Tensor::from_vec([2], vec![1.0, -2.0]).unwrap(),
+            spec: Conv2dSpec::new(1, 1),
+        };
+        let mut drive = Tensor::zeros([1, 2, 2, 2]);
+        conv.inject_bias_pm(&mut drive, 2.0).unwrap();
+        assert_eq!(drive.data(), &[2.0, -4.0, 2.0, -4.0, 2.0, -4.0, 2.0, -4.0]);
     }
 
     #[test]
@@ -682,8 +570,7 @@ mod tests {
         };
         let mut input = Tensor::zeros([1, 1, 4, 4]);
         input.set(&[0, 0, 0, 0], 1.0).unwrap();
-        let (out, synops) = op.propagate(&input).unwrap();
-        assert_eq!(synops, 0);
+        let out = pass_through(op, &input);
         assert_eq!(out.get(&[0, 0, 0, 0]), Some(0.25));
     }
 
@@ -710,7 +597,10 @@ mod tests {
             }
         }
         assert_eq!(seen, expect);
-        // Writes through the callback land in the op's weights.
+        // Writes through the callback land in the op's weights, and the
+        // cached plan of the old weights is dropped.
+        let before = snn.plan(&[1, 16, 16]).unwrap();
+        assert!(Arc::ptr_eq(&before, &snn.plan(&[1, 16, 16]).unwrap()));
         snn.for_each_weight_row(|layer, row, weights| {
             if layer == 0 && row == 2 {
                 weights[0] = 42.0;
@@ -720,5 +610,6 @@ mod tests {
             SnnOp::Conv { weight, .. } => assert_eq!(weight.data()[2 * 9], 42.0),
             _ => panic!("first op should be a conv"),
         }
+        assert!(!Arc::ptr_eq(&before, &snn.plan(&[1, 16, 16]).unwrap()));
     }
 }

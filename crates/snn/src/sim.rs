@@ -153,8 +153,9 @@ struct ChunkStats {
 ///
 /// # Errors
 ///
-/// Returns an error if shapes are inconsistent or the label count differs
-/// from the image count.
+/// Returns an error if shapes are inconsistent, the label count differs
+/// from the image count, or `config` has a zero step count or recording
+/// interval.
 pub fn simulate(
     net: &SnnNetwork,
     coding: &mut dyn Coding,
@@ -170,8 +171,7 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// Returns an error if shapes are inconsistent or the label count differs
-/// from the image count.
+/// As [`simulate`].
 pub fn simulate_on(
     net: &SnnNetwork,
     coding: &mut dyn Coding,
@@ -193,6 +193,15 @@ pub fn simulate_on(
             message: format!("{n} images but {} labels", labels.len()),
         });
     }
+    if config.max_steps == 0 || config.record_every == 0 {
+        return Err(TensorError::InvalidArgument {
+            op: "simulate",
+            message: format!(
+                "max_steps ({}) and record_every ({}) must be positive",
+                config.max_steps, config.record_every
+            ),
+        });
+    }
     if net.has_max_pool() {
         return Err(TensorError::InvalidArgument {
             op: "simulate",
@@ -209,10 +218,10 @@ pub fn simulate_on(
             message: "network has no weighted ops".to_string(),
         });
     }
-    // Compile the plan once per call: it shape-checks the whole chain up
-    // front (so chunk workers can't fail on anything but numerics) and
-    // every chunk shares its re-laid-out weights.
-    let plan = OpPlan::new(ops, &images.dims()[1..])?;
+    // The network's cached plan shape-checks the whole chain up front
+    // (so chunk workers can't fail on anything but numerics) and every
+    // chunk shares its re-laid-out weights.
+    let plan = net.plan(&images.dims()[1..])?;
 
     let ranges = pool.chunk_ranges(n);
     let stats = if ranges.len() > 1 && coding.batch_divisible() {
@@ -873,6 +882,37 @@ mod tests {
         let tied = Tensor::from_vec([2, 3], vec![1.0, 1.0, 0.0, 0.0, f32::NAN, -1.0]).unwrap();
         assert_eq!(batch_correct(&tied, &[1, 2]).unwrap(), 2);
         assert_eq!(batch_correct(&tied, &[0, 1]).unwrap(), 0);
+    }
+
+    #[test]
+    fn zero_steps_or_record_interval_is_an_error() {
+        // `SimConfig`'s fields are public, so `SimConfig::new`'s assert
+        // does not guard them: `simulate_on` must reject the zeros
+        // instead of dividing by them.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let spec = DatasetSpec::tiny();
+        let snn = SnnNetwork::from_dnn(&mlp_tiny(&mut rng, &spec)).unwrap();
+        let images = Tensor::ones([2, spec.channels, spec.height, spec.width]);
+        let pool = ThreadPool::new(1);
+        for (max_steps, record_every) in [(4, 0), (0, 2)] {
+            let config = SimConfig {
+                max_steps,
+                record_every,
+                engine: SimEngine::default(),
+            };
+            let result = simulate_on(
+                &snn,
+                &mut RateCoding::new(),
+                &images,
+                &[0, 1],
+                &config,
+                &pool,
+            );
+            assert!(
+                matches!(result, Err(TensorError::InvalidArgument { .. })),
+                "max_steps {max_steps}, record_every {record_every}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@ use rand_chacha::ChaCha8Rng;
 use t2fsnn_dnn::layers::{Conv2d, Flatten, Linear, Pool, PoolKind, Relu};
 use t2fsnn_dnn::Network;
 use t2fsnn_snn::coding::{BurstCoding, Coding, PhaseCoding, RateCoding};
-use t2fsnn_snn::{simulate_on, IfState, SimConfig, SimEngine, SnnNetwork, SnnOp};
+use t2fsnn_snn::{
+    simulate_on, IfState, OpExecutor, OpPlan, SimConfig, SimEngine, SnnNetwork, SnnOp,
+};
 use t2fsnn_tensor::ops::{conv2d, Conv2dSpec};
 use t2fsnn_tensor::{Tensor, ThreadPool};
 
@@ -248,15 +250,21 @@ proptest! {
         for (c, y, x) in positions {
             input.set(&[0, c, y, x], 1.0).unwrap();
         }
-        let op = SnnOp::Conv {
+        let ops = [SnnOp::Conv {
             name: "prop".into(),
             weight: weight.clone(),
             bias: Tensor::zeros([3]),
             spec,
-        };
-        let (sparse, _) = op.propagate(&input).unwrap();
+        }];
+        let plan = OpPlan::new(&ops, &[2, 6, 6]).unwrap();
+        let mut dims = vec![1];
+        dims.extend_from_slice(plan.state_dims(0));
+        let mut sparse = Tensor::zeros(dims);
+        OpExecutor::new(&plan, SimEngine::dense())
+            .accumulate_first_weighted(&ops, &input, 0.0, &mut sparse, &mut [0])
+            .unwrap();
         let dense = conv2d(&input, &weight, &Tensor::zeros([3]), spec).unwrap();
-        prop_assert!(sparse.all_close(&dense, 1e-4));
+        prop_assert!(sparse.to_channel_major().unwrap().all_close(&dense, 1e-4));
     }
 
     #[test]
@@ -265,16 +273,28 @@ proptest! {
         out_features in 1usize..6,
     ) {
         let weight = Tensor::ones([out_features, 8]);
-        let op = SnnOp::Linear {
+        let ops = [SnnOp::Linear {
             name: "prop".into(),
             weight,
             bias: Tensor::zeros([out_features]),
-        };
+        }];
+        let plan = OpPlan::new(&ops, &[8]).unwrap();
         let data: Vec<f32> = mask.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect();
         let nnz = data.iter().filter(|&&x| x != 0.0).count() as u64;
         let input = Tensor::from_vec([1, 8], data).unwrap();
-        let (_, synops) = op.propagate(&input).unwrap();
-        prop_assert_eq!(synops, nnz * out_features as u64);
+        for engine in [SimEngine::dense(), SimEngine::event()] {
+            let mut synops = [0u64];
+            OpExecutor::new(&plan, engine)
+                .accumulate_first_weighted(
+                    &ops,
+                    &input,
+                    0.0,
+                    &mut Tensor::zeros([1, out_features]),
+                    &mut synops,
+                )
+                .unwrap();
+            prop_assert_eq!(synops[0], nnz * out_features as u64);
+        }
     }
 
     #[test]

@@ -23,6 +23,6 @@ pub use conv::{
 };
 pub use matmul::{matmul, matmul_a_bt, matmul_at_b, matvec};
 pub use pool::{
-    avg_pool2d, avg_pool2d_backward, avg_pool2d_pm, max_pool2d, max_pool2d_backward, max_pool2d_pm,
-    max_pool2d_pm_gated,
+    avg_pool2d, avg_pool2d_backward, avg_pool2d_pm, first_spike_gate, max_pool2d,
+    max_pool2d_backward, max_pool2d_pm,
 };

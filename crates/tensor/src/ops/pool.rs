@@ -365,42 +365,37 @@ pub fn max_pool2d_pm(input: &Tensor, window: usize, stride: usize) -> Result<Ten
     Ok(out)
 }
 
-/// [`max_pool2d_pm`] composed with first-spike gating (the TTFS max-pool
-/// rule): a window whose gate is already set outputs zero; a window that
-/// produces a non-zero maximum latches its gate. `gate` has the output
-/// shape `[N, OH, OW, C]` and persists across time steps.
+/// First-spike gating, the TTFS max-pool rule, applied in place to a
+/// pooled signal: a window whose `gate` entry is already set outputs
+/// zero; a window that outputs a non-zero value latches its gate.
+/// `gate` has the pooled signal's shape and persists across time steps.
 ///
-/// This is the dense twin of [`crate::ops::sparse::max_pool2d_events`]:
-/// on non-negative spike signals the two are bit-identical.
+/// Composed with [`max_pool2d_pm`] this is the dense twin of
+/// [`crate::ops::sparse::max_pool2d_events`]: on non-negative spike
+/// signals the two are bit-identical.
 ///
 /// # Errors
 ///
-/// Returns an error on rank/shape mismatches or a zero window/stride.
-pub fn max_pool2d_pm_gated(
-    input: &Tensor,
-    window: usize,
-    stride: usize,
-    gate: &mut Tensor,
-) -> Result<Tensor> {
-    let mut out = max_pool2d_pm(input, window, stride)?;
-    if gate.dims() != out.dims() {
+/// Returns an error if `gate` and `pooled` differ in shape.
+pub fn first_spike_gate(pooled: &mut Tensor, gate: &mut Tensor) -> Result<()> {
+    if gate.dims() != pooled.dims() {
         return Err(TensorError::InvalidArgument {
-            op: "max_pool2d_pm_gated",
+            op: "first_spike_gate",
             message: format!(
                 "gate shape {} does not match pooled shape {}",
                 gate.shape(),
-                out.shape()
+                pooled.shape()
             ),
         });
     }
-    for (v, g) in out.data_mut().iter_mut().zip(gate.data_mut()) {
+    for (v, g) in pooled.data_mut().iter_mut().zip(gate.data_mut()) {
         if *g != 0.0 {
             *v = 0.0; // window already fired: suppress
         } else if *v != 0.0 {
             *g = 1.0; // first spike through this window: latch
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -480,6 +475,8 @@ mod tests {
         assert!(avg_pool2d(&Tensor::zeros([1, 1, 4, 4]), 2, 0).is_err());
         assert!(max_pool2d_backward(&[1, 1, 4, 4], &[0, 1], &Tensor::zeros([3])).is_err());
         assert!(avg_pool2d_backward(&[1, 1, 4, 4], 2, 2, &Tensor::zeros([1, 1, 3, 3])).is_err());
+        let mut gate = Tensor::zeros([1, 2, 2, 2]);
+        assert!(first_spike_gate(&mut Tensor::zeros([1, 2, 2, 1]), &mut gate).is_err());
     }
 
     #[test]

@@ -38,14 +38,11 @@
 //! same source in the same context. Per-event work (8–32 floats per
 //! tap) is too small to pay a dispatch each.
 //!
-//! The channel-major scatter ([`conv2d_scatter_t`], reached through
-//! [`conv2d_scatter`] by the spiking ops' reference `propagate`)
-//! accumulates in the same canonical `(y, x, c)` order (walking
-//! `[C, H, W]` storage with strides), so its results are bit-identical
-//! to the position-major kernels modulo the layout permutation. Two
-//! test-only oracles check the kernels from the outside: a channel-major
-//! im2col GEMM (`conv2d_gemm`) and a scan-based synop count
-//! (`conv2d_synops`).
+//! Every weighted kernel here is position-major; nothing in production
+//! convolves a channel-major map. Two test-only oracles check the
+//! kernels from the outside, over channel-major input: an im2col GEMM
+//! (`conv2d_gemm`), f32-equal to the scatter modulo the layout
+//! permutation, and a scan-based synop count (`conv2d_synops`).
 
 use crate::error::{Result, TensorError};
 use crate::events::SpikeBatch;
@@ -102,7 +99,9 @@ impl ConvGeom {
         })
     }
 
-    /// Geometry from channel-major `[C, H, W]` feature dims.
+    /// Geometry from channel-major `[C, H, W]` feature dims (the test
+    /// oracles' layout).
+    #[cfg(test)]
     fn new_cm(
         input_chw: &[usize],
         o: usize,
@@ -682,102 +681,6 @@ fn scatter_pm_images<const O: usize, const ROW: usize>(
     }
 }
 
-/// Sparse scatter convolution over a **dense channel-major**
-/// `[N, C, H, W]` input, producing channel-major `[N, O, OH, OW]`
-/// output — the reference/oracle twin of the position-major kernels.
-/// The input is walked in the canonical `(y, x, c)` order (strided over
-/// the channel-major storage), so per output element the contributions
-/// accumulate in exactly the same sequence as the position-major paths:
-/// results are bit-identical modulo the layout permutation.
-///
-/// # Errors
-///
-/// Returns an error on rank or dimension mismatches.
-pub fn conv2d_scatter_t(
-    input: &Tensor,
-    filter_t: &Tensor,
-    kernel: (usize, usize),
-    spec: Conv2dSpec,
-) -> Result<(Tensor, u64)> {
-    if input.rank() != 4 {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d_scatter_t",
-            message: format!("expected [N, C, H, W] input, got {}", input.shape()),
-        });
-    }
-    let n = input.dims()[0];
-    let (ckk, o) = check_filter_t(filter_t, "conv2d_scatter_t")?;
-    let g = ConvGeom::new_cm(&input.dims()[1..], o, ckk, kernel, spec, "conv2d_scatter_t")?;
-    let mut out = Tensor::zeros([n, g.o, g.oh, g.ow]);
-    let od = out.data_mut();
-    let id = input.data();
-    let wt = filter_t.data();
-    let mut s = TapScratch::new(&g);
-    let in_image = g.c * g.h * g.w;
-    let out_image = g.o * g.oh * g.ow;
-    let oplane = g.oh * g.ow;
-    let mut synops = 0u64;
-    for ni in 0..n {
-        let is = &id[ni * in_image..(ni + 1) * in_image];
-        let os = &mut od[ni * out_image..(ni + 1) * out_image];
-        for yi in 0..g.h {
-            for xi in 0..g.w {
-                for ci in 0..g.c {
-                    let v = is[(ci * g.h + yi) * g.w + xi];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    valid_taps(&mut s.ky, yi, g.kh, g.oh, g.stride, g.pad);
-                    valid_taps(&mut s.kx, xi, g.kw, g.ow, g.stride, g.pad);
-                    if s.ky.is_empty() || s.kx.is_empty() {
-                        continue;
-                    }
-                    for &(ki, oy) in &s.ky {
-                        for &(kj, ox) in &s.kx {
-                            let wstart = ((ci * g.kh + ki) * g.kw + (g.kw - 1 - kj)) * g.o;
-                            let opos = oy * g.ow + ox;
-                            for (oc, &wv) in wt[wstart..wstart + g.o].iter().enumerate() {
-                                os[oc * oplane + opos] += v * wv;
-                            }
-                        }
-                    }
-                    synops += (s.ky.len() * s.kx.len() * g.o) as u64;
-                }
-            }
-        }
-    }
-    Ok((out, synops))
-}
-
-/// [`conv2d_scatter_t`] for callers holding only the original
-/// `[O, C, KH, KW]` weight: transposes it on the fly. This is the
-/// reference path behind `SnnOp::propagate`; hot loops cache the
-/// transposed filter and use the position-major kernels directly.
-///
-/// # Errors
-///
-/// Returns an error on rank or channel mismatches.
-pub fn conv2d_scatter(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<(Tensor, u64)> {
-    if weight.rank() != 4 {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d_scatter",
-            message: format!("expected weight [O, I, KH, KW], got {}", weight.shape()),
-        });
-    }
-    if input.rank() == 4 && input.dims()[1] != weight.dims()[1] {
-        return Err(TensorError::InvalidArgument {
-            op: "conv2d_scatter",
-            message: format!(
-                "expected [N, {}, H, W] input, got {}",
-                weight.dims()[1],
-                input.shape()
-            ),
-        });
-    }
-    let filter_t = transpose_filter(weight)?;
-    conv2d_scatter_t(input, &filter_t, (weight.dims()[2], weight.dims()[3]), spec)
-}
-
 #[cfg(test)]
 /// Unfolds one channel-major `[C, H, W]` image into a **tap-major**
 /// im2col matrix `[KH·KW·C, OH·OW]` (row order `(ki, kj, ci)` — the
@@ -1261,8 +1164,9 @@ pub fn avg_pool2d_events(
 /// non-negative values below never lose to.
 ///
 /// On non-negative spike values (all spiking PSPs in this workspace)
-/// this is bit-identical to densifying and running
-/// [`crate::ops::max_pool2d_pm_gated`], with work proportional to the
+/// this is bit-identical to densifying, running
+/// [`crate::ops::max_pool2d_pm`] and then [`crate::ops::first_spike_gate`],
+/// with work proportional to the
 /// event count — max-pool networks no longer densify between fire and
 /// integrate phases.
 ///
@@ -1420,7 +1324,7 @@ fn check_linear_target(n: usize, o: usize, target: &Tensor, op: &'static str) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{avg_pool2d_pm, conv2d, matmul_a_bt, max_pool2d_pm_gated};
+    use crate::ops::{avg_pool2d_pm, conv2d, first_spike_gate, matmul_a_bt, max_pool2d_pm};
 
     fn weight(o: usize, c: usize, k: usize) -> Tensor {
         Tensor::from_fn([o, c, k, k], |i| {
@@ -1486,19 +1390,19 @@ mod tests {
     #[test]
     fn pm_and_cm_layouts_are_bit_identical_modulo_transpose() {
         // The cross-layout invariant: the position-major kernels and the
-        // channel-major reference accumulate each output element in the
+        // channel-major GEMM oracle accumulate each output element in the
         // same canonical (y, x, c) order, so their results are the same
-        // bits in permuted storage.
+        // values in permuted storage.
         for &(stride, padding) in &[(1usize, 0usize), (1, 1), (2, 1)] {
             let spec = Conv2dSpec::new(stride, padding);
             let input_cm = sparse_input(2, 3, 7, 6);
             let w = weight(4, 3, 3);
             let wt = transpose_filter(&w).unwrap();
-            let (out_cm, s_cm) = conv2d_scatter_t(&input_cm, &wt, (3, 3), spec).unwrap();
+            let out_cm = conv2d_gemm(&input_cm, &w, spec).unwrap();
             let input_pm = input_cm.to_position_major().unwrap();
             let (out_pm, s_pm) = dense_walk(&input_pm, &wt, 3, spec);
             assert_eq!(out_pm.to_channel_major().unwrap(), out_cm);
-            assert_eq!(s_cm, s_pm.iter().sum::<u64>());
+            assert_eq!(s_pm, conv2d_synops(&input_cm, &w, spec).unwrap());
         }
     }
 
@@ -1508,10 +1412,12 @@ mod tests {
             let spec = Conv2dSpec::new(stride, padding);
             let input = sparse_input(2, 3, 6, 6);
             let w = weight(4, 3, 3);
-            let (out, synops) = conv2d_scatter(&input, &w, spec).unwrap();
+            let wt = transpose_filter(&w).unwrap();
+            let (out_pm, synops) = dense_walk(&input.to_position_major().unwrap(), &wt, 3, spec);
+            let out = out_pm.to_channel_major().unwrap();
             let reference = conv2d(&input, &w, &Tensor::zeros([4]), spec).unwrap();
             assert!(out.all_close(&reference, 1e-4));
-            assert!(synops > 0);
+            assert!(synops.iter().all(|&s| s > 0));
             let gemm = conv2d_gemm(&input, &w, spec).unwrap();
             // GEMM performs the identical term sequence plus `± 0.0`
             // additions for inactive taps, so it is f32-equal (not merely
@@ -1563,8 +1469,7 @@ mod tests {
         let mut input = Tensor::zeros([1, 1, 5, 5]);
         input.set(&[0, 0, 2, 2], 1.0).unwrap();
         let w = weight(4, 1, 3);
-        let (_, synops) = conv2d_scatter(&input, &w, spec).unwrap();
-        assert_eq!(synops, 9 * 4);
+        assert_eq!(conv2d_synops(&input, &w, spec).unwrap(), [9 * 4]);
         let wt = transpose_filter(&w).unwrap();
         let pm = input.to_position_major().unwrap();
         assert_eq!(dense_walk(&pm, &wt, 3, spec).1, [9 * 4]);
@@ -1572,8 +1477,7 @@ mod tests {
         let spec = Conv2dSpec::new(1, 0);
         let mut corner = Tensor::zeros([1, 1, 5, 5]);
         corner.set(&[0, 0, 0, 0], 1.0).unwrap();
-        let (_, synops) = conv2d_scatter(&corner, &w, spec).unwrap();
-        assert_eq!(synops, 4);
+        assert_eq!(conv2d_synops(&corner, &w, spec).unwrap(), [4]);
         let pm = corner.to_position_major().unwrap();
         assert_eq!(dense_walk(&pm, &wt, 3, spec).1, [4]);
     }
@@ -1584,13 +1488,13 @@ mod tests {
             let spec = Conv2dSpec::new(stride, padding);
             let input = sparse_input(2, 3, 7, 6);
             let w = weight(4, 3, 3);
-            let (_, from_scatter) = conv2d_scatter(&input, &w, spec).unwrap();
             let from_scan = conv2d_synops(&input, &w, spec).unwrap();
             let what = format!("stride={stride} padding={padding}");
-            assert_eq!(from_scan.iter().sum::<u64>(), from_scatter, "{what}");
             let wt = transpose_filter(&w).unwrap();
             let (_, ledger) = dense_walk(&input.to_position_major().unwrap(), &wt, 3, spec);
             assert_eq!(ledger, from_scan, "{what}");
+            let events = SpikeBatch::from_dense(&input.to_position_major().unwrap()).unwrap();
+            assert_eq!(event_scatter(&events, &wt, 3, spec).1, from_scan, "{what}");
         }
     }
 
@@ -1617,7 +1521,8 @@ mod tests {
             let w = weight(4, 2, 3);
             let pm = input.to_position_major().unwrap();
             let events = SpikeBatch::from_dense(&pm).unwrap();
-            let (_, total) = conv2d_scatter(&input, &w, spec).unwrap();
+            let wt = transpose_filter(&w).unwrap();
+            let total: u64 = dense_walk(&pm, &wt, 3, spec).1.iter().sum();
             let mut by_image = vec![0u64; 3];
             conv2d_synops_events_by_image(&events, 4, (3, 3), spec, &mut by_image).unwrap();
             assert_eq!(by_image.iter().sum::<u64>(), total);
@@ -1631,7 +1536,6 @@ mod tests {
             conv2d_synops_events_by_image(&events, 4, (3, 3), spec, &mut twice).unwrap();
             assert!(twice.iter().zip(&by_image).all(|(&t, &b)| t == 2 * b));
             // A solo image is charged exactly its batched count.
-            let wt = transpose_filter(&w).unwrap();
             for (ni, &batched) in by_image.iter().enumerate() {
                 let solo = pm.index_axis0(ni).unwrap();
                 let solo_pm = solo.reshape([1, 6, 5, 2]).unwrap();
@@ -1766,9 +1670,8 @@ mod tests {
         let w = weight(2, 3, 3);
         let wt = transpose_filter(&w).unwrap();
         let spec = Conv2dSpec::default();
-        assert!(conv2d_scatter(&Tensor::zeros([1, 2, 4, 4]), &w, spec).is_err());
-        assert!(conv2d_scatter(&Tensor::zeros([2, 4, 4]), &w, spec).is_err());
-        assert!(conv2d_scatter_t(&Tensor::zeros([1, 2, 4, 4]), &wt, (3, 3), spec).is_err());
+        assert!(conv2d_synops(&Tensor::zeros([1, 2, 4, 4]), &w, spec).is_err());
+        assert!(conv2d_synops(&Tensor::zeros([2, 4, 4]), &w, spec).is_err());
         let mut target = Tensor::zeros([1, 2, 2, 2]);
         let mut ledger = vec![0; 1];
         assert!(conv2d_scatter_pm_acc(
@@ -1860,7 +1763,7 @@ mod tests {
     fn event_max_pool_matches_densify_then_gated_dense_pool() {
         // The oracle the TTFS engine relies on: first-spike-wins pooling
         // over events, step by step, is bitwise what densify →
-        // max_pool2d_pm → gate computes. Event lists are compared as
+        // max_pool2d_pm → first_spike_gate computes. Event lists are compared as
         // lists, and one scratch serves every case.
         let mut scratch = PoolScratch::new();
         let mut pooled = SpikeBatch::empty();
@@ -1888,7 +1791,8 @@ mod tests {
                         &mut scratch,
                     )
                     .unwrap();
-                    let dense = max_pool2d_pm_gated(&spikes, window, stride, &mut gate_dn).unwrap();
+                    let mut dense = max_pool2d_pm(&spikes, window, stride).unwrap();
+                    first_spike_gate(&mut dense, &mut gate_dn).unwrap();
                     let what = format!("dims={dims:?} window={window} stride={stride} step {step}");
                     assert_eq!(pooled, SpikeBatch::from_dense(&dense).unwrap(), "{what}");
                     assert_eq!(gate_ev, gate_dn, "{what}");

@@ -91,6 +91,41 @@ fn linear_events(events: &SpikeBatch, weight_t: &Tensor) -> (Tensor, Vec<u64>) {
     (out, synops)
 }
 
+/// Test oracle: a bias-free convolution of a channel-major
+/// `[N, C, H, W]` input by a `[O, C, K, K]` weight, written as plain
+/// gather loops. Each output element adds its non-zero inputs' terms in
+/// ascending `(ki, kj, c)` order, which is the canonical `(y, x, c)`
+/// order of its sources, so the scatter kernels must match it bit for
+/// bit (modulo the layout permutation). It shares no tap or filter
+/// helper with them.
+fn conv_oracle(input: &Tensor, weight: &Tensor, spec: ops::Conv2dSpec) -> Tensor {
+    let [n, c, h, w] = [0, 1, 2, 3].map(|a| input.dims()[a]);
+    let (o, k) = (weight.dims()[0], weight.dims()[2]);
+    let (oh, ow) = (spec.output_dim(h, k), spec.output_dim(w, k));
+    let (id, wd) = (input.data(), weight.data());
+    let src = |out: usize, tap: usize, len: usize| {
+        (out * spec.stride + tap)
+            .checked_sub(spec.padding)
+            .filter(|&p| p < len)
+    };
+    Tensor::from_fn(Shape::from(vec![n, o, oh, ow]), |i| {
+        let mut acc = 0.0f32;
+        for ki in 0..k {
+            let Some(y) = src(i[2], ki, h) else { continue };
+            for kj in 0..k {
+                let Some(x) = src(i[3], kj, w) else { continue };
+                for ci in 0..c {
+                    let v = id[((i[0] * c + ci) * h + y) * w + x];
+                    if v != 0.0 {
+                        acc += v * wd[((i[1] * c + ci) * k + ki) * k + kj];
+                    }
+                }
+            }
+        }
+        acc
+    })
+}
+
 /// Test oracle: the per-image synop adds of an `o`-output, `k×k`
 /// convolution over a channel-major `[N, C, H, W]` input, counted with
 /// plain loops: every non-zero entry charges `o` per valid kernel tap.
@@ -245,8 +280,8 @@ proptest! {
             (((i[0] * 9 + i[1] * 3 + i[2] + i[3] + seed as usize) % 11) as f32) * 0.1 - 0.5
         });
         let filter_t = ops::sparse::transpose_filter(&weight).unwrap();
-        // Channel-major reference walk, canonical (y, x, c) order.
-        let (dense_cm, s1) = ops::sparse::conv2d_scatter(&input, &weight, spec).unwrap();
+        // Channel-major plain-loop oracle, canonical (y, x, c) order.
+        let dense_cm = conv_oracle(&input, &weight, spec);
         // Position-major dense walk and event scatter.
         let input_pm = input.to_position_major().unwrap();
         let (dense_pm, s_pm) = conv_dense_walk(&input_pm, &filter_t, 3, spec);
@@ -254,7 +289,7 @@ proptest! {
         let (sparse_pm, s2) = conv_event_scatter(&events, &filter_t, 3, spec);
         prop_assert_eq!(&dense_pm, &sparse_pm);
         prop_assert_eq!(&s2, &s_pm);
-        prop_assert_eq!(s1, s_pm.iter().sum::<u64>());
+        prop_assert_eq!(&s_pm, &conv_synops_oracle(&input, o, 3, spec));
         // Cross-layout identity: same bits in permuted storage.
         prop_assert_eq!(&dense_pm.to_channel_major().unwrap(), &dense_cm);
         // The im2col reference agrees to fp tolerance.
@@ -406,9 +441,12 @@ proptest! {
         prop_assert_eq!(&scalar.1.0, &vector.1.0, "conv event scatter");
         prop_assert_eq!(&scalar.2.0, &vector.2.0, "linear dense");
         prop_assert_eq!(&scalar.3.0, &vector.3.0, "linear events");
+        let input_cm = input_pm.to_channel_major().unwrap();
+        let conv_cm = conv_oracle(&input_cm, &weight, spec);
+        prop_assert_eq!(&scalar.0.0.to_channel_major().unwrap(), &conv_cm, "conv vs oracle");
         // Every kernel's per-image ledger is the oracle's count, SIMD on
         // or off.
-        let conv_want = conv_synops_oracle(&input_pm.to_channel_major().unwrap(), o, 3, spec);
+        let conv_want = conv_synops_oracle(&input_cm, o, 3, spec);
         let linear_want = linear_synops_oracle(&flat, o);
         for run in [&scalar, &vector] {
             prop_assert_eq!(&run.0.1, &conv_want, "conv dense walk ledger");
@@ -459,9 +497,9 @@ proptest! {
         let filter_t = ops::sparse::transpose_filter(&weight).unwrap();
         let input_pm = input.to_position_major().unwrap();
         let events = SpikeBatch::from_dense(&input_pm).unwrap();
+        let oracle = conv_oracle(&input, &weight, spec);
         let run = || {
             (
-                ops::sparse::conv2d_scatter(&input, &weight, spec).unwrap(),
                 conv_dense_walk(&input_pm, &filter_t, k, spec),
                 conv_event_scatter(&events, &filter_t, k, spec),
             )
@@ -472,15 +510,14 @@ proptest! {
         // is charged nothing.
         let want = conv_synops_oracle(&input, o, k, spec);
         prop_assert_eq!(want[empty], 0);
-        for ((oracle, s_oracle), (dense, s_dense), (sparse, s_sparse)) in [&scalar, &vector] {
-            prop_assert_eq!(&dense.to_channel_major().unwrap(), oracle, "dense walk vs oracle");
-            prop_assert_eq!(&sparse.to_channel_major().unwrap(), oracle, "event scatter vs oracle");
+        for ((dense, s_dense), (sparse, s_sparse)) in [&scalar, &vector] {
+            prop_assert_eq!(&dense.to_channel_major().unwrap(), &oracle, "dense walk vs oracle");
+            prop_assert_eq!(&sparse.to_channel_major().unwrap(), &oracle, "event scatter vs oracle");
             prop_assert_eq!(s_dense, &want, "dense walk ledger");
             prop_assert_eq!(s_sparse, &want, "event scatter ledger");
-            prop_assert_eq!(*s_oracle, want.iter().sum::<u64>());
         }
-        prop_assert_eq!(&scalar.1.0, &vector.1.0, "dense walk, SIMD off vs on");
-        prop_assert_eq!(&scalar.2.0, &vector.2.0, "event scatter, SIMD off vs on");
+        prop_assert_eq!(&scalar.0.0, &vector.0.0, "dense walk, SIMD off vs on");
+        prop_assert_eq!(&scalar.1.0, &vector.1.0, "event scatter, SIMD off vs on");
     }
 
     /// SIMD on-vs-off identity of the threshold scan (the fire-phase
