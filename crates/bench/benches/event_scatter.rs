@@ -195,7 +195,7 @@ fn bench_rate_fire_events(c: &mut Criterion) {
         let mut coding = RateCoding::new();
         let mut events = SpikeBatch::empty();
         group.bench_function(format!("rate/{density}pct"), |b| {
-            b.iter(|| coding.fire_events(black_box(&mut potential), 0, 0, &mut events))
+            b.iter(|| coding.fire(black_box(&mut potential), 0, &mut events))
         });
     }
     group.finish();

@@ -259,7 +259,7 @@ impl T2fsnn {
         // aggregate.
         let mut tracer = trace::coarse("ttfs/infer_chunk", n as u64);
         let mut st = self.step_state(images, plan)?;
-        let l_count = st.segments.len();
+        let l_count = plan.segments().len();
 
         let total_steps = self.total_steps();
         // Early-exit fire phase of the output layer, on the standard

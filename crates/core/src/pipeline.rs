@@ -15,7 +15,9 @@
 //! returns the per-image results and `run` sums them into batch totals,
 //! spike histograms and an accuracy curve of integer correct counts.
 //! The loop steps a [`StepState`], whose work follows spikes rather
-//! than neuron-steps:
+//! than neuron-steps. Every spike reaches the next layer through the
+//! [`OpExecutor`] segment walk the rate/phase/burst baselines also run
+//! on, with the TTFS max-pool gates passed in:
 //!
 //! * **Input buckets.** Each call encodes its input once into per-step,
 //!   per-image spike lists; an input step emits its bucket straight as
@@ -32,15 +34,15 @@
 //!
 //! [`T2fsnn::analytic_logits`] is the same pipeline written as a DNN,
 //! each layer's activation encoded and decoded through its kernel as if
-//! integration always completed. It runs on the network's cached plan
-//! through the [`SimEngine::Dense`] kernels the step loop's reference
-//! engine uses, so both add every term in the same canonical order.
+//! integration always completed. It fires each layer once into the same
+//! segment walk on the network's cached plan, on the
+//! [`SimEngine::Dense`] engine the step loop's reference uses, so both
+//! add every term in the same canonical order.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use t2fsnn_snn::{CurvePoint, OpExecutor, OpPlan, SimEngine, SnnOp};
-use t2fsnn_tensor::ops::first_spike_gate;
 use t2fsnn_tensor::{perturb, trace, Result, SpikeBatch, Tensor, TensorError, ThreadPool};
 
 use crate::network::{NoiseConfig, T2fsnn};
@@ -111,28 +113,6 @@ impl TtfsRun {
     }
 }
 
-/// Internal: ops between two weighted layers plus the weighted layer.
-pub(crate) struct Segment {
-    pub(crate) pre_ops: Vec<usize>,
-    pub(crate) weighted: usize,
-}
-
-pub(crate) fn build_segments(ops: &[SnnOp]) -> Vec<Segment> {
-    let mut segments = Vec::new();
-    let mut pre = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        if op.is_weighted() {
-            segments.push(Segment {
-                pre_ops: std::mem::take(&mut pre),
-                weighted: i,
-            });
-        } else {
-            pre.push(i);
-        }
-    }
-    segments
-}
-
 /// One content-keyed event-noise stream per image of the batch (empty
 /// when `noise` is `None`). Keying each image's stream on its pixel
 /// *content* — never its batch position — is what makes noisy runs
@@ -184,10 +164,8 @@ pub(crate) fn delivered_value(
 /// image; the weighted kernels bill synop adds to the `synops` ledger
 /// themselves.
 pub(crate) struct StepState<'a> {
-    ops: &'a [SnnOp],
     plan: &'a OpPlan,
     executor: OpExecutor<'a>,
-    pub(crate) segments: Vec<Segment>,
     /// Membrane potentials per weighted layer, position-major, bias
     /// folded in. A hidden neuron that fired holds −∞ (retired).
     pub(crate) potentials: Vec<Tensor>,
@@ -214,7 +192,6 @@ pub(crate) struct StepState<'a> {
     /// events accumulate into it from zero, and it is then added to the
     /// first membranes (adding in place would round differently).
     drive: Tensor,
-    dense: bool,
     theta0: f32,
     noise: Option<NoiseConfig>,
     /// Per-image, content-keyed noise streams (empty without noise).
@@ -265,43 +242,28 @@ impl<'a> StepState<'a> {
         if !any {
             return Ok(());
         }
-        let ops = self.ops;
-        let seg = &self.segments[0];
-        let drive = &mut self.drive;
-        drive.data_mut().fill(0.0);
-        if !self.pm_input {
-            // Pass-through ops in the channel-major image domain (e.g. an
-            // MLP's flatten), then the weighted op.
-            let mut signal = self.events.to_dense();
-            for &pi in &seg.pre_ops {
-                signal = self.executor.propagate(ops, pi, &signal)?;
-                if let Some(gate) = self.gates[pi].as_mut() {
-                    first_spike_gate(&mut signal, gate)?;
-                }
-            }
-            self.executor
-                .accumulate_first_weighted(ops, &signal, 0.0, drive, &mut self.synops)?;
-        } else if self.dense {
-            let signal = self.events.to_dense();
-            self.executor.accumulate_weighted(
-                ops,
-                seg.weighted,
-                &signal,
+        self.drive.data_mut().fill(0.0);
+        if self.pm_input {
+            self.executor.integrate_events(
+                0,
+                &mut self.events,
+                &mut self.gates,
                 0.0,
-                drive,
+                &mut self.drive,
                 &mut self.synops,
             )?;
         } else {
-            self.executor.accumulate_weighted_events(
-                ops,
-                seg.weighted,
-                &self.events,
+            // Pass-through ops in the channel-major image domain (e.g. an
+            // MLP's flatten) come first.
+            self.executor.integrate_image(
+                self.events.to_dense(),
+                &mut self.gates,
                 0.0,
-                drive,
+                &mut self.drive,
                 &mut self.synops,
             )?;
         }
-        self.potentials[0].add_scaled(drive, 1.0)
+        self.potentials[0].add_scaled(&self.drive, 1.0)
     }
 
     /// Fire phase of hidden layer `i` at local step `local`: every
@@ -314,7 +276,7 @@ impl<'a> StepState<'a> {
         let table = &self.fire_tables[i];
         let threshold = self.theta0 * table[local];
         let plan = self.plan;
-        let dims = plan.state_dims(self.segments[i].weighted);
+        let dims = plan.state_dims(plan.segments()[i].weighted);
         let feature = dims.iter().product::<usize>().max(1);
         self.events.begin(dims);
         let mut any = false;
@@ -352,60 +314,19 @@ impl<'a> StepState<'a> {
 
     /// Integrates the last fire phase's events through segment `k` —
     /// pass-through ops, then the weighted op — into layer `k`'s
-    /// membranes. Average pooling, first-spike-wins max pooling and
-    /// flattens stay in event form; the [`SimEngine::Dense`] reference
-    /// engine densifies up front and runs the position-major dense twins
-    /// instead (bit-identical: the canonical-order invariant). The
-    /// weighted kernel bills each image's synop adds to `synops`.
+    /// membranes: the executor's one segment walk, with the max-pool
+    /// gates latching first spikes. The weighted kernel bills each
+    /// image's synop adds to `synops`.
     pub(crate) fn propagate(&mut self, k: usize) -> Result<()> {
         let _s = trace::span("ttfs/segment_propagate");
-        let ops = self.ops;
-        let seg = &self.segments[k];
-        let mut dense = self.dense.then(|| self.events.to_dense());
-        for &pi in &seg.pre_ops {
-            if let Some(signal) = dense.as_mut() {
-                *signal = self.executor.propagate(ops, pi, signal)?;
-                if let Some(gate) = self.gates[pi].as_mut() {
-                    first_spike_gate(signal, gate)?;
-                }
-                continue;
-            }
-            match &ops[pi] {
-                SnnOp::AvgPool { window, stride } => {
-                    self.executor
-                        .avg_pool_events(&mut self.events, *window, *stride)?;
-                }
-                SnnOp::MaxPool { window, stride } => {
-                    let gate = self.gates[pi]
-                        .as_mut()
-                        .expect("max-pool ops carry a first-spike gate");
-                    self.executor
-                        .max_pool_events(&mut self.events, *window, *stride, gate)?;
-                }
-                SnnOp::Flatten => {
-                    let numel = self.events.feature_numel();
-                    self.events.reshape_features(&[numel])?;
-                }
-                SnnOp::Conv { .. } | SnnOp::Linear { .. } => {
-                    unreachable!("a segment's pre-ops are pass-through ops")
-                }
-            }
-        }
-        let (w, potential) = (seg.weighted, &mut self.potentials[k]);
-        match dense {
-            Some(signal) => {
-                self.executor
-                    .accumulate_weighted(ops, w, &signal, 0.0, potential, &mut self.synops)
-            }
-            None => self.executor.accumulate_weighted_events(
-                ops,
-                w,
-                &self.events,
-                0.0,
-                potential,
-                &mut self.synops,
-            ),
-        }
+        self.executor.integrate_events(
+            k,
+            &mut self.events,
+            &mut self.gates,
+            0.0,
+            &mut self.potentials[k],
+            &mut self.synops,
+        )
     }
 }
 
@@ -422,7 +343,7 @@ impl T2fsnn {
         let config = self.config();
         let t_window = config.time_window;
         let ops = self.network().ops();
-        let segments = build_segments(ops);
+        let segments = plan.segments();
         let d = images.dims();
         let n = d[0];
         let zeros = |i: usize| {
@@ -431,7 +352,7 @@ impl T2fsnn {
             Tensor::zeros(dims)
         };
         let mut potentials = Vec::with_capacity(segments.len());
-        for seg in &segments {
+        for seg in segments {
             let mut p = zeros(seg.weighted);
             ops[seg.weighted].inject_bias_pm(&mut p, 1.0)?;
             potentials.push(p);
@@ -455,8 +376,8 @@ impl T2fsnn {
         // the conv's event kernel consumes: scan index `p = (y·W + x)·C
         // + c` reads pixel `c·HW + y·W + x`. Buckets are filled by a
         // counting sort over the scan, so each stays ascending.
-        let pm_input = segments[0].pre_ops.is_empty()
-            && matches!(ops[segments[0].weighted], SnnOp::Conv { .. });
+        let pm_input =
+            segments[0].pass.is_empty() && matches!(ops[segments[0].weighted], SnnOp::Conv { .. });
         let (c, hw) = (d[1], d[2] * d[3]);
         let feature = (c * hw).max(1);
         let input_dims = if pm_input {
@@ -493,10 +414,8 @@ impl T2fsnn {
         let drive = zeros(segments[0].weighted);
 
         Ok(StepState {
-            ops,
             plan,
-            executor: OpExecutor::new(plan, config.engine),
-            segments,
+            executor: OpExecutor::new(ops, plan, config.engine),
             potentials,
             gates,
             fire_tables,
@@ -506,7 +425,6 @@ impl T2fsnn {
             input_dims,
             pm_input,
             drive,
-            dense: matches!(config.engine, SimEngine::Dense),
             theta0: config.theta0,
             noise: config.noise,
             rngs: noise_streams(config.noise, images),
@@ -592,39 +510,34 @@ impl T2fsnn {
         let theta0 = self.config().theta0;
         let ops = self.network().ops();
         let plan = self.network().plan(&images.dims()[1..])?;
-        let mut executor = OpExecutor::new(&plan, SimEngine::Dense);
+        let mut executor = OpExecutor::new(ops, &plan, SimEngine::Dense);
         let n = images.dims()[0];
         let mut synops = vec![0; n];
+        let zeros = |k: usize| {
+            let mut dims = vec![n];
+            dims.extend_from_slice(plan.state_dims(plan.segments()[k].weighted));
+            Tensor::zeros(dims)
+        };
         // Quantize the input through encode/decode.
         let input_encoder = self.input_encoder();
-        let mut signal = images.map(|x| match input_encoder.encode(x, theta0) {
+        let signal = images.map(|x| match input_encoder.encode(x, theta0) {
             Some(t) => input_encoder.decode(t) * theta0,
             None => 0.0,
         });
-        let segments = build_segments(ops);
-        for (i, seg) in segments.iter().enumerate() {
-            for &pi in &seg.pre_ops {
-                signal = executor.propagate(ops, pi, &signal)?;
-            }
-            let w = seg.weighted;
-            let mut dims = vec![n];
-            dims.extend_from_slice(plan.state_dims(w));
-            let mut z = Tensor::zeros(dims);
-            if i == 0 {
-                executor.accumulate_first_weighted(ops, &signal, 1.0, &mut z, &mut synops)?;
-            } else {
-                executor.accumulate_weighted(ops, w, &signal, 1.0, &mut z, &mut synops)?;
-            }
-            if i + 1 == segments.len() {
-                return Ok(z);
-            }
-            let kernel = self.fire_kernel(i);
-            signal = z.map(|u| match kernel.encode(u, theta0) {
+        let mut z = zeros(0);
+        executor.integrate_image(signal, &mut [], 1.0, &mut z, &mut synops)?;
+        for k in 1..plan.segments().len() {
+            // Each layer fires once, at the spike time its value encodes.
+            let kernel = self.fire_kernel(k - 1);
+            let fired = z.map(|u| match kernel.encode(u, theta0) {
                 Some(t) => kernel.decode(t) * theta0,
                 None => 0.0,
             });
+            z = zeros(k);
+            let mut events = SpikeBatch::from_dense(&fired)?;
+            executor.integrate_events(k, &mut events, &mut [], 1.0, &mut z, &mut synops)?;
         }
-        unreachable!("segments is non-empty by conversion invariant")
+        Ok(z)
     }
 }
 

@@ -21,13 +21,14 @@ use super::Coding;
 ///
 /// ```
 /// use t2fsnn_snn::coding::{BurstCoding, Coding};
-/// use t2fsnn_tensor::Tensor;
+/// use t2fsnn_tensor::{SpikeBatch, Tensor};
 ///
 /// let mut coding = BurstCoding::new(5);
 /// let mut u = Tensor::from_vec([1, 1], vec![3.0]).unwrap();
-/// let (spikes, n) = coding.fire(&mut u, 0, 0);
-/// assert_eq!(n, 2);                  // burst of 2 spikes
-/// assert_eq!(spikes.data()[0], 3.0); // transmits θ(2²−1) = 3
+/// let mut events = SpikeBatch::empty();
+/// let n = coding.fire(&mut u, 0, &mut events);
+/// assert_eq!(n, 2);                             // burst of 2 spikes
+/// assert_eq!(events.to_dense().data()[0], 3.0); // transmits θ(2²−1) = 3
 /// assert_eq!(u.data()[0], 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,32 +83,9 @@ impl Coding for BurstCoding {
         (images.clone(), 0)
     }
 
-    fn fire(&mut self, potential: &mut Tensor, _t: usize, _layer: usize) -> (Tensor, u64) {
-        let mut spikes = Tensor::zeros(potential.shape().clone());
-        let sd = spikes.data_mut();
-        let mut count = 0u64;
-        for (u, s) in potential.data_mut().iter_mut().zip(sd.iter_mut()) {
-            let n = self.burst_for(*u);
-            if n > 0 {
-                let v = self.burst_value(n);
-                *u -= v;
-                *s = v;
-                count += n as u64;
-            }
-        }
-        (spikes, count)
-    }
-
-    fn fire_events(
-        &mut self,
-        potential: &mut Tensor,
-        _t: usize,
-        _layer: usize,
-        events: &mut SpikeBatch,
-    ) -> u64 {
+    fn fire(&mut self, potential: &mut Tensor, _t: usize, events: &mut SpikeBatch) -> u64 {
         let feature: usize = potential.dims()[1..].iter().product();
-        let feature_dims = potential.dims()[1..].to_vec();
-        events.begin(&feature_dims);
+        events.begin(&potential.dims()[1..]);
         let mut count = 0u64;
         // A burst needs `u ≥ burst_value(1) = θ`, so the SIMD threshold
         // scan finds exactly the bursting neurons (ascending order);
@@ -164,12 +142,12 @@ mod tests {
     fn large_potential_drains_logarithmically() {
         let mut c = BurstCoding::new(5);
         let mut u = Tensor::from_vec([1, 1], vec![30.0]).unwrap();
+        let mut events = SpikeBatch::empty();
         // Rate coding would need 30 steps; bursts need far fewer.
         let mut steps = 0;
         let mut spikes = 0u64;
         while u.data()[0] >= 1.0 && steps < 10 {
-            let (_, n) = c.fire(&mut u, steps, 0);
-            spikes += n;
+            spikes += c.fire(&mut u, steps, &mut events);
             steps += 1;
         }
         assert!(steps <= 3, "drained in {steps} steps");
@@ -180,9 +158,10 @@ mod tests {
     fn burst_respects_n_max() {
         let mut c = BurstCoding::new(2);
         let mut u = Tensor::from_vec([1, 1], vec![100.0]).unwrap();
-        let (s, n) = c.fire(&mut u, 0, 0);
+        let mut events = SpikeBatch::empty();
+        let n = c.fire(&mut u, 0, &mut events);
         assert_eq!(n, 2);
-        assert_eq!(s.data()[0], 3.0);
+        assert_eq!(events.to_dense().data()[0], 3.0);
         assert_eq!(u.data()[0], 97.0);
     }
 
@@ -190,10 +169,11 @@ mod tests {
     fn transmitted_value_conserved() {
         // Whatever the potential, post-fire residual + transmitted = initial.
         let mut c = BurstCoding::new(5);
+        let mut events = SpikeBatch::empty();
         for &v in &[0.5f32, 1.0, 2.7, 9.9, 31.5] {
             let mut u = Tensor::from_vec([1, 1], vec![v]).unwrap();
-            let (s, _) = c.fire(&mut u, 0, 0);
-            assert!((u.data()[0] + s.data()[0] - v).abs() < 1e-5);
+            c.fire(&mut u, 0, &mut events);
+            assert!((u.data()[0] + events.to_dense().data()[0] - v).abs() < 1e-5);
         }
     }
 
@@ -201,9 +181,10 @@ mod tests {
     fn sub_threshold_is_silent() {
         let mut c = BurstCoding::new(5);
         let mut u = Tensor::from_vec([1, 1], vec![0.99]).unwrap();
-        let (s, n) = c.fire(&mut u, 0, 0);
+        let mut events = SpikeBatch::empty();
+        let n = c.fire(&mut u, 0, &mut events);
         assert_eq!(n, 0);
-        assert_eq!(s.data()[0], 0.0);
+        assert_eq!(events.to_dense().data()[0], 0.0);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! A [`Coding`] defines how analog values become spike trains and back:
 //! how the input image drives the first layer at each time step, how a
-//! hidden IF population converts membrane potential into outgoing spikes,
-//! and how bias currents are scaled so that decoded values stay calibrated.
+//! hidden IF population fires its membrane potential into an event list
+//! (the one fire primitive, [`Coding::fire`]; the simulator's segment walk
+//! carries the list on), and how bias currents are scaled so that decoded
+//! values stay calibrated.
 //!
 //! Implementations: [`RateCoding`] (Diehl/Rueckauer-style), [`PhaseCoding`]
 //! (weighted spikes, Kim et al. 2018) and [`BurstCoding`] (Park et al. DAC
@@ -27,9 +29,10 @@ use t2fsnn_tensor::{SpikeBatch, Tensor};
 /// A neural coding scheme for the clock-driven simulator.
 ///
 /// The simulator calls [`Coding::encode`] once per time step to obtain the
-/// input drive, then alternates [`propagate → integrate → fire`] through
-/// the layer stack. All state beyond membrane potentials (e.g. phase
-/// counters) lives in the coding object itself.
+/// input drive, then alternates integrate → [`Coding::fire`] through the
+/// layer stack, carrying each fire phase's event list into the next
+/// layer. All state beyond membrane potentials (e.g. an input RNG) lives
+/// in the coding object itself.
 ///
 /// `Send` is a supertrait so that [`Coding::boxed_clone`] copies can be
 /// moved into the simulator's batch-chunk worker threads.
@@ -48,10 +51,13 @@ pub trait Coding: Send {
     /// (0 for analog current injection).
     fn encode(&mut self, images: &Tensor, t: usize) -> (Tensor, u64);
 
-    /// Converts a hidden population's membrane potential into outgoing
-    /// spikes at time `t`. Returns `(spike_tensor, spike_count)` and
-    /// resets the potential according to the scheme's rule.
-    fn fire(&mut self, potential: &mut Tensor, t: usize, layer: usize) -> (Tensor, u64);
+    /// Fire phase of a hidden population at time `t`: converts its
+    /// `[N, ...]` membrane potentials into outgoing spikes and resets
+    /// them by the scheme's rule. `events` is rebuilt (reusing its
+    /// allocations) with one event per firing neuron, carrying the value
+    /// it transmits, ascending per image. Returns the spike count (a
+    /// burst of `n` spikes counts `n`).
+    fn fire(&mut self, potential: &mut Tensor, t: usize, events: &mut SpikeBatch) -> u64;
 
     /// Scale applied to bias currents at time `t` so that per-decoding-
     /// window bias contributions match the DNN bias.
@@ -75,27 +81,6 @@ pub trait Coding: Send {
         None
     }
 
-    /// Fire phase emitting an event list instead of a dense spike
-    /// tensor: `events` is rebuilt (reusing its allocations) with this
-    /// step's spikes in row-major order, carrying exactly the values the
-    /// dense [`Coding::fire`] tensor would hold. Returns the spike
-    /// count. The default implementation wraps [`Coding::fire`];
-    /// bundled codings override it to skip the dense intermediate, which
-    /// is what makes the simulator's event engine cheap.
-    fn fire_events(
-        &mut self,
-        potential: &mut Tensor,
-        t: usize,
-        layer: usize,
-        events: &mut SpikeBatch,
-    ) -> u64 {
-        let (spikes, count) = self.fire(potential, t, layer);
-        events
-            .refill_bounded(&spikes, usize::MAX)
-            .expect("potentials have a batch axis");
-        count
-    }
-
     /// A boxed copy of this coding in its current configuration, used by
     /// the simulator to give each batch chunk its own state when running
     /// chunks in parallel. The copy is [`Coding::reset`] before use, so
@@ -115,12 +100,10 @@ pub trait Coding: Send {
 
 /// Shared threshold-fire-into-events loop (rate and phase coding): every
 /// element with `u ≥ threshold` is reset by subtracting `threshold` and
-/// emits one event carrying `spike_value` — exactly the updates and
-/// values of the dense fire loops, minus the dense tensor. Each image is
-/// one call of the one-pass SIMD fire-and-reset
-/// ([`t2fsnn_tensor::simd::fire_subtract`]), which packs the hit indices
-/// in ascending order straight onto the event list, so the emitted event
-/// sequence is the dense scan's and no per-call buffer is allocated.
+/// emits one event carrying `spike_value`. Each image is one call of the
+/// one-pass SIMD fire-and-reset ([`t2fsnn_tensor::simd::fire_subtract`]),
+/// which packs the hit indices in ascending order straight onto the
+/// event list, so no per-call buffer is allocated.
 pub(crate) fn fire_subtract_events(
     potential: &mut Tensor,
     threshold: f32,

@@ -89,31 +89,10 @@ impl Coding for PhaseCoding {
         (drive, count)
     }
 
-    fn fire(&mut self, potential: &mut Tensor, t: usize, _layer: usize) -> (Tensor, u64) {
+    fn fire(&mut self, potential: &mut Tensor, t: usize, events: &mut SpikeBatch) -> u64 {
         // A neuron fires a weighted spike whenever its membrane can afford
         // the current phase's weight. Reset by subtracting the transmitted
         // weight, so residual information carries into later phases.
-        let weight = self.phase_weight(t);
-        let mut spikes = Tensor::zeros(potential.shape().clone());
-        let sd = spikes.data_mut();
-        let mut count = 0u64;
-        for (u, s) in potential.data_mut().iter_mut().zip(sd.iter_mut()) {
-            if *u >= weight {
-                *u -= weight;
-                *s = weight;
-                count += 1;
-            }
-        }
-        (spikes, count)
-    }
-
-    fn fire_events(
-        &mut self,
-        potential: &mut Tensor,
-        t: usize,
-        _layer: usize,
-        events: &mut SpikeBatch,
-    ) -> u64 {
         let weight = self.phase_weight(t);
         super::fire_subtract_events(potential, weight, weight, events)
     }
@@ -181,10 +160,11 @@ mod tests {
         let mut c = PhaseCoding::new(8);
         let v = 0.8125f32;
         let mut u = Tensor::from_vec([1, 1], vec![v]).unwrap();
+        let mut events = SpikeBatch::empty();
         let mut sent = 0.0;
         for t in 0..8 {
-            let (s, _) = c.fire(&mut u, t, 0);
-            sent += s.data()[0];
+            c.fire(&mut u, t, &mut events);
+            sent += events.to_dense().data()[0];
         }
         assert!((sent - v).abs() < 1.0 / 128.0, "sent {sent} vs {v}");
     }

@@ -142,27 +142,7 @@ impl Coding for RateCoding {
         }
     }
 
-    fn fire(&mut self, potential: &mut Tensor, _t: usize, _layer: usize) -> (Tensor, u64) {
-        let mut spikes = Tensor::zeros(potential.shape().clone());
-        let sd = spikes.data_mut();
-        let mut count = 0u64;
-        for (u, s) in potential.data_mut().iter_mut().zip(sd.iter_mut()) {
-            if *u >= self.theta {
-                *u -= self.theta;
-                *s = 1.0;
-                count += 1;
-            }
-        }
-        (spikes, count)
-    }
-
-    fn fire_events(
-        &mut self,
-        potential: &mut Tensor,
-        _t: usize,
-        _layer: usize,
-        events: &mut SpikeBatch,
-    ) -> u64 {
+    fn fire(&mut self, potential: &mut Tensor, _t: usize, events: &mut SpikeBatch) -> u64 {
         super::fire_subtract_events(potential, self.theta, 1.0, events)
     }
 
@@ -196,13 +176,13 @@ mod tests {
     fn fire_rate_tracks_drive() {
         let mut coding = RateCoding::new();
         let mut u = Tensor::zeros([1, 1]);
+        let mut events = SpikeBatch::empty();
         let x = 0.3f32;
         let mut spikes = 0u64;
         let steps = 100;
         for t in 0..steps {
             u.data_mut()[0] += x;
-            let (_, n) = coding.fire(&mut u, t, 0);
-            spikes += n;
+            spikes += coding.fire(&mut u, t, &mut events);
         }
         let rate = spikes as f32 / steps as f32;
         assert!((rate - x).abs() < 0.02, "rate {rate}");
@@ -212,11 +192,34 @@ mod tests {
     fn values_above_one_saturate_at_one_spike_per_step() {
         let mut coding = RateCoding::new();
         let mut u = Tensor::from_vec([1, 1], vec![5.0]).unwrap();
-        let (s, n) = coding.fire(&mut u, 0, 0);
+        let mut events = SpikeBatch::empty();
+        let n = coding.fire(&mut u, 0, &mut events);
         // One spike per step regardless of how far above threshold.
         assert_eq!(n, 1);
-        assert_eq!(s.data()[0], 1.0);
+        assert_eq!(events.to_dense().data()[0], 1.0);
         assert_eq!(u.data()[0], 4.0);
+    }
+
+    #[test]
+    fn fire_subtract_keeps_residual() {
+        let mut coding = RateCoding::new();
+        let mut u = Tensor::from_vec([1, 1], vec![1.7]).unwrap();
+        let mut events = SpikeBatch::empty();
+        assert_eq!(coding.fire(&mut u, 0, &mut events), 1);
+        assert_eq!(events.to_dense().data(), &[1.0]);
+        assert!((u.data()[0] - 0.7).abs() < 1e-6);
+        // Second step without new input: no spike.
+        assert_eq!(coding.fire(&mut u, 1, &mut events), 0);
+        assert_eq!(events.nnz(), 0);
+    }
+
+    #[test]
+    fn negative_potential_never_fires() {
+        let mut coding = RateCoding::new();
+        let mut u = Tensor::from_vec([1, 1], vec![-5.0]).unwrap();
+        let mut events = SpikeBatch::empty();
+        assert_eq!(coding.fire(&mut u, 0, &mut events), 0);
+        assert_eq!(u.data()[0], -5.0);
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! **position-major** membrane state.
 //!
 //! Spiking workloads spend almost all their time pushing *mostly-zero*
-//! signals through weighted ops. The engine exploits that with a simple
-//! rule, applied independently at every weighted op of every time step:
+//! signals through weighted ops. Fire phases therefore emit event lists,
+//! which stay events up to the next weighted op's scatter (a conv step
+//! denser than one in two takes an im2col GEMM instead). A dense signal,
+//! such as an encoded input image, meets a simple rule at its weighted
+//! op:
 //!
 //! 1. scan the incoming signal into a [`SpikeBatch`] event list, **bailing
 //!    out** as soon as more than `sparsity_threshold × numel` non-zeros
@@ -21,39 +24,52 @@
 //! scatter's axpy rows land directly in the next layer's membrane tensor
 //! with no intermediate accumulator to clear or flush.
 //!
-//! Weighted ops only accumulate. [`OpExecutor::accumulate_weighted`] and
-//! its event-form twin integrate a signal straight into a target (a
-//! caller that needs a fresh drive passes a zeroed one) and hand the
-//! kernel a **synop ledger**, a `&mut [u64]` with one slot per image that
-//! the kernel bills as it scatters; only the near-dense GEMM path bills
-//! it from tap tables instead. [`OpExecutor::propagate`] carries the
-//! pass-through ops (pooling, flatten), and
-//! [`OpExecutor::accumulate_first_weighted`] is the one place a
-//! channel-major image-domain signal turns position-major.
+//! Execution walks an op chain one **segment** at a time: the
+//! pass-through ops (pooling, flatten) before a weighted op plus that
+//! weighted op, so segment `k` feeds weighted layer `k` (the plan cuts
+//! the chain once). [`OpExecutor::integrate_events`] is the one segment
+//! walk: it carries a fired event list through segment `k`'s pass-through
+//! ops in event form (average pooling, first-spike max pooling against
+//! the caller's gates, flatten) into layer `k`'s membrane, and a silent
+//! layer gets only its bias current. [`OpExecutor::integrate_image`] is
+//! its entry for segment 0, fed a dense channel-major image-domain
+//! signal, and the one place a signal turns position-major. The TTFS
+//! step loop, the rate/phase/burst step loop and the TTFS analytic pass
+//! all run through these two.
+//!
+//! Weighted ops only accumulate: each kernel integrates its drive plus
+//! `bias · scale` straight into the target membrane (a caller that needs
+//! a fresh drive passes a zeroed one) and bills a **synop ledger**, a
+//! `&mut [u64]` with one slot per image, as it scatters; only the
+//! near-dense GEMM path bills it from tap tables instead.
 //!
 //! Execution state splits in two. An [`OpPlan`] is compiled once per
 //! network and input shape (and cached by
-//! [`SnnNetwork::plan`](crate::SnnNetwork::plan)) and never changes:
-//! the re-laid-out weights (linear: `[I, O]`, row-permuted to the
-//! position-major feature order after a flatten; conv: `[C·KH·KW, O]`
-//! reversed-KW plus a tap-major `[KH·KW·C, O]` GEMM operand) and every
-//! op's per-image output dims. It is `Sync`, so one plan serves any
-//! number of calls and pool chunks at once. An [`OpExecutor`] borrows a plan for one call and adds what a
-//! call mutates: the engine's sparsity threshold and the event-list and
+//! [`SnnNetwork::plan`](crate::SnnNetwork::plan)) and never changes: the
+//! segments, the re-laid-out weights (linear: `[I, O]`, row-permuted to
+//! the position-major feature order after a flatten; conv:
+//! `[C·KH·KW, O]` reversed-KW plus a tap-major `[KH·KW·C, O]` GEMM
+//! operand) and every op's per-image output dims. It is `Sync`, so one
+//! plan serves any number of calls and pool chunks at once. An
+//! [`OpExecutor`] borrows a plan and its ops for one call and adds what a
+//! call mutates: the engine's dispatch rule and the event-list and
 //! pooling scratch buffers.
 //!
-//! Dispatch can never change a result: every kernel of a pair performs
-//! the same floating-point operations on each output element in the same
-//! canonical order, so `SimOutcome`s are bit-identical between
+//! Dispatch can never change a result: [`SimEngine::Dense`] densifies
+//! every event list and runs the dense twins, and every kernel of a pair
+//! performs the same floating-point operations on each output element in
+//! the same canonical order, so `SimOutcome`s are bit-identical between
 //! [`SimEngine::Dense`] and any event threshold (the simulator's test
 //! suite asserts this across engines, codings, and worker counts).
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 use t2fsnn_tensor::ops::sparse::{self, PoolScratch};
-use t2fsnn_tensor::ops::{avg_pool2d, avg_pool2d_pm, max_pool2d, max_pool2d_pm};
+use t2fsnn_tensor::ops::{avg_pool2d, avg_pool2d_pm, first_spike_gate, max_pool2d, max_pool2d_pm};
 use t2fsnn_tensor::{trace, Result, SpikeBatch, Tensor, TensorError};
 
-use crate::network::SnnOp;
+use crate::network::{output_shapes, SnnOp};
 
 /// Engine selection for clock-driven simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -117,8 +133,20 @@ pub fn position_major_dims(dims: &[usize]) -> Vec<usize> {
     }
 }
 
+/// One segment of a compiled op chain: the pass-through ops `pass`
+/// (pooling, flatten) and the weighted op they feed. Every weighted op
+/// ends exactly one segment, so segment `k` is weighted layer `k`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Segment {
+    /// Indices of the pass-through ops before the weighted op.
+    pub pass: Range<usize>,
+    /// Index of the weighted op that ends the segment.
+    pub weighted: usize,
+}
+
 /// The compiled, immutable half of execution: one op sequence's
-/// re-laid-out weights and per-image state dims over one input shape.
+/// segments, re-laid-out weights and per-image state dims over one
+/// input shape.
 ///
 /// Build it once per network and input shape and share it
 /// ([`SnnNetwork::plan`](crate::SnnNetwork::plan) does both); every
@@ -127,6 +155,9 @@ pub fn position_major_dims(dims: &[usize]) -> Vec<usize> {
 /// caller that rewrites weights must compile a new one.
 #[derive(Debug)]
 pub struct OpPlan {
+    /// The op chain cut at its weighted ops (ops after the last weighted
+    /// op belong to no segment and never run).
+    segments: Vec<Segment>,
     /// `[I, O]` transposed weight for every [`SnnOp::Linear`] — rows
     /// permuted to the position-major feature order when the layer
     /// consumes flattened conv features — else `None`.
@@ -141,9 +172,6 @@ pub struct OpPlan {
     /// it: channel-major before the first weighted op, position-major
     /// from it on.
     dims: Vec<Vec<usize>>,
-    /// Index of the first weighted op: everything before it runs in the
-    /// channel-major image domain, everything after in position-major.
-    first_weighted: usize,
 }
 
 impl OpPlan {
@@ -155,19 +183,24 @@ impl OpPlan {
     /// Returns an error if the op shapes do not chain over `input_dims`
     /// or the network has no weighted op.
     pub fn new(ops: &[SnnOp], input_dims: &[usize]) -> Result<Self> {
-        let first_weighted =
-            ops.iter()
-                .position(SnnOp::is_weighted)
-                .ok_or(TensorError::InvalidArgument {
-                    op: "OpPlan::new",
-                    message: "network has no weighted ops".to_string(),
-                })?;
-        let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(ops.len());
-        let mut cur = input_dims.to_vec();
-        for op in ops {
-            cur = op.output_shape(&cur)?;
-            shapes.push(cur.clone());
+        let mut segments = Vec::new();
+        let mut start = 0;
+        for (i, op) in ops.iter().enumerate() {
+            if op.is_weighted() {
+                segments.push(Segment {
+                    pass: start..i,
+                    weighted: i,
+                });
+                start = i + 1;
+            }
         }
+        let first_weighted = segments.first().map(|seg| seg.weighted).ok_or_else(|| {
+            TensorError::InvalidArgument {
+                op: "OpPlan::new",
+                message: "network has no weighted ops".to_string(),
+            }
+        })?;
+        let shapes = output_shapes(ops, input_dims)?;
         let mut weight_t: Vec<Option<Tensor>> = Vec::with_capacity(ops.len());
         let mut filter_t: Vec<Option<Tensor>> = Vec::with_capacity(ops.len());
         let mut filter_r: Vec<Option<Tensor>> = Vec::with_capacity(ops.len());
@@ -175,38 +208,29 @@ impl OpPlan {
         // linear layer's weight rows are permuted to match the flattened
         // (y, x, c) feature order.
         let mut pm_flatten_src: Option<[usize; 3]> = None;
-        let mut prev_dims = input_dims.to_vec();
         for (i, op) in ops.iter().enumerate() {
+            let (mut wt, mut ft, mut fr) = (None, None, None);
             match op {
                 SnnOp::Conv { weight, .. } => {
-                    filter_t.push(Some(sparse::transpose_filter(weight)?));
-                    filter_r.push(Some(sparse::reorder_filter_taps(weight)?));
-                    weight_t.push(None);
+                    ft = Some(sparse::transpose_filter(weight)?);
+                    fr = Some(sparse::reorder_filter_taps(weight)?);
                 }
                 SnnOp::Linear { weight, .. } => {
-                    let wt = match pm_flatten_src.take() {
+                    wt = Some(match pm_flatten_src.take() {
                         Some([c, h, w]) => permuted_weight_t(weight, c, h * w)?,
                         None => weight.transpose()?,
-                    };
-                    weight_t.push(Some(wt));
-                    filter_t.push(None);
-                    filter_r.push(None);
+                    });
                 }
-                SnnOp::Flatten => {
-                    if i > first_weighted && prev_dims.len() == 3 {
-                        pm_flatten_src = Some([prev_dims[0], prev_dims[1], prev_dims[2]]);
+                SnnOp::Flatten if i > first_weighted => {
+                    if let [c, h, w] = shapes[i - 1][..] {
+                        pm_flatten_src = Some([c, h, w]);
                     }
-                    weight_t.push(None);
-                    filter_t.push(None);
-                    filter_r.push(None);
                 }
-                _ => {
-                    weight_t.push(None);
-                    filter_t.push(None);
-                    filter_r.push(None);
-                }
+                _ => {}
             }
-            prev_dims = shapes[i].clone();
+            weight_t.push(wt);
+            filter_t.push(ft);
+            filter_r.push(fr);
         }
         let dims = shapes
             .iter()
@@ -220,18 +244,17 @@ impl OpPlan {
             })
             .collect();
         Ok(OpPlan {
+            segments,
             weight_t,
             filter_t,
             filter_r,
             dims,
-            first_weighted,
         })
     }
 
-    /// Index of the first weighted op (the boundary between the
-    /// channel-major input domain and the position-major layer domain).
-    pub fn first_weighted(&self) -> usize {
-        self.first_weighted
+    /// The op chain's segments, one per weighted op, in order.
+    pub fn segments(&self) -> &[Segment] {
+        &self.segments
     }
 
     /// Per-image output dims of op `i` in the layout the engine holds
@@ -243,14 +266,21 @@ impl OpPlan {
 }
 
 /// The per-call half of execution: a borrowed [`OpPlan`] plus the
-/// engine's sparsity threshold and reusable event-list and pooling
-/// scratch buffers.
+/// engine's dispatch rule and reusable event-list and pooling scratch
+/// buffers.
 ///
-/// Create one per simulation call (or per pool chunk) and route every op
-/// through it; all paths are bit-identical to each other (the
+/// Create one per simulation call (or per pool chunk) and carry every
+/// signal through it one segment at a time:
+/// [`OpExecutor::integrate_image`] feeds segment 0 from the image
+/// domain, [`OpExecutor::integrate_events`] feeds any segment a fired
+/// event list. All paths are bit-identical to each other (the
 /// canonical-order invariant).
 pub struct OpExecutor<'p> {
+    ops: &'p [SnnOp],
     plan: &'p OpPlan,
+    /// [`SimEngine::Dense`]: event lists are densified and every op runs
+    /// its dense twin.
+    dense: bool,
     threshold: f32,
     scratch: SpikeBatch,
     pool_out: SpikeBatch,
@@ -258,15 +288,131 @@ pub struct OpExecutor<'p> {
 }
 
 impl<'p> OpExecutor<'p> {
-    /// An executor over `plan` dispatching by `engine`'s rule.
-    pub fn new(plan: &'p OpPlan, engine: SimEngine) -> Self {
+    /// An executor over `ops` and the `plan` compiled from them,
+    /// dispatching by `engine`'s rule.
+    pub fn new(ops: &'p [SnnOp], plan: &'p OpPlan, engine: SimEngine) -> Self {
         OpExecutor {
+            ops,
             plan,
+            dense: matches!(engine, SimEngine::Dense),
             threshold: engine.threshold(),
             scratch: SpikeBatch::empty(),
             pool_out: SpikeBatch::empty(),
             pool_scratch: PoolScratch::new(),
         }
+    }
+
+    /// The image-domain entry of the segment walk: carries the
+    /// channel-major `[N, C, H, W]` `signal` through segment 0's
+    /// pass-through ops and accumulates it, plus `bias · bias_scale`,
+    /// into the first weighted op's `potential`. A conv's signal switches
+    /// to position-major here, the one place the engine changes layout.
+    /// Max pooling is first-spike gated where `gates` holds a gate at the
+    /// op's index, else the plain spatial max. The weighted kernel adds
+    /// each image's synop adds to its slot of the `synops` ledger.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on shape mismatch or if `synops` does not hold
+    /// one slot per image.
+    pub fn integrate_image(
+        &mut self,
+        signal: Tensor,
+        gates: &mut [Option<Tensor>],
+        bias_scale: f32,
+        potential: &mut Tensor,
+        synops: &mut [u64],
+    ) -> Result<()> {
+        let signal = self.pass_dense(0, signal, gates)?;
+        let w = self.plan.segments[0].weighted;
+        if matches!(self.ops[w], SnnOp::Conv { .. }) {
+            let pm_signal = signal.to_position_major()?;
+            self.accumulate_weighted(w, &pm_signal, bias_scale, potential, synops)
+        } else {
+            self.accumulate_weighted(w, &signal, bias_scale, potential, synops)
+        }
+    }
+
+    /// The segment walk: carries a fired event list (position-major
+    /// features) through segment `k`'s pass-through ops in event form
+    /// (average pooling, max pooling first-spike gated against the gate
+    /// `gates` holds at the op's index, flatten) and accumulates it, plus
+    /// `bias · bias_scale`, into weighted layer `k`'s `potential`,
+    /// billing each image's synop adds to the `synops` ledger. An empty
+    /// list (a silent layer) only injects the bias current. The
+    /// [`SimEngine::Dense`] reference engine densifies the list and runs
+    /// the dense twins instead (bit-identical: the canonical-order
+    /// invariant). `events` is scratch: it holds the pooled list after.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on shape mismatch, if an event-form max pool has
+    /// no gate, or if `synops` does not hold one slot per image.
+    pub fn integrate_events(
+        &mut self,
+        k: usize,
+        events: &mut SpikeBatch,
+        gates: &mut [Option<Tensor>],
+        bias_scale: f32,
+        potential: &mut Tensor,
+        synops: &mut [u64],
+    ) -> Result<()> {
+        let (ops, plan) = (self.ops, self.plan);
+        let seg = &plan.segments[k];
+        let w = seg.weighted;
+        if events.nnz() == 0 {
+            return ops[w].inject_bias_pm(potential, bias_scale);
+        }
+        if self.dense {
+            let signal = self.pass_dense(k, events.to_dense(), gates)?;
+            return self.accumulate_weighted(w, &signal, bias_scale, potential, synops);
+        }
+        for i in seg.pass.clone() {
+            let (out, scratch) = (&mut self.pool_out, &mut self.pool_scratch);
+            match &ops[i] {
+                SnnOp::AvgPool { window, stride } => {
+                    let _s = trace::span("op/pool_events");
+                    sparse::avg_pool2d_events(events, *window, *stride, out, scratch)?;
+                    std::mem::swap(events, out);
+                }
+                SnnOp::MaxPool { window, stride } => {
+                    let gate = gates.get_mut(i).and_then(Option::as_mut).ok_or_else(|| {
+                        TensorError::InvalidArgument {
+                            op: "OpExecutor::integrate_events",
+                            message: format!("max pool op {i} has no first-spike gate"),
+                        }
+                    })?;
+                    let _s = trace::span("op/pool_events");
+                    sparse::max_pool2d_events(events, *window, *stride, gate, out, scratch)?;
+                    std::mem::swap(events, out);
+                }
+                SnnOp::Flatten => {
+                    let numel = events.feature_numel();
+                    events.reshape_features(&[numel])?;
+                }
+                SnnOp::Conv { .. } | SnnOp::Linear { .. } => {
+                    unreachable!("a segment's pass-through ops are unweighted")
+                }
+            }
+        }
+        self.accumulate_events(w, events, bias_scale, potential, synops)
+    }
+
+    /// Runs segment `k`'s pass-through ops on a dense signal, gating
+    /// max pools that have a gate.
+    fn pass_dense(
+        &self,
+        k: usize,
+        mut signal: Tensor,
+        gates: &mut [Option<Tensor>],
+    ) -> Result<Tensor> {
+        for i in self.plan.segments[k].pass.clone() {
+            signal = self.propagate(i, &signal)?;
+            if let Some(gate) = gates.get_mut(i).and_then(Option::as_mut) {
+                first_spike_gate(&mut signal, gate)?;
+            }
+        }
+        Ok(signal)
     }
 
     /// Scans `signal` into the scratch event list; `true` when its
@@ -279,19 +425,17 @@ impl<'p> OpExecutor<'p> {
         self.scratch.refill_bounded(signal, cap)
     }
 
-    /// Propagates `signal` through the pass-through op `ops[i]` (pooling
-    /// or flatten). Signals before the first weighted op are channel-major
-    /// (the image domain), everything downstream position-major. Max
-    /// pooling is the stateless spatial max; the TTFS engine adds
-    /// first-spike gating on top. Weighted ops only accumulate: integrate
-    /// them with [`OpExecutor::accumulate_weighted`].
+    /// Propagates a dense `signal` through the pass-through op `ops[i]`
+    /// (pooling or flatten). Signals before the first weighted op are
+    /// channel-major (the image domain), everything downstream
+    /// position-major. Max pooling is the stateless spatial max.
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatch or if `ops[i]` is a weighted op.
-    pub fn propagate(&self, ops: &[SnnOp], i: usize, signal: &Tensor) -> Result<Tensor> {
-        let image_domain = i < self.plan.first_weighted;
-        match &ops[i] {
+    pub(crate) fn propagate(&self, i: usize, signal: &Tensor) -> Result<Tensor> {
+        let image_domain = i < self.plan.segments[0].weighted;
+        match &self.ops[i] {
             SnnOp::Conv { .. } | SnnOp::Linear { .. } => Err(TensorError::InvalidArgument {
                 op: "OpExecutor::propagate",
                 message: format!("op {i} is a weighted op; accumulate it instead"),
@@ -312,54 +456,28 @@ impl<'p> OpExecutor<'p> {
         }
     }
 
-    /// [`OpExecutor::accumulate_weighted`] at the first weighted op, fed
-    /// from the image domain: `signal` is the channel-major output of
-    /// the pass-through ops before it. A conv's signal switches to
-    /// position-major here, the one place the engine changes layout.
-    ///
-    /// # Errors
-    ///
-    /// As [`OpExecutor::accumulate_weighted`].
-    pub fn accumulate_first_weighted(
-        &mut self,
-        ops: &[SnnOp],
-        signal: &Tensor,
-        bias_scale: f32,
-        potential: &mut Tensor,
-        synops: &mut [u64],
-    ) -> Result<()> {
-        let i = self.plan.first_weighted;
-        if matches!(ops[i], SnnOp::Conv { .. }) {
-            let pm_signal = signal.to_position_major()?;
-            self.accumulate_weighted(ops, i, &pm_signal, bias_scale, potential, synops)
-        } else {
-            self.accumulate_weighted(ops, i, signal, bias_scale, potential, synops)
-        }
-    }
-
-    /// Computes a weighted op's synaptic drive and integrates it — plus
+    /// Computes a weighted op's synaptic drive from a dense
+    /// position-major `signal` and integrates it — plus
     /// `bias · bias_scale` — **straight into `potential`**: the membrane
     /// tensor is the accumulator, so there is no intermediate drive
-    /// tensor, no per-step clear, and no flush. The signal must be
-    /// position-major (i.e. `ops[i]` is downstream of the first weighted
-    /// op, or the caller went through
-    /// [`OpExecutor::accumulate_first_weighted`]). The kernel adds each
-    /// image's synop count to its slot of the `synops` ledger as it
+    /// tensor, no per-step clear, and no flush. The signal is scanned
+    /// into events when the engine's threshold allows. The kernel adds
+    /// each image's synop count to its slot of the `synops` ledger as it
     /// scatters.
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatch, if `ops[i]` is not a weighted
     /// op, or if `synops` does not hold one slot per image.
-    pub fn accumulate_weighted(
+    fn accumulate_weighted(
         &mut self,
-        ops: &[SnnOp],
         i: usize,
         signal: &Tensor,
         bias_scale: f32,
         potential: &mut Tensor,
         synops: &mut [u64],
     ) -> Result<()> {
+        let ops = self.ops;
         match &ops[i] {
             SnnOp::Conv { weight, spec, .. } => {
                 let kernel = (weight.dims()[2], weight.dims()[3]);
@@ -408,26 +526,25 @@ impl<'p> OpExecutor<'p> {
     }
 
     /// [`OpExecutor::accumulate_weighted`] for a signal already in event
-    /// form (e.g. produced by [`crate::coding::Coding::fire_events`]):
-    /// no scan, no dense intermediate. Very dense steps (phase/burst
-    /// re-transmissions) take the position-major im2col GEMM, which
-    /// accumulates into the membrane in the same canonical order as the
-    /// scatter — same results either way — and bills the ledger through
-    /// the tap-table counter, since it adds inactive taps too.
+    /// form: no scan, no dense intermediate. Very dense steps
+    /// (phase/burst re-transmissions) take the position-major im2col
+    /// GEMM, which accumulates into the membrane in the same canonical
+    /// order as the scatter — same results either way — and bills the
+    /// ledger through the tap-table counter, since it adds inactive taps
+    /// too.
     ///
     /// # Errors
     ///
-    /// Returns an error on shape mismatch, if `ops[i]` is not a weighted
-    /// op, or if `synops` does not hold one slot per image.
-    pub fn accumulate_weighted_events(
+    /// As [`OpExecutor::accumulate_weighted`].
+    fn accumulate_events(
         &mut self,
-        ops: &[SnnOp],
         i: usize,
         events: &SpikeBatch,
         bias_scale: f32,
         potential: &mut Tensor,
         synops: &mut [u64],
     ) -> Result<()> {
+        let ops = self.ops;
         match &ops[i] {
             SnnOp::Conv { weight, spec, .. } => {
                 let kernel = (weight.dims()[2], weight.dims()[3]);
@@ -464,64 +581,12 @@ impl<'p> OpExecutor<'p> {
             }
             _ => {
                 return Err(TensorError::InvalidArgument {
-                    op: "OpExecutor::accumulate_weighted_events",
+                    op: "OpExecutor::accumulate_events",
                     message: format!("op {i} is not a weighted op"),
                 })
             }
         }
         ops[i].inject_bias_pm(potential, bias_scale)
-    }
-
-    /// Average-pools an event stream in place (position-major `[H, W, C]`
-    /// features), reusing internal buffers: the signal stays in event
-    /// form between a fire phase and the next integrate.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on feature-shape mismatches.
-    pub fn avg_pool_events(
-        &mut self,
-        events: &mut SpikeBatch,
-        window: usize,
-        stride: usize,
-    ) -> Result<()> {
-        let _s = trace::span("op/pool_events");
-        sparse::avg_pool2d_events(
-            events,
-            window,
-            stride,
-            &mut self.pool_out,
-            &mut self.pool_scratch,
-        )?;
-        std::mem::swap(events, &mut self.pool_out);
-        Ok(())
-    }
-
-    /// Max-pools an event stream in place under the TTFS first-spike
-    /// rule, latching `gate` (position-major pooled shape) — max-pool
-    /// networks never densify between fire and integrate.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on feature/gate shape mismatches.
-    pub fn max_pool_events(
-        &mut self,
-        events: &mut SpikeBatch,
-        window: usize,
-        stride: usize,
-        gate: &mut Tensor,
-    ) -> Result<()> {
-        let _s = trace::span("op/pool_events");
-        sparse::max_pool2d_events(
-            events,
-            window,
-            stride,
-            gate,
-            &mut self.pool_out,
-            &mut self.pool_scratch,
-        )?;
-        std::mem::swap(events, &mut self.pool_out);
-        Ok(())
     }
 }
 
@@ -590,35 +655,41 @@ mod tests {
     fn run_chain(engine: SimEngine) -> (Tensor, Vec<u64>) {
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
-        run_chain_from(&mut OpExecutor::new(&plan, engine), &ops, sparse_signal())
+        // Spike values are positive, as every coding fires them.
+        let fire = |v: f32| v.max(0.0);
+        run_chain_from(
+            &mut OpExecutor::new(&ops, &plan, engine),
+            sparse_signal(),
+            fire,
+        )
     }
 
-    /// Weighted ops accumulate into a zeroed membrane (the first one from
-    /// the channel-major image domain), pass-through ops propagate.
+    /// Walks every segment, each weighted op accumulating into a zeroed
+    /// membrane: segment 0 from the channel-major image domain, each
+    /// later one from the previous membrane, mapped through `fire`, as an
+    /// event list.
     fn run_chain_from(
         exec: &mut OpExecutor<'_>,
-        ops: &[SnnOp],
-        mut signal: Tensor,
+        signal: Tensor,
+        fire: impl Fn(f32) -> f32,
     ) -> (Tensor, Vec<u64>) {
         let n = signal.dims()[0];
         let mut synops = vec![0; n];
-        for i in 0..ops.len() {
-            signal = if ops[i].is_weighted() {
-                let mut dims = vec![n];
-                dims.extend_from_slice(exec.plan.state_dims(i));
-                let mut z = Tensor::zeros(dims);
-                if i == exec.plan.first_weighted() {
-                    exec.accumulate_first_weighted(ops, &signal, 0.0, &mut z, &mut synops)
-                } else {
-                    exec.accumulate_weighted(ops, i, &signal, 0.0, &mut z, &mut synops)
-                }
+        let zeros = |k: usize| {
+            let mut dims = vec![n];
+            dims.extend_from_slice(exec.plan.state_dims(exec.plan.segments()[k].weighted));
+            Tensor::zeros(dims)
+        };
+        let mut z = zeros(0);
+        exec.integrate_image(signal, &mut [], 0.0, &mut z, &mut synops)
+            .unwrap();
+        for k in 1..exec.plan.segments().len() {
+            let mut events = SpikeBatch::from_dense(&z.map(&fire)).unwrap();
+            z = zeros(k);
+            exec.integrate_events(k, &mut events, &mut [], 0.0, &mut z, &mut synops)
                 .unwrap();
-                z
-            } else {
-                exec.propagate(ops, i, &signal).unwrap()
-            };
         }
-        (signal, synops)
+        (z, synops)
     }
 
     #[test]
@@ -637,6 +708,53 @@ mod tests {
     }
 
     #[test]
+    fn walk_injects_only_bias_when_silent_and_gates_event_max_pools() {
+        // A silent layer's membrane gets `bias · scale` and no synops.
+        let mut chain = ops();
+        if let SnnOp::Linear { bias, .. } = &mut chain[3] {
+            *bias = Tensor::from_vec([3], vec![1.0, -2.0, 0.5]).unwrap();
+        }
+        let plan = OpPlan::new(&chain, &[1, 4, 4]).unwrap();
+        let mut silent = SpikeBatch::from_dense(&Tensor::zeros([2, 4, 4, 2])).unwrap();
+        for engine in [SimEngine::Dense, SimEngine::event()] {
+            let mut z = Tensor::zeros([2, 3]);
+            let mut synops = vec![0; 2];
+            OpExecutor::new(&chain, &plan, engine)
+                .integrate_events(1, &mut silent, &mut [], 0.5, &mut z, &mut synops)
+                .unwrap();
+            assert_eq!(z.data(), &[0.5, -1.0, 0.25, 0.5, -1.0, 0.25], "{engine:?}");
+            assert_eq!(synops, [0, 0], "{engine:?}");
+        }
+        // Event-form max pooling latches a first-spike gate, so it needs
+        // one; with gates both engines agree, and a second pass of the
+        // same spikes is fully gated.
+        let mut chain = ops();
+        chain[1] = SnnOp::MaxPool {
+            window: 2,
+            stride: 2,
+        };
+        let plan = OpPlan::new(&chain, &[1, 4, 4]).unwrap();
+        let fired = Tensor::from_fn([2, 4, 4, 2], |i| ((i[1] + i[3]) % 3 == 0) as u8 as f32);
+        let fired = SpikeBatch::from_dense(&fired).unwrap();
+        let walk = |engine, gates: &mut [Option<Tensor>]| {
+            let mut z = Tensor::zeros([2, 3]);
+            let mut synops = vec![0; 2];
+            OpExecutor::new(&chain, &plan, engine)
+                .integrate_events(1, &mut fired.clone(), gates, 0.0, &mut z, &mut synops)
+                .map(|()| (z, synops))
+        };
+        assert!(walk(SimEngine::event(), &mut []).is_err());
+        let gates = || vec![None, Some(Tensor::zeros([2, 2, 2, 2])), None, None];
+        let (mut dense_gates, mut event_gates) = (gates(), gates());
+        let dense = walk(SimEngine::Dense, &mut dense_gates).unwrap();
+        assert_eq!(dense, walk(SimEngine::event(), &mut event_gates).unwrap());
+        assert!(dense.1.iter().all(|&s| s > 0));
+        assert_eq!(dense_gates, event_gates);
+        let (z, synops) = walk(SimEngine::event(), &mut event_gates).unwrap();
+        assert_eq!((z.sum(), synops), (0.0, vec![0, 0]));
+    }
+
+    #[test]
     fn first_conv_matches_reference_modulo_layout() {
         // The executor's position-major output must carry the same bits
         // as a plain-loop channel-major reference, permuted: each output
@@ -644,11 +762,11 @@ mod tests {
         // order of its sources.
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
-        let mut exec = OpExecutor::new(&plan, SimEngine::event());
+        let mut exec = OpExecutor::new(&ops, &plan, SimEngine::event());
         let signal = sparse_signal();
         let mut got = Tensor::zeros([2, 4, 4, 2]);
         let mut synops = vec![0; 2];
-        exec.accumulate_first_weighted(&ops, &signal, 0.0, &mut got, &mut synops)
+        exec.integrate_image(signal.clone(), &mut [], 0.0, &mut got, &mut synops)
             .unwrap();
         let SnnOp::Conv { weight, .. } = &ops[0] else {
             unreachable!("op 0 is the conv")
@@ -670,35 +788,35 @@ mod tests {
         // 9 taps × 2 channels for the interior spike, 4 × 2 for the corner.
         assert_eq!(synops, [18, 8]);
         // Weighted ops only accumulate.
-        assert!(exec.propagate(&ops, 0, &signal).is_err());
-        assert!(exec.propagate(&ops, 3, &Tensor::zeros([2, 8])).is_err());
+        assert!(exec.propagate(0, &signal).is_err());
+        assert!(exec.propagate(3, &Tensor::zeros([2, 8])).is_err());
     }
 
     #[test]
     fn accumulate_paths_agree_between_dense_and_event_signals() {
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
-        let mut exec = OpExecutor::new(&plan, SimEngine::event());
+        let mut exec = OpExecutor::new(&ops, &plan, SimEngine::event());
         // A sparse position-major signal entering the hidden linear op.
         let signal = linear_signal();
         let base = Tensor::from_fn([2, 3], |i| (i[0] + i[1]) as f32 * 0.1);
         let mut via_dense = base.clone();
         let mut s1 = vec![0; 2];
-        exec.accumulate_weighted(&ops, 3, &signal, 0.5, &mut via_dense, &mut s1)
+        exec.accumulate_weighted(3, &signal, 0.5, &mut via_dense, &mut s1)
             .unwrap();
         let events = SpikeBatch::from_dense(&signal).unwrap();
         let mut via_events = base.clone();
         let mut s2 = vec![0; 2];
-        exec.accumulate_weighted_events(&ops, 3, &events, 0.5, &mut via_events, &mut s2)
+        exec.accumulate_events(3, &events, 0.5, &mut via_events, &mut s2)
             .unwrap();
         assert_eq!(via_dense, via_events);
         assert_eq!(s1, s2);
         // Non-weighted ops are rejected.
         assert!(exec
-            .accumulate_weighted(&ops, 1, &signal, 0.0, &mut via_dense, &mut s1)
+            .accumulate_weighted(1, &signal, 0.0, &mut via_dense, &mut s1)
             .is_err());
         assert!(exec
-            .accumulate_weighted_events(&ops, 1, &events, 0.0, &mut via_events, &mut s2)
+            .accumulate_events(1, &events, 0.0, &mut via_events, &mut s2)
             .is_err());
     }
 
@@ -706,10 +824,10 @@ mod tests {
     fn dense_engine_never_builds_events() {
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
-        let mut exec = OpExecutor::new(&plan, SimEngine::dense());
+        let mut exec = OpExecutor::new(&ops, &plan, SimEngine::dense());
         let mut potential = Tensor::zeros([2, 4, 4, 2]);
         let mut synops = vec![0; 2];
-        exec.accumulate_first_weighted(&ops, &sparse_signal(), 0.0, &mut potential, &mut synops)
+        exec.integrate_image(sparse_signal(), &mut [], 0.0, &mut potential, &mut synops)
             .unwrap();
         assert!(synops.iter().all(|&s| s > 0));
         assert_eq!(exec.scratch.nnz(), 0, "dense engine skips the scan");
@@ -722,7 +840,8 @@ mod tests {
         assert_eq!(plan.state_dims(0), &[4, 4, 2]); // conv output [H, W, C]
         assert_eq!(plan.state_dims(1), &[2, 2, 2]); // pooled, still [H, W, C]
         assert_eq!(plan.state_dims(3), &[3]); // linear output
-        assert_eq!(plan.first_weighted(), 0);
+        let segment = |pass, weighted| Segment { pass, weighted };
+        assert_eq!(plan.segments(), &[segment(0..0, 0), segment(1..3, 3)]);
         // One plan is shared across pool workers.
         fn shareable<T: Send + Sync>(_: &T) {}
         shareable(&plan);
@@ -737,7 +856,7 @@ mod tests {
         // logits the channel-major dense ops produce.
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
-        let mut exec = OpExecutor::new(&plan, SimEngine::dense());
+        let mut exec = OpExecutor::new(&ops, &plan, SimEngine::dense());
         let signal = sparse_signal();
         let (SnnOp::Conv { weight, spec, .. }, SnnOp::Linear { weight: fc, .. }) =
             (&ops[0], &ops[3])
@@ -747,7 +866,7 @@ mod tests {
         let conv = t2fsnn_tensor::ops::conv2d(&signal, weight, &Tensor::zeros([2]), *spec).unwrap();
         let pooled = avg_pool2d(&conv, 2, 2).unwrap().reshape([2, 8]).unwrap();
         let want = t2fsnn_tensor::ops::matmul_a_bt(&pooled, fc).unwrap();
-        let (got, _) = run_chain_from(&mut exec, &ops, signal);
+        let (got, _) = run_chain_from(&mut exec, signal, |v| v);
         assert!(got.all_close(&want, 1e-5));
     }
 
@@ -768,7 +887,7 @@ mod tests {
     fn per_image_synops_sum_to_accumulate_charge() {
         let ops = ops();
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
-        let mut exec = OpExecutor::new(&plan, SimEngine::event());
+        let mut exec = OpExecutor::new(&ops, &plan, SimEngine::event());
         // Oracle for the 3×3, stride-1, pad-1 conv on a 4×4 plane with 2
         // output channels: a non-zero at (y, x) reaches taps(y)·taps(x)
         // kernel taps, each charged once per output channel.
@@ -796,13 +915,13 @@ mod tests {
         assert_eq!(want, [18, 8]);
         let mut via_events = Tensor::zeros([2, 4, 4, 2]);
         let mut ledger = vec![0; 2];
-        exec.accumulate_weighted_events(&ops, 0, &events, 0.0, &mut via_events, &mut ledger)
+        exec.accumulate_events(0, &events, 0.0, &mut via_events, &mut ledger)
             .unwrap();
         assert_eq!(ledger, want);
         let mut via_dense = Tensor::zeros([2, 4, 4, 2]);
         let mut dense_ledger = vec![100, 200];
-        OpExecutor::new(&plan, SimEngine::dense())
-            .accumulate_weighted(&ops, 0, &pm, 0.0, &mut via_dense, &mut dense_ledger)
+        OpExecutor::new(&ops, &plan, SimEngine::dense())
+            .accumulate_weighted(0, &pm, 0.0, &mut via_dense, &mut dense_ledger)
             .unwrap();
         assert_eq!(dense_ledger, [100 + want[0], 200 + want[1]]);
         assert_eq!(via_dense, via_events);
@@ -814,14 +933,14 @@ mod tests {
         assert!(events.density() > GEMM_DENSITY);
         let mut via_gemm = Tensor::zeros([3, 4, 4, 2]);
         let mut gemm_ledger = vec![0; 3];
-        exec.accumulate_weighted_events(&ops, 0, &events, 0.0, &mut via_gemm, &mut gemm_ledger)
+        exec.accumulate_events(0, &events, 0.0, &mut via_gemm, &mut gemm_ledger)
             .unwrap();
         assert_eq!(gemm_ledger, oracle(&cm));
         assert_eq!(gemm_ledger, [200, 0, 200]);
         let mut via_walk = Tensor::zeros([3, 4, 4, 2]);
         let mut walk_ledger = vec![0; 3];
-        OpExecutor::new(&plan, SimEngine::dense())
-            .accumulate_weighted(&ops, 0, &pm, 0.0, &mut via_walk, &mut walk_ledger)
+        OpExecutor::new(&ops, &plan, SimEngine::dense())
+            .accumulate_weighted(0, &pm, 0.0, &mut via_walk, &mut walk_ledger)
             .unwrap();
         assert_eq!(via_gemm, via_walk);
         assert_eq!(walk_ledger, gemm_ledger);
@@ -829,42 +948,21 @@ mod tests {
         let signal = linear_signal();
         let lin_events = SpikeBatch::from_dense(&signal).unwrap();
         let mut lin = vec![0u64; 2];
-        exec.accumulate_weighted_events(
-            &ops,
-            3,
-            &lin_events,
-            0.0,
-            &mut Tensor::zeros([2, 3]),
-            &mut lin,
-        )
-        .unwrap();
+        exec.accumulate_events(3, &lin_events, 0.0, &mut Tensor::zeros([2, 3]), &mut lin)
+            .unwrap();
         assert_eq!(lin, vec![2 * 3, 3]);
         let mut lin_dense = vec![0u64; 2];
-        OpExecutor::new(&plan, SimEngine::dense())
-            .accumulate_weighted(
-                &ops,
-                3,
-                &signal,
-                0.0,
-                &mut Tensor::zeros([2, 3]),
-                &mut lin_dense,
-            )
+        OpExecutor::new(&ops, &plan, SimEngine::dense())
+            .accumulate_weighted(3, &signal, 0.0, &mut Tensor::zeros([2, 3]), &mut lin_dense)
             .unwrap();
         assert_eq!(lin_dense, lin);
         // A ledger without one slot per image is rejected.
         let mut short = vec![0; 1];
         assert!(exec
-            .accumulate_weighted_events(&ops, 0, &events, 0.0, &mut via_gemm, &mut short)
+            .accumulate_events(0, &events, 0.0, &mut via_gemm, &mut short)
             .is_err());
         assert!(exec
-            .accumulate_weighted(
-                &ops,
-                3,
-                &signal,
-                0.0,
-                &mut Tensor::zeros([2, 3]),
-                &mut short
-            )
+            .accumulate_weighted(3, &signal, 0.0, &mut Tensor::zeros([2, 3]), &mut short)
             .is_err());
     }
 

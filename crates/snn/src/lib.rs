@@ -8,8 +8,10 @@
 //! * [`SnnNetwork`] — a trained DNN converted into weighted spiking ops
 //!   with event-driven (sparsity-exploiting) propagation and exact synaptic
 //!   operation counting;
-//! * [`IfState`] — integrate-and-fire membrane dynamics (Eq. 2–4 of the
-//!   paper);
+//! * [`engine`] — the compiled [`OpPlan`] and the [`OpExecutor`] segment
+//!   walk that carries each layer's fired events into the next layer's
+//!   integrate-and-fire membranes (Eq. 2–4 of the paper), shared with the
+//!   TTFS engine;
 //! * [`coding`] — rate, phase (weighted spikes) and burst neural codings
 //!   (Fig. 1), plus the reverse-coding (TDSNN-like) cost model of
 //!   Table III;
@@ -61,10 +63,8 @@ pub mod coding;
 pub mod energy;
 pub mod engine;
 mod network;
-mod neuron;
 mod sim;
 
 pub use engine::{OpExecutor, OpPlan, SimEngine};
 pub use network::{SnnNetwork, SnnOp};
-pub use neuron::IfState;
 pub use sim::{argmax, simulate, simulate_on, CurvePoint, SimConfig, SimOutcome};

@@ -181,6 +181,17 @@ impl SnnOp {
     }
 }
 
+/// Per-op output shapes (excluding batch) of `ops` over `input`: the
+/// one shape walk behind [`SnnNetwork::output_shapes`] and [`OpPlan`].
+pub(crate) fn output_shapes(ops: &[SnnOp], input: &[usize]) -> Result<Vec<Vec<usize>>> {
+    let mut shapes: Vec<Vec<usize>> = Vec::with_capacity(ops.len());
+    for op in ops {
+        let shape = op.output_shape(shapes.last().map_or(input, Vec::as_slice))?;
+        shapes.push(shape);
+    }
+    Ok(shapes)
+}
+
 /// A converted spiking network.
 ///
 /// # Examples
@@ -361,13 +372,7 @@ impl SnnNetwork {
     ///
     /// Returns an error if shapes do not chain.
     pub fn output_shapes(&self, input: &[usize]) -> Result<Vec<Vec<usize>>> {
-        let mut shapes = Vec::with_capacity(self.ops.len());
-        let mut cur = input.to_vec();
-        for op in &self.ops {
-            cur = op.output_shape(&cur)?;
-            shapes.push(cur.clone());
-        }
-        Ok(shapes)
+        output_shapes(&self.ops, input)
     }
 
     /// Total number of IF neurons for a `[C, H, W]` input.
@@ -395,7 +400,6 @@ impl SnnNetwork {
     pub fn dense_macs(&self, input: &[usize]) -> Result<u64> {
         let shapes = self.output_shapes(input)?;
         let mut macs = 0u64;
-        let mut prev: Vec<usize> = input.to_vec();
         for (op, shape) in self.ops.iter().zip(&shapes) {
             match op {
                 SnnOp::Conv { weight, .. } => {
@@ -408,9 +412,7 @@ impl SnnNetwork {
                 }
                 _ => {}
             }
-            prev = shape.clone();
         }
-        let _ = prev;
         Ok(macs)
     }
 }
@@ -444,8 +446,8 @@ mod tests {
             },
         ];
         let plan = OpPlan::new(&ops, &[1, 4, 4]).unwrap();
-        OpExecutor::new(&plan, SimEngine::dense())
-            .propagate(&ops, 0, input)
+        OpExecutor::new(&ops, &plan, SimEngine::dense())
+            .propagate(0, input)
             .unwrap()
     }
 
@@ -514,8 +516,8 @@ mod tests {
         for engine in [SimEngine::dense(), SimEngine::event()] {
             let mut out = Tensor::zeros([1, 3]);
             let mut synops = vec![0];
-            OpExecutor::new(&plan, engine)
-                .accumulate_first_weighted(&ops, &Tensor::zeros([1, 4]), 0.0, &mut out, &mut synops)
+            OpExecutor::new(&ops, &plan, engine)
+                .integrate_image(Tensor::zeros([1, 4]), &mut [], 0.0, &mut out, &mut synops)
                 .unwrap();
             assert_eq!(synops, [0], "{engine:?}");
             assert_eq!(out.sum(), 0.0);

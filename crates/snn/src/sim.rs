@@ -5,13 +5,18 @@
 //! accuracy-versus-time curve (Fig. 6), per-layer spike counts (Table I/II),
 //! synaptic operation counts (Table III extension) and latency.
 //!
-//! Execution is organized for speed without changing a single bit of the
-//! results:
+//! Each step encodes the input into the first layer through the
+//! [`OpExecutor`] image-domain entry, then every hidden layer fires
+//! ([`Coding::fire`]) into an event list that the executor's segment walk
+//! carries into the next layer's membrane; the TTFS engine in the
+//! `t2fsnn` crate runs the same walk. Execution is organized for speed
+//! without changing a single bit of the results:
 //!
-//! * **Event-driven dispatch** — each step's signal is propagated through
-//!   weighted ops as a sparse event list when its density is below the
-//!   engine threshold (see [`SimEngine`]); the sparse and dense kernels
-//!   are bit-identical by construction.
+//! * **Event-driven dispatch** — fired spikes stay an event list up to
+//!   the next weighted op, and a dense input signal is scattered as events
+//!   when its density is below the engine threshold (see [`SimEngine`]);
+//!   the sparse and dense kernels are bit-identical by construction, and
+//!   [`SimEngine::Dense`] densifies every list as the reference.
 //! * **Batch-level parallelism** — images never interact, so the batch is
 //!   split into contiguous chunks simulated on the scoped
 //!   [`ThreadPool`] and merged in chunk order. Accuracy is aggregated
@@ -25,8 +30,7 @@ use t2fsnn_tensor::{trace, Result, SpikeBatch, Tensor, TensorError, ThreadPool};
 
 use crate::coding::Coding;
 use crate::engine::{OpExecutor, OpPlan, SimEngine};
-use crate::network::{SnnNetwork, SnnOp};
-use crate::neuron::IfState;
+use crate::network::SnnNetwork;
 
 /// Engine parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -136,7 +140,7 @@ impl SimOutcome {
 struct ChunkStats {
     /// `(step, correct)` per recorded curve point.
     curve: Vec<(usize, u64)>,
-    /// Spikes per op index (zero for non-weighted ops).
+    /// Spikes per hidden weighted layer.
     spikes_hidden: Vec<u64>,
     input_spikes: u64,
     synop_adds: u64,
@@ -211,13 +215,6 @@ pub fn simulate_on(
                 .to_string(),
         });
     }
-    let ops = net.ops();
-    if !ops.iter().any(SnnOp::is_weighted) {
-        return Err(TensorError::InvalidArgument {
-            op: "simulate",
-            message: "network has no weighted ops".to_string(),
-        });
-    }
     // The network's cached plan shape-checks the whole chain up front
     // (so chunk workers can't fail on anything but numerics) and every
     // chunk shares its re-laid-out weights.
@@ -264,12 +261,11 @@ pub fn simulate_on(
         })
         .collect();
     let final_accuracy = curve.last().map(|p| p.accuracy).unwrap_or(0.0);
-    let last_weighted = ops.iter().rposition(SnnOp::is_weighted).expect("checked");
-    let spikes_per_layer = ops
-        .iter()
-        .enumerate()
-        .filter(|(i, op)| op.is_weighted() && *i != last_weighted)
-        .map(|(i, op)| (op.name().unwrap_or("?").to_string(), stats.spikes_hidden[i]))
+    let spikes_per_layer = net
+        .weighted_names()
+        .into_iter()
+        .zip(stats.spikes_hidden)
+        .map(|(name, spikes)| (name.to_string(), spikes))
         .collect();
     Ok(SimOutcome {
         coding: coding.name().to_string(),
@@ -317,45 +313,31 @@ fn simulate_chunk(
 ) -> Result<ChunkStats> {
     let n = images.dims()[0];
     let ops = net.ops();
-    let last_weighted = ops
-        .iter()
-        .rposition(SnnOp::is_weighted)
-        .expect("validated by simulate_on");
-    let mut executor = OpExecutor::new(plan, config.engine);
-
-    // Neuron state per weighted op, in the engine's native position-major
-    // layout (`[N, OH, OW, C]` for conv outputs).
-    let mut states: Vec<Option<IfState>> = ops
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            op.is_weighted().then(|| {
-                let mut dims = vec![n];
-                dims.extend_from_slice(plan.state_dims(i));
-                IfState::new(dims)
-            })
-        })
-        .collect();
+    let segments = plan.segments();
+    let layers = segments.len();
+    let mut executor = OpExecutor::new(ops, plan, config.engine);
+    let zeros = |k: usize| {
+        let mut dims = vec![n];
+        dims.extend_from_slice(plan.state_dims(segments[k].weighted));
+        Tensor::zeros(dims)
+    };
+    // One membrane per weighted layer, in the engine's native
+    // position-major layout (`[N, OH, OW, C]` for conv outputs).
+    let mut potentials: Vec<Tensor> = (0..layers).map(zeros).collect();
 
     coding.reset();
     let needs_mult = coding.synop_needs_mult();
-    let mut spikes_hidden: Vec<u64> = ops.iter().map(|_| 0).collect();
+    let mut spikes_hidden = vec![0u64; layers - 1];
     let mut input_spikes = 0u64;
     // Per-image synop ledger: every weighted kernel bills its adds here
     // as it scatters.
     let mut synops = vec![0u64; n];
     let mut curve = Vec::new();
-    let zeros = |i: usize| {
-        let mut dims = vec![n];
-        dims.extend_from_slice(plan.state_dims(i));
-        Tensor::zeros(dims)
-    };
 
     // Deterministic periodic inputs let us compute the (expensive, often
     // dense) input-layer propagation once per phase and replay it. The
     // cached synop counts are still charged every step — the arithmetic
     // happens on real hardware; we just avoid recomputing it.
-    let first_weighted = plan.first_weighted();
     struct CachedDrive {
         /// First-weighted-op output for this input phase.
         raw: Tensor,
@@ -371,41 +353,34 @@ fn simulate_chunk(
         Some(p) if p > 0 => (0..p).map(|_| None).collect(),
         _ => Vec::new(),
     };
-
-    // Event-mode fire phases emit straight into this reused event list,
-    // skipping the dense spike tensor entirely; the dense reference
-    // engine keeps the tensor path.
-    let use_event_fire = !matches!(config.engine, SimEngine::Dense);
-    let mut fire_events = SpikeBatch::empty();
+    // Every fire phase emits into this reused event list.
+    let mut events = SpikeBatch::empty();
 
     for t in 0..config.max_steps {
-        let cache_key = if input_cache.is_empty() {
-            None
-        } else {
-            Some(t % input_cache.len())
-        };
         let bias_scale = coding.bias_scale(t);
         // Resolve this step's input-layer drive: borrowed from the
-        // per-phase cache (filled on first use — no per-step clone), or
-        // computed fresh for non-periodic codings. Either way the
-        // image-domain ops run first and the first weighted op
-        // accumulates into a zeroed drive. The cached synop counts are
-        // still charged every step: the arithmetic happens on real
-        // hardware, it is just not recomputed here. The cache keeps the
-        // drive with the bias current already folded in, so the per-step
-        // work collapses to one integrate.
-        let mut fresh_drive: Option<Tensor> = None;
+        // per-phase cache (filled on first use, re-fused with the bias
+        // current when the scale changes), or computed fresh for
+        // non-periodic codings. Either way the image-domain entry of the
+        // segment walk accumulates the encoded input into a zeroed drive.
         let input_span = trace::span("sim/input_drive");
-        if let Some(k) = cache_key {
-            if input_cache[k].is_none() {
-                let (mut z, in_spikes) = coding.encode(images, t);
-                for i in 0..first_weighted {
-                    z = executor.propagate(ops, i, &z)?;
-                }
-                let mut raw = zeros(first_weighted);
+        let fresh_drive;
+        let drive: &Tensor = if input_cache.is_empty() {
+            let (z, in_spikes) = coding.encode(images, t);
+            input_spikes += in_spikes;
+            let mut drive = zeros(0);
+            executor.integrate_image(z, &mut [], bias_scale, &mut drive, &mut synops)?;
+            fresh_drive = drive;
+            &fresh_drive
+        } else {
+            let period = input_cache.len();
+            let entry = &mut input_cache[t % period];
+            if entry.is_none() {
+                let (z, in_spikes) = coding.encode(images, t);
+                let mut raw = zeros(0);
                 let mut raw_synops = vec![0u64; n];
-                executor.accumulate_first_weighted(ops, &z, 0.0, &mut raw, &mut raw_synops)?;
-                input_cache[k] = Some(CachedDrive {
+                executor.integrate_image(z, &mut [], 0.0, &mut raw, &mut raw_synops)?;
+                *entry = Some(CachedDrive {
                     fused: raw.clone(),
                     raw,
                     fused_scale: f32::NAN, // force the fuse below
@@ -413,132 +388,44 @@ fn simulate_chunk(
                     synops: raw_synops,
                 });
             }
-            let entry = input_cache[k].as_mut().expect("filled above");
+            let entry = entry.as_mut().expect("filled above");
             if entry.fused_scale != bias_scale {
-                // Re-fuse for this step's bias scale (bundled codings
-                // use a constant scale, so this runs once per phase).
+                // Bundled codings use a constant scale, so this runs once
+                // per phase.
                 entry.fused = entry.raw.clone();
-                ops[first_weighted].inject_bias_pm(&mut entry.fused, bias_scale)?;
+                ops[segments[0].weighted].inject_bias_pm(&mut entry.fused, bias_scale)?;
                 entry.fused_scale = bias_scale;
             }
             input_spikes += entry.in_spikes;
             for (slot, &charged) in synops.iter_mut().zip(&entry.synops) {
                 *slot += charged;
             }
-        } else {
-            let (mut z, in_spikes) = coding.encode(images, t);
-            input_spikes += in_spikes;
-            for i in 0..first_weighted {
-                z = executor.propagate(ops, i, &z)?;
-            }
-            let mut drive = zeros(first_weighted);
-            executor.accumulate_first_weighted(ops, &z, bias_scale, &mut drive, &mut synops)?;
-            fresh_drive = Some(drive);
-        }
+            &entry.fused
+        };
         drop(input_span);
         let step_span = trace::span("sim/step_ops");
-        let drive: &Tensor = match cache_key {
-            Some(k) => &input_cache[k].as_ref().expect("filled above").fused,
-            None => fresh_drive.as_ref().expect("computed above"),
-        };
-        let skip_until = first_weighted;
-        let mut signal = Tensor::default();
-        let mut hidden_index = 0usize;
-        // Set after a fire phase that emitted nothing: every op until the
-        // next weighted layer maps an all-zero signal to all-zero output
-        // with zero synops, so propagation is skipped outright (deep
-        // layers are silent for many early steps) — only the constant
-        // bias current still reaches the membrane.
-        let mut signal_zero = false;
-        // Whether `fire_events` (not `signal`) holds the live signal.
-        let mut events_active = false;
-        for (i, op) in ops.iter().enumerate() {
-            if i < skip_until {
-                continue;
-            }
-            if op.is_weighted() {
-                let state = states[i].as_mut().expect("weighted op has state");
-                if i == skip_until {
-                    // `drive` holds this op's output with the bias
-                    // already folded in (synops charged above); one
-                    // integrate finishes the step for this layer.
-                    state.integrate(drive)?;
-                } else if signal_zero {
-                    ops[i].inject_bias_pm(state.potential_mut(), bias_scale)?;
-                } else if events_active {
-                    executor.accumulate_weighted_events(
-                        ops,
-                        i,
-                        &fire_events,
-                        bias_scale,
-                        state.potential_mut(),
-                        &mut synops,
-                    )?;
-                } else {
-                    executor.accumulate_weighted(
-                        ops,
-                        i,
-                        &signal,
-                        bias_scale,
-                        state.potential_mut(),
-                        &mut synops,
-                    )?;
-                }
-                if i == last_weighted {
-                    // Output layer: accumulate only.
-                    signal_zero = true;
-                    events_active = false;
-                } else if use_event_fire {
-                    let _s = trace::span("sim/fire");
-                    let count = coding.fire_events(
-                        state.potential_mut(),
-                        t,
-                        hidden_index,
-                        &mut fire_events,
-                    );
-                    spikes_hidden[i] += count;
-                    signal_zero = count == 0;
-                    events_active = count > 0;
-                    hidden_index += 1;
-                } else {
-                    let _s = trace::span("sim/fire");
-                    let (spikes, count) = coding.fire(state.potential_mut(), t, hidden_index);
-                    spikes_hidden[i] += count;
-                    signal = spikes;
-                    signal_zero = count == 0;
-                    events_active = false;
-                    hidden_index += 1;
-                }
-            } else if events_active && !signal_zero {
-                // Pass-through ops on an event signal: the signal stays
-                // in event form all the way to the next integrate.
-                match op {
-                    SnnOp::AvgPool { window, stride } => {
-                        executor.avg_pool_events(&mut fire_events, *window, *stride)?;
-                    }
-                    SnnOp::Flatten => {
-                        let numel = fire_events.feature_numel();
-                        fire_events.reshape_features(&[numel])?;
-                    }
-                    SnnOp::MaxPool { .. } | SnnOp::Conv { .. } | SnnOp::Linear { .. } => {
-                        unreachable!(
-                            "max pooling is rejected up front; weighted ops integrate above"
-                        )
-                    }
-                }
-            } else {
-                signal = if signal_zero {
-                    zeros(i)
-                } else {
-                    executor.propagate(ops, i, &signal)?
-                };
-            }
+        potentials[0].add_scaled(drive, 1.0)?;
+        // Each hidden layer fires into `events`, which the segment walk
+        // carries into the next layer's membrane. The output layer only
+        // accumulates.
+        for k in 1..layers {
+            let (fired, next) = potentials.split_at_mut(k);
+            let fire_span = trace::span("sim/fire");
+            spikes_hidden[k - 1] += coding.fire(&mut fired[k - 1], t, &mut events);
+            drop(fire_span);
+            executor.integrate_events(
+                k,
+                &mut events,
+                &mut [],
+                bias_scale,
+                &mut next[0],
+                &mut synops,
+            )?;
         }
         drop(step_span);
         if (t + 1) % config.record_every == 0 || t + 1 == config.max_steps {
             let _s = trace::span("sim/record");
-            let output = states[last_weighted].as_ref().expect("output state");
-            let correct = batch_correct(output.potential(), labels)?;
+            let correct = batch_correct(&potentials[layers - 1], labels)?;
             curve.push((t + 1, correct));
         }
     }

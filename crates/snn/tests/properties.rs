@@ -7,11 +7,9 @@ use rand_chacha::ChaCha8Rng;
 use t2fsnn_dnn::layers::{Conv2d, Flatten, Linear, Pool, PoolKind, Relu};
 use t2fsnn_dnn::Network;
 use t2fsnn_snn::coding::{BurstCoding, Coding, PhaseCoding, RateCoding};
-use t2fsnn_snn::{
-    simulate_on, IfState, OpExecutor, OpPlan, SimConfig, SimEngine, SnnNetwork, SnnOp,
-};
+use t2fsnn_snn::{simulate_on, OpExecutor, OpPlan, SimConfig, SimEngine, SnnNetwork, SnnOp};
 use t2fsnn_tensor::ops::{conv2d, Conv2dSpec};
-use t2fsnn_tensor::{Tensor, ThreadPool};
+use t2fsnn_tensor::{SpikeBatch, Tensor, ThreadPool};
 
 /// A small random architecture (untrained weights are fine: the
 /// properties below assert *equivalence between execution paths*, not
@@ -177,16 +175,18 @@ proptest! {
 
     #[test]
     fn if_neuron_conserves_charge(drives in prop::collection::vec(0.0f32..2.0, 1..50)) {
-        // Total input = total transmitted (spikes × θ) + residual potential.
-        let mut state = IfState::new([1, 1]);
+        // Total input = total transmitted (spikes × θ) + residual potential,
+        // for the rate-coding IF neuron (θ = 1, reset by subtraction).
+        let mut coding = RateCoding::new();
+        let mut u = Tensor::zeros([1, 1]);
+        let mut events = SpikeBatch::empty();
         let mut spikes = 0u64;
-        for &d in &drives {
-            state.integrate(&Tensor::from_vec([1, 1], vec![d]).unwrap()).unwrap();
-            let (_, n) = state.fire_subtract(1.0);
-            spikes += n;
+        for (t, &d) in drives.iter().enumerate() {
+            u.add_scaled(&Tensor::from_vec([1, 1], vec![d]).unwrap(), 1.0).unwrap();
+            spikes += coding.fire(&mut u, t, &mut events);
         }
         let total_in: f32 = drives.iter().sum();
-        let residual = state.potential().data()[0];
+        let residual = u.data()[0];
         prop_assert!(
             (total_in - (spikes as f32 + residual)).abs() < 1e-3,
             "in={total_in} spikes={spikes} residual={residual}"
@@ -198,11 +198,11 @@ proptest! {
         let x = xi as f32 / 100.0;
         let mut coding = RateCoding::new();
         let mut u = Tensor::zeros([1, 1]);
+        let mut events = SpikeBatch::empty();
         let mut spikes = 0u64;
         for t in 0..steps {
             u.data_mut()[0] += x;
-            let (_, n) = coding.fire(&mut u, t, 0);
-            spikes += n;
+            spikes += coding.fire(&mut u, t, &mut events);
         }
         let rate = spikes as f32 / steps as f32;
         prop_assert!((rate - x).abs() < 0.05, "rate {rate} vs {x}");
@@ -226,7 +226,9 @@ proptest! {
     fn burst_transmission_is_conservative(v in 0.0f32..40.0, n_max in 1u32..8) {
         let mut coding = BurstCoding::new(n_max);
         let mut u = Tensor::from_vec([1, 1], vec![v]).unwrap();
-        let (s, count) = coding.fire(&mut u, 0, 0);
+        let mut events = SpikeBatch::empty();
+        let count = coding.fire(&mut u, 0, &mut events);
+        let s = events.to_dense();
         // Residual + transmitted = original, and burst length respected.
         prop_assert!((u.data()[0] + s.data()[0] - v).abs() < 1e-4);
         prop_assert!(count <= n_max as u64);
@@ -260,10 +262,10 @@ proptest! {
         let mut dims = vec![1];
         dims.extend_from_slice(plan.state_dims(0));
         let mut sparse = Tensor::zeros(dims);
-        OpExecutor::new(&plan, SimEngine::dense())
-            .accumulate_first_weighted(&ops, &input, 0.0, &mut sparse, &mut [0])
-            .unwrap();
         let dense = conv2d(&input, &weight, &Tensor::zeros([3]), spec).unwrap();
+        OpExecutor::new(&ops, &plan, SimEngine::dense())
+            .integrate_image(input, &mut [], 0.0, &mut sparse, &mut [0])
+            .unwrap();
         prop_assert!(sparse.to_channel_major().unwrap().all_close(&dense, 1e-4));
     }
 
@@ -284,10 +286,10 @@ proptest! {
         let input = Tensor::from_vec([1, 8], data).unwrap();
         for engine in [SimEngine::dense(), SimEngine::event()] {
             let mut synops = [0u64];
-            OpExecutor::new(&plan, engine)
-                .accumulate_first_weighted(
-                    &ops,
-                    &input,
+            OpExecutor::new(&ops, &plan, engine)
+                .integrate_image(
+                    input.clone(),
+                    &mut [],
                     0.0,
                     &mut Tensor::zeros([1, out_features]),
                     &mut synops,

@@ -683,6 +683,7 @@ mod tests {
         let b = Tensor::from_vec([3], vec![1.0, 2.0, 3.0]).unwrap();
         a.add_scaled(&b, 0.5).unwrap();
         assert_eq!(a.data(), &[1.5, 2.0, 2.5]);
+        assert!(a.add_scaled(&Tensor::zeros([1, 3]), 1.0).is_err());
     }
 
     #[test]

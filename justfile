@@ -85,12 +85,15 @@ serve-overload:
 pool-test:
     RUST_TEST_THREADS=1 cargo test -p t2fsnn-tensor parallel
 
-# The conv and TTFS step-loop tests on three workers: the global pool
-# then splits a batch into ranges that do not divide the small-plane
-# image groups, and `run`/`infer` into uneven chunks.
+# The conv and step-loop tests on three workers: the global pool then
+# splits a batch into ranges that do not divide the small-plane image
+# groups, and `run`/`infer` and the rate/phase/burst baselines (which
+# share the TTFS segment walk) into uneven chunks.
 conv-threads:
     T2FSNN_THREADS=3 cargo test -p t2fsnn-tensor conv
     T2FSNN_THREADS=3 cargo test -p t2fsnn -- infer::tests pipeline::tests
+    T2FSNN_THREADS=3 cargo test -p t2fsnn-snn -- sim::tests
+    T2FSNN_THREADS=3 cargo test -p t2fsnn --test baseline_digests
 
 # The full suite on the scalar SIMD fallback: without this leg the
 # scalar kernels only ever execute on pre-2013 (non-AVX2) hardware.
