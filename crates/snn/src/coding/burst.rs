@@ -108,7 +108,7 @@ impl Coding for BurstCoding {
         count
     }
 
-    fn bias_scale(&self, _t: usize) -> f32 {
+    fn bias_scale(&self) -> f32 {
         1.0
     }
 

@@ -59,9 +59,11 @@ pub trait Coding: Send {
     /// burst of `n` spikes counts `n`).
     fn fire(&mut self, potential: &mut Tensor, t: usize, events: &mut SpikeBatch) -> u64;
 
-    /// Scale applied to bias currents at time `t` so that per-decoding-
-    /// window bias contributions match the DNN bias.
-    fn bias_scale(&self, t: usize) -> f32;
+    /// Scale applied to bias currents at every time step, so that the
+    /// bias contributions of one decoding window sum to the DNN bias.
+    /// It is constant over time, so the simulator can fold it into the
+    /// input drive it caches per phase.
+    fn bias_scale(&self) -> f32;
 
     /// Whether one synaptic event costs a multiply in addition to an add
     /// (Table III: rate coding is accumulate-only; weighted-spike schemes

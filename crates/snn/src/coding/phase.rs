@@ -97,7 +97,7 @@ impl Coding for PhaseCoding {
         super::fire_subtract_events(potential, weight, weight, events)
     }
 
-    fn bias_scale(&self, _t: usize) -> f32 {
+    fn bias_scale(&self) -> f32 {
         // One full value arrives per period, so spread the bias over it.
         1.0 / self.period as f32
     }
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn bias_scale_spreads_over_period() {
         let c = PhaseCoding::new(8);
-        let total: f32 = (0..8).map(|t| c.bias_scale(t)).sum();
+        let total: f32 = (0..8).map(|_| c.bias_scale()).sum();
         assert!((total - 1.0).abs() < 1e-6);
     }
 

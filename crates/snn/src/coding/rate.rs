@@ -146,7 +146,7 @@ impl Coding for RateCoding {
         super::fire_subtract_events(potential, self.theta, 1.0, events)
     }
 
-    fn bias_scale(&self, _t: usize) -> f32 {
+    fn bias_scale(&self) -> f32 {
         // One full bias contribution per step matches the per-step analog
         // input current.
         1.0
@@ -235,7 +235,7 @@ mod tests {
     fn metadata() {
         let coding = RateCoding::new();
         assert!(!coding.synop_needs_mult());
-        assert_eq!(coding.bias_scale(3), 1.0);
+        assert_eq!(coding.bias_scale(), 1.0);
         assert_eq!(coding.decode_window(), 1);
     }
 

@@ -339,14 +339,11 @@ fn simulate_chunk(
     // cached synop counts are still charged every step — the arithmetic
     // happens on real hardware; we just avoid recomputing it.
     struct CachedDrive {
-        /// First-weighted-op output for this input phase.
-        raw: Tensor,
-        /// `raw` with the bias current folded in at `fused_scale`, so
-        /// the per-step work is a single integrate.
+        /// First-weighted-op output for this input phase, with the bias
+        /// current folded in, so the per-step work is a single integrate.
         fused: Tensor,
-        fused_scale: f32,
         in_spikes: u64,
-        /// Per-image synop adds of computing `raw`.
+        /// Per-image synop adds of computing `fused`.
         synops: Vec<u64>,
     }
     let mut input_cache: Vec<Option<CachedDrive>> = match coding.input_period() {
@@ -355,14 +352,14 @@ fn simulate_chunk(
     };
     // Every fire phase emits into this reused event list.
     let mut events = SpikeBatch::empty();
+    let bias_scale = coding.bias_scale();
 
     for t in 0..config.max_steps {
-        let bias_scale = coding.bias_scale(t);
         // Resolve this step's input-layer drive: borrowed from the
-        // per-phase cache (filled on first use, re-fused with the bias
-        // current when the scale changes), or computed fresh for
+        // per-phase cache (filled on first use), or computed fresh for
         // non-periodic codings. Either way the image-domain entry of the
-        // segment walk accumulates the encoded input into a zeroed drive.
+        // segment walk accumulates the encoded input, plus the bias
+        // current, into a zeroed drive.
         let input_span = trace::span("sim/input_drive");
         let fresh_drive;
         let drive: &Tensor = if input_cache.is_empty() {
@@ -377,25 +374,16 @@ fn simulate_chunk(
             let entry = &mut input_cache[t % period];
             if entry.is_none() {
                 let (z, in_spikes) = coding.encode(images, t);
-                let mut raw = zeros(0);
-                let mut raw_synops = vec![0u64; n];
-                executor.integrate_image(z, &mut [], 0.0, &mut raw, &mut raw_synops)?;
+                let mut fused = zeros(0);
+                let mut fused_synops = vec![0u64; n];
+                executor.integrate_image(z, &mut [], bias_scale, &mut fused, &mut fused_synops)?;
                 *entry = Some(CachedDrive {
-                    fused: raw.clone(),
-                    raw,
-                    fused_scale: f32::NAN, // force the fuse below
+                    fused,
                     in_spikes,
-                    synops: raw_synops,
+                    synops: fused_synops,
                 });
             }
-            let entry = entry.as_mut().expect("filled above");
-            if entry.fused_scale != bias_scale {
-                // Bundled codings use a constant scale, so this runs once
-                // per phase.
-                entry.fused = entry.raw.clone();
-                ops[segments[0].weighted].inject_bias_pm(&mut entry.fused, bias_scale)?;
-                entry.fused_scale = bias_scale;
-            }
+            let entry = entry.as_ref().expect("filled above");
             input_spikes += entry.in_spikes;
             for (slot, &charged) in synops.iter_mut().zip(&entry.synops) {
                 *slot += charged;

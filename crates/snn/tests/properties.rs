@@ -310,7 +310,7 @@ proptest! {
         ];
         for coding in codings {
             let window = coding.decode_window();
-            let total: f32 = (0..window).map(|t| coding.bias_scale(t)).sum();
+            let total: f32 = (0..window).map(|_| coding.bias_scale()).sum();
             prop_assert!(
                 (total - 1.0).abs() < 1e-4,
                 "{}: bias integrates to {total} over window {window}",

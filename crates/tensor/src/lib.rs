@@ -31,8 +31,9 @@
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the [`simd`] module (and only it) opts
-// back in with a module-level `allow` for the `std::arch` intrinsic
-// calls behind its runtime AVX2 dispatch. Everything else stays safe.
+// back in with a module-level `allow` for the AVX2 `target_feature`
+// context and the `std::arch` intrinsic calls behind its runtime
+// dispatch. Everything else stays safe.
 #![deny(unsafe_code)]
 
 mod error;

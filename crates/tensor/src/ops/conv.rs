@@ -303,11 +303,11 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: Conv2dSpec) 
 
 /// Output planes narrower than this many positions take the grouped
 /// path. On one image their GEMM never fills the 16-column register
-/// tile of `gemm_block4` and runs entirely in its column-remainder loop:
-/// a 32→32-channel conv on a 2×2 plane (a VGG's last block) costs
-/// ~28 µs per image that way and ~7 µs grouped, on one worker of a
-/// 2-vCPU AVX2 VM. A 4×4 plane already fills one tile and runs no
-/// faster grouped.
+/// tile of `gemm_block4` (a plane under 8 positions runs entirely in its
+/// column-remainder loop): a 32→32-channel conv on a 2×2 plane (a VGG's
+/// last block) costs ~28 µs per image that way and ~7 µs grouped, on
+/// one worker of a 2-vCPU AVX2 VM. A 4×4 plane already fills one tile
+/// and runs no faster grouped.
 const SMALL_PLANE: usize = 16;
 
 /// GEMM width a group of small-plane images is filled up to: a group

@@ -5,21 +5,23 @@
 //! * [`matmul`] and [`matmul_at_b`] are axpy-form kernels that process
 //!   **four accumulator rows per pass**, so each streamed row of `B` is
 //!   loaded once per four output rows instead of once per row (4× less
-//!   `B` traffic), with four independent FMA chains for the
-//!   auto-vectorizer.
+//!   `B` traffic). [`matmul`] keeps a 4-row × 16-column output tile in
+//!   registers across the whole contraction.
 //! * [`matmul_a_bt`] is a dot-form kernel that processes **two output
 //!   columns × eight vector lanes** per pass: the shared `A` row is read
 //!   once per column pair and the eight-lane partial sums map directly
 //!   onto SIMD registers.
 //!
 //! Remainders (rows/columns beyond the blocking factor, tail elements
-//! beyond the lane width) fall back to scalar loops that keep the
+//! beyond the lane width) run the runtime-length axpy and keep the
 //! zero-skipping fast path for sparse operands.
 //!
-//! The inner loops run on the [`crate::simd`] primitives — explicit
-//! AVX2 when the runtime dispatch is on, scalar twins otherwise — and
-//! are bit-identical either way: vectorization is across the output
-//! columns (independent elements), so per output element the
+//! The axpy-form kernels are plain loops (`simd::gemm_block4`,
+//! `simd::at_b_block4`, `simd::axpy_row`) that run a whole product in
+//! one `simd::vectorized` context; the dot form runs on the hand-written
+//! [`crate::simd::dot2`] reduction. Either way the results are
+//! bit-identical with SIMD on and off: vectorization is across the
+//! output columns (independent elements), so per output element the
 //! contraction still accumulates in strictly ascending `p` order.
 
 use crate::error::{Result, TensorError};
@@ -34,15 +36,6 @@ fn check_2d(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
         });
     }
     Ok((t.dims()[0], t.dims()[1]))
-}
-
-/// Axpy with zero-skip: `row += a · b_row`.
-#[inline]
-fn axpy(row: &mut [f32], a: f32, b_row: &[f32]) {
-    if a == 0.0 {
-        return; // spike matrices are sparse; skip zero rows cheaply
-    }
-    simd::axpy(row, a, b_row);
 }
 
 /// Computes `A · B` for `A: [m, k]`, `B: [k, n]`, returning `[m, n]`.
@@ -107,27 +100,37 @@ pub(crate) fn gemm_accumulate(
     if m == 0 || n == 0 {
         return;
     }
-    // Four-row blocks: stream B once per four output rows.
-    let mut rows = out.chunks_exact_mut(n);
-    let mut i = 0;
-    while i + 4 <= m {
-        let (r0, r1, r2, r3) = match (rows.next(), rows.next(), rows.next(), rows.next()) {
-            (Some(r0), Some(r1), Some(r2), Some(r3)) => (r0, r1, r2, r3),
-            _ => unreachable!("chunk count matches m"),
-        };
-        let a0 = &ad[i * k..(i + 1) * k];
-        let a1 = &ad[(i + 1) * k..(i + 2) * k];
-        let a2 = &ad[(i + 2) * k..(i + 3) * k];
-        let a3 = &ad[(i + 3) * k..(i + 4) * k];
-        simd::gemm_block4(r0, r1, r2, r3, a0, a1, a2, a3, bd, n);
-        i += 4;
-    }
-    for (row, orow) in (i..m).zip(rows) {
-        let arow = &ad[row * k..(row + 1) * k];
-        for (p, &av) in arow.iter().enumerate() {
-            axpy(orow, av, &bd[p * n..(p + 1) * n]);
-        }
-    }
+    // Four-row blocks stream B once per four output rows; the whole
+    // product runs in one dispatch context.
+    simd::vectorized(
+        #[inline(always)]
+        || {
+            let mut i = 0;
+            while i + 4 <= m {
+                let (r0, rest) = out[i * n..(i + 4) * n].split_at_mut(n);
+                let (r1, rest) = rest.split_at_mut(n);
+                let (r2, r3) = rest.split_at_mut(n);
+                let a = [
+                    &ad[i * k..(i + 1) * k],
+                    &ad[(i + 1) * k..(i + 2) * k],
+                    &ad[(i + 2) * k..(i + 3) * k],
+                    &ad[(i + 3) * k..(i + 4) * k],
+                ];
+                simd::gemm_block4([r0, r1, r2, r3], a, bd, n);
+                i += 4;
+            }
+            for row in i..m {
+                let orow = &mut out[row * n..(row + 1) * n];
+                for p in 0..k {
+                    // Spike matrices are sparse: skip zero entries cheaply.
+                    let av = ad[row * k + p];
+                    if av != 0.0 {
+                        simd::axpy_row(orow, av, &bd[p * n..(p + 1) * n]);
+                    }
+                }
+            }
+        },
+    )
 }
 
 /// Computes `Aᵀ · B` for `A: [k, m]`, `B: [k, n]`, returning `[m, n]`.
@@ -165,27 +168,39 @@ pub(crate) fn at_b_into(out: &mut [f32], ad: &[f32], k: usize, m: usize, bd: &[f
         return;
     }
     // Four-deep blocks over the contraction axis: the output matrix is
-    // swept once per four `k` rows instead of once per row.
-    let mut p = 0;
-    while p + 4 <= k {
-        let a0 = &ad[p * m..(p + 1) * m];
-        let a1 = &ad[(p + 1) * m..(p + 2) * m];
-        let a2 = &ad[(p + 2) * m..(p + 3) * m];
-        let a3 = &ad[(p + 3) * m..(p + 4) * m];
-        let b0 = &bd[p * n..(p + 1) * n];
-        let b1 = &bd[(p + 1) * n..(p + 2) * n];
-        let b2 = &bd[(p + 2) * n..(p + 3) * n];
-        let b3 = &bd[(p + 3) * n..(p + 4) * n];
-        simd::at_b_block4(out, n, a0, a1, a2, a3, b0, b1, b2, b3);
-        p += 4;
-    }
-    for p in p..k {
-        let arow = &ad[p * m..(p + 1) * m];
-        let brow = &bd[p * n..(p + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            axpy(&mut out[i * n..(i + 1) * n], av, brow);
-        }
-    }
+    // swept once per four `k` rows instead of once per row, all in one
+    // dispatch context.
+    simd::vectorized(
+        #[inline(always)]
+        || {
+            let mut p = 0;
+            while p + 4 <= k {
+                let a = [
+                    &ad[p * m..(p + 1) * m],
+                    &ad[(p + 1) * m..(p + 2) * m],
+                    &ad[(p + 2) * m..(p + 3) * m],
+                    &ad[(p + 3) * m..(p + 4) * m],
+                ];
+                let b = [
+                    &bd[p * n..(p + 1) * n],
+                    &bd[(p + 1) * n..(p + 2) * n],
+                    &bd[(p + 2) * n..(p + 3) * n],
+                    &bd[(p + 3) * n..(p + 4) * n],
+                ];
+                simd::at_b_block4(out, n, a, b);
+                p += 4;
+            }
+            for p in p..k {
+                let brow = &bd[p * n..(p + 1) * n];
+                for i in 0..m {
+                    let av = ad[p * m + i];
+                    if av != 0.0 {
+                        simd::axpy_row(&mut out[i * n..(i + 1) * n], av, brow);
+                    }
+                }
+            }
+        },
+    )
 }
 
 /// Eight-lane dot product of two equal-length slices (the SIMD

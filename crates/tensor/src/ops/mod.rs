@@ -4,8 +4,9 @@
 //!
 //! The dense matmul family is register-blocked and cache-tiled for a
 //! single core, with inner loops running on the runtime-dispatched
-//! [`crate::simd`] primitives (explicit AVX2 when available, scalar
-//! twins otherwise — bit-identical either way); `conv2d` parallelizes
+//! [`crate::simd`] primitives (plain loops compiled for AVX2 when it is
+//! available and enabled, as baseline code otherwise — bit-identical
+//! either way); `conv2d` parallelizes
 //! across the batch via the crate's scoped
 //! [`ThreadPool`](crate::ThreadPool); the [`sparse`] module provides
 //! event-list kernels that are bit-identical to their dense twins.

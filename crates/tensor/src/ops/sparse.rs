@@ -28,15 +28,17 @@
 //! not, so its caller bills the ledger through the one tap-table counter,
 //! [`conv2d_synops_events_by_image`].
 //!
-//! Each conv scatter call (event list or dense walk) runs the whole
-//! batch inside **one** `simd::vectorized` dispatch context, with the
-//! per-event kernel monomorphised on the output width `O` ∈ {8, 16, 32}
-//! (every conv width of the bundled architectures): every valid tap is
-//! then a fixed-length `O`-float multiply, then add, that compiles to
+//! Every scatter call (conv or linear, event list or dense walk) runs
+//! the whole batch inside **one** `simd::vectorized` dispatch context:
+//! its kernels are plain loops, compiled for AVX2 there when SIMD is on.
+//! The conv kernel is monomorphised on the output width `O` ∈ {8, 16,
+//! 32} (every conv width of the bundled architectures): every valid tap
+//! is then a fixed-length `O`-float multiply, then add, that compiles to
 //! whole vectors (a full row of a 3-wide kernel is one `3·O`-float
-//! span). Other widths run a runtime-length fallback compiled from the
-//! same source in the same context. Per-event work (8–32 floats per
-//! tap) is too small to pay a dispatch each.
+//! span). Other widths, and every linear weight row, run the one
+//! runtime-length axpy, `simd::axpy_row`, in the same context. Per-event
+//! work (8–128 floats per tap or row) is too small to pay a dispatch
+//! each.
 //!
 //! Every weighted kernel here is position-major; nothing in production
 //! convolves a channel-major map. Two test-only oracles check the
@@ -314,47 +316,15 @@ impl TapScratch {
 // slicing only: an iterator adapter the inliner declines would be an
 // out-of-line call compiled without the context's vector width.
 
-/// `out[i] += v · w[i]` over the first `N` floats — one kernel tap's
-/// `O` output channels. The tap is summed in a local array between one
-/// load and one store of `out`, so the compiler needs no aliasing proof
-/// to vectorize it; each element is a separate multiply and add, so the
-/// result is the same bits at every vector width.
-#[inline(always)]
-fn axpy_fixed<const N: usize>(out: &mut [f32], v: f32, w: &[f32]) {
-    let (out, w) = (&mut out[..N], &w[..N]);
-    let mut acc = [0.0f32; N];
-    acc.copy_from_slice(out);
-    for i in 0..N {
-        acc[i] += v * w[i];
-    }
-    out.copy_from_slice(&acc);
-}
-
-/// `out[i] += v · w[i]` over a runtime-length row (the runtime-width
-/// fallback), eight floats at a time through [`axpy_fixed`].
-#[inline(always)]
-fn axpy_row(out: &mut [f32], v: f32, w: &[f32]) {
-    let len = out.len().min(w.len());
-    let mut i = 0;
-    while i + 8 <= len {
-        axpy_fixed::<8>(&mut out[i..], v, &w[i..]);
-        i += 8;
-    }
-    while i < len {
-        out[i] += v * w[i];
-        i += 1;
-    }
-}
-
 /// `taps` consecutive kernel taps of `O` floats each; with the
 /// runtime-width fallback (`O == 0`), one runtime-length row.
 #[inline(always)]
 fn axpy_taps<const O: usize>(out: &mut [f32], v: f32, w: &[f32], taps: usize) {
     if O == 0 {
-        axpy_row(out, v, w);
+        simd::axpy_row(out, v, w);
     } else {
         for t in 0..taps {
-            axpy_fixed::<O>(&mut out[t * O..], v, &w[t * O..]);
+            simd::axpy_fixed::<O>(&mut out[t * O..], v, &w[t * O..]);
         }
     }
 }
@@ -415,7 +385,7 @@ fn scatter_event_into<const O: usize, const ROW: usize>(
             let orow = &mut out[o0 - r * g.ow * o..][..row_len];
             let wrow = &wt[w0 + r * g.kw * o..][..row_len];
             if O != 0 && row_len == ROW {
-                axpy_fixed::<ROW>(orow, v, wrow);
+                simd::axpy_fixed::<ROW>(orow, v, wrow);
             } else {
                 axpy_taps::<O>(orow, v, wrow, kx_hi - kx_lo + 1);
             }
@@ -1109,11 +1079,14 @@ fn pooled_features(
 /// event form: each input event adds its value to the window sums
 /// covering it (in event order — the canonical accumulation order), the
 /// sums are scaled by `1/window²`, and every window that received an
-/// event is emitted in ascending index order into `out` (reusing its
-/// allocations). Bit-identical to [`crate::ops::avg_pool2d_pm`] on the
-/// densified signal, with work proportional to the event count plus one
-/// bitmap word per 64 pooled cells of each image that has events — no
-/// dense round trip between a fire phase and the next integrate.
+/// event and whose scaled sum is non-zero is emitted in ascending index
+/// order into `out` (reusing its allocations). The result equals
+/// `SpikeBatch::from_dense` of [`crate::ops::avg_pool2d_pm`] on the
+/// densified signal, bit for bit, with work proportional to the event
+/// count plus one bitmap word per 64 pooled cells of each image that
+/// has events — no dense round trip between a fire phase and the next
+/// integrate. (Spiking producers emit positive values, so no window sum
+/// cancels there; mixed-sign inputs can.)
 ///
 /// Window sums start from `0.0` rather than from their first event,
 /// which is exact because `0.0 + v == v` bit for bit for every `v` but
@@ -1145,7 +1118,14 @@ pub fn avg_pool2d_events(
                 "event values must be non-zero"
             );
             scratch.accumulate(image, &decoder, ow, |cell, v| *cell += v);
-            scratch.drain(out_image, |slot, sum| out.push(slot, sum * inv_area));
+            // A window whose sum cancelled to zero emits nothing, as
+            // the dense twin's scan skips it.
+            scratch.drain(out_image, |slot, sum| {
+                let v = sum * inv_area;
+                if v != 0.0 {
+                    out.push(slot, v);
+                }
+            });
         }
         out.end_image();
     }
@@ -1267,16 +1247,22 @@ pub fn linear_scatter_t_acc(
     check_linear_target(n, o, target, "linear_scatter_t_acc")?;
     check_ledger(n, synops, "linear_scatter_t_acc")?;
     let (od, id, wtd) = (target.data_mut(), input.data(), weight_t.data());
-    for (ni, slot) in synops.iter_mut().enumerate() {
-        let orow = &mut od[ni * o..(ni + 1) * o];
-        for (ii, &v) in id[ni * i..(ni + 1) * i].iter().enumerate() {
-            if v == 0.0 {
-                continue;
+    // The whole batch in one dispatch context: a row is only `O` floats.
+    simd::vectorized(
+        #[inline(always)]
+        || {
+            for ni in 0..n {
+                let orow = &mut od[ni * o..(ni + 1) * o];
+                for ii in 0..i {
+                    let v = id[ni * i + ii];
+                    if v != 0.0 {
+                        simd::axpy_row(orow, v, &wtd[ii * o..(ii + 1) * o]);
+                        synops[ni] += o as u64;
+                    }
+                }
             }
-            simd::axpy(orow, v, &wtd[ii * o..(ii + 1) * o]);
-            *slot += o as u64;
-        }
-    }
+        },
+    );
     Ok(())
 }
 
@@ -1300,14 +1286,22 @@ pub fn linear_scatter_events_acc(
     check_linear_target(n, o, target, "linear_scatter_events_acc")?;
     check_ledger(n, synops, "linear_scatter_events_acc")?;
     let (od, wtd) = (target.data_mut(), weight_t.data());
-    for (ni, slot) in synops.iter_mut().enumerate() {
-        let orow = &mut od[ni * o..(ni + 1) * o];
-        let (idx, val) = events.image_events(ni);
-        for (&ii, &v) in idx.iter().zip(val) {
-            simd::axpy(orow, v, &wtd[ii as usize * o..(ii as usize + 1) * o]);
-            *slot += o as u64;
-        }
-    }
+    // The whole batch in one dispatch context: a row is only `O` floats.
+    simd::vectorized(
+        #[inline(always)]
+        || {
+            for ni in 0..n {
+                let orow = &mut od[ni * o..(ni + 1) * o];
+                let (idx, val) = events.image_events(ni);
+                let count = idx.len().min(val.len());
+                for e in 0..count {
+                    let ii = idx[e] as usize;
+                    simd::axpy_row(orow, val[e], &wtd[ii * o..(ii + 1) * o]);
+                }
+                synops[ni] += (count * o) as u64;
+            }
+        },
+    );
     Ok(())
 }
 
@@ -1749,6 +1743,29 @@ mod tests {
                 );
             }
         }
+        // Mixed-sign events whose 2×2 window sums cancel to exactly
+        // zero in image 0 (image 1 does not cancel): the dense scan
+        // skips a zero window, so the event form must not emit it.
+        #[rustfmt::skip]
+        let cancelling = Tensor::from_vec([2, 2, 4, 1], vec![
+            0.5, -0.5, 0.75, 1.0,
+            -0.25, 0.25, -0.75, -1.0,
+            0.5, 0.5, 0.75, 1.0,
+            0.25, 0.25, 0.75, 1.0,
+        ])
+        .unwrap();
+        let events = SpikeBatch::from_dense(&cancelling).unwrap();
+        for (window, stride) in POOL_GEOMETRIES {
+            avg_pool2d_events(&events, window, stride, &mut pooled, &mut scratch).unwrap();
+            let dense = avg_pool2d_pm(&cancelling, window, stride).unwrap();
+            assert_eq!(
+                pooled,
+                SpikeBatch::from_dense(&dense).unwrap(),
+                "cancelling window={window} stride={stride}"
+            );
+        }
+        avg_pool2d_events(&events, 2, 2, &mut pooled, &mut scratch).unwrap();
+        assert_eq!(pooled.image_events(0).0.len(), 0, "both windows cancel");
         assert!(avg_pool2d_events(
             &SpikeBatch::from_dense(&Tensor::zeros([1, 4])).unwrap(),
             2,

@@ -1,32 +1,43 @@
-//! Runtime-dispatched SIMD slice primitives (AVX2) with always-available
-//! scalar twins.
+//! SIMD slice primitives: one source per kernel, runtime-dispatched to
+//! AVX2 or to baseline code.
 //!
 //! Every primitive here vectorizes across an **independent-output axis
 //! only**: each vector lane owns exactly one output element, performs the
-//! same scalar IEEE-754 operations in the same order the scalar twin
-//! performs for that element, and lanes never share an accumulator (and
-//! no FMA contraction is used — every multiply and add is a separate
-//! rounding, exactly as in scalar code). Results are therefore
-//! **bit-identical** between the AVX2 and scalar paths, which is what
-//! lets the spiking engine's canonical-accumulation-order contract (see
+//! same scalar IEEE-754 operations in the same order for that element,
+//! and lanes never share an accumulator (and no FMA contraction is used —
+//! every multiply and add is a separate rounding). Results are therefore
+//! **bit-identical** with SIMD on and off, which is what lets the
+//! spiking engine's canonical-accumulation-order contract (see
 //! [`crate::ops::sparse`]) survive vectorization: per output element the
 //! contribution *sequence* is untouched, only how many elements advance
 //! per instruction changes.
+//!
+//! There is one mechanism for lane-parallel arithmetic: a kernel is a
+//! plain safe index loop run through `vectorized`, which compiles the
+//! inlined loop for AVX2 in one `target_feature` context when SIMD is
+//! on, and as baseline code otherwise — the same source twice. The
+//! elementwise maps and bias injection here run this way, one dispatch
+//! per call; so do the blocked GEMM cores (`gemm_block4`, `at_b_block4`,
+//! defined here and run by [`crate::ops::matmul`] inside one context
+//! per product) and the conv and linear scatters of
+//! [`crate::ops::sparse`] (one context per batch).
+//! A runtime-length row axpy steps eight lanes at a time, and the bias
+//! rows run at the conv widths' fixed lengths, so a short row (a
+//! layer's 8–128 channels) still runs whole vectors.
+//!
+//! Four kernels keep hand-written `std::arch` AVX2 with a scalar twin,
+//! each because its plain-loop form measured slower (the doc comment of
+//! each says by how much): the mask scans [`collect_ge`] and
+//! [`fire_subtract`], which left-pack a compare mask into an index list,
+//! and the multi-accumulator reductions [`dot`] and [`dot2`], whose eight
+//! fixed lane accumulators are summed in lane order like the twins'.
 //!
 //! Dispatch is decided once at runtime: AVX2 must be detected via
 //! `is_x86_feature_detected!` **and** the `T2FSNN_SIMD` environment
 //! variable must not be `0` (the escape hatch for measuring the scalar
 //! fallback on modern hardware). [`set_enabled`] can override the
 //! decision at any time — flipping it mid-run is safe precisely because
-//! both paths produce the same bits. The horizontal reductions in
-//! [`dot`]/[`dot2`] keep eight fixed lane accumulators summed in lane
-//! order, matching the scalar twin's eight-wide accumulator array.
-//!
-//! Besides the hand-written kernels, `vectorized` runs a caller's
-//! inlined closure inside one AVX2 `target_feature` context, so kernels
-//! written as plain safe loops elsewhere in the crate (the conv event
-//! scatter in [`crate::ops::sparse`]) compile for AVX2 with one dispatch
-//! per call rather than per event.
+//! both paths produce the same bits.
 //!
 //! This is the only module in the crate allowed to use `unsafe` (the
 //! crate is `deny(unsafe_code)`); every unsafe block is either an
@@ -90,89 +101,285 @@ pub fn set_enabled(on: bool) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Scalar twins. These are the reference semantics: the AVX2 kernels
-// below perform exactly these per-element operation sequences.
+// Plain-loop kernels: the one source of every lane-parallel kernel,
+// compiled for AVX2 inside `vectorized` or as baseline code.
 // ---------------------------------------------------------------------
 
-fn axpy_scalar(out: &mut [f32], a: f32, b: &[f32]) {
-    for (o, &bv) in out.iter_mut().zip(b) {
-        *o += a * bv;
+/// Runs `f` once in the dispatched code-generation context: compiled
+/// for AVX2 when [`enabled`], as plain baseline code otherwise. Mark the
+/// closure `#[inline(always)]` (and the helpers it calls) so its body is
+/// generated inside the context; plain safe loops there autovectorize
+/// to the context's width. Call it once per kernel call over a whole
+/// batch, never once per row or event: a dispatch is an un-inlinable
+/// call, and per-row or per-event work (8–128 floats) is too small to
+/// pay one each.
+///
+/// Only code that is bit-identical whatever the vector width may run
+/// here — lane-independent loops with separate multiply and add
+/// roundings (Rust never contracts to FMA, and the AVX2 context does
+/// not enable FMA). Both arms then produce the same bits.
+#[inline]
+pub(crate) fn vectorized<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if enabled() {
+        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
+        return unsafe { avx2::run(f) };
+    }
+    f()
+}
+
+/// `out[i] += v · w[i]` over the first `N` floats — one conv kernel
+/// tap's `O` output channels, or a whole `3·O` kernel row. The tap is
+/// summed in a local array between one load and one store of `out`, so
+/// the compiler needs no aliasing proof to vectorize it.
+#[inline(always)]
+pub(crate) fn axpy_fixed<const N: usize>(out: &mut [f32], v: f32, w: &[f32]) {
+    let (out, w) = (&mut out[..N], &w[..N]);
+    let mut acc = [0.0f32; N];
+    acc.copy_from_slice(out);
+    for i in 0..N {
+        acc[i] += v * w[i];
+    }
+    out.copy_from_slice(&acc);
+}
+
+/// `out[i] += v · w[i]` over the common length: the one runtime-length
+/// axpy, behind the conv scatter's runtime-width fallback, the linear
+/// scatters, the GEMM remainders and the bias rows that are not 8, 16
+/// or 32 floats wide. Eight floats at a time through
+/// [`axpy_fixed`], so a short row (a layer's 10–128 outputs) still runs
+/// whole vectors: a plain loop would be unrolled four vectors deep and
+/// leave a row under 32 floats to its scalar remainder. Run it inside
+/// the caller's [`vectorized`] context.
+#[inline(always)]
+pub(crate) fn axpy_row(out: &mut [f32], v: f32, w: &[f32]) {
+    let len = out.len().min(w.len());
+    let mut i = 0;
+    while i + 8 <= len {
+        axpy_fixed::<8>(&mut out[i..], v, &w[i..]);
+        i += 8;
+    }
+    while i < len {
+        out[i] += v * w[i];
+        i += 1;
     }
 }
 
-#[allow(clippy::too_many_arguments)] // hot four-row microkernel; a struct would obscure it
-fn axpy4_scalar(
-    r0: &mut [f32],
-    r1: &mut [f32],
-    r2: &mut [f32],
-    r3: &mut [f32],
-    v: [f32; 4],
-    b: &[f32],
-) {
-    for (((o0, o1), (o2, o3)), &bv) in r0
-        .iter_mut()
-        .zip(r1.iter_mut())
-        .zip(r2.iter_mut().zip(r3.iter_mut()))
-        .zip(b)
-    {
-        *o0 += v[0] * bv;
-        *o1 += v[1] * bv;
-        *o2 += v[2] * bv;
-        *o3 += v[3] * bv;
+/// Whole four-row GEMM block (the core of `matmul`): for each ascending
+/// contraction index `p`, skip if all four `a[q][p]` are zero, else add
+/// `a[q][p] · bd[p·n..(p+1)·n]` into output row `r[q]`. Run it inside
+/// the caller's [`vectorized`] context.
+///
+/// A 4-row × 16-column tile of the output lives in four `[f32; 16]`
+/// accumulators (eight ymm registers under AVX2) across the whole
+/// contraction, so each output element is loaded and stored once
+/// instead of once per `p`; an 8-column tile takes the next eight
+/// columns. Per element the contributions still add in ascending `p`
+/// order. The last `n % 8` columns stream each `B` row through
+/// [`axpy_row`] in the same order.
+#[inline(always)]
+pub(crate) fn gemm_block4(mut r: [&mut [f32]; 4], a: [&[f32]; 4], bd: &[f32], n: usize) {
+    let k = a[0].len().min(a[1].len()).min(a[2].len()).min(a[3].len());
+    let a = [&a[0][..k], &a[1][..k], &a[2][..k], &a[3][..k]];
+    let mut j = 0;
+    while j + 16 <= n {
+        gemm_tile::<16>(&mut r, a, bd, n, j);
+        j += 16;
+    }
+    if j + 8 <= n {
+        gemm_tile::<8>(&mut r, a, bd, n, j);
+        j += 8;
+    }
+    if j < n {
+        for p in 0..k {
+            let v = [a[0][p], a[1][p], a[2][p], a[3][p]];
+            if v == [0.0; 4] {
+                continue;
+            }
+            let brow = &bd[p * n + j..(p + 1) * n];
+            for q in 0..4 {
+                axpy_row(&mut r[q][j..], v[q], brow);
+            }
+        }
     }
 }
 
-fn quad_axpy_scalar(out: &mut [f32], v: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
-    for ((((o, &w0), &w1), &w2), &w3) in out.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-        *o += v[0] * w0 + v[1] * w1 + v[2] * w2 + v[3] * w3;
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // the whole-block GEMM core; a struct would obscure it
-fn gemm_block4_scalar(
-    r0: &mut [f32],
-    r1: &mut [f32],
-    r2: &mut [f32],
-    r3: &mut [f32],
-    a0: &[f32],
-    a1: &[f32],
-    a2: &[f32],
-    a3: &[f32],
+/// Columns `j..j + W` of [`gemm_block4`], accumulated in registers over
+/// the whole contraction.
+#[inline(always)]
+fn gemm_tile<const W: usize>(
+    r: &mut [&mut [f32]; 4],
+    a: [&[f32]; 4],
     bd: &[f32],
     n: usize,
+    j: usize,
 ) {
-    let k = a0.len().min(a1.len()).min(a2.len()).min(a3.len());
-    for p in 0..k {
-        let v = [a0[p], a1[p], a2[p], a3[p]];
+    let mut c = [[0.0f32; W]; 4];
+    for q in 0..4 {
+        c[q].copy_from_slice(&r[q][j..j + W]);
+    }
+    for p in 0..a[0].len() {
+        let v = [a[0][p], a[1][p], a[2][p], a[3][p]];
         if v == [0.0; 4] {
             continue;
         }
-        axpy4_scalar(r0, r1, r2, r3, v, &bd[p * n..(p + 1) * n]);
+        let b = &bd[p * n + j..p * n + j + W];
+        for q in 0..4 {
+            for l in 0..W {
+                c[q][l] += v[q] * b[l];
+            }
+        }
+    }
+    for q in 0..4 {
+        r[q][j..j + W].copy_from_slice(&c[q]);
     }
 }
 
-#[allow(clippy::too_many_arguments)] // the whole-block Aᵀ·B core; a struct would obscure it
-fn at_b_block4_scalar(
-    out: &mut [f32],
-    n: usize,
-    a0: &[f32],
-    a1: &[f32],
-    a2: &[f32],
-    a3: &[f32],
-    b0: &[f32],
-    b1: &[f32],
-    b2: &[f32],
-    b3: &[f32],
-) {
-    let m = a0.len().min(a1.len()).min(a2.len()).min(a3.len());
-    for (i, orow) in out.chunks_exact_mut(n).enumerate().take(m) {
-        let v = [a0[i], a1[i], a2[i], a3[i]];
+/// Whole four-deep `Aᵀ·B` block (the core of `matmul_at_b`): one sweep
+/// of the `n`-wide output rows per four contraction rows,
+/// `out[i·n..] += Σ_q a[q][i] · b[q]` with the four products summed
+/// first, left to right, and the all-zero skip. Run it inside the
+/// caller's [`vectorized`] context.
+#[inline(always)]
+pub(crate) fn at_b_block4(out: &mut [f32], n: usize, a: [&[f32]; 4], b: [&[f32]; 4]) {
+    let m = a[0].len().min(a[1].len()).min(a[2].len()).min(a[3].len());
+    let (b0, b1, b2, b3) = (&b[0][..n], &b[1][..n], &b[2][..n], &b[3][..n]);
+    for i in 0..m.min(out.len() / n) {
+        let v = [a[0][i], a[1][i], a[2][i], a[3][i]];
         if v == [0.0; 4] {
             continue;
         }
-        quad_axpy_scalar(orow, v, b0, b1, b2, b3);
+        let orow = &mut out[i * n..(i + 1) * n];
+        for j in 0..n {
+            orow[j] += v[0] * b0[j] + v[1] * b1[j] + v[2] * b2[j] + v[3] * b3[j];
+        }
     }
 }
+
+/// `out[i] += src[i] * scale` — bias injection and tensor axpy.
+pub fn add_scaled(out: &mut [f32], src: &[f32], scale: f32) {
+    vectorized(
+        #[inline(always)]
+        || {
+            let n = out.len().min(src.len());
+            let (out, src) = (&mut out[..n], &src[..n]);
+            for i in 0..n {
+                out[i] += src[i] * scale;
+            }
+        },
+    )
+}
+
+/// Broadcast row axpy: `out[r·len + i] += scale · src[i]` for every
+/// complete `len = src.len()` row of `out` — bias injection over a
+/// whole position-major tensor in one context. Rows of 8, 16 and 32
+/// floats (every conv width of the bundled architectures) run as one
+/// fixed-width axpy each, the other widths through the runtime-length
+/// axpy that steps eight lanes at a time. A plain runtime-length row
+/// loop measured about 3× slower than the fixed width on 8–32-float
+/// rows, and 3–4× slower than the eight-lane axpy on 64–128-float rows
+/// (one process, min of 10–15 interleaved rounds, 2-vCPU AVX2 VM).
+pub fn add_scaled_rows(out: &mut [f32], src: &[f32], scale: f32) {
+    vectorized(
+        #[inline(always)]
+        || match src.len() {
+            0 => {}
+            8 => add_scaled_rows_fixed::<8>(out, src, scale),
+            16 => add_scaled_rows_fixed::<16>(out, src, scale),
+            32 => add_scaled_rows_fixed::<32>(out, src, scale),
+            len => {
+                for r in 0..out.len() / len {
+                    axpy_row(&mut out[r * len..(r + 1) * len], scale, src);
+                }
+            }
+        },
+    )
+}
+
+/// [`add_scaled_rows`] at a fixed row width `N`.
+#[inline(always)]
+fn add_scaled_rows_fixed<const N: usize>(out: &mut [f32], src: &[f32], scale: f32) {
+    for r in 0..out.len() / N {
+        axpy_fixed::<N>(&mut out[r * N..], scale, src);
+    }
+}
+
+/// `out[i] = (src[i] - mean) * inv_std` — batch-norm standardization.
+pub fn normalize(out: &mut [f32], src: &[f32], mean: f32, inv_std: f32) {
+    vectorized(
+        #[inline(always)]
+        || {
+            let n = out.len().min(src.len());
+            let (out, src) = (&mut out[..n], &src[..n]);
+            for i in 0..n {
+                out[i] = (src[i] - mean) * inv_std;
+            }
+        },
+    )
+}
+
+/// `out[i] = scale * src[i] + shift` — batch-norm γ/β application.
+pub fn affine(out: &mut [f32], src: &[f32], scale: f32, shift: f32) {
+    vectorized(
+        #[inline(always)]
+        || {
+            let n = out.len().min(src.len());
+            let (out, src) = (&mut out[..n], &src[..n]);
+            for i in 0..n {
+                out[i] = scale * src[i] + shift;
+            }
+        },
+    )
+}
+
+/// `out[i] = scale * ((src[i] - mean) * inv_std) + shift` — the fused
+/// eval-mode batch-norm map.
+pub fn normalize_affine(
+    out: &mut [f32],
+    src: &[f32],
+    mean: f32,
+    inv_std: f32,
+    scale: f32,
+    shift: f32,
+) {
+    vectorized(
+        #[inline(always)]
+        || {
+            let n = out.len().min(src.len());
+            let (out, src) = (&mut out[..n], &src[..n]);
+            for i in 0..n {
+                out[i] = scale * ((src[i] - mean) * inv_std) + shift;
+            }
+        },
+    )
+}
+
+/// `out[i] = scale * (gout[i] - m_dy - xhat[i] * m_dy_xh)` — the
+/// batch-norm input gradient.
+pub fn bn_input_grad(
+    out: &mut [f32],
+    gout: &[f32],
+    xhat: &[f32],
+    scale: f32,
+    m_dy: f32,
+    m_dy_xh: f32,
+) {
+    vectorized(
+        #[inline(always)]
+        || {
+            let n = out.len().min(gout.len()).min(xhat.len());
+            let (out, gout, xhat) = (&mut out[..n], &gout[..n], &xhat[..n]);
+            for i in 0..n {
+                out[i] = scale * (gout[i] - m_dy - xhat[i] * m_dy_xh);
+            }
+        },
+    )
+}
+
+// ---------------------------------------------------------------------
+// Hand-written kernels: scalar twins (the reference semantics) and
+// their AVX2 copies, for the mask scans and the reductions only.
+// ---------------------------------------------------------------------
 
 fn dot_scalar(x: &[f32], y: &[f32]) -> f32 {
     let mut acc = [0.0f32; 8];
@@ -217,12 +424,6 @@ fn dot2_scalar(x: &[f32], y0: &[f32], y1: &[f32]) -> (f32, f32) {
     (acc0.iter().sum::<f32>() + t0, acc1.iter().sum::<f32>() + t1)
 }
 
-fn add_scaled_scalar(out: &mut [f32], src: &[f32], scale: f32) {
-    for (o, &s) in out.iter_mut().zip(src) {
-        *o += s * scale;
-    }
-}
-
 fn collect_ge_scalar(data: &[f32], threshold: f32, hits: &mut Vec<u32>) {
     for (j, &v) in data.iter().enumerate() {
         if v >= threshold {
@@ -240,246 +441,9 @@ fn fire_subtract_scalar(data: &mut [f32], threshold: f32, hits: &mut Vec<u32>) {
     }
 }
 
-fn normalize_scalar(out: &mut [f32], src: &[f32], mean: f32, inv_std: f32) {
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o = (v - mean) * inv_std;
-    }
-}
-
-fn affine_scalar(out: &mut [f32], src: &[f32], scale: f32, shift: f32) {
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o = scale * v + shift;
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors the fused eval-mode loop 1:1
-fn normalize_affine_scalar(
-    out: &mut [f32],
-    src: &[f32],
-    mean: f32,
-    inv_std: f32,
-    scale: f32,
-    shift: f32,
-) {
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o = scale * ((v - mean) * inv_std) + shift;
-    }
-}
-
-fn bn_input_grad_scalar(
-    out: &mut [f32],
-    gout: &[f32],
-    xhat: &[f32],
-    scale: f32,
-    m_dy: f32,
-    m_dy_xh: f32,
-) {
-    for ((o, &g), &x) in out.iter_mut().zip(gout).zip(xhat) {
-        *o = scale * (g - m_dy - x * m_dy_xh);
-    }
-}
-
-// ---------------------------------------------------------------------
-// AVX2 kernels. One lane = one output element; per lane the operation
-// sequence is exactly the scalar twin's.
-// ---------------------------------------------------------------------
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
-
-    /// `out[i] += a * b[i]`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub unsafe fn axpy(out: &mut [f32], a: f32, b: &[f32]) {
-        let n = out.len().min(b.len());
-        let av = _mm256_set1_ps(a);
-        let mut i = 0;
-        // Two ymm per iteration keeps more loads in flight. Lanes stay
-        // independent — per-element arithmetic is unchanged.
-        while i + 16 <= n {
-            let oa = _mm256_loadu_ps(out.as_ptr().add(i));
-            let ob = _mm256_loadu_ps(out.as_ptr().add(i + 8));
-            let ba = _mm256_loadu_ps(b.as_ptr().add(i));
-            let bb = _mm256_loadu_ps(b.as_ptr().add(i + 8));
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm256_add_ps(oa, _mm256_mul_ps(av, ba)),
-            );
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(i + 8),
-                _mm256_add_ps(ob, _mm256_mul_ps(av, bb)),
-            );
-            i += 16;
-        }
-        while i + 8 <= n {
-            let ov = _mm256_loadu_ps(out.as_ptr().add(i));
-            let bv = _mm256_loadu_ps(b.as_ptr().add(i));
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm256_add_ps(ov, _mm256_mul_ps(av, bv)),
-            );
-            i += 8;
-        }
-        while i < n {
-            out[i] += a * b[i];
-            i += 1;
-        }
-    }
-
-    /// Four-row axpy: `r{0..3}[i] += v{0..3} * b[i]`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn axpy4(
-        r0: &mut [f32],
-        r1: &mut [f32],
-        r2: &mut [f32],
-        r3: &mut [f32],
-        v: [f32; 4],
-        b: &[f32],
-    ) {
-        let n = r0
-            .len()
-            .min(r1.len())
-            .min(r2.len())
-            .min(r3.len())
-            .min(b.len());
-        let v0 = _mm256_set1_ps(v[0]);
-        let v1 = _mm256_set1_ps(v[1]);
-        let v2 = _mm256_set1_ps(v[2]);
-        let v3 = _mm256_set1_ps(v[3]);
-        let mut i = 0;
-        // Two ymm per row per iteration (16 lanes): matches what the
-        // autovectorizer unrolls to and keeps more loads in flight.
-        // Lanes stay independent, so per-element arithmetic (and
-        // therefore the result) is unchanged.
-        while i + 16 <= n {
-            let ba = _mm256_loadu_ps(b.as_ptr().add(i));
-            let bb = _mm256_loadu_ps(b.as_ptr().add(i + 8));
-            let o0a = _mm256_loadu_ps(r0.as_ptr().add(i));
-            let o0b = _mm256_loadu_ps(r0.as_ptr().add(i + 8));
-            _mm256_storeu_ps(
-                r0.as_mut_ptr().add(i),
-                _mm256_add_ps(o0a, _mm256_mul_ps(v0, ba)),
-            );
-            _mm256_storeu_ps(
-                r0.as_mut_ptr().add(i + 8),
-                _mm256_add_ps(o0b, _mm256_mul_ps(v0, bb)),
-            );
-            let o1a = _mm256_loadu_ps(r1.as_ptr().add(i));
-            let o1b = _mm256_loadu_ps(r1.as_ptr().add(i + 8));
-            _mm256_storeu_ps(
-                r1.as_mut_ptr().add(i),
-                _mm256_add_ps(o1a, _mm256_mul_ps(v1, ba)),
-            );
-            _mm256_storeu_ps(
-                r1.as_mut_ptr().add(i + 8),
-                _mm256_add_ps(o1b, _mm256_mul_ps(v1, bb)),
-            );
-            let o2a = _mm256_loadu_ps(r2.as_ptr().add(i));
-            let o2b = _mm256_loadu_ps(r2.as_ptr().add(i + 8));
-            _mm256_storeu_ps(
-                r2.as_mut_ptr().add(i),
-                _mm256_add_ps(o2a, _mm256_mul_ps(v2, ba)),
-            );
-            _mm256_storeu_ps(
-                r2.as_mut_ptr().add(i + 8),
-                _mm256_add_ps(o2b, _mm256_mul_ps(v2, bb)),
-            );
-            let o3a = _mm256_loadu_ps(r3.as_ptr().add(i));
-            let o3b = _mm256_loadu_ps(r3.as_ptr().add(i + 8));
-            _mm256_storeu_ps(
-                r3.as_mut_ptr().add(i),
-                _mm256_add_ps(o3a, _mm256_mul_ps(v3, ba)),
-            );
-            _mm256_storeu_ps(
-                r3.as_mut_ptr().add(i + 8),
-                _mm256_add_ps(o3b, _mm256_mul_ps(v3, bb)),
-            );
-            i += 16;
-        }
-        while i + 8 <= n {
-            let bv = _mm256_loadu_ps(b.as_ptr().add(i));
-            let o0 = _mm256_loadu_ps(r0.as_ptr().add(i));
-            _mm256_storeu_ps(
-                r0.as_mut_ptr().add(i),
-                _mm256_add_ps(o0, _mm256_mul_ps(v0, bv)),
-            );
-            let o1 = _mm256_loadu_ps(r1.as_ptr().add(i));
-            _mm256_storeu_ps(
-                r1.as_mut_ptr().add(i),
-                _mm256_add_ps(o1, _mm256_mul_ps(v1, bv)),
-            );
-            let o2 = _mm256_loadu_ps(r2.as_ptr().add(i));
-            _mm256_storeu_ps(
-                r2.as_mut_ptr().add(i),
-                _mm256_add_ps(o2, _mm256_mul_ps(v2, bv)),
-            );
-            let o3 = _mm256_loadu_ps(r3.as_ptr().add(i));
-            _mm256_storeu_ps(
-                r3.as_mut_ptr().add(i),
-                _mm256_add_ps(o3, _mm256_mul_ps(v3, bv)),
-            );
-            i += 8;
-        }
-        while i < n {
-            let bv = b[i];
-            r0[i] += v[0] * bv;
-            r1[i] += v[1] * bv;
-            r2[i] += v[2] * bv;
-            r3[i] += v[3] * bv;
-            i += 1;
-        }
-    }
-
-    /// `out[i] += v0·b0[i] + v1·b1[i] + v2·b2[i] + v3·b3[i]`
-    /// (left-associated adds, no FMA — matching the scalar twin).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn quad_axpy(
-        out: &mut [f32],
-        v: [f32; 4],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) {
-        let n = out
-            .len()
-            .min(b0.len())
-            .min(b1.len())
-            .min(b2.len())
-            .min(b3.len());
-        let v0 = _mm256_set1_ps(v[0]);
-        let v1 = _mm256_set1_ps(v[1]);
-        let v2 = _mm256_set1_ps(v[2]);
-        let v3 = _mm256_set1_ps(v[3]);
-        let mut i = 0;
-        while i + 8 <= n {
-            let mut t = _mm256_mul_ps(v0, _mm256_loadu_ps(b0.as_ptr().add(i)));
-            t = _mm256_add_ps(t, _mm256_mul_ps(v1, _mm256_loadu_ps(b1.as_ptr().add(i))));
-            t = _mm256_add_ps(t, _mm256_mul_ps(v2, _mm256_loadu_ps(b2.as_ptr().add(i))));
-            t = _mm256_add_ps(t, _mm256_mul_ps(v3, _mm256_loadu_ps(b3.as_ptr().add(i))));
-            let ov = _mm256_loadu_ps(out.as_ptr().add(i));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_add_ps(ov, t));
-            i += 8;
-        }
-        while i < n {
-            out[i] += v[0] * b0[i] + v[1] * b1[i] + v[2] * b2[i] + v[3] * b3[i];
-            i += 1;
-        }
-    }
 
     /// Runs `f` with AVX2 code generation enabled: an `#[inline(always)]`
     /// closure (and every `#[inline(always)]` function it calls) is
@@ -492,136 +456,6 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn run<R>(f: impl FnOnce() -> R) -> R {
         f()
-    }
-
-    /// Whole four-row GEMM block: for every contraction index `p` in
-    /// ascending order (with the all-zero skip), `r{0..3} += a{0..3}[p]
-    /// · bd[p·n..]`. Hoisting the loop into one `target_feature` context
-    /// lets the per-`p` [`axpy4`] inline (a per-`p` dispatch costs an
-    /// atomic load and an un-inlinable call on the hottest loop).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gemm_block4(
-        r0: &mut [f32],
-        r1: &mut [f32],
-        r2: &mut [f32],
-        r3: &mut [f32],
-        a0: &[f32],
-        a1: &[f32],
-        a2: &[f32],
-        a3: &[f32],
-        bd: &[f32],
-        n: usize,
-    ) {
-        // Defensive clamps so the raw-pointer tile loads below are
-        // in-bounds for any caller-supplied slice lengths.
-        let n = n.min(r0.len()).min(r1.len()).min(r2.len()).min(r3.len());
-        let k = a0
-            .len()
-            .min(a1.len())
-            .min(a2.len())
-            .min(a3.len())
-            .min(bd.len().checked_div(n).unwrap_or(0));
-        // Register-tiled core: a 4-row × 16-column tile of the output
-        // lives in eight ymm accumulators across the whole contraction,
-        // so each output element is loaded and stored **once** instead
-        // of once per `p`. Per element the contributions still add in
-        // ascending `p` order (each accumulator lane owns one element),
-        // so results are bit-identical to the streaming form.
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut c0a = _mm256_loadu_ps(r0.as_ptr().add(j));
-            let mut c0b = _mm256_loadu_ps(r0.as_ptr().add(j + 8));
-            let mut c1a = _mm256_loadu_ps(r1.as_ptr().add(j));
-            let mut c1b = _mm256_loadu_ps(r1.as_ptr().add(j + 8));
-            let mut c2a = _mm256_loadu_ps(r2.as_ptr().add(j));
-            let mut c2b = _mm256_loadu_ps(r2.as_ptr().add(j + 8));
-            let mut c3a = _mm256_loadu_ps(r3.as_ptr().add(j));
-            let mut c3b = _mm256_loadu_ps(r3.as_ptr().add(j + 8));
-            for p in 0..k {
-                let v = [a0[p], a1[p], a2[p], a3[p]];
-                if v == [0.0; 4] {
-                    continue;
-                }
-                let ba = _mm256_loadu_ps(bd.as_ptr().add(p * n + j));
-                let bb = _mm256_loadu_ps(bd.as_ptr().add(p * n + j + 8));
-                let v0 = _mm256_set1_ps(v[0]);
-                c0a = _mm256_add_ps(c0a, _mm256_mul_ps(v0, ba));
-                c0b = _mm256_add_ps(c0b, _mm256_mul_ps(v0, bb));
-                let v1 = _mm256_set1_ps(v[1]);
-                c1a = _mm256_add_ps(c1a, _mm256_mul_ps(v1, ba));
-                c1b = _mm256_add_ps(c1b, _mm256_mul_ps(v1, bb));
-                let v2 = _mm256_set1_ps(v[2]);
-                c2a = _mm256_add_ps(c2a, _mm256_mul_ps(v2, ba));
-                c2b = _mm256_add_ps(c2b, _mm256_mul_ps(v2, bb));
-                let v3 = _mm256_set1_ps(v[3]);
-                c3a = _mm256_add_ps(c3a, _mm256_mul_ps(v3, ba));
-                c3b = _mm256_add_ps(c3b, _mm256_mul_ps(v3, bb));
-            }
-            _mm256_storeu_ps(r0.as_mut_ptr().add(j), c0a);
-            _mm256_storeu_ps(r0.as_mut_ptr().add(j + 8), c0b);
-            _mm256_storeu_ps(r1.as_mut_ptr().add(j), c1a);
-            _mm256_storeu_ps(r1.as_mut_ptr().add(j + 8), c1b);
-            _mm256_storeu_ps(r2.as_mut_ptr().add(j), c2a);
-            _mm256_storeu_ps(r2.as_mut_ptr().add(j + 8), c2b);
-            _mm256_storeu_ps(r3.as_mut_ptr().add(j), c3a);
-            _mm256_storeu_ps(r3.as_mut_ptr().add(j + 8), c3b);
-            j += 16;
-        }
-        if j < n {
-            // Column remainder: stream the tail of each B row with the
-            // 8-lane/scalar axpy (same per-element order).
-            for p in 0..k {
-                let v = [a0[p], a1[p], a2[p], a3[p]];
-                if v == [0.0; 4] {
-                    continue;
-                }
-                let brow = &bd[p * n + j..(p + 1) * n];
-                axpy4(
-                    &mut r0[j..],
-                    &mut r1[j..],
-                    &mut r2[j..],
-                    &mut r3[j..],
-                    v,
-                    brow,
-                );
-            }
-        }
-    }
-
-    /// Whole four-deep `Aᵀ·B` block: one sweep of the output matrix per
-    /// four contraction rows, `out[i·n..] += Σ a{j}[i] · b{j}` (with the
-    /// all-zero skip), dispatched once per block.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn at_b_block4(
-        out: &mut [f32],
-        n: usize,
-        a0: &[f32],
-        a1: &[f32],
-        a2: &[f32],
-        a3: &[f32],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) {
-        let m = a0.len().min(a1.len()).min(a2.len()).min(a3.len());
-        for (i, orow) in out.chunks_exact_mut(n).enumerate().take(m) {
-            let v = [a0[i], a1[i], a2[i], a3[i]];
-            if v == [0.0; 4] {
-                continue;
-            }
-            quad_axpy(orow, v, b0, b1, b2, b3);
-        }
     }
 
     /// Sums the eight lanes of `acc` in lane order (the scalar twins'
@@ -685,49 +519,6 @@ mod avx2 {
             t1 += x[i] * y1[i];
         }
         (lane_sum(acc0) + t0, lane_sum(acc1) + t1)
-    }
-
-    /// `out[r·len + i] += src[i] * scale` for every complete row `r` —
-    /// the broadcast bias injection, one dispatch per tensor.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_scaled_rows(out: &mut [f32], src: &[f32], scale: f32) {
-        let len = src.len();
-        if len == 0 {
-            return;
-        }
-        for row in out.chunks_exact_mut(len) {
-            add_scaled(row, src, scale);
-        }
-    }
-
-    /// `out[i] += src[i] * scale`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub unsafe fn add_scaled(out: &mut [f32], src: &[f32], scale: f32) {
-        let n = out.len().min(src.len());
-        let sv = _mm256_set1_ps(scale);
-        let mut i = 0;
-        while i + 8 <= n {
-            let ov = _mm256_loadu_ps(out.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm256_add_ps(ov, _mm256_mul_ps(s, sv)),
-            );
-            i += 8;
-        }
-        while i < n {
-            out[i] += src[i] * scale;
-            i += 1;
-        }
     }
 
     /// Appends every index with `data[j] >= threshold` in ascending
@@ -826,253 +617,19 @@ mod avx2 {
             i += 1;
         }
     }
-
-    /// `out[i] = (src[i] - mean) * inv_std`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn normalize(out: &mut [f32], src: &[f32], mean: f32, inv_std: f32) {
-        let n = out.len().min(src.len());
-        let mv = _mm256_set1_ps(mean);
-        let iv = _mm256_set1_ps(inv_std);
-        let mut i = 0;
-        while i + 8 <= n {
-            let v = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm256_mul_ps(_mm256_sub_ps(v, mv), iv),
-            );
-            i += 8;
-        }
-        while i < n {
-            out[i] = (src[i] - mean) * inv_std;
-            i += 1;
-        }
-    }
-
-    /// `out[i] = scale * src[i] + shift` (mul then add, no FMA).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn affine(out: &mut [f32], src: &[f32], scale: f32, shift: f32) {
-        let n = out.len().min(src.len());
-        let sv = _mm256_set1_ps(scale);
-        let bv = _mm256_set1_ps(shift);
-        let mut i = 0;
-        while i + 8 <= n {
-            let v = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm256_add_ps(_mm256_mul_ps(sv, v), bv),
-            );
-            i += 8;
-        }
-        while i < n {
-            out[i] = scale * src[i] + shift;
-            i += 1;
-        }
-    }
-
-    /// `out[i] = scale * ((src[i] - mean) * inv_std) + shift`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn normalize_affine(
-        out: &mut [f32],
-        src: &[f32],
-        mean: f32,
-        inv_std: f32,
-        scale: f32,
-        shift: f32,
-    ) {
-        let n = out.len().min(src.len());
-        let mv = _mm256_set1_ps(mean);
-        let iv = _mm256_set1_ps(inv_std);
-        let sv = _mm256_set1_ps(scale);
-        let bv = _mm256_set1_ps(shift);
-        let mut i = 0;
-        while i + 8 <= n {
-            let v = _mm256_loadu_ps(src.as_ptr().add(i));
-            let xh = _mm256_mul_ps(_mm256_sub_ps(v, mv), iv);
-            _mm256_storeu_ps(
-                out.as_mut_ptr().add(i),
-                _mm256_add_ps(_mm256_mul_ps(sv, xh), bv),
-            );
-            i += 8;
-        }
-        while i < n {
-            out[i] = scale * ((src[i] - mean) * inv_std) + shift;
-            i += 1;
-        }
-    }
-
-    /// `out[i] = scale * (gout[i] - m_dy - xhat[i] * m_dy_xh)`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn bn_input_grad(
-        out: &mut [f32],
-        gout: &[f32],
-        xhat: &[f32],
-        scale: f32,
-        m_dy: f32,
-        m_dy_xh: f32,
-    ) {
-        let n = out.len().min(gout.len()).min(xhat.len());
-        let sv = _mm256_set1_ps(scale);
-        let mv = _mm256_set1_ps(m_dy);
-        let mxv = _mm256_set1_ps(m_dy_xh);
-        let mut i = 0;
-        while i + 8 <= n {
-            let g = _mm256_loadu_ps(gout.as_ptr().add(i));
-            let x = _mm256_loadu_ps(xhat.as_ptr().add(i));
-            // (g - m_dy) - x·m_dy_xh, then × scale — the scalar order.
-            let inner = _mm256_sub_ps(_mm256_sub_ps(g, mv), _mm256_mul_ps(x, mxv));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(sv, inner));
-            i += 8;
-        }
-        while i < n {
-            out[i] = scale * (gout[i] - m_dy - xhat[i] * m_dy_xh);
-            i += 1;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// Dispatching entry points.
+// Dispatching entry points of the hand-written kernels.
 // ---------------------------------------------------------------------
-
-/// `out[i] += a * b[i]` over `min(out.len(), b.len())` elements — the
-/// contiguous axpy behind the linear scatter kernels and the GEMM
-/// remainder rows. Rows shorter than 64 floats stay on the
-/// (autovectorized) scalar twin: repeated accumulation into the same
-/// row is store-forwarding-bound, and the un-inlinable AVX2 call costs
-/// more than wide lanes recover (measured on `event_scatter`).
-#[inline]
-pub fn axpy(out: &mut [f32], a: f32, b: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if out.len() >= 64 && enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::axpy(out, a, b) };
-        return;
-    }
-    axpy_scalar(out, a, b);
-}
-
-/// Four-row axpy `r{0..3}[i] += v{0..3} * b[i]` — the blocked GEMM's
-/// inner loop (`b` is streamed once per four output rows). The GEMM
-/// blocks call its AVX2 and scalar forms directly; this dispatching
-/// wrapper exists for the scalar-twin test.
-#[cfg(test)]
-fn axpy4(r0: &mut [f32], r1: &mut [f32], r2: &mut [f32], r3: &mut [f32], v: [f32; 4], b: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::axpy4(r0, r1, r2, r3, v, b) };
-        return;
-    }
-    axpy4_scalar(r0, r1, r2, r3, v, b);
-}
-
-/// `out[i] += v[0]·b0[i] + v[1]·b1[i] + v[2]·b2[i] + v[3]·b3[i]` — the
-/// four-deep contraction block of `Aᵀ·B`. Like `axpy4`, a dispatching
-/// wrapper for the scalar-twin test only.
-#[cfg(test)]
-fn quad_axpy(out: &mut [f32], v: [f32; 4], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::quad_axpy(out, v, b0, b1, b2, b3) };
-        return;
-    }
-    quad_axpy_scalar(out, v, b0, b1, b2, b3);
-}
-
-/// Runs `f` once in the dispatched code-generation context: compiled
-/// for AVX2 when [`enabled`], as plain baseline code otherwise. Mark the
-/// closure `#[inline(always)]` (and the helpers it calls) so its body is
-/// generated inside the context; plain safe loops there autovectorize
-/// to the context's width. This is how a kernel whose per-call work is
-/// too small to amortize a dispatch (the conv event scatter: one event
-/// is 8–32 floats per tap) pays one dispatch per batch instead.
-///
-/// Only code that is bit-identical whatever the vector width may run
-/// here — lane-independent loops with separate multiply and add
-/// roundings (Rust never contracts to FMA, and the AVX2 context does
-/// not enable FMA). Both arms then produce the same bits.
-#[inline]
-pub(crate) fn vectorized<R>(f: impl FnOnce() -> R) -> R {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        return unsafe { avx2::run(f) };
-    }
-    f()
-}
-
-/// Whole four-row GEMM block (the core of `matmul`): for each ascending
-/// contraction index `p`, skip if all four `a{j}[p]` are zero, else
-/// `axpy4` row `bd[p·n..(p+1)·n]` into the four output rows. One
-/// dispatch per block keeps the hot loop inside a single AVX2 context.
-#[inline]
-#[allow(clippy::too_many_arguments)] // the whole-block GEMM core; a struct would obscure it
-pub fn gemm_block4(
-    r0: &mut [f32],
-    r1: &mut [f32],
-    r2: &mut [f32],
-    r3: &mut [f32],
-    a0: &[f32],
-    a1: &[f32],
-    a2: &[f32],
-    a3: &[f32],
-    bd: &[f32],
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::gemm_block4(r0, r1, r2, r3, a0, a1, a2, a3, bd, n) };
-        return;
-    }
-    gemm_block4_scalar(r0, r1, r2, r3, a0, a1, a2, a3, bd, n);
-}
-
-/// Whole four-deep `Aᵀ·B` block: one sweep of `out` per four
-/// contraction rows, `out[i·n..] += Σ_j a{j}[i] · b{j}` with the
-/// all-zero skip, dispatched once per block.
-#[inline]
-#[allow(clippy::too_many_arguments)] // the whole-block Aᵀ·B core; a struct would obscure it
-pub fn at_b_block4(
-    out: &mut [f32],
-    n: usize,
-    a0: &[f32],
-    a1: &[f32],
-    a2: &[f32],
-    a3: &[f32],
-    b0: &[f32],
-    b1: &[f32],
-    b2: &[f32],
-    b3: &[f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::at_b_block4(out, n, a0, a1, a2, a3, b0, b1, b2, b3) };
-        return;
-    }
-    at_b_block4_scalar(out, n, a0, a1, a2, a3, b0, b1, b2, b3);
-}
 
 /// Eight-lane dot product: eight fixed lane accumulators (lane `l` sums
 /// `x[8c+l]·y[8c+l]`), a scalar tail, and a lane-order horizontal sum.
+///
+/// Hand-written: the same loop in a `vectorized` context measured
+/// 1.2–1.6× slower (64 dots of 128–4608 floats, min of ten interleaved
+/// rounds in one process on a 2-vCPU AVX2 VM), because the compiler
+/// does not keep the eight lane accumulators in one register.
 #[inline]
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
@@ -1086,6 +643,11 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 /// Two [`dot`]s sharing the `x` operand (`x` is read once per column
 /// pair) — the `A·Bᵀ` kernel's inner loop. Truncates to the shortest
 /// operand, like every primitive here.
+///
+/// Hand-written: the same loop in a `vectorized` context measured
+/// 3.5–4.4× slower (32 column pairs of 128–4608 floats, measured as
+/// for [`dot`]), because LLVM's SLP vectorizer pairs lanes across the
+/// two accumulators instead of keeping each in its own register.
 #[inline]
 pub fn dot2(x: &[f32], y0: &[f32], y1: &[f32]) -> (f32, f32) {
     #[cfg(target_arch = "x86_64")]
@@ -1097,40 +659,15 @@ pub fn dot2(x: &[f32], y0: &[f32], y1: &[f32]) -> (f32, f32) {
     dot2_scalar(x, y0, y1)
 }
 
-/// `out[i] += src[i] * scale` — bias injection and tensor axpy.
-#[inline]
-pub fn add_scaled(out: &mut [f32], src: &[f32], scale: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::add_scaled(out, src, scale) };
-        return;
-    }
-    add_scaled_scalar(out, src, scale);
-}
-
-/// Broadcast row axpy: `out[r·len + i] += src[i] * scale` for every
-/// complete `len = src.len()` row of `out` — bias injection over a
-/// whole position-major tensor with a single dispatch.
-pub fn add_scaled_rows(out: &mut [f32], src: &[f32], scale: f32) {
-    if src.is_empty() {
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::add_scaled_rows(out, src, scale) };
-        return;
-    }
-    for row in out.chunks_exact_mut(src.len()) {
-        add_scaled_scalar(row, src, scale);
-    }
-}
-
 /// Appends to `hits` the indices `j` with `data[j] >= threshold`, in
 /// ascending order (the fire-phase threshold scan: most blocks of eight
 /// are entirely sub-threshold and are skipped with one compare+mask).
 /// `hits` is *not* cleared — callers reuse it across images.
+///
+/// Hand-written: a plain loop cannot turn the compare into a movemask.
+/// A blocked plain loop (one any-hit test per block of eight) in a
+/// `vectorized` context measured 1.3× slower at 2 % hits and 1.7–1.9×
+/// at 20 % (a 16 Ki-float scan, measured as for [`dot`]).
 #[inline]
 pub fn collect_ge(data: &[f32], threshold: f32, hits: &mut Vec<u32>) {
     #[cfg(target_arch = "x86_64")]
@@ -1147,6 +684,11 @@ pub fn collect_ge(data: &[f32], threshold: f32, hits: &mut Vec<u32>) {
 /// order. `hits` is *not* cleared. Unlike [`collect_ge`] it does the same
 /// work on every block of eight whatever the hit pattern, which pays off
 /// at the hit rates of rate/phase coding but not on a near-silent scan.
+///
+/// Hand-written: the branch-free left-pack of the hit lanes has no
+/// plain-loop form; the plain loop in a `vectorized` context measured
+/// 2.2–2.9× slower at 2–20 % hits (a 16 Ki-float scan, measured as for
+/// [`dot`]).
 #[inline]
 pub fn fire_subtract(data: &mut [f32], threshold: f32, hits: &mut Vec<u32>) {
     #[cfg(target_arch = "x86_64")]
@@ -1156,70 +698,6 @@ pub fn fire_subtract(data: &mut [f32], threshold: f32, hits: &mut Vec<u32>) {
         return;
     }
     fire_subtract_scalar(data, threshold, hits);
-}
-
-/// `out[i] = (src[i] - mean) * inv_std` — batch-norm standardization.
-#[inline]
-pub fn normalize(out: &mut [f32], src: &[f32], mean: f32, inv_std: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::normalize(out, src, mean, inv_std) };
-        return;
-    }
-    normalize_scalar(out, src, mean, inv_std);
-}
-
-/// `out[i] = scale * src[i] + shift` — batch-norm γ/β application.
-#[inline]
-pub fn affine(out: &mut [f32], src: &[f32], scale: f32, shift: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::affine(out, src, scale, shift) };
-        return;
-    }
-    affine_scalar(out, src, scale, shift);
-}
-
-/// `out[i] = scale * ((src[i] - mean) * inv_std) + shift` — the fused
-/// eval-mode batch-norm map.
-#[inline]
-pub fn normalize_affine(
-    out: &mut [f32],
-    src: &[f32],
-    mean: f32,
-    inv_std: f32,
-    scale: f32,
-    shift: f32,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::normalize_affine(out, src, mean, inv_std, scale, shift) };
-        return;
-    }
-    normalize_affine_scalar(out, src, mean, inv_std, scale, shift);
-}
-
-/// `out[i] = scale * (gout[i] - m_dy - xhat[i] * m_dy_xh)` — the
-/// batch-norm input gradient.
-#[inline]
-pub fn bn_input_grad(
-    out: &mut [f32],
-    gout: &[f32],
-    xhat: &[f32],
-    scale: f32,
-    m_dy: f32,
-    m_dy_xh: f32,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` implies AVX2 was detected at runtime.
-        unsafe { avx2::bn_input_grad(out, gout, xhat, scale, m_dy, m_dy_xh) };
-        return;
-    }
-    bn_input_grad_scalar(out, gout, xhat, scale, m_dy, m_dy_xh);
 }
 
 #[cfg(test)]
@@ -1252,48 +730,87 @@ mod tests {
             .collect()
     }
 
+    /// The one-element reference `out[i] = f(out[i], src[i])`, written
+    /// as an iterator loop that shares no code with the kernels.
+    fn reference(out: &mut [f32], src: &[f32], f: impl Fn(f32, f32) -> f32) {
+        for (o, &s) in out.iter_mut().zip(src) {
+            *o = f(*o, s);
+        }
+    }
+
     #[test]
     fn axpy_matches_scalar_on_odd_lengths() {
+        // The runtime-length axpy in its dispatched context, on rows
+        // shorter than, equal to and longer than the eight-lane block,
+        // and a `w` longer than `out` (truncates to the common length).
         for n in [0usize, 1, 7, 8, 9, 31, 64, 100] {
-            let b = pattern(n, 1);
+            let b = pattern(n + 3, 1);
             let mut want = pattern(n, 2);
-            axpy_scalar(&mut want, 0.7, &b);
+            reference(&mut want, &b, |o, w| o + 0.7 * w);
             with_both_modes(|_| {
                 let mut got = pattern(n, 2);
-                axpy(&mut got, 0.7, &b);
+                vectorized(|| axpy_row(&mut got, 0.7, &b));
                 assert_eq!(got, want, "n={n}");
             });
         }
     }
 
     #[test]
-    fn axpy4_and_quad_axpy_match_scalar() {
-        for n in [1usize, 5, 8, 17, 40] {
-            let v = [0.3f32, -1.1, 0.0, 2.5];
-            let bs: Vec<Vec<f32>> = (0..4).map(|s| pattern(n, s + 3)).collect();
-            let mut w: Vec<Vec<f32>> = (0..4).map(|s| pattern(n, s + 9)).collect();
-            let (w01, w23) = w.split_at_mut(2);
-            let (wa, wb) = w01.split_at_mut(1);
-            let (wc, wd) = w23.split_at_mut(1);
-            axpy4_scalar(&mut wa[0], &mut wb[0], &mut wc[0], &mut wd[0], v, &bs[0]);
+    fn gemm_block_cores_match_reference() {
+        // The blocked GEMM cores against per-element loops in ascending
+        // contraction order: `gemm_block4` on widths that reach its
+        // 16- and 8-column tiles and the streamed remainder in every
+        // combination, `at_b_block4` on the same widths. Zero entries
+        // of `a` cover the all-zero skip (p = 1 skips in every row;
+        // p = 2 in one row only).
+        let k = 5;
+        for n in [1usize, 5, 8, 13, 16, 17, 24, 33, 40, 45] {
+            let mut a: Vec<Vec<f32>> = (0..4).map(|s| pattern(k, s + 3)).collect();
+            for (q, row) in a.iter_mut().enumerate() {
+                row[1] = 0.0;
+                if q == 2 {
+                    row[2] = 0.0;
+                }
+            }
+            let bd = pattern(k * n, 7);
+            let mut want: Vec<Vec<f32>> = (0..4).map(|s| pattern(n, s + 9)).collect();
+            for (q, row) in want.iter_mut().enumerate() {
+                for p in 0..k {
+                    if (0..4).any(|r| a[r][p] != 0.0) {
+                        let v = a[q][p];
+                        reference(row, &bd[p * n..(p + 1) * n], |o, w| o + v * w);
+                    }
+                }
+            }
             with_both_modes(|_| {
-                let mut g: Vec<Vec<f32>> = (0..4).map(|s| pattern(n, s + 9)).collect();
-                let (g01, g23) = g.split_at_mut(2);
-                let (ga, gb) = g01.split_at_mut(1);
-                let (gc, gd) = g23.split_at_mut(1);
-                axpy4(&mut ga[0], &mut gb[0], &mut gc[0], &mut gd[0], v, &bs[0]);
-                assert_eq!(g[0], w[0]);
-                assert_eq!(g[1], w[1]);
-                assert_eq!(g[2], w[2]);
-                assert_eq!(g[3], w[3]);
+                let mut got: Vec<Vec<f32>> = (0..4).map(|s| pattern(n, s + 9)).collect();
+                let [g0, g1, g2, g3] = &mut got[..] else {
+                    unreachable!("four rows")
+                };
+                let rows = [&mut g0[..], &mut g1[..], &mut g2[..], &mut g3[..]];
+                let cols = [&a[0][..], &a[1][..], &a[2][..], &a[3][..]];
+                vectorized(|| gemm_block4(rows, cols, &bd, n));
+                assert_eq!(got, want, "gemm_block4 n={n}");
             });
 
-            let mut want_q = pattern(n, 20);
-            quad_axpy_scalar(&mut want_q, v, &bs[0], &bs[1], &bs[2], &bs[3]);
+            let m = k;
+            let bs: Vec<Vec<f32>> = (0..4).map(|s| pattern(n, s + 11)).collect();
+            let mut want_q = pattern(m * n, 20);
+            for i in 0..m {
+                let v = [a[0][i], a[1][i], a[2][i], a[3][i]];
+                if v == [0.0; 4] {
+                    continue;
+                }
+                for (j, o) in want_q[i * n..(i + 1) * n].iter_mut().enumerate() {
+                    *o += v[0] * bs[0][j] + v[1] * bs[1][j] + v[2] * bs[2][j] + v[3] * bs[3][j];
+                }
+            }
             with_both_modes(|_| {
-                let mut got_q = pattern(n, 20);
-                quad_axpy(&mut got_q, v, &bs[0], &bs[1], &bs[2], &bs[3]);
-                assert_eq!(got_q, want_q, "n={n}");
+                let mut got_q = pattern(m * n, 20);
+                let cols = [&a[0][..], &a[1][..], &a[2][..], &a[3][..]];
+                let b = [&bs[0][..], &bs[1][..], &bs[2][..], &bs[3][..]];
+                vectorized(|| at_b_block4(&mut got_q, n, cols, b));
+                assert_eq!(got_q, want_q, "at_b_block4 n={n}");
             });
         }
     }
@@ -1371,20 +888,22 @@ mod tests {
 
     #[test]
     fn elementwise_maps_match_scalar() {
-        for n in [1usize, 8, 13, 50] {
+        for n in [1usize, 8, 13, 16, 32, 50] {
             let src = pattern(n, 5);
             let g = pattern(n, 6);
             let (mean, inv_std, scale, shift) = (0.2f32, 1.7, 0.9, -0.3);
             let mut w1 = vec![0.0; n];
-            normalize_scalar(&mut w1, &src, mean, inv_std);
+            reference(&mut w1, &src, |_, v| (v - mean) * inv_std);
             let mut w2 = vec![0.0; n];
-            affine_scalar(&mut w2, &src, scale, shift);
+            reference(&mut w2, &src, |_, v| scale * v + shift);
             let mut w3 = vec![0.0; n];
-            normalize_affine_scalar(&mut w3, &src, mean, inv_std, scale, shift);
-            let mut w4 = vec![0.0; n];
-            bn_input_grad_scalar(&mut w4, &g, &src, scale, 0.05, 0.07);
+            reference(&mut w3, &src, |_, v| scale * ((v - mean) * inv_std) + shift);
+            let mut w4 = g.clone();
+            for (o, &x) in w4.iter_mut().zip(&src) {
+                *o = scale * (*o - 0.05 - x * 0.07);
+            }
             let mut w5 = pattern(n, 7);
-            add_scaled_scalar(&mut w5, &src, 0.4);
+            reference(&mut w5, &src, |o, s| o + s * 0.4);
             with_both_modes(|_| {
                 let mut o = vec![0.0; n];
                 normalize(&mut o, &src, mean, inv_std);
@@ -1399,11 +918,12 @@ mod tests {
                 add_scaled(&mut acc, &src, 0.4);
                 assert_eq!(acc, w5);
                 // Broadcast rows: three rows of `src` each get the same
-                // per-row update as a single add_scaled.
+                // per-row update as a single add_scaled, at the fixed
+                // widths (8, 16, 32) and at runtime widths.
                 let mut tiled = pattern(3 * n, 8);
                 let mut want_tiled = tiled.clone();
                 for row in want_tiled.chunks_exact_mut(n) {
-                    add_scaled_scalar(row, &src, 0.4);
+                    reference(row, &src, |o, s| o + s * 0.4);
                 }
                 add_scaled_rows(&mut tiled, &src, 0.4);
                 assert_eq!(tiled, want_tiled);

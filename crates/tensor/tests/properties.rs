@@ -237,12 +237,19 @@ proptest! {
     fn blocked_matmul_family_matches_naive_oracle(
         m in 1usize..18,
         k in 1usize..40,
-        n in 1usize..18,
+        n in 1usize..48,
         seed in 0u32..1000,
+        zero_rows in any::<u32>(),
     ) {
         // Odd, non-multiple-of-tile shapes exercise every remainder path
-        // of the register-blocked kernels (rows % 4, cols % 2, k % 8).
+        // of the register-blocked kernels (rows % 4, cols % 16 past one
+        // and two 16-column tiles, cols % 2, k % 8). Row `i` of `A` is
+        // all zero where bit `i` of `zero_rows` is set, which runs the
+        // zero skips.
         let a = Tensor::from_fn(Shape::from(vec![m, k]), |i| {
+            if zero_rows >> i[0] & 1 == 1 {
+                return 0.0;
+            }
             (((i[0] * 31 + i[1] * 7 + seed as usize) % 19) as f32) * 0.13 - 1.1
         });
         let b = Tensor::from_fn(Shape::from(vec![k, n]), |i| {
@@ -363,11 +370,18 @@ proptest! {
     fn simd_matmul_family_is_bit_identical_to_scalar(
         m in 1usize..18,
         k in 1usize..40,
-        n in 1usize..18,
+        n in 1usize..48,
         seed in 0u32..1000,
+        zero_rows in any::<u32>(),
     ) {
         let _gate = SIMD_GATE.lock().unwrap();
+        // Widths past two 16-column tiles, and all-zero rows of `A`
+        // where bits of `zero_rows` are set, so both the register tile
+        // and the zero skips run with SIMD on and off.
         let a = Tensor::from_fn(Shape::from(vec![m, k]), |i| {
+            if zero_rows >> i[0] & 1 == 1 {
+                return 0.0;
+            }
             (((i[0] * 7 + i[1] * 13 + seed as usize) % 23) as f32) * 0.11 - 1.2
         });
         let b = Tensor::from_fn(Shape::from(vec![k, n]), |i| {
@@ -396,19 +410,23 @@ proptest! {
 
     /// SIMD on-vs-off bit-identity for the event/dense scatter kernels
     /// (conv + linear, dense walks and event lists) on random sparse
-    /// signals at odd shapes.
+    /// signals at odd shapes, with linear rows of `linear_o` floats
+    /// (picked by `linear_pick`) from under one eight-lane block to past
+    /// 64.
     #[test]
     fn simd_scatter_kernels_are_bit_identical_to_scalar(
         c in 1usize..4,
         h in 3usize..9,
         w in 3usize..9,
         o in 1usize..7,
+        linear_pick in 0usize..8,
         stride in 1usize..3,
         padding in 0usize..2,
         density in 0.0f64..0.6,
         seed in 0u32..1000,
     ) {
         let _gate = SIMD_GATE.lock().unwrap();
+        let linear_o = [1usize, 5, 8, 13, 63, 64, 65, 100][linear_pick];
         let spec = ops::Conv2dSpec::new(stride, padding);
         let input_pm = Tensor::from_fn(Shape::from(vec![2, h, w, c]), |i| {
             let key = i[0] * 7919 + i[1] * 811 + i[2] * 53 + i[3] * 7 + seed as usize;
@@ -424,7 +442,7 @@ proptest! {
         let filter_t = ops::sparse::transpose_filter(&weight).unwrap();
         let events = SpikeBatch::from_dense(&input_pm).unwrap();
         let flat = input_pm.reshape([2, h * w * c]).unwrap();
-        let weight_t = Tensor::from_fn(Shape::from(vec![h * w * c, o]), |i| {
+        let weight_t = Tensor::from_fn(Shape::from(vec![h * w * c, linear_o]), |i| {
             (((i[0] * 3 + i[1] * 7 + seed as usize) % 17) as f32) * 0.09 - 0.7
         });
         let run = || {
@@ -447,7 +465,7 @@ proptest! {
         // Every kernel's per-image ledger is the oracle's count, SIMD on
         // or off.
         let conv_want = conv_synops_oracle(&input_cm, o, 3, spec);
-        let linear_want = linear_synops_oracle(&flat, o);
+        let linear_want = linear_synops_oracle(&flat, linear_o);
         for run in [&scalar, &vector] {
             prop_assert_eq!(&run.0.1, &conv_want, "conv dense walk ledger");
             prop_assert_eq!(&run.1.1, &conv_want, "conv event scatter ledger");

@@ -7,7 +7,7 @@ verify:
     cargo test -q
 
 # Everything CI runs, in CI order; every step blocks.
-ci: fmt-check lint doc-check verify test-scalar pool-test conv-threads crate-graph bench-check perfbench-smoke serve-smoke serve-chaos robustness-smoke serve-lifecycle obs-smoke
+ci: fmt-check lint doc-check verify test-scalar pool-test conv-threads crate-graph bench-check perfbench-smoke bench-smoke serve-smoke serve-chaos robustness-smoke serve-lifecycle obs-smoke
 
 # Crate-graph guard (blocking): the server loads models through
 # `t2fsnn::scenario` and must not depend on the reproduction harness.
@@ -96,7 +96,8 @@ conv-threads:
     T2FSNN_THREADS=3 cargo test -p t2fsnn --test baseline_digests
 
 # The full suite on the scalar SIMD fallback: without this leg the
-# scalar kernels only ever execute on pre-2013 (non-AVX2) hardware.
+# baseline build of the plain-loop kernels and the scalar twins of the
+# hand-written ones only ever execute on pre-2013 (non-AVX2) hardware.
 test-scalar:
     T2FSNN_SIMD=0 cargo test -q --workspace
 
@@ -143,6 +144,14 @@ perfbench-build:
 perfbench-smoke: perfbench-build
     timeout 1200 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload serve-pair --seed 1 --seconds 3 --trace 0
     timeout 1200 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload fig6-repro --seed 1 --seconds 3 --trace 0
+
+# Bench smoke (blocking): two fast Criterion targets actually run, each
+# under a hard timeout, so a hanging bench harness fails instead of
+# idling. `gemm_core` runs the plain-loop GEMM cores in their AVX2
+# context; timings are informational.
+bench-smoke:
+    timeout 300 cargo bench --bench kernel_lut
+    timeout 300 cargo bench --bench gemm_core
 
 # Run one repository-benchmark workload exactly as BENCHMARK.json's
 # command does, e.g. `just perfbench serve-pair 3 0`.
