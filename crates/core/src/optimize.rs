@@ -36,7 +36,10 @@ pub struct GoConfig {
     /// Passes over the activation set.
     pub passes: usize,
     /// Record a loss sample every this many consumed values (Fig. 4's
-    /// x-axis resolution).
+    /// x-axis resolution), plus one before the first and one after the
+    /// last mini-batch. `0` (the default) records no history: each
+    /// sample evaluates all three losses, which costs more than the
+    /// SGD itself at a fine resolution.
     pub record_every: usize,
 }
 
@@ -48,7 +51,7 @@ impl Default for GoConfig {
             lr_td: 2.0,
             batch_size: 256,
             passes: 2,
-            record_every: 16_384,
+            record_every: 0,
         }
     }
 }
@@ -129,7 +132,8 @@ pub struct LossSample {
 pub struct GoOutcome {
     /// Optimized parameters.
     pub params: KernelParams,
-    /// Loss trajectory (Fig. 4 series).
+    /// Loss trajectory (Fig. 4 series); empty unless
+    /// [`GoConfig::record_every`] is positive.
     pub history: Vec<LossSample>,
 }
 
@@ -260,6 +264,9 @@ pub fn optimize_kernel<R: Rng + ?Sized>(
     let mut seen = 0usize;
     let mut last_record = 0usize;
     let record = |seen: usize, params: KernelParams, history: &mut Vec<LossSample>| {
+        if config.record_every == 0 {
+            return;
+        }
         let _s = t2fsnn_tensor::trace::span("go/record_losses");
         let mut sample = kernel_losses(&loss_values, params, window, theta0);
         sample.seen = seen;
@@ -509,6 +516,16 @@ mod tests {
         }
     }
 
+    /// The default rates, recording a loss sample every 16 384 values
+    /// (for 4096 values over two passes, that is the first and the last
+    /// sample only).
+    fn recording() -> GoConfig {
+        GoConfig {
+            record_every: 16_384,
+            ..GoConfig::default()
+        }
+    }
+
     /// A plausible activation set: many small values, few large.
     fn activations() -> Vec<f32> {
         let mut rng = rng();
@@ -529,7 +546,7 @@ mod tests {
             KernelParams::new(2.0, 0.0),
             20,
             1.0,
-            &GoConfig::default(),
+            &recording(),
             &mut rng(),
         )
         .unwrap();
@@ -557,7 +574,7 @@ mod tests {
             KernelParams::new(18.0, 0.0),
             20,
             1.0,
-            &GoConfig::default(),
+            &recording(),
             &mut rng(),
         )
         .unwrap();
@@ -585,7 +602,7 @@ mod tests {
             KernelParams::new(2.0, 0.0),
             20,
             1.0,
-            &GoConfig::default(),
+            &recording(),
             &mut rng(),
         )
         .unwrap();
@@ -628,7 +645,7 @@ mod tests {
             KernelParams::new(6.0, 0.0),
             20,
             1.0,
-            &GoConfig::default(),
+            &recording(),
             &mut rng(),
         )
         .unwrap();
@@ -636,6 +653,20 @@ mod tests {
         for pair in outcome.history.windows(2) {
             assert!(pair[1].seen >= pair[0].seen);
         }
+        // The default records nothing, and recording never moves the
+        // optimized kernel.
+        let quiet = optimize_kernel(
+            &values,
+            KernelParams::new(6.0, 0.0),
+            20,
+            1.0,
+            &GoConfig::default(),
+            &mut rng(),
+        )
+        .unwrap();
+        assert!(quiet.history.is_empty());
+        assert_eq!(quiet.params.tau.to_bits(), outcome.params.tau.to_bits());
+        assert_eq!(quiet.params.t_d.to_bits(), outcome.params.t_d.to_bits());
     }
 
     #[test]

@@ -442,12 +442,19 @@ fn load_cache(scenario: Scenario) -> Option<Prepared> {
 }
 
 fn load_cache_from(path: &std::path::Path, scenario: Scenario) -> Option<Prepared> {
-    let bytes = fs::read(path).ok()?;
     // Non-binary (legacy JSON), version-1 or corrupt entries are plain
-    // misses: `from_bytes` rejects them.
-    let cache: CacheFile = crate::binfmt::from_bytes(&bytes)
-        .ok()
-        .and_then(|value| serde::Deserialize::from_value(&value).ok())?;
+    // misses: `from_bytes` rejects them. The file bytes are freed before
+    // `from_value` runs and the decoded tree before the dataset is
+    // split, so no more than two copies of the cache are alive at once.
+    let value = crate::binfmt::from_bytes(&fs::read(path).ok()?).ok()?;
+    let cache: CacheFile = serde::Deserialize::from_value(&value).ok()?;
+    drop(value);
+    prepared_from(cache, scenario)
+}
+
+/// Validates a decoded cache entry against the scenario definition and
+/// splits its dataset; `None` on any mismatch.
+fn prepared_from(cache: CacheFile, scenario: Scenario) -> Option<Prepared> {
     if cache.version != CACHE_VERSION
         || cache.quick != quick_mode()
         || cache.seed != scenario.seed()
@@ -507,24 +514,32 @@ mod tests {
         assert_eq!(first.test.len(), second.test.len());
     }
 
-    #[test]
-    fn corrupt_cache_is_a_miss_not_a_silent_load() {
-        let prepared = prepare(Scenario::Tiny);
-        // Build a standalone cache entry in a scratch path so the test
-        // cannot race other tests using the shared on-disk cache.
+    /// Writes a `tiny` cache entry to a scratch directory named after
+    /// `tag`, so a test cannot race other tests using the shared on-disk
+    /// cache. Its network is freshly initialised, not loaded, so the
+    /// entry does not pass through the loader under test. Returns the
+    /// entry and its path; the caller removes the path's directory.
+    fn scratch_cache(tag: &str) -> (CacheFile, PathBuf) {
+        let dnn = Scenario::Tiny.build_network(&mut ChaCha8Rng::seed_from_u64(7));
         let cache = CacheFile {
             version: CACHE_VERSION,
             quick: quick_mode(),
             seed: Scenario::Tiny.seed(),
-            params: prepared.dnn.param_count() as u64,
-            dnn: prepared.dnn.clone(),
-            dnn_accuracy: prepared.dnn_accuracy,
+            params: dnn.param_count() as u64,
+            dnn,
+            dnn_accuracy: 0.625,
             dataset: Some(Scenario::Tiny.dataset()),
         };
-        let dir = std::env::temp_dir().join(format!("t2fsnn-corrupt-cache-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("t2fsnn-{tag}-cache-{}", std::process::id()));
         fs::create_dir_all(&dir).expect("create scratch dir");
         let path = dir.join("tiny-scratch-v1.bin");
         write_cache(&path, &cache);
+        (cache, path)
+    }
+
+    #[test]
+    fn corrupt_cache_is_a_miss_not_a_silent_load() {
+        let (_, path) = scratch_cache("corrupt");
         assert!(
             load_cache_from(&path, Scenario::Tiny).is_some(),
             "pristine entry must load"
@@ -544,7 +559,60 @@ mod tests {
                 "flipped byte {idx} must quarantine the entry"
             );
         }
-        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(path.parent().expect("scratch dir"));
+    }
+
+    /// `value` with every packed f32 array spelled out as one
+    /// `Value::Float` per element: the tree an element-wise decoder
+    /// builds from the same file.
+    fn elementwise(value: &serde::Value) -> serde::Value {
+        use serde::Value;
+        match value {
+            Value::Array(_) | Value::F32Array(_) => {
+                Value::Array(value.as_array().unwrap().iter().map(elementwise).collect())
+            }
+            Value::Object(pairs) => Value::Object(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (k.clone(), elementwise(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn packed_decode_loads_what_was_written() {
+        let (cache, path) = scratch_cache("packed");
+        let bytes = fs::read(&path).expect("read scratch cache");
+        let loaded = load_cache_from(&path, Scenario::Tiny).expect("pristine entry");
+        let _ = fs::remove_dir_all(path.parent().expect("scratch dir"));
+
+        // Re-encoding the decoded tree reproduces the file byte for byte.
+        let tree = crate::binfmt::from_bytes(&bytes).expect("decode");
+        assert_eq!(crate::binfmt::to_bytes(&tree), bytes);
+
+        // The packed load equals, field for field, both the network and
+        // splits that were written and the load of the element-wise tree
+        // (`Debug` prints every f32 exactly, -0.0 included).
+        let (train, test) = cache
+            .dataset
+            .as_ref()
+            .expect("written with its dataset")
+            .split(Scenario::Tiny.train_size());
+        let written = Prepared {
+            scenario: Scenario::Tiny,
+            dnn: cache.dnn,
+            train,
+            test,
+            dnn_accuracy: cache.dnn_accuracy,
+        };
+        let reference = serde::Deserialize::from_value(&elementwise(&tree))
+            .ok()
+            .and_then(|cache| prepared_from(cache, Scenario::Tiny))
+            .expect("element-wise load");
+        assert_eq!(format!("{loaded:?}"), format!("{written:?}"));
+        assert_eq!(format!("{loaded:?}"), format!("{reference:?}"));
     }
 
     #[test]

@@ -245,20 +245,18 @@ impl Dataset {
     /// Panics if `at > self.len()`.
     pub fn split(&self, at: usize) -> (Dataset, Dataset) {
         assert!(at <= self.len(), "split point {at} beyond {}", self.len());
-        let take = |range: std::ops::Range<usize>| {
-            let parts: Vec<Tensor> = range
-                .clone()
-                .map(|i| self.images.index_axis0(i).expect("in range"))
-                .collect();
-            Dataset {
-                spec: self.spec.clone(),
-                images: if parts.is_empty() {
-                    Tensor::zeros([0, self.spec.channels, self.spec.height, self.spec.width])
-                } else {
-                    Tensor::stack(&parts).expect("same shapes")
-                },
-                labels: self.labels[range].to_vec(),
-            }
+        let dims = [self.spec.channels, self.spec.height, self.spec.width];
+        let per_image: usize = dims.iter().product();
+        // Each half is one contiguous run of `[N, C, H, W]` storage,
+        // copied once.
+        let take = |range: std::ops::Range<usize>| Dataset {
+            spec: self.spec.clone(),
+            images: Tensor::from_vec(
+                [range.len(), dims[0], dims[1], dims[2]],
+                self.images.data()[range.start * per_image..range.end * per_image].to_vec(),
+            )
+            .expect("a run of whole images"),
+            labels: self.labels[range].to_vec(),
         };
         (take(0..at), take(at..self.len()))
     }
@@ -403,6 +401,10 @@ mod tests {
         assert_eq!(test.len(), 4);
         assert_eq!(train.labels[..], ds.labels[..6]);
         assert_eq!(test.sample(0).0, ds.sample(6).0);
+        assert_eq!(test.sample(3).0, ds.sample(9).0);
+        let (all, none) = ds.split(10);
+        assert_eq!(all, ds);
+        assert_eq!(none.images.dims(), &[0, 1, 8, 8]);
     }
 
     #[test]

@@ -186,9 +186,10 @@ examples:
     cargo run -q --example coding_comparison
     cargo run -q --example energy_model
 
-# Non-blank lines per crate under crates/*/src, split into code and the
-# in-file `#[cfg(test)] mod tests` blocks (a test module runs from its
-# `mod tests` line to the first `}` in column 0). Run it on the parent
-# and on a change for the net line delta CHANGES.md records.
+# Non-blank lines per crate under crates/*/src and shims/*/src, split
+# into code and the in-file `#[cfg(test)] mod tests` blocks (a test
+# module runs from its `mod tests` line to the first `}` in column 0).
+# Run it on the parent and on a change for the net line delta
+# CHANGES.md records.
 loc:
-    for d in crates/*/; do find "${d}src" -name '*.rs' -exec cat {} + | awk -v crate="$(basename "$d")" 'held { held = 0; if (/^mod tests/) { t = 1; test++ } else code++ } /^#\[cfg\(test\)\]$/ && !t { held = 1; next } NF { if (t) test++; else code++ } t && /^}$/ { t = 0 } END { printf "%-8s %7d code %7d tests\n", crate, code, test }'; done
+    for d in crates/*/ shims/*/; do find "${d}src" -name '*.rs' -exec cat {} + | awk -v crate="$(basename "$d")" 'held { held = 0; if (/^mod tests/) { t = 1; test++ } else code++ } /^#\[cfg\(test\)\]$/ && !t { held = 1; next } NF { if (t) test++; else code++ } t && /^}$/ { t = 0 } END { printf "%-12s %7d code %7d tests\n", crate, code, test }'; done

@@ -10,6 +10,7 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -19,7 +20,15 @@ use std::fmt;
 /// round trip that an `f64`-only model would truncate. Non-finite floats
 /// serialize to [`Value::Null`] (JSON has no NaN/∞) and deserialize back
 /// as `NAN`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// An array of numbers has two forms that mean the same thing: an
+/// [`Array`](Value::Array) of [`Float`](Value::Float)s, and a packed
+/// [`F32Array`](Value::F32Array). Every array consumer (`as_array`,
+/// `Vec<T>`, `[T; N]`, tuples, derived tuple structs and variants,
+/// `serde_json`) treats element `x` of a packed array as
+/// `Value::Float(x as f64)`, and `==` compares the two forms element by
+/// element on that rule.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// JSON `null`.
     Null,
@@ -33,6 +42,10 @@ pub enum Value {
     Str(String),
     /// JSON array.
     Array(Vec<Value>),
+    /// JSON array of numbers, packed as `f32` (4 bytes per element
+    /// instead of one `Value` each). The binary scenario cache decodes
+    /// its f32 arrays into this form; `Serialize` impls never build it.
+    F32Array(Vec<f32>),
     /// JSON object; insertion order is preserved.
     Object(Vec<(String, Value)>),
 }
@@ -54,10 +67,15 @@ impl Value {
         }
     }
 
-    /// The array's items, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
+    /// The array's items, if this is an array: borrowed from an
+    /// [`Array`](Value::Array), widened element by element from an
+    /// [`F32Array`](Value::F32Array).
+    pub fn as_array(&self) -> Option<Cow<'_, [Value]>> {
         match self {
-            Value::Array(items) => Some(items),
+            Value::Array(items) => Some(Cow::Borrowed(items)),
+            Value::F32Array(packed) => Some(Cow::Owned(
+                packed.iter().map(|&f| Value::Float(f as f64)).collect(),
+            )),
             _ => None,
         }
     }
@@ -104,8 +122,35 @@ impl Value {
             Value::Int(_) => "integer",
             Value::Float(_) => "number",
             Value::Str(_) => "string",
-            Value::Array(_) => "array",
+            Value::Array(_) | Value::F32Array(_) => "array",
             Value::Object(_) => "object",
+        }
+    }
+}
+
+impl PartialEq for Value {
+    /// Structural equality, with a packed [`F32Array`](Value::F32Array)
+    /// equal to an [`Array`](Value::Array) of the same length whose
+    /// items equal each element's `Value::Float(x as f64)`.
+    fn eq(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
+            (Value::Array(a), Value::Array(b)) => a == b,
+            (Value::F32Array(a), Value::F32Array(b)) => a == b,
+            (Value::F32Array(packed), Value::Array(items))
+            | (Value::Array(items), Value::F32Array(packed)) => {
+                packed.len() == items.len()
+                    && packed
+                        .iter()
+                        .zip(items)
+                        .all(|(&f, item)| *item == Value::Float(f as f64))
+            }
+            (Value::Object(a), Value::Object(b)) => a == b,
+            _ => false,
         }
     }
 }
@@ -162,6 +207,17 @@ pub trait Deserialize: Sized {
     fn absent() -> Option<Self> {
         None
     }
+
+    /// Rebuilds a `Vec<Self>` from a packed
+    /// [`F32Array`](Value::F32Array): element `x` converts as
+    /// `Value::Float(x as f64)` does. `f32` overrides it with a copy,
+    /// which is the same conversion for every non-signaling value.
+    fn vec_from_f32s(packed: &[f32]) -> Result<Vec<Self>, DeError> {
+        packed
+            .iter()
+            .map(|&f| Self::from_value(&Value::Float(f as f64)))
+            .collect()
+    }
 }
 
 /// Derive-macro helper: extracts and deserializes one struct field.
@@ -197,7 +253,7 @@ macro_rules! int_impls {
 int_impls!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, i128);
 
 macro_rules! float_impls {
-    ($($t:ty),*) => {$(
+    ($($t:ty => { $($extra:item)* }),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 let f = *self as f64;
@@ -214,11 +270,19 @@ macro_rules! float_impls {
                         .ok_or_else(|| DeError::expected("number", value)),
                 }
             }
+            $($extra)*
         }
     )*};
 }
 
-float_impls!(f32, f64);
+float_impls! {
+    f32 => {
+        fn vec_from_f32s(packed: &[f32]) -> Result<Vec<Self>, DeError> {
+            Ok(packed.to_vec())
+        }
+    },
+    f64 => {}
+}
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
@@ -313,12 +377,11 @@ impl<T: Serialize> Serialize for Vec<T> {
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_array()
-            .ok_or_else(|| DeError::expected("array", value))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+        match value {
+            Value::Array(items) => items.iter().map(T::from_value).collect(),
+            Value::F32Array(packed) => T::vec_from_f32s(packed),
+            _ => Err(DeError::expected("array", value)),
+        }
     }
 }
 
@@ -443,5 +506,64 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         Ok(value.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn packed_arrays_equal_their_elementwise_form() {
+        let packed = Value::F32Array(vec![1.5, -0.0, f32::from_bits(1)]);
+        let elementwise = Value::Array(vec![
+            Value::Float(1.5),
+            Value::Float(-0.0),
+            Value::Float(f32::from_bits(1) as f64),
+        ]);
+        assert_eq!(packed, elementwise);
+        assert_eq!(elementwise, packed);
+        assert_eq!(packed.as_array().unwrap(), elementwise.as_array().unwrap());
+        assert_eq!(packed.kind(), "array");
+        // Equal means equal element by element, on `f64` rules.
+        assert_eq!(
+            Value::F32Array(vec![0.0]),
+            Value::Array(vec![Value::Float(-0.0)])
+        );
+        assert_ne!(
+            Value::F32Array(vec![1.5]),
+            Value::Array(vec![Value::Int(1)])
+        );
+        assert_ne!(packed, Value::F32Array(vec![1.5, -0.0]));
+        assert_ne!(
+            Value::F32Array(vec![f32::NAN]),
+            Value::F32Array(vec![f32::NAN])
+        );
+        assert_eq!(Value::F32Array(Vec::new()), Value::Array(Vec::new()));
+    }
+
+    #[test]
+    fn array_consumers_read_packed_arrays() {
+        let packed = Value::F32Array(vec![3.0, 0.5, -2.0]);
+        assert_eq!(Vec::<f32>::from_value(&packed).unwrap(), [3.0, 0.5, -2.0]);
+        assert_eq!(Vec::<f64>::from_value(&packed).unwrap(), [3.0, 0.5, -2.0]);
+        // Integral floats convert to integers, as element-wise ones do.
+        assert!(Vec::<i32>::from_value(&packed).is_err());
+        let integral = Value::F32Array(vec![3.0, -2.0]);
+        assert_eq!(Vec::<i32>::from_value(&integral).unwrap(), [3, -2]);
+        assert_eq!(<[f32; 3]>::from_value(&packed).unwrap(), [3.0, 0.5, -2.0]);
+        assert!(<[f32; 2]>::from_value(&packed).is_err());
+        assert_eq!(
+            <(f32, f64, f32)>::from_value(&packed).unwrap(),
+            (3.0, 0.5, -2.0)
+        );
+        assert!(<(f32, f64)>::from_value(&packed).is_err());
+        assert_eq!(
+            Option::<Vec<f32>>::from_value(&packed)
+                .unwrap()
+                .unwrap()
+                .len(),
+            3
+        );
     }
 }

@@ -97,7 +97,8 @@ fn write_value(out: &mut String, value: &Value, pretty: bool, indent: usize) {
         Value::Int(i) => out.push_str(&i.to_string()),
         Value::Float(f) => write_number(out, *f),
         Value::Str(s) => escape_into(out, s),
-        Value::Array(items) => {
+        Value::Array(_) | Value::F32Array(_) => {
+            let items = value.as_array().expect("an array");
             if items.is_empty() {
                 out.push_str("[]");
                 return;
@@ -519,6 +520,23 @@ mod tests {
         )]);
         let text = to_string_pretty(&value).unwrap();
         assert_eq!(text, "{\n  \"xs\": [\n    1,\n    2\n  ]\n}");
+    }
+
+    #[test]
+    fn packed_arrays_print_as_their_elementwise_form() {
+        let packed = vec![0.1f32, -0.0, 1.0, 3e-42, f32::MAX, f32::MIN, f32::NAN];
+        let elementwise = Value::Array(packed.iter().map(|&f| Value::Float(f as f64)).collect());
+        let packed = Value::F32Array(packed);
+        assert_eq!(
+            to_string(&packed).unwrap(),
+            to_string(&elementwise).unwrap()
+        );
+        let nested = |v: Value| Value::Object(vec![("xs".to_string(), v)]);
+        assert_eq!(
+            to_string_pretty(&nested(packed)).unwrap(),
+            to_string_pretty(&nested(elementwise)).unwrap()
+        );
+        assert_eq!(to_string(&Value::F32Array(Vec::new())).unwrap(), "[]");
     }
 
     #[test]
