@@ -266,31 +266,12 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use t2fsnn_data::{DatasetSpec, SyntheticConfig};
-    use t2fsnn_dnn::architectures::mlp_tiny;
-    use t2fsnn_dnn::{normalize_for_snn, train, TrainConfig};
-
-    fn fixture() -> (Network, Dataset, Dataset) {
-        let mut rng = ChaCha8Rng::seed_from_u64(55);
-        let data = SyntheticConfig::new(DatasetSpec::tiny(), 12)
-            .with_noise(0.1)
-            .generate(160);
-        let (train_set, test_set) = data.split(128);
-        let mut dnn = mlp_tiny(&mut rng, &data.spec);
-        let config = TrainConfig {
-            epochs: 10,
-            ..TrainConfig::default()
-        };
-        train(&mut dnn, &train_set, &config, &mut rng).unwrap();
-        normalize_for_snn(&mut dnn, &train_set.images, 0.999).unwrap();
-        (dnn, train_set, test_set)
-    }
+    use t2fsnn_dnn::{Fitted, Recipe, TrainConfig};
 
     fn quick_go() -> GoConfig {
         GoConfig {
             passes: 1,
             batch_size: 512,
-            record_every: 4096,
             ..GoConfig::default()
         }
     }
@@ -306,12 +287,28 @@ mod tests {
 
     #[test]
     fn ablation_reproduces_table1_shape() {
-        let (mut dnn, train_set, test_set) = fixture();
+        let Fitted {
+            mut dnn,
+            train,
+            test,
+            ..
+        } = Recipe {
+            data_seed: 12,
+            noise: 0.1,
+            init_seed: 55,
+            train: TrainConfig {
+                epochs: 10,
+                ..TrainConfig::default()
+            },
+            ..Recipe::default()
+        }
+        .fit()
+        .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let rows = ablation_table(
             &mut dnn,
-            &train_set.images,
-            &test_set,
+            &train.images,
+            &test,
             32,
             KernelParams::new(8.0, 0.0),
             &quick_go(),

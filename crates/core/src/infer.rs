@@ -392,39 +392,8 @@ mod tests {
     use crate::optimize::{GoCalibration, GoConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use t2fsnn_data::{Dataset, DatasetSpec, SyntheticConfig};
-    use t2fsnn_dnn::{normalize_for_snn, train, Network, TrainConfig};
-
-    fn fixture() -> (Network, Dataset) {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let data = SyntheticConfig::new(DatasetSpec::tiny(), 9)
-            .with_noise(0.1)
-            .generate(160);
-        let (train_set, test_set) = data.split(128);
-        let mut dnn = t2fsnn_dnn::architectures::mlp_tiny(&mut rng, &data.spec);
-        let config = TrainConfig {
-            epochs: 10,
-            ..TrainConfig::default()
-        };
-        train(&mut dnn, &train_set, &config, &mut rng).unwrap();
-        normalize_for_snn(&mut dnn, &train_set.images, 0.999).unwrap();
-        (dnn, test_set)
-    }
-
-    fn cnn_fixture() -> (Network, Dataset) {
-        let mut rng = ChaCha8Rng::seed_from_u64(88);
-        let spec = DatasetSpec::new("infer-cnn", 1, 16, 16, 4);
-        let data = SyntheticConfig::new(spec.clone(), 14).generate(96);
-        let (train_set, test_set) = data.split(72);
-        let mut dnn = t2fsnn_dnn::architectures::cnn_small(
-            &mut rng,
-            &spec,
-            t2fsnn_dnn::layers::PoolKind::Max,
-        );
-        train(&mut dnn, &train_set, &TrainConfig::default(), &mut rng).unwrap();
-        normalize_for_snn(&mut dnn, &train_set.images, 0.999).unwrap();
-        (dnn, test_set)
-    }
+    use t2fsnn_data::{DatasetSpec, SyntheticConfig};
+    use t2fsnn_dnn::{normalize_for_snn, Network};
 
     fn model(dnn: &Network, config: T2fsnnConfig) -> T2fsnn {
         T2fsnn::from_dnn(dnn, config, KernelParams::new(8.0, 0.0)).unwrap()
@@ -432,8 +401,8 @@ mod tests {
 
     #[test]
     fn infer_matches_run_accuracy_and_synops() {
-        for (dnn, test_set) in [fixture(), cnn_fixture()] {
-            let m = model(&dnn, T2fsnnConfig::new(32));
+        for (dnn, test_set) in [crate::tests::mlp(), crate::tests::max_pool_cnn()] {
+            let m = model(dnn, T2fsnnConfig::new(32));
             let run = m.run(&test_set.images, &test_set.labels).unwrap();
             let inf = m.infer(&test_set.images, InferOptions::default()).unwrap();
             let correct = inf
@@ -477,8 +446,8 @@ mod tests {
         // Without early firing the output fire phase begins after its
         // integration completes, so this equality holds by construction;
         // the assertion guards the construction.
-        for (dnn, test_set) in [fixture(), cnn_fixture()] {
-            let m = model(&dnn, T2fsnnConfig::new(32));
+        for (dnn, test_set) in [crate::tests::mlp(), crate::tests::max_pool_cnn()] {
+            let m = model(dnn, T2fsnnConfig::new(32));
             let full = m.infer(&test_set.images, InferOptions::default()).unwrap();
             let ee = m
                 .infer(&test_set.images, InferOptions::early_exit())
@@ -504,8 +473,8 @@ mod tests {
 
     #[test]
     fn solo_and_batched_inference_are_bit_identical() {
-        let (dnn, test_set) = cnn_fixture();
-        let m = model(&dnn, T2fsnnConfig::new(32));
+        let (dnn, test_set) = crate::tests::max_pool_cnn();
+        let m = model(dnn, T2fsnnConfig::new(32));
         let (images, _) = (test_set.images.clone(), &test_set.labels);
         let batched = m.infer(&images, InferOptions::early_exit()).unwrap();
         for i in [0usize, 3, 7] {
@@ -525,8 +494,8 @@ mod tests {
 
     #[test]
     fn worker_counts_are_bit_identical() {
-        let (dnn, test_set) = fixture();
-        let m = model(&dnn, T2fsnnConfig::new(32));
+        let (dnn, test_set) = crate::tests::mlp();
+        let m = model(dnn, T2fsnnConfig::new(32));
         let serial = m
             .infer_on(
                 &test_set.images,
@@ -551,8 +520,8 @@ mod tests {
         // With early firing the early-exit decision overlaps integration
         // (non-guaranteed), but the per-image results must still be
         // batch-invariant and undecided images must match the full run.
-        let (dnn, test_set) = fixture();
-        let m = model(&dnn, T2fsnnConfig::new(32).with_early_firing());
+        let (dnn, test_set) = crate::tests::mlp();
+        let m = model(dnn, T2fsnnConfig::new(32).with_early_firing());
         let ee = m
             .infer(&test_set.images, InferOptions::early_exit())
             .unwrap();
@@ -573,7 +542,7 @@ mod tests {
         // exact. The `Debug` form of an `f32` round-trips its bits, so
         // any changed label, potential, spike or synop count breaks a
         // digest.
-        let (dnn, test_set) = cnn_fixture();
+        let (dnn, test_set) = crate::tests::max_pool_cnn();
         let noise = NoiseConfig {
             jitter: 2,
             drop_prob: 0.15,
@@ -585,7 +554,7 @@ mod tests {
             T2fsnnConfig::new(32).with_early_firing(),
             T2fsnnConfig::new(32).with_noise(noise),
         ] {
-            let m = model(&dnn, config);
+            let m = model(dnn, config);
             for opts in [InferOptions::default(), InferOptions::early_exit()] {
                 let inf = m.infer(&test_set.images, opts).unwrap();
                 got.push(crc32(format!("{inf:?}").as_bytes()));
@@ -643,8 +612,8 @@ mod tests {
 
     #[test]
     fn infer_validates_inputs() {
-        let (dnn, test_set) = fixture();
-        let m = model(&dnn, T2fsnnConfig::new(8));
+        let (dnn, test_set) = crate::tests::mlp();
+        let m = model(dnn, T2fsnnConfig::new(8));
         assert!(m
             .infer(&Tensor::zeros([4, 8, 8]), InferOptions::default())
             .is_err());
@@ -652,7 +621,7 @@ mod tests {
         // batch-order-dependent); per-image content-keyed streams lifted
         // that restriction.
         let noisy = model(
-            &dnn,
+            dnn,
             T2fsnnConfig::new(8).with_noise(NoiseConfig::jitter_only(1, 3)),
         );
         assert!(noisy
@@ -738,10 +707,10 @@ mod tests {
     fn zero_severity_noise_infer_is_bit_identical_to_clean() {
         // A noise config whose knobs are all zero must take no RNG draws
         // and reproduce the clean path bit for bit.
-        let (dnn, test_set) = fixture();
-        let clean = model(&dnn, T2fsnnConfig::new(32));
+        let (dnn, test_set) = crate::tests::mlp();
+        let clean = model(dnn, T2fsnnConfig::new(32));
         let zero = model(
-            &dnn,
+            dnn,
             T2fsnnConfig::new(32).with_noise(NoiseConfig::jitter_only(0, 7)),
         );
         for opts in [InferOptions::default(), InferOptions::early_exit()] {
@@ -759,9 +728,9 @@ mod tests {
         // The per-image content-keyed streams make noisy inference a
         // pure function of the single image: solo and batched results
         // must agree bit for bit.
-        let (dnn, test_set) = fixture();
+        let (dnn, test_set) = crate::tests::mlp();
         let m = model(
-            &dnn,
+            dnn,
             T2fsnnConfig::new(32).with_noise(NoiseConfig {
                 jitter: 2,
                 drop_prob: 0.15,
@@ -803,9 +772,9 @@ mod tests {
 
     #[test]
     fn noisy_infer_is_worker_invariant_and_matches_run() {
-        let (dnn, test_set) = fixture();
+        let (dnn, test_set) = crate::tests::mlp();
         let m = model(
-            &dnn,
+            dnn,
             T2fsnnConfig::new(32).with_noise(NoiseConfig {
                 jitter: 3,
                 drop_prob: 0.1,

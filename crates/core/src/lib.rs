@@ -85,3 +85,47 @@ pub use infer::{ImageInference, InferOptions};
 pub use kernel::{ExpKernel, KernelParams, KernelTable};
 pub use network::{NoiseConfig, T2fsnn, T2fsnnConfig};
 pub use pipeline::{LayerSpikes, TtfsRun};
+
+/// The trained networks the unit tests share, each fitted once per test
+/// binary: the network and its test split.
+#[cfg(test)]
+mod tests {
+    use std::sync::OnceLock;
+    use t2fsnn_data::{Dataset, DatasetSpec};
+    use t2fsnn_dnn::architectures::Architecture;
+    use t2fsnn_dnn::layers::PoolKind;
+    use t2fsnn_dnn::{Fitted, Network, Recipe, TrainConfig};
+
+    /// The tiny MLP, its noise eased so it clears chance in a few epochs.
+    pub(crate) fn mlp() -> (&'static Network, &'static Dataset) {
+        static FITTED: OnceLock<Fitted> = OnceLock::new();
+        let recipe = || Recipe {
+            data_seed: 9,
+            noise: 0.1,
+            init_seed: 77,
+            train: TrainConfig {
+                epochs: 10,
+                ..TrainConfig::default()
+            },
+            ..Recipe::default()
+        };
+        let fitted = FITTED.get_or_init(|| recipe().fit().expect("fit"));
+        (&fitted.dnn, &fitted.test)
+    }
+
+    /// The two-block max-pool CNN.
+    pub(crate) fn max_pool_cnn() -> (&'static Network, &'static Dataset) {
+        static FITTED: OnceLock<Fitted> = OnceLock::new();
+        let recipe = || Recipe {
+            spec: DatasetSpec::new("max-pool-cnn", 1, 16, 16, 4),
+            data_seed: 14,
+            samples: 96,
+            train_size: 72,
+            architecture: Architecture::CnnSmall(PoolKind::Max),
+            init_seed: 88,
+            ..Recipe::default()
+        };
+        let fitted = FITTED.get_or_init(|| recipe().fit().expect("fit"));
+        (&fitted.dnn, &fitted.test)
+    }
+}

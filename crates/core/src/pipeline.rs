@@ -547,30 +547,8 @@ mod tests {
     use crate::infer::InferOptions;
     use crate::kernel::KernelParams;
     use crate::network::T2fsnnConfig;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use t2fsnn_data::{Dataset, DatasetSpec, SyntheticConfig};
-    use t2fsnn_dnn::architectures::mlp_tiny;
-    use t2fsnn_dnn::{normalize_for_snn, train, Network, TrainConfig};
+    use t2fsnn_dnn::Network;
     use t2fsnn_snn::argmax;
-
-    fn fixture() -> (Network, Dataset, Dataset) {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        // Ease the default noise slightly for the unit fixture so the tiny
-        // MLP reaches a solidly-above-chance accuracy in a few epochs.
-        let data = SyntheticConfig::new(DatasetSpec::tiny(), 9)
-            .with_noise(0.1)
-            .generate(160);
-        let (train_set, test_set) = data.split(128);
-        let mut dnn = mlp_tiny(&mut rng, &data.spec);
-        let config = TrainConfig {
-            epochs: 10,
-            ..TrainConfig::default()
-        };
-        train(&mut dnn, &train_set, &config, &mut rng).unwrap();
-        normalize_for_snn(&mut dnn, &train_set.images, 0.999).unwrap();
-        (dnn, train_set, test_set)
-    }
 
     fn model(dnn: &Network, config: T2fsnnConfig) -> T2fsnn {
         T2fsnn::from_dnn(dnn, config, KernelParams::new(8.0, 0.0)).unwrap()
@@ -585,9 +563,9 @@ mod tests {
 
     #[test]
     fn ttfs_accuracy_tracks_dnn() {
-        let (mut dnn, _, test_set) = fixture();
-        let dnn_acc = t2fsnn_dnn::evaluate(&mut dnn, &test_set, 16).unwrap();
-        let m = model(&dnn, T2fsnnConfig::new(32));
+        let (dnn, test_set) = crate::tests::mlp();
+        let dnn_acc = t2fsnn_dnn::evaluate(&mut dnn.clone(), test_set, 16).unwrap();
+        let m = model(dnn, T2fsnnConfig::new(32));
         let run = m.run(&test_set.images, &test_set.labels).unwrap();
         assert!(
             run.accuracy >= dnn_acc - 0.15,
@@ -599,8 +577,8 @@ mod tests {
 
     #[test]
     fn every_neuron_spikes_at_most_once() {
-        let (dnn, _, test_set) = fixture();
-        let m = model(&dnn, T2fsnnConfig::new(32));
+        let (dnn, test_set) = crate::tests::mlp();
+        let m = model(dnn, T2fsnnConfig::new(32));
         let run = m.run(&test_set.images, &test_set.labels).unwrap();
         let n = test_set.len() as u64;
         // Hidden layer of mlp_tiny has 32 neurons per image.
@@ -612,8 +590,8 @@ mod tests {
 
     #[test]
     fn clock_engine_matches_analytic_oracle_without_early_firing() {
-        let (dnn, _, test_set) = fixture();
-        let m = model(&dnn, T2fsnnConfig::new(32));
+        let (dnn, test_set) = crate::tests::mlp();
+        let m = model(dnn, T2fsnnConfig::new(32));
         let run = m.run(&test_set.images, &test_set.labels).unwrap();
         let logits = m.analytic_logits(&test_set.images).unwrap();
         let analytic_acc = accuracy(&logits, &test_set.labels);
@@ -627,9 +605,9 @@ mod tests {
 
     #[test]
     fn early_firing_cuts_latency_with_small_accuracy_cost() {
-        let (dnn, _, test_set) = fixture();
-        let base = model(&dnn, T2fsnnConfig::new(32));
-        let ef = model(&dnn, T2fsnnConfig::new(32).with_early_firing());
+        let (dnn, test_set) = crate::tests::mlp();
+        let base = model(dnn, T2fsnnConfig::new(32));
+        let ef = model(dnn, T2fsnnConfig::new(32).with_early_firing());
         let run_base = base.run(&test_set.images, &test_set.labels).unwrap();
         let run_ef = ef.run(&test_set.images, &test_set.labels).unwrap();
         assert!(run_ef.latency < run_base.latency);
@@ -643,8 +621,8 @@ mod tests {
 
     #[test]
     fn latency_equals_pipeline_formula() {
-        let (dnn, _, test_set) = fixture();
-        let m = model(&dnn, T2fsnnConfig::new(16));
+        let (dnn, test_set) = crate::tests::mlp();
+        let m = model(dnn, T2fsnnConfig::new(16));
         let run = m.run(&test_set.images, &test_set.labels).unwrap();
         // mlp_tiny has 2 weighted layers: (2-1)*16 + 16 = 32.
         assert_eq!(run.latency, 32);
@@ -653,8 +631,8 @@ mod tests {
 
     #[test]
     fn histograms_sum_to_counts() {
-        let (dnn, _, test_set) = fixture();
-        let m = model(&dnn, T2fsnnConfig::new(32));
+        let (dnn, test_set) = crate::tests::mlp();
+        let m = model(dnn, T2fsnnConfig::new(32));
         let run = m.run(&test_set.images, &test_set.labels).unwrap();
         for layer in &run.layers {
             assert_eq!(layer.histogram.iter().sum::<u64>(), layer.count);
@@ -684,16 +662,16 @@ mod tests {
 
     #[test]
     fn run_validates_inputs() {
-        let (dnn, _, test_set) = fixture();
-        let m = model(&dnn, T2fsnnConfig::new(8));
+        let (dnn, test_set) = crate::tests::mlp();
+        let m = model(dnn, T2fsnnConfig::new(8));
         assert!(m.run(&Tensor::zeros([4, 8, 8]), &[0; 4]).is_err());
         assert!(m.run(&test_set.images, &[0; 3]).is_err());
     }
 
     #[test]
     fn empty_batch_runs_and_infers_to_nothing() {
-        let (dnn, _, test_set) = fixture();
-        let m = model(&dnn, T2fsnnConfig::new(8));
+        let (dnn, test_set) = crate::tests::mlp();
+        let m = model(dnn, T2fsnnConfig::new(8));
         let mut dims = test_set.images.dims().to_vec();
         dims[0] = 0;
         let empty = Tensor::zeros(dims);
@@ -721,19 +699,9 @@ mod tests {
         // TTFS max pooling via first-spike gating must agree with the true
         // max over decoded values — the strongest check that the gate is
         // semantically exact.
-        let mut rng = ChaCha8Rng::seed_from_u64(88);
-        let spec = DatasetSpec::new("maxpool", 1, 16, 16, 4);
-        let data = SyntheticConfig::new(spec.clone(), 14).generate(96);
-        let (train_set, test_set) = data.split(72);
-        let mut dnn = t2fsnn_dnn::architectures::cnn_small(
-            &mut rng,
-            &spec,
-            t2fsnn_dnn::layers::PoolKind::Max,
-        );
-        train(&mut dnn, &train_set, &TrainConfig::default(), &mut rng).unwrap();
-        normalize_for_snn(&mut dnn, &train_set.images, 0.999).unwrap();
-        let dnn_acc = t2fsnn_dnn::evaluate(&mut dnn, &test_set, 16).unwrap();
-        let m = T2fsnn::from_dnn(&dnn, T2fsnnConfig::new(32), KernelParams::new(8.0, 0.0)).unwrap();
+        let (dnn, test_set) = crate::tests::max_pool_cnn();
+        let dnn_acc = t2fsnn_dnn::evaluate(&mut dnn.clone(), test_set, 16).unwrap();
+        let m = model(dnn, T2fsnnConfig::new(32));
         let run = m.run(&test_set.images, &test_set.labels).unwrap();
         let logits = m.analytic_logits(&test_set.images).unwrap();
         let analytic_acc = accuracy(&logits, &test_set.labels);
@@ -753,11 +721,11 @@ mod tests {
 
     #[test]
     fn zero_noise_equals_ideal_run() {
-        let (dnn, _, test_set) = fixture();
-        let ideal = model(&dnn, T2fsnnConfig::new(32));
+        let (dnn, test_set) = crate::tests::mlp();
+        let ideal = model(dnn, T2fsnnConfig::new(32));
         let noisy_cfg =
             T2fsnnConfig::new(32).with_noise(crate::network::NoiseConfig::jitter_only(0, 7));
-        let noisy = model(&dnn, noisy_cfg);
+        let noisy = model(dnn, noisy_cfg);
         let a = ideal.run(&test_set.images, &test_set.labels).unwrap();
         let b = noisy.run(&test_set.images, &test_set.labels).unwrap();
         assert_eq!(a.accuracy, b.accuracy);
@@ -766,11 +734,11 @@ mod tests {
 
     #[test]
     fn heavy_drops_degrade_accuracy_and_deliveries() {
-        let (dnn, _, test_set) = fixture();
-        let ideal = model(&dnn, T2fsnnConfig::new(32));
+        let (dnn, test_set) = crate::tests::mlp();
+        let ideal = model(dnn, T2fsnnConfig::new(32));
         let broken_cfg =
             T2fsnnConfig::new(32).with_noise(crate::network::NoiseConfig::drops_only(0.95, 7));
-        let broken = model(&dnn, broken_cfg);
+        let broken = model(dnn, broken_cfg);
         let a = ideal.run(&test_set.images, &test_set.labels).unwrap();
         let b = broken.run(&test_set.images, &test_set.labels).unwrap();
         // Dropped spikes deliver no PSP: synaptic work collapses with them.
@@ -790,13 +758,13 @@ mod tests {
 
     #[test]
     fn noisy_runs_are_reproducible() {
-        let (dnn, _, test_set) = fixture();
+        let (dnn, test_set) = crate::tests::mlp();
         let cfg = T2fsnnConfig::new(32).with_noise(crate::network::NoiseConfig {
             jitter: 3,
             drop_prob: 0.1,
             seed: 42,
         });
-        let m = model(&dnn, cfg);
+        let m = model(dnn, cfg);
         let a = m.run(&test_set.images, &test_set.labels).unwrap();
         let b = m.run(&test_set.images, &test_set.labels).unwrap();
         assert_eq!(a.accuracy, b.accuracy);
@@ -805,8 +773,8 @@ mod tests {
 
     #[test]
     fn spikes_per_image_accounts_for_batch() {
-        let (dnn, _, test_set) = fixture();
-        let m = model(&dnn, T2fsnnConfig::new(32));
+        let (dnn, test_set) = crate::tests::mlp();
+        let m = model(dnn, T2fsnnConfig::new(32));
         let run = m.run(&test_set.images, &test_set.labels).unwrap();
         let per_img = run.spikes_per_image();
         assert!(per_img > 0.0);

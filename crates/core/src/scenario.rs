@@ -1,7 +1,7 @@
 //! Experiment scenarios: one per dataset the paper evaluates, plus a tiny
-//! one for fast benches. Each scenario defines its synthetic dataset, its
-//! scaled architecture, its training recipe and its TTFS time window, and
-//! caches the trained + normalized network on disk.
+//! one for fast benches. Each scenario defines one [`Recipe`] (synthetic
+//! dataset, scaled architecture, training loop), its TTFS time window and
+//! its evaluation sizes, and caches the fitted network on disk.
 
 use std::fs;
 use std::path::PathBuf;
@@ -9,10 +9,10 @@ use std::path::PathBuf;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use t2fsnn_data::{Dataset, DatasetSpec, SyntheticConfig};
-use t2fsnn_dnn::architectures::{cnn_small, vgg_scaled, VggScale};
+use t2fsnn_data::{Dataset, DatasetSpec};
+use t2fsnn_dnn::architectures::{Architecture, VggScale};
 use t2fsnn_dnn::layers::PoolKind;
-use t2fsnn_dnn::{evaluate, normalize_for_snn, train, Network, SgdConfig, TrainConfig};
+use t2fsnn_dnn::{evaluate, Fitted, Network, Recipe, SgdConfig, TrainConfig};
 use t2fsnn_tensor::Tensor;
 
 /// One of the paper's evaluation scenarios.
@@ -59,67 +59,140 @@ impl Scenario {
         }
     }
 
+    /// This scenario's recipe, TTFS window and rate-baseline budget: the
+    /// one place a scenario is defined. `T2FSNN_QUICK=1` shrinks the
+    /// datasets, epochs and step budgets.
+    fn setup(&self) -> Setup {
+        let quick = quick_mode();
+        let pick = |quick_value: usize, full: usize| if quick { quick_value } else { full };
+        match self {
+            // For the MNIST-like CNN (4 weighted layers) T = 16 with early
+            // firing gives a pipeline latency of exactly 40 steps — the
+            // paper's own MNIST latency.
+            Scenario::MnistLike => Setup {
+                recipe: Recipe {
+                    spec: DatasetSpec::mnist_like(),
+                    data_seed: 1001,
+                    samples: pick(192, 640),
+                    train_size: pick(144, 480),
+                    architecture: Architecture::CnnSmall(PoolKind::Avg),
+                    init_seed: 1001 ^ INIT_SALT,
+                    train: TrainConfig {
+                        epochs: pick(3, 7),
+                        ..TrainConfig::default()
+                    },
+                    ..Recipe::default()
+                },
+                time_window: 16,
+                rate_steps: pick(128, 384),
+            },
+            // The deep scaled VGGs need a cooler learning rate than the
+            // shallow nets (lr 0.05 diverges at this depth without
+            // batch norm). lr 0.02 does not make cifar10-like learn: its
+            // DNN measures 10.0 % test accuracy, chance (ROADMAP item 1A).
+            Scenario::Cifar10Like => Setup {
+                recipe: Recipe {
+                    spec: DatasetSpec::cifar10_like(),
+                    data_seed: 1002,
+                    samples: pick(192, 640),
+                    train_size: pick(144, 480),
+                    architecture: Architecture::Vgg(VggScale::default()),
+                    init_seed: 1002 ^ INIT_SALT,
+                    train: TrainConfig {
+                        epochs: pick(4, 10),
+                        batch_size: 16,
+                        sgd: SgdConfig {
+                            lr: 0.02,
+                            momentum: 0.9,
+                            weight_decay: 5e-4,
+                        },
+                        lr_decay: 0.9,
+                    },
+                    ..Recipe::default()
+                },
+                time_window: 24,
+                rate_steps: pick(192, 640),
+            },
+            // Lower noise than the synthesis default: with only ~16
+            // samples per class, full noise leaves the small VGG
+            // data-starved (the paper trains on 500 real images per
+            // class). The test split is 100 images (a fifth in quick mode).
+            Scenario::Cifar100Like => Setup {
+                recipe: Recipe {
+                    spec: DatasetSpec::cifar100_like(),
+                    data_seed: 1003,
+                    noise: 0.10,
+                    samples: pick(300, 1700),
+                    train_size: pick(240, 1600),
+                    architecture: Architecture::Vgg(VggScale {
+                        base_channels: 8,
+                        fc_width: 128,
+                        ..VggScale::default()
+                    }),
+                    init_seed: 1003 ^ INIT_SALT,
+                    train: TrainConfig {
+                        epochs: pick(4, 18),
+                        batch_size: 16,
+                        sgd: SgdConfig {
+                            lr: 0.02,
+                            momentum: 0.9,
+                            weight_decay: 1e-4,
+                        },
+                        lr_decay: 0.93,
+                    },
+                    ..Recipe::default()
+                },
+                time_window: 24,
+                rate_steps: pick(192, 640),
+            },
+            Scenario::Tiny => Setup {
+                recipe: Recipe {
+                    spec: DatasetSpec::new("tiny16", 1, 16, 16, 4),
+                    data_seed: 1004,
+                    samples: 128,
+                    train_size: 96,
+                    architecture: Architecture::CnnSmall(PoolKind::Avg),
+                    init_seed: 1004 ^ INIT_SALT,
+                    train: TrainConfig {
+                        epochs: pick(3, 7),
+                        ..TrainConfig::default()
+                    },
+                    ..Recipe::default()
+                },
+                time_window: 24,
+                rate_steps: 128,
+            },
+        }
+    }
+
+    /// The recipe this scenario's source network is fitted with.
+    fn recipe(&self) -> Recipe {
+        self.setup().recipe
+    }
+
     /// Dataset specification.
     pub fn spec(&self) -> DatasetSpec {
-        match self {
-            Scenario::MnistLike => DatasetSpec::mnist_like(),
-            Scenario::Cifar10Like => DatasetSpec::cifar10_like(),
-            Scenario::Cifar100Like => DatasetSpec::cifar100_like(),
-            Scenario::Tiny => DatasetSpec::new("tiny16", 1, 16, 16, 4),
-        }
+        self.recipe().spec
     }
 
-    /// Total generated samples (train + test).
-    pub fn dataset_size(&self) -> usize {
-        let quick = quick_mode();
-        match self {
-            Scenario::MnistLike => {
-                if quick {
-                    192
-                } else {
-                    640
-                }
-            }
-            Scenario::Cifar10Like => {
-                if quick {
-                    192
-                } else {
-                    640
-                }
-            }
-            Scenario::Cifar100Like => {
-                if quick {
-                    300
-                } else {
-                    1700
-                }
-            }
-            Scenario::Tiny => 128,
-        }
+    /// Generates this scenario's dataset deterministically.
+    pub fn dataset(&self) -> Dataset {
+        self.recipe().dataset()
     }
 
-    /// Train/test split point.
-    pub fn train_size(&self) -> usize {
-        match self {
-            Scenario::Cifar100Like => self.dataset_size() - 100.min(self.dataset_size() / 5),
-            _ => self.dataset_size() * 3 / 4,
-        }
+    /// Master RNG seed: the dataset synthesis' seed (training draws from
+    /// it xor a fixed salt).
+    pub fn seed(&self) -> u64 {
+        self.recipe().data_seed
     }
 
     /// The per-layer TTFS time window `T` used in this scenario's
     /// experiments. Chosen at the paper's operating point: the smallest
     /// window whose kernel precision does not cost accuracy (`repro_tau_sweep`
     /// measures the precision trade-off at this window; see the README's
-    /// *Extension experiments*). For the MNIST-like
-    /// CNN (4 weighted layers) T = 16 with early firing gives a pipeline
-    /// latency of exactly 40 steps — the paper's own MNIST latency.
+    /// *Extension experiments*).
     pub fn time_window(&self) -> usize {
-        match self {
-            Scenario::MnistLike => 16,
-            Scenario::Cifar10Like => 24,
-            Scenario::Cifar100Like => 24,
-            Scenario::Tiny => 24,
-        }
+        self.setup().time_window
     }
 
     /// Initial (pre-GO) kernel parameters: τ0 = T/4, t_d = 0 — the
@@ -141,112 +214,37 @@ impl Scenario {
     /// Simulated steps for the rate-coding baseline (the slowest scheme;
     /// the paper runs it for 10,000 steps on CIFAR).
     pub fn rate_steps(&self) -> usize {
-        let quick = quick_mode();
-        match self {
-            Scenario::MnistLike => {
-                if quick {
-                    128
-                } else {
-                    384
-                }
-            }
-            Scenario::Tiny => 128,
-            _ => {
-                if quick {
-                    192
-                } else {
-                    640
-                }
-            }
-        }
+        self.setup().rate_steps
     }
 
     /// Simulated steps for phase/burst baselines (converge much faster).
     pub fn fast_coding_steps(&self) -> usize {
         (self.rate_steps() / 4).max(64)
     }
+}
 
-    /// Master RNG seed (dataset synthesis and training share it).
-    pub fn seed(&self) -> u64 {
-        match self {
-            Scenario::MnistLike => 1001,
-            Scenario::Cifar10Like => 1002,
-            Scenario::Cifar100Like => 1003,
-            Scenario::Tiny => 1004,
-        }
-    }
+/// What one scenario fixes: see [`Scenario::setup`].
+struct Setup {
+    /// The recipe of its source network.
+    recipe: Recipe,
+    /// Its per-layer TTFS window `T`.
+    time_window: usize,
+    /// Simulated steps of its rate-coding baseline.
+    rate_steps: usize,
+}
 
-    fn build_network(&self, rng: &mut ChaCha8Rng) -> Network {
-        let spec = self.spec();
-        match self {
-            Scenario::MnistLike | Scenario::Tiny => cnn_small(rng, &spec, PoolKind::Avg),
-            Scenario::Cifar10Like => vgg_scaled(rng, &spec, VggScale::default()),
-            Scenario::Cifar100Like => vgg_scaled(
-                rng,
-                &spec,
-                VggScale {
-                    base_channels: 8,
-                    fc_width: 128,
-                    ..VggScale::default()
-                },
-            ),
-        }
-    }
+/// A scenario's training stream is seeded with its data seed xor this
+/// salt, so weight init and shuffling do not replay the synthesis.
+const INIT_SALT: u64 = 0xDEAD_BEEF;
 
-    /// Parameter count of this scenario's freshly initialized network —
-    /// a cheap architecture fingerprint for cache validation.
-    fn param_count(&self) -> u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed());
-        self.build_network(&mut rng).param_count() as u64
-    }
-
-    fn train_config(&self) -> TrainConfig {
-        let quick = quick_mode();
-        match self {
-            // The deep scaled VGGs need a cooler learning rate than the
-            // shallow nets (lr 0.05 diverges at this depth without
-            // batch norm). lr 0.02 does not make cifar10-like learn: its
-            // DNN measures 10.0 % test accuracy, chance (ROADMAP item 3).
-            Scenario::Cifar10Like => TrainConfig {
-                epochs: if quick { 4 } else { 10 },
-                batch_size: 16,
-                sgd: SgdConfig {
-                    lr: 0.02,
-                    momentum: 0.9,
-                    weight_decay: 5e-4,
-                },
-                lr_decay: 0.9,
-            },
-            Scenario::Cifar100Like => TrainConfig {
-                epochs: if quick { 4 } else { 18 },
-                batch_size: 16,
-                sgd: SgdConfig {
-                    lr: 0.02,
-                    momentum: 0.9,
-                    weight_decay: 1e-4,
-                },
-                lr_decay: 0.93,
-            },
-            _ => TrainConfig {
-                epochs: if quick { 3 } else { 7 },
-                ..TrainConfig::default()
-            },
-        }
-    }
-
-    /// Generates this scenario's dataset deterministically.
-    ///
-    /// The 100-class scenario uses a lower noise level: with only ~16
-    /// samples per class, full noise leaves the small VGG data-starved
-    /// (the paper trains on 500 real images per class).
-    pub fn dataset(&self) -> Dataset {
-        let config = SyntheticConfig::new(self.spec(), self.seed());
-        let config = match self {
-            Scenario::Cifar100Like => config.with_noise(0.10),
-            _ => config,
-        };
-        config.generate(self.dataset_size())
-    }
+/// Parameter count of `recipe`'s freshly initialized network — a cheap
+/// architecture fingerprint for cache validation.
+fn param_count(recipe: &Recipe) -> u64 {
+    let mut rng = ChaCha8Rng::seed_from_u64(recipe.data_seed);
+    recipe
+        .architecture
+        .build(&mut rng, &recipe.spec)
+        .param_count() as u64
 }
 
 /// `T2FSNN_QUICK=1` shrinks every scenario for CI-speed runs.
@@ -273,16 +271,17 @@ pub struct Prepared {
 
 impl Prepared {
     /// Copies the first `n` test images (and labels) as an evaluation
-    /// subset for expensive clock-driven simulations.
+    /// subset for expensive clock-driven simulations: one contiguous run
+    /// of `[N, C, H, W]` storage, copied once.
     pub fn eval_subset(&self, n: usize) -> (Tensor, Vec<usize>) {
         let n = n.min(self.test.len());
-        let parts: Vec<Tensor> = (0..n)
-            .map(|i| self.test.images.index_axis0(i).expect("in range"))
-            .collect();
-        (
-            Tensor::stack(&parts).expect("same shapes"),
-            self.test.labels[..n].to_vec(),
+        let spec = &self.test.spec;
+        let images = Tensor::from_vec(
+            [n, spec.channels, spec.height, spec.width],
+            self.test.images.data()[..n * spec.image_numel()].to_vec(),
         )
+        .expect("a run of whole images");
+        (images, self.test.labels[..n].to_vec())
     }
 }
 
@@ -300,8 +299,8 @@ struct CacheFile {
     dnn: Network,
     dnn_accuracy: f32,
     /// The deterministic synthetic dataset. Caching it saves the few
-    /// hundred ms of per-pixel noise synthesis on every warm run;
-    /// `dataset_size()` is validated so a scenario-definition change
+    /// hundred ms of per-pixel noise synthesis on every warm run; its
+    /// size is validated so a scenario-definition change
     /// invalidates it. (Kept optional on read so a cache written without
     /// it is treated as a miss rather than a parse error.)
     dataset: Option<Dataset>,
@@ -358,9 +357,8 @@ fn cache_path(scenario: Scenario, extension: &str) -> PathBuf {
 /// Trains (or loads from cache) a scenario's source network, normalized
 /// for conversion, together with its dataset splits.
 ///
-/// The dataset is regenerated deterministically on every call (cheap); the
-/// network weights and DNN accuracy are cached under
-/// `target/t2fsnn-cache/`.
+/// The network, its DNN accuracy and its dataset are cached under
+/// `target/t2fsnn-cache/`; a miss fits the scenario's [`Recipe`].
 ///
 /// # Panics
 ///
@@ -373,22 +371,23 @@ pub fn prepare(scenario: Scenario) -> Prepared {
         return prepared;
     }
 
-    let data = scenario.dataset();
-    let (train_set, test_set) = data.split(scenario.train_size());
-    let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed() ^ 0xDEAD_BEEF);
-    let mut dnn = scenario.build_network(&mut rng);
+    let recipe = scenario.recipe();
     eprintln!(
-        "[prepare] training {} ({} params) on {} samples…",
+        "[prepare] training {} on {} samples…",
+        scenario.name(),
+        recipe.train_size
+    );
+    let Fitted {
+        mut dnn,
+        data,
+        train,
+        test,
+    } = recipe.fit().expect("training failed");
+    let dnn_accuracy = evaluate(&mut dnn, &test, 32).expect("evaluation failed");
+    eprintln!(
+        "[prepare] {}: {} params, DNN test accuracy {:.1}%",
         scenario.name(),
         dnn.param_count(),
-        train_set.len()
-    );
-    train(&mut dnn, &train_set, &scenario.train_config(), &mut rng).expect("training failed");
-    normalize_for_snn(&mut dnn, &train_set.images, 0.999).expect("normalization failed");
-    let dnn_accuracy = evaluate(&mut dnn, &test_set, 32).expect("evaluation failed");
-    eprintln!(
-        "[prepare] {}: DNN test accuracy {:.1}%",
-        scenario.name(),
         dnn_accuracy * 100.0
     );
 
@@ -399,7 +398,7 @@ pub fn prepare(scenario: Scenario) -> Prepared {
     let cache = CacheFile {
         version: CACHE_VERSION,
         quick: quick_mode(),
-        seed: scenario.seed(),
+        seed: recipe.data_seed,
         params: dnn.param_count() as u64,
         dnn: dnn.clone(),
         dnn_accuracy,
@@ -409,8 +408,8 @@ pub fn prepare(scenario: Scenario) -> Prepared {
     Prepared {
         scenario,
         dnn,
-        train: train_set,
-        test: test_set,
+        train,
+        test,
         dnn_accuracy,
     }
 }
@@ -455,11 +454,12 @@ fn load_cache_from(path: &std::path::Path, scenario: Scenario) -> Option<Prepare
 /// Validates a decoded cache entry against the scenario definition and
 /// splits its dataset; `None` on any mismatch.
 fn prepared_from(cache: CacheFile, scenario: Scenario) -> Option<Prepared> {
+    let recipe = scenario.recipe();
     if cache.version != CACHE_VERSION
         || cache.quick != quick_mode()
-        || cache.seed != scenario.seed()
+        || cache.seed != recipe.data_seed
         || cache.params != cache.dnn.param_count() as u64
-        || cache.params != scenario.param_count()
+        || cache.params != param_count(&recipe)
     {
         return None;
     }
@@ -467,10 +467,10 @@ fn prepared_from(cache: CacheFile, scenario: Scenario) -> Option<Prepared> {
     // changes invalidate it without a seed change); an entry without one
     // is a miss.
     let data = match cache.dataset {
-        Some(data) if data.len() == scenario.dataset_size() && data.spec == scenario.spec() => data,
+        Some(data) if data.len() == recipe.samples && data.spec == recipe.spec => data,
         _ => return None,
     };
-    let (train_set, test_set) = data.split(scenario.train_size());
+    let (train_set, test_set) = data.split(recipe.train_size);
     Some(Prepared {
         scenario,
         dnn: cache.dnn,
@@ -495,7 +495,8 @@ mod tests {
     #[test]
     fn scenario_metadata_is_consistent() {
         for s in Scenario::PAPER {
-            assert!(s.train_size() < s.dataset_size());
+            let recipe = s.recipe();
+            assert!(recipe.train_size < recipe.samples);
             assert!(s.time_window() > 0);
             assert!(!s.name().is_empty());
         }
@@ -520,7 +521,10 @@ mod tests {
     /// entry does not pass through the loader under test. Returns the
     /// entry and its path; the caller removes the path's directory.
     fn scratch_cache(tag: &str) -> (CacheFile, PathBuf) {
-        let dnn = Scenario::Tiny.build_network(&mut ChaCha8Rng::seed_from_u64(7));
+        let recipe = Scenario::Tiny.recipe();
+        let dnn = recipe
+            .architecture
+            .build(&mut ChaCha8Rng::seed_from_u64(7), &recipe.spec);
         let cache = CacheFile {
             version: CACHE_VERSION,
             quick: quick_mode(),
@@ -599,7 +603,7 @@ mod tests {
             .dataset
             .as_ref()
             .expect("written with its dataset")
-            .split(Scenario::Tiny.train_size());
+            .split(Scenario::Tiny.recipe().train_size);
         let written = Prepared {
             scenario: Scenario::Tiny,
             dnn: cache.dnn,
@@ -619,9 +623,30 @@ mod tests {
     fn eval_subset_truncates() {
         let prepared = prepare(Scenario::Tiny);
         let (images, labels) = prepared.eval_subset(8);
-        assert_eq!(images.dims()[0], 8);
-        assert_eq!(labels.len(), 8);
+        assert_eq!(images.dims(), &[8, 1, 16, 16]);
+        assert_eq!(labels, prepared.test.labels[..8]);
+        // The subset's bits are the first 8 test images'.
+        let bits = |data: &[f32]| data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(images.data()),
+            bits(&prepared.test.images.data()[..8 * 256])
+        );
         let (all, _) = prepared.eval_subset(10_000);
         assert_eq!(all.dims()[0], prepared.test.len());
+        let (none, labels) = prepared.eval_subset(0);
+        assert_eq!(none.dims(), &[0, 1, 16, 16]);
+        assert!(labels.is_empty());
+    }
+
+    /// CRC-32 of the `binfmt` bytes of the `tiny` scenario's network,
+    /// fitted fresh (not loaded), pinned per mode: the guard that its
+    /// recipe keeps the synthesis → init → train → normalize order of
+    /// random draws the cached networks were trained with.
+    #[test]
+    fn tiny_recipe_fits_pinned_weights() {
+        let fitted = Scenario::Tiny.recipe().fit().expect("fit");
+        let bytes = crate::binfmt::to_bytes(&serde::Serialize::to_value(&fitted.dnn));
+        let pinned = if quick_mode() { 1511614001 } else { 3812675446 };
+        assert_eq!(crate::binfmt::crc32(&bytes), pinned);
     }
 }

@@ -31,9 +31,7 @@
 #![forbid(unsafe_code)]
 
 mod spec;
-mod stats;
 mod synthetic;
 
 pub use spec::DatasetSpec;
-pub use stats::DatasetStats;
 pub use synthetic::{Batches, Dataset, SyntheticConfig};

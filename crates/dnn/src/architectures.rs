@@ -131,6 +131,30 @@ pub fn mlp_tiny<R: Rng + ?Sized>(rng: &mut R, spec: &DatasetSpec) -> Network {
     net
 }
 
+/// One of the builders above as a value, so a [`Recipe`](crate::Recipe)
+/// can hold its network.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Architecture {
+    /// [`mlp_tiny`].
+    MlpTiny,
+    /// [`cnn_small`] with this pooling operator.
+    CnnSmall(PoolKind),
+    /// [`vgg_scaled`] at this scale.
+    Vgg(VggScale),
+}
+
+impl Architecture {
+    /// Builds this architecture for `spec`-shaped inputs, drawing its
+    /// initial weights from `rng`.
+    pub fn build<R: Rng + ?Sized>(&self, rng: &mut R, spec: &DatasetSpec) -> Network {
+        match *self {
+            Architecture::MlpTiny => mlp_tiny(rng, spec),
+            Architecture::CnnSmall(pool) => cnn_small(rng, spec, pool),
+            Architecture::Vgg(scale) => vgg_scaled(rng, spec, scale),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,13 +6,11 @@
 
 mod batchnorm;
 mod conv;
-mod dropout;
 mod linear;
 mod simple;
 
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use linear::Linear;
 pub use simple::{Flatten, Pool, PoolKind, Relu};
 
@@ -47,8 +45,6 @@ pub enum Layer {
     Pool(Pool),
     /// Collapse spatial dims before dense layers.
     Flatten(Flatten),
-    /// Inverted dropout (train-time only; identity at inference).
-    Dropout(Dropout),
     /// Per-channel batch normalization (fold before SNN conversion).
     BatchNorm(BatchNorm2d),
 }
@@ -67,7 +63,6 @@ impl Layer {
             Layer::Relu(l) => Ok(l.forward(input, train)),
             Layer::Pool(l) => l.forward(input, train),
             Layer::Flatten(l) => l.forward(input, train),
-            Layer::Dropout(l) => Ok(l.forward(input, train)),
             Layer::BatchNorm(l) => l.forward(input, train),
         }
     }
@@ -85,7 +80,6 @@ impl Layer {
             Layer::Relu(l) => l.backward(grad_out),
             Layer::Pool(l) => l.backward(grad_out),
             Layer::Flatten(l) => l.backward(grad_out),
-            Layer::Dropout(l) => l.backward(grad_out),
             Layer::BatchNorm(l) => l.backward(grad_out),
         }
     }
@@ -125,7 +119,7 @@ impl Layer {
                     .get_or_insert_with(|| Tensor::zeros(l.beta.shape().clone()));
                 f(&mut l.beta, gb);
             }
-            Layer::Relu(_) | Layer::Pool(_) | Layer::Flatten(_) | Layer::Dropout(_) => {}
+            Layer::Relu(_) | Layer::Pool(_) | Layer::Flatten(_) => {}
         }
     }
 
@@ -144,7 +138,7 @@ impl Layer {
                 l.grad_gamma = None;
                 l.grad_beta = None;
             }
-            Layer::Relu(_) | Layer::Pool(_) | Layer::Flatten(_) | Layer::Dropout(_) => {}
+            Layer::Relu(_) | Layer::Pool(_) | Layer::Flatten(_) => {}
         }
     }
 
@@ -163,7 +157,6 @@ impl Layer {
             Layer::Relu(_) => "relu",
             Layer::Pool(_) => "pool",
             Layer::Flatten(_) => "flatten",
-            Layer::Dropout(_) => "dropout",
             Layer::BatchNorm(_) => "batchnorm",
         }
     }
@@ -206,12 +199,6 @@ impl From<Pool> for Layer {
 impl From<Flatten> for Layer {
     fn from(l: Flatten) -> Self {
         Layer::Flatten(l)
-    }
-}
-
-impl From<Dropout> for Layer {
-    fn from(l: Dropout) -> Self {
-        Layer::Dropout(l)
     }
 }
 

@@ -14,7 +14,10 @@
 //! * [`architectures`] — the scaled-VGG family (`conv1_1 … fc7` naming,
 //!   matching the paper's Figure 5 labels);
 //! * [`normalize_for_snn`] — the data-based normalization that bounds all
-//!   activations to `[0, 1]`, which is what lets the paper fix `θ0 = 1`.
+//!   activations to `[0, 1]`, which is what lets the paper fix `θ0 = 1`;
+//! * [`Recipe`] — one value fixing a source network's dataset, split,
+//!   architecture, seeds, training loop and normalization, and
+//!   [`Recipe::fit`], the one driver that makes it.
 //!
 //! ## Quick example
 //!
@@ -44,6 +47,7 @@ pub mod layers;
 mod network;
 mod normalize;
 mod optim;
+mod recipe;
 mod train;
 
 pub use network::Network;
@@ -51,4 +55,5 @@ pub use normalize::{
     normalize_for_snn, visit_weighted_activations, weighted_layer_activations, NormalizationReport,
 };
 pub use optim::{Sgd, SgdConfig};
+pub use recipe::{Fitted, Recipe};
 pub use train::{evaluate, train, EpochReport, TrainConfig, TrainReport};

@@ -250,9 +250,9 @@ impl SnnNetwork {
                     weight: l.weight.clone(),
                     bias: l.bias.clone(),
                 }),
-                // ReLU is realized by the IF firing condition; dropout is
-                // identity at inference. Both vanish in conversion.
-                Layer::Relu(_) | Layer::Dropout(_) => {}
+                // ReLU is realized by the IF firing condition and
+                // vanishes in conversion.
+                Layer::Relu(_) => {}
                 Layer::BatchNorm(_) => {
                     return Err(TensorError::InvalidArgument {
                         op: "SnnNetwork::from_dnn",

@@ -467,48 +467,44 @@ mod tests {
     use crate::coding::{BurstCoding, PhaseCoding, RateCoding};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use t2fsnn_data::{DatasetSpec, SyntheticConfig};
+    use std::sync::OnceLock;
+    use t2fsnn_data::DatasetSpec;
     use t2fsnn_dnn::architectures::mlp_tiny;
-    use t2fsnn_dnn::{normalize_for_snn, train, TrainConfig};
+    use t2fsnn_dnn::{Fitted, Recipe, TrainConfig};
 
-    /// A trained, normalized tiny network plus its dataset.
+    /// A trained, normalized tiny network, converted, plus its test
+    /// split and DNN accuracy; fitted once per test binary.
     ///
     /// Sized so the DNN actually generalizes (~80% test accuracy): with
     /// fewer samples/epochs the MLP sits at chance on the held-out split
     /// and every downstream accuracy assertion becomes vacuous.
-    fn fixture() -> (SnnNetwork, Tensor, Vec<usize>, f32) {
-        let mut rng = ChaCha8Rng::seed_from_u64(33);
-        let data = SyntheticConfig::new(DatasetSpec::tiny(), 6).generate(320);
-        let (train_set, test_set) = data.split(256);
-        let mut dnn = mlp_tiny(&mut rng, &data.spec);
-        let cfg = TrainConfig {
-            epochs: 12,
-            ..TrainConfig::default()
-        };
-        train(&mut dnn, &train_set, &cfg, &mut rng).unwrap();
-        normalize_for_snn(&mut dnn, &train_set.images, 0.999).unwrap();
-        let dnn_acc = t2fsnn_dnn::evaluate(&mut dnn, &test_set, 16).unwrap();
-        let snn = SnnNetwork::from_dnn(&dnn).unwrap();
-        (
-            snn,
-            test_set.images.clone(),
-            test_set.labels.clone(),
-            dnn_acc,
-        )
+    fn fixture() -> &'static (SnnNetwork, Tensor, Vec<usize>, f32) {
+        static FIXTURE: OnceLock<(SnnNetwork, Tensor, Vec<usize>, f32)> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let Fitted { mut dnn, test, .. } = Recipe {
+                data_seed: 6,
+                samples: 320,
+                train_size: 256,
+                init_seed: 33,
+                train: TrainConfig {
+                    epochs: 12,
+                    ..TrainConfig::default()
+                },
+                ..Recipe::default()
+            }
+            .fit()
+            .unwrap();
+            let dnn_acc = t2fsnn_dnn::evaluate(&mut dnn, &test, 16).unwrap();
+            let snn = SnnNetwork::from_dnn(&dnn).unwrap();
+            (snn, test.images, test.labels, dnn_acc)
+        })
     }
 
     #[test]
     fn rate_coding_approaches_dnn_accuracy() {
         let (snn, images, labels, dnn_acc) = fixture();
         let mut coding = RateCoding::new();
-        let outcome = simulate(
-            &snn,
-            &mut coding,
-            &images,
-            &labels,
-            &SimConfig::new(256, 32),
-        )
-        .unwrap();
+        let outcome = simulate(snn, &mut coding, images, labels, &SimConfig::new(256, 32)).unwrap();
         assert!(
             outcome.final_accuracy >= dnn_acc - 0.15,
             "rate SNN {:.3} too far below DNN {:.3}",
@@ -519,10 +515,10 @@ mod tests {
         // Rate coding spikes grow ~linearly with time: later half must add
         // a similar amount as the first half.
         let early = simulate(
-            &snn,
+            snn,
             &mut RateCoding::new(),
-            &images,
-            &labels,
+            images,
+            labels,
             &SimConfig::new(128, 32),
         )
         .unwrap();
@@ -533,10 +529,10 @@ mod tests {
     fn phase_coding_runs_and_spikes_less_per_value() {
         let (snn, images, labels, _) = fixture();
         let outcome = simulate(
-            &snn,
+            snn,
             &mut PhaseCoding::new(8),
-            &images,
-            &labels,
+            images,
+            labels,
             &SimConfig::new(64, 8),
         )
         .unwrap();
@@ -549,10 +545,10 @@ mod tests {
     fn burst_coding_converges_quickly() {
         let (snn, images, labels, dnn_acc) = fixture();
         let outcome = simulate(
-            &snn,
+            snn,
             &mut BurstCoding::new(5),
-            &images,
-            &labels,
+            images,
+            labels,
             &SimConfig::new(64, 8),
         )
         .unwrap();
@@ -568,18 +564,18 @@ mod tests {
     fn burst_uses_fewer_spikes_than_rate_at_same_accuracy_scale() {
         let (snn, images, labels, _) = fixture();
         let rate = simulate(
-            &snn,
+            snn,
             &mut RateCoding::new(),
-            &images,
-            &labels,
+            images,
+            labels,
             &SimConfig::new(256, 64),
         )
         .unwrap();
         let burst = simulate(
-            &snn,
+            snn,
             &mut BurstCoding::new(5),
-            &images,
-            &labels,
+            images,
+            labels,
             &SimConfig::new(64, 16),
         )
         .unwrap();
@@ -596,18 +592,18 @@ mod tests {
         let (snn, images, labels, _) = fixture();
         for threshold in [0.05f32, 0.25, 1.0] {
             let dense = simulate(
-                &snn,
+                snn,
                 &mut PhaseCoding::new(8),
-                &images,
-                &labels,
+                images,
+                labels,
                 &SimConfig::new(48, 8).with_engine(SimEngine::dense()),
             )
             .unwrap();
             let event = simulate(
-                &snn,
+                snn,
                 &mut PhaseCoding::new(8),
-                &images,
-                &labels,
+                images,
+                labels,
                 &SimConfig::new(48, 8).with_engine(SimEngine::Event {
                     sparsity_threshold: threshold,
                 }),
@@ -621,20 +617,20 @@ mod tests {
     fn chunked_simulation_is_bit_identical_for_every_worker_count() {
         let (snn, images, labels, _) = fixture();
         let serial = simulate_on(
-            &snn,
+            snn,
             &mut BurstCoding::new(5),
-            &images,
-            &labels,
+            images,
+            labels,
             &SimConfig::new(32, 8),
             &ThreadPool::new(1),
         )
         .unwrap();
         for workers in [2usize, 3, 5] {
             let parallel = simulate_on(
-                &snn,
+                snn,
                 &mut BurstCoding::new(5),
-                &images,
-                &labels,
+                images,
+                labels,
                 &SimConfig::new(32, 8),
                 &ThreadPool::new(workers),
             )
@@ -649,20 +645,20 @@ mod tests {
         let mut coding = RateCoding::bernoulli(7);
         assert!(!crate::coding::Coding::batch_divisible(&coding));
         let a = simulate_on(
-            &snn,
+            snn,
             &mut coding,
-            &images,
-            &labels,
+            images,
+            labels,
             &SimConfig::new(16, 8),
             &ThreadPool::new(4),
         )
         .unwrap();
         // The multi-worker pool must not change the single RNG stream.
         let b = simulate_on(
-            &snn,
+            snn,
             &mut RateCoding::bernoulli(7),
-            &images,
-            &labels,
+            images,
+            labels,
             &SimConfig::new(16, 8),
             &ThreadPool::new(1),
         )
@@ -674,10 +670,10 @@ mod tests {
     fn curve_is_sampled_at_requested_resolution() {
         let (snn, images, labels, _) = fixture();
         let outcome = simulate(
-            &snn,
+            snn,
             &mut RateCoding::new(),
-            &images,
-            &labels,
+            images,
+            labels,
             &SimConfig::new(100, 25),
         )
         .unwrap();
@@ -724,17 +720,17 @@ mod tests {
         let (snn, images, labels, _) = fixture();
         let bad = Tensor::zeros([2, 8, 8]);
         assert!(simulate(
-            &snn,
+            snn,
             &mut RateCoding::new(),
             &bad,
-            &labels,
+            labels,
             &SimConfig::new(4, 2)
         )
         .is_err());
         assert!(simulate(
-            &snn,
+            snn,
             &mut RateCoding::new(),
-            &images,
+            images,
             &labels[..3],
             &SimConfig::new(4, 2)
         )

@@ -187,9 +187,10 @@ examples:
     cargo run -q --example energy_model
 
 # Non-blank lines per crate under crates/*/src and shims/*/src, split
-# into code and the in-file `#[cfg(test)] mod tests` blocks (a test
-# module runs from its `mod tests` line to the first `}` in column 0).
-# Run it on the parent and on a change for the net line delta
+# into code and tests: the in-file `#[cfg(test)] mod tests` blocks (a
+# test module runs from its `mod tests` line to the first `}` in column
+# 0) plus the crate's `tests/` directory; the last row is the workspace
+# `tests/`. Run it on the parent and on a change for the net line delta
 # CHANGES.md records.
 loc:
-    for d in crates/*/ shims/*/; do find "${d}src" -name '*.rs' -exec cat {} + | awk -v crate="$(basename "$d")" 'held { held = 0; if (/^mod tests/) { t = 1; test++ } else code++ } /^#\[cfg\(test\)\]$/ && !t { held = 1; next } NF { if (t) test++; else code++ } t && /^}$/ { t = 0 } END { printf "%-12s %7d code %7d tests\n", crate, code, test }'; done
+    for d in crates/*/ shims/*/; do ext=0; if [ -d "${d}tests" ]; then ext=$(find "${d}tests" -name '*.rs' -exec cat {} + | awk 'NF { n++ } END { print n + 0 }'); fi; find "${d}src" -name '*.rs' -exec cat {} + | awk -v crate="$(basename "$d")" -v ext="$ext" 'held { held = 0; if (/^mod tests/) { t = 1; test++ } else code++ } /^#\[cfg\(test\)\]$/ && !t { held = 1; next } NF { if (t) test++; else code++ } t && /^}$/ { t = 0 } END { printf "%-12s %7d code %7d tests\n", crate, code, test + ext }'; done; find tests -name '*.rs' -exec cat {} + | awk 'NF { n++ } END { printf "%-12s %7d code %7d tests\n", "tests/", 0, n }'

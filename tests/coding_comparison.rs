@@ -5,30 +5,33 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::OnceLock;
 use t2fsnn::eval::{build_variant, energy_table, CodingMeasurement, Variant};
 use t2fsnn::optimize::GoConfig;
 use t2fsnn::KernelParams;
-use t2fsnn_data::{Dataset, DatasetSpec, SyntheticConfig};
-use t2fsnn_dnn::architectures::mlp_tiny;
-use t2fsnn_dnn::{normalize_for_snn, train, Network, TrainConfig};
+use t2fsnn_data::Dataset;
+use t2fsnn_dnn::{Fitted, Network, Recipe, TrainConfig};
 use t2fsnn_snn::coding::{BurstCoding, PhaseCoding, RateCoding};
 use t2fsnn_snn::{simulate, SimConfig, SnnNetwork};
 
-fn fixture() -> (Network, Dataset, Dataset) {
-    // Sized so the MLP actually generalizes (~80% held-out accuracy);
-    // with fewer samples/epochs it sits at chance and the accuracy
-    // assertions below are meaningless.
-    let mut rng = ChaCha8Rng::seed_from_u64(202);
-    let data = SyntheticConfig::new(DatasetSpec::tiny(), 21).generate(320);
-    let (train_set, test_set) = data.split(256);
-    let mut dnn = mlp_tiny(&mut rng, &data.spec);
-    let cfg = TrainConfig {
-        epochs: 12,
-        ..TrainConfig::default()
+/// Sized so the MLP actually generalizes (~80% held-out accuracy); with
+/// fewer samples/epochs it sits at chance and the accuracy assertions
+/// below are meaningless.
+fn fixture() -> (Network, &'static Dataset, &'static Dataset) {
+    static FITTED: OnceLock<Fitted> = OnceLock::new();
+    let recipe = || Recipe {
+        data_seed: 21,
+        samples: 320,
+        train_size: 256,
+        init_seed: 202,
+        train: TrainConfig {
+            epochs: 12,
+            ..TrainConfig::default()
+        },
+        ..Recipe::default()
     };
-    train(&mut dnn, &train_set, &cfg, &mut rng).expect("training");
-    normalize_for_snn(&mut dnn, &train_set.images, 0.999).expect("normalization");
-    (dnn, train_set, test_set)
+    let fitted = FITTED.get_or_init(|| recipe().fit().expect("fit"));
+    (fitted.dnn.clone(), &fitted.train, &fitted.test)
 }
 
 #[test]

@@ -2,29 +2,40 @@
 //! normalization bounds, prediction preservation, analytic-oracle
 //! equivalence and kernel-window trade-offs across crates.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use t2fsnn::{KernelParams, T2fsnn, T2fsnnConfig};
-use t2fsnn_data::{Dataset, DatasetSpec, SyntheticConfig};
-use t2fsnn_dnn::architectures::cnn_small;
-use t2fsnn_dnn::layers::PoolKind;
-use t2fsnn_dnn::{normalize_for_snn, train, weighted_layer_activations, Network, TrainConfig};
+use std::sync::OnceLock;
 
-fn trained_cnn() -> (Network, Dataset, Dataset) {
-    let mut rng = ChaCha8Rng::seed_from_u64(303);
-    let spec = DatasetSpec::new("conv-pipeline", 1, 16, 16, 4);
-    let data = SyntheticConfig::new(spec.clone(), 31).generate(112);
-    let (train_set, test_set) = data.split(80);
-    let mut dnn = cnn_small(&mut rng, &spec, PoolKind::Avg);
-    train(&mut dnn, &train_set, &TrainConfig::default(), &mut rng).expect("training");
-    (dnn, train_set, test_set)
+use t2fsnn::{KernelParams, T2fsnn, T2fsnnConfig};
+use t2fsnn_data::{Dataset, DatasetSpec};
+use t2fsnn_dnn::architectures::Architecture;
+use t2fsnn_dnn::layers::PoolKind;
+use t2fsnn_dnn::{weighted_layer_activations, Fitted, Network, Recipe};
+
+/// The two-block average-pool CNN, normalized at `percentile`.
+fn recipe(percentile: f32) -> Recipe {
+    Recipe {
+        spec: DatasetSpec::new("conv-pipeline", 1, 16, 16, 4),
+        data_seed: 31,
+        samples: 112,
+        train_size: 80,
+        architecture: Architecture::CnnSmall(PoolKind::Avg),
+        init_seed: 303,
+        percentile,
+        ..Recipe::default()
+    }
+}
+
+/// [`recipe`] at the 99.9th percentile, fitted once: the network and its
+/// test split.
+fn trained_cnn() -> (&'static Network, &'static Dataset) {
+    static FITTED: OnceLock<Fitted> = OnceLock::new();
+    let fitted = FITTED.get_or_init(|| recipe(0.999).fit().expect("fit"));
+    (&fitted.dnn, &fitted.test)
 }
 
 #[test]
 fn normalization_bounds_every_layer_for_conv_nets() {
-    let (mut dnn, train_set, _) = trained_cnn();
-    normalize_for_snn(&mut dnn, &train_set.images, 1.0).expect("normalize");
-    let acts = weighted_layer_activations(&mut dnn, &train_set.images).expect("acts");
+    let mut fitted = recipe(1.0).fit().expect("fit");
+    let acts = weighted_layer_activations(&mut fitted.dnn, &fitted.train.images).expect("acts");
     for (idx, act) in &acts {
         assert!(
             act.max() <= 1.0 + 1e-4,
@@ -37,9 +48,8 @@ fn normalization_bounds_every_layer_for_conv_nets() {
 
 #[test]
 fn clock_engine_equals_analytic_oracle_on_conv_net() {
-    let (mut dnn, train_set, test_set) = trained_cnn();
-    normalize_for_snn(&mut dnn, &train_set.images, 0.999).expect("normalize");
-    let model = T2fsnn::from_dnn(&dnn, T2fsnnConfig::new(32), KernelParams::new(8.0, 0.0))
+    let (dnn, test_set) = trained_cnn();
+    let model = T2fsnn::from_dnn(dnn, T2fsnnConfig::new(32), KernelParams::new(8.0, 0.0))
         .expect("conversion");
     let run = model
         .run(&test_set.images, &test_set.labels)
@@ -73,10 +83,9 @@ fn clock_engine_equals_analytic_oracle_on_conv_net() {
 fn wider_window_never_hurts_much() {
     // The τ/T trade-off (Sec. III-B): with fixed τ, a longer window can
     // represent smaller values, so accuracy should not degrade as T grows.
-    let (mut dnn, train_set, test_set) = trained_cnn();
-    normalize_for_snn(&mut dnn, &train_set.images, 0.999).expect("normalize");
+    let (dnn, test_set) = trained_cnn();
     let acc_for = |window: usize| {
-        let model = T2fsnn::from_dnn(&dnn, T2fsnnConfig::new(window), KernelParams::new(8.0, 0.0))
+        let model = T2fsnn::from_dnn(dnn, T2fsnnConfig::new(window), KernelParams::new(8.0, 0.0))
             .expect("conversion");
         model
             .run(&test_set.images, &test_set.labels)
@@ -93,9 +102,8 @@ fn wider_window_never_hurts_much() {
 
 #[test]
 fn spike_counts_scale_linearly_with_batch() {
-    let (mut dnn, train_set, test_set) = trained_cnn();
-    normalize_for_snn(&mut dnn, &train_set.images, 0.999).expect("normalize");
-    let model = T2fsnn::from_dnn(&dnn, T2fsnnConfig::new(24), KernelParams::new(8.0, 0.0))
+    let (dnn, test_set) = trained_cnn();
+    let model = T2fsnn::from_dnn(dnn, T2fsnnConfig::new(24), KernelParams::new(8.0, 0.0))
         .expect("conversion");
     let (half, _) = test_set.split(test_set.len() / 2);
     let run_half = model.run(&half.images, &half.labels).expect("half");

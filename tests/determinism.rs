@@ -4,21 +4,22 @@
 //! accidentally introducing nondeterminism (threading, hash ordering,
 //! fast-math reassociation).
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use t2fsnn::{KernelParams, T2fsnn, T2fsnnConfig};
 use t2fsnn_data::{Dataset, DatasetSpec, SyntheticConfig};
-use t2fsnn_dnn::architectures::mlp_tiny;
-use t2fsnn_dnn::{normalize_for_snn, train, Network, TrainConfig};
+use t2fsnn_dnn::{Fitted, Network, Recipe};
 
+/// Fits the tiny MLP afresh on every call: the tests below compare fits.
 fn fixture() -> (Network, Dataset) {
-    let mut rng = ChaCha8Rng::seed_from_u64(424_242);
-    let data = SyntheticConfig::new(DatasetSpec::tiny(), 77).generate(64);
-    let (train_set, test_set) = data.split(48);
-    let mut dnn = mlp_tiny(&mut rng, &data.spec);
-    train(&mut dnn, &train_set, &TrainConfig::default(), &mut rng).expect("training");
-    normalize_for_snn(&mut dnn, &train_set.images, 0.999).expect("normalization");
-    (dnn, test_set)
+    let Fitted { dnn, test, .. } = Recipe {
+        data_seed: 77,
+        samples: 64,
+        train_size: 48,
+        init_seed: 424_242,
+        ..Recipe::default()
+    }
+    .fit()
+    .expect("fit");
+    (dnn, test)
 }
 
 #[test]

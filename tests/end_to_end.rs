@@ -3,36 +3,40 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::OnceLock;
 use t2fsnn::eval::{ablation_table, build_variant, Variant};
 use t2fsnn::optimize::GoConfig;
 use t2fsnn::KernelParams;
-use t2fsnn_data::{Dataset, DatasetSpec, SyntheticConfig};
-use t2fsnn_dnn::architectures::cnn_small;
+use t2fsnn_data::{Dataset, DatasetSpec};
+use t2fsnn_dnn::architectures::Architecture;
 use t2fsnn_dnn::layers::PoolKind;
-use t2fsnn_dnn::{evaluate, normalize_for_snn, train, Network, TrainConfig};
+use t2fsnn_dnn::{evaluate, Fitted, Network, Recipe, TrainConfig};
 
-fn pipeline_fixture() -> (Network, Dataset, Dataset, f32) {
-    // Sized so the CNN clears the >0.5 learning bar with margin; the
-    // seed fixture (96 train samples, default epochs) landed exactly at
-    // 0.5 held-out accuracy.
-    let mut rng = ChaCha8Rng::seed_from_u64(101);
-    let spec = DatasetSpec::new("e2e", 1, 16, 16, 4);
-    let data = SyntheticConfig::new(spec.clone(), 13).generate(224);
-    let (train_set, test_set) = data.split(176);
-    let mut dnn = cnn_small(&mut rng, &spec, PoolKind::Avg);
-    let cfg = TrainConfig {
-        epochs: 10,
-        ..TrainConfig::default()
+/// Sized so the CNN clears the >0.5 learning bar with margin; 96 train
+/// samples at the default epochs landed exactly at 0.5 held-out accuracy.
+fn pipeline_fixture() -> (Network, &'static Dataset, &'static Dataset) {
+    static FITTED: OnceLock<Fitted> = OnceLock::new();
+    let recipe = || Recipe {
+        spec: DatasetSpec::new("e2e", 1, 16, 16, 4),
+        data_seed: 13,
+        samples: 224,
+        train_size: 176,
+        architecture: Architecture::CnnSmall(PoolKind::Avg),
+        init_seed: 101,
+        train: TrainConfig {
+            epochs: 10,
+            ..TrainConfig::default()
+        },
+        ..Recipe::default()
     };
-    train(&mut dnn, &train_set, &cfg, &mut rng).expect("training");
-    normalize_for_snn(&mut dnn, &train_set.images, 0.999).expect("normalization");
-    let dnn_acc = evaluate(&mut dnn, &test_set, 16).expect("evaluation");
-    (dnn, train_set, test_set, dnn_acc)
+    let fitted = FITTED.get_or_init(|| recipe().fit().expect("fit"));
+    (fitted.dnn.clone(), &fitted.train, &fitted.test)
 }
 
 #[test]
 fn full_pipeline_trains_converts_and_classifies() {
-    let (mut dnn, train_set, test_set, dnn_acc) = pipeline_fixture();
+    let (mut dnn, train_set, test_set) = pipeline_fixture();
+    let dnn_acc = evaluate(&mut dnn, test_set, 16).expect("evaluation");
     assert!(
         dnn_acc > 0.5,
         "CNN failed to learn the synthetic task: {dnn_acc}"
@@ -72,12 +76,12 @@ fn full_pipeline_trains_converts_and_classifies() {
 
 #[test]
 fn ablation_runs_all_variants_with_consistent_shapes() {
-    let (mut dnn, train_set, test_set, _) = pipeline_fixture();
+    let (mut dnn, train_set, test_set) = pipeline_fixture();
     let mut rng = ChaCha8Rng::seed_from_u64(8);
     let rows = ablation_table(
         &mut dnn,
         &train_set.images,
-        &test_set,
+        test_set,
         24,
         KernelParams::new(6.0, 0.0),
         &GoConfig {
@@ -109,7 +113,7 @@ fn ablation_runs_all_variants_with_consistent_shapes() {
 #[test]
 fn go_variant_reduces_or_maintains_spikes() {
     // Table I: +GO slightly reduces spike counts at equal latency.
-    let (mut dnn, train_set, test_set, _) = pipeline_fixture();
+    let (mut dnn, train_set, test_set) = pipeline_fixture();
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let base = build_variant(
         &mut dnn,

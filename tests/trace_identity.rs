@@ -8,25 +8,28 @@
 //! site that ever fed back into computation (or perturbed iteration
 //! order) would show up here as a diverged `ImageInference`.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use t2fsnn::{ImageInference, InferOptions, KernelParams, T2fsnn, T2fsnnConfig};
-use t2fsnn_data::{DatasetSpec, SyntheticConfig};
-use t2fsnn_dnn::architectures::mlp_tiny;
-use t2fsnn_dnn::{normalize_for_snn, train, Network, TrainConfig};
+use t2fsnn_dnn::{Fitted, Network, Recipe};
 use t2fsnn_snn::SimEngine;
 use t2fsnn_tensor::{profile, trace, Tensor, ThreadPool};
 
-fn fixture() -> (Network, Tensor) {
-    let mut rng = ChaCha8Rng::seed_from_u64(31_337);
-    let data = SyntheticConfig::new(DatasetSpec::tiny(), 55).generate(40);
-    let (train_set, test_set) = data.split(32);
-    let mut dnn = mlp_tiny(&mut rng, &data.spec);
-    train(&mut dnn, &train_set, &TrainConfig::default(), &mut rng).expect("training");
-    normalize_for_snn(&mut dnn, &train_set.images, 0.999).expect("normalization");
-    (dnn, test_set.images)
+/// The fitted tiny MLP and its test images.
+fn fixture() -> (&'static Network, &'static Tensor) {
+    static FITTED: OnceLock<Fitted> = OnceLock::new();
+    let fitted = FITTED.get_or_init(|| {
+        Recipe {
+            data_seed: 55,
+            samples: 40,
+            train_size: 32,
+            init_seed: 31_337,
+            ..Recipe::default()
+        }
+        .fit()
+        .expect("fit")
+    });
+    (&fitted.dnn, &fitted.test.images)
 }
 
 fn build(dnn: &Network, engine: SimEngine) -> T2fsnn {
@@ -80,12 +83,12 @@ fn tracing_and_profiling_change_no_bits() {
     let (dnn, images) = fixture();
     let n = images.dims()[0];
     for engine in [SimEngine::Dense, SimEngine::default()] {
-        let model = build(&dnn, engine);
+        let model = build(dnn, engine);
         for opts in [InferOptions::default(), InferOptions::early_exit()] {
             // Reference: both sinks off, whole batch, single worker.
             trace::set_enabled(false);
             profile::set_enabled(false);
-            let reference = run_split(&model, &images, opts, n, 1);
+            let reference = run_split(&model, images, opts, n, 1);
             assert_eq!(reference.len(), n);
 
             // Observability states × batch/worker shapes. (trace, profile)
@@ -96,7 +99,7 @@ fn tracing_and_profiling_change_no_bits() {
                 trace::set_enabled(trace_on);
                 profile::set_enabled(profile_on);
                 for (batch, workers) in [(n, 4), (1, 1), (3, 2), (7, 3)] {
-                    let probe = run_split(&model, &images, opts, batch, workers);
+                    let probe = run_split(&model, images, opts, batch, workers);
                     assert_eq!(
                         reference, probe,
                         "bits diverged: engine {engine:?}, opts {opts:?}, trace {trace_on}, \
@@ -116,13 +119,13 @@ fn tracing_and_profiling_change_no_bits() {
 fn traced_run_records_engine_phase_spans() {
     let _serial = observability_lock();
     let (dnn, images) = fixture();
-    let model = build(&dnn, SimEngine::default());
+    let model = build(dnn, SimEngine::default());
     trace::set_enabled(true);
     let trace_id = trace::next_trace_id();
     {
         let _scope = trace::trace_scope(trace_id);
         let _ = model
-            .infer(&images, InferOptions::early_exit())
+            .infer(images, InferOptions::early_exit())
             .expect("infer");
     }
     trace::set_enabled(false);
