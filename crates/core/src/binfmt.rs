@@ -30,6 +30,27 @@
 //! size in memory before `from_value` copies them out again. Every
 //! array consumer of the serde shim reads the packed form as the
 //! element-wise one, and writing it back produces the same bytes.
+//!
+//! ## Reading part of a file
+//!
+//! There is one section parser, [`read_sections`], a walk over any
+//! `Read + Seek` source ([`from_bytes`] is that walk over a byte slice).
+//! Each section's framing gives its payload length, so the walk needs
+//! no index: per section key it either reads, checks and decodes the
+//! payload ([`Take::Whole`]), decodes only the head of an object payload
+//! up to a named entry ([`Take::Head`]), or seeks past it
+//! ([`Take::Skip`]). A CRC covers a whole payload, so only a whole
+//! section is checksummed: a head or a skipped section is bounded by its
+//! framing and decoded no further than the reader asks, and a flipped
+//! byte past that point goes unseen. The scenario cache's
+//! [`prepare_network`](crate::scenario::prepare_network) relies on
+//! this: it checksums its key, network and accuracy sections, reads the
+//! dataset section's `spec` and image `shape` (which the writer puts
+//! ahead of the image data) and seeks past the ~21 MB rest, while
+//! [`prepare`](crate::scenario::prepare) checksums everything.
+
+use std::borrow::Cow;
+use std::io::{Read, Seek, SeekFrom};
 
 use serde::Value;
 
@@ -160,71 +181,233 @@ fn is_binary(bytes: &[u8]) -> bool {
 }
 
 /// Parses a value tree, validating the header and every section's
-/// CRC32 checksum.
+/// CRC32 checksum: [`read_sections`] over the slice, taking every
+/// section whole.
 ///
 /// # Errors
 ///
 /// Returns a description of the first structural problem encountered,
 /// including which section a checksum mismatch hit.
 pub fn from_bytes(bytes: &[u8]) -> Result<Value, String> {
-    if !is_binary(bytes) {
+    walk(&mut &bytes[..], |_| Take::Whole)
+}
+
+/// What [`read_sections`] does with one top-level section, chosen by
+/// its key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Take {
+    /// Read the whole payload, check its CRC32 and decode it.
+    Whole,
+    /// Decode only the payload's head, unchecked, and seek past the
+    /// rest: the entries of an object ahead of the entry this key path
+    /// names, descending into the objects on the path. `["images",
+    /// "data"]` keeps every entry before `images`, and of `images` every
+    /// entry before `data`.
+    Head(&'static [&'static str]),
+    /// Seek past the payload unread.
+    Skip,
+}
+
+/// Walks the header and the checksummed sections of a file (see the
+/// module docs), from the reader's position to its end, doing with each
+/// section what `take` picks for its key.
+///
+/// Returns the object of the sections taken, in file order (a skipped
+/// section is absent), or, for a file written from a bare value, that
+/// value (`Null` if skipped). Only a [`Take::Whole`] section is
+/// checksummed; a skipped or head-only one is read no further than its
+/// framing says.
+///
+/// # Errors
+///
+/// Returns a description of the first structural problem encountered:
+/// a bad header or version, a length past the end of the data, a
+/// checksum mismatch (naming its section), a malformed value or
+/// trailing bytes.
+pub fn read_sections<R: Read + Seek>(
+    reader: &mut R,
+    take: impl FnMut(&str) -> Take,
+) -> Result<Value, String> {
+    let io = |e: std::io::Error| format!("read failed: {e}");
+    let start = reader.stream_position().map_err(io)?;
+    let end = reader.seek(SeekFrom::End(0)).map_err(io)?;
+    reader.seek(SeekFrom::Start(start)).map_err(io)?;
+    let left = usize::try_from(end.saturating_sub(start)).map_err(|_| "file too large")?;
+    walk(&mut Stream { reader, left }, take)
+}
+
+/// The section walk of [`from_bytes`] and [`read_sections`], over the
+/// rest of `input`.
+fn walk(input: &mut impl Source, mut take: impl FnMut(&str) -> Take) -> Result<Value, String> {
+    let header = input.next_bytes(input.left().min(6))?;
+    if !is_binary(&header) {
         return Err("missing T2FB magic".to_string());
     }
-    if bytes.len() < 6 {
+    if header.len() < 6 {
         return Err("truncated header".to_string());
     }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    let version = u16::from_le_bytes([header[4], header[5]]);
     if version != VERSION {
         return Err(format!("unsupported binary cache version {version}"));
     }
-    let mut cursor = 6usize;
-    let value = read_sections(bytes, &mut cursor)?;
-    if cursor != bytes.len() {
-        return Err(format!("{} trailing bytes", bytes.len() - cursor));
-    }
-    Ok(value)
-}
-
-/// Reads the checksummed section list (see the module docs).
-fn read_sections(bytes: &[u8], cursor: &mut usize) -> Result<Value, String> {
-    let layout = read_exact(bytes, cursor, 1)?[0];
+    let layout = input.next_bytes(1)?[0];
     if layout != LAYOUT_OBJECT && layout != LAYOUT_BARE {
         return Err(format!("unknown section layout {layout}"));
     }
-    let count = read_len(bytes, cursor)?;
+    let count = read_len(input)?;
     if layout == LAYOUT_BARE && count != 1 {
         return Err(format!(
             "bare layout must hold exactly 1 section, got {count}"
         ));
     }
-    let mut pairs = Vec::with_capacity(count.min(bytes.len() - *cursor));
+    let mut pairs = Vec::with_capacity(count.min(input.left()));
     for _ in 0..count {
-        let key = read_string(bytes, cursor)?;
-        let len = read_len(bytes, cursor)?;
-        let stored = u32::from_le_bytes(read_exact(bytes, cursor, 4)?.try_into().expect("4 bytes"));
-        let payload = read_exact(bytes, cursor, len)?;
-        let computed = section_crc(&key, payload);
-        if computed != stored {
+        let key = read_string(input)?;
+        let len = read_len(input)?;
+        let stored = u32::from_le_bytes(input.next_bytes(4)?[..].try_into().expect("4 bytes"));
+        if len > input.left() {
             return Err(format!(
-                "section `{key}` checksum mismatch (stored {stored:08x}, computed {computed:08x}) \
-                 — artifact corrupted"
+                "section `{key}` runs {} bytes past the end of the data",
+                len - input.left()
             ));
         }
-        let mut inner = 0usize;
-        let value = read_value(payload, &mut inner)?;
-        if inner != payload.len() {
-            return Err(format!(
-                "section `{key}` has {} trailing payload bytes",
-                payload.len() - inner
-            ));
+        match take(&key) {
+            Take::Whole => {
+                let payload = input.next_bytes(len)?;
+                let computed = section_crc(&key, &payload);
+                if computed != stored {
+                    return Err(format!(
+                        "section `{key}` checksum mismatch (stored {stored:08x}, \
+                         computed {computed:08x}) — artifact corrupted"
+                    ));
+                }
+                let mut rest = &payload[..];
+                let value = read_value(&mut rest)?;
+                if !rest.is_empty() {
+                    return Err(format!(
+                        "section `{key}` has {} trailing payload bytes",
+                        rest.len()
+                    ));
+                }
+                pairs.push((key, value));
+            }
+            Take::Head(path) => pairs.push((key, input.head(len, path)?)),
+            Take::Skip => input.skip(len)?,
         }
-        pairs.push((key, value));
+    }
+    if input.left() != 0 {
+        return Err(format!("{} trailing bytes", input.left()));
     }
     Ok(if layout == LAYOUT_BARE {
-        pairs.pop().expect("count checked above").1
+        pairs.pop().map_or(Value::Null, |(_, value)| value)
     } else {
         Value::Object(pairs)
     })
+}
+
+/// Where the decoder takes its bytes from: the rest of a checked payload
+/// in memory, or a bounded run of a stream.
+trait Input {
+    /// The next `n` bytes; an error, before anything is allocated, if
+    /// fewer are left.
+    fn next_bytes(&mut self, n: usize) -> Result<Cow<'_, [u8]>, String>;
+    /// How many bytes are left: the bound on every preallocation.
+    fn left(&self) -> usize;
+}
+
+impl Input for &[u8] {
+    fn next_bytes(&mut self, n: usize) -> Result<Cow<'_, [u8]>, String> {
+        if n > self.len() {
+            return Err("unexpected end of data".to_string());
+        }
+        let (head, rest) = self.split_at(n);
+        *self = rest;
+        Ok(Cow::Borrowed(head))
+    }
+
+    fn left(&self) -> usize {
+        self.len()
+    }
+}
+
+/// A byte source the section walk can also move through undecoded: a
+/// file in memory, or a stream that seeks.
+trait Source: Input {
+    /// Moves past the next `n` bytes, unread.
+    fn skip(&mut self, n: usize) -> Result<(), String>;
+    /// Decodes the head of the next `n` bytes that `path` cuts (see
+    /// [`Take::Head`]), and moves past the rest of them unread.
+    fn head(&mut self, n: usize, path: &[&str]) -> Result<Value, String>;
+}
+
+impl Source for &[u8] {
+    fn skip(&mut self, n: usize) -> Result<(), String> {
+        self.next_bytes(n).map(drop)
+    }
+
+    fn head(&mut self, n: usize, path: &[&str]) -> Result<Value, String> {
+        let payload = self.next_bytes(n)?;
+        read_head(&mut &payload[..], path)
+    }
+}
+
+/// A stream that may be read no further than its next `left` bytes.
+struct Stream<R> {
+    reader: R,
+    left: usize,
+}
+
+impl<R: Read> Input for Stream<R> {
+    fn next_bytes(&mut self, n: usize) -> Result<Cow<'_, [u8]>, String> {
+        if n > self.left {
+            return Err("unexpected end of data".to_string());
+        }
+        // Read into spare capacity: zeroing a payload-sized buffer first
+        // would touch every page of it twice.
+        let mut buf = Vec::with_capacity(n);
+        (&mut self.reader)
+            .take(n as u64)
+            .read_to_end(&mut buf)
+            .map_err(|e| format!("read failed: {e}"))?;
+        if buf.len() != n {
+            return Err("unexpected end of data".to_string());
+        }
+        self.left -= n;
+        Ok(Cow::Owned(buf))
+    }
+
+    fn left(&self) -> usize {
+        self.left
+    }
+}
+
+impl<R: Read + Seek> Source for Stream<R> {
+    fn skip(&mut self, n: usize) -> Result<(), String> {
+        if n > self.left {
+            return Err("unexpected end of data".to_string());
+        }
+        let offset = i64::try_from(n).map_err(|_| format!("length {n} exceeds i64"))?;
+        self.reader
+            .seek(SeekFrom::Current(offset))
+            .map_err(|e| format!("seek failed: {e}"))?;
+        self.left -= n;
+        Ok(())
+    }
+
+    fn head(&mut self, n: usize, path: &[&str]) -> Result<Value, String> {
+        if n > self.left {
+            return Err("unexpected end of data".to_string());
+        }
+        let mut head = Stream {
+            reader: &mut self.reader,
+            left: n,
+        };
+        let value = read_head(&mut head, path)?;
+        let unread = head.left;
+        self.left -= n - unread;
+        self.skip(unread)?;
+        Ok(value)
+    }
 }
 
 /// An f64 that round-trips exactly through f32 (weights serialized from
@@ -295,56 +478,46 @@ fn write_value(value: &Value, out: &mut Vec<u8>) {
     }
 }
 
-fn read_exact<'a>(bytes: &'a [u8], cursor: &mut usize, n: usize) -> Result<&'a [u8], String> {
-    let end = cursor
-        .checked_add(n)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| "unexpected end of data".to_string())?;
-    let slice = &bytes[*cursor..end];
-    *cursor = end;
-    Ok(slice)
-}
-
-fn read_len(bytes: &[u8], cursor: &mut usize) -> Result<usize, String> {
-    let raw = read_exact(bytes, cursor, 8)?;
-    let len = u64::from_le_bytes(raw.try_into().expect("8 bytes"));
+fn read_len(input: &mut impl Input) -> Result<usize, String> {
+    let raw = input.next_bytes(8)?;
+    let len = u64::from_le_bytes(raw[..].try_into().expect("8 bytes"));
     usize::try_from(len).map_err(|_| format!("length {len} exceeds usize"))
 }
 
-fn read_string(bytes: &[u8], cursor: &mut usize) -> Result<String, String> {
-    let len = read_len(bytes, cursor)?;
-    let raw = read_exact(bytes, cursor, len)?;
-    String::from_utf8(raw.to_vec()).map_err(|e| format!("invalid UTF-8 string: {e}"))
+fn read_string(input: &mut impl Input) -> Result<String, String> {
+    let len = read_len(input)?;
+    let raw = input.next_bytes(len)?.into_owned();
+    String::from_utf8(raw).map_err(|e| format!("invalid UTF-8 string: {e}"))
 }
 
-fn read_value(bytes: &[u8], cursor: &mut usize) -> Result<Value, String> {
-    let tag = read_exact(bytes, cursor, 1)?[0];
+fn read_value(input: &mut impl Input) -> Result<Value, String> {
+    let tag = input.next_bytes(1)?[0];
     Ok(match tag {
         TAG_NULL => Value::Null,
         TAG_FALSE => Value::Bool(false),
         TAG_TRUE => Value::Bool(true),
         TAG_INT => {
-            let raw = read_exact(bytes, cursor, 16)?;
-            Value::Int(i128::from_le_bytes(raw.try_into().expect("16 bytes")))
+            let raw = input.next_bytes(16)?;
+            Value::Int(i128::from_le_bytes(raw[..].try_into().expect("16 bytes")))
         }
         TAG_FLOAT => {
-            let raw = read_exact(bytes, cursor, 8)?;
-            Value::Float(f64::from_le_bytes(raw.try_into().expect("8 bytes")))
+            let raw = input.next_bytes(8)?;
+            Value::Float(f64::from_le_bytes(raw[..].try_into().expect("8 bytes")))
         }
-        TAG_STR => Value::Str(read_string(bytes, cursor)?),
+        TAG_STR => Value::Str(read_string(input)?),
         TAG_ARRAY => {
-            let len = read_len(bytes, cursor)?;
+            let len = read_len(input)?;
             // Each element is at least one tag byte; bound the
             // preallocation by the remaining input.
-            let mut items = Vec::with_capacity(len.min(bytes.len() - *cursor));
+            let mut items = Vec::with_capacity(len.min(input.left()));
             for _ in 0..len {
-                items.push(read_value(bytes, cursor)?);
+                items.push(read_value(input)?);
             }
             Value::Array(items)
         }
         TAG_F32_ARRAY => {
-            let len = read_len(bytes, cursor)?;
-            let raw = read_exact(bytes, cursor, len.checked_mul(4).ok_or("length overflow")?)?;
+            let len = read_len(input)?;
+            let raw = input.next_bytes(len.checked_mul(4).ok_or("length overflow")?)?;
             Value::F32Array(
                 raw.chunks_exact(4)
                     .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
@@ -352,11 +525,11 @@ fn read_value(bytes: &[u8], cursor: &mut usize) -> Result<Value, String> {
             )
         }
         TAG_OBJECT => {
-            let len = read_len(bytes, cursor)?;
-            let mut pairs = Vec::with_capacity(len.min(bytes.len() - *cursor));
+            let len = read_len(input)?;
+            let mut pairs = Vec::with_capacity(len.min(input.left()));
             for _ in 0..len {
-                let key = read_string(bytes, cursor)?;
-                pairs.push((key, read_value(bytes, cursor)?));
+                let key = read_string(input)?;
+                pairs.push((key, read_value(input)?));
             }
             Value::Object(pairs)
         }
@@ -364,10 +537,40 @@ fn read_value(bytes: &[u8], cursor: &mut usize) -> Result<Value, String> {
     })
 }
 
+/// Decodes the head of a value that `path` cuts (see [`Take::Head`]):
+/// the whole value for an empty path, else the object's entries ahead
+/// of the entry named `path[0]`, plus that entry's own head if the path
+/// goes on. Nothing past the cut is read.
+fn read_head(input: &mut impl Input, path: &[&str]) -> Result<Value, String> {
+    let Some((&stop, rest)) = path.split_first() else {
+        return read_value(input);
+    };
+    let tag = input.next_bytes(1)?[0];
+    if tag != TAG_OBJECT {
+        return Err(format!(
+            "expected an object holding `{stop}`, got tag {tag}"
+        ));
+    }
+    let len = read_len(input)?;
+    let mut pairs = Vec::new();
+    for _ in 0..len {
+        let key = read_string(input)?;
+        if key == stop {
+            if !rest.is_empty() {
+                pairs.push((key, read_head(input, rest)?));
+            }
+            break;
+        }
+        pairs.push((key, read_value(input)?));
+    }
+    Ok(Value::Object(pairs))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use serde::{Deserialize, Serialize};
+    use std::io::Cursor;
 
     fn round_trip(value: &Value) -> Value {
         let bytes = to_bytes(value);
@@ -624,6 +827,206 @@ mod tests {
         assert!(is_binary(&v1));
         let err = from_bytes(&v1).unwrap_err();
         assert!(err.contains("version 1"), "unhelpful error: {err}");
+    }
+
+    /// A three-section object file: a scalar, a packed array, and an
+    /// object laid out like a cached dataset (`spec`, then `images`
+    /// holding its `shape` ahead of its `data`, then `labels`).
+    fn sectioned() -> Value {
+        let floats = |n: usize| Value::F32Array((0..n).map(|i| i as f32 * 0.25).collect());
+        Value::Object(vec![
+            ("seed".to_string(), Value::Int(7)),
+            ("weights".to_string(), floats(64)),
+            (
+                "dataset".to_string(),
+                Value::Object(vec![
+                    ("spec".to_string(), Value::Str("tiny".into())),
+                    (
+                        "images".to_string(),
+                        Value::Object(vec![
+                            (
+                                "shape".to_string(),
+                                Value::Array(vec![Value::Int(4), Value::Int(8)]),
+                            ),
+                            ("data".to_string(), floats(32)),
+                        ]),
+                    ),
+                    ("labels".to_string(), Value::Array(vec![Value::Int(1); 4])),
+                ]),
+            ),
+        ])
+    }
+
+    /// Walks `bytes` with `take` both as a stream and in memory, and
+    /// returns what the stream walk read after checking that the two
+    /// agree.
+    fn read_both(bytes: &[u8], mut take: impl FnMut(&str) -> Take) -> Result<Value, String> {
+        let streamed = read_sections(&mut Cursor::new(bytes), &mut take);
+        assert_eq!(streamed, walk(&mut &bytes[..], &mut take));
+        streamed
+    }
+
+    #[test]
+    fn skipped_sections_leave_the_rest_as_from_bytes_reads_them() {
+        let bytes = to_bytes(&sectioned());
+        let whole = from_bytes(&bytes).unwrap();
+        let only = |keep: &'static str| {
+            move |key: &str| {
+                if key == keep {
+                    Take::Whole
+                } else {
+                    Take::Skip
+                }
+            }
+        };
+        for key in ["seed", "weights", "dataset"] {
+            let taken = read_both(&bytes, only(key)).unwrap();
+            assert_eq!(
+                taken,
+                Value::Object(vec![(key.to_string(), whole.get(key).unwrap().clone())])
+            );
+        }
+        assert_eq!(
+            read_both(&bytes, |_| Take::Skip).unwrap(),
+            Value::Object(vec![])
+        );
+        // A head keeps the entries ahead of the path's end, whole.
+        let head = read_both(&bytes, |key| match key {
+            "dataset" => Take::Head(&["images", "data"]),
+            _ => Take::Whole,
+        })
+        .unwrap();
+        let dataset = whole.get("dataset").unwrap();
+        let images = dataset.get("images").unwrap();
+        assert_eq!(head.get("seed"), whole.get("seed"));
+        assert_eq!(head.get("weights"), whole.get("weights"));
+        assert_eq!(
+            head.get("dataset").unwrap(),
+            &Value::Object(vec![
+                ("spec".to_string(), dataset.get("spec").unwrap().clone()),
+                (
+                    "images".to_string(),
+                    Value::Object(vec![(
+                        "shape".to_string(),
+                        images.get("shape").unwrap().clone()
+                    )])
+                ),
+            ])
+        );
+        // An empty path, or one never met, reads the whole value; a path
+        // into a value that is no object is an error.
+        for path in [&[][..], &["nowhere"][..]] {
+            let read = read_both(&bytes, |key| match key {
+                "dataset" => Take::Head(path),
+                _ => Take::Whole,
+            })
+            .unwrap();
+            assert_eq!(read, whole, "{path:?}");
+        }
+        let err = read_both(&bytes, |_| Take::Head(&["data"])).unwrap_err();
+        assert!(err.contains("expected an object"), "{err}");
+        // A bare file reads as its value, or `Null` when skipped.
+        let bare = to_bytes(&Value::Int(3));
+        assert_eq!(read_both(&bare, |_| Take::Whole).unwrap(), Value::Int(3));
+        assert_eq!(read_both(&bare, |_| Take::Skip).unwrap(), Value::Null);
+        // The walk starts at the reader's position.
+        let mut offset = vec![0xAB; 5];
+        offset.extend_from_slice(&bytes);
+        let mut reader = Cursor::new(&offset[..]);
+        reader.set_position(5);
+        assert_eq!(read_sections(&mut reader, |_| Take::Whole).unwrap(), whole);
+    }
+
+    #[test]
+    fn skipping_checks_no_payload_but_still_bounds_it() {
+        let bytes = to_bytes(&sectioned());
+        let whole = from_bytes(&bytes).unwrap();
+        // The last byte of the file is the dataset's last label: flipped,
+        // it fails a whole read but not a skip or a head of that section.
+        let mut corrupt = bytes.clone();
+        *corrupt.last_mut().unwrap() ^= 0x01;
+        assert!(from_bytes(&corrupt)
+            .unwrap_err()
+            .contains("`dataset` checksum"));
+        let skipped = read_both(&corrupt, |key| match key {
+            "dataset" => Take::Skip,
+            _ => Take::Whole,
+        })
+        .unwrap();
+        assert_eq!(skipped.get("weights"), whole.get("weights"));
+        let head = read_both(&corrupt, |key| match key {
+            "dataset" => Take::Head(&["images"]),
+            _ => Take::Whole,
+        })
+        .unwrap();
+        assert_eq!(head.get("weights"), whole.get("weights"));
+    }
+
+    #[test]
+    fn bad_lengths_and_truncations_are_errors_not_panics() {
+        let bytes = to_bytes(&sectioned());
+        // The first section's payload length sits after the header (7
+        // bytes), the section count (8) and the key `seed` (8 + 4).
+        let len_at = 7 + 8 + 8 + 4;
+        let mut past_eof = bytes.clone();
+        past_eof[len_at..len_at + 8].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+        for take in [Take::Whole, Take::Skip, Take::Head(&["data"])] {
+            let err = read_both(&past_eof, |_| take).unwrap_err();
+            assert!(err.contains("past the end"), "{take:?}: {err}");
+        }
+        // A length near `u64::MAX` is refused before anything is
+        // allocated for it.
+        let mut huge = bytes.clone();
+        huge[len_at..len_at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        assert!(read_both(&huge, |_| Take::Whole).is_err());
+        // Every truncation of the file, header included, is an error
+        // whatever is taken.
+        for cut in 0..bytes.len() {
+            for take in [Take::Whole, Take::Skip, Take::Head(&["images", "data"])] {
+                assert!(
+                    read_both(&bytes[..cut], |_| take).is_err(),
+                    "cut {cut}, {take:?}"
+                );
+            }
+        }
+        // A dataset section framed whole, but whose payload ends inside
+        // its head, is an error for a head read.
+        let dataset = Value::Object(vec![(
+            "dataset".to_string(),
+            sectioned().get("dataset").unwrap().clone(),
+        )]);
+        let mut payload = Vec::new();
+        write_value(dataset.get("dataset").unwrap(), &mut payload);
+        for cut in [1, 9, 20, payload.len() / 4] {
+            let short = &payload[..cut];
+            let mut file = Vec::new();
+            file.extend_from_slice(&MAGIC);
+            file.extend_from_slice(&VERSION.to_le_bytes());
+            file.push(LAYOUT_OBJECT);
+            write_len(1, &mut file);
+            write_len(7, &mut file);
+            file.extend_from_slice(b"dataset");
+            write_len(short.len(), &mut file);
+            file.extend_from_slice(&section_crc("dataset", short).to_le_bytes());
+            file.extend_from_slice(short);
+            let err = read_both(&file, |_| Take::Head(&["images", "data"])).unwrap_err();
+            assert!(err.contains("end of data"), "cut {cut}: {err}");
+            assert!(read_both(&file, |_| Take::Skip).is_ok());
+        }
+    }
+
+    #[test]
+    fn from_bytes_still_rejects_trailing_bytes_and_unknown_versions() {
+        let bytes = to_bytes(&sectioned());
+        let mut trailing = bytes.clone();
+        trailing.extend_from_slice(&[0, 0]);
+        assert_eq!(from_bytes(&trailing).unwrap_err(), "2 trailing bytes");
+        for version in [0u16, 1, 3, u16::MAX] {
+            let mut other = bytes.clone();
+            other[4..6].copy_from_slice(&version.to_le_bytes());
+            let err = from_bytes(&other).unwrap_err();
+            assert!(err.contains(&format!("version {version}")), "{err}");
+        }
     }
 
     #[test]

@@ -2,18 +2,25 @@
 //! one for fast benches. Each scenario defines one [`Recipe`] (synthetic
 //! dataset, scaled architecture, training loop), its TTFS time window and
 //! its evaluation sizes, and caches the fitted network on disk.
+//!
+//! A cache entry holds the network, its DNN accuracy and the scenario's
+//! dataset. Two readers share one acceptance rule: [`prepare`] reads the
+//! whole entry (network plus dataset splits, for the experiments), and
+//! [`prepare_network`] reads only the network (for serving), seeking past
+//! the image data. Either one fits the recipe on a miss.
 
-use std::fs;
-use std::path::PathBuf;
+use std::fs::{self, File};
+use std::io::BufReader;
+use std::path::{Path, PathBuf};
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use t2fsnn_data::{Dataset, DatasetSpec};
 use t2fsnn_dnn::architectures::{Architecture, VggScale};
 use t2fsnn_dnn::layers::PoolKind;
 use t2fsnn_dnn::{evaluate, Fitted, Network, Recipe, SgdConfig, TrainConfig};
 use t2fsnn_tensor::Tensor;
+
+use crate::binfmt::{self, Take};
 
 /// One of the paper's evaluation scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -237,16 +244,6 @@ struct Setup {
 /// salt, so weight init and shuffling do not replay the synthesis.
 const INIT_SALT: u64 = 0xDEAD_BEEF;
 
-/// Parameter count of `recipe`'s freshly initialized network — a cheap
-/// architecture fingerprint for cache validation.
-fn param_count(recipe: &Recipe) -> u64 {
-    let mut rng = ChaCha8Rng::seed_from_u64(recipe.data_seed);
-    recipe
-        .architecture
-        .build(&mut rng, &recipe.spec)
-        .param_count() as u64
-}
-
 /// `T2FSNN_QUICK=1` shrinks every scenario for CI-speed runs.
 pub fn quick_mode() -> bool {
     std::env::var("T2FSNN_QUICK")
@@ -285,8 +282,11 @@ impl Prepared {
     }
 }
 
+/// A cache file's sections ahead of its last one, `dataset` (see
+/// [`write_cache`]): the key the entry was written under, its network
+/// and that network's test accuracy.
 #[derive(Serialize, Deserialize)]
-struct CacheFile {
+struct CacheEntry {
     version: u32,
     quick: bool,
     /// Fingerprint of the training recipe: the scenario seed plus the
@@ -298,12 +298,34 @@ struct CacheFile {
     params: u64,
     dnn: Network,
     dnn_accuracy: f32,
-    /// The deterministic synthetic dataset. Caching it saves the few
-    /// hundred ms of per-pixel noise synthesis on every warm run; its
-    /// size is validated so a scenario-definition change
-    /// invalidates it. (Kept optional on read so a cache written without
-    /// it is treated as a miss rather than a parse error.)
-    dataset: Option<Dataset>,
+}
+
+/// What [`prepare_network`] reads of the `dataset` section: its spec
+/// and its images' shape, both ahead of the image data.
+#[derive(Deserialize)]
+struct DatasetHead {
+    spec: DatasetSpec,
+    images: ImagesHead,
+}
+
+/// The head of a cached image tensor: its `[N, C, H, W]` shape.
+#[derive(Deserialize)]
+struct ImagesHead {
+    shape: Vec<usize>,
+}
+
+/// The acceptance rule both readers apply to a decoded entry: its key
+/// is this build's for `recipe`, its network has the recipe's parameter
+/// count, and its dataset the recipe's spec and sample count.
+fn accepts(entry: &CacheEntry, spec: &DatasetSpec, samples: usize, recipe: &Recipe) -> bool {
+    let params = recipe.architecture.param_count(&recipe.spec) as u64;
+    entry.version == CACHE_VERSION
+        && entry.quick == quick_mode()
+        && entry.seed == recipe.data_seed
+        && entry.params == params
+        && entry.dnn.param_count() as u64 == params
+        && samples == recipe.samples
+        && *spec == recipe.spec
 }
 
 const CACHE_VERSION: u32 = 1;
@@ -358,7 +380,9 @@ fn cache_path(scenario: Scenario, extension: &str) -> PathBuf {
 /// for conversion, together with its dataset splits.
 ///
 /// The network, its DNN accuracy and its dataset are cached under
-/// `target/t2fsnn-cache/`; a miss fits the scenario's [`Recipe`].
+/// `target/t2fsnn-cache/`; a miss fits the scenario's [`Recipe`]. A hit
+/// checksums and decodes the whole file; [`prepare_network`] reads only
+/// the network.
 ///
 /// # Panics
 ///
@@ -391,39 +415,62 @@ pub fn prepare(scenario: Scenario) -> Prepared {
         dnn_accuracy * 100.0
     );
 
-    let path = cache_path(scenario, "bin");
-    if let Some(parent) = path.parent() {
-        let _ = fs::create_dir_all(parent);
-    }
-    let cache = CacheFile {
+    let entry = CacheEntry {
         version: CACHE_VERSION,
         quick: quick_mode(),
         seed: recipe.data_seed,
         params: dnn.param_count() as u64,
-        dnn: dnn.clone(),
+        dnn,
         dnn_accuracy,
-        dataset: Some(data),
     };
-    write_cache(&path, &cache);
+    write_cache(&cache_path(scenario, "bin"), &entry, &data);
     Prepared {
         scenario,
-        dnn,
+        dnn: entry.dnn,
         train,
         test,
         dnn_accuracy,
     }
 }
 
-/// Atomically writes a cache file in the binary format (write-then-
-/// rename, so parallel writers racing on a cold cache can never leave a
-/// truncated/interleaved file behind; the last complete write wins).
-/// The tmp name is unique per process AND per writer (test threads
-/// within one binary share a pid).
-fn write_cache(path: &std::path::Path, cache: &CacheFile) {
+/// Reads a scenario's source network and its DNN test accuracy from the
+/// cache without its dataset: the serving path, which needs no data.
+///
+/// It checksums and decodes the entry's key, network and accuracy
+/// sections, reads only the head of the dataset section (its spec and
+/// image shape) to apply [`prepare`]'s acceptance rule, and seeks past
+/// the image data and labels unread. So it is a hit on every entry
+/// `prepare` accepts, and also on one whose image data or labels hold a
+/// flipped byte, which `prepare` reads as a miss: no byte it returns is
+/// unchecked. A miss falls back to [`prepare`] (which trains and writes
+/// the entry).
+///
+/// # Panics
+///
+/// Panics if training fails, as [`prepare`] does.
+pub fn prepare_network(scenario: Scenario) -> (Network, f32) {
+    if let Some(found) = load_network_from(&cache_path(scenario, "bin"), scenario) {
+        return found;
+    }
+    let prepared = prepare(scenario);
+    (prepared.dnn, prepared.dnn_accuracy)
+}
+
+/// Atomically writes a cache file in the binary format: `entry`'s
+/// sections, then `dataset` last (write-then-rename, so parallel
+/// writers racing on a cold cache can never leave a truncated or
+/// interleaved file behind; the last complete write wins). The tmp name
+/// is unique per process AND per writer (test threads within one binary
+/// share a pid).
+fn write_cache(path: &Path, entry: &CacheEntry, dataset: &Dataset) {
     if let Some(parent) = path.parent() {
         let _ = fs::create_dir_all(parent);
     }
-    let bytes = crate::binfmt::to_bytes(&serde::Serialize::to_value(cache));
+    let Value::Object(mut sections) = entry.to_value() else {
+        unreachable!("a struct serializes to an object");
+    };
+    sections.push(("dataset".to_string(), dataset.to_value()));
+    let bytes = binfmt::to_bytes(&Value::Object(sections));
     static WRITER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let writer = WRITER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = path.with_extension(format!("tmp.{}.{writer}", std::process::id()));
@@ -440,49 +487,62 @@ fn load_cache(scenario: Scenario) -> Option<Prepared> {
     load_cache_from(&cache_path(scenario, "bin"), scenario)
 }
 
-fn load_cache_from(path: &std::path::Path, scenario: Scenario) -> Option<Prepared> {
+fn load_cache_from(path: &Path, scenario: Scenario) -> Option<Prepared> {
     // Non-binary (legacy JSON), version-1 or corrupt entries are plain
-    // misses: `from_bytes` rejects them. The file bytes are freed before
-    // `from_value` runs and the decoded tree before the dataset is
-    // split, so no more than two copies of the cache are alive at once.
-    let value = crate::binfmt::from_bytes(&fs::read(path).ok()?).ok()?;
-    let cache: CacheFile = serde::Deserialize::from_value(&value).ok()?;
-    drop(value);
-    prepared_from(cache, scenario)
+    // misses: `from_bytes` rejects them. The file bytes are a temporary
+    // of this statement, freed before `from_value` runs.
+    let tree = binfmt::from_bytes(&fs::read(path).ok()?).ok()?;
+    prepared_from(tree, scenario)
 }
 
-/// Validates a decoded cache entry against the scenario definition and
+/// Validates a decoded cache file against the scenario definition and
 /// splits its dataset; `None` on any mismatch.
-fn prepared_from(cache: CacheFile, scenario: Scenario) -> Option<Prepared> {
+fn prepared_from(tree: Value, scenario: Scenario) -> Option<Prepared> {
+    // The decoded tree is freed before the dataset is split, so no more
+    // than two copies of the dataset are alive at once.
+    let entry = CacheEntry::from_value(&tree).ok()?;
+    let data = Option::<Dataset>::from_value(tree.get("dataset")?).ok()??;
+    drop(tree);
     let recipe = scenario.recipe();
-    if cache.version != CACHE_VERSION
-        || cache.quick != quick_mode()
-        || cache.seed != recipe.data_seed
-        || cache.params != cache.dnn.param_count() as u64
-        || cache.params != param_count(&recipe)
-    {
+    if !accepts(&entry, &data.spec, data.len(), &recipe) {
         return None;
     }
-    // A cached dataset must still match the scenario definition (size
-    // changes invalidate it without a seed change); an entry without one
-    // is a miss.
-    let data = match cache.dataset {
-        Some(data) if data.len() == recipe.samples && data.spec == recipe.spec => data,
-        _ => return None,
-    };
-    let (train_set, test_set) = data.split(recipe.train_size);
+    let (train, test) = data.split(recipe.train_size);
     Some(Prepared {
         scenario,
-        dnn: cache.dnn,
-        train: train_set,
-        test: test_set,
-        dnn_accuracy: cache.dnn_accuracy,
+        dnn: entry.dnn,
+        train,
+        test,
+        dnn_accuracy: entry.dnn_accuracy,
     })
+}
+
+/// [`prepare_network`]'s cache reader: `None` on any miss, as
+/// [`load_cache_from`].
+fn load_network_from(path: &Path, scenario: Scenario) -> Option<(Network, f32)> {
+    let mut file = BufReader::new(File::open(path).ok()?);
+    let tree = binfmt::read_sections(&mut file, |key| {
+        if key == "dataset" {
+            Take::Head(&["images", "data"])
+        } else {
+            Take::Whole
+        }
+    })
+    .ok()?;
+    let entry = CacheEntry::from_value(&tree).ok()?;
+    let head = Option::<DatasetHead>::from_value(tree.get("dataset")?).ok()??;
+    let samples = *head.images.shape.first()?;
+    if !accepts(&entry, &head.spec, samples, &scenario.recipe()) {
+        return None;
+    }
+    Some((entry.dnn, entry.dnn_accuracy))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn scenario_names_round_trip() {
@@ -515,30 +575,35 @@ mod tests {
         assert_eq!(first.test.len(), second.test.len());
     }
 
-    /// Writes a `tiny` cache entry to a scratch directory named after
-    /// `tag`, so a test cannot race other tests using the shared on-disk
-    /// cache. Its network is freshly initialised, not loaded, so the
-    /// entry does not pass through the loader under test. Returns the
-    /// entry and its path; the caller removes the path's directory.
-    fn scratch_cache(tag: &str) -> (CacheFile, PathBuf) {
+    /// Writes a `tiny` cache entry holding `dataset` to a scratch
+    /// directory named after `tag`, so a test cannot race other tests
+    /// using the shared on-disk cache. Its network is freshly
+    /// initialised, not loaded, so the entry does not pass through the
+    /// loader under test. Returns the entry and its path; the caller
+    /// removes the path's directory.
+    fn scratch_cache_of(tag: &str, dataset: &Dataset) -> (CacheEntry, PathBuf) {
         let recipe = Scenario::Tiny.recipe();
         let dnn = recipe
             .architecture
             .build(&mut ChaCha8Rng::seed_from_u64(7), &recipe.spec);
-        let cache = CacheFile {
+        let entry = CacheEntry {
             version: CACHE_VERSION,
             quick: quick_mode(),
             seed: Scenario::Tiny.seed(),
             params: dnn.param_count() as u64,
             dnn,
             dnn_accuracy: 0.625,
-            dataset: Some(Scenario::Tiny.dataset()),
         };
         let dir = std::env::temp_dir().join(format!("t2fsnn-{tag}-cache-{}", std::process::id()));
         fs::create_dir_all(&dir).expect("create scratch dir");
         let path = dir.join("tiny-scratch-v1.bin");
-        write_cache(&path, &cache);
-        (cache, path)
+        write_cache(&path, &entry, dataset);
+        (entry, path)
+    }
+
+    /// [`scratch_cache_of`] with the `tiny` scenario's own dataset.
+    fn scratch_cache(tag: &str) -> (CacheEntry, PathBuf) {
+        scratch_cache_of(tag, &Scenario::Tiny.dataset())
     }
 
     #[test]
@@ -566,6 +631,128 @@ mod tests {
         let _ = fs::remove_dir_all(path.parent().expect("scratch dir"));
     }
 
+    /// The byte range of section `key`'s payload in a cache file, found
+    /// by walking the section framing (see the `binfmt` module docs).
+    fn payload_range(file: &[u8], key: &str) -> std::ops::Range<usize> {
+        let len_at = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
+        let count = len_at(7);
+        let mut at = 15;
+        for _ in 0..count {
+            let key_len = len_at(at);
+            let name = &file[at + 8..at + 8 + key_len];
+            let payload_len = len_at(at + 8 + key_len);
+            let start = at + 8 + key_len + 8 + 4;
+            if name == key.as_bytes() {
+                return start..start + payload_len;
+            }
+            at = start + payload_len;
+        }
+        panic!("no section `{key}`");
+    }
+
+    /// The `binfmt` bytes of a network: what "the same network" means.
+    fn network_bytes(dnn: &Network) -> Vec<u8> {
+        binfmt::to_bytes(&dnn.to_value())
+    }
+
+    #[test]
+    fn both_readers_return_the_same_network() {
+        let (entry, path) = scratch_cache("readers");
+        let full = load_cache_from(&path, Scenario::Tiny).expect("prepare's reader hits");
+        let (dnn, accuracy) =
+            load_network_from(&path, Scenario::Tiny).expect("the network reader hits");
+        let _ = fs::remove_dir_all(path.parent().expect("scratch dir"));
+        assert_eq!(network_bytes(&dnn), network_bytes(&full.dnn));
+        assert_eq!(network_bytes(&dnn), network_bytes(&entry.dnn));
+        assert_eq!(accuracy.to_bits(), full.dnn_accuracy.to_bits());
+
+        // The same holds for the scenario's own cache entry, which
+        // re-encodes to its file byte for byte.
+        let prepared = prepare(Scenario::Tiny);
+        let (dnn, accuracy) = prepare_network(Scenario::Tiny);
+        assert_eq!(network_bytes(&dnn), network_bytes(&prepared.dnn));
+        assert_eq!(accuracy.to_bits(), prepared.dnn_accuracy.to_bits());
+        let file = fs::read(cache_path(Scenario::Tiny, "bin")).expect("tiny cache");
+        let tree = binfmt::from_bytes(&file).expect("decode");
+        assert_eq!(binfmt::to_bytes(&tree), file);
+    }
+
+    #[test]
+    fn a_flipped_network_byte_is_a_miss_for_both_readers() {
+        let (_, path) = scratch_cache("dnn-flip");
+        let original = fs::read(&path).expect("read scratch cache");
+        let dnn = payload_range(&original, "dnn");
+        for idx in [dnn.start, (dnn.start + dnn.end) / 2, dnn.end - 1] {
+            let mut corrupt = original.clone();
+            corrupt[idx] ^= 0x10;
+            fs::write(&path, &corrupt).expect("write corrupted cache");
+            assert!(
+                load_cache_from(&path, Scenario::Tiny).is_none(),
+                "byte {idx}"
+            );
+            assert!(
+                load_network_from(&path, Scenario::Tiny).is_none(),
+                "byte {idx}"
+            );
+        }
+        let _ = fs::remove_dir_all(path.parent().expect("scratch dir"));
+    }
+
+    #[test]
+    fn a_dataset_off_the_recipe_is_a_miss_for_both_readers() {
+        let recipe = Scenario::Tiny.recipe();
+        let fewer = Recipe {
+            samples: recipe.samples - 8,
+            ..recipe.clone()
+        };
+        let renamed = Recipe {
+            spec: DatasetSpec::new("other16", 1, 16, 16, 4),
+            ..recipe
+        };
+        for (tag, recipe) in [("fewer", fewer), ("renamed", renamed)] {
+            let (_, path) = scratch_cache_of(tag, &recipe.dataset());
+            assert!(load_cache_from(&path, Scenario::Tiny).is_none(), "{tag}");
+            assert!(load_network_from(&path, Scenario::Tiny).is_none(), "{tag}");
+            let _ = fs::remove_dir_all(path.parent().expect("scratch dir"));
+        }
+    }
+
+    /// The one intended difference between the readers: the network
+    /// reader checksums only what it reads, so damage to the image data
+    /// it seeks past is a miss for `prepare` alone, and it still returns
+    /// the network that was written.
+    #[test]
+    fn a_flipped_image_byte_is_a_miss_only_for_prepare() {
+        let (entry, path) = scratch_cache("image-flip");
+        let original = fs::read(&path).expect("read scratch cache");
+        let dataset = payload_range(&original, "dataset");
+        // Images fill all but the last ~2 KB (the labels) of the section.
+        let mut corrupt = original.clone();
+        corrupt[(dataset.start + dataset.end) / 2] ^= 0x10;
+        fs::write(&path, &corrupt).expect("write corrupted cache");
+        assert!(load_cache_from(&path, Scenario::Tiny).is_none());
+        let (dnn, _) = load_network_from(&path, Scenario::Tiny).expect("the network reader hits");
+        assert_eq!(network_bytes(&dnn), network_bytes(&entry.dnn));
+        let _ = fs::remove_dir_all(path.parent().expect("scratch dir"));
+    }
+
+    #[test]
+    fn shape_param_count_matches_every_scenario_network() {
+        for scenario in Scenario::ALL {
+            let recipe = scenario.recipe();
+            let built = recipe.architecture.build(
+                &mut ChaCha8Rng::seed_from_u64(recipe.init_seed),
+                &recipe.spec,
+            );
+            assert_eq!(
+                recipe.architecture.param_count(&recipe.spec),
+                built.param_count(),
+                "{}",
+                scenario.name()
+            );
+        }
+    }
+
     /// `value` with every packed f32 array spelled out as one
     /// `Value::Float` per element: the tree an element-wise decoder
     /// builds from the same file.
@@ -587,7 +774,7 @@ mod tests {
 
     #[test]
     fn packed_decode_loads_what_was_written() {
-        let (cache, path) = scratch_cache("packed");
+        let (entry, path) = scratch_cache("packed");
         let bytes = fs::read(&path).expect("read scratch cache");
         let loaded = load_cache_from(&path, Scenario::Tiny).expect("pristine entry");
         let _ = fs::remove_dir_all(path.parent().expect("scratch dir"));
@@ -599,22 +786,18 @@ mod tests {
         // The packed load equals, field for field, both the network and
         // splits that were written and the load of the element-wise tree
         // (`Debug` prints every f32 exactly, -0.0 included).
-        let (train, test) = cache
-            .dataset
-            .as_ref()
-            .expect("written with its dataset")
+        let (train, test) = Scenario::Tiny
+            .dataset()
             .split(Scenario::Tiny.recipe().train_size);
         let written = Prepared {
             scenario: Scenario::Tiny,
-            dnn: cache.dnn,
+            dnn: entry.dnn,
             train,
             test,
-            dnn_accuracy: cache.dnn_accuracy,
+            dnn_accuracy: entry.dnn_accuracy,
         };
-        let reference = serde::Deserialize::from_value(&elementwise(&tree))
-            .ok()
-            .and_then(|cache| prepared_from(cache, Scenario::Tiny))
-            .expect("element-wise load");
+        let reference =
+            prepared_from(elementwise(&tree), Scenario::Tiny).expect("element-wise load");
         assert_eq!(format!("{loaded:?}"), format!("{written:?}"));
         assert_eq!(format!("{loaded:?}"), format!("{reference:?}"));
     }

@@ -153,6 +153,41 @@ impl Architecture {
             Architecture::Vgg(scale) => vgg_scaled(rng, spec, scale),
         }
     }
+
+    /// [`Network::param_count`] of what [`build`](Architecture::build)
+    /// makes for `spec`, counted from the layer shapes alone: no weights
+    /// are drawn or allocated.
+    pub fn param_count(&self, spec: &DatasetSpec) -> usize {
+        let conv = |inputs: usize, outputs: usize| outputs * inputs * 3 * 3 + outputs;
+        let linear = |inputs: usize, outputs: usize| inputs * outputs + outputs;
+        match *self {
+            Architecture::MlpTiny => linear(spec.image_numel(), 32) + linear(32, spec.classes),
+            Architecture::CnnSmall(_) => {
+                let spatial = (spec.height / 4) * (spec.width / 4);
+                conv(spec.channels, 8)
+                    + conv(8, 16)
+                    + linear(16 * spatial, 64)
+                    + linear(64, spec.classes)
+            }
+            Architecture::Vgg(scale) => {
+                // Batch norm learns a scale and a shift per channel.
+                let norm = if scale.batch_norm { 2 } else { 0 };
+                let mut count = 0;
+                let mut in_ch = spec.channels;
+                for block in 0..5 {
+                    let out_ch = scale.block_channels(block);
+                    for _ in 0..scale.convs_per_block[block] {
+                        count += conv(in_ch, out_ch) + norm * out_ch;
+                        in_ch = out_ch;
+                    }
+                }
+                let spatial = (spec.height / 32) * (spec.width / 32);
+                count
+                    + linear(in_ch * spatial, scale.fc_width)
+                    + linear(scale.fc_width, spec.classes)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -242,6 +277,62 @@ mod tests {
             before.all_close(&after, 1e-3),
             "folding must preserve the inference function"
         );
+    }
+
+    #[test]
+    fn param_count_matches_the_built_network() {
+        let fixture_vgg = VggScale {
+            base_channels: 4,
+            convs_per_block: [1, 1, 1, 1, 1],
+            fc_width: 16,
+            ..VggScale::default()
+        };
+        let vgg16 = VggScale {
+            convs_per_block: [2, 2, 3, 3, 3],
+            base_channels: 2,
+            fc_width: 16,
+            ..VggScale::default()
+        };
+        let wide = VggScale {
+            fc_width: 128,
+            ..VggScale::default()
+        };
+        let normed = VggScale {
+            batch_norm: true,
+            pool: PoolKind::Max,
+            ..VggScale::default()
+        };
+        let cases = [
+            (Architecture::MlpTiny, DatasetSpec::tiny()),
+            (Architecture::MlpTiny, DatasetSpec::new("rgb", 3, 8, 8, 5)),
+            (
+                Architecture::CnnSmall(PoolKind::Avg),
+                DatasetSpec::mnist_like(),
+            ),
+            (
+                Architecture::CnnSmall(PoolKind::Max),
+                DatasetSpec::new("max-pool-cnn", 1, 16, 16, 4),
+            ),
+            (
+                Architecture::Vgg(VggScale::default()),
+                DatasetSpec::cifar10_like(),
+            ),
+            (Architecture::Vgg(wide), DatasetSpec::cifar100_like()),
+            (
+                Architecture::Vgg(fixture_vgg),
+                DatasetSpec::new("go", 3, 32, 32, 5),
+            ),
+            (Architecture::Vgg(vgg16), DatasetSpec::cifar10_like()),
+            (Architecture::Vgg(normed), DatasetSpec::cifar10_like()),
+        ];
+        for (architecture, spec) in cases {
+            assert_eq!(
+                architecture.param_count(&spec),
+                architecture.build(&mut rng(), &spec).param_count(),
+                "{architecture:?} on {}",
+                spec.name
+            );
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! *mutable* runtime component, not a boot-time constant.
 //!
 //! [`Registry::load`] resolves model names with [`Scenario::from_name`]
-//! and loads them with [`prepare`], which reads the cached
-//! trained+normalized network when warm and trains it when cold — a
-//! server on a fresh machine comes up self-contained, just slower on
-//! first boot. The
+//! and loads them with [`prepare_network`], which reads only the cached
+//! trained+normalized network (its key, network and accuracy sections,
+//! seeking past the scenario's dataset) when warm and trains it when
+//! cold — a server on a fresh machine comes up self-contained, just
+//! slower on first boot. A model's input spec is its scenario's
+//! [`Scenario::spec`]. The
 //! DNN→SNN conversion and the compile of the model's execution plan
 //! ([`t2fsnn_snn::SnnNetwork::plan`]) happen once per model *version* at load
 //! time; every batch of that version shares the plan.
@@ -36,7 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use t2fsnn::scenario::{prepare, Scenario};
+use t2fsnn::scenario::{prepare_network, Scenario};
 use t2fsnn::{NoiseConfig, T2fsnn, T2fsnnConfig};
 use t2fsnn_data::DatasetSpec;
 use t2fsnn_tensor::log;
@@ -370,7 +372,7 @@ impl Registry {
         slot
     }
 
-    /// Prepares (cache or train), converts and perturbs one model
+    /// Reads (or trains) the network, converts and perturbs one model
     /// version, entirely off any registry lock. A panic anywhere inside
     /// costs this load, not the process.
     ///
@@ -392,8 +394,9 @@ impl Registry {
         // catch_unwind: a panic in cache/train/convert/perturb must cost
         // one load, not the process. Nothing mutable outlives the
         // closure.
+        let data = scenario.spec();
         let loaded = catch_unwind(AssertUnwindSafe(|| {
-            let prepared = prepare(scenario);
+            let (dnn, dnn_accuracy) = prepare_network(scenario);
             let mut config = T2fsnnConfig::new(scenario.time_window());
             if let Some(p) = spec {
                 if p.has_event() {
@@ -404,37 +407,34 @@ impl Registry {
                     });
                 }
             }
-            T2fsnn::from_dnn(&prepared.dnn, config, scenario.initial_kernel()).and_then(
-                |mut model| {
-                    let mut rows = 0u64;
-                    if let Some(p) = spec {
-                        if p.has_weight() {
-                            let (changed, total) = model.perturb_weights(p);
-                            rows = changed;
-                            let spec_text = p.render();
-                            log::info(
-                                "model_perturbed",
-                                &[
-                                    ("model", name.into()),
-                                    ("rows_rewritten", changed.into()),
-                                    ("rows_total", total.into()),
-                                    ("spec", (&spec_text).into()),
-                                ],
-                            );
-                        }
+            T2fsnn::from_dnn(&dnn, config, scenario.initial_kernel()).and_then(|mut model| {
+                let mut rows = 0u64;
+                if let Some(p) = spec {
+                    if p.has_weight() {
+                        let (changed, total) = model.perturb_weights(p);
+                        rows = changed;
+                        let spec_text = p.render();
+                        log::info(
+                            "model_perturbed",
+                            &[
+                                ("model", name.into()),
+                                ("rows_rewritten", changed.into()),
+                                ("rows_total", total.into()),
+                                ("spec", (&spec_text).into()),
+                            ],
+                        );
                     }
-                    // Compile the execution plan now, so the load (not the
-                    // first request) pays for the weight re-layout.
-                    let data = &prepared.test.spec;
-                    model
-                        .network()
-                        .plan(&[data.channels, data.height, data.width])?;
-                    Ok((model, prepared, rows))
-                },
-            )
+                }
+                // Compile the execution plan now, so the load (not the
+                // first request) pays for the weight re-layout.
+                model
+                    .network()
+                    .plan(&[data.channels, data.height, data.width])?;
+                Ok((model, dnn_accuracy, rows))
+            })
         }));
         match loaded {
-            Ok(Ok((model, prepared, perturbed_weight_rows))) => {
+            Ok(Ok((model, dnn_accuracy, perturbed_weight_rows))) => {
                 log::info(
                     "model_converted",
                     &[
@@ -443,15 +443,15 @@ impl Registry {
                         ("weighted_layers", model.weighted_count().into()),
                         ("time_window", scenario.time_window().into()),
                         ("latency_steps", model.total_steps().into()),
-                        ("dnn_accuracy", f64::from(prepared.dnn_accuracy).into()),
+                        ("dnn_accuracy", f64::from(dnn_accuracy).into()),
                     ],
                 );
                 Ok(ServeModel {
                     name: name.to_string(),
                     version,
                     model,
-                    spec: prepared.test.spec.clone(),
-                    dnn_accuracy: prepared.dnn_accuracy,
+                    spec: data,
+                    dnn_accuracy,
                     perturbed_weight_rows,
                 })
             }
@@ -807,6 +807,28 @@ mod tests {
         assert_eq!(health[0].state, "failed");
         assert_eq!(health[0].version, 0);
         assert!(health[0].error.is_some());
+    }
+
+    /// The registry's network reader serves the network and spec that
+    /// `prepare` would: the same `binfmt` bytes once converted.
+    #[test]
+    fn converted_model_matches_one_built_from_prepare() {
+        let served = Registry::convert_model("tiny", None, 1).unwrap();
+        let scenario = Scenario::Tiny;
+        let prepared = t2fsnn::scenario::prepare(scenario);
+        let reference = T2fsnn::from_dnn(
+            &prepared.dnn,
+            T2fsnnConfig::new(scenario.time_window()),
+            scenario.initial_kernel(),
+        )
+        .unwrap();
+        let bytes = |model: &T2fsnn| t2fsnn::binfmt::to_bytes(&serde::Serialize::to_value(model));
+        assert_eq!(bytes(&served.model), bytes(&reference));
+        assert_eq!(served.spec, prepared.test.spec);
+        assert_eq!(
+            served.dnn_accuracy.to_bits(),
+            prepared.dnn_accuracy.to_bits()
+        );
     }
 
     #[test]

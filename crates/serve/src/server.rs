@@ -17,9 +17,10 @@
 //!   so this is a backstop, exercised only by tests), the supervisor
 //!   respawns it and counts `t2fsnn_serve_batcher_respawns_total`.
 //! * **loader** — the model-lifecycle thread: executes
-//!   `POST /admin/models/<name>/{load,reload}` commands (prepare →
-//!   convert → canary → promote, all off the request path; the admin
-//!   response is an immediate `202` and `/healthz` tracks progress) and
+//!   `POST /admin/models/<name>/{load,reload}` commands (read the
+//!   network → convert → canary → promote, all off the request path;
+//!   the admin response is an immediate `202` and `/healthz` tracks
+//!   progress) and
 //!   runs the quarantine probe schedule. Exactly one loader means loads
 //!   are serialized — no concurrent conversions fighting over cores —
 //!   and the registry's `Loading` guard makes duplicate commands

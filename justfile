@@ -137,11 +137,13 @@ bench-check: perfbench-build
 perfbench-build:
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-# The repository benchmark's own correctness checks (blocking): a short
-# serve-pair run exits 1 if a served answer differs from a solo
-# in-process `infer`, and a short fig6-repro run exits 1 if a pass
-# differs from the `SimEngine::Dense` reference.
+# The repository benchmark's own correctness checks (blocking): short
+# serve-solo (`tiny`) and serve-pair (`cifar100-like`) runs exit 1 if a
+# served answer differs from a solo in-process `infer`, and a short
+# fig6-repro run exits 1 if a pass differs from the `SimEngine::Dense`
+# reference.
 perfbench-smoke: perfbench-build
+    timeout 1200 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload serve-solo --seed 1 --seconds 3 --trace 0
     timeout 1200 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload serve-pair --seed 1 --seconds 3 --trace 0
     timeout 1200 cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload fig6-repro --seed 1 --seconds 3 --trace 0
 
