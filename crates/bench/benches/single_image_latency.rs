@@ -3,8 +3,7 @@
 //! batch dimension amortizes nothing.
 //!
 //! Covers the three coding baselines (rate/phase/burst) through
-//! the clock-driven simulator plus the TTFS pipeline, with and without
-//! the serving path's early-exit fire phase.
+//! the clock-driven simulator plus the TTFS pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -66,18 +65,7 @@ fn bench_ttfs(c: &mut Criterion) {
         b.iter(|| model.run(black_box(&image), &label).unwrap())
     });
     group.bench_function("ttfs/infer", |b| {
-        b.iter(|| {
-            model
-                .infer(black_box(&image), InferOptions::default())
-                .unwrap()
-        })
-    });
-    group.bench_function("ttfs/infer_early_exit", |b| {
-        b.iter(|| {
-            model
-                .infer(black_box(&image), InferOptions::early_exit())
-                .unwrap()
-        })
+        b.iter(|| model.infer(black_box(&image), InferOptions).unwrap())
     });
     group.finish();
 }

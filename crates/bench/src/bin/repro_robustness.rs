@@ -1,6 +1,5 @@
-//! Robustness experiment (perturbation sweeps): T2FSNN accuracy and
-//! anytime early-exit behaviour under deterministic input, event and
-//! model perturbations.
+//! Robustness experiment (perturbation sweeps): T2FSNN accuracy under
+//! deterministic input, event and model perturbations.
 //!
 //! Six perturbation families (three levels of the stack) are swept over
 //! severities `[0, 0.25, 0.5, 1.0]` by scaling a base
@@ -42,14 +41,6 @@ struct RobustnessPoint {
     severity: f32,
     /// Full-window accuracy.
     accuracy: f32,
-    /// Anytime early-exit accuracy.
-    ee_accuracy: f32,
-    /// Fraction of images the early-exit fire phase decided before the
-    /// window closed.
-    ee_decision_rate: f32,
-    /// Mean anytime latency in steps (decision step when decided, full
-    /// window otherwise) — the serving-path decision latency.
-    ee_mean_steps: f32,
     full_window_steps: usize,
     images: usize,
 }
@@ -110,10 +101,10 @@ fn accuracy(results: &[ImageInference], labels: &[usize]) -> f32 {
     correct as f32 / labels.len().max(1) as f32
 }
 
-fn bits(results: &[ImageInference]) -> Vec<(usize, Option<usize>, usize, u32)> {
+fn bits(results: &[ImageInference]) -> Vec<(usize, usize, u32)> {
     results
         .iter()
-        .map(|r| (r.label, r.decision_step, r.steps, r.top_potential.to_bits()))
+        .map(|r| (r.label, r.steps, r.top_potential.to_bits()))
         .collect()
 }
 
@@ -121,16 +112,15 @@ fn main() {
     let scenario = Scenario::Cifar10Like;
     let prepared = prepare(scenario);
     let (images, labels) = prepared.eval_subset(scenario.eval_images());
-    let full = InferOptions { early_exit: false };
-    let anytime = InferOptions { early_exit: true };
 
     // Clean baseline — severity 0 of every family must reproduce these
     // bits exactly.
     let clean_spec = PerturbSpec::identity(0);
     let (clean_model, clean_images) = build(&prepared, scenario, &clean_spec, &images);
     let full_window_steps = clean_model.total_steps();
-    let clean_full = clean_model.infer(&clean_images, full).expect("baseline");
-    let clean_ee = clean_model.infer(&clean_images, anytime).expect("baseline");
+    let clean = clean_model
+        .infer(&clean_images, InferOptions)
+        .expect("baseline");
 
     let mut points = Vec::new();
     let mut rows = Vec::new();
@@ -139,37 +129,22 @@ fn main() {
         for severity in SEVERITIES {
             let spec = base.scaled(severity);
             let (model, view) = build(&prepared, scenario, &spec, &images);
-            let full_results = model.infer(&view, full).expect("infer");
-            let ee_results = model.infer(&view, anytime).expect("infer");
+            let results = model.infer(&view, InferOptions).expect("infer");
             if severity == 0.0 {
                 // The gate: a zero-severity perturbation is the clean
                 // pipeline, bit for bit — not merely close.
                 assert!(spec.is_identity(), "{family}: severity 0 must be identity");
                 assert_eq!(
-                    bits(&full_results),
-                    bits(&clean_full),
-                    "{family}: severity-0 full-window bits differ from clean baseline"
-                );
-                assert_eq!(
-                    bits(&ee_results),
-                    bits(&clean_ee),
-                    "{family}: severity-0 early-exit bits differ from clean baseline"
+                    bits(&results),
+                    bits(&clean),
+                    "{family}: severity-0 bits differ from clean baseline"
                 );
             }
-            let decided = ee_results
-                .iter()
-                .filter(|r| r.decision_step.is_some())
-                .count();
-            let mean_steps = ee_results.iter().map(|r| r.steps).sum::<usize>() as f32
-                / ee_results.len().max(1) as f32;
             let point = RobustnessPoint {
                 family: family.to_string(),
                 spec: spec.render(),
                 severity,
-                accuracy: accuracy(&full_results, &labels),
-                ee_accuracy: accuracy(&ee_results, &labels),
-                ee_decision_rate: decided as f32 / ee_results.len().max(1) as f32,
-                ee_mean_steps: mean_steps,
+                accuracy: accuracy(&results, &labels),
                 full_window_steps,
                 images: labels.len(),
             };
@@ -177,9 +152,6 @@ fn main() {
                 family.to_string(),
                 format!("{severity:.2}"),
                 percent(point.accuracy),
-                percent(point.ee_accuracy),
-                percent(point.ee_decision_rate),
-                format!("{:.1}/{}", point.ee_mean_steps, full_window_steps),
             ]);
             points.push(point);
         }
@@ -193,7 +165,7 @@ fn main() {
     let (model, view) = build(&prepared, scenario, &mixed, &images);
     let probe = view.dims()[0].min(4);
     let feature: usize = view.dims()[1..].iter().product();
-    let batched = model.infer(&view, anytime).expect("batched");
+    let batched = model.infer(&view, InferOptions).expect("batched");
     for workers in [1usize, 2, 4] {
         let pool = ThreadPool::new(workers);
         for img in 0..probe {
@@ -204,7 +176,9 @@ fn main() {
                 view.data()[img * feature..(img + 1) * feature].to_vec(),
             )
             .expect("solo tensor");
-            let result = model.infer_on(&solo, anytime, &pool).expect("solo infer");
+            let result = model
+                .infer_on(&solo, InferOptions, &pool)
+                .expect("solo infer");
             assert_eq!(
                 bits(&result),
                 bits(&batched[img..=img]),
@@ -222,19 +196,11 @@ fn main() {
             prepared.dnn_accuracy * 100.0,
             labels.len()
         ),
-        &[
-            "family",
-            "severity",
-            "Acc(%)",
-            "EE Acc(%)",
-            "EE decided(%)",
-            "EE steps",
-        ],
+        &["family", "severity", "Acc(%)"],
         &rows,
     );
     save_json("robustness", &points);
-    println!("\nExpected shape: input families degrade accuracy smoothly; event");
-    println!("families also push early-exit decisions later (jitter) or erase them");
-    println!("(drops); weight noise degrades both paths equally. Severity 0 of every");
-    println!("family is bit-identical to the clean baseline by construction.");
+    println!("\nExpected shape: every family degrades accuracy smoothly with");
+    println!("severity. Severity 0 of every family is bit-identical to the clean");
+    println!("baseline by construction.");
 }

@@ -1,11 +1,11 @@
-//! Per-image (request-scoped) TTFS inference with an anytime early-exit.
+//! Per-image (request-scoped) TTFS inference.
 //!
 //! [`T2fsnn::run`] answers the *batch* questions the paper asks
 //! (accuracy curves, spike histograms). An online-serving path needs the
-//! *per-request* answers instead: each image's label, how many steps it
-//! took to decide, and how many spikes/synaptic operations it cost —
-//! independent of whatever other requests happened to share its batch.
-//! [`T2fsnn::infer`] provides exactly that, with two contracts:
+//! *per-request* answers instead: each image's label and how many
+//! spikes/synaptic operations it cost — independent of whatever other
+//! requests happened to share its batch. [`T2fsnn::infer`] provides
+//! exactly that, with one contract:
 //!
 //! * **Batch invariance** — an image's [`ImageInference`] is
 //!   bit-identical whether it ran solo, inside any batch, or on any
@@ -15,28 +15,11 @@
 //!   image's *content* (never its batch position), so even noisy
 //!   inference is a pure function of the single image. The serving
 //!   test suite asserts the invariance over random request streams.
-//! * **Anytime early-exit** — under TTFS the first output spike *is* the
-//!   decision. With [`InferOptions::early_exit`] the output layer is
-//!   given its own fire phase on the standard pipeline schedule
-//!   (starting at `fire_start(L−1)`, i.e. one stride after the last
-//!   hidden layer's): the first step whose decaying threshold
-//!   `θ0·ε(t)` is crossed decides the request, and the request's
-//!   simulation is terminated — its neurons stop firing, which is where
-//!   the spike/synop savings come from. Without early firing the output
-//!   fire phase begins exactly when output integration completes, so a
-//!   decision equals the full-window argmax *by construction*; with
-//!   early firing the fire phase overlaps integration and carries the
-//!   same "non-guaranteed integration" caveat as early firing itself.
-//!   Requests whose potentials never cross the threshold fall back to
-//!   the full-window argmax with [`ImageInference::decision_step`]
-//!   `None`.
 //!
-//! The anytime property is also the serving layer's pressure valve: a
-//! deadline-pressed full-window request can be *forced* onto the
-//! early-exit path (the serve crate's degradation ladder) and its
-//! result is bit-identical to the same image explicitly requested with
-//! [`InferOptions::early_exit`] — degraded service is a cheaper point
-//! on the same accuracy/latency curve, not a different computation.
+//! Every answer is the full-window argmax of the output potentials after
+//! the pipeline's last step. The latency lever is early firing
+//! ([`crate::T2fsnnConfig::with_early_firing`]), which shortens the
+//! window itself.
 
 use serde::{Deserialize, Serialize};
 use t2fsnn_snn::{argmax, OpPlan, SnnOp};
@@ -44,23 +27,17 @@ use t2fsnn_tensor::{trace, Result, Tensor, TensorError, ThreadPool};
 
 use crate::network::T2fsnn;
 
-/// Knobs of a [`T2fsnn::infer`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InferOptions {
-    /// Give the output layer its own fire phase and terminate each
-    /// image's simulation at its first output spike (see the module
-    /// docs for the exact semantics). Off by default.
-    pub early_exit: bool,
-}
+/// Options of a [`T2fsnn::infer`] call. It has no fields: every call
+/// runs the full window. Kept for perfbench until ROADMAP item 6
+/// repoints it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InferOptions;
 
 impl InferOptions {
-    /// Options with the early-exit fire phase enabled. Also the forced
-    /// degraded mode under deadline pressure: there is exactly one
-    /// early-exit code path, whether a client asked for it or a
-    /// scheduler imposed it, so the two are bit-identical by
-    /// construction.
+    /// The default options. Kept for perfbench until ROADMAP item 6
+    /// repoints it.
     pub fn early_exit() -> Self {
-        InferOptions { early_exit: true }
+        InferOptions
     }
 }
 
@@ -69,15 +46,13 @@ impl InferOptions {
 pub struct ImageInference {
     /// Predicted class.
     pub label: usize,
-    /// Global step (1-based) of the first output spike, when the
-    /// early-exit fire phase decided the image; `None` when early exit
-    /// was off or the output potentials never crossed the threshold.
+    /// Always `None`: every image runs the full window. Kept for
+    /// perfbench until ROADMAP item 6 repoints it.
     pub decision_step: Option<usize>,
-    /// Steps this image was simulated for (its anytime latency): the
-    /// decision step when early exit fired, the full window otherwise.
+    /// Steps this image was simulated for: the full pipeline window.
     pub steps: usize,
-    /// Membrane potential of the winning output neuron when the image
-    /// was decided.
+    /// Membrane potential of the winning output neuron after the last
+    /// step.
     pub top_potential: f32,
     /// Spikes emitted by the input encoding of this image.
     pub input_spikes: u64,
@@ -93,11 +68,6 @@ impl ImageInference {
     /// Input plus hidden spikes — every neuron spikes at most once.
     pub fn total_spikes(&self) -> u64 {
         self.input_spikes + self.hidden_spikes
-    }
-
-    /// Whether the early-exit fire phase decided this image.
-    pub fn decided(&self) -> bool {
-        self.decision_step.is_some()
     }
 }
 
@@ -133,8 +103,7 @@ impl Simulation {
 impl T2fsnn {
     /// Runs per-image TTFS inference over a `[N, C, H, W]` batch on the
     /// process-global thread pool. Each image's result is bit-identical
-    /// whether it runs solo, in any batch or on any worker count; with
-    /// [`InferOptions::early_exit`] its first output spike decides it.
+    /// whether it runs solo, in any batch or on any worker count.
     ///
     /// # Errors
     ///
@@ -154,10 +123,10 @@ impl T2fsnn {
     pub fn infer_on(
         &self,
         images: &Tensor,
-        opts: InferOptions,
+        _opts: InferOptions,
         pool: &ThreadPool,
     ) -> Result<Vec<ImageInference>> {
-        let sim = self.simulate("T2fsnn::infer", images, None, opts.early_exit, pool)?;
+        let sim = self.simulate("T2fsnn::infer", images, None, pool)?;
         Ok(sim.images)
     }
 
@@ -171,7 +140,6 @@ impl T2fsnn {
         op: &'static str,
         images: &Tensor,
         labels: Option<&[usize]>,
-        early_exit: bool,
         pool: &ThreadPool,
     ) -> Result<Simulation> {
         if images.rank() != 4 {
@@ -216,7 +184,7 @@ impl T2fsnn {
         }
         let ranges = pool.chunk_ranges(n);
         if ranges.len() <= 1 {
-            return self.simulate_chunk(images, labels, early_exit, &plan);
+            return self.simulate_chunk(images, labels, &plan);
         }
         let feature: usize = images.dims()[1..].iter().product();
         let mut tasks = Vec::with_capacity(ranges.len());
@@ -228,7 +196,7 @@ impl T2fsnn {
         }
         let mut chunks = pool
             .run_tasks(tasks, |(chunk, labels)| {
-                self.simulate_chunk(&chunk, labels, early_exit, &plan)
+                self.simulate_chunk(&chunk, labels, &plan)
             })
             .into_iter();
         let mut sim = chunks.next().expect("two or more chunks")?;
@@ -247,7 +215,6 @@ impl T2fsnn {
         &self,
         images: &Tensor,
         labels: Option<&[usize]>,
-        early_exit: bool,
         plan: &OpPlan,
     ) -> Result<Simulation> {
         let config = self.config();
@@ -262,28 +229,15 @@ impl T2fsnn {
         let l_count = plan.segments().len();
 
         let total_steps = self.total_steps();
-        // Early-exit fire phase of the output layer, on the standard
-        // pipeline schedule: without early firing it begins exactly when
-        // output integration completes (= `total_steps`), so a decision
-        // equals the full-window argmax by construction.
-        let ee_start = self.fire_start(l_count - 1);
-        let last_step = if early_exit {
-            total_steps.max(ee_start + t_window)
-        } else {
-            total_steps
-        };
         // Stage k starts at step k·stride, when layer k receives its first
-        // input (the first layer at step 0); with early exit, stage L is
-        // the output layer's fire window (`ee_start`).
+        // input (the first layer at step 0).
         let stride = config.stride();
-        let stages = if early_exit { l_count + 1 } else { l_count };
 
         // Per-image accounting.
-        let mut undecided = n;
         let blank = ImageInference {
             label: 0,
             decision_step: None,
-            steps: last_step,
+            steps: total_steps,
             top_potential: f32::NEG_INFINITY,
             input_spikes: 0,
             hidden_spikes: 0,
@@ -295,15 +249,11 @@ impl T2fsnn {
         let mut curve = Vec::new();
         let classes = st.potentials[l_count - 1].dims()[1].max(1);
 
-        for t in 0..last_step {
-            if early_exit && undecided == 0 {
-                break;
-            }
-            if t % stride == 0 && t / stride < stages {
+        for t in 0..total_steps {
+            if t % stride == 0 && t / stride < l_count {
                 tracer.stage("ttfs/stage", (t / stride) as u64);
             }
-            // Input fire window: [0, T). Decided images are terminated —
-            // their pixels stop spiking.
+            // Input fire window: [0, T).
             if t < t_window {
                 st.input_step(t)?;
                 for (r, &s) in results.iter_mut().zip(&st.spikes) {
@@ -313,7 +263,7 @@ impl T2fsnn {
                 }
             }
 
-            // Hidden fire windows; decided images emit nothing.
+            // Hidden fire windows.
             for i in 0..l_count - 1 {
                 let start = self.fire_start(i);
                 if t < start || t >= start + t_window {
@@ -330,29 +280,6 @@ impl T2fsnn {
                 }
             }
 
-            // Output fire phase (early exit): the first step whose
-            // decaying threshold is crossed decides the image.
-            if early_exit && t >= ee_start && t < ee_start + t_window {
-                let _s = trace::span("ttfs/early_exit");
-                let threshold = config.theta0 * st.fire_tables[l_count - 1][t - ee_start];
-                let out = &st.potentials[l_count - 1];
-                for (img, row) in out.data().chunks_exact(classes).enumerate() {
-                    if st.decided[img] {
-                        continue;
-                    }
-                    let (label, top) = argmax(row);
-                    if top >= threshold {
-                        st.decided[img] = true;
-                        undecided -= 1;
-                        let r = &mut results[img];
-                        r.label = label;
-                        r.top_potential = top;
-                        r.decision_step = Some(t + 1);
-                        r.steps = t + 1;
-                    }
-                }
-            }
-
             if let Some(labels) = labels {
                 if (t + 1) % config.record_every == 0 || t + 1 == total_steps {
                     let _s = trace::span("ttfs/record");
@@ -363,16 +290,13 @@ impl T2fsnn {
             }
         }
 
-        // Undecided images (or every image when early exit is off):
-        // full-window argmax. Synop adds come straight from the ledger
+        // Full-window argmax. Synop adds come straight from the ledger
         // the kernels billed.
         let out = &st.potentials[l_count - 1];
         for (img, row) in out.data().chunks_exact(classes).enumerate() {
             let r = &mut results[img];
             r.synop_adds = st.synops[img];
-            if !st.decided[img] {
-                (r.label, r.top_potential) = argmax(row);
-            }
+            (r.label, r.top_potential) = argmax(row);
         }
         Ok(Simulation {
             images: results,
@@ -404,7 +328,7 @@ mod tests {
         for (dnn, test_set) in [crate::tests::mlp(), crate::tests::max_pool_cnn()] {
             let m = model(dnn, T2fsnnConfig::new(32));
             let run = m.run(&test_set.images, &test_set.labels).unwrap();
-            let inf = m.infer(&test_set.images, InferOptions::default()).unwrap();
+            let inf = m.infer(&test_set.images, InferOptions).unwrap();
             let correct = inf
                 .iter()
                 .zip(&test_set.labels)
@@ -442,47 +366,17 @@ mod tests {
     }
 
     #[test]
-    fn early_exit_label_equals_full_window_label_when_decided() {
-        // Without early firing the output fire phase begins after its
-        // integration completes, so this equality holds by construction;
-        // the assertion guards the construction.
-        for (dnn, test_set) in [crate::tests::mlp(), crate::tests::max_pool_cnn()] {
-            let m = model(dnn, T2fsnnConfig::new(32));
-            let full = m.infer(&test_set.images, InferOptions::default()).unwrap();
-            let ee = m
-                .infer(&test_set.images, InferOptions::early_exit())
-                .unwrap();
-            let mut fired = 0usize;
-            for (f, e) in full.iter().zip(&ee) {
-                assert_eq!(f.label, e.label, "early-exit changed a label");
-                if let Some(step) = e.decision_step {
-                    fired += 1;
-                    assert_eq!(e.steps, step);
-                    assert!(step > m.total_steps() - m.config().time_window);
-                    // The decision froze the image: it cannot have spent
-                    // more than the full run.
-                    assert!(e.total_spikes() <= f.total_spikes());
-                    assert!(e.synop_adds <= f.synop_adds);
-                } else {
-                    assert_eq!(e.steps, m.total_steps() + m.config().time_window);
-                }
-            }
-            assert!(fired > 0, "no image ever decided early");
-        }
-    }
-
-    #[test]
     fn solo_and_batched_inference_are_bit_identical() {
         let (dnn, test_set) = crate::tests::max_pool_cnn();
         let m = model(dnn, T2fsnnConfig::new(32));
         let (images, _) = (test_set.images.clone(), &test_set.labels);
-        let batched = m.infer(&images, InferOptions::early_exit()).unwrap();
+        let batched = m.infer(&images, InferOptions).unwrap();
         for i in [0usize, 3, 7] {
             let solo_img = images.index_axis0(i).unwrap();
             let mut dims = vec![1];
             dims.extend_from_slice(solo_img.dims());
             let solo_img = solo_img.reshape(dims).unwrap();
-            let solo = m.infer(&solo_img, InferOptions::early_exit()).unwrap();
+            let solo = m.infer(&solo_img, InferOptions).unwrap();
             assert_eq!(solo.len(), 1);
             assert_eq!(solo[0], batched[i], "image {i} differs solo vs batched");
             assert_eq!(
@@ -497,19 +391,11 @@ mod tests {
         let (dnn, test_set) = crate::tests::mlp();
         let m = model(dnn, T2fsnnConfig::new(32));
         let serial = m
-            .infer_on(
-                &test_set.images,
-                InferOptions::early_exit(),
-                &ThreadPool::new(1),
-            )
+            .infer_on(&test_set.images, InferOptions, &ThreadPool::new(1))
             .unwrap();
         for workers in [2usize, 4] {
             let parallel = m
-                .infer_on(
-                    &test_set.images,
-                    InferOptions::early_exit(),
-                    &ThreadPool::new(workers),
-                )
+                .infer_on(&test_set.images, InferOptions, &ThreadPool::new(workers))
                 .unwrap();
             assert_eq!(serial, parallel, "workers={workers}");
         }
@@ -517,31 +403,28 @@ mod tests {
 
     #[test]
     fn early_firing_models_still_infer_consistently() {
-        // With early firing the early-exit decision overlaps integration
-        // (non-guaranteed), but the per-image results must still be
-        // batch-invariant and undecided images must match the full run.
+        // With early firing each layer's fire phase overlaps its
+        // integration, but the per-image results must still be
+        // batch-invariant.
         let (dnn, test_set) = crate::tests::mlp();
         let m = model(dnn, T2fsnnConfig::new(32).with_early_firing());
-        let ee = m
-            .infer(&test_set.images, InferOptions::early_exit())
-            .unwrap();
+        let batched = m.infer(&test_set.images, InferOptions).unwrap();
         let solo_img = test_set.images.index_axis0(2).unwrap();
         let mut dims = vec![1];
         dims.extend_from_slice(solo_img.dims());
         let solo = m
-            .infer(&solo_img.reshape(dims).unwrap(), InferOptions::early_exit())
+            .infer(&solo_img.reshape(dims).unwrap(), InferOptions)
             .unwrap();
-        assert_eq!(solo[0], ee[2]);
+        assert_eq!(solo[0], batched[2]);
     }
 
     #[test]
     fn outputs_match_pinned_digests() {
-        // Digests of every `infer` (early exit off, on) and `run` output
-        // on the CNN fixture. They were recorded before fired neurons were
-        // retired to −∞ and input steps bucketed, so they pin both as
-        // exact. The `Debug` form of an `f32` round-trips its bits, so
-        // any changed label, potential, spike or synop count breaks a
-        // digest.
+        // Digests of every `infer` and `run` output on the CNN fixture.
+        // They were recorded before fired neurons were retired to −∞ and
+        // input steps bucketed, so they pin both as exact. The `Debug`
+        // form of an `f32` round-trips its bits, so any changed label,
+        // potential, spike or synop count breaks a digest.
         let (dnn, test_set) = crate::tests::max_pool_cnn();
         let noise = NoiseConfig {
             jitter: 2,
@@ -555,17 +438,15 @@ mod tests {
             T2fsnnConfig::new(32).with_noise(noise),
         ] {
             let m = model(dnn, config);
-            for opts in [InferOptions::default(), InferOptions::early_exit()] {
-                let inf = m.infer(&test_set.images, opts).unwrap();
-                got.push(crc32(format!("{inf:?}").as_bytes()));
-            }
+            let inf = m.infer(&test_set.images, InferOptions).unwrap();
+            got.push(crc32(format!("{inf:?}").as_bytes()));
             let run = m.run(&test_set.images, &test_set.labels).unwrap();
             got.push(crc32(format!("{run:?}").as_bytes()));
         }
-        let want: [u32; 9] = [
-            49618881, 3898515578, 600444793, // clean: infer, infer + early exit, run
-            2436551278, 3806195860, 3562344242, // early firing
-            2734141354, 71217591, 2769929130, // jitter + drop noise
+        let want: [u32; 6] = [
+            49618881, 600444793, // clean: infer, run
+            2436551278, 3562344242, // early firing
+            2734141354, 2769929130, // jitter + drop noise
         ];
         assert_eq!(got, want);
 
@@ -614,9 +495,7 @@ mod tests {
     fn infer_validates_inputs() {
         let (dnn, test_set) = crate::tests::mlp();
         let m = model(dnn, T2fsnnConfig::new(8));
-        assert!(m
-            .infer(&Tensor::zeros([4, 8, 8]), InferOptions::default())
-            .is_err());
+        assert!(m.infer(&Tensor::zeros([4, 8, 8]), InferOptions).is_err());
         // Noise configs used to be rejected here (the old RNG stream was
         // batch-order-dependent); per-image content-keyed streams lifted
         // that restriction.
@@ -624,9 +503,7 @@ mod tests {
             dnn,
             T2fsnnConfig::new(8).with_noise(NoiseConfig::jitter_only(1, 3)),
         );
-        assert!(noisy
-            .infer(&test_set.images, InferOptions::default())
-            .is_ok());
+        assert!(noisy.infer(&test_set.images, InferOptions).is_ok());
     }
 
     #[test]
@@ -647,11 +524,12 @@ mod tests {
             matches!(r, Err(TensorError::InvalidArgument { .. }))
         }
         assert!(invalid(m.run(&images, &[0; 3])));
-        assert!(invalid(m.infer(&images, InferOptions::default())));
-        let pool = ThreadPool::new(2);
-        for opts in [InferOptions::default(), InferOptions::early_exit()] {
-            assert!(invalid(m.infer_on(&images, opts, &pool)));
-        }
+        assert!(invalid(m.infer(&images, InferOptions)));
+        assert!(invalid(m.infer_on(
+            &images,
+            InferOptions,
+            &ThreadPool::new(2)
+        )));
     }
 
     #[test]
@@ -689,18 +567,19 @@ mod tests {
             let what = format!("{config:?}");
             let invalid = |e: TensorError| matches!(e, TensorError::InvalidArgument { .. });
             assert!(m.run(&images, &[0, 1]).is_err_and(invalid), "run {what}");
-            for opts in [InferOptions::default(), InferOptions::early_exit()] {
-                assert!(m.infer(&images, opts).is_err_and(invalid), "infer {what}");
-                let r = m.infer_on(&images, opts, &pool);
-                assert!(r.is_err_and(invalid), "infer_on {what}");
-            }
+            assert!(
+                m.infer(&images, InferOptions).is_err_and(invalid),
+                "infer {what}"
+            );
+            let r = m.infer_on(&images, InferOptions, &pool);
+            assert!(r.is_err_and(invalid), "infer_on {what}");
         }
         // The analytic pass has no schedule, only kernels over `T`: it
         // rejects the last config, `T = 0`.
         let analytic = m.analytic_logits(&images);
         assert!(analytic.is_err_and(|e| matches!(e, TensorError::InvalidArgument { .. })));
         m.set_config(valid.with_early_start(8));
-        assert!(m.infer(&images, InferOptions::early_exit()).is_ok());
+        assert!(m.infer(&images, InferOptions).is_ok());
     }
 
     #[test]
@@ -713,13 +592,11 @@ mod tests {
             dnn,
             T2fsnnConfig::new(32).with_noise(NoiseConfig::jitter_only(0, 7)),
         );
-        for opts in [InferOptions::default(), InferOptions::early_exit()] {
-            let a = clean.infer(&test_set.images, opts).unwrap();
-            let b = zero.infer(&test_set.images, opts).unwrap();
-            assert_eq!(a, b);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.top_potential.to_bits(), y.top_potential.to_bits());
-            }
+        let a = clean.infer(&test_set.images, InferOptions).unwrap();
+        let b = zero.infer(&test_set.images, InferOptions).unwrap();
+        assert_eq!(a, b);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.top_potential.to_bits(), y.top_potential.to_bits());
         }
     }
 
@@ -737,9 +614,7 @@ mod tests {
                 seed: 42,
             }),
         );
-        let batched = m
-            .infer(&test_set.images, InferOptions::early_exit())
-            .unwrap();
+        let batched = m.infer(&test_set.images, InferOptions).unwrap();
         // Solo runs and a shuffled sub-batch must both reproduce the
         // full batch's per-image answers.
         for i in [0usize, 3, 7] {
@@ -747,7 +622,7 @@ mod tests {
             let mut dims = vec![1];
             dims.extend_from_slice(solo_img.dims());
             let solo = m
-                .infer(&solo_img.reshape(dims).unwrap(), InferOptions::early_exit())
+                .infer(&solo_img.reshape(dims).unwrap(), InferOptions)
                 .unwrap();
             assert_eq!(solo[0], batched[i], "image {i} differs solo vs batched");
             assert_eq!(
@@ -764,7 +639,7 @@ mod tests {
         let mut dims = test_set.images.dims().to_vec();
         dims[0] = order.len();
         let sub = Tensor::from_vec(dims, sub).unwrap();
-        let sub_results = m.infer(&sub, InferOptions::early_exit()).unwrap();
+        let sub_results = m.infer(&sub, InferOptions).unwrap();
         for (k, &i) in order.iter().enumerate() {
             assert_eq!(sub_results[k], batched[i], "image {i} differs in sub-batch");
         }
@@ -782,19 +657,11 @@ mod tests {
             }),
         );
         let serial = m
-            .infer_on(
-                &test_set.images,
-                InferOptions::default(),
-                &ThreadPool::new(1),
-            )
+            .infer_on(&test_set.images, InferOptions, &ThreadPool::new(1))
             .unwrap();
         for workers in [2usize, 4] {
             let parallel = m
-                .infer_on(
-                    &test_set.images,
-                    InferOptions::default(),
-                    &ThreadPool::new(workers),
-                )
+                .infer_on(&test_set.images, InferOptions, &ThreadPool::new(workers))
                 .unwrap();
             assert_eq!(serial, parallel, "workers={workers}");
         }

@@ -196,8 +196,6 @@ pub(crate) struct StepState<'a> {
     noise: Option<NoiseConfig>,
     /// Per-image, content-keyed noise streams (empty without noise).
     rngs: Vec<ChaCha8Rng>,
-    /// Images whose simulation stopped (early exit): they emit nothing.
-    pub(crate) decided: Vec<bool>,
     /// Per-image spikes of the last `input_step`/`fire`.
     pub(crate) spikes: Vec<u64>,
     /// Per-image synop ledger of the chunk: every weighted kernel adds
@@ -208,35 +206,31 @@ pub(crate) struct StepState<'a> {
 }
 
 impl<'a> StepState<'a> {
-    /// Input step `t` of `[0, T)`: every pixel bucketed at `t` of an
-    /// undecided image spikes; the step's events (a spike dropped by
-    /// noise still counts but delivers nothing) are integrated into the
-    /// first weighted layer.
+    /// Input step `t` of `[0, T)`: every pixel bucketed at `t` spikes;
+    /// the step's events (a spike dropped by noise still counts but
+    /// delivers nothing) are integrated into the first weighted layer.
     pub(crate) fn input_step(&mut self, t: usize) -> Result<()> {
         let _s = trace::span("ttfs/input_window");
-        let n = self.decided.len();
+        let n = self.spikes.len();
         self.events.begin(&self.input_dims);
         let mut any = false;
         for img in 0..n {
             let bucket = &self.input_indices
                 [self.input_offsets[t * n + img]..self.input_offsets[t * n + img + 1]];
-            self.spikes[img] = 0;
-            if !self.decided[img] {
-                for &p in bucket {
-                    let v = delivered_value(
-                        &self.input_table,
-                        t,
-                        self.theta0,
-                        self.noise,
-                        self.rngs.get_mut(img),
-                    );
-                    if v != 0.0 {
-                        self.events.push(p, v);
-                    }
+            for &p in bucket {
+                let v = delivered_value(
+                    &self.input_table,
+                    t,
+                    self.theta0,
+                    self.noise,
+                    self.rngs.get_mut(img),
+                );
+                if v != 0.0 {
+                    self.events.push(p, v);
                 }
-                self.spikes[img] = bucket.len() as u64;
-                any |= !bucket.is_empty();
             }
+            self.spikes[img] = bucket.len() as u64;
+            any |= !bucket.is_empty();
             self.events.end_image();
         }
         if !any {
@@ -267,10 +261,9 @@ impl<'a> StepState<'a> {
     }
 
     /// Fire phase of hidden layer `i` at local step `local`: every
-    /// neuron of an undecided image at or above the decaying threshold
-    /// emits its one spike into the event list and is retired (its
-    /// potential set to −∞, see the module docs). Returns whether any
-    /// neuron fired.
+    /// neuron at or above the decaying threshold emits its one spike
+    /// into the event list and is retired (its potential set to −∞, see
+    /// the module docs). Returns whether any neuron fired.
     pub(crate) fn fire(&mut self, i: usize, local: usize) -> bool {
         let _s = trace::span("ttfs/fire_scan");
         let table = &self.fire_tables[i];
@@ -286,11 +279,9 @@ impl<'a> StepState<'a> {
             .enumerate()
         {
             self.hits.clear();
-            if !self.decided[img] {
-                // Candidates come back in ascending index order: the
-                // canonical event order.
-                t2fsnn_tensor::simd::collect_ge(membrane, threshold, &mut self.hits);
-            }
+            // Candidates come back in ascending index order: the
+            // canonical event order.
+            t2fsnn_tensor::simd::collect_ge(membrane, threshold, &mut self.hits);
             for &j in &self.hits {
                 membrane[j as usize] = f32::NEG_INFINITY;
                 // Dendrite-decoded PSP value (ideal: ε·θ0).
@@ -428,7 +419,6 @@ impl T2fsnn {
             theta0: config.theta0,
             noise: config.noise,
             rngs: noise_streams(config.noise, images),
-            decided: vec![false; n],
             spikes: vec![0; n],
             synops: vec![0; n],
             events: SpikeBatch::empty(),
@@ -446,13 +436,7 @@ impl T2fsnn {
     /// network's shapes do not chain, if it does not end in a
     /// classifier, or if the config is invalid (as [`T2fsnn::infer`]).
     pub fn run(&self, images: &Tensor, labels: &[usize]) -> Result<TtfsRun> {
-        let sim = self.simulate(
-            "T2fsnn::run",
-            images,
-            Some(labels),
-            false,
-            ThreadPool::global(),
-        )?;
+        let sim = self.simulate("T2fsnn::run", images, Some(labels), ThreadPool::global())?;
         let n = labels.len();
         let curve: Vec<CurvePoint> = sim
             .curve
@@ -689,9 +673,7 @@ mod tests {
         assert_eq!(run.input_histogram, [0; 8]);
         assert_eq!(run.layers.len(), 1);
         assert_eq!(run.layers[0].histogram, [0; 8]);
-        for opts in [InferOptions::default(), InferOptions::early_exit()] {
-            assert!(m.infer(&empty, opts).unwrap().is_empty());
-        }
+        assert!(m.infer(&empty, InferOptions).unwrap().is_empty());
     }
 
     #[test]

@@ -87,18 +87,15 @@ proptest! {
             t2fsnn_tensor::simd::set_enabled(prev);
             prop_assert_eq!(&scalar, &vector, "simd identity, max_pool={}", max_pool);
         }
-        // `infer` joins the contract: both engines agree bit for bit,
-        // early exit on and off. Its per-image charges sum to `run`'s
-        // totals, and no layer of an image spikes more often than it has
-        // neurons — with early firing, a retired neuron that could cross
-        // again would break that bound.
+        // `infer` joins the contract: both engines agree bit for bit.
+        // Its per-image charges sum to `run`'s totals, and no layer of an
+        // image spikes more often than it has neurons — with early
+        // firing, a retired neuron that could cross again would break
+        // that bound.
         let (dense_model, event_model) = (model_with(SimEngine::dense()), model_with(SimEngine::default()));
-        for opts in [InferOptions::default(), InferOptions::early_exit()] {
-            let d = dense_model.infer(&images, opts).unwrap();
-            let e = event_model.infer(&images, opts).unwrap();
-            prop_assert!(same_inferences(&d, &e), "infer engines differ, {:?}", opts);
-        }
-        let inf = event_model.infer(&images, InferOptions::default()).unwrap();
+        let d = dense_model.infer(&images, InferOptions).unwrap();
+        let inf = event_model.infer(&images, InferOptions).unwrap();
+        prop_assert!(same_inferences(&d, &inf), "infer engines differ");
         let sum = |f: fn(&ImageInference) -> u64| inf.iter().map(f).sum::<u64>();
         prop_assert_eq!(sum(|r| r.input_spikes), dense.input_spikes);
         prop_assert_eq!(sum(|r| r.hidden_spikes), dense.layers.iter().map(|l| l.count).sum::<u64>());
@@ -283,7 +280,7 @@ proptest! {
 
     /// The compiled-plan cache: a call that reuses the cached plan is
     /// bit-identical to the first call of a fresh clone, for `infer`
-    /// (solo and batched, early exit on and off, 1/2/4 workers) and for
+    /// (solo and batched, 1/2/4 workers) and for
     /// `run`, and every call of one input shape shares one plan.
     #[test]
     fn cached_plan_calls_match_a_fresh_clone(
@@ -302,14 +299,12 @@ proptest! {
         let plan = model.network().plan(&[1, 8, 8]).unwrap();
         prop_assert_eq!(&model.run(&images, &labels).unwrap(), &first);
         prop_assert_eq!(&pristine.clone().run(&images, &labels).unwrap(), &first);
-        for opts in [InferOptions::default(), InferOptions::early_exit()] {
-            for batch in [&solo, &images] {
-                let fresh = pristine.clone().infer(batch, opts).unwrap();
-                for workers in [1usize, 2, 4] {
-                    let pool = ThreadPool::new(workers);
-                    let cached = model.infer_on(batch, opts, &pool).unwrap();
-                    prop_assert!(same_inferences(&cached, &fresh), "workers={} {:?}", workers, opts);
-                }
+        for batch in [&solo, &images] {
+            let fresh = pristine.clone().infer(batch, InferOptions).unwrap();
+            for workers in [1usize, 2, 4] {
+                let pool = ThreadPool::new(workers);
+                let cached = model.infer_on(batch, InferOptions, &pool).unwrap();
+                prop_assert!(same_inferences(&cached, &fresh), "workers={}", workers);
             }
         }
         // One compile per model and input shape: the plan those calls
@@ -330,10 +325,10 @@ proptest! {
         let mut before = plan_model(max_pool, 1, seed);
         before.perturb_weights(&spec);
         let mut after = plan_model(max_pool, 1, seed);
-        let clean = after.infer(&images, InferOptions::early_exit()).unwrap();
+        let clean = after.infer(&images, InferOptions).unwrap();
         after.perturb_weights(&spec);
-        let want = before.infer(&images, InferOptions::early_exit()).unwrap();
-        let got = after.infer(&images, InferOptions::early_exit()).unwrap();
+        let want = before.infer(&images, InferOptions).unwrap();
+        let got = after.infer(&images, InferOptions).unwrap();
         prop_assert!(same_inferences(&got, &want));
         prop_assert!(!same_inferences(&got, &clean), "the perturbation must show");
         prop_assert_eq!(after.run(&images, &labels).unwrap(), before.run(&images, &labels).unwrap());
@@ -350,13 +345,13 @@ proptest! {
         let model = plan_model(max_pool, 1, seed);
         let square = plan_images(2, seed, [1, 8, 8]);
         let wide = plan_images(2, seed, [1, 4, 16]);
-        model.infer(&square, InferOptions::default()).unwrap();
+        model.infer(&square, InferOptions).unwrap();
         let cached = model.network().plan(&[1, 8, 8]).unwrap();
         let other = model.network().plan(&[1, 4, 16]).unwrap();
         prop_assert!(!Arc::ptr_eq(&cached, &other));
         prop_assert_eq!(other.state_dims(0), &[4, 16, 3][..]);
-        let fresh = plan_model(max_pool, 1, seed).infer(&wide, InferOptions::default()).unwrap();
-        prop_assert!(same_inferences(&model.infer(&wide, InferOptions::default()).unwrap(), &fresh));
+        let fresh = plan_model(max_pool, 1, seed).infer(&wide, InferOptions).unwrap();
+        prop_assert!(same_inferences(&model.infer(&wide, InferOptions).unwrap(), &fresh));
         // The first shape's plan stays cached.
         prop_assert!(Arc::ptr_eq(&cached, &model.network().plan(&[1, 8, 8]).unwrap()));
     }

@@ -1,39 +1,30 @@
 //! The dynamic micro-batcher: one thread that turns the admission queue
-//! into inference batches, degrading deadline-pressed requests instead
+//! into inference batches, shedding deadline-pressed requests instead
 //! of wedging on them.
 //!
-//! Batching policy: pop the oldest job, then gather company with the
-//! same `(model, effective early-exit mode)` key. A batch runs one chunk
-//! per thread-pool worker in parallel, so company beyond the worker
-//! count buys no parallelism (it only spreads the per-call fixed cost
-//! over more images): the batcher stops waiting as soon as the batch
-//! holds its *fill target*, `min(max_batch, pool workers)` jobs.
-//! Every scan of the queue still takes all queued matches up to
-//! `max_batch`, so a backlog leaves in one batch. An under-filled batch
-//! waits for company until the flush deadline — `max_delay` past the
-//! first job's *enqueue* time, capped by its request deadline — expires;
-//! a fill target of 1 (a one-worker pool) never waits. Jobs for other
-//! keys stay queued in order for the next round.
+//! Batching policy: pop the oldest job, then gather company for the same
+//! model. A batch runs one chunk per thread-pool worker in parallel, so
+//! company beyond the worker count buys no parallelism (it only spreads
+//! the per-call fixed cost over more images): the batcher stops waiting
+//! as soon as the batch holds its *fill target*, `min(max_batch, pool
+//! workers)` jobs. Every scan of the queue still takes all queued
+//! matches up to `max_batch`, so a backlog leaves in one batch. An
+//! under-filled batch waits for company until the flush deadline —
+//! `max_delay` past the first job's *enqueue* time, capped by its
+//! request deadline — expires; a fill target of 1 (a one-worker pool)
+//! never waits. Jobs for other models stay queued in order for the next
+//! round.
 //!
 //! Deadline policy (the degradation ladder, applied per job every
 //! cycle):
 //!
-//! 1. **Full window** — enough slack: the request runs exactly as
-//!    asked.
-//! 2. **Forced anytime early-exit** — slack below the full-window
-//!    estimate (a per-model EWMA of batch execution time plus the batch
-//!    wait, or the static `T2FSNN_SERVE_FORCE_EE_SLACK_US` override):
-//!    the request is dispatched with `early_exit = true` even though it
-//!    asked for a full-window answer. The response is bit-identical to
-//!    an explicit `early_exit: true` request — the TTFS anytime path is
-//!    the pressure valve, not a different model.
-//! 3. **Shed** — the deadline has already passed, *or* the remaining
-//!    slack is below even the anytime execution reserve (1.25× the
-//!    per-model decaying peak of batch execution time, so the answer
-//!    could not possibly land in time): the job is answered `504`
-//!    without executing. *Queue*
-//!    shedding ([`crate::queue::Queue::drain_matching`]) only ever
-//!    takes already-expired jobs — it never touches a job with
+//! 1. **Full window** — enough slack: the request runs.
+//! 2. **Shed** — the deadline has already passed, *or* the remaining
+//!    slack is below the execution reserve (1.25× the per-model
+//!    decaying peak of batch execution time, so the answer could not
+//!    possibly land in time): the job is answered `504` without
+//!    executing. *Queue* shedding ([`crate::queue::Queue::drain_matching`])
+//!    only ever takes already-expired jobs — it never touches a job with
 //!    remaining slack and never reorders the survivors; the
 //!    unmeetable-slack shed is a head-of-queue decision by the batcher
 //!    (counted separately as `unmeetable_shed`).
@@ -48,9 +39,9 @@
 //! additionally respawns the whole thread as a backstop).
 //!
 //! Because [`t2fsnn::T2fsnn::infer`] is batch-invariant (bit-identical
-//! per image regardless of batch composition), batching and forced
-//! early-exit can never change the bits of a response relative to the
-//! same image inferred solo in the same mode.
+//! per image regardless of batch composition), batching can never
+//! change the bits of a response relative to the same image inferred
+//! solo.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -74,8 +65,6 @@ pub struct InferJob {
     pub model: Arc<ServeModel>,
     /// Flat `[C·H·W]` image (length validated at admission).
     pub image: Vec<f32>,
-    /// Requested early-exit flag (request override or server default).
-    pub early_exit: bool,
     /// Absolute deadline, when the request carries one; past it the job
     /// is shed with `504` instead of executed.
     pub deadline: Option<Instant>,
@@ -103,7 +92,7 @@ impl InferJob {
 pub enum JobError {
     /// The job could not be executed inside its deadline — either the
     /// deadline had already passed, or the remaining slack was below
-    /// the anytime execution estimate (`504`); the carried value is how
+    /// the execution reserve (`504`); the carried value is how
     /// long the job had waited, in microseconds.
     Shed {
         /// Microseconds between admission and the shed decision.
@@ -139,9 +128,6 @@ pub struct JobOutcome {
     pub queue_us: u64,
     /// Microseconds the batch spent in inference.
     pub infer_us: u64,
-    /// Whether the degradation ladder forced the anytime early-exit
-    /// path on this job (it asked for a full-window answer).
-    pub degraded: bool,
     /// Trace id of the micro-batch that executed the job (its
     /// `serve/batch_*` and engine-phase spans carry it); 0 when tracing
     /// is off. Lets a request's span tree cross-link to the shared
@@ -158,44 +144,23 @@ impl JobOutcome {
     }
 }
 
-/// Per-model EWMA of batch execution time in one mode (full-window or
-/// anytime) — the ladder keeps one per rung: the full-window estimate
-/// decides when to force early-exit, the anytime estimate decides when
-/// even that cannot land in time.
+/// Per-model decaying peak of batch execution time, µs: jumps to a
+/// spike instantly, then decays slowly back down. Batch time depends on
+/// the batch's size and content, so the tail, not the mean, is what a
+/// deadline promise has to budget for.
 #[derive(Default)]
 struct ExecEstimator {
-    /// Smoothed mean and decaying peak of batch execution time, µs.
-    stats_us: HashMap<*const ServeModel, (u64, u64)>,
+    peak_us: HashMap<*const ServeModel, u64>,
 }
 
 impl ExecEstimator {
-    /// Smoothed mean execution time (0 until the first sample).
-    fn get(&self, model: &Arc<ServeModel>) -> u64 {
-        self.stats_us
-            .get(&Arc::as_ptr(model))
-            .map(|&(mean, _)| mean)
-            .unwrap_or(0)
-    }
-
-    /// Decaying peak execution time (0 until the first sample): jumps
-    /// to a spike instantly, then decays slowly back toward the mean.
-    /// Batch time is composition-dependent — an anytime batch runs
-    /// until its slowest image's first output spike — so the tail, not
-    /// the mean, is what a deadline promise has to budget for.
+    /// The peak for `model` (0 until the first sample).
     fn peak(&self, model: &Arc<ServeModel>) -> u64 {
-        self.stats_us
-            .get(&Arc::as_ptr(model))
-            .map(|&(_, peak)| peak)
-            .unwrap_or(0)
+        self.peak_us.get(&Arc::as_ptr(model)).copied().unwrap_or(0)
     }
 
     fn update(&mut self, model: &Arc<ServeModel>, infer_us: u64) {
-        let (mean, peak) = self.stats_us.entry(Arc::as_ptr(model)).or_insert((0, 0));
-        *mean = if *mean == 0 {
-            infer_us
-        } else {
-            (*mean * 3 + infer_us) / 4
-        };
+        let peak = self.peak_us.entry(Arc::as_ptr(model)).or_insert(0);
         *peak = infer_us.max((*peak * 7 + infer_us) / 8);
     }
 }
@@ -219,21 +184,6 @@ pub struct BatcherConfig {
     /// How long the first job of an under-filled batch may wait for
     /// company.
     pub max_delay: Duration,
-    /// Static forced-early-exit slack threshold in microseconds; 0
-    /// means adaptive (full-window EWMA + `max_delay`).
-    pub force_ee_slack_us: u64,
-}
-
-impl BatcherConfig {
-    /// The slack below which a full-window request is degraded to the
-    /// anytime early-exit path.
-    fn force_threshold(&self, full_estimate_us: u64) -> Duration {
-        if self.force_ee_slack_us > 0 {
-            Duration::from_micros(self.force_ee_slack_us)
-        } else {
-            Duration::from_micros(full_estimate_us) + self.max_delay
-        }
-    }
 }
 
 /// Runs the batching loop until the queue closes and drains. Intended
@@ -247,8 +197,7 @@ pub fn run(
     faults: Option<&Faults>,
     breaker: Option<&Breaker<'_>>,
 ) {
-    let mut full_estimator = ExecEstimator::default();
-    let mut anytime_estimator = ExecEstimator::default();
+    let mut estimator = ExecEstimator::default();
     while let Some(first) = queue.pop_blocking() {
         let now = Instant::now();
         if first.expired_at(now) {
@@ -261,20 +210,11 @@ pub fn run(
             shed(job, now, metrics);
         }
 
-        // Degradation rung of the head job decides the batch mode.
-        let full_estimate = full_estimator.get(&first.model);
-        let threshold = config.force_threshold(full_estimate);
-        let forced_head = !first.early_exit && first.slack_at(now).is_some_and(|s| s < threshold);
-        let effective_ee = first.early_exit || forced_head;
         // Last rung: the head still has slack, but less than the
-        // execution reserve of the mode it would run in — the answer
-        // cannot possibly land before the deadline, so shed now instead
-        // of burning a batch slot on a guaranteed-late response.
-        let reserve = exec_reserve(if effective_ee {
-            anytime_estimator.peak(&first.model)
-        } else {
-            full_estimator.peak(&first.model)
-        });
+        // execution reserve — the answer cannot possibly land before the
+        // deadline, so shed now instead of burning a batch slot on a
+        // guaranteed-late response.
+        let reserve = exec_reserve(estimator.peak(&first.model));
         if !reserve.is_zero() && first.slack_at(now).is_some_and(|s| s < reserve) {
             metrics.observe_unmeetable_shed();
             shed(first, now, metrics);
@@ -303,11 +243,7 @@ pub fn run(
                 // A candidate below the batch's execution reserve would
                 // only ride to a late answer; leave it queued for the
                 // head-of-queue ladder decision.
-                if job.slack_at(now).is_some_and(|s| s < reserve) {
-                    return false;
-                }
-                let forced = !job.early_exit && job.slack_at(now).is_some_and(|s| s < threshold);
-                (job.early_exit || forced) == effective_ee
+                job.slack_at(now).is_none_or(|s| s >= reserve)
             };
             // Stop waiting once the batch holds its fill target; the
             // scans still take queued company up to `max_batch`.
@@ -316,19 +252,11 @@ pub fn run(
         }
         metrics.set_queue_depth(queue.len());
 
-        // Dispatch-time accounting: per-job degradation flags and the
-        // slack histogram.
+        // Dispatch-time accounting: the slack histogram.
         let dispatched = Instant::now();
-        let degraded: Vec<bool> = batch
-            .iter()
-            .map(|job| effective_ee && !job.early_exit)
-            .collect();
-        for (job, &was_forced) in batch.iter().zip(&degraded) {
+        for job in &batch {
             if let Some(slack) = job.slack_at(dispatched) {
                 metrics.observe_slack_us(slack.as_micros() as u64);
-            }
-            if was_forced {
-                metrics.observe_forced_early_exit();
             }
         }
         // One trace id per batch: `serve/batch_form` covers pop-to-
@@ -351,14 +279,7 @@ pub fn run(
                 batch.len() as u64,
             );
         }
-        let infer_us = execute(
-            &batch,
-            effective_ee,
-            &degraded,
-            metrics,
-            faults,
-            batch_trace,
-        );
+        let infer_us = execute(&batch, metrics, faults, batch_trace);
         // Attribute the outcome to the model's slot: the circuit
         // breaker counts consecutive failures per model and fences a
         // repeat offender off without touching other models' traffic.
@@ -366,11 +287,7 @@ pub fn run(
             breaker.record(&batch[0].model, infer_us.is_some());
         }
         if let Some(us) = infer_us {
-            if effective_ee {
-                anytime_estimator.update(&batch[0].model, us);
-            } else {
-                full_estimator.update(&batch[0].model, us);
-            }
+            estimator.update(&batch[0].model, us);
         }
         // Make this thread's profiler spans visible to `/metrics`.
         profile::flush();
@@ -385,14 +302,12 @@ fn shed(job: InferJob, now: Instant, metrics: &Metrics) {
     let _ = job.reply.send(Err(JobError::Shed { waited_us }));
 }
 
-/// Executes one homogeneous batch under panic isolation and replies to
+/// Executes one single-model batch under panic isolation and replies to
 /// every job; returns the execution time on success. Reply sends ignore
 /// errors: a worker that timed out and closed its receiver just loses
 /// the (already-paid-for) answer.
 fn execute(
     batch: &[InferJob],
-    early_exit: bool,
-    degraded: &[bool],
     metrics: &Metrics,
     faults: Option<&Faults>,
     batch_trace: u64,
@@ -434,15 +349,14 @@ fn execute(
             panic!("injected model-execution fault");
         }
         Tensor::from_vec(vec![k, c, h, w], data)
-            .and_then(|images| model.model.infer(&images, InferOptions { early_exit }))
+            .and_then(|images| model.model.infer(&images, InferOptions))
     }));
     let infer_us = started.elapsed().as_micros() as u64;
     match outcome {
         Ok(Ok(results)) => {
             debug_assert_eq!(results.len(), k);
             let answered = Instant::now();
-            for ((job, result), &was_forced) in batch.iter().zip(results).zip(degraded) {
-                metrics.observe_decision(result.decided());
+            for (job, result) in batch.iter().zip(results) {
                 // Strict deadline contract: a result that lands past
                 // the deadline is withheld — the client asked for an
                 // answer *by* the deadline, not a stale one after it.
@@ -459,7 +373,6 @@ fn execute(
                     batch_size: k,
                     queue_us,
                     infer_us,
-                    degraded: was_forced,
                     batch_trace,
                 }));
             }
@@ -504,7 +417,6 @@ mod tests {
             batch_size: 1,
             queue_us: 0,
             infer_us: 0,
-            degraded: false,
             batch_trace: 0,
         }
     }
@@ -517,27 +429,6 @@ mod tests {
         let c = outcome(10, 400);
         assert!(c.energy_truenorth() > b.energy_truenorth());
         assert!((b.energy_truenorth() - (0.4 * 10.0 + 0.6 * 40.0)).abs() < 1e-4);
-    }
-
-    #[test]
-    fn force_threshold_static_override_wins() {
-        let adaptive = BatcherConfig {
-            max_batch: 8,
-            fill_target: 2,
-            max_delay: Duration::from_micros(2_000),
-            force_ee_slack_us: 0,
-        };
-        assert_eq!(
-            adaptive.force_threshold(5_000),
-            Duration::from_micros(7_000)
-        );
-        // No estimate yet: only the batch wait itself forces.
-        assert_eq!(adaptive.force_threshold(0), Duration::from_micros(2_000));
-        let fixed = BatcherConfig {
-            force_ee_slack_us: 12_345,
-            ..adaptive
-        };
-        assert_eq!(fixed.force_threshold(5_000), Duration::from_micros(12_345));
     }
 
     #[test]

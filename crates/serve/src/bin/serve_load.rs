@@ -37,13 +37,11 @@
 //! `/metrics` counts injected faults, batch panics and deadline sheds,
 //! and zero batcher respawns.
 //!
-//! **overload** measures full-window capacity (200 requests at
-//! concurrency 8), warms the anytime estimator, then offers 1500
-//! full-window requests at concurrency 96 with a 15 ms deadline. Gates:
+//! **overload** measures capacity (200 requests at concurrency 8), then
+//! offers 1500 requests at concurrency 96 with a 15 ms deadline. Gates:
 //! offered load ≥ 2× capacity; some request is answered; the p99 of the
 //! answered requests' admission-to-answer time (`queue_us + infer_us`)
-//! is within the deadline; the ladder forced an early exit; no
-//! transport failure.
+//! is within the deadline; no transport failure.
 //!
 //! **churn** runs four servers. (1) Runtime load of `mnist-like`, mixed
 //! traffic at concurrency 2 and 8, then reload, unload and re-load under
@@ -155,8 +153,8 @@ const OBS: Load = Load {
 };
 
 /// Byte-level identity of the inference-determined fields (`version`,
-/// `batch_size`, `degraded` and the timings are scheduling metadata,
-/// not inference output).
+/// `batch_size` and the timings are scheduling metadata, not inference
+/// output).
 fn same_bits(a: &InferResponse, b: &InferResponse) -> bool {
     a.label == b.label
         && a.decision_step == b.decision_step
@@ -168,13 +166,13 @@ fn same_bits(a: &InferResponse, b: &InferResponse) -> bool {
         && a.synop_mults == b.synop_mults
 }
 
-/// The one `/v1/infer` body constructor: early exit on, no deadline, no
-/// timing. Callers override fields with struct-update syntax.
+/// The one `/v1/infer` body constructor: no deadline, no timing.
+/// Callers override fields with struct-update syntax.
 fn infer_request(model: &str, image: &[f32]) -> InferRequest {
     InferRequest {
         model: Some(model.to_string()),
         image: image.to_vec(),
-        early_exit: Some(true),
+        early_exit: None,
         deadline_ms: None,
         timing: None,
     }
@@ -752,8 +750,8 @@ fn smoke_load(server: &Server, load: Load, gates: &mut Gates) {
     let images = images(MODEL);
     let solo = server.solo(&infer_request(MODEL.name(), &images[0]));
     println!(
-        "[serve_load] solo reference: label {}, steps {}, decision {:?}, batch {}",
-        solo.label, solo.steps, solo.decision_step, solo.batch_size
+        "[serve_load] solo reference: label {}, steps {}, batch {}",
+        solo.label, solo.steps, solo.batch_size
     );
     gates.check(
         solo.batch_size == 1,
@@ -908,8 +906,8 @@ fn chaos() {
     let mut gates = Gates::default();
     let solo = server.solo(&infer_request(MODEL.name(), &images[0]));
     println!(
-        "[serve_load] chaos solo reference: label {}, steps {}, decision {:?}",
-        solo.label, solo.steps, solo.decision_step
+        "[serve_load] chaos solo reference: label {}, steps {}",
+        solo.label, solo.steps
     );
 
     let count = |kind| {
@@ -1034,15 +1032,15 @@ fn chaos() {
     gates.finish("CHAOS", "all invariants held under fault injection");
 }
 
-/// Measures full-window capacity, then offers ≥2× with deadlines and
-/// lets the degradation ladder degrade instead of collapse.
+/// Measures capacity, then offers ≥2× with deadlines and lets the
+/// degradation ladder shed instead of collapse.
 fn overload() {
     // Workers sized to the client concurrency so the pressure lands on
     // the admission queue and batcher (the ladder), not on the accept
     // loop's connection backpressure. The loop is closed, so offered
     // load can only exceed capacity through shedding: expired slots
     // recycle in ~deadline time, and concurrency 96 makes that recycling
-    // rate clear 2× the full-window capacity.
+    // rate clear 2× the capacity.
     let server = Server::spawn(
         MODEL.name(),
         &[
@@ -1052,48 +1050,39 @@ fn overload() {
     );
     let images = images(MODEL);
     let mut gates = Gates::default();
-    let early_exit = |i: usize| infer_request(MODEL.name(), &images[i % images.len()]);
-    let full_window = |i: usize| InferRequest {
-        early_exit: Some(false),
-        ..early_exit(i)
-    };
+    let request = |i: usize| infer_request(MODEL.name(), &images[i % images.len()]);
 
-    let solo = server.solo(&full_window(0));
+    let solo = server.solo(&request(0));
     println!(
-        "[serve_load] overload solo (full window): label {}, steps {}",
+        "[serve_load] overload solo: label {}, steps {}",
         solo.label, solo.steps
     );
 
-    // Phase A: sustainable full-window capacity, no deadlines.
+    // Phase A: sustainable capacity, no deadlines. It also gives the
+    // batcher the execution-time samples its unmeetable-slack shed
+    // needs; a cold phase B would answer its first deadline-pressed
+    // batch late.
     let at_8 = |requests| Load {
         requests,
         concurrency: 8,
     };
-    println!("[serve_load] phase A: full-window capacity at c8");
-    let capacity = server.closed_loop(at_8(200), full_window);
+    println!("[serve_load] phase A: capacity at c8");
+    let capacity = server.closed_loop(at_8(200), request);
     capacity.print("capacity");
     let capacity_rps = capacity.ok_count() as f64 / capacity.wall.as_secs_f64().max(1e-9);
 
-    // Rung 3 (unmeetable shed) stays disabled until the batcher has seen
-    // an early-exit batch, so a cold phase B would answer its first
-    // deadline-pressed batch late.
-    println!("[serve_load] warm-up: anytime estimator (100 early-exit requests)");
-    server.closed_loop(at_8(100), early_exit);
-
-    // Phase B: full window requested, so every degraded answer is the
-    // ladder's doing.
+    // Phase B: overload with deadlines.
     println!(
         "[serve_load] phase B: overload at c{}, deadline {OVERLOAD_DEADLINE_MS} ms, {} requests",
         OVERLOAD.concurrency, OVERLOAD.requests
     );
     let overload = server.closed_loop(OVERLOAD, |i| InferRequest {
         deadline_ms: Some(OVERLOAD_DEADLINE_MS),
-        ..full_window(i)
+        ..request(i)
     });
     overload.print("overload");
 
     let answered = overload.ok_count();
-    let degraded = overload.responses().filter(|(_, r)| r.degraded).count();
     let wall = overload.latencies_us(Some(200));
     // The deadline bounds admission to answer (the server's clock starts
     // when the request is parsed); the response's own `queue_us +
@@ -1110,7 +1099,7 @@ fn overload() {
     let deadline_us = OVERLOAD_DEADLINE_MS * 1000;
     println!(
         "[serve_load] overload: offered {offered_rps:.1} req/s = {ratio:.2}× capacity \
-         ({capacity_rps:.1}), answered {answered} (degraded {degraded}), shed {}, \
+         ({capacity_rps:.1}), answered {answered}, shed {}, \
          admission-to-answer p50/p99 {}/{p99_server} µs (client-side wall {}/{} µs) vs \
          deadline {deadline_us} µs",
         overload.count_status(504),
@@ -1119,20 +1108,15 @@ fn overload() {
         quantile_us(&wall, 0.99),
     );
 
-    let mut forced = 0;
     match server.counters([
         "t2fsnn_serve_deadline_shed_total",
         "t2fsnn_serve_unmeetable_shed_total",
-        "t2fsnn_serve_forced_early_exit_total",
         "t2fsnn_serve_deadline_late_answers_total",
     ]) {
-        Some([shed, unmeetable, forced_now, late]) => {
-            forced = forced_now;
-            println!(
-                "[serve_load] overload metrics: {shed} sheds ({unmeetable} unmeetable), \
-                 {forced} forced early-exits, {late} late answers"
-            );
-        }
+        Some([shed, unmeetable, late]) => println!(
+            "[serve_load] overload metrics: {shed} sheds ({unmeetable} unmeetable), \
+             {late} late answers"
+        ),
         None => gates.fail("cannot fetch /metrics after overload"),
     }
 
@@ -1144,10 +1128,6 @@ fn overload() {
     gates.check(
         p99_server <= deadline_us,
         format!("admission-to-answer p99 {p99_server} µs exceeds deadline {deadline_us} µs"),
-    );
-    gates.check(
-        forced > 0,
-        "ladder never forced an early-exit (overload too mild?)",
     );
     gates.check(
         overload.transport_errors() == 0,
@@ -1169,8 +1149,8 @@ fn perturb() {
     let probe = &images[..images.len().min(8)];
     let mut gates = Gates::default();
 
-    // Clean-server baseline: the solo early-exit bits severity 0 must
-    // reproduce exactly.
+    // Clean-server baseline: the solo bits severity 0 must reproduce
+    // exactly.
     println!(
         "[serve_load] perturb baseline: clean server, {} solo references",
         probe.len()
@@ -1952,13 +1932,12 @@ fn obs_tagged_checks(server: &Server, image: &[f32], gates: &mut Gates) {
 const OBS_BLOCKS: usize = 40;
 const OBS_CALLS_PER_BLOCK: usize = 16;
 
-/// The tracing-cost gate: solo `tiny` `T2fsnn::infer` calls (early exit
-/// on, the server default) with the flight recorder on vs off, in
-/// interleaved blocks whose order alternates, so drift lands on both
-/// sides. Returns the overhead of the median per-call time with the
-/// recorder on over off. In-process timing resolves a 3 % budget on a
-/// shared 2-vCPU box; two identical servers' throughput there differs by
-/// ~20 % per round.
+/// The tracing-cost gate: solo `tiny` `T2fsnn::infer` calls with the
+/// flight recorder on vs off, in interleaved blocks whose order
+/// alternates, so drift lands on both sides. Returns the overhead of the
+/// median per-call time with the recorder on over off. In-process timing
+/// resolves a 3 % budget on a shared 2-vCPU box; two identical servers'
+/// throughput there differs by ~20 % per round.
 fn obs_infer_overhead() -> f64 {
     let prepared = prepare(MODEL);
     let model = T2fsnn::from_dnn(
@@ -1980,7 +1959,7 @@ fn obs_infer_overhead() -> f64 {
         trace::set_enabled(on);
         let t0 = Instant::now();
         for img in &solo {
-            model.infer(img, InferOptions::early_exit()).expect("infer");
+            model.infer(img, InferOptions).expect("infer");
         }
         t0.elapsed().as_secs_f64() / solo.len() as f64
     };

@@ -5,9 +5,8 @@
 //! Configuration is environment-only (see [`t2fsnn_serve::ServeConfig`]):
 //! `T2FSNN_SERVE_ADDR`, `T2FSNN_SERVE_MODELS`, `T2FSNN_SERVE_MAX_BATCH`,
 //! `T2FSNN_SERVE_MAX_DELAY_US`, `T2FSNN_SERVE_QUEUE`,
-//! `T2FSNN_SERVE_WORKERS`, `T2FSNN_SERVE_EARLY_EXIT`,
-//! `T2FSNN_SERVE_READ_TIMEOUT_MS`, `T2FSNN_SERVE_MAX_BODY`,
-//! `T2FSNN_SERVE_DEADLINE_MS`, `T2FSNN_SERVE_FORCE_EE_SLACK_US`,
+//! `T2FSNN_SERVE_WORKERS`, `T2FSNN_SERVE_READ_TIMEOUT_MS`,
+//! `T2FSNN_SERVE_MAX_BODY`, `T2FSNN_SERVE_DEADLINE_MS`,
 //! `T2FSNN_SERVE_FAULTS`, `T2FSNN_SERVE_PERTURB`,
 //! `T2FSNN_SERVE_MODEL_QUOTA`, `T2FSNN_SERVE_QUARANTINE_THRESHOLD`,
 //! `T2FSNN_SERVE_QUARANTINE_BACKOFF_MS`, `T2FSNN_SERVE_TRACE`,
@@ -71,13 +70,12 @@ fn main() {
     // flush so a piped parent sees it immediately.
     println!("[serve] listening on {}", handle.addr());
     println!(
-        "[serve] models: {}; max_batch {}, max_delay {} µs, queue {}, workers {}, early_exit {}",
+        "[serve] models: {}; max_batch {}, max_delay {} µs, queue {}, workers {}",
         config.models.join(","),
         config.max_batch,
         config.max_delay_us,
         config.queue_capacity,
         config.workers,
-        config.early_exit,
     );
     if config.default_deadline_ms > 0 {
         println!("[serve] default deadline {} ms", config.default_deadline_ms);

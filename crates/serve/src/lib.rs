@@ -12,20 +12,17 @@
 //!    [`queue::Queue`]; overflow is answered `429` immediately
 //!    (backpressure, not buffering).
 //! 2. **Micro-batching** — a single batcher thread coalesces queued jobs
-//!    with the same `(model, early_exit)` key. A batch flushes as soon as
-//!    it holds `min(max_batch, pool workers)` jobs — a batch runs one
-//!    chunk per [`t2fsnn_tensor::ThreadPool`] worker, so more company
-//!    buys no parallelism — taking any further queued jobs up to
-//!    `max_batch` on the way; an under-filled batch waits at most
-//!    `max_delay_us` after its first job (see [`batcher`]).
+//!    for the same model. A batch flushes as soon as it holds
+//!    `min(max_batch, pool workers)` jobs — a batch runs one chunk per
+//!    [`t2fsnn_tensor::ThreadPool`] worker, so more company buys no
+//!    parallelism — taking any further queued jobs up to `max_batch` on
+//!    the way; an under-filled batch waits at most `max_delay_us` after
+//!    its first job (see [`batcher`]).
 //! 3. **Execution** — batches run through [`t2fsnn::T2fsnn::infer`] on
 //!    the scoped thread pool. Inference is **batch-invariant**: a
 //!    request's bits are identical whether it ran solo, in any batch, or
 //!    at any worker count, so batching is purely a throughput knob.
-//! 4. **Anytime early-exit** — TTFS-native: the first output spike *is*
-//!    the decision, so a request can report its label and decision
-//!    timestep (and stop spending spikes/synops) before the time window
-//!    closes. Per-request override via the `early_exit` field.
+//!    Every answer is the full-window answer.
 //!
 //! `/metrics` exposes queue depth, the batch-size histogram,
 //! latency quantiles, per-model per-stage latency histograms, response
@@ -45,9 +42,9 @@
 //! Robustness is first-class (see [`batcher`] for the degradation
 //! ladder, [`faults`] for the deterministic fault-injection layer, and
 //! `/healthz` for readiness): requests may carry deadlines, overload
-//! degrades to the TTFS anytime path before it sheds, batch panics are
-//! isolated to their own requests, and a model that fails to load
-//! answers `503` instead of killing the process.
+//! sheds what cannot answer in time, batch panics are isolated to their
+//! own requests, and a model that fails to load answers `503` instead
+//! of killing the process.
 //!
 //! The registry is a *mutable* runtime component (see [`registry`] and
 //! [`lifecycle`]): `POST /admin/models/<name>/{load,unload,reload}`
@@ -105,9 +102,6 @@ pub struct ServeConfig {
     /// Connection worker threads — the keep-alive concurrency limit
     /// (`T2FSNN_SERVE_WORKERS`, default 8).
     pub workers: usize,
-    /// Default for requests that do not set `early_exit`
-    /// (`T2FSNN_SERVE_EARLY_EXIT`, default on; `0` disables).
-    pub early_exit: bool,
     /// Per-read socket timeout; a half-written request is answered
     /// `408` when it expires (`T2FSNN_SERVE_READ_TIMEOUT_MS`,
     /// default 2000).
@@ -120,10 +114,6 @@ pub struct ServeConfig {
     /// Requests override it with a `deadline_ms` JSON field or an
     /// `x-deadline-ms` header.
     pub default_deadline_ms: u64,
-    /// Static slack threshold (µs) below which a full-window request is
-    /// degraded to forced early-exit (`T2FSNN_SERVE_FORCE_EE_SLACK_US`,
-    /// default 0 = adaptive: per-model full-window EWMA + `max_delay`).
-    pub force_ee_slack_us: u64,
     /// Perturbation spec applied to every model at load time
     /// (`T2FSNN_SERVE_PERTURB`, default unset = clean). The grammar is
     /// [`t2fsnn_tensor::perturb::PerturbSpec::parse`]; event families
@@ -164,11 +154,9 @@ impl Default for ServeConfig {
             max_delay_us: 2000,
             queue_capacity: 128,
             workers: 8,
-            early_exit: true,
             read_timeout: Duration::from_millis(2000),
             max_body_bytes: 4 << 20,
             default_deadline_ms: 0,
-            force_ee_slack_us: 0,
             perturb: None,
             model_quota: 0,
             quarantine_threshold: 3,
@@ -212,9 +200,6 @@ impl ServeConfig {
         if let Some(v) = env_parse::<usize>("T2FSNN_SERVE_WORKERS") {
             config.workers = v.max(1);
         }
-        if let Ok(v) = std::env::var("T2FSNN_SERVE_EARLY_EXIT") {
-            config.early_exit = v.trim() != "0";
-        }
         if let Some(v) = env_parse::<u64>("T2FSNN_SERVE_READ_TIMEOUT_MS") {
             config.read_timeout = Duration::from_millis(v.max(1));
         }
@@ -223,9 +208,6 @@ impl ServeConfig {
         }
         if let Some(v) = env_parse::<u64>("T2FSNN_SERVE_DEADLINE_MS") {
             config.default_deadline_ms = v;
-        }
-        if let Some(v) = env_parse::<u64>("T2FSNN_SERVE_FORCE_EE_SLACK_US") {
-            config.force_ee_slack_us = v;
         }
         if let Ok(v) = std::env::var("T2FSNN_SERVE_PERTURB") {
             if !v.trim().is_empty() {

@@ -4,16 +4,11 @@
 //! **Canary** ([`canary`]): before any model version serves a byte it
 //! must run a fixed seeded golden-input battery through
 //! [`t2fsnn::T2fsnn::infer`] and come out bit-exact. The battery checks
-//! three contracts:
+//! two contracts:
 //!
 //! 1. **Determinism / batch invariance** — the golden batch inferred
 //!    together must match each image inferred solo, bit for bit.
-//! 2. **Anytime consistency** — the early-exit pass must agree with the
-//!    full-window pass on every label and never spend more spikes or
-//!    synops on a decided image (sound because serving conversions
-//!    leave early *firing* off, so a decided TTFS early-exit answer is
-//!    the full-window answer by construction).
-//! 3. **Digest stability** — the battery's responses are folded into a
+//! 2. **Digest stability** — the battery's responses are folded into a
 //!    CRC-32 digest (the same CRC discipline as the `T2FB` artifact
 //!    format); a reload's candidate must reproduce the digest recorded
 //!    when the incumbent was promoted, or promotion is rejected and the
@@ -55,9 +50,9 @@ const CANARY_SEED: u64 = 0x7E_57CA_4A11;
 /// # Errors
 ///
 /// Returns a structured message when any battery check fails — infer
-/// error, panic, batch-invariance violation, early-exit inconsistency,
-/// or (when `expected` carries the incumbent's recorded digest) a
-/// digest mismatch. The caller keeps the old version serving on `Err`.
+/// error, panic, batch-invariance violation, or (when `expected`
+/// carries the incumbent's recorded digest) a digest mismatch. The
+/// caller keeps the old version serving on `Err`.
 pub fn canary(model: &ServeModel, expected: Option<u32>) -> Result<u32, String> {
     let outcome = catch_unwind(AssertUnwindSafe(|| canary_battery(model)));
     let digest = match outcome {
@@ -82,71 +77,36 @@ fn canary_battery(model: &ServeModel) -> Result<u32, String> {
         .map(|_| rng.gen_range(0.0f32..1.0))
         .collect();
 
-    // Full-window pass, batched.
-    let batch = Tensor::from_vec(vec![CANARY_IMAGES, c, h, w], data.clone())
+    let batch = Tensor::from_vec(vec![CANARY_IMAGES, c, h, w], data)
         .map_err(|e| format!("golden batch tensor: {e}"))?;
     let full = model
         .model
-        .infer(&batch, InferOptions { early_exit: false })
-        .map_err(|e| format!("full-window canary infer: {e}"))?;
+        .infer(&batch, InferOptions)
+        .map_err(|e| format!("canary infer: {e}"))?;
     if full.len() != CANARY_IMAGES {
         return Err(format!(
-            "full-window canary returned {} results for {CANARY_IMAGES} images",
+            "canary returned {} results for {CANARY_IMAGES} images",
             full.len()
         ));
     }
 
     // Batch invariance: each image solo must reproduce its batch bits.
     for (i, batched) in full.iter().enumerate() {
-        let image = data[i * pixel_count..(i + 1) * pixel_count].to_vec();
+        let image = batch.data()[i * pixel_count..(i + 1) * pixel_count].to_vec();
         let solo_batch =
             Tensor::from_vec(vec![1, c, h, w], image).map_err(|e| format!("solo tensor: {e}"))?;
         let solo = model
             .model
-            .infer(&solo_batch, InferOptions { early_exit: false })
+            .infer(&solo_batch, InferOptions)
             .map_err(|e| format!("solo canary infer: {e}"))?;
         if encode(&solo[0]) != encode(batched) {
             return Err(format!("canary image {i} is not batch-invariant"));
         }
     }
 
-    // Anytime pass: early-exit labels must equal the full-window labels
-    // (decided or not — serving conversions leave early firing off, so
-    // the output fire phase starts after integration completes), and a
-    // decided image froze early, so it cannot have spent more spikes or
-    // synops than the full run. Note an *undecided* early-exit image
-    // legitimately simulates past the full window (the output fire
-    // phase extends the schedule), so step counts are not comparable.
-    let ee_batch = Tensor::from_vec(vec![CANARY_IMAGES, c, h, w], data)
-        .map_err(|e| format!("golden batch tensor: {e}"))?;
-    let anytime = model
-        .model
-        .infer(&ee_batch, InferOptions { early_exit: true })
-        .map_err(|e| format!("early-exit canary infer: {e}"))?;
-    for (i, (ee, fw)) in anytime.iter().zip(&full).enumerate() {
-        if ee.label != fw.label {
-            return Err(format!(
-                "canary image {i}: early-exit label {} != full-window label {}",
-                ee.label, fw.label
-            ));
-        }
-        if ee.decision_step.is_some()
-            && (ee.total_spikes() > fw.total_spikes() || ee.synop_adds > fw.synop_adds)
-        {
-            return Err(format!(
-                "canary image {i}: decided early-exit outspent the full window \
-                 ({} vs {} spikes, {} vs {} adds)",
-                ee.total_spikes(),
-                fw.total_spikes(),
-                ee.synop_adds,
-                fw.synop_adds
-            ));
-        }
-    }
-
-    // Fold both passes into the response digest.
+    // The response digest.
     let mut bytes = Vec::new();
-    for r in full.iter().chain(anytime.iter()) {
+    for r in &full {
         bytes.extend_from_slice(&encode(r));
     }
     Ok(t2fsnn::binfmt::crc32(&bytes))
@@ -154,12 +114,10 @@ fn canary_battery(model: &ServeModel) -> Result<u32, String> {
 
 /// Canonical byte encoding of one inference result — every
 /// bit-identity-relevant field, fixed width, little-endian
-/// (`top_potential` via its IEEE bits, `decision_step: None` as
-/// `u64::MAX`).
+/// (`top_potential` via its IEEE bits).
 fn encode(r: &ImageInference) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 * 8);
+    let mut out = Vec::with_capacity(7 * 8);
     out.extend_from_slice(&(r.label as u64).to_le_bytes());
-    out.extend_from_slice(&r.decision_step.map_or(u64::MAX, |s| s as u64).to_le_bytes());
     out.extend_from_slice(&(r.steps as u64).to_le_bytes());
     out.extend_from_slice(&u64::from(r.top_potential.to_bits()).to_le_bytes());
     out.extend_from_slice(&r.input_spikes.to_le_bytes());
@@ -251,7 +209,7 @@ mod tests {
     fn encode_is_injective_on_the_fields_that_matter() {
         let base = ImageInference {
             label: 1,
-            decision_step: Some(3),
+            decision_step: None,
             steps: 40,
             top_potential: 0.5,
             input_spikes: 10,
@@ -262,7 +220,7 @@ mod tests {
         let same = encode(&base);
         assert_eq!(same, encode(&base.clone()));
         let mut other = base.clone();
-        other.decision_step = None;
+        other.steps = 41;
         assert_ne!(encode(&base), encode(&other));
         let mut flipped = base.clone();
         flipped.top_potential = -0.5;

@@ -4,14 +4,13 @@
 //! Tracked: response counts per status, queue depth/rejections, the
 //! batch-size histogram, request latency (histogram buckets → p50/p95/
 //! p99 upper-bound estimates), per-model per-stage latency histograms
-//! (queue wait / batch execution / end-to-end), early-exit decisions,
-//! the robustness counters (deadline sheds, late answers, forced
-//! early-exits, worker panics, batcher respawns, per-model-unavailable
-//! refusals, injected faults, the load-time perturbation footprint)
-//! with a slack-at-dispatch histogram, and — when `T2FSNN_PROFILE` is
-//! enabled — the per-phase profiler table ([`profile::entries`] drains
-//! every live thread, so the endpoint never misses the batcher's
-//! spans).
+//! (queue wait / batch execution / end-to-end), the robustness
+//! counters (deadline sheds, late answers, worker panics, batcher
+//! respawns, per-model-unavailable refusals, injected faults, the
+//! load-time perturbation footprint) with a slack-at-dispatch
+//! histogram, and — when `T2FSNN_PROFILE` is enabled — the per-phase
+//! profiler table ([`profile::entries`] drains every live thread, so the
+//! endpoint never misses the batcher's spans).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -79,12 +78,10 @@ pub struct Metrics {
     latency_hist: [AtomicU64; 15],
     latency_sum_us: AtomicU64,
     latency_count: AtomicU64,
-    early_exit_decided: AtomicU64,
     infer_errors: AtomicU64,
     deadline_shed: AtomicU64,
     unmeetable_shed: AtomicU64,
     deadline_late_answers: AtomicU64,
-    forced_early_exit: AtomicU64,
     worker_panics: AtomicU64,
     batcher_respawns: AtomicU64,
     model_unavailable: AtomicU64,
@@ -121,12 +118,10 @@ impl Metrics {
             latency_hist: Default::default(),
             latency_sum_us: AtomicU64::new(0),
             latency_count: AtomicU64::new(0),
-            early_exit_decided: AtomicU64::new(0),
             infer_errors: AtomicU64::new(0),
             deadline_shed: AtomicU64::new(0),
             unmeetable_shed: AtomicU64::new(0),
             deadline_late_answers: AtomicU64::new(0),
-            forced_early_exit: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             batcher_respawns: AtomicU64::new(0),
             model_unavailable: AtomicU64::new(0),
@@ -183,14 +178,6 @@ impl Metrics {
         self.latency_count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts whether a request was decided by the early-exit fire
-    /// phase.
-    pub fn observe_decision(&self, decided: bool) {
-        if decided {
-            self.early_exit_decided.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Counts a failed batch execution.
     pub fn observe_infer_error(&self) {
         self.infer_errors.fetch_add(1, Ordering::Relaxed);
@@ -203,8 +190,8 @@ impl Metrics {
     }
 
     /// Counts a shed taken by the ladder's last rung: the request still
-    /// had slack, but less than the anytime execution estimate — it
-    /// could not possibly have answered in time (also counted in
+    /// had slack, but less than the execution reserve — it could not
+    /// possibly have answered in time (also counted in
     /// `deadline_shed`).
     pub fn observe_unmeetable_shed(&self) {
         self.unmeetable_shed.fetch_add(1, Ordering::Relaxed);
@@ -214,13 +201,6 @@ impl Metrics {
     /// had passed (it was dispatched with slack and ran long).
     pub fn observe_deadline_late_answer(&self) {
         self.deadline_late_answers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a request the degradation ladder forced onto the anytime
-    /// early-exit path because its slack shrank below the full-window
-    /// estimate.
-    pub fn observe_forced_early_exit(&self) {
-        self.forced_early_exit.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts a batch execution that panicked and was isolated by the
@@ -416,10 +396,6 @@ impl Metrics {
             ));
         }
         out.push_str(&format!(
-            "t2fsnn_serve_early_exit_decided_total {}\n",
-            self.early_exit_decided.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
             "t2fsnn_serve_infer_errors_total {}\n",
             self.infer_errors.load(Ordering::Relaxed)
         ));
@@ -434,10 +410,6 @@ impl Metrics {
         out.push_str(&format!(
             "t2fsnn_serve_deadline_late_answers_total {}\n",
             self.deadline_late_answers.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "t2fsnn_serve_forced_early_exit_total {}\n",
-            self.forced_early_exit.load(Ordering::Relaxed)
         ));
         out.push_str(&format!(
             "t2fsnn_serve_worker_panics_total {}\n",
@@ -570,8 +542,6 @@ mod tests {
         for us in [80, 90, 400, 30_000] {
             m.observe_latency_us(us);
         }
-        m.observe_decision(true);
-        m.observe_decision(false);
         m.set_queue_depth(7);
         assert_eq!(m.batches_beyond_one(), 2);
         assert_eq!(m.latency_quantile_us(0.5), 100);
@@ -583,7 +553,6 @@ mod tests {
         assert!(text.contains("t2fsnn_serve_batch_size_total{size=\"3\"} 1"));
         assert!(text.contains("t2fsnn_serve_batch_size_total{size=\"4\"} 1"));
         assert!(text.contains("t2fsnn_serve_queue_depth 7"));
-        assert!(text.contains("t2fsnn_serve_early_exit_decided_total 1"));
         assert!(text.contains("quantile=\"p50\"} 100"));
     }
 
@@ -594,7 +563,6 @@ mod tests {
         m.observe_deadline_shed();
         m.observe_deadline_shed();
         m.observe_deadline_late_answer();
-        m.observe_forced_early_exit();
         m.observe_worker_panic();
         m.observe_batcher_respawn();
         m.observe_model_unavailable();
@@ -608,7 +576,6 @@ mod tests {
         assert!(text.contains("t2fsnn_serve_responses_total{code=\"504\"} 1"));
         assert!(text.contains("t2fsnn_serve_deadline_shed_total 2"));
         assert!(text.contains("t2fsnn_serve_deadline_late_answers_total 1"));
-        assert!(text.contains("t2fsnn_serve_forced_early_exit_total 1"));
         assert!(text.contains("t2fsnn_serve_worker_panics_total 1"));
         assert!(text.contains("t2fsnn_serve_batcher_respawns_total 1"));
         assert!(text.contains("t2fsnn_serve_model_unavailable_total 1"));

@@ -33,8 +33,6 @@ pub struct SlowExemplar {
     pub infer_us: u64,
     /// Size of the micro-batch it executed in.
     pub batch_size: usize,
-    /// Whether the degradation ladder forced early-exit.
-    pub degraded: bool,
 }
 
 /// Bounded ring of the most recent slow requests.
@@ -91,7 +89,6 @@ mod tests {
             queue_us: total_us / 4,
             infer_us: total_us / 2,
             batch_size: 2,
-            degraded: false,
         }
     }
 

@@ -12,16 +12,15 @@ pub struct InferRequest {
     pub model: Option<String>,
     /// Flat `[C·H·W]` image, channel-major, unit-range pixels.
     pub image: Vec<f32>,
-    /// Per-request early-exit override; the server default when omitted.
+    /// Accepted and ignored: every answer is the full-window answer.
+    /// Kept for perfbench until ROADMAP item 6 repoints it.
     pub early_exit: Option<bool>,
     /// Relative deadline in milliseconds, measured from admission. A
     /// request that cannot start execution before its deadline is shed
-    /// with `504` instead of answered late; one whose slack has shrunk
-    /// below the full-window estimate is degraded to a forced anytime
-    /// early-exit answer. The `x-deadline-ms` header sets the same
-    /// budget; this JSON field wins when both are present. Omitted (and
-    /// no header, and no `T2FSNN_SERVE_DEADLINE_MS` server default)
-    /// means no deadline.
+    /// with `504` instead of answered late. The `x-deadline-ms` header
+    /// sets the same budget; this JSON field wins when both are present.
+    /// Omitted (and no header, and no `T2FSNN_SERVE_DEADLINE_MS` server
+    /// default) means no deadline.
     pub deadline_ms: Option<u64>,
     /// Opt-in: `true` asks for a [`Timing`] breakdown in the response.
     /// Purely observational — the computed answer is bit-identical with
@@ -59,10 +58,11 @@ pub struct InferResponse {
     pub version: u64,
     /// Predicted class.
     pub label: usize,
-    /// Global step (1-based) of the first output spike when the
-    /// early-exit fire phase decided the request; `null` otherwise.
+    /// Always `null`: every answer is the full-window answer. Kept for
+    /// perfbench until ROADMAP item 6 repoints it.
     pub decision_step: Option<usize>,
-    /// Steps the request was simulated for (its anytime latency).
+    /// Steps the request was simulated for: the model's full pipeline
+    /// window ([`ModelInfo::latency_steps`]).
     pub steps: usize,
     /// Winning output neuron's membrane potential (decision margin).
     pub top_potential: f32,
@@ -83,13 +83,6 @@ pub struct InferResponse {
     pub queue_us: u64,
     /// Microseconds its batch spent in inference.
     pub infer_us: u64,
-    /// Whether the degradation ladder forced this request onto the
-    /// anytime early-exit path (the request asked for — or defaulted
-    /// to — a full-window answer, but its deadline slack had shrunk
-    /// below the full-window estimate). A degraded response is
-    /// bit-identical to the same request explicitly sent with
-    /// `early_exit: true`.
-    pub degraded: bool,
     /// Observability breakdown; present only when the request asked via
     /// `timing: true`. Omitted (`null`) otherwise.
     pub timing: Option<Timing>,
@@ -240,12 +233,11 @@ mod tests {
             batch_size: 1,
             queue_us: 5,
             infer_us: 6,
-            degraded: false,
             timing: None,
         };
         let response_json = |timing: &str| {
             format!(
-                r#"{{"model":"tiny","version":1,"label":2,"decision_step":null,"steps":96,"top_potential":0.5,"input_spikes":10,"hidden_spikes":20,"synop_adds":30,"synop_mults":40,"energy_truenorth":1.5,"batch_size":1,"queue_us":5,"infer_us":6,"degraded":false,"timing":{timing}}}"#
+                r#"{{"model":"tiny","version":1,"label":2,"decision_step":null,"steps":96,"top_potential":0.5,"input_spikes":10,"hidden_spikes":20,"synop_adds":30,"synop_mults":40,"energy_truenorth":1.5,"batch_size":1,"queue_us":5,"infer_us":6,"timing":{timing}}}"#
             )
         };
         assert_eq!(
@@ -289,7 +281,7 @@ mod tests {
             model: "tiny".into(),
             version: 2,
             label: 3,
-            decision_step: Some(41),
+            decision_step: None,
             steps: 41,
             top_potential: 0.75,
             input_spikes: 100,
@@ -300,16 +292,14 @@ mod tests {
             batch_size: 4,
             queue_us: 1500,
             infer_us: 900,
-            degraded: true,
             timing: None,
         };
         let bytes = serde_json::to_vec(&resp).unwrap();
         let back: InferResponse = serde_json::from_slice(&bytes).unwrap();
         assert_eq!(back.label, 3);
         assert_eq!(back.version, 2);
-        assert_eq!(back.decision_step, Some(41));
+        assert_eq!(back.decision_step, None);
         assert_eq!(back.batch_size, 4);
-        assert!(back.degraded);
         assert!(back.timing.is_none());
     }
 

@@ -168,7 +168,6 @@ pub fn start(config: ServeConfig, mut registry: Registry) -> std::io::Result<Ser
         // company than that buys no parallelism.
         fill_target: config.max_batch.min(ThreadPool::global().workers()),
         max_delay: Duration::from_micros(config.max_delay_us),
-        force_ee_slack_us: config.force_ee_slack_us,
     };
     let ctx = Arc::new(Ctx {
         config,
@@ -754,7 +753,6 @@ fn infer_route(ctx: &Ctx, request: &Request) -> (u16, Vec<u8>) {
             )),
         );
     }
-    let early_exit = parsed.early_exit.unwrap_or(ctx.config.early_exit);
     let want_timing = parsed.timing.unwrap_or(false);
     let enqueued = Instant::now();
     let deadline =
@@ -763,7 +761,6 @@ fn infer_route(ctx: &Ctx, request: &Request) -> (u16, Vec<u8>) {
     let job = InferJob {
         model: Arc::clone(&model),
         image: parsed.image,
-        early_exit,
         deadline,
         enqueued,
         reply: reply_tx,
@@ -824,7 +821,6 @@ fn infer_route(ctx: &Ctx, request: &Request) -> (u16, Vec<u8>) {
                     queue_us: outcome.queue_us,
                     infer_us: outcome.infer_us,
                     batch_size: outcome.batch_size,
-                    degraded: outcome.degraded,
                 });
                 log::debug(
                     "slow_request",
@@ -861,7 +857,6 @@ fn infer_route(ctx: &Ctx, request: &Request) -> (u16, Vec<u8>) {
                 batch_size: outcome.batch_size,
                 queue_us: outcome.queue_us,
                 infer_us: outcome.infer_us,
-                degraded: outcome.degraded,
                 timing,
             };
             match serde_json::to_vec(&response) {

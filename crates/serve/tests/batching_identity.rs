@@ -1,8 +1,7 @@
 //! The serving-correctness property: a random request stream produces
 //! **byte-identical** per-request outputs no matter how the dynamic
-//! micro-batcher slices it — batch sizes {1, k, max}, worker counts
-//! {1, 2, 4}, early-exit on and off — and whenever the early-exit fire
-//! phase decides a request, its label equals the full-window label.
+//! micro-batcher slices it — batch sizes {1, k, max} and worker counts
+//! {1, 2, 4}.
 //!
 //! This is what makes batching a pure throughput knob: the server can
 //! re-batch arbitrarily under load without changing a single response.
@@ -44,7 +43,6 @@ fn run_stream(
     stream: &Tensor,
     batch_size: usize,
     workers: usize,
-    early_exit: bool,
 ) -> Vec<ImageInference> {
     let pool = ThreadPool::new(workers);
     let n = stream.dims()[0];
@@ -57,11 +55,7 @@ fn run_stream(
         dims[0] = end - start;
         let batch =
             Tensor::from_vec(dims, stream.data()[start * feature..end * feature].to_vec()).unwrap();
-        out.extend(
-            model
-                .infer_on(&batch, InferOptions { early_exit }, &pool)
-                .unwrap(),
-        );
+        out.extend(model.infer_on(&batch, InferOptions, &pool).unwrap());
         start = end;
     }
     out
@@ -87,44 +81,16 @@ fn random_streams_are_invariant_to_batching_and_workers() {
     const MAX_BATCH: usize = 8;
     for seed in [11u64, 12] {
         let stream = random_stream(&images, 17, seed);
-        for early_exit in [false, true] {
-            let reference = run_stream(&model, &stream, 1, 1, early_exit);
-            for batch_size in [3usize, MAX_BATCH] {
-                for workers in [1usize, 2, 4] {
-                    let got = run_stream(&model, &stream, batch_size, workers, early_exit);
-                    assert_identical(
-                        &reference,
-                        &got,
-                        &format!(
-                            "seed {seed} early_exit {early_exit} \
-                             batch {batch_size} workers {workers}"
-                        ),
-                    );
-                }
+        let reference = run_stream(&model, &stream, 1, 1);
+        for batch_size in [3usize, MAX_BATCH] {
+            for workers in [1usize, 2, 4] {
+                let got = run_stream(&model, &stream, batch_size, workers);
+                assert_identical(
+                    &reference,
+                    &got,
+                    &format!("seed {seed} batch {batch_size} workers {workers}"),
+                );
             }
         }
     }
-}
-
-#[test]
-fn early_exit_labels_match_full_window_labels() {
-    let (model, images) = tiny_model();
-    let stream = random_stream(&images, 24, 99);
-    let full = run_stream(&model, &stream, 8, 2, false);
-    let early = run_stream(&model, &stream, 8, 2, true);
-    let mut decided = 0usize;
-    for (i, (f, e)) in full.iter().zip(&early).enumerate() {
-        assert_eq!(
-            f.label, e.label,
-            "request {i}: early-exit changed the label"
-        );
-        if e.decision_step.is_some() {
-            decided += 1;
-            // A decided request never costs more than the full run.
-            assert!(e.total_spikes() <= f.total_spikes());
-            assert!(e.synop_adds <= f.synop_adds);
-            assert!(e.steps >= model.total_steps());
-        }
-    }
-    assert!(decided > 0, "no request decided early at all");
 }

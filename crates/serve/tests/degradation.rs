@@ -3,16 +3,14 @@
 //!
 //! * shedding takes exactly the deadline-expired jobs — never a job
 //!   with remaining slack — and never reorders the survivors;
-//! * a full-window request forced onto the early-exit rung produces a
-//!   response bit-identical to an explicit early-exit request, across
-//!   batch compositions (including mixed explicit/forced batches) and
-//!   worker counts {1, 2, 4};
+//! * every answer the batcher gives equals its image's solo answer,
+//!   across batch compositions (jobs with and without deadlines share
+//!   batches) and worker counts {1, 2, 4}, on a clean and on a perturbed
+//!   model (the batcher and the perturbation subsystem compose);
 //! * an injected batch panic fails only its own batch's requests and
 //!   the batcher keeps serving (no respawn needed);
 //! * a registry loaded with a severity-0 perturbation serves bits
-//!   identical to a clean registry, and the forced-early-exit identity
-//!   holds on a perturbed model too (the ladder and the perturbation
-//!   subsystem compose);
+//!   identical to a clean registry;
 //! * unloading a model mid-flight evicts exactly its queued jobs to
 //!   `503` in admission order, while the other models' jobs are neither
 //!   reordered nor dropped and keep their bit-exact answers;
@@ -51,7 +49,6 @@ fn tiny() -> (Arc<ServeModel>, Vec<Vec<f32>>) {
 fn make_job(
     model: &Arc<ServeModel>,
     image: Vec<f32>,
-    early_exit: bool,
     deadline: Option<Instant>,
 ) -> (InferJob, mpsc::Receiver<Result<JobOutcome, JobError>>) {
     let (tx, rx) = mpsc::channel();
@@ -59,7 +56,6 @@ fn make_job(
         InferJob {
             model: Arc::clone(model),
             image,
-            early_exit,
             deadline,
             enqueued: Instant::now(),
             reply: tx,
@@ -115,7 +111,7 @@ fn batcher_sheds_only_expired_jobs() {
             } else {
                 Some(now + Duration::from_secs(600))
             };
-            let (job, rx) = make_job(&model, images[i % images.len()].clone(), true, deadline);
+            let (job, rx) = make_job(&model, images[i % images.len()].clone(), deadline);
             assert!(queue.push(job).is_ok(), "queue push must succeed");
             receivers.push((rx, doomed));
         }
@@ -124,7 +120,6 @@ fn batcher_sheds_only_expired_jobs() {
             max_batch: 8,
             fill_target: 8,
             max_delay: Duration::from_micros(100),
-            force_ee_slack_us: 0,
         };
         batcher::run(&queue, &metrics, &config, None, None);
         let mut sheds = 0;
@@ -152,92 +147,86 @@ fn batcher_sheds_only_expired_jobs() {
     }
 }
 
-/// The ladder's bit-identity contract: forced early-exit equals
-/// explicit early-exit, byte for byte, across batch compositions
-/// (solo, partial, full, and mixed explicit/forced batches) and worker
-/// counts {1, 2, 4}.
+/// Batch and worker invariance through the batcher: every answer equals
+/// its image's solo answer, byte for byte, across batch compositions
+/// (solo, partial and full batches, where odd-indexed jobs carry a
+/// deadline and even-indexed ones none — the model alone is the batch
+/// key, so both share batches) and worker counts {1, 2, 4}. It runs on
+/// the clean model and on one loaded with a non-identity event+weight
+/// perturbation, whose per-image content-keyed streams must stay
+/// invariant too.
 #[test]
-fn forced_early_exit_matches_explicit_across_batches_and_workers() {
-    let (model, images) = tiny();
-    let [c, h, w] = model.image_dims();
+fn batcher_answers_match_solo_across_batches_and_workers() {
+    let (clean, images) = tiny();
+    let spec = PerturbSpec::parse("5:jitter=1,drop=0.05,wgauss=0.02").expect("spec");
+    let registry =
+        Registry::load_perturbed(&["tiny".to_string()], Some(&spec)).expect("load perturbed");
+    assert_eq!(registry.perturbed_models(), 1);
+    let perturbed = registry.get(None).expect("tiny ready");
+    for (what, model) in [("clean", clean), ("perturbed", perturbed)] {
+        let [c, h, w] = model.image_dims();
+        // Solo references, per worker count: all must agree bit for bit
+        // (worker invariance), giving one canonical answer per image.
+        let mut references: Vec<ImageInference> = Vec::new();
+        for image in &images {
+            let tensor = Tensor::from_vec(vec![1, c, h, w], image.clone()).expect("tensor");
+            let mut per_worker: Vec<ImageInference> = [1usize, 2, 4]
+                .iter()
+                .map(|&workers| {
+                    let pool = ThreadPool::new(workers);
+                    model
+                        .model
+                        .infer_on(&tensor, InferOptions, &pool)
+                        .expect("solo inference")
+                        .remove(0)
+                })
+                .collect();
+            let canonical = per_worker.remove(0);
+            for other in &per_worker {
+                assert_eq!(
+                    &canonical, other,
+                    "{what}: solo answer differs across workers"
+                );
+                assert_eq!(
+                    canonical.top_potential.to_bits(),
+                    other.top_potential.to_bits()
+                );
+            }
+            references.push(canonical);
+        }
 
-    // Reference: explicit early-exit, solo, for every worker count —
-    // all must agree bit-for-bit (worker invariance), giving one
-    // canonical answer per image.
-    let mut references: Vec<ImageInference> = Vec::new();
-    for image in &images {
-        let tensor = Tensor::from_vec(vec![1, c, h, w], image.clone()).expect("tensor");
-        let mut per_worker: Vec<ImageInference> = [1usize, 2, 4]
-            .iter()
-            .map(|&workers| {
-                let pool = ThreadPool::new(workers);
-                model
-                    .model
-                    .infer_on(&tensor, InferOptions { early_exit: true }, &pool)
-                    .expect("solo inference")
-                    .remove(0)
-            })
-            .collect();
-        let canonical = per_worker.remove(0);
-        for other in &per_worker {
-            assert_eq!(&canonical, other, "solo early-exit differs across workers");
-            assert_eq!(
-                canonical.top_potential.to_bits(),
-                other.top_potential.to_bits()
-            );
-        }
-        references.push(canonical);
-    }
-
-    // Ladder runs: odd-indexed jobs ask full-window with a deadline and
-    // a huge static force threshold (always forced onto the early-exit
-    // rung); even-indexed jobs ask early-exit explicitly — both modes
-    // share batches because the effective mode is the batch key.
-    for max_batch in [1usize, 3, 8] {
-        let queue = Queue::new(64);
-        let metrics = Metrics::new(8);
-        let now = Instant::now();
-        let mut receivers = Vec::new();
-        for (i, image) in images.iter().enumerate() {
-            let explicit = i % 2 == 0;
-            let deadline = (!explicit).then(|| now + Duration::from_secs(5));
-            let (job, rx) = make_job(&model, image.clone(), explicit, deadline);
-            assert!(queue.push(job).is_ok(), "queue push must succeed");
-            receivers.push((rx, explicit));
-        }
-        queue.close();
-        let config = BatcherConfig {
-            max_batch,
-            fill_target: max_batch,
-            max_delay: Duration::from_micros(100),
-            force_ee_slack_us: u64::MAX,
-        };
-        batcher::run(&queue, &metrics, &config, None, None);
-        for (i, (rx, explicit)) in receivers.iter().enumerate() {
-            let outcome = rx
-                .try_recv()
-                .expect("answered")
-                .expect("executed, not shed");
-            assert_eq!(
-                outcome.degraded, !explicit,
-                "max_batch {max_batch}: job {i} degraded flag wrong"
-            );
-            assert_eq!(
-                &outcome.result, &references[i],
-                "max_batch {max_batch}: job {i} bits differ from explicit early-exit"
-            );
-            assert_eq!(
-                outcome.result.top_potential.to_bits(),
-                references[i].top_potential.to_bits()
-            );
-        }
-        if max_batch == 8 {
-            assert!(
-                metrics
-                    .render()
-                    .contains("t2fsnn_serve_forced_early_exit_total 4"),
-                "forced-EE counter should see the 4 deadline jobs"
-            );
+        for max_batch in [1usize, 3, 8] {
+            let queue = Queue::new(64);
+            let metrics = Metrics::new(8);
+            let now = Instant::now();
+            let mut receivers = Vec::new();
+            for (i, image) in images.iter().enumerate() {
+                let deadline = (i % 2 == 1).then(|| now + Duration::from_secs(5));
+                let (job, rx) = make_job(&model, image.clone(), deadline);
+                assert!(queue.push(job).is_ok(), "queue push must succeed");
+                receivers.push(rx);
+            }
+            queue.close();
+            let config = BatcherConfig {
+                max_batch,
+                fill_target: max_batch,
+                max_delay: Duration::from_micros(100),
+            };
+            batcher::run(&queue, &metrics, &config, None, None);
+            for (i, rx) in receivers.iter().enumerate() {
+                let outcome = rx
+                    .try_recv()
+                    .expect("answered")
+                    .expect("executed, not shed");
+                assert_eq!(
+                    &outcome.result, &references[i],
+                    "{what}, max_batch {max_batch}: job {i} bits differ from its solo answer"
+                );
+                assert_eq!(
+                    outcome.result.top_potential.to_bits(),
+                    references[i].top_potential.to_bits()
+                );
+            }
         }
     }
 }
@@ -262,105 +251,18 @@ fn severity_zero_perturbed_registry_serves_identical_bits() {
     let pool = ThreadPool::new(2);
     for (i, image) in images.iter().enumerate() {
         let tensor = Tensor::from_vec(vec![1, c, h, w], image.clone()).expect("tensor");
-        for options in [
-            InferOptions { early_exit: false },
-            InferOptions { early_exit: true },
-        ] {
-            let a = clean
-                .model
-                .infer_on(&tensor, options, &pool)
-                .expect("clean inference")
-                .remove(0);
-            let b = perturbed
-                .model
-                .infer_on(&tensor, options, &pool)
-                .expect("perturbed inference")
-                .remove(0);
-            assert_eq!(a, b, "image {i}: severity-0 bits differ (ee={options:?})");
-            assert_eq!(a.top_potential.to_bits(), b.top_potential.to_bits());
-        }
-    }
-}
-
-/// The ladder composes with the perturbation subsystem: on a model
-/// loaded with a non-identity event+weight perturbation, forced
-/// early-exit still equals explicit early-exit bit-for-bit across batch
-/// compositions and worker counts.
-#[test]
-fn forced_early_exit_matches_explicit_under_perturbation() {
-    let spec = PerturbSpec::parse("5:jitter=1,drop=0.05,wgauss=0.02").expect("spec");
-    let registry =
-        Registry::load_perturbed(&["tiny".to_string()], Some(&spec)).expect("load perturbed");
-    assert_eq!(registry.perturbed_models(), 1);
-    let model = registry.get(None).expect("tiny ready");
-    let data = t2fsnn::scenario::Scenario::Tiny.dataset();
-    let feature: usize = data.images.dims()[1..].iter().product();
-    let images: Vec<Vec<f32>> = (0..6)
-        .map(|i| data.images.data()[i * feature..(i + 1) * feature].to_vec())
-        .collect();
-    let [c, h, w] = model.image_dims();
-
-    // Solo explicit-EE references, per worker count — the perturbed
-    // model must stay worker-invariant (per-image content-keyed
-    // streams), or the ladder identity below would be meaningless.
-    let mut references: Vec<ImageInference> = Vec::new();
-    for image in &images {
-        let tensor = Tensor::from_vec(vec![1, c, h, w], image.clone()).expect("tensor");
-        let mut per_worker: Vec<ImageInference> = [1usize, 2, 4]
-            .iter()
-            .map(|&workers| {
-                let pool = ThreadPool::new(workers);
-                model
-                    .model
-                    .infer_on(&tensor, InferOptions { early_exit: true }, &pool)
-                    .expect("solo inference")
-                    .remove(0)
-            })
-            .collect();
-        let canonical = per_worker.remove(0);
-        for other in &per_worker {
-            assert_eq!(
-                &canonical, other,
-                "perturbed solo early-exit differs across workers"
-            );
-        }
-        references.push(canonical);
-    }
-
-    for max_batch in [1usize, 3, 6] {
-        let queue = Queue::new(64);
-        let metrics = Metrics::new(8);
-        let now = Instant::now();
-        let mut receivers = Vec::new();
-        for (i, image) in images.iter().enumerate() {
-            let explicit = i % 2 == 0;
-            let deadline = (!explicit).then(|| now + Duration::from_secs(5));
-            let (job, rx) = make_job(&model, image.clone(), explicit, deadline);
-            assert!(queue.push(job).is_ok(), "queue push must succeed");
-            receivers.push((rx, explicit));
-        }
-        queue.close();
-        let config = BatcherConfig {
-            max_batch,
-            fill_target: max_batch,
-            max_delay: Duration::from_micros(100),
-            force_ee_slack_us: u64::MAX,
-        };
-        batcher::run(&queue, &metrics, &config, None, None);
-        for (i, (rx, explicit)) in receivers.iter().enumerate() {
-            let outcome = rx
-                .try_recv()
-                .expect("answered")
-                .expect("executed, not shed");
-            assert_eq!(
-                outcome.degraded, !explicit,
-                "max_batch {max_batch}: job {i} degraded flag wrong"
-            );
-            assert_eq!(
-                &outcome.result, &references[i],
-                "max_batch {max_batch}: perturbed job {i} bits differ from explicit early-exit"
-            );
-        }
+        let a = clean
+            .model
+            .infer_on(&tensor, InferOptions, &pool)
+            .expect("clean inference")
+            .remove(0);
+        let b = perturbed
+            .model
+            .infer_on(&tensor, InferOptions, &pool)
+            .expect("perturbed inference")
+            .remove(0);
+        assert_eq!(a, b, "image {i}: severity-0 bits differ");
+        assert_eq!(a.top_potential.to_bits(), b.top_potential.to_bits());
     }
 }
 
@@ -375,7 +277,7 @@ fn injected_batch_panic_fails_only_its_batch() {
     let metrics = Metrics::new(8);
     let mut receivers = Vec::new();
     for i in 0..6 {
-        let (job, rx) = make_job(&model, images[i % images.len()].clone(), true, None);
+        let (job, rx) = make_job(&model, images[i % images.len()].clone(), None);
         assert!(queue.push(job).is_ok(), "queue push must succeed");
         receivers.push(rx);
     }
@@ -384,7 +286,6 @@ fn injected_batch_panic_fails_only_its_batch() {
         max_batch: 2,
         fill_target: 2,
         max_delay: Duration::from_micros(100),
-        force_ee_slack_us: 0,
     };
     batcher::run(&queue, &metrics, &config, Some(&faults), None);
     for (i, rx) in receivers.iter().enumerate() {
@@ -437,7 +338,7 @@ fn unload_drains_only_the_named_model_in_admission_order() {
             let tensor = Tensor::from_vec(vec![1, c, h, w], image.clone()).expect("tensor");
             keeper
                 .model
-                .infer(&tensor, InferOptions { early_exit: true })
+                .infer(&tensor, InferOptions)
                 .expect("solo inference")
                 .remove(0)
         })
@@ -449,11 +350,11 @@ fn unload_drains_only_the_named_model_in_admission_order() {
     for i in 0..12 {
         let image = images[(i / 2) % images.len()].clone();
         if i % 2 == 0 {
-            let (job, rx) = make_job(&keeper, image, true, None);
+            let (job, rx) = make_job(&keeper, image, None);
             assert!(queue.push(job).is_ok());
             keeper_rx.push((rx, (i / 2) % images.len()));
         } else {
-            let (job, rx) = make_job(&doomed_model, image, true, None);
+            let (job, rx) = make_job(&doomed_model, image, None);
             assert!(queue.push(job).is_ok());
             doomed_rx.push((rx, i));
         }
@@ -492,7 +393,6 @@ fn unload_drains_only_the_named_model_in_admission_order() {
         max_batch: 4,
         fill_target: 4,
         max_delay: Duration::from_micros(100),
-        force_ee_slack_us: 0,
     };
     batcher::run(&queue, &metrics, &config, None, None);
     for (rx, image_index) in &keeper_rx {
@@ -535,7 +435,7 @@ fn with_live_batcher(
         .iter()
         .map(|&(image, budget)| {
             let deadline = budget.map(|b| Instant::now() + b);
-            let (job, rx) = make_job(&model, images[image].clone(), true, deadline);
+            let (job, rx) = make_job(&model, images[image].clone(), deadline);
             assert!(queue.push(job).is_ok(), "queue push must succeed");
             rx
         })
@@ -544,7 +444,6 @@ fn with_live_batcher(
         max_batch: 8,
         fill_target,
         max_delay,
-        force_ee_slack_us: 0,
     };
     std::thread::scope(|scope| {
         let batcher = scope.spawn(|| batcher::run(&queue, &metrics, &config, None, None));

@@ -83,12 +83,10 @@ const DOCUMENTED: &[&str] = &[
     "t2fsnn_serve_request_stage_us_bucket",
     "t2fsnn_serve_request_stage_us_sum",
     "t2fsnn_serve_request_stage_us_count",
-    "t2fsnn_serve_early_exit_decided_total",
     "t2fsnn_serve_infer_errors_total",
     "t2fsnn_serve_deadline_shed_total",
     "t2fsnn_serve_unmeetable_shed_total",
     "t2fsnn_serve_deadline_late_answers_total",
-    "t2fsnn_serve_forced_early_exit_total",
     "t2fsnn_serve_worker_panics_total",
     "t2fsnn_serve_batcher_respawns_total",
     "t2fsnn_serve_model_unavailable_total",
@@ -114,7 +112,7 @@ fn metrics_scrape_is_wellformed_unique_and_complete() {
     let body = serde_json::to_vec(&InferRequest {
         model: None,
         image,
-        early_exit: Some(true),
+        early_exit: None,
         deadline_ms: None,
         timing: None,
     })

@@ -13,24 +13,22 @@ use common::{read_response, request};
 use t2fsnn_serve::protocol::{HealthReport, InferRequest, InferResponse, ModelInfo};
 use t2fsnn_serve::{start, Registry, ServeConfig, ServerHandle};
 
-fn infer_body(image: &[f32], early_exit: Option<bool>, model: Option<&str>) -> Vec<u8> {
-    infer_body_deadline(image, early_exit, model, None)
+fn infer_body(image: &[f32], model: Option<&str>) -> Vec<u8> {
+    infer_body_deadline(image, model, None)
 }
 
-fn infer_body_deadline(
-    image: &[f32],
-    early_exit: Option<bool>,
-    model: Option<&str>,
-    deadline_ms: Option<u64>,
-) -> Vec<u8> {
-    serde_json::to_vec(&InferRequest {
+fn infer_body_deadline(image: &[f32], model: Option<&str>, deadline_ms: Option<u64>) -> Vec<u8> {
+    serde_json::to_vec(&infer_request(image, model, deadline_ms)).unwrap()
+}
+
+fn infer_request(image: &[f32], model: Option<&str>, deadline_ms: Option<u64>) -> InferRequest {
+    InferRequest {
         model: model.map(str::to_string),
         image: image.to_vec(),
-        early_exit,
+        early_exit: None,
         deadline_ms,
         timing: None,
-    })
-    .unwrap()
+    }
 }
 
 /// A started tiny-model server plus a test image from its own dataset.
@@ -105,51 +103,28 @@ fn routes_validation_and_shutdown() {
     assert_eq!(models[0].name, "tiny");
     assert_eq!(models[0].classes, 4);
 
-    // A valid inference, early exit off: full-window latency.
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/v1/infer",
-        &infer_body(&images[0], Some(false), None),
-    );
+    // A valid inference: the full window.
+    let (status, body) = request(addr, "POST", "/v1/infer", &infer_body(&images[0], None));
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
     let resp: InferResponse = serde_json::from_slice(&body).unwrap();
     assert!(resp.label < 4);
     assert_eq!(resp.decision_step, None);
+    assert_eq!(resp.steps, models[0].latency_steps);
     assert!(resp.batch_size >= 1);
     assert!(resp.input_spikes > 0);
     assert!(resp.synop_adds > 0);
     assert!(resp.energy_truenorth > 0.0);
 
-    // Early exit on (server default): decision step reported when fired.
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/v1/infer",
-        &infer_body(&images[0], None, None),
-    );
-    assert_eq!(status, 200);
-    let ee: InferResponse = serde_json::from_slice(&body).unwrap();
-    assert_eq!(ee.label, resp.label);
-    if let Some(step) = ee.decision_step {
-        assert_eq!(ee.steps, step);
-    }
-
     // Validation failures.
     let (status, _) = request(addr, "POST", "/v1/infer", b"{not json");
     assert_eq!(status, 400);
-    let (status, _) = request(
-        addr,
-        "POST",
-        "/v1/infer",
-        &infer_body(&[0.5; 3], None, None),
-    );
+    let (status, _) = request(addr, "POST", "/v1/infer", &infer_body(&[0.5; 3], None));
     assert_eq!(status, 400);
     let (status, _) = request(
         addr,
         "POST",
         "/v1/infer",
-        &infer_body(&images[0], None, Some("nope")),
+        &infer_body(&images[0], Some("nope")),
     );
     assert_eq!(status, 404);
     let (status, _) = request(addr, "GET", "/no/such/path", b"");
@@ -163,14 +138,14 @@ fn routes_validation_and_shutdown() {
         addr,
         "POST",
         "/v1/infer",
-        &infer_body_deadline(&images[0], Some(true), None, Some(0)),
+        &infer_body_deadline(&images[0], None, Some(0)),
     );
     assert_eq!(status, 504, "{}", String::from_utf8_lossy(&body));
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(90)))
         .unwrap();
-    let doomed = infer_body(&images[0], Some(true), None);
+    let doomed = infer_body(&images[0], None);
     let head = format!(
         "POST /v1/infer HTTP/1.1\r\nHost: t\r\nx-deadline-ms: 0\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         doomed.len()
@@ -221,12 +196,7 @@ fn half_written_request_gets_408_and_frees_the_worker() {
         assert_eq!(status, 408);
     }
     // …and the workers must be free again for a real request.
-    let (status, _) = request(
-        addr,
-        "POST",
-        "/v1/infer",
-        &infer_body(&images[1], None, None),
-    );
+    let (status, _) = request(addr, "POST", "/v1/infer", &infer_body(&images[1], None));
     assert_eq!(status, 200);
 
     handle.shutdown();
@@ -245,12 +215,7 @@ fn concurrent_load_batches_with_bit_identical_results() {
     let image = &images[2];
 
     // Solo reference result (batch of one, before any load).
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/v1/infer",
-        &infer_body(image, Some(true), None),
-    );
+    let (status, body) = request(addr, "POST", "/v1/infer", &infer_body(image, None));
     assert_eq!(status, 200);
     let solo: InferResponse = serde_json::from_slice(&body).unwrap();
     assert_eq!(solo.batch_size, 1);
@@ -262,12 +227,8 @@ fn concurrent_load_batches_with_bit_identical_results() {
                 scope.spawn(|| {
                     (0..3)
                         .map(|_| {
-                            let (status, body) = request(
-                                addr,
-                                "POST",
-                                "/v1/infer",
-                                &infer_body(image, Some(true), None),
-                            );
+                            let (status, body) =
+                                request(addr, "POST", "/v1/infer", &infer_body(image, None));
                             assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
                             serde_json::from_slice::<InferResponse>(&body).unwrap()
                         })
@@ -324,17 +285,7 @@ fn full_admission_queue_answers_429() {
     // least two must be refused with 429, the rest must succeed.
     let statuses: Vec<u16> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..12)
-            .map(|_| {
-                scope.spawn(|| {
-                    request(
-                        addr,
-                        "POST",
-                        "/v1/infer",
-                        &infer_body(image, Some(true), None),
-                    )
-                    .0
-                })
-            })
+            .map(|_| scope.spawn(|| request(addr, "POST", "/v1/infer", &infer_body(image, None)).0))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -375,21 +326,16 @@ fn failed_model_degrades_to_503_and_healthz_reports_it() {
         addr,
         "POST",
         "/v1/infer",
-        &infer_body(&image, Some(true), Some("broken")),
+        &infer_body(&image, Some("broken")),
     );
     assert_eq!(status, 503);
-    let (status, _) = request(
-        addr,
-        "POST",
-        "/v1/infer",
-        &infer_body(&image, Some(true), Some("tiny")),
-    );
+    let (status, _) = request(addr, "POST", "/v1/infer", &infer_body(&image, Some("tiny")));
     assert_eq!(status, 200);
     let (status, _) = request(
         addr,
         "POST",
         "/v1/infer",
-        &infer_body(&image, Some(true), Some("never-configured")),
+        &infer_body(&image, Some("never-configured")),
     );
     assert_eq!(status, 404);
 
@@ -408,73 +354,57 @@ fn all_models_failed_still_boots_and_healthz_is_503() {
     let health: HealthReport = serde_json::from_slice(&body).unwrap();
     assert_eq!(health.status, "unavailable");
 
-    let (status, _) = request(
-        addr,
-        "POST",
-        "/v1/infer",
-        &infer_body(&[0.0; 4], None, None),
-    );
+    let (status, _) = request(addr, "POST", "/v1/infer", &infer_body(&[0.0; 4], None));
     assert_eq!(status, 503);
 
     handle.shutdown();
     handle.join();
 }
 
+/// Every `200` is the full-window answer: `steps` is the model's
+/// `latency_steps` and `decision_step` is `null`, with or without a
+/// deadline. The request's `early_exit` field is accepted and ignored:
+/// a body carrying `"early_exit": true` (or `false`) answers
+/// bit-identical to the same body without it.
 #[test]
-fn forced_early_exit_is_bit_identical_to_explicit_early_exit() {
-    // A static force threshold far above any realistic slack: every
-    // deadline-carrying full-window request is degraded onto the
-    // early-exit rung. Its response must carry `degraded: true` and be
-    // bit-identical to the same image explicitly requested early-exit.
-    let mut config = base_config();
-    config.force_ee_slack_us = 3_600_000_000; // one hour of "slack"
-    let (handle, images) = test_server(config);
+fn early_exit_field_is_accepted_and_ignored() {
+    let (handle, images) = test_server(base_config());
     let addr = handle.addr();
-    let image = &images[4];
-
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/v1/infer",
-        &infer_body(image, Some(true), None),
-    );
+    let (status, body) = request(addr, "GET", "/v1/models", b"");
     assert_eq!(status, 200);
-    let explicit: InferResponse = serde_json::from_slice(&body).unwrap();
-    assert!(!explicit.degraded, "explicit early-exit is not degraded");
+    let models: Vec<ModelInfo> = serde_json::from_slice(&body).unwrap();
+    let latency_steps = models[0].latency_steps;
 
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/v1/infer",
-        &infer_body_deadline(image, Some(false), None, Some(30_000)),
-    );
-    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-    let forced: InferResponse = serde_json::from_slice(&body).unwrap();
-    assert!(forced.degraded, "the ladder should have forced early-exit");
-    assert_eq!(forced.label, explicit.label);
-    assert_eq!(forced.decision_step, explicit.decision_step);
-    assert_eq!(forced.steps, explicit.steps);
-    assert_eq!(
-        forced.top_potential.to_bits(),
-        explicit.top_potential.to_bits()
-    );
-    assert_eq!(forced.input_spikes, explicit.input_spikes);
-    assert_eq!(forced.hidden_spikes, explicit.hidden_spikes);
-    assert_eq!(forced.synop_adds, explicit.synop_adds);
-    assert_eq!(forced.synop_mults, explicit.synop_mults);
-
-    // Without a deadline there is no slack to run out of: the same
-    // full-window request is served undegraded.
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/v1/infer",
-        &infer_body(image, Some(false), None),
-    );
-    assert_eq!(status, 200);
-    let full: InferResponse = serde_json::from_slice(&body).unwrap();
-    assert!(!full.degraded);
-    assert_eq!(full.decision_step, None);
+    let infer = |request_body: &InferRequest| {
+        let bytes = serde_json::to_vec(request_body).unwrap();
+        let (status, body) = request(addr, "POST", "/v1/infer", &bytes);
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        let text = String::from_utf8_lossy(&body).into_owned();
+        assert!(text.contains("\"decision_step\":null"), "{text}");
+        let response: InferResponse = serde_json::from_slice(&body).unwrap();
+        assert_eq!(response.steps, latency_steps);
+        response
+    };
+    for image in &images[..4] {
+        for deadline_ms in [None, Some(30_000)] {
+            let plain = infer_request(image, None, deadline_ms);
+            let want = infer(&plain);
+            for early_exit in [Some(true), Some(false)] {
+                let got = infer(&InferRequest {
+                    early_exit,
+                    ..plain.clone()
+                });
+                assert_eq!(got.label, want.label);
+                assert_eq!(got.decision_step, want.decision_step);
+                assert_eq!(got.steps, want.steps);
+                assert_eq!(got.top_potential.to_bits(), want.top_potential.to_bits());
+                assert_eq!(got.input_spikes, want.input_spikes);
+                assert_eq!(got.hidden_spikes, want.hidden_spikes);
+                assert_eq!(got.synop_adds, want.synop_adds);
+                assert_eq!(got.synop_mults, want.synop_mults);
+            }
+        }
+    }
 
     handle.shutdown();
     handle.join();

@@ -50,13 +50,7 @@ fn observability_lock() -> MutexGuard<'static, ()> {
 
 /// Runs `images` through `model` split into `batch` -sized slices on a
 /// `workers`-wide pool, concatenating the per-image results.
-fn run_split(
-    model: &T2fsnn,
-    images: &Tensor,
-    opts: InferOptions,
-    batch: usize,
-    workers: usize,
-) -> Vec<ImageInference> {
+fn run_split(model: &T2fsnn, images: &Tensor, batch: usize, workers: usize) -> Vec<ImageInference> {
     let pool = ThreadPool::new(workers);
     let n = images.dims()[0];
     let feature: usize = images.dims()[1..].iter().product();
@@ -68,15 +62,15 @@ fn run_split(
         dims[0] = end - start;
         let slice = Tensor::from_vec(dims, images.data()[start * feature..end * feature].to_vec())
             .expect("slice");
-        out.extend(model.infer_on(&slice, opts, &pool).expect("infer"));
+        out.extend(model.infer_on(&slice, InferOptions, &pool).expect("infer"));
         start = end;
     }
     out
 }
 
 /// The tentpole contract test: every observability state produces the
-/// same bits as the all-off reference, for both engines, for both
-/// inference modes, across batch splits and worker counts.
+/// same bits as the all-off reference, for both engines, across batch
+/// splits and worker counts.
 #[test]
 fn tracing_and_profiling_change_no_bits() {
     let _serial = observability_lock();
@@ -84,32 +78,28 @@ fn tracing_and_profiling_change_no_bits() {
     let n = images.dims()[0];
     for engine in [SimEngine::Dense, SimEngine::default()] {
         let model = build(dnn, engine);
-        for opts in [InferOptions::default(), InferOptions::early_exit()] {
-            // Reference: both sinks off, whole batch, single worker.
-            trace::set_enabled(false);
-            profile::set_enabled(false);
-            let reference = run_split(&model, images, opts, n, 1);
-            assert_eq!(reference.len(), n);
+        // Reference: both sinks off, whole batch, single worker.
+        trace::set_enabled(false);
+        profile::set_enabled(false);
+        let reference = run_split(&model, images, n, 1);
+        assert_eq!(reference.len(), n);
 
-            // Observability states × batch/worker shapes. (trace, profile)
-            // = (false, false) re-checks pure batch invariance on the way.
-            for (trace_on, profile_on) in
-                [(true, false), (false, true), (true, true), (false, false)]
-            {
-                trace::set_enabled(trace_on);
-                profile::set_enabled(profile_on);
-                for (batch, workers) in [(n, 4), (1, 1), (3, 2), (7, 3)] {
-                    let probe = run_split(&model, images, opts, batch, workers);
-                    assert_eq!(
-                        reference, probe,
-                        "bits diverged: engine {engine:?}, opts {opts:?}, trace {trace_on}, \
-                         profile {profile_on}, batch {batch}, workers {workers}"
-                    );
-                }
+        // Observability states × batch/worker shapes. (trace, profile)
+        // = (false, false) re-checks pure batch invariance on the way.
+        for (trace_on, profile_on) in [(true, false), (false, true), (true, true), (false, false)] {
+            trace::set_enabled(trace_on);
+            profile::set_enabled(profile_on);
+            for (batch, workers) in [(n, 4), (1, 1), (3, 2), (7, 3)] {
+                let probe = run_split(&model, images, batch, workers);
+                assert_eq!(
+                    reference, probe,
+                    "bits diverged: engine {engine:?}, trace {trace_on}, profile {profile_on}, \
+                     batch {batch}, workers {workers}"
+                );
             }
-            trace::set_enabled(false);
-            profile::set_enabled(false);
         }
+        trace::set_enabled(false);
+        profile::set_enabled(false);
     }
 }
 
@@ -124,9 +114,7 @@ fn traced_run_records_engine_phase_spans() {
     let trace_id = trace::next_trace_id();
     {
         let _scope = trace::trace_scope(trace_id);
-        let _ = model
-            .infer(images, InferOptions::early_exit())
-            .expect("infer");
+        let _ = model.infer(images, InferOptions).expect("infer");
     }
     trace::set_enabled(false);
     let events = trace::snapshot();
@@ -161,6 +149,5 @@ fn traced_run_records_engine_phase_spans() {
         }
     }
     let stages = tagged.iter().filter(|e| e.key == "ttfs/stage").count();
-    let per_chunk = model.weighted_count() + 1; // + the early-exit window
-    assert_eq!(stages, chunks.len() * per_chunk);
+    assert_eq!(stages, chunks.len() * model.weighted_count());
 }
