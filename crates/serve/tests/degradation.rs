@@ -5,8 +5,8 @@
 //!   with remaining slack — and never reorders the survivors;
 //! * every answer the batcher gives equals its image's solo answer,
 //!   across batch compositions (jobs with and without deadlines share
-//!   batches) and worker counts {1, 2, 4}, on a clean and on a perturbed
-//!   model (the batcher and the perturbation subsystem compose);
+//!   batches) and worker counts {1, 2, 4}, on a clean model and on a
+//!   perturbed one (the batcher and the perturbation subsystem compose);
 //! * an injected batch panic fails only its own batch's requests and
 //!   the batcher keeps serving (no respawn needed);
 //! * a registry loaded with a severity-0 perturbation serves bits
@@ -151,84 +151,94 @@ fn batcher_sheds_only_expired_jobs() {
 /// its image's solo answer, byte for byte, across batch compositions
 /// (solo, partial and full batches, where odd-indexed jobs carry a
 /// deadline and even-indexed ones none — the model alone is the batch
-/// key, so both share batches) and worker counts {1, 2, 4}. It runs on
-/// the clean model and on one loaded with a non-identity event+weight
-/// perturbation, whose per-image content-keyed streams must stay
-/// invariant too.
+/// key, so both share batches) and worker counts {1, 2, 4}.
+fn assert_batcher_matches_solo(what: &str, model: &Arc<ServeModel>, images: &[Vec<f32>]) {
+    let [c, h, w] = model.image_dims();
+    // Solo references, per worker count: all must agree bit for bit
+    // (worker invariance), giving one canonical answer per image.
+    let mut references: Vec<ImageInference> = Vec::new();
+    for image in images {
+        let tensor = Tensor::from_vec(vec![1, c, h, w], image.clone()).expect("tensor");
+        let mut per_worker: Vec<ImageInference> = [1usize, 2, 4]
+            .iter()
+            .map(|&workers| {
+                let pool = ThreadPool::new(workers);
+                model
+                    .model
+                    .infer_on(&tensor, InferOptions, &pool)
+                    .expect("solo inference")
+                    .remove(0)
+            })
+            .collect();
+        let canonical = per_worker.remove(0);
+        for other in &per_worker {
+            assert_eq!(
+                &canonical, other,
+                "{what}: solo answer differs across workers"
+            );
+            assert_eq!(
+                canonical.top_potential.to_bits(),
+                other.top_potential.to_bits()
+            );
+        }
+        references.push(canonical);
+    }
+
+    for max_batch in [1usize, 3, 8] {
+        let queue = Queue::new(64);
+        let metrics = Metrics::new(8);
+        let now = Instant::now();
+        let mut receivers = Vec::new();
+        for (i, image) in images.iter().enumerate() {
+            let deadline = (i % 2 == 1).then(|| now + Duration::from_secs(5));
+            let (job, rx) = make_job(model, image.clone(), deadline);
+            assert!(queue.push(job).is_ok(), "queue push must succeed");
+            receivers.push(rx);
+        }
+        queue.close();
+        let config = BatcherConfig {
+            max_batch,
+            fill_target: max_batch,
+            max_delay: Duration::from_micros(100),
+        };
+        batcher::run(&queue, &metrics, &config, None, None);
+        for (i, rx) in receivers.iter().enumerate() {
+            let outcome = rx
+                .try_recv()
+                .expect("answered")
+                .expect("executed, not shed");
+            assert_eq!(
+                &outcome.result, &references[i],
+                "{what}, max_batch {max_batch}: job {i} bits differ from its solo answer"
+            );
+            assert_eq!(
+                outcome.result.top_potential.to_bits(),
+                references[i].top_potential.to_bits()
+            );
+        }
+    }
+}
+
+/// Batch and worker invariance through the batcher on the clean model.
 #[test]
 fn batcher_answers_match_solo_across_batches_and_workers() {
-    let (clean, images) = tiny();
+    let (model, images) = tiny();
+    assert_batcher_matches_solo("clean", &model, &images);
+}
+
+/// The batcher composes with the perturbation subsystem: on a model
+/// loaded with a non-identity event+weight perturbation, whose per-image
+/// content-keyed streams must stay invariant, every batched answer still
+/// equals its solo answer across batch compositions and worker counts.
+#[test]
+fn batcher_answers_match_solo_under_perturbation() {
+    let (_, images) = tiny();
     let spec = PerturbSpec::parse("5:jitter=1,drop=0.05,wgauss=0.02").expect("spec");
     let registry =
         Registry::load_perturbed(&["tiny".to_string()], Some(&spec)).expect("load perturbed");
     assert_eq!(registry.perturbed_models(), 1);
-    let perturbed = registry.get(None).expect("tiny ready");
-    for (what, model) in [("clean", clean), ("perturbed", perturbed)] {
-        let [c, h, w] = model.image_dims();
-        // Solo references, per worker count: all must agree bit for bit
-        // (worker invariance), giving one canonical answer per image.
-        let mut references: Vec<ImageInference> = Vec::new();
-        for image in &images {
-            let tensor = Tensor::from_vec(vec![1, c, h, w], image.clone()).expect("tensor");
-            let mut per_worker: Vec<ImageInference> = [1usize, 2, 4]
-                .iter()
-                .map(|&workers| {
-                    let pool = ThreadPool::new(workers);
-                    model
-                        .model
-                        .infer_on(&tensor, InferOptions, &pool)
-                        .expect("solo inference")
-                        .remove(0)
-                })
-                .collect();
-            let canonical = per_worker.remove(0);
-            for other in &per_worker {
-                assert_eq!(
-                    &canonical, other,
-                    "{what}: solo answer differs across workers"
-                );
-                assert_eq!(
-                    canonical.top_potential.to_bits(),
-                    other.top_potential.to_bits()
-                );
-            }
-            references.push(canonical);
-        }
-
-        for max_batch in [1usize, 3, 8] {
-            let queue = Queue::new(64);
-            let metrics = Metrics::new(8);
-            let now = Instant::now();
-            let mut receivers = Vec::new();
-            for (i, image) in images.iter().enumerate() {
-                let deadline = (i % 2 == 1).then(|| now + Duration::from_secs(5));
-                let (job, rx) = make_job(&model, image.clone(), deadline);
-                assert!(queue.push(job).is_ok(), "queue push must succeed");
-                receivers.push(rx);
-            }
-            queue.close();
-            let config = BatcherConfig {
-                max_batch,
-                fill_target: max_batch,
-                max_delay: Duration::from_micros(100),
-            };
-            batcher::run(&queue, &metrics, &config, None, None);
-            for (i, rx) in receivers.iter().enumerate() {
-                let outcome = rx
-                    .try_recv()
-                    .expect("answered")
-                    .expect("executed, not shed");
-                assert_eq!(
-                    &outcome.result, &references[i],
-                    "{what}, max_batch {max_batch}: job {i} bits differ from its solo answer"
-                );
-                assert_eq!(
-                    outcome.result.top_potential.to_bits(),
-                    references[i].top_potential.to_bits()
-                );
-            }
-        }
-    }
+    let model = registry.get(None).expect("tiny ready");
+    assert_batcher_matches_solo("perturbed", &model, &images);
 }
 
 /// The perturbation gate: a registry loaded under a severity-0 spec
