@@ -17,10 +17,14 @@
 //! instead of deserializing garbage weights. A non-object top level is
 //! stored as a single unnamed section. Version 2 is the only version
 //! read or written; the checksum-less version 1 is rejected like any
-//! other unknown version. The checksum is table-driven (slicing-by-8:
-//! about 0.8 ns per byte on a 2-vCPU AVX2 VM, where the bitwise loop
-//! took 7), over the same polynomial, so it reads and writes the same
-//! values.
+//! other unknown version. The checksum folds 16-byte blocks by
+//! carry-less multiplication ([`simd::crc32_fold`], on a CPU with
+//! `pclmulqdq` while SIMD dispatch is on) and runs slicing-by-8 tables
+//! over the rest, or over everything when the fold is off. On a 2-vCPU
+//! AVX2 VM the fold takes about 0.14 ns per byte over a 21 MB file (0.07
+//! over 8 MB), the tables 0.8 and the bitwise loop 7. All three compute
+//! the same polynomial, so a file written on either path reads back on
+//! the other.
 //!
 //! ## Decoding
 //!
@@ -53,6 +57,7 @@ use std::borrow::Cow;
 use std::io::{Read, Seek, SeekFrom};
 
 use serde::Value;
+use t2fsnn_tensor::simd;
 
 /// File magic: "T2FB" (T2FSNN binary).
 pub const MAGIC: [u8; 4] = *b"T2FB";
@@ -106,8 +111,9 @@ pub fn to_bytes(value: &Value) -> Vec<u8> {
     out
 }
 
-/// IEEE CRC32 (reflected, polynomial `0xEDB88320`), slicing-by-8 —
-/// no external crate.
+/// IEEE CRC32 (reflected, polynomial `0xEDB88320`): carry-less-multiply
+/// folding where the CPU has it, slicing-by-8 tables otherwise and for
+/// the tail — no external crate.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0u32, bytes)
 }
@@ -147,7 +153,17 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+/// Advances the CRC register over `bytes`: the carry-less-multiply fold
+/// over the whole 16-byte blocks when it is dispatched, then the tables
+/// over the rest.
+fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let (crc, folded) = simd::crc32_fold(crc, bytes);
+    crc32_tables(crc, &bytes[folded..])
+}
+
+/// The scalar twin of [`simd::crc32_fold`]: slicing-by-8 over
+/// [`CRC_TABLES`].
+fn crc32_tables(mut crc: u32, bytes: &[u8]) -> u32 {
     let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut words = bytes.chunks_exact(8);
     for word in &mut words {
@@ -682,6 +698,23 @@ mod tests {
         !crc
     }
 
+    /// Serializes the tests that flip the process-global SIMD dispatch,
+    /// so one test's `set_enabled(false)` cannot land between another's
+    /// `set_enabled(true)` and the checks that follow it.
+    static SIMD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Runs `f` with the carry-less-multiply fold dispatched (the tables
+    /// alone on a CPU without it) and with the tables alone, naming the
+    /// path, and restores the previous dispatch state.
+    fn with_both_crc_paths(mut f: impl FnMut(&str)) {
+        let _guard = SIMD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = simd::set_enabled(true);
+        f("fold");
+        simd::set_enabled(false);
+        f("tables");
+        simd::set_enabled(prev);
+    }
+
     #[test]
     fn crc32_tables_match_the_bitwise_oracle() {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -693,29 +726,76 @@ mod tests {
                 (state >> 24) as u8
             })
             .collect();
-        // Every start offset mod 8 shifts where the 8-byte words fall.
-        for offset in 0..8 {
-            for len in 0..=64 {
-                let slice = &buffer[offset..offset + len];
+        // Every start offset mod 16 shifts where the tables' 8-byte words
+        // and the fold's 16-byte blocks fall; the lengths cross the fold's
+        // 64-byte minimum and leave every tail of 0..16 bytes to the
+        // tables.
+        let oracles: Vec<Vec<u32>> = (0..16)
+            .map(|offset| {
+                let mut lens: Vec<u32> = (0..=300)
+                    .map(|len| crc32_bitwise(&buffer[offset..offset + len]))
+                    .collect();
+                lens.push(crc32_bitwise(&buffer[offset..]));
+                lens
+            })
+            .collect();
+        with_both_crc_paths(|path| {
+            for (offset, oracle) in oracles.iter().enumerate() {
+                for len in 0..=300 {
+                    assert_eq!(
+                        crc32(&buffer[offset..offset + len]),
+                        oracle[len],
+                        "{path}: offset {offset}, len {len}"
+                    );
+                }
                 assert_eq!(
-                    crc32(slice),
-                    crc32_bitwise(slice),
-                    "offset {offset}, len {len}"
+                    crc32(&buffer[offset..]),
+                    oracle[301],
+                    "{path}: offset {offset}, whole buffer"
                 );
             }
-            let slice = &buffer[offset..];
+            // A section checksum chains the key into the payload.
+            let (key, payload) = (b"weights".as_slice(), &buffer[..1000]);
             assert_eq!(
-                crc32(slice),
-                crc32_bitwise(slice),
-                "offset {offset}, whole buffer"
+                section_crc("weights", payload),
+                crc32_bitwise(&[key, payload].concat()),
+                "{path}"
             );
-        }
-        // A section checksum chains the key into the payload.
-        let (key, payload) = (b"weights".as_slice(), &buffer[..1000]);
-        assert_eq!(
-            section_crc("weights", payload),
-            crc32_bitwise(&[key, payload].concat())
+        });
+    }
+
+    #[test]
+    fn files_read_back_across_crc_paths() {
+        // Sections long enough for the fold, with tails off the 16-byte
+        // grid.
+        let value = Value::Object(vec![
+            ("seed".to_string(), Value::Int(7)),
+            (
+                "weights".to_string(),
+                Value::F32Array((0..1001).map(|i| i as f32 * -0.375).collect()),
+            ),
+            (
+                "dataset".to_string(),
+                sectioned().get("dataset").unwrap().clone(),
+            ),
+        ]);
+        let mut written = Vec::new();
+        with_both_crc_paths(|_| written.push(to_bytes(&value)));
+        assert!(
+            written[0] == written[1],
+            "both paths write the same checksums"
         );
+        // Each path reads what the other wrote, and still catches a
+        // flipped payload byte.
+        let mut corrupt = written[0].clone();
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= 0x04;
+        with_both_crc_paths(|path| {
+            for bytes in &written {
+                assert_eq!(from_bytes(bytes).as_ref(), Ok(&value), "{path}");
+            }
+            assert!(from_bytes(&corrupt).is_err(), "{path}");
+        });
     }
 
     /// A bare-layout file holding one section with `payload`, framed

@@ -300,8 +300,10 @@ struct CacheEntry {
     dnn_accuracy: f32,
 }
 
-/// What [`prepare_network`] reads of the `dataset` section: its spec
-/// and its images' shape, both ahead of the image data.
+/// The head of the `dataset` section: its spec and its images' shape,
+/// both ahead of the image data. [`prepare_network`] reads no more of
+/// the section; [`prepare`] builds the dataset from it, the labels and
+/// the image data.
 #[derive(Deserialize)]
 struct DatasetHead {
     spec: DatasetSpec,
@@ -490,24 +492,41 @@ fn load_cache(scenario: Scenario) -> Option<Prepared> {
 fn load_cache_from(path: &Path, scenario: Scenario) -> Option<Prepared> {
     // Non-binary (legacy JSON), version-1 or corrupt entries are plain
     // misses: `from_bytes` rejects them. The file bytes are a temporary
-    // of this statement, freed before `from_value` runs.
+    // of this statement, freed before the dataset is built.
     let tree = binfmt::from_bytes(&fs::read(path).ok()?).ok()?;
     prepared_from(tree, scenario)
 }
 
 /// Validates a decoded cache file against the scenario definition and
-/// splits its dataset; `None` on any mismatch.
-fn prepared_from(tree: Value, scenario: Scenario) -> Option<Prepared> {
-    // The decoded tree is freed before the dataset is split, so no more
-    // than two copies of the dataset are alive at once.
+/// splits its dataset; `None` on any mismatch, a label count that
+/// disagrees with the image shape included.
+///
+/// The decoded image data moves out of the tree into the training
+/// split, so the only copy of the dataset is its test tail.
+fn prepared_from(mut tree: Value, scenario: Scenario) -> Option<Prepared> {
     let entry = CacheEntry::from_value(&tree).ok()?;
-    let data = Option::<Dataset>::from_value(tree.get("dataset")?).ok()??;
+    let dataset = tree.get_mut("dataset")?;
+    let data = dataset.get_mut("images")?.get_mut("data")?.take();
+    let head = DatasetHead::from_value(dataset).ok()?;
+    let labels = Vec::<usize>::from_value(dataset.get("labels")?).ok()?;
     drop(tree);
     let recipe = scenario.recipe();
-    if !accepts(&entry, &data.spec, data.len(), &recipe) {
+    let spec = head.spec;
+    let shape = [labels.len(), spec.channels, spec.height, spec.width];
+    if head.images.shape != shape || !accepts(&entry, &spec, labels.len(), &recipe) {
         return None;
     }
-    let (train, test) = data.split(recipe.train_size);
+    // An image array holding a non-finite value is stored element-wise.
+    let data = match data {
+        Value::F32Array(packed) => packed,
+        elementwise => Vec::<f32>::from_value(&elementwise).ok()?,
+    };
+    let mut train = Dataset {
+        spec,
+        images: Tensor::from_vec(shape, data).ok()?,
+        labels,
+    };
+    let test = train.split_off(recipe.train_size);
     Some(Prepared {
         scenario,
         dnn: entry.dnn,
@@ -713,6 +732,42 @@ mod tests {
             let (_, path) = scratch_cache_of(tag, &recipe.dataset());
             assert!(load_cache_from(&path, Scenario::Tiny).is_none(), "{tag}");
             assert!(load_network_from(&path, Scenario::Tiny).is_none(), "{tag}");
+            let _ = fs::remove_dir_all(path.parent().expect("scratch dir"));
+        }
+    }
+
+    /// A checksum-valid entry whose label count disagrees with its
+    /// image shape is a miss for `prepare`, whichever side is longer
+    /// (labels longer than the images once passed the key check and
+    /// panicked in the split).
+    #[test]
+    fn labels_off_the_image_shape_are_a_miss() {
+        let dataset = Scenario::Tiny.dataset();
+        let n = dataset.len();
+        let [c, h, w] = [
+            dataset.spec.channels,
+            dataset.spec.height,
+            dataset.spec.width,
+        ];
+        let images = |count: usize| {
+            let data = dataset.images.data()[..count * c * h * w].to_vec();
+            Tensor::from_vec([count, c, h, w], data).expect("whole images")
+        };
+        let longer_labels = Dataset {
+            images: images(n - 8),
+            ..dataset.clone()
+        };
+        let shorter_labels = Dataset {
+            labels: dataset.labels[..n - 8].to_vec(),
+            ..dataset.clone()
+        };
+        for (tag, dataset) in [("longer", longer_labels), ("shorter", shorter_labels)] {
+            let (_, path) = scratch_cache_of(&format!("labels-{tag}"), &dataset);
+            assert!(
+                binfmt::from_bytes(&fs::read(&path).unwrap()).is_ok(),
+                "{tag}"
+            );
+            assert!(load_cache_from(&path, Scenario::Tiny).is_none(), "{tag}");
             let _ = fs::remove_dir_all(path.parent().expect("scratch dir"));
         }
     }

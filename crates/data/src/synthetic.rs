@@ -238,27 +238,38 @@ impl Dataset {
     }
 
     /// Splits into `(first, rest)` at sample `at` (no shuffling; generation
-    /// is already class-balanced round-robin).
+    /// is already class-balanced round-robin): a copy, then
+    /// [`split_off`](Dataset::split_off).
     ///
     /// # Panics
     ///
     /// Panics if `at > self.len()`.
     pub fn split(&self, at: usize) -> (Dataset, Dataset) {
+        let mut first = self.clone();
+        let rest = first.split_off(at);
+        (first, rest)
+    }
+
+    /// Keeps samples `[0, at)` and returns the rest, like
+    /// `Vec::split_off`: the kept samples stay in this dataset's image
+    /// buffer, and only the returned tail is copied, as one contiguous
+    /// run of `[N, C, H, W]` storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > self.len()`.
+    pub fn split_off(&mut self, at: usize) -> Dataset {
         assert!(at <= self.len(), "split point {at} beyond {}", self.len());
-        let dims = [self.spec.channels, self.spec.height, self.spec.width];
-        let per_image: usize = dims.iter().product();
-        // Each half is one contiguous run of `[N, C, H, W]` storage,
-        // copied once.
-        let take = |range: std::ops::Range<usize>| Dataset {
+        let [c, h, w] = [self.spec.channels, self.spec.height, self.spec.width];
+        let mut data = std::mem::replace(&mut self.images, Tensor::zeros([0])).into_vec();
+        let rest = data.split_off(at * c * h * w);
+        self.images = Tensor::from_vec([at, c, h, w], data).expect("a run of whole images");
+        let labels = self.labels.split_off(at);
+        Dataset {
             spec: self.spec.clone(),
-            images: Tensor::from_vec(
-                [range.len(), dims[0], dims[1], dims[2]],
-                self.images.data()[range.start * per_image..range.end * per_image].to_vec(),
-            )
-            .expect("a run of whole images"),
-            labels: self.labels[range].to_vec(),
-        };
-        (take(0..at), take(at..self.len()))
+            images: Tensor::from_vec([labels.len(), c, h, w], rest).expect("a run of whole images"),
+            labels,
+        }
     }
 
     /// Iterates over `(images, labels)` mini-batches of at most
@@ -405,6 +416,26 @@ mod tests {
         let (all, none) = ds.split(10);
         assert_eq!(all, ds);
         assert_eq!(none.images.dims(), &[0, 1, 8, 8]);
+    }
+
+    #[test]
+    fn split_off_keeps_the_head_buffer_and_returns_the_tail() {
+        let ds = tiny_dataset(10);
+        let mut head = ds.clone();
+        let buffer = head.images.data().as_ptr();
+        let tail = head.split_off(6);
+        assert_eq!(
+            head.images.data().as_ptr(),
+            buffer,
+            "the head is not copied"
+        );
+        assert_eq!(head.images.dims(), &[6, 1, 8, 8]);
+        assert_eq!(tail.images.dims(), &[4, 1, 8, 8]);
+        let (first, rest) = ds.images.data().split_at(6 * 64);
+        assert_eq!((head.images.data(), tail.images.data()), (first, rest));
+        let (first, rest) = ds.labels.split_at(6);
+        assert_eq!((&head.labels[..], &tail.labels[..]), (first, rest));
+        assert_eq!(head.split_off(6).images.dims(), &[0, 1, 8, 8]);
     }
 
     #[test]

@@ -191,6 +191,62 @@ mod tests {
         assert_eq!(req.image, vec![0.5, 1.0]);
     }
 
+    /// The per-number semantics of `image`, pinned for any faster parser
+    /// to keep: each JSON number reads as the nearest `f64`, then rounds
+    /// to `f32` (two roundings, not one straight to `f32`), and `null`
+    /// reads as NaN.
+    #[test]
+    fn image_numbers_read_as_f64_then_round_to_f32() {
+        let cases = [
+            // 17 significant digits. The first lies just above the
+            // midpoint between 1 and the next f32, but its nearest f64 is
+            // that midpoint, which then rounds to even: 1.0.
+            "1.0000000596046448",
+            "0.12345678901234567",
+            "-3.1415926535897931",
+            // Subnormals: the least f32 one, under half of it, the least
+            // f64 one, and an underflow past f64.
+            "1e-45",
+            "7e-46",
+            "1.1754942e-38",
+            "4.9e-324",
+            "-1e-400",
+            // Integers: 2^24 + 1 (rounds to even), 2^53 + 1 (already
+            // rounded as f64), and 2^127 and -3e38, beyond i128.
+            "0",
+            "3",
+            "16777217",
+            "-9007199254740993",
+            "170141183460469231731687303715884105728",
+            "-300000000000000000000000000000000000000",
+            // Exponent forms, an f32 overflow and an f64 one.
+            "5e-1",
+            "5E-1",
+            "2.5e+2",
+            "1E2",
+            "-0.5e0",
+            "1e39",
+            "1e400",
+            // Negative zero keeps its sign, with or without a fraction.
+            "-0",
+            "-0.0",
+        ];
+        let body = format!(r#"{{"image": [{}]}}"#, cases.join(", "));
+        let req: InferRequest = serde_json::from_str(&body).unwrap();
+        assert_eq!(req.image.len(), cases.len());
+        for (text, got) in cases.iter().zip(&req.image) {
+            let want = text.parse::<f64>().unwrap() as f32;
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
+        assert_eq!(req.image[0], 1.0);
+        assert_ne!(req.image[0], "1.0000000596046448".parse::<f32>().unwrap());
+        assert_eq!(req.image[4], 0.0);
+        assert!(req.image[cases.len() - 2].is_sign_negative());
+        let req: InferRequest = serde_json::from_str(r#"{"image": [0.5, null]}"#).unwrap();
+        assert_eq!(req.image[0], 0.5);
+        assert!(req.image[1].is_nan());
+    }
+
     /// The wire names every client depends on: renaming a field breaks
     /// clients silently, so each public body's exact serialization is
     /// pinned, key by key. (`optional_fields_default_when_missing`

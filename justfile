@@ -7,7 +7,7 @@ verify:
     cargo test -q
 
 # Everything CI runs, in CI order; every step blocks.
-ci: fmt-check lint doc-check verify test-scalar pool-test conv-threads crate-graph bench-check perfbench-smoke bench-smoke serve-smoke serve-chaos robustness-smoke serve-lifecycle obs-smoke
+ci: fmt-check lint doc-check verify test-scalar cache-hit pool-test conv-threads crate-graph bench-check perfbench-smoke bench-smoke serve-smoke serve-chaos robustness-smoke serve-lifecycle obs-smoke
 
 # Crate-graph guard (blocking): the server loads models through
 # `t2fsnn::scenario` and must not depend on the reproduction harness.
@@ -80,6 +80,15 @@ obs-smoke:
 serve-overload:
     cargo build --release -p t2fsnn-serve
     timeout 900 cargo run --release -p t2fsnn-serve --bin serve_load -- overload
+
+# Cache-hit guard (blocking): a cache checksum that disagrees with the
+# writer's is no error, only a miss and a silent retrain. Write the
+# quick `tiny` cache, then load it with SIMD on and off (the CRC-32's
+# carry-less-multiply fold and its table twin); a load that trains fails.
+cache-hit:
+    cargo build --release -p t2fsnn-bench --bin t2fsnn_cli
+    T2FSNN_QUICK=1 cargo run -q --release -p t2fsnn-bench --bin t2fsnn_cli -- train --scenario tiny > /dev/null
+    for simd in 1 0; do out="$(T2FSNN_QUICK=1 T2FSNN_SIMD=$simd cargo run -q --release -p t2fsnn-bench --bin t2fsnn_cli -- train --scenario tiny 2>&1)" || { printf '%s\n' "$out" >&2; exit 1; }; if printf '%s\n' "$out" | grep -q '\[prepare\] training'; then echo "error: T2FSNN_SIMD=$simd missed the tiny cache and retrained" >&2; exit 1; fi; done
 
 # Thread-pool shutdown/deadlock net under a single-threaded harness.
 pool-test:

@@ -59,6 +59,22 @@ impl Value {
         }
     }
 
+    /// Mutable lookup of a key in an object value (serde_json's
+    /// `Value::get_mut` for a string key).
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+        match self {
+            Value::Object(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Moves the value out, leaving [`Value::Null`] in its place
+    /// (serde_json's `Value::take`): how a large packed array leaves a
+    /// tree without a copy.
+    pub fn take(&mut self) -> Value {
+        std::mem::replace(self, Value::Null)
+    }
+
     /// The object's key/value pairs, if this is an object.
     pub fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
@@ -540,6 +556,19 @@ mod tests {
             Value::F32Array(vec![f32::NAN])
         );
         assert_eq!(Value::F32Array(Vec::new()), Value::Array(Vec::new()));
+    }
+
+    #[test]
+    fn take_moves_a_nested_value_out_through_get_mut() {
+        let mut tree = Value::Object(vec![(
+            "images".to_string(),
+            Value::Object(vec![("data".to_string(), Value::F32Array(vec![0.5]))]),
+        )]);
+        let data = tree.get_mut("images").and_then(|v| v.get_mut("data"));
+        assert_eq!(data.unwrap().take(), Value::F32Array(vec![0.5]));
+        assert_eq!(tree.get("images").unwrap().get("data"), Some(&Value::Null));
+        assert!(tree.get_mut("nowhere").is_none());
+        assert!(Value::Int(1).get_mut("images").is_none());
     }
 
     #[test]

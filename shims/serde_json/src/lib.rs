@@ -286,8 +286,10 @@ impl<'a> Parser<'a> {
         } else {
             // Huge integral floats (e.g. f32::MAX) print without a
             // '.'/exponent; fall back to f64 when they overflow i128 so
-            // JSON this shim produced always re-parses.
+            // JSON this shim produced always re-parses. `-0` reads as a
+            // float too, as serde_json reads it, so its sign survives.
             match text.parse::<i128>() {
+                Ok(0) if text.starts_with('-') => Ok(Value::Float(-0.0)),
                 Ok(i) => Ok(Value::Int(i)),
                 Err(_) => text
                     .parse::<f64>()
@@ -596,6 +598,10 @@ mod tests {
         // Plain zero and zero-prefixed fractions remain legal.
         assert_eq!(from_str::<u64>("0").unwrap(), 0);
         assert_eq!(from_str::<f64>("0.5").unwrap(), 0.5);
+        // `-0` is a float with its sign, and still an integer zero.
+        assert_eq!(from_str::<Value>("-0").unwrap(), Value::Float(-0.0));
+        assert!(from_str::<f64>("-0").unwrap().is_sign_negative());
+        assert_eq!(from_str::<i64>("-0").unwrap(), 0);
         // Raw control characters inside strings.
         assert!(from_slice::<String>(b"\"a\x01b\"").is_err());
         // Their escaped forms are fine.
